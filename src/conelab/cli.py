@@ -86,6 +86,9 @@ def certificate_to_dict(cert) -> dict | None:
             "grid_points": cert.grid_points,
             "best_value": cert.best_value,
             "best_index": cert.best_index,
+            "rounds": cert.rounds,
+            "converged": cert.converged,
+            "agreeing": cert.agreeing,
             "left": _vector_pairs(cert.best_vector.left),
             "right": _vector_pairs(cert.best_vector.right),
         }
@@ -153,12 +156,15 @@ def _cmd_membership(args) -> tuple[dict, dict]:
     elif args.cone == "ppt":
         verdict = cones.ppt_check(op, args.tol if args.tol is not None else 1e-9)
     elif args.cone == "separable":
-        budget = DecomposeBudget(optimizer=OptimizerConfig(
-            starts=max(8, args.budget // 5), steps=200, seed=args.seed))
-        try:
-            verdict = cones.separable_decompose(op, budget)
-        except ValueError as exc:
-            raise MalformedInput(str(exc)) from exc
+        # A PPT violation certifies Out with a witness; only the search can say In.
+        verdict = cones.ppt_check(op, args.tol if args.tol is not None else 1e-9)
+        if verdict.status is not cones.Status.OUT:
+            budget = DecomposeBudget(optimizer=OptimizerConfig(
+                starts=max(8, args.budget // 5), steps=200, seed=args.seed))
+            try:
+                verdict = cones.separable_decompose(op, budget)
+            except ValueError as exc:
+                raise MalformedInput(str(exc)) from exc
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown cone {args.cone}")
     return (

@@ -14,7 +14,6 @@ certificate, ``Unknown`` otherwise.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -34,6 +33,8 @@ from .operators import (
 
 SPECTRAL_TOL = 1e-9
 OPTIMIZER_TOL = 1e-6
+SEESAW_DROP = 1e-15  # per-round decrease, in spectral-norm units, that ends the seesaw
+AGREE_TOL = 1e-9  # starts this close to the best value, in the same units, agree
 
 
 class Status(str, Enum):
@@ -76,7 +77,13 @@ class SeparableDecomposition:
 
 @dataclass(frozen=True)
 class OptimizerTrace:
-    """Deterministic record of a multistart product-vector optimization."""
+    """Deterministic record of a multistart product-vector optimization.
+
+    ``rounds`` counts the seesaw rounds run, ``converged`` says whether the
+    last of them left every start's value unchanged to within
+    ``SEESAW_DROP``, and ``agreeing`` counts the starts whose value came
+    within ``AGREE_TOL`` of the best (both in spectral-norm units).
+    """
 
     seed: int
     starts: int
@@ -85,7 +92,9 @@ class OptimizerTrace:
     best_value: float
     best_index: int
     best_vector: ProductVector
-    polished: bool
+    rounds: int
+    converged: bool
+    agreeing: int
 
 
 @dataclass(frozen=True)
@@ -100,7 +109,12 @@ class Verdict:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Budget for the block-positivity optimizer (multistart projected gradient)."""
+    """Budget for the block-positivity optimizer (multistart seesaw).
+
+    The seesaw runs at most ``steps + polish_rounds`` rounds from ``starts``
+    seeded random starts, the first of them taken from a deterministic grid
+    when ``use_grid`` is set.
+    """
 
     starts: int = 200
     steps: int = 500
@@ -149,10 +163,9 @@ def _product_grid(n: int) -> np.ndarray:
     return np.array(vecs)
 
 
-def _batched_objective(a: np.ndarray, phi: np.ndarray, psi: np.ndarray):
+def _batched_objective(a: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     v = (phi[:, :, None] * psi[:, None, :]).reshape(len(phi), -1)
-    xv = v @ a.T
-    return np.einsum("bi,bi->b", v.conj(), xv).real, xv
+    return np.einsum("bi,bi->b", v.conj(), v @ a.T).real
 
 
 def product_expectation(x: BipartiteOperator, vec: ProductVector) -> float:
@@ -166,105 +179,57 @@ def block_positive_min(
 ) -> tuple[float, OptimizerTrace]:
     """Best-found minimum of <phi (x) psi, X (phi (x) psi)> over product vectors.
 
-    Multistart projected gradient on the product of unit spheres (Armijo
-    backtracking, batched over starts), seeded by a coarse deterministic
-    grid, followed by a few alternating lowest-eigenvector polish rounds.
-    The result is an upper bound on the true minimum; starts are merged by
-    minimum value with the lowest start index winning ties, so the output
-    is independent of evaluation order.
+    Batched seesaw from seeded random starts, the first few taken from the
+    best points of a coarse deterministic grid: each round sets phi to the
+    lowest eigenvector of the reduced matrix <psi| X |psi>, then psi to that
+    of <phi| X |phi>.  Rounds stop after ``steps + polish_rounds`` or once no
+    start's value drops by more than ``SEESAW_DROP``.  The result is an upper
+    bound on the true minimum; grid points and starts are merged by minimum
+    value with the lowest index winning ties, so the output is independent
+    of evaluation order.
 
     The operator is rescaled by its spectral norm before optimizing, which
     makes the result exactly positively homogeneous in X.
     """
     cfg = cfg or OptimizerConfig()
     n, m = x.n, x.m
-    a_full = x.matrix
-    scale = float(np.max(np.abs(np.linalg.eigvalsh(a_full)))) if x.dim else 0.0
-    e_left = np.eye(n, dtype=complex)[0]
-    e_right = np.eye(m, dtype=complex)[0]
-    if scale == 0.0:
-        trace = OptimizerTrace(cfg.seed, 0, 0, 0, 0.0, 0,
-                               ProductVector(e_left, e_right), False)
-        return 0.0, trace
-    a = a_full / scale
-    a4 = a.reshape(n, m, n, m)
+    scale = float(np.max(np.abs(np.linalg.eigvalsh(x.matrix)))) or 1.0
+    a = x.matrix / scale
+    # a_lr[(i, j), (k, l)] = X[(i, k), (j, l)]: either factor's reduced
+    # matrix is one GEMM of this with the other factor's outer products.
+    a_lr = a.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
     rng = np.random.default_rng(cfg.seed)
-
-    candidates_phi: list[np.ndarray] = []
-    candidates_psi: list[np.ndarray] = []
-    grid_points = 0
-    if cfg.use_grid:
-        gl, gr = _product_grid(n), _product_grid(m)
-        idx = list(itertools.product(range(len(gl)), range(len(gr))))
-        gphi = np.array([gl[i] for i, _ in idx])
-        gpsi = np.array([gr[j] for _, j in idx])
-        gvals, _ = _batched_objective(a, gphi, gpsi)
-        grid_points = len(idx)
-        candidates_phi.append(gphi)
-        candidates_psi.append(gpsi)
-        seed_order = np.argsort(gvals, kind="stable")[: min(8, len(idx))]
-    else:
-        gvals = np.empty(0)
-        seed_order = np.empty(0, dtype=int)
 
     phi = _normalize_rows(rng.normal(size=(cfg.starts, n)) + 1j * rng.normal(size=(cfg.starts, n)))
     psi = _normalize_rows(rng.normal(size=(cfg.starts, m)) + 1j * rng.normal(size=(cfg.starts, m)))
-    for pos, gi in enumerate(seed_order):
-        if pos < cfg.starts:
-            phi[pos] = gphi[gi]
-            psi[pos] = gpsi[gi]
+    gphi, gpsi, gvals = phi[:0], psi[:0], np.empty(0)
+    if cfg.use_grid:
+        gl, gr = _product_grid(n), _product_grid(m)
+        gphi, gpsi = np.repeat(gl, len(gr), axis=0), np.tile(gr, (len(gl), 1))
+        gvals = _batched_objective(a, gphi, gpsi)
+        seeds = np.argsort(gvals, kind="stable")[: min(8, cfg.starts)]
+        phi[: len(seeds)], psi[: len(seeds)] = gphi[seeds], gpsi[seeds]
 
-    step = np.full(cfg.starts, 0.25)
-    f, xv = _batched_objective(a, phi, psi)
-    for _ in range(cfg.steps):
-        w = xv.reshape(-1, n, m)
-        gp = 2 * np.einsum("bnm,bm->bn", w, psi.conj())
-        gq = 2 * np.einsum("bnm,bn->bm", w, phi.conj())
-        rp = gp - np.einsum("bi,bi->b", phi.conj(), gp).real[:, None] * phi
-        rq = gq - np.einsum("bi,bi->b", psi.conj(), gq).real[:, None] * psi
-        g2 = (np.abs(rp) ** 2).sum(1) + (np.abs(rq) ** 2).sum(1)
-        if g2.max() < 1e-18:
-            break
-        active = np.ones(cfg.starts, dtype=bool)
-        for _ in range(30):
-            tp = _normalize_rows(phi - step[:, None] * rp)
-            tq = _normalize_rows(psi - step[:, None] * rq)
-            fc, xvc = _batched_objective(a, tp, tq)
-            ok = active & (fc <= f - 1e-4 * step * g2)
-            phi[ok], psi[ok], f[ok], xv[ok] = tp[ok], tq[ok], fc[ok], xvc[ok]
-            step[ok] = np.minimum(step[ok] * 1.3, 1.0)
-            active &= ~ok
-            if not active.any():
-                break
-            step[active] *= 0.5
-
-    polished = cfg.polish_rounds > 0
-    for _ in range(cfg.polish_rounds):
-        ml = np.einsum("ikjl,bk,bl->bij", a4, psi.conj(), psi)
-        _, vecs = np.linalg.eigh(ml)
-        phi = vecs[:, :, 0]
-        mr = np.einsum("ikjl,bi,bj->bkl", a4, phi.conj(), phi)
-        _, vecs = np.linalg.eigh(mr)
+    prev = np.full(cfg.starts, np.inf)
+    rounds, converged = 0, False
+    while rounds < cfg.steps + cfg.polish_rounds and not converged:
+        outer = (psi.conj()[:, :, None] * psi[:, None, :]).reshape(-1, m * m)
+        phi = np.linalg.eigh((outer @ a_lr.T).reshape(-1, n, n))[1][:, :, 0]
+        outer = (phi.conj()[:, :, None] * phi[:, None, :]).reshape(-1, n * n)
+        low, vecs = np.linalg.eigh((outer @ a_lr).reshape(-1, m, m))
         psi = vecs[:, :, 0]
-    f, _ = _batched_objective(a, phi, psi)
+        rounds += 1
+        converged = bool(np.all(prev - low[:, 0] <= SEESAW_DROP))
+        prev = low[:, 0]
+    f = _batched_objective(a, phi, psi)
 
     all_vals = np.concatenate([gvals, f])
-    all_phi = np.concatenate(candidates_phi + [phi]) if candidates_phi else phi
-    all_psi = np.concatenate(candidates_psi + [psi]) if candidates_psi else psi
     best = int(np.argmin(all_vals))
-    best_vec = ProductVector(all_phi[best], all_psi[best])
+    best_vec = ProductVector(np.concatenate([gphi, phi])[best], np.concatenate([gpsi, psi])[best])
     value = float(all_vals[best] * scale)
-    trace = OptimizerTrace(
-        seed=cfg.seed,
-        starts=cfg.starts,
-        steps=cfg.steps,
-        grid_points=grid_points,
-        best_value=value,
-        best_index=best,
-        best_vector=best_vec,
-        polished=polished,
-    )
-    return value, trace
+    agreeing = int(np.sum(f <= all_vals[best] + AGREE_TOL))
+    return value, OptimizerTrace(cfg.seed, cfg.starts, cfg.steps, len(gvals), value, best,
+                                 best_vec, rounds, converged, agreeing)
 
 
 def is_psd(x: BipartiteOperator, tol: float = SPECTRAL_TOL) -> Verdict:
@@ -387,6 +352,41 @@ def _ensemble_rotate(x: np.ndarray, n: int, m: int, k: int, seed: int, iters: in
     return best_atoms, best_err
 
 
+def _unpack_atoms(params: np.ndarray, n: int, m: int):
+    """Factor rows (a_t, b_t) from per-atom blocks [Re a, Im a, Re b, Im b]."""
+    p = params.reshape(-1, 2 * (n + m))
+    a = p[:, :n] + 1j * p[:, n : 2 * n]
+    b = p[:, 2 * n : 2 * n + m] + 1j * p[:, 2 * n + m :]
+    return a, b
+
+
+def _atoms_residual(params: np.ndarray, x: np.ndarray, n: int, m: int) -> np.ndarray:
+    """X - sum_t v_t v_t* with v_t = a_t (x) b_t, as stacked real and imaginary parts."""
+    a, b = _unpack_atoms(params, n, m)
+    v = (a[:, :, None] * b[:, None, :]).reshape(len(a), n * m)
+    d = (x - v.T @ v.conj()).ravel()
+    return np.concatenate([d.real, d.imag])
+
+
+def _atoms_jacobian(params: np.ndarray, x: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Closed-form Jacobian of ``_atoms_residual``.
+
+    Moving one real parameter moves v_t along u, so the residual moves by
+    -(u v_t* + v_t u*); u is e_j (x) b_t, i e_j (x) b_t, a_t (x) e_j or
+    i a_t (x) e_j for the four parameter blocks of atom t.
+    """
+    a, b = _unpack_atoms(params, n, m)
+    k, d = len(a), n * m
+    v = (a[:, :, None] * b[:, None, :]).reshape(k, d)
+    ua = np.einsum("ij,tl->tilj", np.eye(n), b).reshape(k, d, n)
+    ub = np.einsum("ti,lj->tilj", a, np.eye(m)).reshape(k, d, m)
+    u = np.concatenate([ua, 1j * ua, ub, 1j * ub], axis=2)
+    dv = u[:, :, None, :] * v.conj()[:, None, :, None]
+    dv = dv + dv.conj().transpose(0, 2, 1, 3)
+    cols = -dv.transpose(1, 2, 0, 3).reshape(d * d, -1)
+    return np.concatenate([cols.real, cols.imag])
+
+
 def _polish_atoms(x: np.ndarray, n: int, m: int, atoms, weights, max_nfev: int):
     """Local least-squares fit over unnormalized product factors.
 
@@ -396,36 +396,17 @@ def _polish_atoms(x: np.ndarray, n: int, m: int, atoms, weights, max_nfev: int):
     items = [(p, q, w) for (p, q), w in zip(atoms, weights) if w > 1e-12]
     if not items:
         return [], np.empty(0)
-    k = len(items)
-    per = 2 * (n + m)
-
-    def unpack(vec):
-        out = []
-        for i in range(k):
-            seg = vec[i * per : (i + 1) * per]
-            a = seg[:n] + 1j * seg[n : 2 * n]
-            b = seg[2 * n : 2 * n + m] + 1j * seg[2 * n + m :]
-            out.append((a, b))
-        return out
-
-    def resid(vec):
-        acc = np.zeros((n * m, n * m), dtype=complex)
-        for a, b in unpack(vec):
-            v = np.kron(a, b)
-            acc += np.outer(v, v.conj())
-        d = (x - acc).ravel()
-        return np.concatenate([d.real, d.imag])
-
     x0 = np.concatenate(
         [
             np.concatenate([np.sqrt(w) * p.real, np.sqrt(w) * p.imag, q.real, q.imag])
             for p, q, w in items
         ]
     )
-    sol = least_squares(resid, x0, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                        max_nfev=max_nfev)
+    sol = least_squares(_atoms_residual, x0, jac=_atoms_jacobian, method="trf",
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev,
+                        args=(x, n, m))
     out_atoms, out_w = [], []
-    for a, b in unpack(sol.x):
+    for a, b in zip(*_unpack_atoms(sol.x, n, m)):
         na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
         if na * nb < 1e-10:
             continue

@@ -87,6 +87,19 @@ def _sign_project(x: np.ndarray) -> np.ndarray:
     return (u * signs) @ u.conj().T
 
 
+def _apply_left(units: np.ndarray, xb: np.ndarray, m: int) -> np.ndarray:
+    """(Phi (x) id_m)(X) for a batch of X, as one GEMM with the unit images.
+
+    ``units[p, q, i, j] = Phi(E_ij)[p, q]`` for Phi: M_a -> M_c; each X is
+    (a m) x (a m) and each image (c m) x (c m).
+    """
+    c, a = units.shape[0], units.shape[2]
+    b = len(xb)
+    x = xb.reshape(b, a, m, a, m).transpose(0, 2, 4, 1, 3).reshape(b * m * m, a * a)
+    y = x @ units.reshape(c * c, a * a).T
+    return y.reshape(b, m, m, c, c).transpose(0, 3, 1, 4, 2).reshape(b, c * m, c * m)
+
+
 def cb_norm_estimate(phi: MatrixMap, cfg: CbConfig | None = None) -> CbEstimate:
     """Lower bound on ||Phi (x) id_m|| by ascent over Hermitian symmetries.
 
@@ -104,13 +117,8 @@ def cb_norm_estimate(phi: MatrixMap, cfg: CbConfig | None = None) -> CbEstimate:
     l4adj = adjoint_map(phi).unit_images()
     rng = np.random.default_rng(cfg.seed)
 
-    def apply_batch(xb: np.ndarray) -> np.ndarray:
-        x4 = xb.reshape(-1, n, m, n, m)
-        y = np.einsum("pqij,bikjl->bpkql", l4, x4)
-        return y.reshape(len(xb), m * m, m * m)
-
     def objective(xb: np.ndarray):
-        y = apply_batch(xb)
+        y = _apply_left(l4, xb, m)
         w, v = np.linalg.eigh(y)
         pick_hi = np.abs(w[:, -1]) >= np.abs(w[:, 0])
         vals = np.where(pick_hi, np.abs(w[:, -1]), np.abs(w[:, 0]))
@@ -140,9 +148,7 @@ def cb_norm_estimate(phi: MatrixMap, cfg: CbConfig | None = None) -> CbEstimate:
     best_x = x.copy()
     for _ in range(cfg.steps):
         proj = np.einsum("bi,bj->bij", vecs, vecs.conj())
-        p4 = proj.reshape(-1, m, m, m, m)
-        grad = np.einsum("pqij,bikjl->bpkql", l4adj, p4).reshape(-1, dim, dim)
-        grad *= signs[:, None, None]
+        grad = _apply_left(l4adj, proj, m) * signs[:, None, None]
         moved = False
         for _ in range(4):
             cand = _sign_project(x + step[:, None, None] * grad)

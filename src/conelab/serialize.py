@@ -37,11 +37,17 @@ def bipartite_to_dict(op: BipartiteOperator) -> dict:
     return d
 
 
+def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise MalformedInput(f"{what} contain NaN or infinity")
+    return values
+
+
 def _matrix_from_entries(entries, dim: int) -> np.ndarray:
     if len(entries) != dim * dim:
         raise MalformedInput(f"expected {dim * dim} entries, got {len(entries)}")
     flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(dim, dim)
+    return _require_finite(flat, "operator entries").reshape(dim, dim)
 
 
 def hermitian_from_dict(d: dict) -> HermitianOperator:
@@ -77,8 +83,9 @@ def map_to_dict(phi: MatrixMap) -> dict:
 
 def map_from_dict(d: dict) -> MatrixMap:
     try:
+        coeffs = np.asarray(d["coeffs"], dtype=float)
         return MatrixMap(int(d["input_dim"]), int(d["output_dim"]),
-                         np.asarray(d["coeffs"], dtype=float))
+                         _require_finite(coeffs, "map coefficients"))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad map document: {exc}") from exc
 
@@ -92,7 +99,7 @@ def polytope_from_dict(d: dict) -> Polytope:
         verts = np.asarray(d["vertices"], dtype=float)
         if verts.ndim != 2 or verts.shape[1] != int(d["dim"]):
             raise ValueError(f"vertices do not match dim={d['dim']}")
-        return Polytope(verts)
+        return Polytope(_require_finite(verts, "polytope vertices"))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad polytope document: {exc}") from exc
 

@@ -83,6 +83,25 @@ class TestMembership:
         assert cert["type"] == "decomposition"
         assert len(cert["weights"]) == 1
 
+    def test_separable_out_by_ppt_witness(self, capsys, h2_half):
+        code, rep = run_json(capsys, ["membership", "--cone", "separable", "--input", h2_half])
+        assert code == 1
+        assert rep["results"]["status"] == "out"
+        cert = rep["certificates"]["verdict"]["certificate"]
+        assert cert["type"] == "witness"
+        assert cert["value"] == pytest.approx(-0.5, abs=1e-9)
+
+    def test_optimizer_certificate_reports_rounds(self, capsys, h2_half):
+        _, rep = run_json(
+            capsys,
+            ["membership", "--cone", "block-positive", "--input", h2_half, "--budget", "30"],
+        )
+        cert = rep["certificates"]["verdict"]["certificate"]
+        assert cert["type"] == "optimizer"
+        assert cert["converged"] is True
+        assert 0 < cert["rounds"] < 500 + 8
+        assert 1 <= cert["agreeing"] <= 30
+
     def test_separable_rejects_non_state(self, capsys, tmp_path):
         doc = bipartite_to_dict(bipartite(np.eye(4), 2, 2))
         p = tmp_path / "not_state.json"
@@ -194,6 +213,23 @@ class TestErrorPaths:
         p = tmp_path / "bad.json"
         p.write_text("{ not json")
         assert cli.main(["membership", "--cone", "psd", "--input", str(p)]) == 65
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("cone", ["psd", "block-positive"])
+    def test_non_finite_operator_entry(self, tmp_path, cone, bad):
+        doc = bipartite_to_dict(bipartite(np.eye(4), 2, 2))
+        doc["entries"][5] = [bad, 0.0]
+        p = tmp_path / "non_finite.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["membership", "--cone", cone, "--input", str(p)]) == 65
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_map_coefficient(self, tmp_path, bad):
+        doc = map_to_dict(MatrixMap.transpose(2))
+        doc["coeffs"][0][0] = bad
+        p = tmp_path / "non_finite_map.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["map-check", "--map", str(p)]) == 65
 
     def test_missing_file(self):
         assert cli.main(["membership", "--cone", "psd", "--input", "/nonexistent.json"]) == 65

@@ -7,6 +7,8 @@ from conelab.cones import (
     DecomposeBudget,
     OptimizerConfig,
     Status,
+    _atoms_jacobian,
+    _atoms_residual,
     block_positive_min,
     is_block_positive,
     is_psd,
@@ -104,6 +106,30 @@ class TestBlockPositiveMin:
     def test_zero_operator(self):
         val, trace = block_positive_min(bipartite(np.zeros((4, 4)), 2, 2), FAST)
         assert val == 0.0
+
+    def test_swap_converges_before_round_cap(self):
+        _, trace = block_positive_min(swap_operator(2), FAST)
+        assert trace.converged
+        assert trace.rounds < FAST.steps + FAST.polish_rounds
+        assert 1 <= trace.agreeing <= FAST.starts
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3), (4, 4)])
+    @pytest.mark.parametrize("eps", [1e-5, -1e-5])
+    def test_planted_minimum(self, n, m, eps):
+        # X = P^Gamma / ||P^Gamma|| + eps I with P = g g* and g orthogonal to
+        # a (x) conj(b): every product vector gives P^Gamma the value
+        # |<g, phi (x) conj(psi)>|^2 >= 0, and a (x) b gives it 0, so the
+        # minimum over product vectors is exactly eps.
+        rng = np.random.default_rng([n, m])
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        b = rng.normal(size=m) + 1j * rng.normal(size=m)
+        zero = np.kron(a, b.conj()) / (np.linalg.norm(a) * np.linalg.norm(b))
+        g = rng.normal(size=n * m) + 1j * rng.normal(size=n * m)
+        g -= zero * np.vdot(zero, g)
+        pt = partial_transpose(bipartite(np.outer(g, g.conj()), n, m), "right").matrix
+        x = bipartite(pt / np.max(np.abs(np.linalg.eigvalsh(pt))) + eps * np.eye(n * m), n, m)
+        val, _ = block_positive_min(x)
+        assert val == pytest.approx(eps, abs=1e-9)
 
 
 class TestIsBlockPositive:
@@ -203,6 +229,27 @@ class TestSeparableDecompose:
     def test_rejects_non_unit_trace(self):
         with pytest.raises(ValueError, match="unit trace"):
             separable_decompose(bipartite(np.eye(4), 2, 2))
+
+
+class TestPolishJacobian:
+    def test_matches_central_differences(self):
+        rng = np.random.default_rng(17)
+        n, m, k = 2, 3, 4
+        state, _ = random_separable_state(n, m, rng, terms=k)
+        atoms = [random_product_state(n, m, rng) for _ in range(k)]
+        params = np.concatenate([
+            np.concatenate([p.left.real, p.left.imag, p.right.real, p.right.imag])
+            for p in atoms
+        ])
+        jac = _atoms_jacobian(params, state.matrix, n, m)
+        h = 1e-7
+        numeric = np.stack([
+            (_atoms_residual(params + h * e, state.matrix, n, m)
+             - _atoms_residual(params - h * e, state.matrix, n, m)) / (2 * h)
+            for e in np.eye(len(params))
+        ], axis=1)
+        assert jac.shape == numeric.shape
+        assert np.max(np.abs(jac - numeric)) <= 1e-6
 
 
 class TestWitnessValue:

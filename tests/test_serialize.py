@@ -64,3 +64,11 @@ def test_non_hermitian_payload_rejected():
 def test_polytope_dim_mismatch():
     with pytest.raises(MalformedInput):
         polytope_from_dict({"dim": 3, "vertices": [[0.0, 1.0]]})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_polytope_rejected(bad):
+    doc = polytope_to_dict(square())
+    doc["vertices"][1][0] = bad
+    with pytest.raises(MalformedInput, match="NaN or infinity"):
+        polytope_from_dict(doc)
