@@ -35,7 +35,7 @@ def _timed(fn):
     def wrapper(quick: bool = False, seed: int = 0) -> CheckResult:
         t0 = time.perf_counter()
         name, identity, passed, details = fn(quick, seed)
-        return CheckResult(name, identity, passed, time.perf_counter() - t0, details)
+        return CheckResult(name, identity, bool(passed), time.perf_counter() - t0, details)
 
     return wrapper
 

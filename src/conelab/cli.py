@@ -238,25 +238,17 @@ def _cmd_polytope(args) -> tuple[dict, dict]:
         if args.relative_bound:
             results["relative_bound"] = polytopes.relative_bound(mn, mx)
         if args.gap:
-            gap = polytopes.barker_gap(k1, k2)
-            if gap is None:
-                results["gap"] = None
-            else:
-                results["gap"] = [[float(v) for v in row] for row in gap.functional.matrix]
-                results["gap_margin"] = gap.margin
-                certificates["gap_max_side"] = verdict_to_dict(gap.max_verdict)
-                certificates["gap_min_side"] = verdict_to_dict(gap.min_verdict)
+            gap_results, certificates = _gap_report(k1, k2)
+            results.update(gap_results)
     return results, certificates
 
 
-def _cmd_barker(args) -> tuple[dict, dict]:
-    k1 = _load_polytope(args.k1)
-    k2 = _load_polytope(args.k2)
+def _gap_report(k1: polytopes.Polytope, k2: polytopes.Polytope) -> tuple[dict, dict]:
+    """Results and certificates of the gap finder between the tensor products."""
     gap = polytopes.barker_gap(k1, k2)
     if gap is None:
-        return {"status": "pass", "gap": None}, {}
+        return {"gap": None}, {}
     results = {
-        "status": "pass",
         "gap": [[float(v) for v in row] for row in gap.functional.matrix],
         "gap_margin": gap.margin,
     }
@@ -265,6 +257,11 @@ def _cmd_barker(args) -> tuple[dict, dict]:
         "gap_min_side": verdict_to_dict(gap.min_verdict),
     }
     return results, certificates
+
+
+def _cmd_barker(args) -> tuple[dict, dict]:
+    results, certificates = _gap_report(_load_polytope(args.k1), _load_polytope(args.k2))
+    return {"status": "pass", **results}, certificates
 
 
 def _cmd_witness_x(args) -> tuple[dict, dict]:

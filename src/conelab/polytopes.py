@@ -10,17 +10,17 @@ flattened row-major when stored as polytope vertices.
 The minimal tensor product is the convex hull of the rank-one matrices
 [v;1][w;1]^T over vertex pairs; the maximal one is cut out by
 nonnegativity against all pairs of extreme rays of the factors' positive
-affine-function cones.  Extreme rays and vertex enumerations are computed
-by the double description method.
+affine-function cones.  Extreme rays and vertex enumerations come from
+Qhull's halfspace intersection on a cross-section of each cone.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import HalfspaceIntersection, cKDTree
 
 from .cones import Status, Verdict
 
@@ -40,10 +40,12 @@ class Polytope:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or len(v) == 0:
             raise ValueError("vertex list must be a nonempty 2-d array")
-        for i in range(len(v)):
-            for j in range(i + 1, len(v)):
-                if np.linalg.norm(v[i] - v[j]) < 1e-10:
-                    raise ValueError(f"duplicate vertices at indices {i}, {j}")
+        if len(v) > 1:
+            # all points of R^0 coincide; cKDTree needs at least one coordinate
+            pairs = cKDTree(v).query_pairs(1e-10) if v.shape[1] else {(0, 1)}
+            if pairs:
+                i, j = min(pairs)
+                raise ValueError(f"duplicate vertices at indices {i}, {j}")
         v = np.ascontiguousarray(v)
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
@@ -122,13 +124,15 @@ def affine_dimension(points) -> int:
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or len(p) == 0:
         raise ValueError("need a nonempty point list")
-    if len(p) == 1:
-        return 0
-    diffs = p[1:] - p[0]
-    s = np.linalg.svd(diffs, compute_uv=False)
-    if len(s) == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > 1e-9 * s[0]))
+    return _affine_chart(p, p[0]).shape[1]
+
+
+def _affine_chart(points: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Orthonormal direction basis (d, q) of aff(points), from the SVD of
+    points - anchor; singular values below 1e-9 * max count as zero."""
+    _, s, vt = np.linalg.svd(points - anchor, full_matrices=False)
+    q = int(np.sum(s > 1e-9 * s[0])) if len(s) and s[0] > 0 else 0
+    return vt[:q].T
 
 
 def product_functional(v: np.ndarray, w: np.ndarray) -> TensorFunctional:
@@ -138,16 +142,12 @@ def product_functional(v: np.ndarray, w: np.ndarray) -> TensorFunctional:
 
 def min_tensor(k1: Polytope, k2: Polytope) -> Polytope:
     """Minimal tensor product: vertices are elementary tensors of vertex pairs,
-    flattened row-major, deduplicated."""
-    rows = []
-    for v in k1.vertices:
-        for w in k2.vertices:
-            rows.append(product_functional(v, w).flat)
-    out: list[np.ndarray] = []
-    for r in rows:
-        if not any(np.linalg.norm(r - s) < 1e-10 for s in out):
-            out.append(r)
-    return Polytope(np.array(out))
+    flattened row-major.  They are distinct: the last column of [v;1][w;1]^T
+    is [v;1], so products of distinct pairs differ by at least the distance
+    between their vertices."""
+    left = np.hstack([k1.vertices, np.ones((k1.n_vertices, 1))])
+    right = np.hstack([k2.vertices, np.ones((k2.n_vertices, 1))])
+    return Polytope(np.einsum("ia,jb->ijab", left, right).reshape(len(left) * len(right), -1))
 
 
 def functional_shape(k1: Polytope, k2: Polytope) -> tuple[int, int]:
@@ -159,76 +159,56 @@ def functional_from_flat(flat: np.ndarray, k1: Polytope, k2: Polytope) -> Tensor
 
 
 # ---------------------------------------------------------------------------
-# double description
+# extreme rays
 
 
 def double_description(a: np.ndarray, tol: float = DD_TOL) -> np.ndarray:
-    """Extreme rays of the pointed polyhedral cone {y : A y >= 0}.
+    """Extreme rays of the pointed, full-dimensional cone {y : A y >= 0}.
 
-    Standard incremental algorithm: start from a simplicial cone cut out by
-    d independent inequalities, insert the remaining inequalities one at a
-    time, combining adjacent (positive, negative) ray pairs.  Adjacency is
-    the algebraic test: the inequalities tight at both rays have rank d-2.
-    Rows and rays are kept unit-normalized so the tolerance is scale-free.
+    With unit rows a_i and c = sum_i a_i, c.y > 0 on the cone minus 0, so
+    the section {c.y = 1} is a polytope whose vertices are the rays.  Its
+    vertices come from Qhull's halfspace intersection, seeded with the
+    Chebyshev centre of the section; a 1-d section (a segment) is solved
+    in closed form and d = 1 is a sign.  Rays are unit-normalized and
+    returned in lexicographic order.
     """
     a = np.asarray(a, dtype=float)
-    k, d = a.shape
+    d = a.shape[1]
     norms = np.linalg.norm(a, axis=1)
     if np.any(norms < tol):
         raise ValueError("zero inequality row")
     a = a / norms[:, None]
     if np.linalg.matrix_rank(a, tol=1e-9) < d:
         raise ValueError("cone is not pointed: inequality normals do not span")
-
-    chosen: list[int] = []
-    for i in range(k):
-        if np.linalg.matrix_rank(a[chosen + [i]], tol=1e-9) == len(chosen) + 1:
-            chosen.append(i)
-        if len(chosen) == d:
-            break
-    rays_mat = np.linalg.inv(a[chosen])
-    rays = [rays_mat[:, j] / np.linalg.norm(rays_mat[:, j]) for j in range(d)]
-    inserted = list(chosen)
-
-    for i in (j for j in range(k) if j not in chosen):
-        row = a[i]
-        vals = np.array([row @ r for r in rays])
-        pos = [j for j in range(len(rays)) if vals[j] > tol]
-        neg = [j for j in range(len(rays)) if vals[j] < -tol]
-        zer = [j for j in range(len(rays)) if abs(vals[j]) <= tol]
-        if not neg:
-            inserted.append(i)
-            continue
-        asub = a[inserted]
-        tight = [np.abs(asub @ rays[j]) <= tol for j in range(len(rays))]
-        new_rays = []
-        for p, q in itertools.product(pos, neg):
-            common = tight[p] & tight[q]
-            if common.sum() < d - 2:
-                continue
-            if np.linalg.matrix_rank(asub[common], tol=1e-9) == d - 2:
-                r = vals[p] * rays[q] - vals[q] * rays[p]
-                new_rays.append(r / np.linalg.norm(r))
-        rays = [rays[j] for j in pos + zer] + new_rays
-        inserted.append(i)
-
-    unique: list[np.ndarray] = []
-    for r in rays:
-        if not any(np.linalg.norm(r - s) < 1e-8 for s in unique):
-            unique.append(r)
-    order = np.lexsort(np.round(np.array(unique), 9).T[::-1])
-    return np.array(unique)[order]
-
-
-def _affine_chart(k: Polytope) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor point and orthonormal direction basis (d, q) of aff(K)."""
-    v0 = k.vertices[0]
-    centered = k.vertices - v0
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    if len(s) == 0 or s[0] == 0.0:
-        return v0, np.zeros((k.ambient_dim, 0))
-    q = int(np.sum(s > 1e-9 * s[0]))
-    return v0, vt[:q].T
+    empty = ValueError("cone has empty interior")
+    if d == 1:
+        if np.all(a > 0) or np.all(a < 0):
+            return a[:1]
+        raise empty
+    c = a.sum(axis=0)
+    cc = c @ c
+    if cc < tol:
+        raise empty
+    basis = np.linalg.svd(c[None, :])[2][1:].T  # (d, d-1), orthonormal in c-perp
+    g, h = a @ basis, a @ c / cc  # y = c/|c|^2 + basis z is in the cone iff g z + h >= 0
+    gn = np.linalg.norm(g, axis=1)
+    res = linprog(
+        np.append(np.zeros(d - 1), -1.0),
+        A_ub=np.hstack([-g, gn[:, None]]), b_ub=h,
+        bounds=[(None, None)] * (d - 1) + [(0, None)], method="highs",
+    )
+    if not res.success or res.x[-1] <= tol:
+        raise empty
+    keep = gn > tol
+    if d == 2:
+        ends = -h[keep] / g[keep, 0]
+        z = np.array([[ends[g[keep, 0] > 0].max()], [ends[g[keep, 0] < 0].min()]])
+    else:
+        halfspaces = np.hstack([-g[keep], -h[keep, None]])
+        z = HalfspaceIntersection(halfspaces, res.x[:-1]).intersections
+    rays = c / cc + z @ basis.T
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    return rays[np.lexsort(np.round(rays, 9).T[::-1])]
 
 
 def positive_ray_generators(k: Polytope) -> RayCone:
@@ -237,8 +217,8 @@ def positive_ray_generators(k: Polytope) -> RayCone:
     Lower-dimensional polytopes are handled in an affine chart, where the
     cone of positive affine functions is pointed; the returned coefficient
     vectors are representatives pulled back to the ambient coordinates,
-    normalized to max-abs coefficient 1.  Limited to the double-description
-    scale stated in the module constants.
+    normalized to max-abs coefficient 1.  The module constants bound the
+    accepted input size.
     """
     if k.ambient_dim > MAX_RAY_AMBIENT_DIM:
         raise ValueError(
@@ -248,20 +228,14 @@ def positive_ray_generators(k: Polytope) -> RayCone:
         raise ValueError(
             f"vertex count {k.n_vertices} exceeds the supported {MAX_RAY_VERTICES}"
         )
-    v0, basis = _affine_chart(k)
+    v0 = k.vertices[0]
+    basis = _affine_chart(k.vertices, v0)
     reduced = (k.vertices - v0) @ basis  # (k, q)
-    b = np.hstack([reduced, np.ones((k.n_vertices, 1))])
-    rays_reduced = double_description(b)
-    out = []
-    for y in rays_reduced:
-        c, c0 = y[:-1], y[-1]
-        a = basis @ c
-        offset = c0 - a @ v0
-        full = np.append(a, offset)
-        full = full / np.max(np.abs(full))
-        out.append(full)
-    order = np.lexsort(np.round(np.array(out), 9).T[::-1])
-    return RayCone(np.array(out)[order])
+    y = double_description(np.hstack([reduced, np.ones((k.n_vertices, 1))]))
+    a = y[:, :-1] @ basis.T
+    full = np.hstack([a, (y[:, -1] - a @ v0)[:, None]])
+    full /= np.max(np.abs(full), axis=1, keepdims=True)
+    return RayCone(full[np.lexsort(np.round(full, 9).T[::-1])])
 
 
 # ---------------------------------------------------------------------------
@@ -379,37 +353,24 @@ def max_tensor_polytope(k1: Polytope, k2: Polytope) -> Polytope:
 
     The maximal set lives in the affine hull of the minimal one (the two
     have equal dimension), so it is parameterized there and cut out by the
-    ray-pair inequalities; the homogenized cone is enumerated by double
-    description.  Vertices are returned as flattened functionals.
+    ray-pair inequalities; the extreme rays of the homogenized cone are the
+    vertices.  Vertices are returned as flattened functionals.
     """
     r1 = positive_ray_generators(k1).rays
     r2 = positive_ray_generators(k2).rays
     mv = min_tensor(k1, k2).vertices
     m0 = mv.mean(axis=0)
-    centered = mv - m0
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    rank = int(np.sum(s > 1e-9 * s[0])) if len(s) and s[0] > 0 else 0
-    q = vt[:rank]  # rows orthonormal, (D, dim)
-
-    rows, offs = [], []
-    for r in r1:
-        for t in r2:
-            prod = np.outer(r, t).ravel()
-            rows.append(q @ prod)
-            offs.append(prod @ m0)
-    g = np.array(rows)
-    h = np.array(offs)
-    hom = np.hstack([g, h[:, None]])
-    hom = np.vstack([hom, np.append(np.zeros(rank), 1.0)])
+    q = _affine_chart(mv, m0)  # (D, rank), orthonormal columns
+    prods = np.einsum("ia,jb->ijab", r1, r2).reshape(len(r1) * len(r2), -1)
+    hom = np.vstack([
+        np.hstack([prods @ q, (prods @ m0)[:, None]]),
+        np.append(np.zeros(q.shape[1]), 1.0),
+    ])
     rays = double_description(hom)
-
-    verts = []
-    for ray in rays:
-        t = ray[-1]
-        if t <= 1e-9:
-            raise RuntimeError("maximal tensor polytope appears unbounded")
-        verts.append(m0 + q.T @ (ray[:-1] / t))
-    verts = np.array(verts)
+    t = rays[:, -1]
+    if np.any(t <= 1e-9):
+        raise RuntimeError("maximal tensor polytope appears unbounded")
+    verts = m0 + (rays[:, :-1] / t[:, None]) @ q.T
     order = np.lexsort(np.round(verts, 9).T[::-1])
     return Polytope(verts[order])
 
@@ -455,18 +416,11 @@ def barker_gap(k1: Polytope, k2: Polytope, tol: float = LP_TOL) -> BarkerGap | N
 
 
 def _aff_contained(outer: np.ndarray, inner: np.ndarray, tol: float = 1e-9) -> bool:
-    v0 = inner[0]
-    centered = inner - v0
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    rank = int(np.sum(s > 1e-9 * s[0])) if len(s) and s[0] > 0 else 0
-    basis = vt[:rank]
+    basis = _affine_chart(inner, inner[0])
+    d = outer - inner[0]
+    resid = d - (d @ basis) @ basis.T
     scale = max(1.0, float(np.max(np.abs(outer))))
-    for z in outer:
-        d = z - v0
-        resid = d - basis.T @ (basis @ d)
-        if np.linalg.norm(resid) > tol * scale:
-            return False
-    return True
+    return bool(np.all(np.linalg.norm(resid, axis=1) <= tol * scale))
 
 
 def relative_bound(inner: Polytope, outer: Polytope) -> float:
@@ -482,14 +436,14 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
     iv = inner.vertices
     p = len(iv)
     c = np.concatenate([np.zeros(p), np.ones(p)])
+    a_eq = np.vstack(
+        [
+            np.hstack([iv.T, -iv.T]),
+            np.concatenate([np.ones(p), -np.ones(p)])[None, :],
+        ]
+    )
     best = 0.0
     for z in outer.vertices:
-        a_eq = np.vstack(
-            [
-                np.hstack([iv.T, -iv.T]),
-                np.concatenate([np.ones(p), -np.ones(p)])[None, :],
-            ]
-        )
         b_eq = np.concatenate([z, [1.0]])
         res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * (2 * p), method="highs")
         if not res.success:

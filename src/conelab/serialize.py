@@ -15,7 +15,7 @@ import numpy as np
 
 from .maps import MatrixMap
 from .operators import BipartiteOperator, HermitianOperator, bipartite, hermitian
-from .polytopes import Polytope
+from .polytopes import LP_TOL, Polytope, _min_distance_lp
 
 
 class MalformedInput(ValueError):
@@ -95,13 +95,21 @@ def polytope_to_dict(k: Polytope) -> dict:
 
 
 def polytope_from_dict(d: dict) -> Polytope:
+    """Read a polytope document; every listed point must be a vertex, at
+    inf-norm distance above LP_TOL from the hull of the others."""
     try:
         verts = np.asarray(d["vertices"], dtype=float)
         if verts.ndim != 2 or verts.shape[1] != int(d["dim"]):
             raise ValueError(f"vertices do not match dim={d['dim']}")
-        return Polytope(_require_finite(verts, "polytope vertices"))
+        k = Polytope(_require_finite(verts, "polytope vertices"))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad polytope document: {exc}") from exc
+    if k.n_vertices > 1:
+        for i, v in enumerate(k.vertices):
+            dist, _ = _min_distance_lp(v, np.delete(k.vertices, i, axis=0))
+            if dist <= LP_TOL:
+                raise MalformedInput(f"vertex {i} is not extreme: it lies in the hull of the others")
+    return k
 
 
 def load_json(path: str) -> dict:

@@ -163,6 +163,20 @@ class TestPolytopeCommands:
         assert code == 0
         assert rep["results"]["gap"] is None
 
+    def test_barker_matches_polytope_gap(self, capsys, square_file):
+        _, barker = run_json(capsys, ["barker", "--k1", square_file, "--k2", square_file])
+        _, tensor = run_json(
+            capsys, ["polytope", "tensor", "--k1", square_file, "--k2", square_file, "--gap"]
+        )
+        assert barker["results"]["gap"] == tensor["results"]["gap"]
+        assert barker["results"]["gap_margin"] == tensor["results"]["gap_margin"]
+        assert barker["certificates"] == tensor["certificates"]
+
+    def test_non_extreme_vertex_is_data_error(self, tmp_path, square_file):
+        p = tmp_path / "collinear.json"
+        p.write_text(json.dumps({"dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]}))
+        assert cli.main(["polytope", "tensor", "--k1", str(p), "--k2", square_file]) == 65
+
 
 class TestReportCommands:
     def test_witness_x(self, capsys):
@@ -200,6 +214,11 @@ class TestReportCommands:
         assert len(rep["results"]["checks"]) == 1
         assert rep["results"]["checks"][0]["passed"] is True
         assert "identity" in rep["results"]["checks"][0]
+
+    def test_reproduce_numpy_bool_check_serializes(self, capsys):
+        code, rep = run_json(capsys, ["reproduce", "--quick", "--only", "witness_block"])
+        assert code == 0
+        assert [c["passed"] for c in rep["results"]["checks"]] == [True]
 
 
 class TestErrorPaths:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -128,6 +130,119 @@ class TestDoubleDescription:
     def test_not_pointed_raises(self):
         with pytest.raises(ValueError, match="not pointed"):
             double_description(np.array([[1.0, 0.0]]))
+
+
+def random_pointed_cone(rng, d, k):
+    """k random rows in R^d, each with a.u >= 0.2 for one unit vector u: u is
+    interior, and k >= d generic rows span, so the cone is pointed."""
+    u = rng.normal(size=d)
+    u /= np.linalg.norm(u)
+    rows = rng.normal(size=(k, d))
+    rows *= np.where(rows @ u < 0, -1.0, 1.0)[:, None]
+    return rows + 0.2 * u
+
+
+def brute_force_rays(a, tol=1e-9):
+    """Unit null vectors of the rank-(d-1) row subsets that satisfy every
+    inequality, de-duplicated."""
+    a = a / np.linalg.norm(a, axis=1, keepdims=True)
+    d = a.shape[1]
+    found = []
+    for rows in itertools.combinations(range(len(a)), d - 1):
+        sub = a[list(rows)]
+        if np.linalg.matrix_rank(sub, tol=1e-9) < d - 1:
+            continue
+        null = np.linalg.svd(sub)[2][-1]
+        for r in (null, -null):
+            if np.all(a @ r >= -tol) and not any(np.linalg.norm(r - f) < 1e-8 for f in found):
+                found.append(r)
+    return np.array(found)
+
+
+def affine_polygon(k, rng):
+    """Regular k-gon under a seeded rotation, axis scaling and shift."""
+    angles = 2 * np.pi * np.arange(k) / k
+    regular = np.column_stack([np.cos(angles), np.sin(angles)])
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    m = q @ np.diag(rng.uniform(0.7, 1.4, size=2))
+    return Polytope(regular @ m.T + rng.uniform(-1, 1, size=2))
+
+
+class TestQhullDoubleDescription:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        d = 2 + seed % 3
+        a = random_pointed_cone(rng, d, int(rng.integers(d, 11)))
+        got = double_description(a)
+        want = brute_force_rays(a)
+        assert got.shape == want.shape
+        for r in want:
+            assert np.min(np.linalg.norm(got - r, axis=1)) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rays_are_extreme(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        d = 2 + seed % 3
+        a = random_pointed_cone(rng, d, 10)
+        unit = a / np.linalg.norm(a, axis=1, keepdims=True)
+        rays = double_description(a)
+        assert np.allclose(np.linalg.norm(rays, axis=1), 1.0, atol=1e-12)
+        for r in rays:
+            vals = unit @ r
+            assert vals.min() >= -1e-9
+            assert np.linalg.matrix_rank(unit[np.abs(vals) <= 1e-9], tol=1e-9) == d - 1
+
+    def test_lexsorted(self):
+        rays = double_description(random_pointed_cone(np.random.default_rng(7), 4, 9))
+        order = np.lexsort(np.round(rays, 9).T[::-1])
+        assert np.array_equal(order, np.arange(len(rays)))
+
+    def test_one_dimensional_cone_is_a_sign(self):
+        assert double_description(np.array([[2.0], [0.5]])).tolist() == [[1.0]]
+        assert double_description(np.array([[-3.0]])).tolist() == [[-1.0]]
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+            [[1.0], [-1.0]],
+        ],
+    )
+    def test_empty_interior_raises(self, a):
+        with pytest.raises(ValueError, match="empty interior"):
+            double_description(np.array(a))
+
+    def test_zero_row_raises(self):
+        with pytest.raises(ValueError, match="zero inequality row"):
+            double_description(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+
+
+class TestPolygonTensorCounts:
+    @pytest.mark.parametrize("k,count", [(4, 24), (5, 135), (6, 552)])
+    def test_polygon_pair_max_vertices(self, k, count):
+        rng = np.random.default_rng(k)
+        k1, k2 = affine_polygon(k, rng), affine_polygon(k, rng)
+        assert max_tensor_polytope(k1, k2).n_vertices == count
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_triangle_factor_max_equals_min(self, k):
+        rng = np.random.default_rng(10 + k)
+        tri, other = affine_polygon(3, rng), affine_polygon(k, rng)
+        assert max_tensor_polytope(tri, other).n_vertices == 3 * k
+
+
+class TestDuplicateDetection:
+    def test_planted_duplicate_among_many(self):
+        v = np.random.default_rng(3).normal(size=(500, 3))
+        v[411] = v[42]
+        with pytest.raises(ValueError, match="duplicate vertices at indices 42, 411"):
+            Polytope(v)
+
+    def test_distinct_many_accepted(self):
+        v = np.random.default_rng(3).normal(size=(500, 3))
+        assert Polytope(v).n_vertices == 500
 
 
 class TestRayGenerators:

@@ -72,3 +72,15 @@ def test_non_finite_polytope_rejected(bad):
     doc["vertices"][1][0] = bad
     with pytest.raises(MalformedInput, match="NaN or infinity"):
         polytope_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]],
+    ],
+)
+def test_non_extreme_polytope_point_rejected(vertices):
+    with pytest.raises(MalformedInput, match="not extreme"):
+        polytope_from_dict({"dim": 2, "vertices": vertices})
