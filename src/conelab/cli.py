@@ -58,6 +58,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive(kind):
+    """argparse type for a finite number of ``kind`` (int or float) above 0."""
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+            ok = 0 < value < float("inf")
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"expected a positive {kind.__name__}, got {text!r}")
+        return value
+
+    return convert
+
+
 def _vector_pairs(v: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
 
@@ -366,7 +382,7 @@ def build_parser() -> _Parser:
     mem.add_argument("--input", required=True)
     mem.add_argument("--tol", type=float, default=None)
     mem.add_argument("--seed", type=int, default=0)
-    mem.add_argument("--budget", type=int, default=200)
+    mem.add_argument("--budget", type=_positive(int), default=200)
     mem.set_defaults(handler=_cmd_membership)
 
     ch = sub.add_parser("choi", help="Choi and Jamiolkowski matrices of a map")
@@ -377,15 +393,15 @@ def build_parser() -> _Parser:
     mc.add_argument("--map", required=True)
     mc.add_argument("--tol", type=float, default=None)
     mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--budget", type=int, default=200)
+    mc.add_argument("--budget", type=_positive(int), default=200)
     mc.set_defaults(handler=_cmd_map_check)
 
     ka = sub.add_parser("kappa", help="max-norm closed form and lower bounds")
-    ka.add_argument("--n", type=int, required=True)
-    ka.add_argument("--m", type=int, required=True)
+    ka.add_argument("--n", type=_positive(int), required=True)
+    ka.add_argument("--m", type=_positive(int), required=True)
     ka.add_argument("--estimate-cb", default=None)
     ka.add_argument("--seed", type=int, default=0)
-    ka.add_argument("--budget", type=int, default=100)
+    ka.add_argument("--budget", type=_positive(int), default=100)
     ka.set_defaults(handler=_cmd_kappa)
 
     po = sub.add_parser("polytope", help="tensor products of vertex-listed polytopes")
@@ -404,12 +420,12 @@ def build_parser() -> _Parser:
     wx = sub.add_parser("witness-x", help="grid witness X(s,t) = st S verification")
     wx.add_argument("--n", type=int, required=True)
     wx.add_argument("--grid", default="0,0.5,1")
-    wx.add_argument("--samples", type=int, default=100_000)
+    wx.add_argument("--samples", type=_positive(int), default=100_000)
     wx.add_argument("--seed", type=int, default=0)
     wx.set_defaults(handler=_cmd_witness_x)
 
     rz = sub.add_parser("riesz", help="2x2 Riesz interpolation failure check")
-    rz.add_argument("--step", type=float, default=0.02)
+    rz.add_argument("--step", type=_positive(float), default=0.02)
     rz.add_argument("--threshold", type=float, default=0.05)
     rz.set_defaults(handler=_cmd_riesz, seed=0)
 

@@ -14,7 +14,7 @@ certificate, ``Unknown`` otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -35,6 +35,14 @@ SPECTRAL_TOL = 1e-9
 OPTIMIZER_TOL = 1e-6
 SEESAW_DROP = 1e-15  # per-round decrease, in spectral-norm units, that ends the seesaw
 AGREE_TOL = 1e-9  # starts this close to the best value, in the same units, agree
+
+# Fixed budget of separable_decompose (see its docstring).
+MAX_TERMS = 32
+GREEDY_TERMS = 6
+ENSEMBLE_ATTEMPTS = 4
+ENSEMBLE_ITERS = 3000
+LM_MAX_NFEV = 500
+RESIDUAL_TOL = 1e-7
 
 
 class Status(str, Enum):
@@ -68,11 +76,9 @@ class SeparableDecomposition:
     residual: float
 
     def reconstruct(self) -> np.ndarray:
-        acc = 0.0
-        for w, f in zip(self.weights, self.factors):
-            v = f.kron
-            acc = acc + w * np.outer(v, v.conj())
-        return acc
+        v = _products(np.array([f.left for f in self.factors]),
+                      np.array([f.right for f in self.factors]))
+        return (v.T * self.weights) @ v.conj()
 
 
 @dataclass(frozen=True)
@@ -112,33 +118,27 @@ class OptimizerConfig:
     """Budget for the block-positivity optimizer (multistart seesaw).
 
     The seesaw runs at most ``steps + polish_rounds`` rounds from ``starts``
-    seeded random starts, the first of them taken from a deterministic grid
-    when ``use_grid`` is set.
+    seeded random starts, the first few of them taken from the best points
+    of a deterministic grid.
     """
 
     starts: int = 200
     steps: int = 500
     seed: int = 0
     polish_rounds: int = 8
-    use_grid: bool = True
 
 
 @dataclass(frozen=True)
 class DecomposeBudget:
     """Budget for the separable-decomposition search.
 
-    ``greedy_terms`` column-generation rounds run first; if the residual
-    target is not reached, up to ``ensemble_attempts`` rotation passes
-    propose whole batches of product columns, each polished by a local
-    least-squares fit before the simplex weight refit.
+    ``optimizer`` configures the product-vector search of each greedy term
+    (its seed is offset by the term index) and seeds the ensemble rotation.
+    The rest of the budget is fixed by the module constants ``GREEDY_TERMS``,
+    ``ENSEMBLE_ATTEMPTS``, ``ENSEMBLE_ITERS``, ``LM_MAX_NFEV``,
+    ``MAX_TERMS`` and ``RESIDUAL_TOL``.
     """
 
-    max_terms: int = 32
-    greedy_terms: int = 6
-    ensemble_attempts: int = 4
-    ensemble_iters: int = 3000
-    lm_max_nfev: int = 500
-    residual_tol: float = 1e-7
     optimizer: OptimizerConfig = field(
         default_factory=lambda: OptimizerConfig(starts=16, steps=60, seed=0)
     )
@@ -163,8 +163,13 @@ def _product_grid(n: int) -> np.ndarray:
     return np.array(vecs)
 
 
+def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker products: (k, n) and (k, m) factors give (k, n*m)."""
+    return (left[:, :, None] * right[:, None, :]).reshape(len(left), -1)
+
+
 def _batched_objective(a: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    v = (phi[:, :, None] * psi[:, None, :]).reshape(len(phi), -1)
+    v = _products(phi, psi)
     return np.einsum("bi,bi->b", v.conj(), v @ a.T).real
 
 
@@ -202,21 +207,17 @@ def block_positive_min(
 
     phi = _normalize_rows(rng.normal(size=(cfg.starts, n)) + 1j * rng.normal(size=(cfg.starts, n)))
     psi = _normalize_rows(rng.normal(size=(cfg.starts, m)) + 1j * rng.normal(size=(cfg.starts, m)))
-    gphi, gpsi, gvals = phi[:0], psi[:0], np.empty(0)
-    if cfg.use_grid:
-        gl, gr = _product_grid(n), _product_grid(m)
-        gphi, gpsi = np.repeat(gl, len(gr), axis=0), np.tile(gr, (len(gl), 1))
-        gvals = _batched_objective(a, gphi, gpsi)
-        seeds = np.argsort(gvals, kind="stable")[: min(8, cfg.starts)]
-        phi[: len(seeds)], psi[: len(seeds)] = gphi[seeds], gpsi[seeds]
+    gl, gr = _product_grid(n), _product_grid(m)
+    gphi, gpsi = np.repeat(gl, len(gr), axis=0), np.tile(gr, (len(gl), 1))
+    gvals = _batched_objective(a, gphi, gpsi)
+    seeds = np.argsort(gvals, kind="stable")[: min(8, cfg.starts)]
+    phi[: len(seeds)], psi[: len(seeds)] = gphi[seeds], gpsi[seeds]
 
     prev = np.full(cfg.starts, np.inf)
     rounds, converged = 0, False
     while rounds < cfg.steps + cfg.polish_rounds and not converged:
-        outer = (psi.conj()[:, :, None] * psi[:, None, :]).reshape(-1, m * m)
-        phi = np.linalg.eigh((outer @ a_lr.T).reshape(-1, n, n))[1][:, :, 0]
-        outer = (phi.conj()[:, :, None] * phi[:, None, :]).reshape(-1, n * n)
-        low, vecs = np.linalg.eigh((outer @ a_lr).reshape(-1, m, m))
+        phi = np.linalg.eigh((_products(psi.conj(), psi) @ a_lr.T).reshape(-1, n, n))[1][:, :, 0]
+        low, vecs = np.linalg.eigh((_products(phi.conj(), phi) @ a_lr).reshape(-1, m, m))
         psi = vecs[:, :, 0]
         rounds += 1
         converged = bool(np.all(prev - low[:, 0] <= SEESAW_DROP))
@@ -279,24 +280,19 @@ def ppt_check(x: BipartiteOperator, tol: float = SPECTRAL_TOL) -> Verdict:
     return Verdict(Status.UNKNOWN, SpectralCertificate(val, vec))
 
 
-def _refit_weights(columns: list[np.ndarray], target: np.ndarray) -> np.ndarray:
-    """Nonnegative least squares on the simplex (soft sum-to-one row)."""
+def _fit_state(left: np.ndarray, right: np.ndarray, x: np.ndarray):
+    """Nonnegative weights on the simplex (soft sum-to-one row) for the atoms.
+
+    Returns the weights, the Frobenius residual and the residual matrix
+    X - sum_t w_t v_t v_t* with v_t = left_t (x) right_t.
+    """
     mu = 1e4
-    a = np.vstack([np.stack(columns, axis=1), mu * np.ones((1, len(columns)))])
-    b = np.concatenate([target, [mu]])
+    v = _products(left, right)
+    p = _products(v, v.conj())
+    a = np.vstack([np.concatenate([p.real, p.imag], axis=1).T, mu * np.ones((1, len(v)))])
+    b = np.concatenate([x.ravel().real, x.ravel().imag, [mu]])
     weights, _ = nnls(a, b)
-    return weights
-
-
-def _column_of(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    v = np.kron(left, right)
-    p = np.outer(v, v.conj()).ravel()
-    return np.concatenate([p.real, p.imag])
-
-
-def _fit_state(columns: list[np.ndarray], target: np.ndarray):
-    weights = _refit_weights(columns, target)
-    diff = target - sum(w * c for w, c in zip(weights, columns))
+    diff = x - (v.T * weights) @ v.conj()
     return weights, float(np.linalg.norm(diff)), diff
 
 
@@ -306,14 +302,16 @@ def _sqrt_factor(x: np.ndarray) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])
 
 
-def _ensemble_rotate(x: np.ndarray, n: int, m: int, k: int, seed: int, iters: int):
+def _ensemble_rotate(x: np.ndarray, n: int, m: int, k: int, seed: int):
     """Rotate a square-root ensemble of the state toward product columns.
 
     Any decomposition X = sum_i c_i c_i* arises as C = A R with A a square
-    root factor and R a co-isometry, so alternate between projecting each
-    column onto its leading product direction and re-solving the rotation
-    (orthogonal Procrustes), with over-relaxation to speed up the
-    tangential tail.  Returns the atom pairs of the best configuration.
+    root factor and R a co-isometry, so alternate between projecting every
+    column onto its leading product direction (one batched SVD) and
+    re-solving the rotation (orthogonal Procrustes), with over-relaxation
+    to speed up the tangential tail.  Returns the factor arrays
+    ``left (k, n)`` and ``right (k, m)`` of the best configuration and its
+    squared projection error.
     """
     a = _sqrt_factor(x)
     r = a.shape[1]
@@ -323,21 +321,17 @@ def _ensemble_rotate(x: np.ndarray, n: int, m: int, k: int, seed: int, iters: in
     q, _ = np.linalg.qr(z.conj().T)
     c = a @ q.conj().T
     beta = 0.95
-    best_err, best_atoms = np.inf, None
+    best_err, best = np.inf, None
     prev = None
     since_improved = 0
-    for _ in range(iters):
-        proj = np.empty_like(c)
-        atoms = []
-        err = 0.0
-        for i in range(k):
-            u, _, vt = np.linalg.svd(c[:, i].reshape(n, m), full_matrices=False)
-            atoms.append((u[:, 0], vt[0]))
-            qv = np.kron(u[:, 0], vt[0])
-            proj[:, i] = np.vdot(qv, c[:, i]) * qv
-            err += float(np.linalg.norm(c[:, i] - proj[:, i]) ** 2)
+    for _ in range(ENSEMBLE_ITERS):
+        u, _, vt = np.linalg.svd(c.T.reshape(k, n, m), full_matrices=False)
+        left, right = u[:, :, 0], vt[:, 0]
+        qv = _products(left, right)
+        proj = (qv * np.einsum("id,di->i", qv.conj(), c)[:, None]).T
+        err = float(np.linalg.norm(c - proj) ** 2)
         if err < best_err * (1.0 - 1e-9):
-            best_err, best_atoms = err, atoms
+            best_err, best = err, (left, right)
             since_improved = 0
         else:
             since_improved += 1
@@ -349,7 +343,7 @@ def _ensemble_rotate(x: np.ndarray, n: int, m: int, k: int, seed: int, iters: in
         prev = proj
         u2, _, vt2 = np.linalg.svd(a.conj().T @ accel, full_matrices=False)
         c = a @ (u2 @ vt2)
-    return best_atoms, best_err
+    return (*best, best_err)
 
 
 def _unpack_atoms(params: np.ndarray, n: int, m: int):
@@ -362,8 +356,7 @@ def _unpack_atoms(params: np.ndarray, n: int, m: int):
 
 def _atoms_residual(params: np.ndarray, x: np.ndarray, n: int, m: int) -> np.ndarray:
     """X - sum_t v_t v_t* with v_t = a_t (x) b_t, as stacked real and imaginary parts."""
-    a, b = _unpack_atoms(params, n, m)
-    v = (a[:, :, None] * b[:, None, :]).reshape(len(a), n * m)
+    v = _products(*_unpack_atoms(params, n, m))
     d = (x - v.T @ v.conj()).ravel()
     return np.concatenate([d.real, d.imag])
 
@@ -377,7 +370,7 @@ def _atoms_jacobian(params: np.ndarray, x: np.ndarray, n: int, m: int) -> np.nda
     """
     a, b = _unpack_atoms(params, n, m)
     k, d = len(a), n * m
-    v = (a[:, :, None] * b[:, None, :]).reshape(k, d)
+    v = _products(a, b)
     ua = np.einsum("ij,tl->tilj", np.eye(n), b).reshape(k, d, n)
     ub = np.einsum("ti,lj->tilj", a, np.eye(m)).reshape(k, d, m)
     u = np.concatenate([ua, 1j * ua, ub, 1j * ub], axis=2)
@@ -387,45 +380,43 @@ def _atoms_jacobian(params: np.ndarray, x: np.ndarray, n: int, m: int) -> np.nda
     return np.concatenate([cols.real, cols.imag])
 
 
-def _polish_atoms(x: np.ndarray, n: int, m: int, atoms, weights, max_nfev: int):
+def _polish_atoms(x: np.ndarray, n: int, m: int, left: np.ndarray, right: np.ndarray,
+                  weights: np.ndarray):
     """Local least-squares fit over unnormalized product factors.
 
     Each term is |a (x) b><a (x) b| with the weight folded into the factor
-    norms, so nonnegativity is automatic and the fit is smooth.
+    norms, so nonnegativity is automatic and the fit is smooth.  Atoms of
+    weight <= 1e-12 are dropped first; returns the normalized factor arrays
+    of the atoms that keep a nonzero norm.
     """
-    items = [(p, q, w) for (p, q), w in zip(atoms, weights) if w > 1e-12]
-    if not items:
-        return [], np.empty(0)
-    x0 = np.concatenate(
-        [
-            np.concatenate([np.sqrt(w) * p.real, np.sqrt(w) * p.imag, q.real, q.imag])
-            for p, q, w in items
-        ]
-    )
+    keep = weights > 1e-12
+    if not keep.any():
+        return left[:0], right[:0]
+    a = np.sqrt(weights[keep])[:, None] * left[keep]
+    b = right[keep]
+    x0 = np.concatenate([a.real, a.imag, b.real, b.imag], axis=1).ravel()
     sol = least_squares(_atoms_residual, x0, jac=_atoms_jacobian, method="trf",
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev,
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=LM_MAX_NFEV,
                         args=(x, n, m))
-    out_atoms, out_w = [], []
-    for a, b in zip(*_unpack_atoms(sol.x, n, m)):
-        na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-        if na * nb < 1e-10:
-            continue
-        out_atoms.append((a / na, b / nb))
-        out_w.append((na * nb) ** 2)
-    return out_atoms, np.array(out_w)
+    a, b = _unpack_atoms(sol.x, n, m)
+    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    ok = na * nb >= 1e-10
+    return a[ok] / na[ok, None], b[ok] / nb[ok, None]
 
 
 def separable_decompose(x: BipartiteOperator, budget: DecomposeBudget | None = None) -> Verdict:
     """Column-generation search for a separable decomposition of a state.
 
-    The greedy phase repeatedly adds the pure product state with the
-    largest overlap with the current residual and refits nonnegative
-    weights by least squares on the simplex.  When that stalls above the
-    residual target, whole batches of candidate columns are proposed by
-    rotating a square-root ensemble of the state toward product vectors
-    and polishing locally; weights are again refit on the simplex.  In
-    (with the certificate) once the Frobenius residual drops below the
-    budget tolerance, Unknown on budget exhaustion.  Only defined for
+    The greedy phase runs ``GREEDY_TERMS`` rounds, each adding the pure
+    product state with the largest overlap with the current residual and
+    refitting nonnegative weights by least squares on the simplex.  When
+    that stalls above ``RESIDUAL_TOL``, up to ``ENSEMBLE_ATTEMPTS`` batches
+    of at most ``MAX_TERMS`` candidate atoms are proposed by rotating a
+    square-root ensemble of the state toward product vectors (at most
+    ``ENSEMBLE_ITERS`` iterations each) and polishing them locally
+    (``LM_MAX_NFEV`` evaluations); weights are again refit on the simplex.
+    In (with the certificate) once the Frobenius residual drops below
+    ``RESIDUAL_TOL``, Unknown once the budget is spent.  Only defined for
     states: PSD with unit trace.
     """
     budget = budget or DecomposeBudget()
@@ -435,69 +426,47 @@ def separable_decompose(x: BipartiteOperator, budget: DecomposeBudget | None = N
         raise ValueError("input does not have unit trace")
 
     n, m = x.n, x.m
-    size = x.matrix.size
-    target = np.concatenate([x.matrix.ravel().real, x.matrix.ravel().imag])
     seed = budget.optimizer.seed
 
-    def verdict_of(atoms, weights, residual):
+    def verdict_of(residual, left, right, weights):
         keep = weights > 1e-12
         cert = SeparableDecomposition(
             weights=weights[keep],
-            factors=tuple(
-                ProductVector(p, q) for (p, q), kp in zip(atoms, keep) if kp
-            ),
+            factors=tuple(ProductVector(p, q) for p, q in zip(left[keep], right[keep])),
             residual=residual,
         )
-        status = Status.IN if residual < budget.residual_tol else Status.UNKNOWN
-        return Verdict(status, cert)
+        return Verdict(Status.IN if residual < RESIDUAL_TOL else Status.UNKNOWN, cert)
 
-    atoms: list[tuple[np.ndarray, np.ndarray]] = []
-    columns: list[np.ndarray] = []
-    weights = np.empty(0)
-    residual = float(np.linalg.norm(target))
-    residual_mat = x.matrix.copy()
+    left, right = np.empty((0, n), complex), np.empty((0, m), complex)
+    residual_mat = x.matrix
+    for term in range(GREEDY_TERMS):
+        cfg = replace(budget.optimizer, seed=seed + term)
+        vec = block_positive_min(bipartite(-residual_mat, n, m), cfg)[1].best_vector
+        left, right = np.vstack([left, vec.left]), np.vstack([right, vec.right])
+        weights, residual, residual_mat = _fit_state(left, right, x.matrix)
+        if residual < RESIDUAL_TOL:
+            return verdict_of(residual, left, right, weights)
 
-    for term in range(min(budget.greedy_terms, budget.max_terms)):
-        opt_cfg = OptimizerConfig(
-            starts=budget.optimizer.starts,
-            steps=budget.optimizer.steps,
-            seed=seed + term,
-            polish_rounds=max(budget.optimizer.polish_rounds, 8),
-            use_grid=budget.optimizer.use_grid,
-        )
-        _, trace = block_positive_min(bipartite(-residual_mat, n, m), opt_cfg)
-        vec = trace.best_vector
-        atoms.append((vec.left, vec.right))
-        columns.append(_column_of(vec.left, vec.right))
-        weights, residual, diff = _fit_state(columns, target)
-        residual_mat = (diff[:size] + 1j * diff[size:]).reshape(x.dim, x.dim)
-        if residual < budget.residual_tol:
-            return verdict_of(atoms, weights, residual)
-
-    best = (residual, atoms, weights)
+    best = (residual, left, right, weights)
     rank = _sqrt_factor(x.matrix).shape[1]
-    for attempt in range(budget.ensemble_attempts):
+    for attempt in range(ENSEMBLE_ATTEMPTS):
         k = 2 * rank + 2 + 2 * attempt
-        if k > budget.max_terms:
+        if k > MAX_TERMS:
             break
-        batch, batch_err = _ensemble_rotate(
-            x.matrix, n, m, k, seed * 131 + attempt + 1, budget.ensemble_iters
-        )
-        if batch is None or batch_err > 0.05:  # far from any product ensemble
+        left, right, err = _ensemble_rotate(x.matrix, n, m, k, seed * 131 + attempt + 1)
+        if err > 0.05:  # far from any product ensemble
             continue
-        cols = [_column_of(p, q) for p, q in batch]
-        w, _, _ = _fit_state(cols, target)
-        polished, w = _polish_atoms(x.matrix, n, m, batch, w, budget.lm_max_nfev)
-        if not polished:
+        w, _, _ = _fit_state(left, right, x.matrix)
+        left, right = _polish_atoms(x.matrix, n, m, left, right, w)
+        if not len(left):
             continue
-        cols = [_column_of(p, q) for p, q in polished]
-        w, res, _ = _fit_state(cols, target)
+        w, res, _ = _fit_state(left, right, x.matrix)
         if res < best[0]:
-            best = (res, polished, w)
-        if res < budget.residual_tol:
+            best = (res, left, right, w)
+        if res < RESIDUAL_TOL:
             break
 
-    return verdict_of(best[1], best[2], best[0])
+    return verdict_of(*best)
 
 
 def witness_value(w: BipartiteOperator, t: BipartiteOperator) -> float:

@@ -16,9 +16,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .cones import OptimizerConfig, Verdict, is_block_positive
-from .maps import MatrixMap, adjoint_map
+from .maps import MatrixMap, adjoint_map, apply_left
 from .operators import BipartiteOperator, bipartite, trace_norm
-from .polytopes import Polytope, TensorFunctional, min_tensor
+from .polytopes import Polytope, TensorFunctional, _affine_chart, min_tensor
 
 
 def max_norm_of_functional(t: BipartiteOperator) -> float:
@@ -87,19 +87,6 @@ def _sign_project(x: np.ndarray) -> np.ndarray:
     return (u * signs) @ u.conj().T
 
 
-def _apply_left(units: np.ndarray, xb: np.ndarray, m: int) -> np.ndarray:
-    """(Phi (x) id_m)(X) for a batch of X, as one GEMM with the unit images.
-
-    ``units[p, q, i, j] = Phi(E_ij)[p, q]`` for Phi: M_a -> M_c; each X is
-    (a m) x (a m) and each image (c m) x (c m).
-    """
-    c, a = units.shape[0], units.shape[2]
-    b = len(xb)
-    x = xb.reshape(b, a, m, a, m).transpose(0, 2, 4, 1, 3).reshape(b * m * m, a * a)
-    y = x @ units.reshape(c * c, a * a).T
-    return y.reshape(b, m, m, c, c).transpose(0, 3, 1, 4, 2).reshape(b, c * m, c * m)
-
-
 def cb_norm_estimate(phi: MatrixMap, cfg: CbConfig | None = None) -> CbEstimate:
     """Lower bound on ||Phi (x) id_m|| by ascent over Hermitian symmetries.
 
@@ -118,7 +105,7 @@ def cb_norm_estimate(phi: MatrixMap, cfg: CbConfig | None = None) -> CbEstimate:
     rng = np.random.default_rng(cfg.seed)
 
     def objective(xb: np.ndarray):
-        y = _apply_left(l4, xb, m)
+        y = apply_left(l4, xb, m)
         w, v = np.linalg.eigh(y)
         pick_hi = np.abs(w[:, -1]) >= np.abs(w[:, 0])
         vals = np.where(pick_hi, np.abs(w[:, -1]), np.abs(w[:, 0]))
@@ -148,7 +135,7 @@ def cb_norm_estimate(phi: MatrixMap, cfg: CbConfig | None = None) -> CbEstimate:
     best_x = x.copy()
     for _ in range(cfg.steps):
         proj = np.einsum("bi,bj->bij", vecs, vecs.conj())
-        grad = _apply_left(l4adj, proj, m) * signs[:, None, None]
+        grad = apply_left(l4adj, proj, m) * signs[:, None, None]
         moved = False
         for _ in range(4):
             cand = _sign_project(x + step[:, None, None] * grad)
@@ -236,15 +223,13 @@ def polytope_max_norm(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> floa
     bound of the polytope pair to the max-norm picture.
     """
     mv = min_tensor(k1, k2).vertices
-    _, s, vt = np.linalg.svd(mv, full_matrices=False)
-    rank = int(np.sum(s > 1e-9 * s[0]))
-    q = vt[:rank]
+    q = _affine_chart(mv, 0).T
     obj = q @ phi.flat
     constr = mv @ q.T
     a_ub = np.vstack([constr, -constr])
     b_ub = np.ones(2 * len(mv))
     res = linprog(-obj, A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * rank, method="highs")
+                  bounds=[(None, None)] * len(q), method="highs")
     if not res.success:
         raise RuntimeError(f"max-norm LP failed: {res.message}")
     return float(-res.fun)

@@ -115,15 +115,14 @@ class MatrixMap:
         return HermitianOperator(self.apply(m.matrix))
 
     def unit_images(self) -> np.ndarray:
-        """Tensor L[p, q, i, j] = Phi(E_ij)[p, q]; the complex-linear action."""
-        a, b = self.input_dim, self.output_dim
-        out = np.empty((b, b, a, a), dtype=complex)
-        for i in range(a):
-            for j in range(a):
-                e = np.zeros((a, a), dtype=complex)
-                e[i, j] = 1.0
-                out[:, :, i, j] = self.apply(e)
-        return out
+        """Tensor L[p, q, i, j] = Phi(E_ij)[p, q]; the complex-linear action.
+
+        E_ij has coefficient conj(B_l[i, j]) = B_l[j, i] on the Hermitian
+        basis element B_l, so L is one contraction of the two bases with
+        the coefficient array.
+        """
+        return np.einsum("kpq,kl,lji->pqij", hermitian_basis(self.output_dim), self.coeffs,
+                         hermitian_basis(self.input_dim))
 
 
 def adjoint_map(psi: MatrixMap) -> MatrixMap:
@@ -135,15 +134,25 @@ def adjoint_map(psi: MatrixMap) -> MatrixMap:
     return MatrixMap(psi.output_dim, psi.input_dim, psi.coeffs.T.copy())
 
 
+def apply_left(units: np.ndarray, xb: np.ndarray, m: int) -> np.ndarray:
+    """(Phi (x) id_m)(X) for a batch of X, as one GEMM with the unit images.
+
+    ``units[p, q, i, j] = Phi(E_ij)[p, q]`` for Phi: M_a -> M_c; each X is
+    (a m) x (a m) and each image (c m) x (c m).
+    """
+    c, a = units.shape[0], units.shape[2]
+    b = len(xb)
+    x = xb.reshape(b, a, m, a, m).transpose(0, 2, 4, 1, 3).reshape(b * m * m, a * a)
+    y = x @ units.reshape(c * c, a * a).T
+    return y.reshape(b, m, m, c, c).transpose(0, 3, 1, 4, 2).reshape(b, c * m, c * m)
+
+
 def apply_to_left_factor(phi: MatrixMap, x: BipartiteOperator) -> BipartiteOperator:
     """(Phi (x) id)(X) for X on C^{input_dim} (x) C^c."""
     if x.n != phi.input_dim:
         raise ValueError(f"left factor dim {x.n} != map input dim {phi.input_dim}")
-    l4 = phi.unit_images()
-    x4 = x.reshaped()
-    y = np.einsum("pqij,ikjl->pkql", l4, x4)
-    b, c = phi.output_dim, x.m
-    return bipartite(y.reshape(b * c, b * c), b, c)
+    y = apply_left(phi.unit_images(), x.matrix[None], x.m)[0]
+    return bipartite(y, phi.output_dim, x.m)
 
 
 def choi(psi: MatrixMap) -> BipartiteOperator:

@@ -253,6 +253,20 @@ class TestErrorPaths:
     def test_missing_file(self):
         assert cli.main(["membership", "--cone", "psd", "--input", "/nonexistent.json"]) == 65
 
+    @pytest.mark.parametrize("argv", [
+        ["membership", "--cone", "block-positive", "--input", "{h2}", "--budget", "-1"],
+        ["membership", "--cone", "block-positive", "--input", "{h2}", "--budget", "0"],
+        ["map-check", "--map", "{t2}", "--budget", "0"],
+        ["kappa", "--n", "0", "--m", "2"],
+        ["kappa", "--n", "2", "--m", "2", "--budget", "0"],
+        ["riesz", "--step", "0"],
+        ["witness-x", "--n", "2", "--samples", "0"],
+    ], ids=" ".join)
+    def test_non_positive_number_is_usage_error(self, capsys, h2_half, t2_map, argv):
+        argv = [a.format(h2=h2_half, t2=t2_map) for a in argv]
+        assert cli.main(argv) == 64
+        assert capsys.readouterr().err.startswith("usage error: argument ")
+
 
 class TestDeterminism:
     def test_results_bit_for_bit(self, capsys, h2_half):

@@ -4,11 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelab.cones import (
+    ENSEMBLE_ITERS,
+    RESIDUAL_TOL,
     DecomposeBudget,
     OptimizerConfig,
     Status,
     _atoms_jacobian,
     _atoms_residual,
+    _ensemble_rotate,
+    _sqrt_factor,
     block_positive_min,
     is_block_positive,
     is_psd,
@@ -222,6 +226,16 @@ class TestSeparableDecompose:
             v.certificate.residual, abs=1e-12
         )
 
+    def test_3x3_rank4_mixture(self):
+        state, _ = random_separable_state(3, 3, np.random.default_rng(29), terms=4)
+        v = separable_decompose(state)
+        assert v.status is Status.IN
+        assert v.certificate.residual < RESIDUAL_TOL
+        recon = v.certificate.reconstruct()
+        assert np.linalg.norm(recon - state.matrix) == pytest.approx(
+            v.certificate.residual, abs=1e-12
+        )
+
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             separable_decompose(swap_operator(2))
@@ -229,6 +243,61 @@ class TestSeparableDecompose:
     def test_rejects_non_unit_trace(self):
         with pytest.raises(ValueError, match="unit trace"):
             separable_decompose(bipartite(np.eye(4), 2, 2))
+
+
+def _ensemble_rotate_by_column(x, n, m, k, seed):
+    """Reference: the rotation with one SVD and one kron per column."""
+    a = _sqrt_factor(x)
+    r = a.shape[1]
+    k = max(k, r)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))
+    q, _ = np.linalg.qr(z.conj().T)
+    c = a @ q.conj().T
+    best_err, best_atoms, prev, since_improved = np.inf, None, None, 0
+    for _ in range(ENSEMBLE_ITERS):
+        proj = np.empty_like(c)
+        atoms, err = [], 0.0
+        for i in range(k):
+            u, _, vt = np.linalg.svd(c[:, i].reshape(n, m), full_matrices=False)
+            atoms.append((u[:, 0], vt[0]))
+            qv = np.kron(u[:, 0], vt[0])
+            proj[:, i] = np.vdot(qv, c[:, i]) * qv
+            err += float(np.linalg.norm(c[:, i] - proj[:, i]) ** 2)
+        if err < best_err * (1.0 - 1e-9):
+            best_err, best_atoms, since_improved = err, atoms, 0
+        else:
+            since_improved += 1
+            if since_improved > 150:
+                break
+        if err < 1e-22:
+            break
+        accel = proj if prev is None else proj + 0.95 * (proj - prev)
+        prev = proj
+        u2, _, vt2 = np.linalg.svd(a.conj().T @ accel, full_matrices=False)
+        c = a @ (u2 @ vt2)
+    return best_atoms, best_err
+
+
+def _atom_projectors(pairs):
+    vs = [np.kron(p, q) for p, q in pairs]
+    return np.array([np.outer(v, v.conj()) for v in vs])
+
+
+class TestEnsembleRotate:
+    @pytest.mark.parametrize("n, m, terms, k", [(2, 3, 3, 8), (3, 3, 4, 10), (2, 2, 0, 10)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_per_column_loop(self, n, m, terms, k, seed):
+        if terms:
+            state, _ = random_separable_state(n, m, np.random.default_rng(5), terms=terms)
+        else:  # PPT-violating: the rotation stalls at its floor
+            state = bipartite(0.6 * h_operator(2).matrix / 2 + 0.1 * np.eye(4), 2, 2)
+        left, right, err = _ensemble_rotate(state.matrix, n, m, k, seed)
+        atoms, ref_err = _ensemble_rotate_by_column(state.matrix, n, m, k, seed)
+        assert left.shape == (k, n) and right.shape == (k, m)
+        assert err == pytest.approx(ref_err, rel=1e-9, abs=1e-20)
+        got = _atom_projectors(zip(left, right))
+        assert np.max(np.abs(got - _atom_projectors(atoms))) <= 1e-9
 
 
 class TestPolishJacobian:

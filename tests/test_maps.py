@@ -233,6 +233,19 @@ class TestNormalizeConstruction:
             normalize_positive_map(phi, cfg=FAST)
 
 
+class TestUnitImages:
+    @pytest.mark.parametrize("a, b", [(2, 2), (2, 3), (3, 2), (3, 4)])
+    def test_matches_images_of_matrix_units(self, a, b):
+        phi = random_map(a, b, np.random.default_rng(10 * a + b))
+        want = np.empty((b, b, a, a), dtype=complex)
+        for i in range(a):
+            for j in range(a):
+                e = np.zeros((a, a), dtype=complex)
+                e[i, j] = 1.0
+                want[:, :, i, j] = phi.apply(e)
+        np.testing.assert_allclose(phi.unit_images(), want, rtol=0, atol=1e-13)
+
+
 class TestApplyToLeftFactor:
     def test_product_action(self):
         rng = np.random.default_rng(13)
