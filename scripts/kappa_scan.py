@@ -2,7 +2,7 @@
 """Scan the max-norm quantities over matrix dimensions.
 
 For each (n, m) prints the closed form min{n, m}, the witness lower bound
-from the normalized swap, and the cb-norm ascent estimate for the padded
+from the normalized swap, and the cb-norm seesaw estimate for the padded
 transpose map.
 """
 

@@ -58,17 +58,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive(kind):
-    """argparse type for a finite number of ``kind`` (int or float) above 0."""
+def _positive(kind, least=None):
+    """argparse type for a finite number of ``kind`` (int or float) above 0,
+    or at least ``least`` when that is given."""
 
     def convert(text: str):
         try:
             value = kind(text)
-            ok = 0 < value < float("inf")
+            ok = (value > 0 if least is None else value >= least) and value < float("inf")
         except ValueError:
             ok = False
         if not ok:
-            raise argparse.ArgumentTypeError(f"expected a positive {kind.__name__}, got {text!r}")
+            want = f"a positive {kind.__name__}" if least is None else f"{kind.__name__} >= {least}"
+            raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
         return value
 
     return convert
@@ -380,7 +382,7 @@ def build_parser() -> _Parser:
     mem.add_argument("--cone", required=True,
                      choices=["psd", "separable", "block-positive", "ppt"])
     mem.add_argument("--input", required=True)
-    mem.add_argument("--tol", type=float, default=None)
+    mem.add_argument("--tol", type=_positive(float, least=0), default=None)
     mem.add_argument("--seed", type=int, default=0)
     mem.add_argument("--budget", type=_positive(int), default=200)
     mem.set_defaults(handler=_cmd_membership)
@@ -391,7 +393,7 @@ def build_parser() -> _Parser:
 
     mc = sub.add_parser("map-check", help="positivity and unitality of a map")
     mc.add_argument("--map", required=True)
-    mc.add_argument("--tol", type=float, default=None)
+    mc.add_argument("--tol", type=_positive(float, least=0), default=None)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--budget", type=_positive(int), default=200)
     mc.set_defaults(handler=_cmd_map_check)
@@ -418,7 +420,7 @@ def build_parser() -> _Parser:
     ba.set_defaults(handler=_cmd_barker, seed=0)
 
     wx = sub.add_parser("witness-x", help="grid witness X(s,t) = st S verification")
-    wx.add_argument("--n", type=int, required=True)
+    wx.add_argument("--n", type=_positive(int, least=2), required=True)
     wx.add_argument("--grid", default="0,0.5,1")
     wx.add_argument("--samples", type=_positive(int), default=100_000)
     wx.add_argument("--seed", type=int, default=0)
@@ -426,7 +428,7 @@ def build_parser() -> _Parser:
 
     rz = sub.add_parser("riesz", help="2x2 Riesz interpolation failure check")
     rz.add_argument("--step", type=_positive(float), default=0.02)
-    rz.add_argument("--threshold", type=float, default=0.05)
+    rz.add_argument("--threshold", type=_positive(float), default=0.05)
     rz.set_defaults(handler=_cmd_riesz, seed=0)
 
     ts = sub.add_parser("trace-simplex", help="trace simplex tensor arithmetic")

@@ -71,31 +71,43 @@ class CbConfig:
 
 @dataclass(frozen=True)
 class CbEstimate:
+    """Best cb-norm lower bound found and its maximizing symmetry.
+
+    ``rounds`` counts the seesaw rounds run and ``converged`` says whether
+    the last of them improved no start by more than ``CB_GAIN``.
+    """
+
     value: float
     argmax: BipartiteOperator
     starts: int
     steps: int
     seed: int
+    rounds: int
+    converged: bool
+
+
+CB_GAIN = 1e-12  # least gain of a start's value that counts as an improvement
 
 
 def _sign_project(x: np.ndarray) -> np.ndarray:
-    """Nearest Hermitian symmetry: replace eigenvalues by their signs."""
+    """Nearest Hermitian symmetries of a batch: eigenvalues replaced by their signs."""
     w, u = np.linalg.eigh(x)
-    signs = np.where(w >= 0, 1.0, -1.0)
-    if x.ndim == 3:
-        return np.einsum("bik,bk,bjk->bij", u, signs, u.conj())
-    return (u * signs) @ u.conj().T
+    return np.einsum("bik,bk,bjk->bij", u, np.where(w >= 0, 1.0, -1.0), u.conj())
 
 
 def cb_norm_estimate(phi: MatrixMap, cfg: CbConfig | None = None) -> CbEstimate:
-    """Lower bound on ||Phi (x) id_m|| by ascent over Hermitian symmetries.
+    """Lower bound on ||Phi (x) id_m|| by a seesaw over Hermitian symmetries.
 
     The norm of Phi (x) id_m is attained at self-adjoint contractions, and
     the extreme points of the Hermitian unit ball are the symmetries
-    U diag(+-1) U*.  Starting from deterministic candidates (identity,
-    embedded swap) and seeded random symmetries, ascend by stepping along
-    the supergradient of X |-> ||(Phi (x) id)(X)|| and re-projecting onto
-    the symmetries.  Returns the best value found and the maximizing X.
+    U diag(+-1) U*.  From deterministic candidates (identity, embedded swap)
+    and seeded random symmetries, each round alternates two exact best
+    responses: the top eigenpair (by absolute value) of (Phi (x) id)(X)
+    gives a sign s and vector v, and the symmetry maximizing
+    s <v, (Phi (x) id)(X) v> is the sign projection of (Phi* (x) id)(s v v*).
+    Neither step lowers the value; a start keeps a new X only if its value
+    rises by more than ``CB_GAIN``.  Rounds stop after ``cfg.steps`` or once
+    no start improves.  Returns the best value found and the maximizing X.
     """
     cfg = cfg or CbConfig()
     n, m = phi.input_dim, phi.output_dim
@@ -104,65 +116,47 @@ def cb_norm_estimate(phi: MatrixMap, cfg: CbConfig | None = None) -> CbEstimate:
     l4adj = adjoint_map(phi).unit_images()
     rng = np.random.default_rng(cfg.seed)
 
-    def objective(xb: np.ndarray):
-        y = apply_left(l4, xb, m)
-        w, v = np.linalg.eigh(y)
-        pick_hi = np.abs(w[:, -1]) >= np.abs(w[:, 0])
-        vals = np.where(pick_hi, np.abs(w[:, -1]), np.abs(w[:, 0]))
-        idx = np.where(pick_hi, w.shape[1] - 1, 0)
-        vecs = v[np.arange(len(xb)), :, idx]
-        signs = np.where(
-            np.take_along_axis(w, idx[:, None], axis=1)[:, 0] >= 0, 1.0, -1.0
-        )
-        return vals, vecs, signs
+    def top_eigenpair(xb: np.ndarray):
+        w, v = np.linalg.eigh(apply_left(l4, xb, m))
+        idx = np.where(np.abs(w[:, -1]) >= np.abs(w[:, 0]), w.shape[1] - 1, 0)
+        rows = np.arange(len(xb))
+        top = w[rows, idx]
+        return np.abs(top), v[rows, :, idx], np.where(top >= 0, 1.0, -1.0)
 
-    det = [np.eye(dim, dtype=complex), embedded_swap(n, m).matrix.astype(complex)]
-    det_vals, _, _ = objective(np.array(det))
+    det = np.array([np.eye(dim, dtype=complex), embedded_swap(n, m).matrix.astype(complex)])
+    det_vals, _, _ = top_eigenpair(det)
 
     x = np.empty((cfg.starts, dim, dim), dtype=complex)
     n_det = min(len(det), cfg.starts)
-    for i in range(n_det):
-        x[i] = _sign_project(det[i])
+    x[:n_det] = _sign_project(det[:n_det])
     for i in range(n_det, cfg.starts):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         _, u = np.linalg.eigh((g + g.conj().T) / 2)
         signs = rng.choice([-1.0, 1.0], size=dim)
         x[i] = (u * signs) @ u.conj().T
 
-    f, vecs, signs = objective(x)
-    step = np.full(cfg.starts, 0.3)
-    best_f = f.copy()
-    best_x = x.copy()
-    for _ in range(cfg.steps):
-        proj = np.einsum("bi,bj->bij", vecs, vecs.conj())
-        grad = apply_left(l4adj, proj, m) * signs[:, None, None]
-        moved = False
-        for _ in range(4):
-            cand = _sign_project(x + step[:, None, None] * grad)
-            fc, vc, sc = objective(cand)
-            ok = fc > f + 1e-12
-            if ok.any():
-                x[ok], f[ok], vecs[ok], signs[ok] = cand[ok], fc[ok], vc[ok], sc[ok]
-                step[ok] *= 1.2
-                moved = True
-            step[~ok] *= 0.5
-            if ok.all():
-                break
-        better = f > best_f
-        best_f[better] = f[better]
-        best_x[better] = x[better]
-        if not moved and step.max() < 1e-10:
-            break
+    f, vecs, signs = top_eigenpair(x)
+    rounds, converged = 0, False
+    while rounds < cfg.steps and not converged:
+        proj = np.einsum("bi,bj->bij", vecs * signs[:, None], vecs.conj())
+        cand = _sign_project(apply_left(l4adj, proj, m))
+        fc, vc, sc = top_eigenpair(cand)
+        ok = fc > f + CB_GAIN
+        x[ok], f[ok], vecs[ok], signs[ok] = cand[ok], fc[ok], vc[ok], sc[ok]
+        rounds += 1
+        converged = not ok.any()
 
-    all_vals = np.concatenate([det_vals, best_f])
+    all_vals = np.concatenate([det_vals, f])
     best = int(np.argmax(all_vals))
-    arg = det[best] if best < len(det) else best_x[best - len(det)]
+    arg = det[best] if best < len(det) else x[best - len(det)]
     return CbEstimate(
         value=float(all_vals[best]),
         argmax=bipartite(arg, n, m),
         starts=cfg.starts,
         steps=cfg.steps,
         seed=cfg.seed,
+        rounds=rounds,
+        converged=converged,
     )
 
 

@@ -267,6 +267,23 @@ class TestErrorPaths:
         assert cli.main(argv) == 64
         assert capsys.readouterr().err.startswith("usage error: argument ")
 
+    @pytest.mark.parametrize("argv", [
+        ["membership", "--cone", "block-positive", "--input", "{h2}", "--tol", "nan"],
+        ["membership", "--cone", "psd", "--input", "{h2}", "--tol", "inf"],
+        ["membership", "--cone", "ppt", "--input", "{h2}", "--tol", "-0.5"],
+        ["map-check", "--map", "{t2}", "--tol", "nan"],
+        ["map-check", "--map", "{t2}", "--tol", "inf"],
+        ["map-check", "--map", "{t2}", "--tol", "-1"],
+        ["riesz", "--threshold", "0"],
+        ["riesz", "--threshold", "-0.05"],
+        ["witness-x", "--n", "0"],
+        ["witness-x", "--n", "1"],
+    ], ids=" ".join)
+    def test_out_of_range_number_is_usage_error(self, capsys, h2_half, t2_map, argv):
+        argv = [a.format(h2=h2_half, t2=t2_map) for a in argv]
+        assert cli.main(argv) == 64
+        assert capsys.readouterr().err.startswith("usage error: argument ")
+
 
 class TestDeterminism:
     def test_results_bit_for_bit(self, capsys, h2_half):

@@ -13,7 +13,13 @@ from conelab.kappa import (
     max_norm_of_functional,
     polytope_max_norm,
 )
-from conelab.maps import MatrixMap, apply_to_left_factor, unitality_report
+from conelab.maps import (
+    MatrixMap,
+    apply_to_left_factor,
+    random_map,
+    random_positive_map,
+    unitality_report,
+)
 from conelab.operators import bipartite, operator_norm, random_density, swap_operator
 from conelab.polytopes import (
     functional_from_flat,
@@ -119,6 +125,35 @@ class TestCbEstimate:
         # the transpose map attains the top of the range
         f = state_from_positive_map(MatrixMap.transpose(2), cfg=FAST)
         assert max_norm_of_functional(f.density) == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("phi", [MatrixMap.transpose(3), extremal_positive_map(3, 4)],
+                             ids=["transpose(3)", "extremal(3,4)"])
+    def test_seesaw_converges_before_round_cap(self, phi):
+        cfg = CbConfig()
+        est = cb_norm_estimate(phi, cfg)
+        assert est.converged
+        assert 1 <= est.rounds < cfg.steps
+        assert est.value == pytest.approx(3.0, abs=1e-9)
+
+    def test_estimate_non_decreasing_in_rounds(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            phi = random_positive_map(2, 3, rng)
+            vals = [cb_norm_estimate(phi, CbConfig(starts=10, steps=s, seed=5)).value
+                    for s in (0, 1, 2, 5, 20)]
+            assert vals == sorted(vals)
+
+    @pytest.mark.parametrize("starts", [0, 1, 2, 10])
+    def test_never_below_deterministic_candidates(self, starts):
+        rng = np.random.default_rng(6)
+        for n, m in [(2, 2), (2, 3), (3, 2)]:
+            phi = random_map(n, m, rng)
+            floor = max(
+                operator_norm(apply_to_left_factor(phi, x))
+                for x in (bipartite(np.eye(n * m), n, m), embedded_swap(n, m))
+            )
+            est = cb_norm_estimate(phi, CbConfig(starts=starts, steps=30, seed=7))
+            assert est.value >= floor * (1 - 1e-12)
 
 
 def _random_unital_positive(n, rng):
