@@ -13,33 +13,16 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import acceptance, algebras, cones, kappa, maps, polytopes
-from .cones import (
-    DecomposeBudget,
-    OptimizerConfig,
-    OptimizerTrace,
-    SeparableDecomposition,
-    SpectralCertificate,
-    Verdict,
-    WitnessCertificate,
-)
+from .cones import DecomposeBudget, OptimizerConfig
 from .kappa import CbConfig
-from .polytopes import (
-    ConvexWeightsCertificate,
-    RayPairCertificate,
-    SeparatingHyperplane,
-)
 from .serialize import (
     MalformedInput,
     bipartite_from_dict,
-    bipartite_to_dict,
-    hermitian_to_dict,
     load_json,
     map_from_dict,
     polytope_from_dict,
-    polytope_to_dict,
+    to_json,
 )
 
 EXIT_PASS = 0
@@ -76,75 +59,13 @@ def _positive(kind, least=None):
     return convert
 
 
-def _vector_pairs(v: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
-
-
-def certificate_to_dict(cert) -> dict | None:
-    if cert is None:
-        return None
-    if isinstance(cert, SpectralCertificate):
-        return {
-            "type": "spectral",
-            "eigenvalue": cert.eigenvalue,
-            "eigenvector": _vector_pairs(cert.eigenvector),
-        }
-    if isinstance(cert, WitnessCertificate):
-        return {
-            "type": "witness",
-            "value": cert.value,
-            "witness": bipartite_to_dict(cert.witness),
-        }
-    if isinstance(cert, OptimizerTrace):
-        return {
-            "type": "optimizer",
-            "seed": cert.seed,
-            "starts": cert.starts,
-            "steps": cert.steps,
-            "grid_points": cert.grid_points,
-            "best_value": cert.best_value,
-            "best_index": cert.best_index,
-            "rounds": cert.rounds,
-            "converged": cert.converged,
-            "agreeing": cert.agreeing,
-            "left": _vector_pairs(cert.best_vector.left),
-            "right": _vector_pairs(cert.best_vector.right),
-        }
-    if isinstance(cert, SeparableDecomposition):
-        return {
-            "type": "decomposition",
-            "weights": [float(w) for w in cert.weights],
-            "residual": cert.residual,
-            "factors": [
-                {"left": _vector_pairs(f.left), "right": _vector_pairs(f.right)}
-                for f in cert.factors
-            ],
-        }
-    if isinstance(cert, RayPairCertificate):
-        return {
-            "type": "ray-pair",
-            "ray_left": list(map(float, cert.ray_left)),
-            "ray_right": list(map(float, cert.ray_right)),
-            "value": cert.value,
-        }
-    if isinstance(cert, ConvexWeightsCertificate):
-        return {
-            "type": "convex-weights",
-            "weights": [float(w) for w in cert.weights],
-            "residual": cert.residual,
-        }
-    if isinstance(cert, SeparatingHyperplane):
-        return {
-            "type": "separating-hyperplane",
-            "normal": list(map(float, cert.normal)),
-            "offset": cert.offset,
-            "margin": cert.margin,
-        }
-    return {"type": "opaque", "repr": repr(cert)}
-
-
-def verdict_to_dict(v: Verdict) -> dict:
-    return {"status": v.status.value, "certificate": certificate_to_dict(v.certificate)}
+def _on_input(fn, *args, **kwargs):
+    """Call ``fn``; its ValueError means the input lies outside what it
+    supports, which is malformed input (exit 65), not a verdict."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise MalformedInput(str(exc)) from exc
 
 
 def _status_exit(status: str) -> int:
@@ -179,15 +100,12 @@ def _cmd_membership(args) -> tuple[dict, dict]:
         if verdict.status is not cones.Status.OUT:
             budget = DecomposeBudget(optimizer=OptimizerConfig(
                 starts=max(8, args.budget // 5), steps=200, seed=args.seed))
-            try:
-                verdict = cones.separable_decompose(op, budget)
-            except ValueError as exc:
-                raise MalformedInput(str(exc)) from exc
+            verdict = _on_input(cones.separable_decompose, op, budget)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown cone {args.cone}")
     return (
         {"status": verdict.status.value, "cone": args.cone, "n": op.n, "m": op.m},
-        {"verdict": verdict_to_dict(verdict)},
+        {"verdict": to_json(verdict)},
     )
 
 
@@ -197,8 +115,8 @@ def _cmd_choi(args) -> tuple[dict, dict]:
     j = maps.jamiolkowski(phi)
     results = {
         "status": "pass",
-        "choi": bipartite_to_dict(c),
-        "jamiolkowski": bipartite_to_dict(j),
+        "choi": to_json(c),
+        "jamiolkowski": to_json(j),
     }
     return results, {}
 
@@ -213,9 +131,9 @@ def _cmd_map_check(args) -> tuple[dict, dict]:
         "positive": verdict.status.value,
         "is_unital": report.is_unital,
         "normalized_trace_of_image": report.normalized_trace_of_image,
-        "image_of_identity": hermitian_to_dict(report.image_of_identity),
+        "image_of_identity": to_json(report.image_of_identity),
     }
-    return results, {"verdict": verdict_to_dict(verdict)}
+    return results, {"verdict": to_json(verdict)}
 
 
 def _cmd_kappa(args) -> tuple[dict, dict]:
@@ -230,7 +148,7 @@ def _cmd_kappa(args) -> tuple[dict, dict]:
         "witness_lower_bound": rep.witness_lower_bound,
         "cb_estimate": rep.cb_estimate,
     }
-    return results, {"witness": bipartite_to_dict(rep.witness)}
+    return results, {"witness": to_json(rep.witness), "cb_estimate": to_json(rep.cb)}
 
 
 def _load_polytope(path: str) -> polytopes.Polytope:
@@ -245,13 +163,13 @@ def _cmd_polytope(args) -> tuple[dict, dict]:
     mn = polytopes.min_tensor(k1, k2)
     results = {
         "status": "pass",
-        "min_tensor": polytope_to_dict(mn),
+        "min_tensor": to_json(mn),
         "min_vertex_count": mn.n_vertices,
         "dimension": polytopes.affine_dimension(mn),
     }
     certificates: dict = {}
     if args.gap or args.relative_bound:
-        mx = polytopes.max_tensor_polytope(k1, k2)
+        mx = _on_input(polytopes.max_tensor_polytope, k1, k2)
         results["max_vertex_count"] = mx.n_vertices
         if args.relative_bound:
             results["relative_bound"] = polytopes.relative_bound(mn, mx)
@@ -263,16 +181,16 @@ def _cmd_polytope(args) -> tuple[dict, dict]:
 
 def _gap_report(k1: polytopes.Polytope, k2: polytopes.Polytope) -> tuple[dict, dict]:
     """Results and certificates of the gap finder between the tensor products."""
-    gap = polytopes.barker_gap(k1, k2)
+    gap = _on_input(polytopes.barker_gap, k1, k2)
     if gap is None:
         return {"gap": None}, {}
     results = {
-        "gap": [[float(v) for v in row] for row in gap.functional.matrix],
+        "gap": to_json(gap.functional.matrix),
         "gap_margin": gap.margin,
     }
     certificates = {
-        "gap_max_side": verdict_to_dict(gap.max_verdict),
-        "gap_min_side": verdict_to_dict(gap.min_verdict),
+        "gap_max_side": to_json(gap.max_verdict),
+        "gap_min_side": to_json(gap.min_verdict),
     }
     return results, certificates
 
@@ -282,45 +200,23 @@ def _cmd_barker(args) -> tuple[dict, dict]:
     return {"status": "pass", **results}, certificates
 
 
+def _check_report(rep) -> tuple[dict, dict]:
+    """Results of a check report: pass or fail by its ``passes``, then every field."""
+    return {"status": "pass" if rep.passes else "fail", **to_json(rep)}, {}
+
+
 def _cmd_witness_x(args) -> tuple[dict, dict]:
     try:
         grid = tuple(float(s) for s in args.grid.split(","))
     except ValueError as exc:
         raise UsageError(f"bad grid {args.grid!r}: {exc}") from exc
-    try:
-        rep = algebras.verify_X_separating(args.n, grid, samples=args.samples, seed=args.seed)
-    except ValueError as exc:
-        raise MalformedInput(str(exc)) from exc
-    results = {
-        "status": "pass" if rep.passes else "fail",
-        "n": rep.n,
-        "grid": list(rep.grid),
-        "samples": rep.samples,
-        "most_negative_eigenvalue": rep.most_negative_eigenvalue,
-        "argmin_pair": list(rep.argmin_pair),
-        "separable_min": rep.separable_min,
-        "nonpositive_ok": rep.nonpositive_ok,
-        "separable_ok": rep.separable_ok,
-    }
-    return results, {}
+    return _check_report(_on_input(algebras.verify_X_separating, args.n, grid,
+                                   samples=args.samples, seed=args.seed))
 
 
 def _cmd_riesz(args) -> tuple[dict, dict]:
-    rep = algebras.riesz_counterexample_check(step=args.step, zero_threshold=args.threshold)
-    results = {
-        "status": "pass" if rep.passes else "fail",
-        "dominated_ok": rep.dominated_ok,
-        "not_below_zero_ok": rep.not_below_zero_ok,
-        "interpolation_ok": rep.interpolation_ok,
-        "eigs_f": list(rep.eigs_f),
-        "eigs_e11_minus_f": list(rep.eigs_e11_minus_f),
-        "eigs_e22_minus_f": list(rep.eigs_e22_minus_f),
-        "admissible_points": rep.admissible_points,
-        "max_admissible_norm": rep.max_admissible_norm,
-        "grid_step": rep.grid_step,
-        "zero_threshold": rep.zero_threshold,
-    }
-    return results, {}
+    return _check_report(
+        algebras.riesz_counterexample_check(step=args.step, zero_threshold=args.threshold))
 
 
 def _parse_blocks(text: str) -> algebras.MultiMatrixAlgebra:
@@ -333,18 +229,7 @@ def _parse_blocks(text: str) -> algebras.MultiMatrixAlgebra:
 def _cmd_trace_simplex(args) -> tuple[dict, dict]:
     a = _parse_blocks(args.a)
     b = _parse_blocks(args.b)
-    rep = algebras.verify_trace_tensor(a, b)
-    results = {
-        "status": "pass" if rep.passes else "fail",
-        "blocks_a": list(rep.blocks_a),
-        "blocks_b": list(rep.blocks_b),
-        "blocks_product": list(rep.blocks_product),
-        "tensor_vertex_count": rep.tensor_vertex_count,
-        "tensor_dimension": rep.tensor_dimension,
-        "affinely_independent": rep.affinely_independent,
-        "isomorphic": rep.isomorphic,
-    }
-    return results, {}
+    return _check_report(algebras.verify_trace_tensor(a, b))
 
 
 def _cmd_reproduce(args) -> tuple[dict, dict]:

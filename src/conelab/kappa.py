@@ -181,8 +181,12 @@ class KappaReport:
     m: int
     exact: float
     witness_lower_bound: float
-    cb_estimate: float
+    cb: CbEstimate
     witness: BipartiteOperator
+
+    @property
+    def cb_estimate(self) -> float:
+        return self.cb.value
 
 
 def kappa_report(
@@ -197,13 +201,12 @@ def kappa_report(
     t = embedded_swap(n, m)
     witness = bipartite(t.matrix / k, n, m)
     phi = cb_map if cb_map is not None else extremal_positive_map(n, m)
-    est = cb_norm_estimate(phi, cb_cfg)
     return KappaReport(
         n=n,
         m=m,
         exact=kappa_exact(n, m),
         witness_lower_bound=max_norm_of_functional(witness),
-        cb_estimate=est.value,
+        cb=cb_norm_estimate(phi, cb_cfg),
         witness=witness,
     )
 

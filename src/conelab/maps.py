@@ -111,9 +111,6 @@ class MatrixMap:
         c = basis_coefficients(np.asarray(m, dtype=complex))
         return matrix_from_coefficients(self.coeffs @ c, self.output_dim)
 
-    def apply_hermitian(self, m: HermitianOperator) -> HermitianOperator:
-        return HermitianOperator(self.apply(m.matrix))
-
     def unit_images(self) -> np.ndarray:
         """Tensor L[p, q, i, j] = Phi(E_ij)[p, q]; the complex-linear action.
 

@@ -283,7 +283,13 @@ def max_tensor_membership(
 
 def _min_distance_lp(flat_phi: np.ndarray, vertices: np.ndarray):
     """Inf-norm distance from a functional to the convex hull of the given
-    vertices: min t s.t. |sum_p lam_p V_p - phi| <= t, lam in the simplex."""
+    vertices: min t s.t. |sum_p lam_p V_p - phi| <= t, lam in the simplex.
+
+    Returns the distance, the weights lam and the normal y = u_+ - u_-,
+    where u_+ and u_- (<= 0) are the duals of the rows V^T lam - t <= phi
+    and -V^T lam - t <= -phi.  By LP duality ||y||_1 <= 1 and
+    y.phi - max_p y.V_p >= t, so y separates phi from the hull when t > 0.
+    """
     p, dim = vertices.shape
     c = np.zeros(p + 1)
     c[-1] = 1.0
@@ -302,31 +308,8 @@ def _min_distance_lp(flat_phi: np.ndarray, vertices: np.ndarray):
     )
     if not res.success:
         raise RuntimeError(f"membership LP failed: {res.message}")
-    return float(res.fun), np.asarray(res.x[:p])
-
-
-def _separating_hyperplane(flat_phi: np.ndarray, vertices: np.ndarray) -> SeparatingHyperplane:
-    """Maximize y.phi - mu over ||y||_1 <= 1, y.V_p <= mu: the LP dual of
-    the distance problem, solved directly so the certificate needs no
-    marginal bookkeeping."""
-    p, dim = vertices.shape
-    # variables: y+ (dim), y- (dim), mu (free)
-    c = np.concatenate([-flat_phi, flat_phi, [1.0]])  # minimize -(y.phi - mu)
-    a_ub = np.vstack(
-        [
-            np.hstack([vertices, -vertices, -np.ones((p, 1))]),
-            np.concatenate([np.ones(2 * dim), [0.0]])[None, :],
-        ]
-    )
-    b_ub = np.concatenate([np.zeros(p), [1.0]])
-    bounds = [(0, None)] * (2 * dim) + [(None, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"separating-hyperplane LP failed: {res.message}")
-    y = res.x[:dim] - res.x[dim : 2 * dim]
-    offset = float(np.max(vertices @ y))
-    margin = float(y @ flat_phi - offset)
-    return SeparatingHyperplane(y, offset, margin)
+    u = res.ineqlin.marginals
+    return float(res.fun), np.asarray(res.x[:p]), u[:dim] - u[dim:]
 
 
 def min_tensor_membership(
@@ -335,13 +318,15 @@ def min_tensor_membership(
     """LP test for membership in the convex hull of elementary tensors.
 
     In with the convex weights when the inf-norm distance is <= tol; Out
-    with a separating hyperplane (from LP duality) otherwise.
+    with the separating hyperplane read off the same LP's duals otherwise.
     """
     mv = min_tensor(k1, k2).vertices
-    dist, weights = _min_distance_lp(phi.flat, mv)
+    dist, weights, normal = _min_distance_lp(phi.flat, mv)
     if dist <= tol:
         return Verdict(Status.IN, ConvexWeightsCertificate(weights, dist))
-    return Verdict(Status.OUT, _separating_hyperplane(phi.flat, mv))
+    offset = float(np.max(mv @ normal))
+    margin = float(normal @ phi.flat - offset)
+    return Verdict(Status.OUT, SeparatingHyperplane(normal, offset, margin))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +385,7 @@ def barker_gap(k1: Polytope, k2: Polytope, tol: float = LP_TOL) -> BarkerGap | N
     mv = min_tensor(k1, k2).vertices
     best_flat, best_dist = None, tol
     for flat in max_tensor_polytope(k1, k2).vertices:
-        dist, _ = _min_distance_lp(flat, mv)
+        dist = _min_distance_lp(flat, mv)[0]
         if dist > best_dist:
             best_flat, best_dist = flat, dist
     if best_flat is None:

@@ -1,21 +1,54 @@
-"""JSON wire formats for operators, maps and polytopes.
+"""JSON wire formats for operators, maps, polytopes, certificates and reports.
 
 Operator format: {"dim": n, "entries": [[re, im], ...]} with dim^2 entries
 row-major; bipartite operators add "n" and "m".  Map format:
 {"input_dim": a, "output_dim": b, "coeffs": [...]} with a real
 (b^2) x (a^2) coefficient array.  Polytope format:
 {"dim": d, "vertices": [[...], ...]}.  Schemas live in schemas/.
+
+Certificates, verdicts and reports are written by the one encoder
+``to_json``: a dataclass becomes an object keyed by its field names,
+headed by {"type": name} when its class is in ``CERTIFICATE_TYPES``;
+complex vectors become [re, im] pairs and operators and polytopes use the
+formats above.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
+from enum import Enum
 
 import numpy as np
 
+from .cones import (
+    OptimizerTrace,
+    SeparableDecomposition,
+    SpectralCertificate,
+    WitnessCertificate,
+)
+from .kappa import CbEstimate
 from .maps import MatrixMap
 from .operators import BipartiteOperator, HermitianOperator, bipartite, hermitian
-from .polytopes import LP_TOL, Polytope, _min_distance_lp
+from .polytopes import (
+    LP_TOL,
+    ConvexWeightsCertificate,
+    Polytope,
+    RayPairCertificate,
+    SeparatingHyperplane,
+    _min_distance_lp,
+)
+
+CERTIFICATE_TYPES = {
+    SpectralCertificate: "spectral",
+    WitnessCertificate: "witness",
+    OptimizerTrace: "optimizer",
+    SeparableDecomposition: "decomposition",
+    RayPairCertificate: "ray-pair",
+    ConvexWeightsCertificate: "convex-weights",
+    SeparatingHyperplane: "separating-hyperplane",
+    CbEstimate: "cb-estimate",
+}
 
 
 class MalformedInput(ValueError):
@@ -106,10 +139,35 @@ def polytope_from_dict(d: dict) -> Polytope:
         raise MalformedInput(f"bad polytope document: {exc}") from exc
     if k.n_vertices > 1:
         for i, v in enumerate(k.vertices):
-            dist, _ = _min_distance_lp(v, np.delete(k.vertices, i, axis=0))
+            dist = _min_distance_lp(v, np.delete(k.vertices, i, axis=0))[0]
             if dist <= LP_TOL:
                 raise MalformedInput(f"vertex {i} is not extreme: it lies in the hull of the others")
     return k
+
+
+def to_json(value):
+    """JSON-ready form of a certificate, verdict, report, operator or polytope."""
+    if isinstance(value, BipartiteOperator):
+        return bipartite_to_dict(value)
+    if isinstance(value, HermitianOperator):
+        return hermitian_to_dict(value)
+    if isinstance(value, Polytope):
+        return polytope_to_dict(value)
+    if isinstance(value, Enum):
+        return value.value
+    if is_dataclass(value) and not isinstance(value, type):
+        name = CERTIFICATE_TYPES.get(type(value))
+        head = {"type": name} if name else {}
+        return head | {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return _entries(value) if np.iscomplexobj(value) else value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError(f"no JSON wire format for {type(value).__name__}")
 
 
 def load_json(path: str) -> dict:

@@ -400,3 +400,39 @@ class TestTensorFunctional:
         m = np.zeros((3, 3))
         with pytest.raises(ValueError, match="normalization"):
             TensorFunctional(m)
+
+
+def inf_norm_distance(flat, vertices):
+    """min t with |V^T lam - phi|_inf <= t over the simplex, solved afresh."""
+    p, dim = vertices.shape
+    a_ub = np.block([[vertices.T, -np.ones((dim, 1))], [-vertices.T, -np.ones((dim, 1))]])
+    res = linprog(np.r_[np.zeros(p), 1.0], A_ub=a_ub, b_ub=np.r_[flat, -flat],
+                  A_eq=np.r_[np.ones(p), 0.0][None, :], b_eq=[1.0],
+                  bounds=[(0, None)] * (p + 1), method="highs")
+    assert res.success
+    return res.fun
+
+
+class TestSeparatingHyperplaneFromDuals:
+    @pytest.mark.parametrize("pair", ["square", "pentagon"])
+    def test_out_certificate_is_the_distance(self, pair):
+        rng = np.random.default_rng(17)
+        if pair == "square":
+            k1, k2 = square(), square()
+        else:
+            k1, k2 = affine_polygon(5, rng), affine_polygon(5, rng)
+        mv = min_tensor(k1, k2).vertices
+        outs = 0
+        for _ in range(30):
+            w = rng.normal(size=len(mv))
+            flat = (w - w.mean() + 1 / len(mv)) @ mv  # affine combination of vertices
+            phi = functional_from_flat(flat, k1, k2)
+            verdict = min_tensor_membership(phi, k1, k2)
+            if verdict.status is not Status.OUT:
+                continue
+            outs += 1
+            hyp = verdict.certificate
+            assert hyp.offset >= (mv @ hyp.normal).max()
+            assert np.abs(hyp.normal).sum() <= 1 + 1e-12
+            assert hyp.margin == pytest.approx(inf_norm_distance(phi.flat, mv), abs=1e-12)
+        assert outs >= 20
