@@ -139,7 +139,7 @@ def _cmd_map_check(args) -> tuple[dict, dict]:
 def _cmd_kappa(args) -> tuple[dict, dict]:
     cb_map = map_from_dict(load_json(args.estimate_cb)) if args.estimate_cb else None
     cb_cfg = CbConfig(starts=args.budget, seed=args.seed)
-    rep = kappa.kappa_report(args.n, args.m, cb_map=cb_map, cb_cfg=cb_cfg)
+    rep = _on_input(kappa.kappa_report, args.n, args.m, cb_map=cb_map, cb_cfg=cb_cfg)
     results = {
         "status": "pass",
         "n": rep.n,

@@ -196,7 +196,14 @@ def kappa_report(
     cb_cfg: CbConfig | None = None,
     witness_cfg: OptimizerConfig | None = None,
 ) -> KappaReport:
-    """Bundle the closed form with both computed lower bounds."""
+    """Bundle the closed form with both computed lower bounds.
+
+    A supplied ``cb_map`` must map M_n to M_m, so that its cb estimate
+    bounds the same kappa(n, m) as the closed form; otherwise ValueError.
+    """
+    if cb_map is not None and (cb_map.input_dim, cb_map.output_dim) != (n, m):
+        raise ValueError(f"map is M_{cb_map.input_dim} -> M_{cb_map.output_dim}, "
+                         f"expected M_{n} -> M_{m}")
     k = min(n, m)
     t = embedded_swap(n, m)
     witness = bipartite(t.matrix / k, n, m)

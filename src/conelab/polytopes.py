@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection, cKDTree
 
@@ -28,6 +29,11 @@ LP_TOL = 1e-9
 DD_TOL = 1e-10
 MAX_RAY_AMBIENT_DIM = 4
 MAX_RAY_VERTICES = 12
+# LP copies per HiGHS call in _block_lps.  HiGHS's memory grows faster than
+# the block count: on tensor-gap (seed 0) 16/24/32/48 blocks gave batch_s
+# 0.81/0.72/0.69/0.65 s at peak RSS 89.1/90.5/92.5/94.3 MB, against 88.1 MB
+# unbatched; 24 is the fastest that stays within +5% of that in every run.
+LP_BLOCKS = 24
 
 
 @dataclass(frozen=True)
@@ -281,35 +287,43 @@ def max_tensor_membership(
     return Verdict(status, cert)
 
 
-def _min_distance_lp(flat_phi: np.ndarray, vertices: np.ndarray):
-    """Inf-norm distance from a functional to the convex hull of the given
-    vertices: min t s.t. |sum_p lam_p V_p - phi| <= t, lam in the simplex.
+def _block_lps(c, a_ub, b_ub, a_eq, b_eq, what: str):
+    """Solve the n LPs min c.x s.t. a_ub x <= b_ub[i], a_eq x = b_eq[i],
+    x >= 0, which differ only in their right-hand sides.  Up to LP_BLOCKS
+    of them go to HiGHS as one block-diagonal LP minimizing the sum of their
+    objectives; the copies share no variable, so the sum is minimal exactly
+    when each one is.  (Most of one small LP's time is scipy's wrapper, not
+    HiGHS.)  Returns the solutions (n, len(c)) and a_ub duals (n, len(a_ub)).
+    """
+    xs, duals = [], []
+    for rows in np.array_split(np.arange(len(b_eq)), -(-len(b_eq) // LP_BLOCKS)):
+        eye = sparse.identity(len(rows), format="csr")
+        res = linprog(np.tile(c, len(rows)), A_ub=sparse.kron(eye, a_ub), b_ub=b_ub[rows].ravel(),
+                      A_eq=sparse.kron(eye, a_eq), b_eq=b_eq[rows].ravel(),
+                      method="highs", options={"presolve": False})
+        if not res.success:
+            raise RuntimeError(f"{what} LP failed: {res.message}")
+        xs.append(res.x.reshape(len(rows), -1))
+        duals.append(res.ineqlin.marginals.reshape(len(rows), -1))
+    return np.vstack(xs), np.vstack(duals)
 
-    Returns the distance, the weights lam and the normal y = u_+ - u_-,
-    where u_+ and u_- (<= 0) are the duals of the rows V^T lam - t <= phi
-    and -V^T lam - t <= -phi.  By LP duality ||y||_1 <= 1 and
-    y.phi - max_p y.V_p >= t, so y separates phi from the hull when t > 0.
+
+def _min_distance_lp(flat_phi: np.ndarray, vertices: np.ndarray):
+    """Inf-norm distance from each row of flat_phi (n, dim) to the convex
+    hull of the vertices: min t s.t. |sum_p lam_p V_p - phi| <= t, lam in
+    the simplex.  Returns the distances (n,), weights lam (n, p) and normals
+    y = u_+ - u_- (n, dim), where u_+ and u_- (<= 0) are the duals of the
+    rows V^T lam - t <= phi and -V^T lam - t <= -phi.  By LP duality
+    ||y||_1 <= 1 and y.phi - max_p y.V_p >= t, so y separates phi from the
+    hull when t > 0.
     """
     p, dim = vertices.shape
-    c = np.zeros(p + 1)
-    c[-1] = 1.0
-    a_ub = np.vstack(
-        [
-            np.hstack([vertices.T, -np.ones((dim, 1))]),
-            np.hstack([-vertices.T, -np.ones((dim, 1))]),
-        ]
-    )
-    b_ub = np.concatenate([flat_phi, -flat_phi])
-    a_eq = np.ones((1, p + 1))
-    a_eq[0, -1] = 0.0
-    res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-        bounds=[(0, None)] * (p + 1), method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"membership LP failed: {res.message}")
-    u = res.ineqlin.marginals
-    return float(res.fun), np.asarray(res.x[:p]), u[:dim] - u[dim:]
+    c, ones = np.append(np.zeros(p), 1.0), np.ones((dim, 1))
+    a_ub = np.block([[vertices.T, -ones], [-vertices.T, -ones]])
+    a_eq = np.append(np.ones(p), 0.0)[None, :]
+    x, u = _block_lps(c, a_ub, np.hstack([flat_phi, -flat_phi]), a_eq,
+                      np.ones((len(flat_phi), 1)), "membership")
+    return x[:, -1], x[:, :p], u[:, :dim] - u[:, dim:]
 
 
 def min_tensor_membership(
@@ -321,9 +335,9 @@ def min_tensor_membership(
     with the separating hyperplane read off the same LP's duals otherwise.
     """
     mv = min_tensor(k1, k2).vertices
-    dist, weights, normal = _min_distance_lp(phi.flat, mv)
+    (dist,), (weights,), (normal,) = _min_distance_lp(phi.flat[None, :], mv)
     if dist <= tol:
-        return Verdict(Status.IN, ConvexWeightsCertificate(weights, dist))
+        return Verdict(Status.IN, ConvexWeightsCertificate(weights, float(dist)))
     offset = float(np.max(mv @ normal))
     margin = float(normal @ phi.flat - offset)
     return Verdict(Status.OUT, SeparatingHyperplane(normal, offset, margin))
@@ -378,22 +392,18 @@ def barker_gap(k1: Polytope, k2: Polytope, tol: float = LP_TOL) -> BarkerGap | N
 
     The LP distance to the minimal polytope is convex, so its maximum over
     the maximal polytope is attained at a vertex: enumerate the maximal
-    polytope's vertices, take the one of maximal distance, and return it
-    with both certificates, or None when every vertex lies in the minimal
-    polytope (which proves the two sets are equal).
+    polytope's vertices, take the first one whose distance is within LP_TOL
+    of the largest (so rounding noise among tied vertices cannot pick one),
+    and return it with both certificates, or None when every vertex lies in
+    the minimal polytope (which proves the two sets are equal).
     """
-    mv = min_tensor(k1, k2).vertices
-    best_flat, best_dist = None, tol
-    for flat in max_tensor_polytope(k1, k2).vertices:
-        dist = _min_distance_lp(flat, mv)[0]
-        if dist > best_dist:
-            best_flat, best_dist = flat, dist
-    if best_flat is None:
+    verts = max_tensor_polytope(k1, k2).vertices
+    dist = _min_distance_lp(verts, min_tensor(k1, k2).vertices)[0]
+    if dist.max() <= tol:
         return None
-    phi = functional_from_flat(best_flat, k1, k2)
-    max_v = max_tensor_membership(phi, k1, k2, tol)
-    min_v = min_tensor_membership(phi, k1, k2, tol)
-    return BarkerGap(phi, max_v, min_v)
+    phi = functional_from_flat(verts[np.argmax(dist >= dist.max() - LP_TOL)], k1, k2)
+    return BarkerGap(phi, max_tensor_membership(phi, k1, k2, tol),
+                     min_tensor_membership(phi, k1, k2, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -411,27 +421,16 @@ def _aff_contained(outer: np.ndarray, inner: np.ndarray, tol: float = 1e-9) -> b
 def relative_bound(inner: Polytope, outer: Polytope) -> float:
     """Smallest r >= 0 with outer contained in {(r+1)x - ry : x, y in inner}.
 
-    Computed per outer vertex by LP: z = (r+1)x - ry with x, y convex
-    combinations of inner vertices becomes z = V^T(a - b), 1^T(a - b) = 1,
-    a, b >= 0, minimizing r = 1^T b; the bound is the maximum over
-    vertices.  Errors when the affine hulls differ.
+    One LP per outer vertex z, solved in blocks by _block_lps: z = (r+1)x - ry
+    with x, y convex combinations of inner vertices becomes z = V^T(a - b),
+    1^T(a - b) = 1, a, b >= 0, minimizing r = 1^T b; the bound is the
+    maximum over the outer vertices.  Errors when the affine hulls differ.
     """
     if not _aff_contained(outer.vertices, inner.vertices):
         raise ValueError("affine hull of outer is not contained in that of inner")
-    iv = inner.vertices
-    p = len(iv)
-    c = np.concatenate([np.zeros(p), np.ones(p)])
-    a_eq = np.vstack(
-        [
-            np.hstack([iv.T, -iv.T]),
-            np.concatenate([np.ones(p), -np.ones(p)])[None, :],
-        ]
-    )
-    best = 0.0
-    for z in outer.vertices:
-        b_eq = np.concatenate([z, [1.0]])
-        res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * (2 * p), method="highs")
-        if not res.success:
-            raise RuntimeError(f"relative-bound LP failed: {res.message}")
-        best = max(best, float(res.fun))
-    return best
+    iv, p = inner.vertices, inner.n_vertices
+    c, ones = np.append(np.zeros(p), np.ones(p)), np.ones((1, p))
+    b_eq = np.hstack([outer.vertices, np.ones((outer.n_vertices, 1))])
+    x = _block_lps(c, np.zeros((0, 2 * p)), np.zeros((len(b_eq), 0)),
+                   np.block([[iv.T, -iv.T], [ones, -ones]]), b_eq, "relative-bound")[0]
+    return max(0.0, float(np.max(x @ c)))

@@ -139,7 +139,7 @@ def polytope_from_dict(d: dict) -> Polytope:
         raise MalformedInput(f"bad polytope document: {exc}") from exc
     if k.n_vertices > 1:
         for i, v in enumerate(k.vertices):
-            dist = _min_distance_lp(v, np.delete(k.vertices, i, axis=0))[0]
+            (dist,) = _min_distance_lp(v[None, :], np.delete(k.vertices, i, axis=0))[0]
             if dist <= LP_TOL:
                 raise MalformedInput(f"vertex {i} is not extreme: it lies in the hull of the others")
     return k

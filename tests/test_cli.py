@@ -140,6 +140,12 @@ class TestKappa:
         assert code == 0
         assert rep["results"]["cb_estimate"] == pytest.approx(2.0, abs=0.1)
 
+    @pytest.mark.parametrize("n, m", [(3, 3), (2, 3), (3, 2)])
+    def test_cb_map_of_other_dimensions_is_malformed(self, capsys, t2_map, n, m):
+        argv = ["kappa", "--n", str(n), "--m", str(m), "--estimate-cb", t2_map, "--budget", "5"]
+        assert cli.main(argv) == 65
+        assert "expected M_" in capsys.readouterr().err
+
 
 class TestPolytopeCommands:
     def test_tensor_with_gap_and_bound(self, capsys, square_file):

@@ -1,13 +1,17 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from conelab import polytopes
 from conelab.cones import Status
 from conelab.polytopes import (
+    LP_BLOCKS,
     Polytope,
     TensorFunctional,
+    _min_distance_lp,
     affine_dimension,
     barker_gap,
     double_description,
@@ -159,13 +163,16 @@ def brute_force_rays(a, tol=1e-9):
     return np.array(found)
 
 
+def regular_polygon(k):
+    angles = 2 * np.pi * np.arange(k) / k
+    return Polytope(np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
 def affine_polygon(k, rng):
     """Regular k-gon under a seeded rotation, axis scaling and shift."""
-    angles = 2 * np.pi * np.arange(k) / k
-    regular = np.column_stack([np.cos(angles), np.sin(angles)])
     q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
     m = q @ np.diag(rng.uniform(0.7, 1.4, size=2))
-    return Polytope(regular @ m.T + rng.uniform(-1, 1, size=2))
+    return Polytope(regular_polygon(k).vertices @ m.T + rng.uniform(-1, 1, size=2))
 
 
 class TestQhullDoubleDescription:
@@ -367,6 +374,16 @@ class TestBarkerGap:
         b = barker_gap(square(), square())
         assert np.array_equal(a.functional.matrix, b.functional.matrix)
 
+    def test_square_square_tie_goes_to_first_vertex(self):
+        mv = min_tensor(square(), square()).vertices
+        verts = max_tensor_polytope(square(), square()).vertices
+        dist = np.array([inf_norm_distance(v, mv) for v in verts])
+        assert dist.max() == pytest.approx(1 / 12, abs=1e-9)
+        tied = np.flatnonzero(np.abs(dist - 1 / 12) <= 1e-9)
+        assert tied.tolist() == [8, 9, 12, 13, 16, 17, 18, 19]
+        gap = barker_gap(square(), square())
+        assert np.array_equal(gap.functional.flat, verts[8])
+
 
 class TestRelativeBound:
     def test_self_bound_zero(self):
@@ -379,6 +396,12 @@ class TestRelativeBound:
         r = relative_bound(mn, mx)
         assert 0.0 < r < 10.0
         assert r == pytest.approx(0.5, abs=1e-7)
+
+    @pytest.mark.parametrize("k, want", [(5, (3 - np.sqrt(5)) / np.sqrt(5)), (6, 0.5)])
+    def test_regular_polygon_pair_bound(self, k, want):
+        kk = regular_polygon(k)
+        assert relative_bound(min_tensor(kk, kk), max_tensor_polytope(kk, kk)) == pytest.approx(
+            want, abs=1e-7)
 
     def test_differing_hulls_error(self):
         seg = Polytope(np.array([[0.0, 0.0], [1.0, 0.0]]))
@@ -436,3 +459,54 @@ class TestSeparatingHyperplaneFromDuals:
             assert np.abs(hyp.normal).sum() <= 1 + 1e-12
             assert hyp.margin == pytest.approx(inf_norm_distance(phi.flat, mv), abs=1e-12)
         assert outs >= 20
+
+
+class TestBatchedDistanceLP:
+    """The block-diagonal distance LPs against one dense LP per row."""
+
+    @pytest.mark.parametrize("pair", ["square", "4-gon", "5-gon", "one row"])
+    def test_matches_per_row_lps(self, pair):
+        rng = np.random.default_rng(23)
+        if pair in ("square", "one row"):
+            k1, k2 = square(), square()
+        else:
+            k = int(pair[0])
+            k1, k2 = affine_polygon(k, rng), affine_polygon(k, rng)
+        mv = min_tensor(k1, k2).vertices
+        phis = max_tensor_polytope(k1, k2).vertices
+        if pair == "one row":
+            phis = phis[12:13]
+        dist, weights, normals = _min_distance_lp(phis, mv)
+        assert dist.shape == (len(phis),)
+        assert weights.shape == (len(phis), len(mv))
+        assert normals.shape == phis.shape
+        for phi, t, lam, y in zip(phis, dist, weights, normals):
+            assert t == pytest.approx(inf_norm_distance(phi, mv), abs=1e-9)
+            assert np.abs(lam @ mv - phi).max() <= t + 1e-9
+            assert np.abs(y).sum() <= 1 + 1e-12
+            assert y @ phi - (mv @ y).max() >= t - 1e-9
+
+
+class TestLinprogCalls:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(polytopes, "linprog", counted)
+        return count
+
+    def test_gap_and_bound_batch_their_lps(self, calls):
+        pent = regular_polygon(5)
+        mn, mx = min_tensor(pent, pent), max_tensor_polytope(pent, pent)
+        assert mx.n_vertices == 135
+        limit = math.ceil(135 / LP_BLOCKS) + 8
+        calls[0] = 0
+        assert barker_gap(pent, pent) is not None
+        assert calls[0] <= limit
+        calls[0] = 0
+        relative_bound(mn, mx)
+        assert calls[0] <= limit
