@@ -10,8 +10,8 @@ import numpy as np
 
 from conelab.kappa import polytope_max_norm
 from conelab.polytopes import (
-    barker_gap,
     functional_from_flat,
+    gap_among,
     max_tensor_polytope,
     min_tensor,
     relative_bound,
@@ -32,7 +32,7 @@ def main() -> None:
     norms = [polytope_max_norm(functional_from_flat(v, sq, sq), sq, sq) for v in mx.vertices]
     print(f"max-norm over maximal vertices: {max(norms):.6f}")
 
-    gap = barker_gap(sq, sq)
+    gap = gap_among(mx, sq, sq)
     assert gap is not None
     print("\ngap functional (coefficient matrix):")
     print(np.round(gap.functional.matrix, 6))

@@ -151,15 +151,9 @@ def _cmd_kappa(args) -> tuple[dict, dict]:
     return results, {"witness": to_json(rep.witness), "cb_estimate": to_json(rep.cb)}
 
 
-def _load_polytope(path: str) -> polytopes.Polytope:
-    return polytope_from_dict(load_json(path))
-
-
 def _cmd_polytope(args) -> tuple[dict, dict]:
-    if args.action != "tensor":
-        raise UsageError("supported polytope action: tensor")
-    k1 = _load_polytope(args.k1)
-    k2 = _load_polytope(args.k2)
+    k1 = polytope_from_dict(load_json(args.k1))
+    k2 = polytope_from_dict(load_json(args.k2))
     mn = polytopes.min_tensor(k1, k2)
     results = {
         "status": "pass",
@@ -174,30 +168,13 @@ def _cmd_polytope(args) -> tuple[dict, dict]:
         if args.relative_bound:
             results["relative_bound"] = polytopes.relative_bound(mn, mx)
         if args.gap:
-            gap_results, certificates = _gap_report(k1, k2)
-            results.update(gap_results)
+            gap = _on_input(polytopes.gap_among, mx, k1, k2)
+            results["gap"] = None
+            if gap is not None:
+                results.update(gap=to_json(gap.functional.matrix), gap_margin=gap.margin)
+                certificates = {"gap_max_side": to_json(gap.max_verdict),
+                                "gap_min_side": to_json(gap.min_verdict)}
     return results, certificates
-
-
-def _gap_report(k1: polytopes.Polytope, k2: polytopes.Polytope) -> tuple[dict, dict]:
-    """Results and certificates of the gap finder between the tensor products."""
-    gap = _on_input(polytopes.barker_gap, k1, k2)
-    if gap is None:
-        return {"gap": None}, {}
-    results = {
-        "gap": to_json(gap.functional.matrix),
-        "gap_margin": gap.margin,
-    }
-    certificates = {
-        "gap_max_side": to_json(gap.max_verdict),
-        "gap_min_side": to_json(gap.min_verdict),
-    }
-    return results, certificates
-
-
-def _cmd_barker(args) -> tuple[dict, dict]:
-    results, certificates = _gap_report(_load_polytope(args.k1), _load_polytope(args.k2))
-    return {"status": "pass", **results}, certificates
 
 
 def _check_report(rep) -> tuple[dict, dict]:
@@ -299,10 +276,10 @@ def build_parser() -> _Parser:
     po.add_argument("--relative-bound", action="store_true")
     po.set_defaults(handler=_cmd_polytope, seed=0)
 
-    ba = sub.add_parser("barker", help="find a min/max tensor gap point")
+    ba = sub.add_parser("barker", help="find a min/max tensor gap point (polytope tensor --gap)")
     ba.add_argument("--k1", required=True)
     ba.add_argument("--k2", required=True)
-    ba.set_defaults(handler=_cmd_barker, seed=0)
+    ba.set_defaults(handler=_cmd_polytope, seed=0, action="tensor", gap=True, relative_bound=False)
 
     wx = sub.add_parser("witness-x", help="grid witness X(s,t) = st S verification")
     wx.add_argument("--n", type=_positive(int, least=2), required=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
-from scipy.spatial import HalfspaceIntersection, cKDTree
+from scipy.spatial import HalfspaceIntersection, QhullError, cKDTree
 
 from .cones import Status, Verdict
 
@@ -211,7 +211,10 @@ def double_description(a: np.ndarray, tol: float = DD_TOL) -> np.ndarray:
         z = np.array([[ends[g[keep, 0] > 0].max()], [ends[g[keep, 0] < 0].min()]])
     else:
         halfspaces = np.hstack([-g[keep], -h[keep, None]])
-        z = HalfspaceIntersection(halfspaces, res.x[:-1]).intersections
+        try:
+            z = HalfspaceIntersection(halfspaces, res.x[:-1]).intersections
+        except QhullError as exc:  # precision failure on an ill-conditioned section
+            raise ValueError(str(exc).splitlines()[0]) from exc
     rays = c / cc + z @ basis.T
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
     return rays[np.lexsort(np.round(rays, 9).T[::-1])]
@@ -326,6 +329,16 @@ def _min_distance_lp(flat_phi: np.ndarray, vertices: np.ndarray):
     return x[:, -1], x[:, :p], u[:, :dim] - u[:, dim:]
 
 
+def _min_verdict(flat, mv, dist, weights, normal, tol) -> Verdict:
+    """Verdict on flat from its row of _min_distance_lp(., mv): In with the
+    weights when dist <= tol, else Out with the normal as hyperplane."""
+    if dist <= tol:
+        return Verdict(Status.IN, ConvexWeightsCertificate(weights, float(dist)))
+    offset = float(np.max(mv @ normal))
+    margin = float(normal @ flat - offset)
+    return Verdict(Status.OUT, SeparatingHyperplane(normal, offset, margin))
+
+
 def min_tensor_membership(
     phi: TensorFunctional, k1: Polytope, k2: Polytope, tol: float = LP_TOL
 ) -> Verdict:
@@ -336,11 +349,7 @@ def min_tensor_membership(
     """
     mv = min_tensor(k1, k2).vertices
     (dist,), (weights,), (normal,) = _min_distance_lp(phi.flat[None, :], mv)
-    if dist <= tol:
-        return Verdict(Status.IN, ConvexWeightsCertificate(weights, float(dist)))
-    offset = float(np.max(mv @ normal))
-    margin = float(normal @ phi.flat - offset)
-    return Verdict(Status.OUT, SeparatingHyperplane(normal, offset, margin))
+    return _min_verdict(phi.flat, mv, dist, weights, normal, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -387,23 +396,30 @@ class BarkerGap:
         return self.min_verdict.certificate.margin
 
 
-def barker_gap(k1: Polytope, k2: Polytope, tol: float = LP_TOL) -> BarkerGap | None:
-    """Search for a point separating the two tensor products.
+def gap_among(mx: Polytope, k1: Polytope, k2: Polytope, tol: float = LP_TOL) -> BarkerGap | None:
+    """Search the maximal tensor polytope mx of k1 and k2 for a point
+    outside the minimal one.
 
     The LP distance to the minimal polytope is convex, so its maximum over
-    the maximal polytope is attained at a vertex: enumerate the maximal
-    polytope's vertices, take the first one whose distance is within LP_TOL
-    of the largest (so rounding noise among tied vertices cannot pick one),
-    and return it with both certificates, or None when every vertex lies in
-    the minimal polytope (which proves the two sets are equal).
+    mx is attained at a vertex: take the first vertex whose distance is
+    within LP_TOL of the largest (so rounding noise among tied vertices
+    cannot pick one) and return it with both certificates, the min-side one
+    from its row of the batched distance LPs, or None when every vertex
+    lies in the minimal polytope (which proves the two sets are equal).
     """
-    verts = max_tensor_polytope(k1, k2).vertices
-    dist = _min_distance_lp(verts, min_tensor(k1, k2).vertices)[0]
+    mv = min_tensor(k1, k2).vertices
+    dist, weights, normals = _min_distance_lp(mx.vertices, mv)
     if dist.max() <= tol:
         return None
-    phi = functional_from_flat(verts[np.argmax(dist >= dist.max() - LP_TOL)], k1, k2)
+    i = np.argmax(dist >= dist.max() - LP_TOL)
+    phi = functional_from_flat(mx.vertices[i], k1, k2)
     return BarkerGap(phi, max_tensor_membership(phi, k1, k2, tol),
-                     min_tensor_membership(phi, k1, k2, tol))
+                     _min_verdict(phi.flat, mv, dist[i], weights[i], normals[i], tol))
+
+
+def barker_gap(k1: Polytope, k2: Polytope, tol: float = LP_TOL) -> BarkerGap | None:
+    """gap_among on the maximal tensor polytope of k1 and k2, built here."""
+    return gap_among(max_tensor_polytope(k1, k2), k1, k2, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conelab import cli
+from conelab import cli, polytopes
 from conelab.cones import random_product_state
 from conelab.maps import MatrixMap
 from conelab.operators import bipartite, h_operator
-from conelab.polytopes import simplex, square
+from conelab.polytopes import Polytope, simplex, square
 from conelab.serialize import bipartite_to_dict, map_to_dict, polytope_to_dict
 
 
@@ -46,6 +47,13 @@ def square_file(tmp_path):
 def simplex2_file(tmp_path):
     p = tmp_path / "simplex2.json"
     p.write_text(json.dumps(polytope_to_dict(simplex(2))))
+    return str(p)
+
+
+@pytest.fixture(params=[100.0, 300.0], ids=["shift-100", "shift-300"])
+def shifted_square_file(tmp_path, request):
+    p = tmp_path / "shifted_square.json"
+    p.write_text(json.dumps(polytope_to_dict(Polytope(square().vertices + request.param))))
     return str(p)
 
 
@@ -177,6 +185,36 @@ class TestPolytopeCommands:
         assert barker["results"]["gap"] == tensor["results"]["gap"]
         assert barker["results"]["gap_margin"] == tensor["results"]["gap_margin"]
         assert barker["certificates"] == tensor["certificates"]
+
+    def test_barker_is_polytope_tensor_gap(self, capsys, square_file):
+        _, barker = run_json(capsys, ["barker", "--k1", square_file, "--k2", square_file])
+        _, tensor = run_json(
+            capsys, ["polytope", "tensor", "--k1", square_file, "--k2", square_file, "--gap"]
+        )
+        assert barker["command"] == "barker"
+        assert barker["inputs"] == tensor["inputs"]
+        assert barker["results"] == tensor["results"]
+
+    def test_tensor_builds_each_polytope_once(self, capsys, monkeypatch, square_file):
+        calls = Counter()
+        for name in ("max_tensor_polytope", "positive_ray_generators"):
+            def counted(*args, _fn=getattr(polytopes, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(polytopes, name, counted)
+        code, _ = run_json(capsys, ["polytope", "tensor", "--k1", square_file, "--k2",
+                                    square_file, "--gap", "--relative-bound"])
+        assert code == 0
+        assert calls["max_tensor_polytope"] == 1
+        assert calls["positive_ray_generators"] <= 4
+
+    @pytest.mark.parametrize("command", [["polytope", "tensor", "--gap"], ["barker"]],
+                             ids=["tensor-gap", "barker"])
+    def test_qhull_precision_failure_is_data_error(self, capsys, shifted_square_file, command):
+        argv = command + ["--k1", shifted_square_file, "--k2", shifted_square_file]
+        assert cli.main(argv) == 65
+        assert "Qhull precision error" in capsys.readouterr().err
 
     def test_non_extreme_vertex_is_data_error(self, tmp_path, square_file):
         p = tmp_path / "collinear.json"

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from conelab.polytopes import (
     barker_gap,
     double_description,
     functional_from_flat,
+    gap_among,
     max_tensor_membership,
     max_tensor_polytope,
     min_tensor,
@@ -26,6 +28,7 @@ from conelab.polytopes import (
     simplex,
     square,
 )
+from conelab.serialize import to_json
 
 
 def ray_values_at_vertices(rays, k):
@@ -383,6 +386,29 @@ class TestBarkerGap:
         assert tied.tolist() == [8, 9, 12, 13, 16, 17, 18, 19]
         gap = barker_gap(square(), square())
         assert np.array_equal(gap.functional.flat, verts[8])
+
+    def test_min_side_certificate_is_the_batched_row(self, monkeypatch):
+        def resolve(*args, **kwargs):
+            raise AssertionError("the gap vertex's distance LP was solved again")
+
+        monkeypatch.setattr(polytopes, "min_tensor_membership", resolve)
+        verts = max_tensor_polytope(square(), square()).vertices
+        mv = min_tensor(square(), square()).vertices
+        gap = barker_gap(square(), square())
+        assert np.array_equal(gap.functional.flat, verts[8])
+        assert gap.margin == pytest.approx(_min_distance_lp(verts, mv)[0].max(), abs=1e-12)
+
+    @pytest.mark.parametrize("pair", ["square", "5-gon", "simplex"])
+    def test_gap_among_prebuilt_max_is_barker_gap(self, pair):
+        k1, k2 = {"square": (square(), square()),
+                  "5-gon": (regular_polygon(5), regular_polygon(5)),
+                  "simplex": (simplex(2), simplex(1))}[pair]
+        got = gap_among(max_tensor_polytope(k1, k2), k1, k2)
+        want = barker_gap(k1, k2)
+        if pair == "simplex":
+            assert got is None and want is None
+        else:
+            assert json.dumps(to_json(got)) == json.dumps(to_json(want))
 
 
 class TestRelativeBound:
