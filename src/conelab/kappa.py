@@ -106,8 +106,10 @@ def cb_norm_estimate(phi: MatrixMap, cfg: CbConfig | None = None) -> CbEstimate:
     gives a sign s and vector v, and the symmetry maximizing
     s <v, (Phi (x) id)(X) v> is the sign projection of (Phi* (x) id)(s v v*).
     Neither step lowers the value; a start keeps a new X only if its value
-    rises by more than ``CB_GAIN``.  Rounds stop after ``cfg.steps`` or once
-    no start improves.  Returns the best value found and the maximizing X.
+    rises by more than ``CB_GAIN``.  A start that did not improve is final:
+    its next candidate would be the same, so it is not evaluated again.
+    Rounds stop after ``cfg.steps`` or once no start improves.  Returns the
+    best value found and the maximizing X.
     """
     cfg = cfg or CbConfig()
     n, m = phi.input_dim, phi.output_dim
@@ -126,23 +128,29 @@ def cb_norm_estimate(phi: MatrixMap, cfg: CbConfig | None = None) -> CbEstimate:
     det = np.array([np.eye(dim, dtype=complex), embedded_swap(n, m).matrix.astype(complex)])
     det_vals, _, _ = top_eigenpair(det)
 
-    x = np.empty((cfg.starts, dim, dim), dtype=complex)
+    # random symmetries U diag(+-1) U*, U the eigenvectors of a Gaussian
+    # Hermitian: drawn start by start, decomposed as one batch
     n_det = min(len(det), cfg.starts)
-    x[:n_det] = _sign_project(det[:n_det])
-    for i in range(n_det, cfg.starts):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        _, u = np.linalg.eigh((g + g.conj().T) / 2)
-        signs = rng.choice([-1.0, 1.0], size=dim)
-        x[i] = (u * signs) @ u.conj().T
+    g = np.empty((cfg.starts - n_det, 2, dim, dim))
+    s = np.empty((cfg.starts - n_det, 1, dim))
+    for i in range(len(g)):
+        g[i] = rng.standard_normal((2, dim, dim))
+        s[i] = 2.0 * rng.integers(0, 2, size=dim) - 1.0
+    h = g[:, 0] + 1j * g[:, 1]
+    _, u = np.linalg.eigh((h + h.conj().transpose(0, 2, 1)) / 2)
+    x = np.concatenate([_sign_project(det[:n_det]), (u * s) @ u.conj().transpose(0, 2, 1)])
 
     f, vecs, signs = top_eigenpair(x)
+    active = np.arange(cfg.starts)
     rounds, converged = 0, False
     while rounds < cfg.steps and not converged:
-        proj = np.einsum("bi,bj->bij", vecs * signs[:, None], vecs.conj())
+        va, sa = vecs[active], signs[active]
+        proj = np.einsum("bi,bj->bij", va * sa[:, None], va.conj())
         cand = _sign_project(apply_left(l4adj, proj, m))
         fc, vc, sc = top_eigenpair(cand)
-        ok = fc > f + CB_GAIN
-        x[ok], f[ok], vecs[ok], signs[ok] = cand[ok], fc[ok], vc[ok], sc[ok]
+        ok = fc > f[active] + CB_GAIN
+        active = active[ok]
+        x[active], f[active], vecs[active], signs[active] = cand[ok], fc[ok], vc[ok], sc[ok]
         rounds += 1
         converged = not ok.any()
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from conelab import kappa
 from conelab.cones import OptimizerConfig, Status
 from conelab.kappa import (
+    CB_GAIN,
     CbConfig,
     cb_norm_estimate,
     embedded_swap,
@@ -15,6 +17,8 @@ from conelab.kappa import (
 )
 from conelab.maps import (
     MatrixMap,
+    adjoint_map,
+    apply_left,
     apply_to_left_factor,
     random_map,
     random_positive_map,
@@ -154,6 +158,85 @@ class TestCbEstimate:
             )
             est = cb_norm_estimate(phi, CbConfig(starts=starts, steps=30, seed=7))
             assert est.value >= floor * (1 - 1e-12)
+
+
+def _cb_seesaw_full_batch(phi, cfg):
+    """Reference: the seesaw that re-evaluates every start in every round,
+    with the random starts built one by one.  Returns (value, argmax
+    matrix, rounds, converged)."""
+    n, m = phi.input_dim, phi.output_dim
+    dim = n * m
+    l4, l4adj = phi.unit_images(), adjoint_map(phi).unit_images()
+    rng = np.random.default_rng(cfg.seed)
+
+    def sign_project(xb):
+        w, u = np.linalg.eigh(xb)
+        return np.einsum("bik,bk,bjk->bij", u, np.where(w >= 0, 1.0, -1.0), u.conj())
+
+    def top_eigenpair(xb):
+        w, v = np.linalg.eigh(apply_left(l4, xb, m))
+        idx = np.where(np.abs(w[:, -1]) >= np.abs(w[:, 0]), w.shape[1] - 1, 0)
+        rows = np.arange(len(xb))
+        top = w[rows, idx]
+        return np.abs(top), v[rows, :, idx], np.where(top >= 0, 1.0, -1.0)
+
+    det = np.array([np.eye(dim, dtype=complex), embedded_swap(n, m).matrix.astype(complex)])
+    det_vals, _, _ = top_eigenpair(det)
+    x = np.empty((cfg.starts, dim, dim), dtype=complex)
+    n_det = min(len(det), cfg.starts)
+    x[:n_det] = sign_project(det[:n_det])
+    for i in range(n_det, cfg.starts):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        _, u = np.linalg.eigh((g + g.conj().T) / 2)
+        signs = rng.choice([-1.0, 1.0], size=dim)
+        x[i] = (u * signs) @ u.conj().T
+
+    f, vecs, signs = top_eigenpair(x)
+    rounds, converged = 0, False
+    while rounds < cfg.steps and not converged:
+        proj = np.einsum("bi,bj->bij", vecs * signs[:, None], vecs.conj())
+        cand = sign_project(apply_left(l4adj, proj, m))
+        fc, vc, sc = top_eigenpair(cand)
+        ok = fc > f + CB_GAIN
+        x[ok], f[ok], vecs[ok], signs[ok] = cand[ok], fc[ok], vc[ok], sc[ok]
+        rounds += 1
+        converged = not ok.any()
+
+    all_vals = np.concatenate([det_vals, f])
+    best = int(np.argmax(all_vals))
+    arg = det[best] if best < len(det) else x[best - len(det)]
+    return float(all_vals[best]), bipartite(arg, n, m).matrix, rounds, converged
+
+
+class TestCbActiveSet:
+    @pytest.mark.parametrize("phi", [
+        MatrixMap.transpose(3),
+        extremal_positive_map(3, 4),
+        random_map(2, 3, np.random.default_rng(8)),
+    ], ids=["transpose(3)", "extremal(3,4)", "random(2,3)"])
+    @pytest.mark.parametrize("starts", [0, 1, 2, 10, 100])
+    @pytest.mark.parametrize("steps", [0, 1, 300])
+    def test_bit_identical_to_full_batch(self, phi, starts, steps):
+        cfg = CbConfig(starts=starts, steps=steps, seed=3)
+        est = cb_norm_estimate(phi, cfg)
+        value, arg, rounds, converged = _cb_seesaw_full_batch(phi, cfg)
+        assert est.value == value
+        assert np.array_equal(est.argmax.matrix, arg)
+        assert (est.rounds, est.converged) == (rounds, converged)
+
+    def test_only_improved_starts_are_evaluated_again(self, monkeypatch):
+        sizes = []
+        project = kappa._sign_project
+
+        def recorded(x):
+            sizes.append(len(x))
+            return project(x)
+
+        monkeypatch.setattr(kappa, "_sign_project", recorded)
+        est = cb_norm_estimate(MatrixMap.transpose(3), CbConfig())
+        # the deterministic candidates, then the 100 starts shrinking
+        assert sizes == [2, 100, 98, 3]
+        assert (est.rounds, est.converged) == (3, True)
 
 
 def _random_unital_positive(n, rng):

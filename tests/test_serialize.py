@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from conelab import polytopes
 from conelab.maps import random_map
 from conelab.operators import random_hermitian, swap_operator
-from conelab.polytopes import square
+from conelab.polytopes import LP_BLOCKS, Polytope, square
 from conelab.serialize import (
     MalformedInput,
     bipartite_from_dict,
@@ -84,3 +88,32 @@ def test_non_finite_polytope_rejected(bad):
 def test_non_extreme_polytope_point_rejected(vertices):
     with pytest.raises(MalformedInput, match="not extreme"):
         polytope_from_dict({"dim": 2, "vertices": vertices})
+
+
+@pytest.mark.parametrize(
+    "vertices, index",
+    [
+        ([[0.5, 0.5], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], 0),
+        ([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [0.0, 1.0]], 2),
+        ([[0.0, 0.0], [0.25, 0.25], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], 1),
+    ],
+)
+def test_first_non_extreme_point_is_named(vertices, index):
+    with pytest.raises(MalformedInput, match=f"vertex {index} is not extreme"):
+        polytope_from_dict({"dim": 2, "vertices": vertices})
+
+
+@pytest.mark.parametrize("k", [3, 6, 30])
+def test_extremality_lps_are_batched(k, monkeypatch):
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(polytopes, "linprog", counted)
+    t = 2 * np.pi * np.arange(k) / k
+    poly = Polytope(np.column_stack([np.cos(t), np.sin(t)]))
+    back = polytope_from_dict(polytope_to_dict(poly))
+    assert np.array_equal(back.vertices, poly.vertices)
+    assert count[0] <= math.ceil(k / LP_BLOCKS)
