@@ -4,6 +4,7 @@ suite and the ``reproduce`` CLI command.
 Each check returns a CheckResult with the mathematical identity it
 validates, a pass flag, wall time, and enough detail to audit the run.
 ``quick=True`` lowers optimizer budgets without changing any assertion.
+ALL_CHECKS lists the checks in definition order.
 """
 
 from __future__ import annotations
@@ -30,14 +31,24 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
 
-def _timed(fn):
-    @functools.wraps(fn)
-    def wrapper(quick: bool = False, seed: int = 0) -> CheckResult:
-        t0 = time.perf_counter()
-        name, identity, passed, details = fn(quick, seed)
-        return CheckResult(name, identity, bool(passed), time.perf_counter() - t0, details)
+ALL_CHECKS = []
 
-    return wrapper
+
+def _check(name: str, identity: str):
+    """Register a check, which returns (passed, details), in ALL_CHECKS as a
+    timed callable (quick=False, seed=0) -> CheckResult."""
+
+    def register(fn):
+        @functools.wraps(fn)
+        def check(quick: bool = False, seed: int = 0) -> CheckResult:
+            t0 = time.perf_counter()
+            passed, details = fn(quick, seed)
+            return CheckResult(name, identity, bool(passed), time.perf_counter() - t0, details)
+
+        ALL_CHECKS.append(check)
+        return check
+
+    return register
 
 
 def _opt_cfg(quick: bool, seed: int = 0) -> OptimizerConfig:
@@ -46,7 +57,7 @@ def _opt_cfg(quick: bool, seed: int = 0) -> OptimizerConfig:
     return OptimizerConfig(seed=seed)
 
 
-@_timed
+@_check("witness-norm", "trace_norm(S(n)/n) = n for n = 2..6")
 def check_01_witness_norm(quick, seed):
     errs = {}
     for n in range(2, 7):
@@ -54,15 +65,11 @@ def check_01_witness_norm(quick, seed):
         val = operators.trace_norm(bipartite(s.matrix / n, n, n))
         errs[n] = abs(val - n)
     passed = all(e <= 1e-9 for e in errs.values())
-    return (
-        "witness-norm",
-        "trace_norm(S(n)/n) = n for n = 2..6",
-        passed,
-        {"max_error": max(errs.values())},
-    )
+    return passed, {"max_error": max(errs.values())}
 
 
-@_timed
+@_check("kappa-closed-form",
+        "witness value = min{n,n}; cb(transpose_n) in [0.95 n, n] for n = 2, 3")
 def check_02_kappa_closed_form(quick, seed):
     witness_errs = {}
     cfg = _opt_cfg(quick, seed)
@@ -77,15 +84,11 @@ def check_02_kappa_closed_form(quick, seed):
     passed = all(e <= 1e-9 for e in witness_errs.values()) and all(
         n * 0.95 <= cb_vals[n] <= n + 1e-9 for n in cb_vals
     )
-    return (
-        "kappa-closed-form",
-        "witness value = min{n,n}; cb(transpose_n) in [0.95 n, n] for n = 2, 3",
-        passed,
-        {"witness_max_error": max(witness_errs.values()), "cb": cb_vals},
-    )
+    return passed, {"witness_max_error": max(witness_errs.values()), "cb": cb_vals}
 
 
-@_timed
+@_check("witness-block-positive",
+        "S(m) block positive (m = 2, 3, 4); <product state, S(2)> >= 0 on 10^4 samples")
 def check_03_witness_block_positive(quick, seed):
     cfg = _opt_cfg(quick, seed)
     minima = {}
@@ -93,12 +96,7 @@ def check_03_witness_block_positive(quick, seed):
         verdict = cones.is_block_positive(operators.swap_operator(m), tol=1e-6, cfg=cfg)
         minima[m] = verdict.certificate.best_value
         if verdict.status is not Status.IN:
-            return (
-                "witness-block-positive",
-                "S(m) is block positive for m = 2, 3, 4",
-                False,
-                {"minima": minima},
-            )
+            return False, {"minima": minima}
     rng = np.random.default_rng(seed)
     n_samples = 10_000
     s2 = operators.swap_operator(2).matrix
@@ -109,15 +107,11 @@ def check_03_witness_block_positive(quick, seed):
     prod = np.einsum("bi,bj->bij", v1, v2).reshape(n_samples, 4)
     vals = np.einsum("bi,ij,bj->b", prod.conj(), s2, prod).real
     passed = all(v >= -1e-6 for v in minima.values()) and vals.min() >= -1e-9
-    return (
-        "witness-block-positive",
-        "S(m) block positive (m = 2, 3, 4); <product state, S(2)> >= 0 on 10^4 samples",
-        passed,
-        {"minima": minima, "sample_min": float(vals.min())},
-    )
+    return passed, {"minima": minima, "sample_min": float(vals.min())}
 
 
-@_timed
+@_check("entangled-max-state",
+        "H(m)/m is PSD yet PPT-violating with eigenvalue -1/m (m = 2, 3)")
 def check_04_entangled_max_state(quick, seed):
     details = {}
     passed = True
@@ -134,15 +128,11 @@ def check_04_entangled_max_state(quick, seed):
         }
         passed = passed and psd.status is Status.IN and ppt.status is Status.OUT
         passed = passed and abs(pt_min + 1.0 / m) <= 1e-9
-    return (
-        "entangled-max-state",
-        "H(m)/m is PSD yet PPT-violating with eigenvalue -1/m (m = 2, 3)",
-        passed,
-        details,
-    )
+    return passed, details
 
 
-@_timed
+@_check("choi-jamiolkowski",
+        "choi = PT_right(jamiolkowski) and choi/map round trip, exact on 50 maps")
 def check_05_choi_jamiolkowski(quick, seed):
     rng = np.random.default_rng(seed)
     dims = [(2, 2), (2, 3), (3, 2), (3, 3)]
@@ -158,15 +148,11 @@ def check_05_choi_jamiolkowski(quick, seed):
         back = maps.map_from_choi(cm)
         max_rt = max(max_rt, float(np.max(np.abs(back.coeffs - psi.coeffs))))
     passed = max_pt < 1e-12 and max_rt < 1e-12
-    return (
-        "choi-jamiolkowski",
-        "choi = PT_right(jamiolkowski) and choi/map round trip, exact on 50 maps",
-        passed,
-        {"max_pt_deviation": max_pt, "max_roundtrip_deviation": max_rt},
-    )
+    return passed, {"max_pt_deviation": max_pt, "max_roundtrip_deviation": max_rt}
 
 
-@_timed
+@_check("map-normalization",
+        "rho0 o (Phi x id) = rho o (Psi x id) with Psi unital, 20 maps x 100 operators")
 def check_06_normalization(quick, seed):
     rng = np.random.default_rng(seed)
     cfg = OptimizerConfig(starts=30 if quick else 60, steps=100 if quick else 200, seed=seed)
@@ -188,15 +174,11 @@ def check_06_normalization(quick, seed):
             rhs = rho(maps.apply_to_left_factor(psi, x))
             max_dev = max(max_dev, abs(lhs - rhs))
     passed = max_dev <= 1e-9 and max_unital_dev <= 1e-9
-    return (
-        "map-normalization",
-        "rho0 o (Phi x id) = rho o (Psi x id) with Psi unital, 20 maps x 100 operators",
-        passed,
-        {"max_agreement_deviation": max_dev, "max_unitality_deviation": max_unital_dev},
-    )
+    return passed, {"max_agreement_deviation": max_dev, "max_unitality_deviation": max_unital_dev}
 
 
-@_timed
+@_check("simplex-tensor",
+        "simplex(n-1) x simplex(m-1) has nm independent vertices, dimension nm-1")
 def check_07_simplex_tensor(quick, seed):
     details = {}
     passed = True
@@ -205,15 +187,10 @@ def check_07_simplex_tensor(quick, seed):
         dim = polytopes.affine_dimension(t)
         details[f"{n}x{m}"] = {"vertices": t.n_vertices, "dimension": dim}
         passed = passed and t.n_vertices == n * m and dim == n * m - 1
-    return (
-        "simplex-tensor",
-        "simplex(n-1) x simplex(m-1) has nm independent vertices, dimension nm-1",
-        passed,
-        details,
-    )
+    return passed, details
 
 
-@_timed
+@_check("dimension-and-bound", "dim(min_tensor(square, square)) = 8; 0 < relative bound < 10")
 def check_08_dimension_and_bound(quick, seed):
     sq = polytopes.square()
     mn = polytopes.min_tensor(sq, sq)
@@ -221,15 +198,10 @@ def check_08_dimension_and_bound(quick, seed):
     mx = polytopes.max_tensor_polytope(sq, sq)
     r = polytopes.relative_bound(mn, mx)
     passed = dim == 8 and 0.0 < r < 10.0
-    return (
-        "dimension-and-bound",
-        "dim(min_tensor(square, square)) = 8; 0 < relative bound < 10",
-        passed,
-        {"dimension": dim, "relative_bound": r},
-    )
+    return passed, {"dimension": dim, "relative_bound": r}
 
 
-@_timed
+@_check("barker-gap", "square x square has a gap point; a simplex factor forces min = max")
 def check_09_barker_gap(quick, seed):
     sq = polytopes.square()
     gap = polytopes.barker_gap(sq, sq)
@@ -248,15 +220,12 @@ def check_09_barker_gap(quick, seed):
             res = polytopes.barker_gap(polytopes.simplex(k), other)
             simplex_cases[f"simplex{k}-{label}"] = res is None
             none_ok = none_ok and res is None
-    return (
-        "barker-gap",
-        "square x square has a gap point; a simplex factor forces min = max",
-        gap_ok and none_ok,
-        {"gap_margin": None if gap is None else gap.margin, "simplex_cases": simplex_cases},
-    )
+    return gap_ok and none_ok, {"gap_margin": None if gap is None else gap.margin,
+                                "simplex_cases": simplex_cases}
 
 
-@_timed
+@_check("cone-algebra-witness",
+        "X(s,t) = st S is nonpositive yet nonnegative on all product states")
 def check_10_cone_algebra_witness(quick, seed):
     samples = 20_000 if quick else 100_000
     rep = algebras.verify_X_separating(2, (0.0, 0.5, 1.0), samples=samples, seed=seed)
@@ -266,39 +235,29 @@ def check_10_cone_algebra_witness(quick, seed):
         and rep.argmin_pair == (1.0, 1.0)
         and rep.separable_min >= -1e-9
     )
-    return (
-        "cone-algebra-witness",
-        "X(s,t) = st S is nonpositive yet nonnegative on all product states",
-        passed,
-        {
-            "most_negative_eigenvalue": rep.most_negative_eigenvalue,
-            "argmin_pair": rep.argmin_pair,
-            "separable_min": rep.separable_min,
-            "samples": rep.samples,
-        },
-    )
+    return passed, {
+        "most_negative_eigenvalue": rep.most_negative_eigenvalue,
+        "argmin_pair": rep.argmin_pair,
+        "separable_min": rep.separable_min,
+        "samples": rep.samples,
+    }
 
 
-@_timed
+@_check("riesz-failure", "2x2 matrix order has no Riesz interpolation: all three sub-checks")
 def check_11_riesz(quick, seed):
     rep = algebras.riesz_counterexample_check()
     rep2 = algebras.riesz_counterexample_check()
     deterministic = rep == rep2
-    return (
-        "riesz-failure",
-        "2x2 matrix order has no Riesz interpolation: all three sub-checks",
-        rep.passes and deterministic,
-        {
-            "dominated_ok": rep.dominated_ok,
-            "not_below_zero_ok": rep.not_below_zero_ok,
-            "interpolation_ok": rep.interpolation_ok,
-            "max_admissible_norm": rep.max_admissible_norm,
-            "deterministic": deterministic,
-        },
-    )
+    return rep.passes and deterministic, {
+        "dominated_ok": rep.dominated_ok,
+        "not_below_zero_ok": rep.not_below_zero_ok,
+        "interpolation_ok": rep.interpolation_ok,
+        "max_admissible_norm": rep.max_admissible_norm,
+        "deterministic": deterministic,
+    }
 
 
-@_timed
+@_check("trace-simplex-tensor", "trace simplexes tensor multiplicatively, pairwise and three-fold")
 def check_12_trace_simplex_tensor(quick, seed):
     from .algebras import MultiMatrixAlgebra, algebra_tensor, trace_simplex, verify_trace_tensor
 
@@ -322,16 +281,12 @@ def check_12_trace_simplex_tensor(quick, seed):
     )
     passed = passed and iter_ok
     results["iterated-2,2^3"] = iter_ok
-    return (
-        "trace-simplex-tensor",
-        "trace simplexes tensor multiplicatively, pairwise and three-fold",
-        passed,
-        results,
-    )
+    return passed, results
 
 
-def _random_separable(n, m, rng, max_terms=3):
-    k = int(rng.integers(1, max_terms + 1))
+def _random_separable(n, m, rng):
+    """A random mixture of one to three product states."""
+    k = int(rng.integers(1, 4))
     raw = rng.dirichlet(np.ones(k))
     mats = []
     for w in raw:
@@ -349,7 +304,8 @@ def _random_block_positive(n, m, rng):
     return bipartite(alpha * p + (1 - alpha) * qpt, n, m)
 
 
-@_timed
+@_check("cone-duality",
+        "separable x block-positive trace pairings are nonnegative (10^4 pairs)")
 def check_13_duality(quick, seed):
     rng = np.random.default_rng(seed)
     cert_cfg = OptimizerConfig(starts=16 if quick else 24, steps=60 if quick else 100, seed=seed)
@@ -376,29 +332,7 @@ def check_13_duality(quick, seed):
         vals = np.einsum("aij,bji->ab", np.array(ts), np.array(ws)).real
         details[f"{n}x{m}"] = {"pairings": int(vals.size), "min_pairing": float(vals.min())}
         passed = passed and vals.min() >= -1e-9
-    return (
-        "cone-duality",
-        "separable x block-positive trace pairings are nonnegative (10^4 pairs)",
-        passed,
-        details,
-    )
-
-
-ALL_CHECKS = [
-    check_01_witness_norm,
-    check_02_kappa_closed_form,
-    check_03_witness_block_positive,
-    check_04_entangled_max_state,
-    check_05_choi_jamiolkowski,
-    check_06_normalization,
-    check_07_simplex_tensor,
-    check_08_dimension_and_bound,
-    check_09_barker_gap,
-    check_10_cone_algebra_witness,
-    check_11_riesz,
-    check_12_trace_simplex_tensor,
-    check_13_duality,
-]
+    return passed, details
 
 
 def run_all(quick: bool = False, seed: int = 0) -> list[CheckResult]:

@@ -100,11 +100,10 @@ class GridConeElement:
     n: int
     grid: tuple[float, ...]
     values: np.ndarray
-    scalar_at_zero: bool = True
 
     def __post_init__(self) -> None:
         g = tuple(float(s) for s in self.grid)
-        if any(s < 0.0 or s > 1.0 for s in g):
+        if not all(0.0 <= s <= 1.0 for s in g):
             raise ValueError("grid points must lie in [0, 1]")
         if any(g[i] >= g[i + 1] for i in range(len(g) - 1)):
             raise ValueError("grid must be strictly increasing")
@@ -113,11 +112,10 @@ class GridConeElement:
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (len(g), self.n, self.n):
             raise ValueError(f"values must have shape {(len(g), self.n, self.n)}")
-        if self.scalar_at_zero:
-            v0 = vals[0]
-            lam = np.trace(v0) / self.n
-            if abs(lam.imag) > 1e-12 or np.max(np.abs(v0 - lam.real * np.eye(self.n))) > 1e-12:
-                raise ValueError("value at 0 must be a real multiple of the identity")
+        v0 = vals[0]
+        lam = np.trace(v0) / self.n
+        if abs(lam.imag) > 1e-12 or np.max(np.abs(v0 - lam.real * np.eye(self.n))) > 1e-12:
+            raise ValueError("value at 0 must be a real multiple of the identity")
         object.__setattr__(self, "grid", g)
         vals = np.ascontiguousarray(vals)
         vals.setflags(write=False)
@@ -135,7 +133,7 @@ def _check_grid(grid) -> tuple[float, ...]:
     g = tuple(sorted(set(float(s) for s in grid)))
     if len(g) == 0:
         raise ValueError("grid must be nonempty")
-    if g[0] < 0.0 or g[-1] > 1.0:
+    if not all(0.0 <= s <= 1.0 for s in g):
         raise ValueError("grid points must lie in [0, 1]")
     return g
 
@@ -149,9 +147,6 @@ class GridWitness:
 
     n: int
     grid: tuple[float, ...]
-
-    def __call__(self, s: float, t: float) -> BipartiteOperator:
-        return self.at(s, t)
 
     def at(self, s: float, t: float) -> BipartiteOperator:
         swap = swap_operator(self.n)

@@ -31,6 +31,11 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
+# tolerance of each membership test when --tol is not given; map-check
+# tests block positivity of the Jamiolkowski matrix
+DEFAULT_TOL = {"psd": cones.SPECTRAL_TOL, "ppt": cones.SPECTRAL_TOL,
+               "separable": cones.SPECTRAL_TOL, "block-positive": cones.OPTIMIZER_TOL}
+
 
 class UsageError(Exception):
     pass
@@ -86,17 +91,16 @@ def _cmd_membership(args) -> tuple[dict, dict]:
     doc = load_json(args.input)
     op = bipartite_from_dict(doc)
     cfg = OptimizerConfig(starts=args.budget, seed=args.seed)
+    tol = DEFAULT_TOL[args.cone] if args.tol is None else args.tol
     if args.cone == "psd":
-        verdict = cones.is_psd(op, args.tol if args.tol is not None else 1e-9)
+        verdict = cones.is_psd(op, tol)
     elif args.cone == "block-positive":
-        verdict = cones.is_block_positive(
-            op, args.tol if args.tol is not None else 1e-6, cfg
-        )
+        verdict = cones.is_block_positive(op, tol, cfg)
     elif args.cone == "ppt":
-        verdict = cones.ppt_check(op, args.tol if args.tol is not None else 1e-9)
+        verdict = cones.ppt_check(op, tol)
     elif args.cone == "separable":
         # A PPT violation certifies Out with a witness; only the search can say In.
-        verdict = cones.ppt_check(op, args.tol if args.tol is not None else 1e-9)
+        verdict = cones.ppt_check(op, tol)
         if verdict.status is not cones.Status.OUT:
             budget = DecomposeBudget(optimizer=OptimizerConfig(
                 starts=max(8, args.budget // 5), steps=200, seed=args.seed))
@@ -124,7 +128,8 @@ def _cmd_choi(args) -> tuple[dict, dict]:
 def _cmd_map_check(args) -> tuple[dict, dict]:
     phi = map_from_dict(load_json(args.map))
     cfg = OptimizerConfig(starts=args.budget, seed=args.seed)
-    verdict = maps.is_positive_map(phi, args.tol if args.tol is not None else 1e-6, cfg)
+    tol = DEFAULT_TOL["block-positive"] if args.tol is None else args.tol
+    verdict = maps.is_positive_map(phi, tol, cfg)
     report = maps.unitality_report(phi)
     results = {
         "status": verdict.status.value,
@@ -245,7 +250,7 @@ def build_parser() -> _Parser:
                      choices=["psd", "separable", "block-positive", "ppt"])
     mem.add_argument("--input", required=True)
     mem.add_argument("--tol", type=_positive(float, least=0), default=None)
-    mem.add_argument("--seed", type=int, default=0)
+    mem.add_argument("--seed", type=_positive(int, least=0), default=0)
     mem.add_argument("--budget", type=_positive(int), default=200)
     mem.set_defaults(handler=_cmd_membership)
 
@@ -256,7 +261,7 @@ def build_parser() -> _Parser:
     mc = sub.add_parser("map-check", help="positivity and unitality of a map")
     mc.add_argument("--map", required=True)
     mc.add_argument("--tol", type=_positive(float, least=0), default=None)
-    mc.add_argument("--seed", type=int, default=0)
+    mc.add_argument("--seed", type=_positive(int, least=0), default=0)
     mc.add_argument("--budget", type=_positive(int), default=200)
     mc.set_defaults(handler=_cmd_map_check)
 
@@ -264,7 +269,7 @@ def build_parser() -> _Parser:
     ka.add_argument("--n", type=_positive(int), required=True)
     ka.add_argument("--m", type=_positive(int), required=True)
     ka.add_argument("--estimate-cb", default=None)
-    ka.add_argument("--seed", type=int, default=0)
+    ka.add_argument("--seed", type=_positive(int, least=0), default=0)
     ka.add_argument("--budget", type=_positive(int), default=100)
     ka.set_defaults(handler=_cmd_kappa)
 
@@ -285,7 +290,7 @@ def build_parser() -> _Parser:
     wx.add_argument("--n", type=_positive(int, least=2), required=True)
     wx.add_argument("--grid", default="0,0.5,1")
     wx.add_argument("--samples", type=_positive(int), default=100_000)
-    wx.add_argument("--seed", type=int, default=0)
+    wx.add_argument("--seed", type=_positive(int, least=0), default=0)
     wx.set_defaults(handler=_cmd_witness_x)
 
     rz = sub.add_parser("riesz", help="2x2 Riesz interpolation failure check")
@@ -300,7 +305,7 @@ def build_parser() -> _Parser:
 
     rp = sub.add_parser("reproduce", help="run the full acceptance suite")
     rp.add_argument("--quick", action="store_true", help="reduced optimizer budgets")
-    rp.add_argument("--seed", type=int, default=0)
+    rp.add_argument("--seed", type=_positive(int, least=0), default=0)
     rp.add_argument("--only", default=None, help="substring filter on check names")
     rp.set_defaults(handler=_cmd_reproduce)
 

@@ -202,7 +202,6 @@ def kappa_report(
     m: int,
     cb_map: MatrixMap | None = None,
     cb_cfg: CbConfig | None = None,
-    witness_cfg: OptimizerConfig | None = None,
 ) -> KappaReport:
     """Bundle the closed form with both computed lower bounds.
 

@@ -227,14 +227,15 @@ def _require_positive(phi: MatrixMap, cfg: OptimizerConfig | None) -> None:
 def state_from_positive_map(
     phi: MatrixMap,
     normalized: bool = True,
-    validate: bool = True,
     cfg: OptimizerConfig | None = None,
 ) -> BipartiteFunctional:
     """The functional X |-> <Omega, (Phi (x) id_m)(X) Omega> on (n, m) operators.
 
     Requires Phi positive with tr(Phi(I_n)) = 1 (normalized trace).  With
     ``normalized=False`` the map is rescaled to satisfy the trace condition
-    first.  The density of the functional is m^{-1} choi(Phi*).
+    first.  The (rescaled) map must be certified positive by
+    ``is_positive_map`` under ``cfg``, else ValueError.  The density of the
+    functional is m^{-1} choi(Phi*).
     """
     m = phi.output_dim
     report = unitality_report(phi)
@@ -247,20 +248,18 @@ def state_from_positive_map(
         if norm_tr <= 1e-12:
             raise ValueError("tr(Phi(I)) vanishes; cannot normalize")
         scaled = MatrixMap(phi.input_dim, phi.output_dim, phi.coeffs / norm_tr)
-    if validate:
-        _require_positive(scaled, cfg)
+    _require_positive(scaled, cfg)
     density = choi(adjoint_map(scaled))
     return BipartiteFunctional(bipartite(density.matrix / m, density.n, density.m))
 
 
 def normalize_positive_map(
-    phi: MatrixMap,
-    validate: bool = True,
-    cfg: OptimizerConfig | None = None,
+    phi: MatrixMap, cfg: OptimizerConfig | None = None
 ) -> tuple[MatrixMap, BipartiteFunctional]:
     """Rewrite rho_0 o (Phi (x) id) with a unital positive map.
 
-    Given positive Phi: M_n -> M_m with tr(Phi(I)) = 1, build
+    Given Phi: M_n -> M_m with tr(Phi(I)) = 1, certified positive by
+    ``is_positive_map`` under ``cfg`` (else ValueError), build
     Psi(A) = R Phi(A) R + Psi_1(A) with R the inverse of Phi(I)^{1/2} on
     its range, and the state rho(X) = <Omega, (Phi(I)^{1/2} (x) I) X
     (Phi(I)^{1/2} (x) I) Omega>, so that rho o (Psi (x) id) agrees with
@@ -272,8 +271,7 @@ def normalize_positive_map(
     report = unitality_report(phi)
     if abs(report.normalized_trace_of_image - 1.0) > 1e-9:
         raise ValueError("tr(Phi(I)) must equal 1")
-    if validate:
-        _require_positive(phi, cfg)
+    _require_positive(phi, cfg)
 
     img = report.image_of_identity.matrix
     w, u = np.linalg.eigh(img)
@@ -309,22 +307,20 @@ def random_positive_map(
     input_dim: int,
     output_dim: int,
     rng: np.random.Generator,
-    terms: int = 3,
     transpose_input: bool | None = None,
     singular_image: bool = False,
-    unit_trace: bool = True,
 ) -> MatrixMap:
-    """Random positive map: sum of congruences A -> V A V*, optionally
-    precomposed with the transpose (positive but typically not CP).
+    """Random positive map: sum of three congruences A -> V A V*, optionally
+    precomposed with the transpose (positive but typically not CP), scaled
+    so that the normalized trace of Phi(I) equals one.
 
     With ``singular_image`` the V factors share a common output corner, so
-    Phi(I) has a nontrivial kernel.  With ``unit_trace`` the map is scaled
-    so that the normalized trace of Phi(I) equals one.
+    Phi(I) has a nontrivial kernel.
     """
     rows = output_dim - 1 if (singular_image and output_dim > 1) else output_dim
     vs = [
         rng.normal(size=(rows, input_dim)) + 1j * rng.normal(size=(rows, input_dim))
-        for _ in range(terms)
+        for _ in range(3)
     ]
     if rows != output_dim:
         vs = [np.vstack([v, np.zeros((1, input_dim))]) for v in vs]
@@ -336,7 +332,5 @@ def random_positive_map(
         return sum(v @ src @ v.conj().T for v in vs)
 
     phi = MatrixMap.from_function(input_dim, output_dim, action)
-    if unit_trace:
-        tr = unitality_report(phi).normalized_trace_of_image
-        phi = MatrixMap(input_dim, output_dim, phi.coeffs / tr)
-    return phi
+    tr = unitality_report(phi).normalized_trace_of_image
+    return MatrixMap(input_dim, output_dim, phi.coeffs / tr)

@@ -231,9 +231,8 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> 
     return HermitianOperator(scale * (g + g.conj().T) / 2)
 
 
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> HermitianOperator:
-    """Random density matrix: normalized G G* with Gaussian G."""
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+def random_density(dim: int, rng: np.random.Generator) -> HermitianOperator:
+    """Random full-rank density matrix: normalized G G* with square Gaussian G."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return HermitianOperator(rho / np.trace(rho).real)

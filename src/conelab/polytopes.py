@@ -168,7 +168,7 @@ def functional_from_flat(flat: np.ndarray, k1: Polytope, k2: Polytope) -> Tensor
 # extreme rays
 
 
-def double_description(a: np.ndarray, tol: float = DD_TOL) -> np.ndarray:
+def double_description(a: np.ndarray) -> np.ndarray:
     """Extreme rays of the pointed, full-dimensional cone {y : A y >= 0}.
 
     With unit rows a_i and c = sum_i a_i, c.y > 0 on the cone minus 0, so
@@ -181,7 +181,7 @@ def double_description(a: np.ndarray, tol: float = DD_TOL) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     d = a.shape[1]
     norms = np.linalg.norm(a, axis=1)
-    if np.any(norms < tol):
+    if np.any(norms < DD_TOL):
         raise ValueError("zero inequality row")
     a = a / norms[:, None]
     if np.linalg.matrix_rank(a, tol=1e-9) < d:
@@ -193,7 +193,7 @@ def double_description(a: np.ndarray, tol: float = DD_TOL) -> np.ndarray:
         raise empty
     c = a.sum(axis=0)
     cc = c @ c
-    if cc < tol:
+    if cc < DD_TOL:
         raise empty
     basis = np.linalg.svd(c[None, :])[2][1:].T  # (d, d-1), orthonormal in c-perp
     g, h = a @ basis, a @ c / cc  # y = c/|c|^2 + basis z is in the cone iff g z + h >= 0
@@ -203,9 +203,9 @@ def double_description(a: np.ndarray, tol: float = DD_TOL) -> np.ndarray:
         A_ub=np.hstack([-g, gn[:, None]]), b_ub=h,
         bounds=[(None, None)] * (d - 1) + [(0, None)], method="highs",
     )
-    if not res.success or res.x[-1] <= tol:
+    if not res.success or res.x[-1] <= DD_TOL:
         raise empty
-    keep = gn > tol
+    keep = gn > DD_TOL
     if d == 2:
         ends = -h[keep] / g[keep, 0]
         z = np.array([[ends[g[keep, 0] > 0].max()], [ends[g[keep, 0] < 0].min()]])
@@ -277,16 +277,14 @@ class SeparatingHyperplane:
     margin: float
 
 
-def max_tensor_membership(
-    phi: TensorFunctional, k1: Polytope, k2: Polytope, tol: float = LP_TOL
-) -> Verdict:
-    """In iff r^T M s >= -tol for every pair of extreme rays (r, s)."""
+def max_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> Verdict:
+    """In iff r^T M s >= -LP_TOL for every pair of extreme rays (r, s)."""
     r1 = positive_ray_generators(k1).rays
     r2 = positive_ray_generators(k2).rays
     vals = r1 @ phi.matrix @ r2.T
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
     cert = RayPairCertificate(r1[i], r2[j], float(vals[i, j]))
-    status = Status.IN if vals[i, j] >= -tol else Status.OUT
+    status = Status.IN if vals[i, j] >= -LP_TOL else Status.OUT
     return Verdict(status, cert)
 
 
@@ -329,27 +327,25 @@ def _min_distance_lp(flat_phi: np.ndarray, vertices: np.ndarray):
     return x[:, -1], x[:, :p], u[:, :dim] - u[:, dim:]
 
 
-def _min_verdict(flat, mv, dist, weights, normal, tol) -> Verdict:
+def _min_verdict(flat, mv, dist, weights, normal) -> Verdict:
     """Verdict on flat from its row of _min_distance_lp(., mv): In with the
-    weights when dist <= tol, else Out with the normal as hyperplane."""
-    if dist <= tol:
+    weights when dist <= LP_TOL, else Out with the normal as hyperplane."""
+    if dist <= LP_TOL:
         return Verdict(Status.IN, ConvexWeightsCertificate(weights, float(dist)))
     offset = float(np.max(mv @ normal))
     margin = float(normal @ flat - offset)
     return Verdict(Status.OUT, SeparatingHyperplane(normal, offset, margin))
 
 
-def min_tensor_membership(
-    phi: TensorFunctional, k1: Polytope, k2: Polytope, tol: float = LP_TOL
-) -> Verdict:
+def min_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> Verdict:
     """LP test for membership in the convex hull of elementary tensors.
 
-    In with the convex weights when the inf-norm distance is <= tol; Out
+    In with the convex weights when the inf-norm distance is <= LP_TOL; Out
     with the separating hyperplane read off the same LP's duals otherwise.
     """
     mv = min_tensor(k1, k2).vertices
     (dist,), (weights,), (normal,) = _min_distance_lp(phi.flat[None, :], mv)
-    return _min_verdict(phi.flat, mv, dist, weights, normal, tol)
+    return _min_verdict(phi.flat, mv, dist, weights, normal)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +392,7 @@ class BarkerGap:
         return self.min_verdict.certificate.margin
 
 
-def gap_among(mx: Polytope, k1: Polytope, k2: Polytope, tol: float = LP_TOL) -> BarkerGap | None:
+def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
     """Search the maximal tensor polytope mx of k1 and k2 for a point
     outside the minimal one.
 
@@ -409,29 +405,29 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope, tol: float = LP_TOL) -> 
     """
     mv = min_tensor(k1, k2).vertices
     dist, weights, normals = _min_distance_lp(mx.vertices, mv)
-    if dist.max() <= tol:
+    if dist.max() <= LP_TOL:
         return None
     i = np.argmax(dist >= dist.max() - LP_TOL)
     phi = functional_from_flat(mx.vertices[i], k1, k2)
-    return BarkerGap(phi, max_tensor_membership(phi, k1, k2, tol),
-                     _min_verdict(phi.flat, mv, dist[i], weights[i], normals[i], tol))
+    return BarkerGap(phi, max_tensor_membership(phi, k1, k2),
+                     _min_verdict(phi.flat, mv, dist[i], weights[i], normals[i]))
 
 
-def barker_gap(k1: Polytope, k2: Polytope, tol: float = LP_TOL) -> BarkerGap | None:
+def barker_gap(k1: Polytope, k2: Polytope) -> BarkerGap | None:
     """gap_among on the maximal tensor polytope of k1 and k2, built here."""
-    return gap_among(max_tensor_polytope(k1, k2), k1, k2, tol)
+    return gap_among(max_tensor_polytope(k1, k2), k1, k2)
 
 
 # ---------------------------------------------------------------------------
 # relative boundedness
 
 
-def _aff_contained(outer: np.ndarray, inner: np.ndarray, tol: float = 1e-9) -> bool:
+def _aff_contained(outer: np.ndarray, inner: np.ndarray) -> bool:
     basis = _affine_chart(inner, inner[0])
     d = outer - inner[0]
     resid = d - (d @ basis) @ basis.T
     scale = max(1.0, float(np.max(np.abs(outer))))
-    return bool(np.all(np.linalg.norm(resid, axis=1) <= tol * scale))
+    return bool(np.all(np.linalg.norm(resid, axis=1) <= 1e-9 * scale))
 
 
 def relative_bound(inner: Polytope, outer: Polytope) -> float:

@@ -78,6 +78,11 @@ class TestGridConeElement:
         with pytest.raises(ValueError, match="contain 0 and 1"):
             GridConeElement(2, (0.5,), vals)
 
+    def test_rejects_nan_grid_point(self):
+        vals = np.array([np.eye(2)] * 3)
+        with pytest.raises(ValueError, match="lie in"):
+            GridConeElement(2, (0.0, float("nan"), 1.0), vals)
+
 
 class TestWitnessX:
     def test_endpoint_is_swap(self):
@@ -114,6 +119,12 @@ class TestWitnessX:
     def test_rejects_out_of_range_grid(self):
         with pytest.raises(ValueError, match="lie in"):
             entangled_witness_X(2, (0.0, 1.5))
+
+    @pytest.mark.parametrize("grid", [(0.0, float("nan"), 1.0), (float("nan"), 0.0, 1.0),
+                                      (0.0, 1.0, float("nan"))])
+    def test_rejects_nan_grid_point(self, grid):
+        with pytest.raises(ValueError, match="lie in"):
+            entangled_witness_X(2, grid)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="n >= 2"):

@@ -329,6 +329,23 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("usage error: argument ")
 
 
+    @pytest.mark.parametrize("argv", [
+        ["membership", "--cone", "block-positive", "--input", "{h2}"],
+        ["map-check", "--map", "{t2}"],
+        ["kappa", "--n", "2", "--m", "2", "--estimate-cb", "{t2}"],
+        ["witness-x", "--n", "2", "--samples", "10"],
+        ["reproduce", "--quick", "--only", "witness_norm"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_usage_error(self, capsys, h2_half, t2_map, argv):
+        argv = [a.format(h2=h2_half, t2=t2_map) for a in argv] + ["--seed", "-1"]
+        assert cli.main(argv) == 64
+        assert capsys.readouterr().err.startswith("usage error: argument --seed: ")
+
+    def test_nan_grid_point_is_data_error(self, capsys):
+        assert cli.main(["witness-x", "--n", "2", "--grid", "0,nan,1", "--samples", "10"]) == 65
+        assert "grid points must lie in [0, 1]" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_results_bit_for_bit(self, capsys, h2_half):
         argv = ["membership", "--cone", "block-positive", "--input", h2_half,

@@ -232,6 +232,13 @@ class TestNormalizeConstruction:
         with pytest.raises(ValueError, match="must equal 1"):
             normalize_positive_map(phi, cfg=FAST)
 
+    def test_rejects_nonpositive_map(self):
+        bad = random_map(2, 2, np.random.default_rng(10))
+        rep = unitality_report(bad)
+        scaled = MatrixMap(2, 2, bad.coeffs / rep.normalized_trace_of_image)
+        with pytest.raises(ValueError, match="not certified positive"):
+            normalize_positive_map(scaled, cfg=FAST)
+
 
 class TestUnitImages:
     @pytest.mark.parametrize("a, b", [(2, 2), (2, 3), (3, 2), (3, 4)])
