@@ -17,7 +17,6 @@ from .operators import (
     trace_norm,
 )
 from .cones import (
-    DecomposeBudget,
     OptimizerConfig,
     Status,
     Verdict,
@@ -48,7 +47,6 @@ from .kappa import (
 )
 from .polytopes import (
     Polytope,
-    RayCone,
     TensorFunctional,
     affine_dimension,
     barker_gap,

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import algebras, cones, kappa, maps, operators, polytopes
 from .cones import OptimizerConfig, Status
-from .kappa import CbConfig
 from .maps import MatrixMap
 from .operators import bipartite, random_hermitian
 
@@ -76,7 +75,7 @@ def check_02_kappa_closed_form(quick, seed):
     for n in range(1, 7):
         w = kappa.kappa_witness(n, cfg=cfg if n <= 3 else OptimizerConfig(starts=60, steps=150, seed=seed))
         witness_errs[n] = abs(w.value - kappa.kappa_exact(n, n))
-    cb_cfg = CbConfig(starts=30 if quick else 100, steps=100 if quick else 300, seed=seed)
+    cb_cfg = OptimizerConfig(starts=30 if quick else 100, steps=100 if quick else 300, seed=seed)
     cb_vals = {}
     for n in (2, 3):
         est = kappa.cb_norm_estimate(MatrixMap.transpose(n), cb_cfg)

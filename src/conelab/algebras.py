@@ -262,7 +262,8 @@ def riesz_counterexample_check(
     A 2x2 Hermitian C = ((tau + z) / 2, (x - iy) / 2; (x + iy) / 2,
     (tau - z) / 2) is PSD iff |(x, y, z)| <= tau, and C <= E iff the same
     closed form holds for E - C, so the sweep is exact arithmetic on the
-    grid.
+    grid.  A step with round(1 / step) < 1, such as any step >= 2, raises
+    ValueError: its grid would leave out C = 0.
     """
     f = np.array([[-2.0 / 3.0, 1.0], [1.0, -2.0 / 3.0]])
     e11 = np.diag([1.0, 0.0])
@@ -274,6 +275,8 @@ def riesz_counterexample_check(
     not_below_zero_ok = eigf[-1] > 1e-12
 
     n_half = int(round(1.0 / step))
+    if n_half < 1:  # the grid would be the single corner tau = 0, (x, y, z) = -1
+        raise ValueError(f"step {step!r} is too coarse: round(1 / step) must be at least 1")
     taus = np.linspace(0.0, 2.0, 2 * n_half + 1)
     axis = np.linspace(-1.0, 1.0, 2 * n_half + 1)
     xx, yy, zz = (v.ravel() for v in np.meshgrid(axis, axis, axis, indexing="ij"))

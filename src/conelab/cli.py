@@ -14,8 +14,7 @@ import sys
 import time
 
 from . import acceptance, algebras, cones, kappa, maps, polytopes
-from .cones import DecomposeBudget, OptimizerConfig
-from .kappa import CbConfig
+from .cones import OptimizerConfig
 from .serialize import (
     MalformedInput,
     bipartite_from_dict,
@@ -102,9 +101,8 @@ def _cmd_membership(args) -> tuple[dict, dict]:
         # A PPT violation certifies Out with a witness; only the search can say In.
         verdict = cones.ppt_check(op, tol)
         if verdict.status is not cones.Status.OUT:
-            budget = DecomposeBudget(optimizer=OptimizerConfig(
-                starts=max(8, args.budget // 5), steps=200, seed=args.seed))
-            verdict = _on_input(cones.separable_decompose, op, budget)
+            search = OptimizerConfig(starts=max(8, args.budget // 5), steps=200, seed=args.seed)
+            verdict = _on_input(cones.separable_decompose, op, search)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown cone {args.cone}")
     return (
@@ -143,7 +141,7 @@ def _cmd_map_check(args) -> tuple[dict, dict]:
 
 def _cmd_kappa(args) -> tuple[dict, dict]:
     cb_map = map_from_dict(load_json(args.estimate_cb)) if args.estimate_cb else None
-    cb_cfg = CbConfig(starts=args.budget, seed=args.seed)
+    cb_cfg = OptimizerConfig(starts=args.budget, steps=kappa.CB_CFG.steps, seed=args.seed)
     rep = _on_input(kappa.kappa_report, args.n, args.m, cb_map=cb_map, cb_cfg=cb_cfg)
     results = {
         "status": "pass",
@@ -197,8 +195,11 @@ def _cmd_witness_x(args) -> tuple[dict, dict]:
 
 
 def _cmd_riesz(args) -> tuple[dict, dict]:
-    return _check_report(
-        algebras.riesz_counterexample_check(step=args.step, zero_threshold=args.threshold))
+    try:
+        rep = algebras.riesz_counterexample_check(step=args.step, zero_threshold=args.threshold)
+    except ValueError as exc:
+        raise UsageError(f"bad --step: {exc}") from exc
+    return _check_report(rep)
 
 
 def _parse_blocks(text: str) -> algebras.MultiMatrixAlgebra:

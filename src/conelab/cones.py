@@ -14,7 +14,7 @@ certificate, ``Unknown`` otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -35,6 +35,7 @@ SPECTRAL_TOL = 1e-9
 OPTIMIZER_TOL = 1e-6
 SEESAW_DROP = 1e-15  # per-round decrease, in spectral-norm units, that ends the seesaw
 AGREE_TOL = 1e-9  # starts this close to the best value, in the same units, agree
+POLISH_ROUNDS = 8  # seesaw rounds allowed past ``steps`` in block_positive_min
 
 # Fixed budget of separable_decompose (see its docstring).
 MAX_TERMS = 32
@@ -115,33 +116,24 @@ class Verdict:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Budget for the block-positivity optimizer (multistart seesaw).
+    """Budget of a seeded multistart search: ``starts`` starts from ``seed``.
 
-    The seesaw runs at most ``steps + polish_rounds`` rounds from ``starts``
-    seeded random starts, the first few of them taken from the best points
-    of a deterministic grid.
+    ``steps`` bounds the rounds of each search that takes this budget:
+    ``block_positive_min`` runs at most ``steps + POLISH_ROUNDS`` seesaw
+    rounds over product vectors; ``separable_decompose`` gives the budget
+    to the product-vector search of each greedy term (its seed offset by
+    the term index) and seeds the ensemble rotation from ``seed``;
+    ``kappa.cb_norm_estimate`` runs at most ``steps`` seesaw rounds over
+    Hermitian symmetries.
     """
 
     starts: int = 200
     steps: int = 500
     seed: int = 0
-    polish_rounds: int = 8
 
 
-@dataclass(frozen=True)
-class DecomposeBudget:
-    """Budget for the separable-decomposition search.
-
-    ``optimizer`` configures the product-vector search of each greedy term
-    (its seed is offset by the term index) and seeds the ensemble rotation.
-    The rest of the budget is fixed by the module constants ``GREEDY_TERMS``,
-    ``ENSEMBLE_ATTEMPTS``, ``ENSEMBLE_ITERS``, ``LM_MAX_NFEV``,
-    ``MAX_TERMS`` and ``RESIDUAL_TOL``.
-    """
-
-    optimizer: OptimizerConfig = field(
-        default_factory=lambda: OptimizerConfig(starts=16, steps=60, seed=0)
-    )
+# Budget of separable_decompose when none is given.
+DECOMPOSE_CFG = OptimizerConfig(starts=16, steps=60, seed=0)
 
 
 def _normalize_rows(v: np.ndarray) -> np.ndarray:
@@ -187,7 +179,7 @@ def block_positive_min(
     Batched seesaw from seeded random starts, the first few taken from the
     best points of a coarse deterministic grid: each round sets phi to the
     lowest eigenvector of the reduced matrix <psi| X |psi>, then psi to that
-    of <phi| X |phi>.  Rounds stop after ``steps + polish_rounds`` or once no
+    of <phi| X |phi>.  Rounds stop after ``steps + POLISH_ROUNDS`` or once no
     start's value drops by more than ``SEESAW_DROP``.  The result is an upper
     bound on the true minimum; grid points and starts are merged by minimum
     value with the lowest index winning ties, so the output is independent
@@ -215,7 +207,7 @@ def block_positive_min(
 
     prev = np.full(cfg.starts, np.inf)
     rounds, converged = 0, False
-    while rounds < cfg.steps + cfg.polish_rounds and not converged:
+    while rounds < cfg.steps + POLISH_ROUNDS and not converged:
         phi = np.linalg.eigh((_products(psi.conj(), psi) @ a_lr.T).reshape(-1, n, n))[1][:, :, 0]
         low, vecs = np.linalg.eigh((_products(phi.conj(), phi) @ a_lr).reshape(-1, m, m))
         psi = vecs[:, :, 0]
@@ -404,29 +396,31 @@ def _polish_atoms(x: np.ndarray, n: int, m: int, left: np.ndarray, right: np.nda
     return a[ok] / na[ok, None], b[ok] / nb[ok, None]
 
 
-def separable_decompose(x: BipartiteOperator, budget: DecomposeBudget | None = None) -> Verdict:
+def separable_decompose(x: BipartiteOperator, cfg: OptimizerConfig | None = None) -> Verdict:
     """Column-generation search for a separable decomposition of a state.
 
     The greedy phase runs ``GREEDY_TERMS`` rounds, each adding the pure
     product state with the largest overlap with the current residual and
-    refitting nonnegative weights by least squares on the simplex.  When
-    that stalls above ``RESIDUAL_TOL``, up to ``ENSEMBLE_ATTEMPTS`` batches
-    of at most ``MAX_TERMS`` candidate atoms are proposed by rotating a
-    square-root ensemble of the state toward product vectors (at most
-    ``ENSEMBLE_ITERS`` iterations each) and polishing them locally
-    (``LM_MAX_NFEV`` evaluations); weights are again refit on the simplex.
-    In (with the certificate) once the Frobenius residual drops below
-    ``RESIDUAL_TOL``, Unknown once the budget is spent.  Only defined for
-    states: PSD with unit trace.
+    refitting nonnegative weights by least squares on the simplex; the
+    product state comes from ``block_positive_min`` under ``cfg``, its seed
+    offset by the term index.  When that stalls above ``RESIDUAL_TOL``, up
+    to ``ENSEMBLE_ATTEMPTS`` batches of at most ``MAX_TERMS`` candidate
+    atoms are proposed by rotating a square-root ensemble of the state
+    toward product vectors (at most ``ENSEMBLE_ITERS`` iterations each,
+    seeded from ``cfg.seed``) and polishing them locally (``LM_MAX_NFEV``
+    evaluations); weights are again refit on the simplex.  In (with the
+    certificate) once the Frobenius residual drops below ``RESIDUAL_TOL``,
+    Unknown once the budget is spent.  ``cfg`` defaults to
+    ``DECOMPOSE_CFG``.  Only defined for states: PSD with unit trace.
     """
-    budget = budget or DecomposeBudget()
+    cfg = cfg or DECOMPOSE_CFG
     if min_eigenpair(x)[0] < -SPECTRAL_TOL:
         raise ValueError("input is not positive semidefinite")
     if abs(x.op.trace() - 1.0) > 1e-9:
         raise ValueError("input does not have unit trace")
 
     n, m = x.n, x.m
-    seed = budget.optimizer.seed
+    seed = cfg.seed
 
     def verdict_of(residual, left, right, weights):
         keep = weights > 1e-12
@@ -440,8 +434,8 @@ def separable_decompose(x: BipartiteOperator, budget: DecomposeBudget | None = N
     left, right = np.empty((0, n), complex), np.empty((0, m), complex)
     residual_mat = x.matrix
     for term in range(GREEDY_TERMS):
-        cfg = replace(budget.optimizer, seed=seed + term)
-        vec = block_positive_min(bipartite(-residual_mat, n, m), cfg)[1].best_vector
+        term_cfg = replace(cfg, seed=seed + term)
+        vec = block_positive_min(bipartite(-residual_mat, n, m), term_cfg)[1].best_vector
         left, right = np.vstack([left, vec.left]), np.vstack([right, vec.right])
         weights, residual, residual_mat = _fit_state(left, right, x.matrix)
         if residual < RESIDUAL_TOL:

@@ -63,13 +63,6 @@ def kappa_witness(n: int, cfg: OptimizerConfig | None = None) -> KappaWitness:
 
 
 @dataclass(frozen=True)
-class CbConfig:
-    starts: int = 100
-    steps: int = 300
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class CbEstimate:
     """Best cb-norm lower bound found and its maximizing symmetry.
 
@@ -87,6 +80,8 @@ class CbEstimate:
 
 
 CB_GAIN = 1e-12  # least gain of a start's value that counts as an improvement
+# Budget of cb_norm_estimate when none is given.
+CB_CFG = OptimizerConfig(starts=100, steps=300, seed=0)
 
 
 def _sign_project(x: np.ndarray) -> np.ndarray:
@@ -95,7 +90,7 @@ def _sign_project(x: np.ndarray) -> np.ndarray:
     return np.einsum("bik,bk,bjk->bij", u, np.where(w >= 0, 1.0, -1.0), u.conj())
 
 
-def cb_norm_estimate(phi: MatrixMap, cfg: CbConfig | None = None) -> CbEstimate:
+def cb_norm_estimate(phi: MatrixMap, cfg: OptimizerConfig | None = None) -> CbEstimate:
     """Lower bound on ||Phi (x) id_m|| by a seesaw over Hermitian symmetries.
 
     The norm of Phi (x) id_m is attained at self-adjoint contractions, and
@@ -108,10 +103,12 @@ def cb_norm_estimate(phi: MatrixMap, cfg: CbConfig | None = None) -> CbEstimate:
     Neither step lowers the value; a start keeps a new X only if its value
     rises by more than ``CB_GAIN``.  A start that did not improve is final:
     its next candidate would be the same, so it is not evaluated again.
-    Rounds stop after ``cfg.steps`` or once no start improves.  Returns the
-    best value found and the maximizing X.
+    Runs ``cfg.starts`` starts (the deterministic candidates first) for at
+    most ``cfg.steps`` rounds, stopping early once no start improves;
+    ``cfg`` defaults to ``CB_CFG`` (100 starts, 300 steps, seed 0).
+    Returns the best value found and the maximizing X.
     """
-    cfg = cfg or CbConfig()
+    cfg = cfg or CB_CFG
     n, m = phi.input_dim, phi.output_dim
     dim = n * m
     l4 = phi.unit_images()
@@ -201,9 +198,10 @@ def kappa_report(
     n: int,
     m: int,
     cb_map: MatrixMap | None = None,
-    cb_cfg: CbConfig | None = None,
+    cb_cfg: OptimizerConfig | None = None,
 ) -> KappaReport:
-    """Bundle the closed form with both computed lower bounds.
+    """Bundle the closed form with both computed lower bounds; ``cb_cfg``
+    is the budget of ``cb_norm_estimate``.
 
     A supplied ``cb_map`` must map M_n to M_m, so that its cb estimate
     bounds the same kappa(n, m) as the closed form; otherwise ValueError.

@@ -105,9 +105,7 @@ class MatrixMap:
         """A |-> Tr(A) I - A; positive but not completely positive for n >= 2."""
         return cls.from_function(n, n, lambda a: np.trace(a) * np.eye(n) - a)
 
-    def apply(self, m: np.ndarray | HermitianOperator) -> np.ndarray:
-        if isinstance(m, HermitianOperator):
-            m = m.matrix
+    def apply(self, m: np.ndarray) -> np.ndarray:
         c = basis_coefficients(np.asarray(m, dtype=complex))
         return matrix_from_coefficients(self.coeffs @ c, self.output_dim)
 

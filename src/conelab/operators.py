@@ -226,9 +226,9 @@ def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianOperator:
+def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianOperator(scale * (g + g.conj().T) / 2)
+    return HermitianOperator((g + g.conj().T) / 2)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> HermitianOperator:

@@ -66,18 +66,6 @@ class Polytope:
 
 
 @dataclass(frozen=True)
-class RayCone:
-    """Extreme rays of the cone of positive affine functions on a polytope,
-    in coefficient coordinates (a, b) for x |-> a.x + b."""
-
-    rays: np.ndarray
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.rays.shape[1]
-
-
-@dataclass(frozen=True)
 class TensorFunctional:
     """Functional on A(K1) (x) A(K2), normalized to 1 on u1 (x) u2."""
 
@@ -156,12 +144,9 @@ def min_tensor(k1: Polytope, k2: Polytope) -> Polytope:
     return Polytope(np.einsum("ia,jb->ijab", left, right).reshape(len(left) * len(right), -1))
 
 
-def functional_shape(k1: Polytope, k2: Polytope) -> tuple[int, int]:
-    return (k1.ambient_dim + 1, k2.ambient_dim + 1)
-
-
 def functional_from_flat(flat: np.ndarray, k1: Polytope, k2: Polytope) -> TensorFunctional:
-    return TensorFunctional(np.asarray(flat, dtype=float).reshape(functional_shape(k1, k2)))
+    shape = (k1.ambient_dim + 1, k2.ambient_dim + 1)
+    return TensorFunctional(np.asarray(flat, dtype=float).reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +205,15 @@ def double_description(a: np.ndarray) -> np.ndarray:
     return rays[np.lexsort(np.round(rays, 9).T[::-1])]
 
 
-def positive_ray_generators(k: Polytope) -> RayCone:
-    """Extreme rays of {(a, b) : a.v + b >= 0 for all vertices v}.
+def positive_ray_generators(k: Polytope) -> np.ndarray:
+    """Extreme rays of {(a, b) : a.v + b >= 0 for all vertices v}, one per
+    row in coefficient coordinates (a, b) for x |-> a.x + b.
 
     Lower-dimensional polytopes are handled in an affine chart, where the
     cone of positive affine functions is pointed; the returned coefficient
     vectors are representatives pulled back to the ambient coordinates,
-    normalized to max-abs coefficient 1.  The module constants bound the
-    accepted input size.
+    normalized to max-abs coefficient 1 and lexicographically sorted.  The
+    module constants bound the accepted input size.
     """
     if k.ambient_dim > MAX_RAY_AMBIENT_DIM:
         raise ValueError(
@@ -244,7 +230,7 @@ def positive_ray_generators(k: Polytope) -> RayCone:
     a = y[:, :-1] @ basis.T
     full = np.hstack([a, (y[:, -1] - a @ v0)[:, None]])
     full /= np.max(np.abs(full), axis=1, keepdims=True)
-    return RayCone(full[np.lexsort(np.round(full, 9).T[::-1])])
+    return full[np.lexsort(np.round(full, 9).T[::-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +265,8 @@ class SeparatingHyperplane:
 
 def max_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> Verdict:
     """In iff r^T M s >= -LP_TOL for every pair of extreme rays (r, s)."""
-    r1 = positive_ray_generators(k1).rays
-    r2 = positive_ray_generators(k2).rays
+    r1 = positive_ray_generators(k1)
+    r2 = positive_ray_generators(k2)
     vals = r1 @ phi.matrix @ r2.T
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
     cert = RayPairCertificate(r1[i], r2[j], float(vals[i, j]))
@@ -360,8 +346,8 @@ def max_tensor_polytope(k1: Polytope, k2: Polytope) -> Polytope:
     ray-pair inequalities; the extreme rays of the homogenized cone are the
     vertices.  Vertices are returned as flattened functionals.
     """
-    r1 = positive_ray_generators(k1).rays
-    r2 = positive_ray_generators(k2).rays
+    r1 = positive_ray_generators(k1)
+    r2 = positive_ray_generators(k2)
     mv = min_tensor(k1, k2).vertices
     m0 = mv.mean(axis=0)
     q = _affine_chart(mv, m0)  # (D, rank), orthonormal columns

@@ -206,6 +206,18 @@ class TestRieszCounterexample:
             if abs(np.sqrt(x * x + y * y + (z - 1.0) ** 2) - (1.0 - tau)) > 1e-9:
                 assert dom_closed == dom_eig
 
+    def test_coarsest_step_still_sees_zero(self):
+        # round(1 / 1.99) = 1: the grid has tau = 0 and (x, y, z) = 0
+        rep = riesz_counterexample_check(step=1.99)
+        assert rep.admissible_points == 1
+        assert rep.max_admissible_norm == 0.0
+
+    @pytest.mark.parametrize("step", [2.0, 3.0])
+    def test_step_without_zero_on_grid_rejected(self, step):
+        # round(1 / 2) = 0 would leave the one grid point tau = 0, (x, y, z) = -1
+        with pytest.raises(ValueError, match="too coarse"):
+            riesz_counterexample_check(step=step)
+
     def test_tunable_resolution(self):
         rep = riesz_counterexample_check(step=0.05, zero_threshold=0.1)
         assert rep.passes

@@ -110,6 +110,12 @@ class TestMembership:
         assert 0 < cert["rounds"] < 500 + 8
         assert 1 <= cert["agreeing"] <= 30
 
+    def test_budget_and_seed_reach_optimizer_certificate(self, capsys, h2_half):
+        _, rep = run_json(capsys, ["membership", "--cone", "block-positive", "--input", h2_half,
+                                   "--budget", "37", "--seed", "2"])
+        cert = rep["certificates"]["verdict"]["certificate"]
+        assert (cert["starts"], cert["steps"], cert["seed"]) == (37, 500, 2)
+
     def test_separable_rejects_non_state(self, capsys, tmp_path):
         doc = bipartite_to_dict(bipartite(np.eye(4), 2, 2))
         p = tmp_path / "not_state.json"
@@ -147,6 +153,12 @@ class TestKappa:
         )
         assert code == 0
         assert rep["results"]["cb_estimate"] == pytest.approx(2.0, abs=0.1)
+
+    def test_budget_and_seed_reach_cb_certificate(self, capsys):
+        _, rep = run_json(capsys, ["kappa", "--n", "3", "--m", "3", "--budget", "20",
+                                   "--seed", "4"])
+        cert = rep["certificates"]["cb_estimate"]
+        assert (cert["starts"], cert["steps"], cert["seed"]) == (20, 300, 4)
 
     @pytest.mark.parametrize("n, m", [(3, 3), (2, 3), (3, 2)])
     def test_cb_map_of_other_dimensions_is_malformed(self, capsys, t2_map, n, m):
@@ -241,6 +253,11 @@ class TestReportCommands:
         code, rep = run_json(capsys, ["riesz"])
         assert code == 0
         assert rep["results"]["interpolation_ok"] is True
+
+    @pytest.mark.parametrize("step", ["2", "3"])
+    def test_riesz_step_without_zero_on_grid_is_usage_error(self, capsys, step):
+        assert cli.main(["riesz", "--step", step]) == 64
+        assert "--step" in capsys.readouterr().err
 
     def test_trace_simplex(self, capsys):
         code, rep = run_json(capsys, ["trace-simplex", "--a", "2,3", "--b", "2,5"])

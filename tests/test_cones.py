@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from conelab.cones import (
     ENSEMBLE_ITERS,
+    POLISH_ROUNDS,
     RESIDUAL_TOL,
-    DecomposeBudget,
     OptimizerConfig,
     Status,
     _atoms_jacobian,
@@ -36,8 +36,8 @@ from conelab.operators import (
 FAST = OptimizerConfig(starts=40, steps=120, seed=0)
 
 
-def random_bipartite(n, m, rng, scale=1.0):
-    return bipartite(random_hermitian(n * m, rng, scale).matrix, n, m)
+def random_bipartite(n, m, rng):
+    return bipartite(random_hermitian(n * m, rng).matrix, n, m)
 
 
 def random_separable_state(n, m, rng, terms=3):
@@ -114,7 +114,7 @@ class TestBlockPositiveMin:
     def test_swap_converges_before_round_cap(self):
         _, trace = block_positive_min(swap_operator(2), FAST)
         assert trace.converged
-        assert trace.rounds < FAST.steps + FAST.polish_rounds
+        assert trace.rounds < FAST.steps + POLISH_ROUNDS
         assert 1 <= trace.agreeing <= FAST.starts
 
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3), (4, 4)])
@@ -363,7 +363,7 @@ class TestConeNesting:
 class TestDualitySampling:
     def test_certified_pairings_nonnegative(self):
         rng = np.random.default_rng(33)
-        budget = DecomposeBudget(optimizer=OptimizerConfig(starts=16, steps=60, seed=0))
+        budget = OptimizerConfig(starts=16, steps=60, seed=0)
         ts = []
         for _ in range(6):
             state, _ = random_separable_state(2, 2, rng, terms=2)

@@ -5,7 +5,6 @@ from conelab import kappa
 from conelab.cones import OptimizerConfig, Status
 from conelab.kappa import (
     CB_GAIN,
-    CbConfig,
     cb_norm_estimate,
     embedded_swap,
     extremal_positive_map,
@@ -34,7 +33,7 @@ from conelab.polytopes import (
 )
 
 FAST = OptimizerConfig(starts=40, steps=120, seed=0)
-CB_FAST = CbConfig(starts=30, steps=120, seed=0)
+CB_FAST = OptimizerConfig(starts=30, steps=120, seed=0)
 
 
 class TestClosedForm:
@@ -106,7 +105,7 @@ class TestCbEstimate:
         n = m = 2
         for trial in range(20):
             phi = _random_unital_positive(n, rng)
-            est = cb_norm_estimate(phi, CbConfig(starts=10, steps=60, seed=trial))
+            est = cb_norm_estimate(phi, OptimizerConfig(starts=10, steps=60, seed=trial))
             assert est.value <= kappa_exact(n, m) + 1e-6
 
     def test_extremal_map_attains(self):
@@ -133,7 +132,7 @@ class TestCbEstimate:
     @pytest.mark.parametrize("phi", [MatrixMap.transpose(3), extremal_positive_map(3, 4)],
                              ids=["transpose(3)", "extremal(3,4)"])
     def test_seesaw_converges_before_round_cap(self, phi):
-        cfg = CbConfig()
+        cfg = OptimizerConfig(starts=100, steps=300, seed=0)
         est = cb_norm_estimate(phi, cfg)
         assert est.converged
         assert 1 <= est.rounds < cfg.steps
@@ -143,7 +142,7 @@ class TestCbEstimate:
         rng = np.random.default_rng(4)
         for _ in range(20):
             phi = random_positive_map(2, 3, rng)
-            vals = [cb_norm_estimate(phi, CbConfig(starts=10, steps=s, seed=5)).value
+            vals = [cb_norm_estimate(phi, OptimizerConfig(starts=10, steps=s, seed=5)).value
                     for s in (0, 1, 2, 5, 20)]
             assert vals == sorted(vals)
 
@@ -156,7 +155,7 @@ class TestCbEstimate:
                 operator_norm(apply_to_left_factor(phi, x))
                 for x in (bipartite(np.eye(n * m), n, m), embedded_swap(n, m))
             )
-            est = cb_norm_estimate(phi, CbConfig(starts=starts, steps=30, seed=7))
+            est = cb_norm_estimate(phi, OptimizerConfig(starts=starts, steps=30, seed=7))
             assert est.value >= floor * (1 - 1e-12)
 
 
@@ -217,7 +216,7 @@ class TestCbActiveSet:
     @pytest.mark.parametrize("starts", [0, 1, 2, 10, 100])
     @pytest.mark.parametrize("steps", [0, 1, 300])
     def test_bit_identical_to_full_batch(self, phi, starts, steps):
-        cfg = CbConfig(starts=starts, steps=steps, seed=3)
+        cfg = OptimizerConfig(starts=starts, steps=steps, seed=3)
         est = cb_norm_estimate(phi, cfg)
         value, arg, rounds, converged = _cb_seesaw_full_batch(phi, cfg)
         assert est.value == value
@@ -233,7 +232,8 @@ class TestCbActiveSet:
             return project(x)
 
         monkeypatch.setattr(kappa, "_sign_project", recorded)
-        est = cb_norm_estimate(MatrixMap.transpose(3), CbConfig())
+        cfg = OptimizerConfig(starts=100, steps=300, seed=0)
+        est = cb_norm_estimate(MatrixMap.transpose(3), cfg)
         # the deterministic candidates, then the 100 starts shrinking
         assert sizes == [2, 100, 98, 3]
         assert (est.rounds, est.converged) == (3, True)

@@ -258,20 +258,20 @@ class TestDuplicateDetection:
 class TestRayGenerators:
     def test_segment(self):
         seg = Polytope(np.array([[0.0], [1.0]]))
-        rays = positive_ray_generators(seg).rays
+        rays = positive_ray_generators(seg)
         # the functions x and 1 - x, as values at the two vertices
         vals = ray_values_at_vertices(rays, seg)
         assert sorted(tuple(np.round(v, 9)) for v in vals) == [(0.0, 1.0), (1.0, 0.0)]
 
     def test_square(self):
-        rays = positive_ray_generators(square()).rays
+        rays = positive_ray_generators(square())
         assert len(rays) == 4
         want = {(-1.0, 0.0, 1.0), (0.0, -1.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)}
         got = {tuple(np.round(r, 9)) for r in rays}
         assert got == want
 
     def test_triangle_barycentric(self):
-        rays = positive_ray_generators(simplex(2)).rays
+        rays = positive_ray_generators(simplex(2))
         assert len(rays) == 3
         vals = ray_values_at_vertices(rays, simplex(2))
         # each barycentric coordinate vanishes at two vertices, positive at one
@@ -281,15 +281,15 @@ class TestRayGenerators:
 
     def test_rays_nonnegative_at_vertices(self):
         for k in (square(), simplex(1), simplex(2), simplex(3)):
-            vals = ray_values_at_vertices(positive_ray_generators(k).rays, k)
+            vals = ray_values_at_vertices(positive_ray_generators(k), k)
             assert vals.min() >= -1e-10
 
     def test_rays_are_extreme(self):
         for k in (square(), simplex(2)):
-            cone = positive_ray_generators(k)
-            vals = ray_values_at_vertices(cone.rays, k)
-            for i in range(len(cone.rays)):
-                others = [vals[j] for j in range(len(cone.rays)) if j != i]
+            rays = positive_ray_generators(k)
+            vals = ray_values_at_vertices(rays, k)
+            for i in range(len(rays)):
+                others = [vals[j] for j in range(len(rays)) if j != i]
                 assert not in_conic_hull(vals[i], others)
 
     def test_scale_limits(self):
