@@ -246,6 +246,12 @@ class RieszReport:
     passes: bool
 
 
+# Largest (2 round(1 / step) + 1)^3 grid the Riesz sweep builds: about twice
+# the default step's 101^3 = 1.03M points, and several arrays of that length
+# are alive at once.
+RIESZ_MAX_GRID_POINTS = 2_000_000
+
+
 def riesz_counterexample_check(
     step: float = 0.02, zero_threshold: float = 0.05
 ) -> RieszReport:
@@ -263,7 +269,9 @@ def riesz_counterexample_check(
     (tau - z) / 2) is PSD iff |(x, y, z)| <= tau, and C <= E iff the same
     closed form holds for E - C, so the sweep is exact arithmetic on the
     grid.  A step with round(1 / step) < 1, such as any step >= 2, raises
-    ValueError: its grid would leave out C = 0.
+    ValueError: its grid would leave out C = 0.  So does a step whose grid
+    has more than RIESZ_MAX_GRID_POINTS points, before anything is
+    allocated.
     """
     f = np.array([[-2.0 / 3.0, 1.0], [1.0, -2.0 / 3.0]])
     e11 = np.diag([1.0, 0.0])
@@ -274,9 +282,13 @@ def riesz_counterexample_check(
     eigf = tuple(float(v) for v in np.linalg.eigvalsh(f))
     not_below_zero_ok = eigf[-1] > 1e-12
 
-    n_half = int(round(1.0 / step))
+    n_half = int(round(min(1.0 / step, 1e6)))  # 1 / step is inf for a subnormal step
     if n_half < 1:  # the grid would be the single corner tau = 0, (x, y, z) = -1
         raise ValueError(f"step {step!r} is too coarse: round(1 / step) must be at least 1")
+    if (2 * n_half + 1) ** 3 > RIESZ_MAX_GRID_POINTS:
+        finest = int(RIESZ_MAX_GRID_POINTS ** (1 / 3) - 1) // 2
+        raise ValueError(f"step {step!r} is too fine: its grid would exceed "
+                         f"{RIESZ_MAX_GRID_POINTS} points; use a step above {1 / (finest + 0.5):.4g}")
     taus = np.linspace(0.0, 2.0, 2 * n_half + 1)
     axis = np.linspace(-1.0, 1.0, 2 * n_half + 1)
     xx, yy, zz = (v.ravel() for v in np.meshgrid(axis, axis, axis, indexing="ij"))

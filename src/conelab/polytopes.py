@@ -29,11 +29,18 @@ LP_TOL = 1e-9
 DD_TOL = 1e-10
 MAX_RAY_AMBIENT_DIM = 4
 MAX_RAY_VERTICES = 12
-# LP copies per HiGHS call in _block_lps.  HiGHS's memory grows faster than
-# the block count: on tensor-gap (seed 0) 16/24/32/48 blocks gave batch_s
-# 0.81/0.72/0.69/0.65 s at peak RSS 89.1/90.5/92.5/94.3 MB, against 88.1 MB
-# unbatched; 24 is the fastest that stays within +5% of that in every run.
+# LP copies per HiGHS call in _block_lps, and the size of the first round of
+# _screened.  HiGHS's memory grows faster than the block count: when every
+# maximal vertex still got an LP, tensor-gap (seed 0) gave batch_s
+# 0.81/0.72/0.69/0.65 s at peak RSS 89.1/90.5/92.5/94.3 MB for 16/24/32/48
+# blocks, against 88.1 MB unbatched; 24 was the fastest within +5% of that.
 LP_BLOCKS = 24
+# Iterations of the bounds that screen the per-vertex LPs (_distance_bounds,
+# _relative_bounds).  Fewer only loosen the bounds, which costs LPs, never
+# correctness.
+FISTA_STEPS = 100
+FISTA_CHECK = 10
+IRLS_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -335,6 +342,112 @@ def min_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> 
 
 
 # ---------------------------------------------------------------------------
+# certified upper bounds that screen the per-vertex LPs
+
+
+def _screened(bounds: np.ndarray, solve):
+    """Solve only the rows whose exact value can reach the maximum.
+
+    solve(rows) returns a tuple of arrays, one row per entry of rows, whose
+    first array holds the exact values, each at most bounds[row].  The
+    LP_BLOCKS rows with the largest bounds are solved first; then every
+    other row whose bound is >= (best value so far - LP_TOL).  A skipped row
+    has value <= bound < best - LP_TOL, so it is neither the maximum nor
+    within LP_TOL of it.  Returns the solved rows in increasing order and
+    solve's arrays in that order.
+    """
+    order = np.argsort(-bounds, kind="stable")
+    first, rest = np.sort(order[:LP_BLOCKS]), np.sort(order[LP_BLOCKS:])
+    out = solve(first)
+    rest = rest[bounds[rest] >= out[0].max() - LP_TOL]
+    rows = np.concatenate([first, rest])
+    if len(rest):
+        out = tuple(np.concatenate(pair) for pair in zip(out, solve(rest)))
+    keep = np.argsort(rows)
+    return rows[keep], tuple(a[keep] for a in out)
+
+
+def _simplex_projection(y: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row of y onto the probability simplex
+    (sort and threshold; Held, Wolfe and Crowder 1974)."""
+    u = np.sort(y, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    rho = np.count_nonzero(u * np.arange(1, y.shape[1] + 1) > css, axis=1)
+    theta = css[np.arange(len(y)), rho - 1] / rho
+    return np.maximum(y - theta[:, None], 0.0)
+
+
+def _distance_bounds(z: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Upper bounds (n,) on the inf-norm distance from each row of z to the
+    convex hull of the vertices, the value of _min_distance_lp.
+
+    Each bound is the inf-norm distance to a point of the hull: the nearest
+    vertex, or an iterate of FISTA (Beck and Teboulle 2009) on the Euclidean
+    distance over the simplex weights, whichever is nearer.  Every
+    FISTA_CHECK steps, a row leaves the iteration once its bound is <= LP_TOL
+    or below (the largest dual lower bound - LP_TOL), where _screened skips
+    it whatever its bound; the dual bound of an iterate x is y.z - max_p y.V_p
+    with y = (z - x) / |z - x|_1.  The iteration stops once at most LP_BLOCKS
+    rows are left, since those are the first ones _screened solves.
+    """
+    center = vertices.mean(axis=0)  # the weights sum to 1, so centring is exact
+    v, z = vertices - center, z - center
+    bound, nearest = cKDTree(v).query(z, p=np.inf)
+    active = np.flatnonzero(bound > LP_TOL)
+    lam = np.zeros((len(active), len(v)))
+    lam[np.arange(len(active)), nearest[active]] = 1.0
+    za, y, prev, t, lower = z[active], lam, lam, 1.0, 0.0
+    step = 1.0 / max(np.linalg.norm(v, 2) ** 2, np.finfo(float).tiny)
+    for k in range(1, FISTA_STEPS + 1):
+        if len(active) <= LP_BLOCKS:
+            break
+        lam = _simplex_projection(y - ((y @ v - za) @ v.T) * step)
+        res = za - lam @ v
+        bound[active] = np.minimum(bound[active], np.abs(res).max(axis=1))
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y, prev, t = lam + ((t - 1.0) / t_next) * (lam - prev), lam, t_next
+        if k % FISTA_CHECK == 0:
+            normal = res / np.maximum(np.abs(res).sum(axis=1, keepdims=True), np.finfo(float).tiny)
+            lower = max(lower, float(np.max(np.sum(normal * za, axis=1) - np.max(normal @ v.T, axis=1))))
+            keep = (bound[active] > LP_TOL) & (bound[active] >= lower - LP_TOL)
+            active, za, y, prev = active[keep], za[keep], y[keep], prev[keep]
+    return bound
+
+
+def _relative_bounds(z: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Upper bounds (n,) on r(z), the relative_bound LP's value at each row of z.
+
+    r(z) = min sum(w-) over weights w with sum w = 1 and w.V = z, and
+    sum(w-) = (|w|_1 - 1) / 2 for such w; every iterate of IRLS (iteratively
+    reweighted least squares) for min |w|_1 is such a w, so its negative
+    mass bounds r(z).  r is affine invariant, so the iteration runs in the unit chart of
+    aff(inner): centroid 0, max-abs coordinate 1.  Each iterate is put back
+    on its constraints by least squares; a row whose residual stays above
+    1e-9 (in that chart) keeps the bound inf, hence gets an LP.
+    """
+    center = inner.mean(axis=0)
+    q = _affine_chart(inner, center)
+    coords = (inner - center) @ q
+    scale = np.max(np.abs(coords), initial=0.0) or 1.0
+    a = np.vstack([coords.T / scale, np.ones(len(inner))])  # (m, p)
+    rhs = np.hstack([(z - center) @ q / scale, np.ones((len(z), 1))])
+    m = len(a)
+    outer = np.einsum("ip,jp->pij", a, a).reshape(len(inner), m * m)  # a_p a_p^T per vertex
+    pinv = np.linalg.pinv(a)
+    tol = 1e-9 * np.maximum(1.0, np.abs(rhs).max(axis=1))
+    bound = np.full(len(z), np.inf)
+    w = rhs @ pinv.T  # least-norm start
+    for k in range(IRLS_STEPS + 1):
+        if k:  # w = D A^T (A D A^T)^-1 rhs, D = diag(|w| + 10^(1-k)), then back onto A w = rhs
+            d = np.abs(w) + 10.0 ** (1 - k)
+            w = d * (np.linalg.solve((d @ outer).reshape(-1, m, m), rhs[:, :, None])[:, :, 0] @ a)
+            w += (rhs - w @ a.T) @ pinv.T
+        trusted = np.abs(w @ a.T - rhs).max(axis=1) <= tol
+        bound[trusted] = np.minimum(bound[trusted], np.maximum(-w[trusted], 0.0).sum(axis=1))
+    return bound
+
+
+# ---------------------------------------------------------------------------
 # maximal tensor polytope and the gap finder
 
 
@@ -388,13 +501,21 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
     cannot pick one) and return it with both certificates, the min-side one
     from its row of the batched distance LPs, or None when every vertex
     lies in the minimal polytope (which proves the two sets are equal).
+    Every vertex first gets an upper bound on its distance
+    (_distance_bounds); the distance LP runs only on the vertices whose
+    bound can reach the largest distance (_screened), and on none when every
+    bound is <= LP_TOL.
     """
     mv = min_tensor(k1, k2).vertices
-    dist, weights, normals = _min_distance_lp(mx.vertices, mv)
+    bounds = _distance_bounds(mx.vertices, mv)
+    if bounds.max() <= LP_TOL:
+        return None
+    rows, (dist, weights, normals) = _screened(
+        bounds, lambda r: _min_distance_lp(mx.vertices[r], mv))
     if dist.max() <= LP_TOL:
         return None
     i = np.argmax(dist >= dist.max() - LP_TOL)
-    phi = functional_from_flat(mx.vertices[i], k1, k2)
+    phi = functional_from_flat(mx.vertices[rows[i]], k1, k2)
     return BarkerGap(phi, max_tensor_membership(phi, k1, k2),
                      _min_verdict(phi.flat, mv, dist[i], weights[i], normals[i]))
 
@@ -419,16 +540,23 @@ def _aff_contained(outer: np.ndarray, inner: np.ndarray) -> bool:
 def relative_bound(inner: Polytope, outer: Polytope) -> float:
     """Smallest r >= 0 with outer contained in {(r+1)x - ry : x, y in inner}.
 
-    One LP per outer vertex z, solved in blocks by _block_lps: z = (r+1)x - ry
-    with x, y convex combinations of inner vertices becomes z = V^T(a - b),
-    1^T(a - b) = 1, a, b >= 0, minimizing r = 1^T b; the bound is the
-    maximum over the outer vertices.  Errors when the affine hulls differ.
+    The bound is the maximum over the outer vertices z of an LP: z =
+    (r+1)x - ry with x, y convex combinations of inner vertices becomes z =
+    V^T(a - b), 1^T(a - b) = 1, a, b >= 0, minimizing r = 1^T b.  Every outer
+    vertex first gets an upper bound on its r (_relative_bounds); the LP,
+    solved in blocks by _block_lps, runs only on the vertices whose bound
+    can reach the maximum (_screened).  Errors when the affine hulls differ.
     """
     if not _aff_contained(outer.vertices, inner.vertices):
         raise ValueError("affine hull of outer is not contained in that of inner")
     iv, p = inner.vertices, inner.n_vertices
     c, ones = np.append(np.zeros(p), np.ones(p)), np.ones((1, p))
     b_eq = np.hstack([outer.vertices, np.ones((outer.n_vertices, 1))])
-    x = _block_lps(c, np.zeros((0, 2 * p)), np.zeros((len(b_eq), 0)),
-                   np.block([[iv.T, -iv.T], [ones, -ones]]), b_eq, "relative-bound")[0]
-    return max(0.0, float(np.max(x @ c)))
+
+    def solve(rows):
+        x = _block_lps(c, np.zeros((0, 2 * p)), np.zeros((len(rows), 0)),
+                       np.block([[iv.T, -iv.T], [ones, -ones]]), b_eq[rows], "relative-bound")[0]
+        return (x @ c,)
+
+    _, (r,) = _screened(_relative_bounds(outer.vertices, iv), solve)
+    return max(0.0, float(np.max(r)))

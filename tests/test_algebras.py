@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conelab.algebras import (
+    RIESZ_MAX_GRID_POINTS,
     GridConeElement,
     MultiMatrixAlgebra,
     algebra_tensor,
@@ -217,6 +218,16 @@ class TestRieszCounterexample:
         # round(1 / 2) = 0 would leave the one grid point tau = 0, (x, y, z) = -1
         with pytest.raises(ValueError, match="too coarse"):
             riesz_counterexample_check(step=step)
+
+    @pytest.mark.parametrize("step", [1e-9, 5e-324])
+    def test_step_with_oversized_grid_rejected(self, step):
+        # (2 round(1 / step) + 1)^3 points: rejected before anything is allocated
+        with pytest.raises(ValueError, match="too fine"):
+            riesz_counterexample_check(step=step)
+
+    def test_default_grid_within_cap(self):
+        assert (2 * round(1 / 0.02) + 1) ** 3 <= RIESZ_MAX_GRID_POINTS
+        assert riesz_counterexample_check().admissible_points == 1
 
     def test_tunable_resolution(self):
         rep = riesz_counterexample_check(step=0.05, zero_threshold=0.1)

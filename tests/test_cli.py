@@ -259,6 +259,11 @@ class TestReportCommands:
         assert cli.main(["riesz", "--step", step]) == 64
         assert "--step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["1e-9", "5e-324"])
+    def test_riesz_step_with_oversized_grid_is_usage_error(self, capsys, step):
+        assert cli.main(["riesz", "--step", step]) == 64
+        assert "--step" in capsys.readouterr().err
+
     def test_trace_simplex(self, capsys):
         code, rep = run_json(capsys, ["trace-simplex", "--a", "2,3", "--b", "2,5"])
         assert code == 0

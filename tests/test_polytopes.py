@@ -10,9 +10,14 @@ from conelab import polytopes
 from conelab.cones import Status
 from conelab.polytopes import (
     LP_BLOCKS,
+    LP_TOL,
     Polytope,
     TensorFunctional,
+    _block_lps,
+    _distance_bounds,
     _min_distance_lp,
+    _relative_bounds,
+    _screened,
     affine_dimension,
     barker_gap,
     double_description,
@@ -513,18 +518,20 @@ class TestBatchedDistanceLP:
             assert y @ phi - (mv @ y).max() >= t - 1e-9
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the linprog calls made by the polytopes module."""
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(polytopes, "linprog", counted)
+    return count
+
+
 class TestLinprogCalls:
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        count = [0]
-
-        def counted(*args, **kwargs):
-            count[0] += 1
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(polytopes, "linprog", counted)
-        return count
-
     def test_gap_and_bound_batch_their_lps(self, calls):
         pent = regular_polygon(5)
         mn, mx = min_tensor(pent, pent), max_tensor_polytope(pent, pent)
@@ -536,3 +543,120 @@ class TestLinprogCalls:
         calls[0] = 0
         relative_bound(mn, mx)
         assert calls[0] <= limit
+
+
+def unscreened_gap(mx, k1, k2):
+    """gap_among with a distance LP on every maximal vertex, as it was before
+    the screen: (index of the gap vertex, margin), or None."""
+    mv = min_tensor(k1, k2).vertices
+    dist, _, normals = _min_distance_lp(mx.vertices, mv)
+    if dist.max() <= LP_TOL:
+        return None
+    i = int(np.argmax(dist >= dist.max() - LP_TOL))
+    return i, float(normals[i] @ mx.vertices[i] - np.max(mv @ normals[i]))
+
+
+def relative_bound_lps(inner, outer):
+    """The relative-bound LP value at every outer vertex, unscreened."""
+    iv, p = inner.vertices, inner.n_vertices
+    c, ones = np.append(np.zeros(p), np.ones(p)), np.ones((1, p))
+    b_eq = np.hstack([outer.vertices, np.ones((outer.n_vertices, 1))])
+    x = _block_lps(c, np.zeros((0, 2 * p)), np.zeros((len(b_eq), 0)),
+                   np.block([[iv.T, -iv.T], [ones, -ones]]), b_eq, "relative-bound")[0]
+    return x @ c
+
+
+def screening_pair(name):
+    """Factor pairs: seeded affine k-gons "k-gon/seed", or the unit square
+    scaled ("x1", "x8e-5", "x1e3") or shifted ("+1000", "+1e4")."""
+    if "gon/" in name:
+        k, seed = int(name[0]), int(name.split("/")[1])
+        rng = np.random.default_rng([k, seed])
+        return affine_polygon(k, rng), affine_polygon(k, rng)
+    v = square().vertices
+    v = v * float(name[1:]) if name[0] == "x" else v + float(name[1:])
+    return Polytope(v), Polytope(v)
+
+
+POLYGON_PAIRS = [f"{k}-gon/{seed}" for k in (3, 4, 5, 6) for seed in (0, 1)]
+
+
+class TestScreening:
+    """The LP screen of gap_among and relative_bound: certified upper bounds
+    decide which maximal vertices get an LP, without changing the answer."""
+
+    def test_screen_solves_every_row_that_can_reach_the_max(self):
+        n = LP_BLOCKS + 6
+        bounds = np.r_[np.full(LP_BLOCKS, 3.0), 0.5, 1.0 - LP_TOL / 2, 0.2, 2.5, 1.0 - 2 * LP_TOL, 0.9]
+        values = np.r_[np.full(LP_BLOCKS, 1.0), 0.5, 1.0 - LP_TOL / 2, 0.1, 2.0, 1.0 - 2 * LP_TOL, 0.9]
+        batches = []
+
+        def solve(rows):
+            batches.append(rows.tolist())
+            return values[rows], 10 * rows
+
+        rows, (vals, tags) = _screened(bounds, solve)
+        # round 1: the LP_BLOCKS largest bounds (best 1.0); round 2: every
+        # other bound >= 1.0 - LP_TOL, which finds the maximum 2.0
+        assert batches == [list(range(LP_BLOCKS)), [LP_BLOCKS + 1, LP_BLOCKS + 3]]
+        assert rows.tolist() == list(range(LP_BLOCKS)) + [LP_BLOCKS + 1, LP_BLOCKS + 3]
+        assert np.array_equal(vals, values[rows]) and np.array_equal(tags, 10 * rows)
+        assert n - len(rows) == 4
+
+    def test_screen_makes_no_empty_call(self):
+        batches = []
+
+        def solve(rows):
+            batches.append(len(rows))
+            return (np.ones(len(rows)),)
+
+        _screened(np.ones(3), solve)
+        _screened(np.r_[np.ones(LP_BLOCKS), np.zeros(5)], solve)
+        assert batches == [3, LP_BLOCKS]
+
+    @pytest.mark.parametrize("name", POLYGON_PAIRS + ["x8e-5", "x1e3", "+1000", "+1e4"])
+    def test_bounds_are_upper_bounds(self, name):
+        k1, k2 = screening_pair(name)
+        mx, mn = max_tensor_polytope(k1, k2), min_tensor(k1, k2)
+        dist = _min_distance_lp(mx.vertices, mn.vertices)[0]
+        bounds = _distance_bounds(mx.vertices, mn.vertices)
+        assert np.all(bounds >= dist - 1e-12 * max(1.0, dist.max()))
+        # HiGHS meets its constraints to 1e-7; on the shifted squares, whose
+        # functionals have entries near 1e6 and 1e8, that is the LP's error:
+        # it reports r = 0.50000006 at +1e4, where the exact r is 1/2
+        tol = 1e-7 if name[0] == "+" else 1e-12
+        assert np.all(_relative_bounds(mx.vertices, mn.vertices) >= relative_bound_lps(mn, mx) - tol)
+
+    @pytest.mark.parametrize("name", POLYGON_PAIRS + ["x1", "x8e-5", "x1e3"])
+    def test_screened_matches_unscreened(self, name):
+        k1, k2 = screening_pair(name)
+        mx, mn = max_tensor_polytope(k1, k2), min_tensor(k1, k2)
+        want, gap = unscreened_gap(mx, k1, k2), gap_among(mx, k1, k2)
+        if want is None:
+            assert gap is None
+        else:
+            (index,) = np.flatnonzero(np.all(mx.vertices == gap.functional.flat, axis=1))
+            assert index == want[0]
+            assert gap.margin == pytest.approx(want[1], rel=1e-9)
+        r = max(0.0, float(relative_bound_lps(mn, mx).max()))
+        assert relative_bound(mn, mx) == pytest.approx(r, rel=1e-9, abs=1e-12)
+        if name == "x1":  # square x square: eight vertices tie at 1/12, the first is 8
+            assert want == (8, pytest.approx(1 / 12, abs=1e-12))
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_no_gap_pairs_run_no_distance_lp(self, k, calls):
+        rng = np.random.default_rng(10 + k)
+        tri, other = affine_polygon(3, rng), affine_polygon(k, rng)
+        mx = max_tensor_polytope(tri, other)
+        calls[0] = 0
+        assert gap_among(mx, tri, other) is None
+        assert calls[0] == 0
+
+    def test_hexagon_relative_bound_in_two_lp_calls(self, calls):
+        rng = np.random.default_rng(6)
+        k1, k2 = affine_polygon(6, rng), affine_polygon(6, rng)
+        mn, mx = min_tensor(k1, k2), max_tensor_polytope(k1, k2)
+        assert mx.n_vertices == 552  # 23 LP calls of LP_BLOCKS without the screen
+        calls[0] = 0
+        assert relative_bound(mn, mx) == pytest.approx(0.5, abs=1e-9)
+        assert calls[0] <= 2
