@@ -60,9 +60,7 @@ def _opt_cfg(quick: bool, seed: int = 0) -> OptimizerConfig:
 def check_01_witness_norm(quick, seed):
     errs = {}
     for n in range(2, 7):
-        s = operators.swap_operator(n)
-        val = operators.trace_norm(bipartite(s.matrix / n, n, n))
-        errs[n] = abs(val - n)
+        errs[n] = abs(operators.trace_norm(kappa.normalized_swap(n, n)) - n)
     passed = all(e <= 1e-9 for e in errs.values())
     return passed, {"max_error": max(errs.values())}
 
@@ -92,21 +90,14 @@ def check_03_witness_block_positive(quick, seed):
     cfg = _opt_cfg(quick, seed)
     minima = {}
     for m in (2, 3, 4):
-        verdict = cones.is_block_positive(operators.swap_operator(m), tol=1e-6, cfg=cfg)
+        verdict = cones.is_block_positive(operators.swap_operator(m), cones.OPTIMIZER_TOL, cfg)
         minima[m] = verdict.certificate.best_value
         if verdict.status is not Status.IN:
             return False, {"minima": minima}
     rng = np.random.default_rng(seed)
-    n_samples = 10_000
-    s2 = operators.swap_operator(2).matrix
-    v1 = rng.normal(size=(n_samples, 2)) + 1j * rng.normal(size=(n_samples, 2))
-    v2 = rng.normal(size=(n_samples, 2)) + 1j * rng.normal(size=(n_samples, 2))
-    v1 /= np.linalg.norm(v1, axis=1, keepdims=True)
-    v2 /= np.linalg.norm(v2, axis=1, keepdims=True)
-    prod = np.einsum("bi,bj->bij", v1, v2).reshape(n_samples, 4)
-    vals = np.einsum("bi,ij,bj->b", prod.conj(), s2, prod).real
-    passed = all(v >= -1e-6 for v in minima.values()) and vals.min() >= -1e-9
-    return passed, {"minima": minima, "sample_min": float(vals.min())}
+    v1, v2 = (operators.random_unit_rows(10_000, 2, rng) for _ in range(2))
+    vals = operators.product_values(operators.swap_operator(2).matrix, v1, v2)
+    return vals.min() >= -1e-9, {"minima": minima, "sample_min": float(vals.min())}
 
 
 @_check("entangled-max-state",
@@ -182,10 +173,12 @@ def check_07_simplex_tensor(quick, seed):
     details = {}
     passed = True
     for n, m in [(2, 2), (2, 3), (3, 3)]:
-        t = polytopes.min_tensor(polytopes.simplex(n - 1), polytopes.simplex(m - 1))
-        dim = polytopes.affine_dimension(t)
-        details[f"{n}x{m}"] = {"vertices": t.n_vertices, "dimension": dim}
-        passed = passed and t.n_vertices == n * m and dim == n * m - 1
+        # a commutative algebra C^n has the simplex(n - 1) as its trace simplex
+        rep = algebras.verify_trace_tensor(algebras.MultiMatrixAlgebra((1,) * n),
+                                           algebras.MultiMatrixAlgebra((1,) * m))
+        details[f"{n}x{m}"] = {"vertices": rep.tensor_vertex_count,
+                               "dimension": rep.tensor_dimension}
+        passed = passed and rep.passes
     return passed, details
 
 

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import BipartiteOperator, bipartite, min_eigenvalue, swap_operator
+from .operators import (
+    BipartiteOperator,
+    bipartite,
+    min_eigenvalue,
+    product_values,
+    random_unit_rows,
+    swap_operator,
+)
 from .polytopes import Polytope, affine_dimension, min_tensor, simplex
 
 
@@ -207,13 +214,8 @@ def verify_X_separating(
     rng = np.random.default_rng(seed)
     ss = rng.choice(g, size=samples)
     tt = rng.choice(g, size=samples)
-    v1 = rng.normal(size=(samples, n)) + 1j * rng.normal(size=(samples, n))
-    v2 = rng.normal(size=(samples, n)) + 1j * rng.normal(size=(samples, n))
-    v1 /= np.linalg.norm(v1, axis=1, keepdims=True)
-    v2 /= np.linalg.norm(v2, axis=1, keepdims=True)
-    prod = np.einsum("bi,bj->bij", v1, v2).reshape(samples, n * n)
-    swap = swap_operator(n).matrix
-    vals = (ss * tt) * np.einsum("bi,ij,bj->b", prod.conj(), swap, prod).real
+    v1, v2 = (random_unit_rows(samples, n, rng) for _ in range(2))
+    vals = (ss * tt) * product_values(swap_operator(n).matrix, v1, v2)
     separable_min = float(vals.min())
     separable_ok = separable_min >= -1e-9
 

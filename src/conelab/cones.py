@@ -26,8 +26,11 @@ from .operators import (
     ProductVector,
     bipartite,
     hilbert_schmidt,
+    kron_rows,
     min_eigenpair,
     partial_transpose,
+    product_values,
+    random_unit_rows,
     random_unit_vector,
 )
 
@@ -77,7 +80,7 @@ class SeparableDecomposition:
     residual: float
 
     def reconstruct(self) -> np.ndarray:
-        v = _products(np.array([f.left for f in self.factors]),
+        v = kron_rows(np.array([f.left for f in self.factors]),
                       np.array([f.right for f in self.factors]))
         return (v.T * self.weights) @ v.conj()
 
@@ -136,10 +139,6 @@ class OptimizerConfig:
 DECOMPOSE_CFG = OptimizerConfig(starts=16, steps=60, seed=0)
 
 
-def _normalize_rows(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def _product_grid(n: int) -> np.ndarray:
     """Coarse deterministic grid on the unit sphere of C^n.
 
@@ -155,20 +154,9 @@ def _product_grid(n: int) -> np.ndarray:
     return np.array(vecs)
 
 
-def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Row-wise Kronecker products: (k, n) and (k, m) factors give (k, n*m)."""
-    return (left[:, :, None] * right[:, None, :]).reshape(len(left), -1)
-
-
-def _batched_objective(a: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    v = _products(phi, psi)
-    return np.einsum("bi,bi->b", v.conj(), v @ a.T).real
-
-
 def product_expectation(x: BipartiteOperator, vec: ProductVector) -> float:
     """<phi (x) psi, X (phi (x) psi)>."""
-    v = vec.kron
-    return float((v.conj() @ x.matrix @ v).real)
+    return float(product_values(x.matrix, vec.left[None], vec.right[None])[0])
 
 
 def block_positive_min(
@@ -197,24 +185,24 @@ def block_positive_min(
     a_lr = a.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
     rng = np.random.default_rng(cfg.seed)
 
-    phi = _normalize_rows(rng.normal(size=(cfg.starts, n)) + 1j * rng.normal(size=(cfg.starts, n)))
-    psi = _normalize_rows(rng.normal(size=(cfg.starts, m)) + 1j * rng.normal(size=(cfg.starts, m)))
+    phi = random_unit_rows(cfg.starts, n, rng)
+    psi = random_unit_rows(cfg.starts, m, rng)
     gl, gr = _product_grid(n), _product_grid(m)
     gphi, gpsi = np.repeat(gl, len(gr), axis=0), np.tile(gr, (len(gl), 1))
-    gvals = _batched_objective(a, gphi, gpsi)
+    gvals = product_values(a, gphi, gpsi)
     seeds = np.argsort(gvals, kind="stable")[: min(8, cfg.starts)]
     phi[: len(seeds)], psi[: len(seeds)] = gphi[seeds], gpsi[seeds]
 
     prev = np.full(cfg.starts, np.inf)
     rounds, converged = 0, False
     while rounds < cfg.steps + POLISH_ROUNDS and not converged:
-        phi = np.linalg.eigh((_products(psi.conj(), psi) @ a_lr.T).reshape(-1, n, n))[1][:, :, 0]
-        low, vecs = np.linalg.eigh((_products(phi.conj(), phi) @ a_lr).reshape(-1, m, m))
+        phi = np.linalg.eigh((kron_rows(psi.conj(), psi) @ a_lr.T).reshape(-1, n, n))[1][:, :, 0]
+        low, vecs = np.linalg.eigh((kron_rows(phi.conj(), phi) @ a_lr).reshape(-1, m, m))
         psi = vecs[:, :, 0]
         rounds += 1
         converged = bool(np.all(prev - low[:, 0] <= SEESAW_DROP))
         prev = low[:, 0]
-    f = _batched_objective(a, phi, psi)
+    f = product_values(a, phi, psi)
 
     all_vals = np.concatenate([gvals, f])
     best = int(np.argmin(all_vals))
@@ -255,7 +243,8 @@ def ppt_check(x: BipartiteOperator, tol: float = SPECTRAL_TOL) -> Verdict:
     eigenvalue < -tol; the certificate is the decomposable witness
     W = (v v*)^{T_right} built from the violating eigenvector v, which is
     block positive and pairs negatively with the input.  In is returned
-    only at 2x2 / 2x3 sizes, where PPT is exact, and only when the input
+    only at 2x2 / 2x3 sizes and when a factor is C^1 (a PSD X is then
+    1 (x) X_B or X_A (x) 1), where PPT is exact, and only when the input
     itself is PSD.  Elsewhere a passing PPT test yields Unknown.
     """
     pt = partial_transpose(x, "right")
@@ -266,7 +255,7 @@ def ppt_check(x: BipartiteOperator, tol: float = SPECTRAL_TOL) -> Verdict:
             "right",
         )
         return Verdict(Status.OUT, WitnessCertificate(w, hilbert_schmidt(x.matrix, w.matrix)))
-    exact = (x.n, x.m) in {(2, 2), (2, 3), (3, 2)}
+    exact = min(x.n, x.m) == 1 or (x.n, x.m) in {(2, 2), (2, 3), (3, 2)}
     if exact and min_eigenpair(x)[0] >= -tol:
         return Verdict(Status.IN, SpectralCertificate(val, vec))
     return Verdict(Status.UNKNOWN, SpectralCertificate(val, vec))
@@ -279,8 +268,8 @@ def _fit_state(left: np.ndarray, right: np.ndarray, x: np.ndarray):
     X - sum_t w_t v_t v_t* with v_t = left_t (x) right_t.
     """
     mu = 1e4
-    v = _products(left, right)
-    p = _products(v, v.conj())
+    v = kron_rows(left, right)
+    p = kron_rows(v, v.conj())
     a = np.vstack([np.concatenate([p.real, p.imag], axis=1).T, mu * np.ones((1, len(v)))])
     b = np.concatenate([x.ravel().real, x.ravel().imag, [mu]])
     weights, _ = nnls(a, b)
@@ -319,7 +308,7 @@ def _ensemble_rotate(x: np.ndarray, n: int, m: int, k: int, seed: int):
     for _ in range(ENSEMBLE_ITERS):
         u, _, vt = np.linalg.svd(c.T.reshape(k, n, m), full_matrices=False)
         left, right = u[:, :, 0], vt[:, 0]
-        qv = _products(left, right)
+        qv = kron_rows(left, right)
         proj = (qv * np.einsum("id,di->i", qv.conj(), c)[:, None]).T
         err = float(np.linalg.norm(c - proj) ** 2)
         if err < best_err * (1.0 - 1e-9):
@@ -348,7 +337,7 @@ def _unpack_atoms(params: np.ndarray, n: int, m: int):
 
 def _atoms_residual(params: np.ndarray, x: np.ndarray, n: int, m: int) -> np.ndarray:
     """X - sum_t v_t v_t* with v_t = a_t (x) b_t, as stacked real and imaginary parts."""
-    v = _products(*_unpack_atoms(params, n, m))
+    v = kron_rows(*_unpack_atoms(params, n, m))
     d = (x - v.T @ v.conj()).ravel()
     return np.concatenate([d.real, d.imag])
 
@@ -362,7 +351,7 @@ def _atoms_jacobian(params: np.ndarray, x: np.ndarray, n: int, m: int) -> np.nda
     """
     a, b = _unpack_atoms(params, n, m)
     k, d = len(a), n * m
-    v = _products(a, b)
+    v = kron_rows(a, b)
     ua = np.einsum("ij,tl->tilj", np.eye(n), b).reshape(k, d, n)
     ub = np.einsum("ti,lj->tilj", a, np.eye(m)).reshape(k, d, m)
     u = np.concatenate([ua, 1j * ua, ub, 1j * ub], axis=2)

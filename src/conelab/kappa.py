@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 
 from .cones import OptimizerConfig, Verdict, is_block_positive
 from .maps import MatrixMap, adjoint_map, apply_left
-from .operators import BipartiteOperator, bipartite, trace_norm
+from .operators import BipartiteOperator, bipartite, embedded_swap, trace_norm
 from .polytopes import Polytope, TensorFunctional, _affine_chart, min_tensor
 
 
@@ -33,15 +33,9 @@ def kappa_exact(n: int, m: int) -> float:
     return float(min(n, m))
 
 
-def embedded_swap(n: int, m: int) -> BipartiteOperator:
-    """Swap of the first k = min{n, m} coordinates of each factor, embedded
-    in M_n (x) M_m.  Hermitian with operator norm 1."""
-    k = min(n, m)
-    s = np.zeros((n * m, n * m))
-    for i in range(k):
-        for j in range(k):
-            s[i * m + j, j * m + i] = 1.0
-    return bipartite(s, n, m)
+def normalized_swap(n: int, m: int) -> BipartiteOperator:
+    """The unit functional S/k of the embedded swap S, k = min{n, m}; its trace norm is k."""
+    return bipartite(embedded_swap(n, m).matrix / min(n, m), n, m)
 
 
 @dataclass(frozen=True)
@@ -57,8 +51,7 @@ def kappa_witness(n: int, cfg: OptimizerConfig | None = None) -> KappaWitness:
     Block-positivity of the witness is certified by the optimizer and
     attached to the result.
     """
-    t = embedded_swap(n, n)
-    w = bipartite(t.matrix / n, n, n)
+    w = normalized_swap(n, n)
     return KappaWitness(w, trace_norm(w), is_block_positive(w, cfg=cfg))
 
 
@@ -142,6 +135,8 @@ def cb_norm_estimate(phi: MatrixMap, cfg: OptimizerConfig | None = None) -> CbEs
     rounds, converged = 0, False
     while rounds < cfg.steps and not converged:
         va, sa = vecs[active], signs[active]
+        # einsum, not operators.kron_rows, whose broadcast complex multiply may fuse
+        # multiply-adds: tests/test_kappa.py::TestCbActiveSet pins these bits
         proj = np.einsum("bi,bj->bij", va * sa[:, None], va.conj())
         cand = _sign_project(apply_left(l4adj, proj, m))
         fc, vc, sc = top_eigenpair(cand)
@@ -209,9 +204,7 @@ def kappa_report(
     if cb_map is not None and (cb_map.input_dim, cb_map.output_dim) != (n, m):
         raise ValueError(f"map is M_{cb_map.input_dim} -> M_{cb_map.output_dim}, "
                          f"expected M_{n} -> M_{m}")
-    k = min(n, m)
-    t = embedded_swap(n, m)
-    witness = bipartite(t.matrix / k, n, m)
+    witness = normalized_swap(n, m)
     phi = cb_map if cb_map is not None else extremal_positive_map(n, m)
     return KappaReport(
         n=n,

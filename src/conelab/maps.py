@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cones import OptimizerConfig, Status, Verdict, is_block_positive
+from .cones import OPTIMIZER_TOL, OptimizerConfig, Status, Verdict, is_block_positive
 from .operators import (
     BipartiteOperator,
     HermitianOperator,
@@ -191,7 +191,7 @@ def unitality_report(phi: MatrixMap) -> UnitalityReport:
 
 
 def is_positive_map(
-    psi: MatrixMap, tol: float = 1e-6, cfg: OptimizerConfig | None = None
+    psi: MatrixMap, tol: float = OPTIMIZER_TOL, cfg: OptimizerConfig | None = None
 ) -> Verdict:
     """Positivity of the map, certified through block-positivity of its
     Jamiolkowski matrix."""

@@ -2,7 +2,8 @@
 
 Index convention, fixed globally: a bipartite operator on C^n (x) C^m uses
 row index (i, k) -> i*m + k, i.e. the first factor is the outer (block)
-index.  ``numpy.kron(A, B)`` realizes exactly this convention.
+index.  ``numpy.kron(A, B)`` realizes exactly this convention, and so do the
+swap family and the product-vector kernel below, which every other module uses.
 
 All values are immutable after construction and all operations are pure
 functions of their inputs, so everything here is safe to share across
@@ -175,33 +176,30 @@ def operator_norm(x) -> float:
     return float(max(abs(w[0]), abs(w[-1]))) if len(w) else 0.0
 
 
+def embedded_swap(n: int, m: int) -> BipartiteOperator:
+    """Swap of the first k = min{n, m} coordinates of each factor, embedded
+    in M_n (x) M_m: sum_{i, j < k} E_ij (x) E_ji.  Hermitian with operator norm 1."""
+    e = np.eye(n, m)  # S[(a, b), (c, d)] = e[a, d] e[c, b] with e[i, j] = [i = j < k]
+    return bipartite(np.einsum("ad,cb->abcd", e, e).reshape(n * m, n * m), n, m)
+
+
 def swap_operator(m: int) -> BipartiteOperator:
     """The flip S = sum_ij E_ij (x) E_ji on C^m (x) C^m; squares to the identity."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    s = np.zeros((m * m, m * m))
-    for i in range(m):
-        for j in range(m):
-            s[i * m + j, j * m + i] = 1.0
-    return bipartite(s, m, m)
+    return embedded_swap(m, m)
 
 
 def h_operator(m: int) -> BipartiteOperator:
     """sum_ij E_ij (x) E_ij = m * (projection onto the maximally entangled vector)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    h = np.zeros((m * m, m * m))
-    for i in range(m):
-        for j in range(m):
-            h[i * m + i, j * m + j] = 1.0
-    return bipartite(h, m, m)
+    e = np.eye(m).ravel()
+    return bipartite(np.outer(e, e), m, m)
 
 
 def maximally_entangled_vector(m: int) -> np.ndarray:
-    v = np.zeros(m * m, dtype=complex)
-    for j in range(m):
-        v[j * m + j] = 1.0
-    return v / np.sqrt(m)
+    return np.eye(m, dtype=complex).ravel() / np.sqrt(m)
 
 
 def rho0_apply(m: int, x: BipartiteOperator) -> float:
@@ -220,10 +218,27 @@ def hilbert_schmidt(a, b) -> float:
     return float(np.trace(_as_matrix(b).conj().T @ _as_matrix(a)).real)
 
 
+def kron_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker products: (k, n) and (k, m) factors give (k, n*m)."""
+    return (left[:, :, None] * right[:, None, :]).reshape(len(left), -1)
+
+
+def product_values(a: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """<v, A v> for each row v of kron_rows(phi, psi)."""
+    v = kron_rows(phi, psi)
+    return np.einsum("bi,bi->b", v.conj(), v @ a.T).real
+
+
 def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unit vector via normalized complex Gaussian components."""
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def random_unit_rows(k: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """k Haar-random unit vectors of C^dim as the rows of a (k, dim) array."""
+    v = rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:

@@ -76,6 +76,14 @@ def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
+def _size(d: dict, key: str) -> int:
+    """Size field ``key``: an int, or a float with zero fraction (JSON Schema's integer)."""
+    value = d[key]
+    if not (type(value) is int or (type(value) is float and value.is_integer())):
+        raise MalformedInput(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _matrix_from_entries(entries, dim: int) -> np.ndarray:
     if len(entries) != dim * dim:
         raise MalformedInput(f"expected {dim * dim} entries, got {len(entries)}")
@@ -85,8 +93,7 @@ def _matrix_from_entries(entries, dim: int) -> np.ndarray:
 
 def hermitian_from_dict(d: dict) -> HermitianOperator:
     try:
-        dim = int(d["dim"])
-        mat = _matrix_from_entries(d["entries"], dim)
+        mat = _matrix_from_entries(d["entries"], _size(d, "dim"))
         return hermitian(mat)
     except MalformedInput:
         raise
@@ -96,8 +103,8 @@ def hermitian_from_dict(d: dict) -> HermitianOperator:
 
 def bipartite_from_dict(d: dict) -> BipartiteOperator:
     try:
-        n, m = int(d["n"]), int(d["m"])
-        dim = int(d.get("dim", n * m))
+        n, m = _size(d, "n"), _size(d, "m")
+        dim = _size(d, "dim") if "dim" in d else n * m
         mat = _matrix_from_entries(d["entries"], dim)
         return bipartite(mat, n, m)
     except MalformedInput:
@@ -117,7 +124,7 @@ def map_to_dict(phi: MatrixMap) -> dict:
 def map_from_dict(d: dict) -> MatrixMap:
     try:
         coeffs = np.asarray(d["coeffs"], dtype=float)
-        return MatrixMap(int(d["input_dim"]), int(d["output_dim"]),
+        return MatrixMap(_size(d, "input_dim"), _size(d, "output_dim"),
                          _require_finite(coeffs, "map coefficients"))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad map document: {exc}") from exc
@@ -137,7 +144,7 @@ def polytope_from_dict(d: dict) -> Polytope:
     """
     try:
         verts = np.asarray(d["vertices"], dtype=float)
-        if verts.ndim != 2 or verts.shape[1] != int(d["dim"]):
+        if verts.ndim != 2 or verts.shape[1] != _size(d, "dim"):
             raise ValueError(f"vertices do not match dim={d['dim']}")
         k = Polytope(_require_finite(verts, "polytope vertices"))
     except (KeyError, TypeError, ValueError) as exc:

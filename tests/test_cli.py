@@ -123,6 +123,15 @@ class TestMembership:
         code = cli.main(["membership", "--cone", "separable", "--input", str(p)])
         assert code == 65
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (3, 1)])
+    def test_ppt_in_at_a_one_dimensional_factor(self, capsys, tmp_path, n, m):
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps(bipartite_to_dict(bipartite(np.eye(n * m) / (n * m), n, m))))
+        code, rep = run_json(capsys, ["membership", "--cone", "ppt", "--input", str(p)])
+        assert code == 0
+        assert rep["results"]["status"] == "in"
+        assert rep["certificates"]["verdict"]["certificate"]["type"] == "spectral"
+
 
 class TestMapCommands:
     def test_choi_of_transpose(self, capsys, t2_map):
@@ -362,6 +371,48 @@ class TestErrorPaths:
         argv = [a.format(h2=h2_half, t2=t2_map) for a in argv] + ["--seed", "-1"]
         assert cli.main(argv) == 64
         assert capsys.readouterr().err.startswith("usage error: argument --seed: ")
+
+    @pytest.mark.parametrize("key, bad", [("n", 2.7), ("n", True), ("m", "2"), ("dim", "4"),
+                                          ("dim", 4.5)], ids=repr)
+    @pytest.mark.parametrize("cone", ["psd", "ppt", "block-positive", "separable"])
+    def test_non_integer_operator_size_is_data_error(self, capsys, tmp_path, cone, key, bad):
+        doc = bipartite_to_dict(bipartite(np.eye(4) / 4, 2, 2))
+        doc[key] = bad
+        p = tmp_path / "bad_size.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["membership", "--cone", cone, "--input", str(p)]) == 65
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, bad", [("input_dim", 1.5), ("output_dim", False),
+                                          ("input_dim", "2")], ids=repr)
+    @pytest.mark.parametrize("command", ["map-check", "choi"])
+    def test_non_integer_map_size_is_data_error(self, capsys, tmp_path, command, key, bad):
+        doc = map_to_dict(MatrixMap.transpose(2))
+        doc[key] = bad
+        p = tmp_path / "bad_size.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main([command, "--map", str(p)]) == 65
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["2", 2.5, True], ids=repr)
+    def test_non_integer_polytope_dim_is_data_error(self, capsys, tmp_path, square_file, bad):
+        doc = polytope_to_dict(square())
+        doc["dim"] = bad
+        p = tmp_path / "bad_dim.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["polytope", "tensor", "--k1", str(p), "--k2", square_file]) == 65
+        assert "dim must be an integer" in capsys.readouterr().err
+
+    def test_integral_float_sizes_are_accepted(self, capsys, tmp_path, square_file):
+        doc = bipartite_to_dict(bipartite(np.eye(4) / 4, 2, 2))
+        doc.update(n=2.0, m=2.0, dim=4.0)
+        p = tmp_path / "float_sizes.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["membership", "--cone", "psd", "--input", str(p)]) == 0
+        doc = polytope_to_dict(square())
+        doc["dim"] = 2.0
+        p.write_text(json.dumps(doc))
+        assert cli.main(["polytope", "tensor", "--k1", str(p), "--k2", square_file]) == 0
 
     def test_nan_grid_point_is_data_error(self, capsys):
         assert cli.main(["witness-x", "--n", "2", "--grid", "0,nan,1", "--samples", "10"]) == 65

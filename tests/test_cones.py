@@ -195,6 +195,21 @@ class TestPptCheck:
         # swap passes PPT (its partial transpose H is PSD) but is not PSD itself
         assert ppt_check(swap_operator(2), 1e-9).status is Status.UNKNOWN
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (3, 1)])
+    def test_in_at_a_one_dimensional_factor(self, n, m):
+        # a PSD operator on C^1 (x) C^m is 1 (x) X_B: separable
+        state = bipartite(random_density(n * m, np.random.default_rng(n + m)).matrix, n, m)
+        v = ppt_check(state, 1e-9)
+        assert v.status is Status.IN
+        assert v.certificate.eigenvalue >= -1e-9
+
+    @pytest.mark.parametrize("n, m", [(1, 3), (3, 1)])
+    def test_out_at_a_one_dimensional_factor(self, n, m):
+        x = bipartite(np.diag([1.0, -0.5, 0.25]), n, m)
+        v = ppt_check(x, 1e-9)
+        assert v.status is Status.OUT
+        assert v.certificate.value == pytest.approx(-0.5, abs=1e-12)
+
 
 class TestSeparableDecompose:
     def test_pure_product_single_term(self):

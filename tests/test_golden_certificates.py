@@ -1,0 +1,35 @@
+"""Golden certificates: the certificates sections of the fixed CLI
+invocations of test_golden.py, recorded in data/golden_certificates.json.
+
+The invocations and their input documents come from
+data/golden_verdicts.json; case i here is case i there.  A case whose
+command printed nothing (exit 65) records ``null``.  Floats must agree to
+1e-9 relative (1e-12 absolute), every other field exactly, as in
+test_golden.py.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from conelab import cli
+from test_golden import GOLDEN, assert_same, input_dir  # noqa: F401 (fixture)
+
+CERTIFICATES = json.loads(
+    (Path(__file__).parent / "data" / "golden_certificates.json").read_text())["cases"]
+
+
+def test_fixture_matches_the_golden_cases():
+    assert [c["argv"] for c in CERTIFICATES] == [c["argv"] for c in GOLDEN["cases"]]
+
+
+@pytest.mark.parametrize("case", CERTIFICATES, ids=[" ".join(c["argv"]) for c in CERTIFICATES])
+def test_same_certificates(case, input_dir, capsys):  # noqa: F811
+    argv = [str(input_dir / f"{a[1:]}.json") if a.startswith("@") else a for a in case["argv"]]
+    cli.main(argv)
+    out = capsys.readouterr().out
+    if case["certificates"] is None:
+        assert out == ""
+    else:
+        assert_same(json.loads(out)["certificates"], case["certificates"], "certificates")

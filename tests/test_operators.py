@@ -8,13 +8,17 @@ from conelab.operators import (
     HermitianOperator,
     ProductVector,
     bipartite,
+    embedded_swap,
     h_operator,
     hermitian,
+    kron_rows,
     maximally_entangled_vector,
     min_eigenvalue,
     partial_trace,
     partial_transpose,
+    product_values,
     random_hermitian,
+    random_unit_rows,
     rho0_apply,
     swap_operator,
     tensor,
@@ -235,3 +239,71 @@ class TestMaximallyEntangledFunctional:
     def test_omega_is_unit(self):
         for m in (1, 2, 5):
             assert np.linalg.norm(maximally_entangled_vector(m)) == pytest.approx(1.0, abs=1e-12)
+
+
+factor_dims = st.integers(1, 4)
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestProductKernel:
+    @given(st.integers(1, 6), factor_dims, factor_dims, seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_kron_rows_is_rowwise_kron(self, k, n, m, seed):
+        rng = np.random.default_rng(seed)
+        left, right = random_unit_rows(k, n, rng), random_unit_rows(k, m, rng)
+        rows = kron_rows(left, right)
+        assert rows.shape == (k, n * m)
+        for i in range(k):
+            np.testing.assert_allclose(rows[i], np.kron(left[i], right[i]), rtol=0, atol=1e-15)
+
+    @given(st.integers(1, 6), factor_dims, factor_dims, seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_product_values_are_expectations(self, k, n, m, seed):
+        rng = np.random.default_rng(seed)
+        x = random_hermitian(n * m, rng).matrix
+        phi, psi = random_unit_rows(k, n, rng), random_unit_rows(k, m, rng)
+        got = product_values(x, phi, psi)
+        for i in range(k):
+            v = np.kron(phi[i], psi[i])
+            assert got[i] == pytest.approx(np.vdot(v, x @ v).real, abs=1e-12)
+
+    @given(st.integers(0, 8), factor_dims, seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_random_unit_rows_draws_two_normal_arrays(self, k, dim, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = random_unit_rows(k, dim, rng)
+        v = ref.normal(size=(k, dim)) + 1j * ref.normal(size=(k, dim))
+        assert np.array_equal(rows, v / np.linalg.norm(v, axis=1, keepdims=True))
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-12)
+        assert rng.normal() == ref.normal()  # no draw more or less
+
+
+class TestSwapFamily:
+    @given(factor_dims, factor_dims)
+    @settings(max_examples=20, deadline=None)
+    def test_embedded_swap_index_convention(self, n, m):
+        want = np.zeros((n * m, n * m))
+        for i in range(min(n, m)):
+            for j in range(min(n, m)):
+                want[i * m + j, j * m + i] = 1.0
+        s = embedded_swap(n, m)
+        assert (s.n, s.m) == (n, m)
+        assert np.array_equal(s.matrix, want)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_embedded_swap_square_is_swap_and_involution(self, m):
+        s = embedded_swap(m, m).matrix
+        assert np.array_equal(s, swap_operator(m).matrix)
+        assert np.array_equal(s @ s, np.eye(m * m))
+
+    @given(factor_dims, factor_dims)
+    @settings(max_examples=20, deadline=None)
+    def test_normalized_embedded_swap_has_trace_norm_min(self, n, m):
+        k = min(n, m)
+        assert trace_norm(embedded_swap(n, m).matrix / k) == pytest.approx(k, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_h_is_m_times_omega_projector(self, m):
+        omega = maximally_entangled_vector(m)
+        np.testing.assert_allclose(h_operator(m).matrix, m * np.outer(omega, omega.conj()),
+                                   rtol=0, atol=1e-15)

@@ -117,3 +117,44 @@ def test_extremality_lps_are_batched(k, monkeypatch):
     back = polytope_from_dict(polytope_to_dict(poly))
     assert np.array_equal(back.vertices, poly.vertices)
     assert count[0] <= math.ceil(k / LP_BLOCKS)
+
+
+def _docs():
+    """A valid document of each reader, by reader name."""
+    return {
+        "hermitian": (hermitian_from_dict,
+                      hermitian_to_dict(random_hermitian(2, np.random.default_rng(0)))),
+        "bipartite": (bipartite_from_dict, bipartite_to_dict(swap_operator(2))),
+        "map": (map_from_dict, map_to_dict(random_map(2, 2, np.random.default_rng(1)))),
+        "polytope": (polytope_from_dict, polytope_to_dict(square())),
+    }
+
+
+SIZE_FIELDS = [("hermitian", "dim"), ("bipartite", "n"), ("bipartite", "m"),
+               ("bipartite", "dim"), ("map", "input_dim"), ("map", "output_dim"),
+               ("polytope", "dim")]
+
+
+@pytest.mark.parametrize("bad", [2.7, 1.5, True, False, "2", None, [2], float("inf")],
+                         ids=repr)
+@pytest.mark.parametrize("reader, key", SIZE_FIELDS, ids="-".join)
+def test_non_integer_size_field_rejected(reader, key, bad):
+    read, doc = _docs()[reader]
+    doc[key] = bad
+    with pytest.raises(MalformedInput, match=f"{key} must be an integer"):
+        read(doc)
+
+
+@pytest.mark.parametrize("reader, key", SIZE_FIELDS, ids="-".join)
+def test_integral_float_size_field_accepted(reader, key):
+    read, doc = _docs()[reader]
+    want = read(doc)
+    doc[key] = float(doc[key])
+    got = read(doc)
+    if reader == "polytope":
+        assert np.array_equal(got.vertices, want.vertices)
+    elif reader == "map":
+        assert (got.input_dim, got.output_dim) == (want.input_dim, want.output_dim)
+        assert np.array_equal(got.coeffs, want.coeffs)
+    else:
+        assert np.array_equal(got.matrix, want.matrix)
