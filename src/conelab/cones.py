@@ -47,6 +47,9 @@ ENSEMBLE_ATTEMPTS = 4
 ENSEMBLE_ITERS = 3000
 LM_MAX_NFEV = 500
 RESIDUAL_TOL = 1e-7
+# Squared projection error of _ensemble_rotate above which its atoms are
+# dropped unpolished: the configuration is far from any product ensemble.
+ROTATION_GATE = 0.05
 
 
 class Status(str, Enum):
@@ -283,6 +286,28 @@ def _sqrt_factor(x: np.ndarray) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])
 
 
+def _rotation_floor(x: BipartiteOperator) -> float:
+    """Lower bound (1/2) max(N - slack, 0)^2 on every error ``_ensemble_rotate``
+    can reach on the state x, with N = ||(X^Gamma)_-||_F the Frobenius norm
+    of the negative part of the right partial transpose (the proof is in
+    ``separable_decompose``).
+
+    The proof takes CC* = X and tr X = 1.  The slack, 1e-8 * dim, covers
+    what those two equalities miss.  ``separable_decompose`` admits
+    eigenvalues down to -SPECTRAL_TOL and a trace off by 1e-9, and
+    ``_sqrt_factor`` drops eigenvalues <= 1e-12 * lambda_max <= 1e-12, so
+    CC* = X' with ||X - X'||_F <= sqrt(dim) 1e-9 and tr X' <= 1 + (dim + 1)
+    1e-9.  N is a distance to the PSD cone, hence 1-Lipschitz, and at most
+    ||X||_F <= 1, so the two move the bound's N by at most 2 dim 1e-9.
+    ``eigvalsh`` and the rotation's products are backward stable: their
+    rounding moves N and the error by O(dim^1.5 eps), far below the
+    remaining 8 dim 1e-9.
+    """
+    lam = np.linalg.eigvalsh(partial_transpose(x, "right").matrix)
+    neg = float(np.linalg.norm(np.minimum(lam, 0.0)))
+    return 0.5 * max(neg - 1e-8 * x.dim, 0.0) ** 2
+
+
 def _ensemble_rotate(x: np.ndarray, n: int, m: int, k: int, seed: int):
     """Rotate a square-root ensemble of the state toward product columns.
 
@@ -396,11 +421,23 @@ def separable_decompose(x: BipartiteOperator, cfg: OptimizerConfig | None = None
     to ``ENSEMBLE_ATTEMPTS`` batches of at most ``MAX_TERMS`` candidate
     atoms are proposed by rotating a square-root ensemble of the state
     toward product vectors (at most ``ENSEMBLE_ITERS`` iterations each,
-    seeded from ``cfg.seed``) and polishing them locally (``LM_MAX_NFEV``
-    evaluations); weights are again refit on the simplex.  In (with the
-    certificate) once the Frobenius residual drops below ``RESIDUAL_TOL``,
-    Unknown once the budget is spent.  ``cfg`` defaults to
-    ``DECOMPOSE_CFG``.  Only defined for states: PSD with unit trace.
+    seeded from ``cfg.seed``); a batch whose squared projection error
+    exceeds ``ROTATION_GATE`` is dropped, the others are polished locally
+    (``LM_MAX_NFEV`` evaluations) and their weights refit on the simplex.
+    In (with the certificate) once the Frobenius residual drops below
+    ``RESIDUAL_TOL``, Unknown once the budget is spent.  ``cfg`` defaults
+    to ``DECOMPOSE_CFG``.  Only defined for states: PSD with unit trace.
+
+    The ensemble phase is skipped, with the same Unknown verdict as when
+    every batch is dropped, when the partial transpose (Peres 1996) proves
+    that no rotation can pass the gate (``_rotation_floor``).  The rotation
+    only visits configurations C with CC* = X = AA*.  Let p_i be the product
+    projection of column c_i, e_i = c_i - p_i (orthogonal to p_i) and
+    Y = sum_i p_i p_i*.  Then ||c c* - p p*||_F^2 = ||e||^2 (||c||^2 +
+    ||p||^2) <= 2 ||c||^2 ||e||^2, and summing with Cauchy-Schwarz gives
+    ||X - Y||_F <= sqrt(2 tr X err) = sqrt(2 err).  The partial transpose
+    preserves the Frobenius norm and Y^Gamma is PSD, so ||X - Y||_F >=
+    ||(X^Gamma)_-||_F, and err >= (1/2) ||(X^Gamma)_-||_F^2.
     """
     cfg = cfg or DECOMPOSE_CFG
     if min_eigenpair(x)[0] < -SPECTRAL_TOL:
@@ -431,13 +468,15 @@ def separable_decompose(x: BipartiteOperator, cfg: OptimizerConfig | None = None
             return verdict_of(residual, left, right, weights)
 
     best = (residual, left, right, weights)
+    if _rotation_floor(x) > ROTATION_GATE:  # no attempt could pass the gate below
+        return verdict_of(*best)
     rank = _sqrt_factor(x.matrix).shape[1]
     for attempt in range(ENSEMBLE_ATTEMPTS):
         k = 2 * rank + 2 + 2 * attempt
         if k > MAX_TERMS:
             break
         left, right, err = _ensemble_rotate(x.matrix, n, m, k, seed * 131 + attempt + 1)
-        if err > 0.05:  # far from any product ensemble
+        if err > ROTATION_GATE:
             continue
         w, _, _ = _fit_state(left, right, x.matrix)
         left, right = _polish_atoms(x.matrix, n, m, left, right, w)

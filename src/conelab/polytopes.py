@@ -212,6 +212,18 @@ def double_description(a: np.ndarray) -> np.ndarray:
     return rays[np.lexsort(np.round(rays, 9).T[::-1])]
 
 
+def _check_ray_input(k: Polytope) -> None:
+    """Reject a factor beyond the sizes the module constants support."""
+    if k.ambient_dim > MAX_RAY_AMBIENT_DIM:
+        raise ValueError(
+            f"ambient dimension {k.ambient_dim} exceeds the supported {MAX_RAY_AMBIENT_DIM}"
+        )
+    if k.n_vertices > MAX_RAY_VERTICES:
+        raise ValueError(
+            f"vertex count {k.n_vertices} exceeds the supported {MAX_RAY_VERTICES}"
+        )
+
+
 def positive_ray_generators(k: Polytope) -> np.ndarray:
     """Extreme rays of {(a, b) : a.v + b >= 0 for all vertices v}, one per
     row in coefficient coordinates (a, b) for x |-> a.x + b.
@@ -222,14 +234,7 @@ def positive_ray_generators(k: Polytope) -> np.ndarray:
     normalized to max-abs coefficient 1 and lexicographically sorted.  The
     module constants bound the accepted input size.
     """
-    if k.ambient_dim > MAX_RAY_AMBIENT_DIM:
-        raise ValueError(
-            f"ambient dimension {k.ambient_dim} exceeds the supported {MAX_RAY_AMBIENT_DIM}"
-        )
-    if k.n_vertices > MAX_RAY_VERTICES:
-        raise ValueError(
-            f"vertex count {k.n_vertices} exceeds the supported {MAX_RAY_VERTICES}"
-        )
+    _check_ray_input(k)
     v0 = k.vertices[0]
     basis = _affine_chart(k.vertices, v0)
     reduced = (k.vertices - v0) @ basis  # (k, q)
@@ -457,11 +462,17 @@ def max_tensor_polytope(k1: Polytope, k2: Polytope) -> Polytope:
     The maximal set lives in the affine hull of the minimal one (the two
     have equal dimension), so it is parameterized there and cut out by the
     ray-pair inequalities; the extreme rays of the homogenized cone are the
-    vertices.  Vertices are returned as flattened functionals.
+    vertices.  When either factor is a simplex the two products are equal,
+    so the minimal vertices are returned with no enumeration and no LP.
+    Vertices are returned as flattened functionals in lexicographic order.
     """
+    _check_ray_input(k1)
+    _check_ray_input(k2)
+    mv = min_tensor(k1, k2).vertices
+    if any(k.n_vertices == affine_dimension(k) + 1 for k in (k1, k2)):
+        return Polytope(mv[np.lexsort(np.round(mv, 9).T[::-1])])
     r1 = positive_ray_generators(k1)
     r2 = positive_ray_generators(k2)
-    mv = min_tensor(k1, k2).vertices
     m0 = mv.mean(axis=0)
     q = _affine_chart(mv, m0)  # (D, rank), orthonormal columns
     prods = np.einsum("ia,jb->ijab", r1, r2).reshape(len(r1) * len(r2), -1)

@@ -3,15 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conelab import cones
 from conelab.cones import (
+    ENSEMBLE_ATTEMPTS,
     ENSEMBLE_ITERS,
     POLISH_ROUNDS,
     RESIDUAL_TOL,
+    ROTATION_GATE,
     OptimizerConfig,
     Status,
     _atoms_jacobian,
     _atoms_residual,
     _ensemble_rotate,
+    _rotation_floor,
     _sqrt_factor,
     block_positive_min,
     is_block_positive,
@@ -313,6 +317,75 @@ class TestEnsembleRotate:
         assert err == pytest.approx(ref_err, rel=1e-9, abs=1e-20)
         got = _atom_projectors(zip(left, right))
         assert np.max(np.abs(got - _atom_projectors(atoms))) <= 1e-9
+
+
+def noisy_entangled(n, m, noise, rng=None):
+    """(1 - noise) psi psi* + noise sigma, psi maximally entangled of Schmidt
+    rank min(n, m); sigma is I / nm, or a random state drawn from rng."""
+    psi = np.eye(n, m).ravel() / np.sqrt(min(n, m))
+    sigma = np.eye(n * m) / (n * m) if rng is None else random_density(n * m, rng).matrix
+    return bipartite((1 - noise) * np.outer(psi, psi) + noise * sigma, n, m)
+
+
+class TestRotationFloor:
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("noise", [0.1, 0.3, 0.5, 0.7])
+    def test_every_rotation_error_is_above_the_floor(self, n, m, noise):
+        rng = np.random.default_rng([n, m, int(noise * 10)])
+        state = noisy_entangled(n, m, noise, rng)
+        floor = _rotation_floor(state)
+        seed = int(rng.integers(1, 1000))
+        _, _, err = _ensemble_rotate(state.matrix, n, m, 2 * n * m + 2, seed)
+        assert err >= floor
+
+    def test_mixtures_straddle_the_gate(self):
+        floors = [_rotation_floor(noisy_entangled(n, m, noise, np.random.default_rng([n, m, t])))
+                  for n, m in [(2, 2), (2, 3), (3, 3)] for t, noise in [(1, 0.1), (7, 0.7)]]
+        assert max(floors) > ROTATION_GATE > min(floors)
+
+    @pytest.mark.parametrize("n, m, noise, floor", [
+        (3, 3, 0.2, 0.0896), (2, 2, 0.6, 0.00125), (2, 2, 0.0, 0.125)])
+    def test_floor_of_noisy_maximally_entangled_states(self, n, m, noise, floor):
+        assert _rotation_floor(noisy_entangled(n, m, noise)) == pytest.approx(floor, abs=1e-4)
+
+    @pytest.fixture
+    def rotations(self, monkeypatch):
+        count = [0]
+
+        def counted(*args):
+            count[0] += 1
+            return _ensemble_rotate(*args)
+
+        monkeypatch.setattr(cones, "_ensemble_rotate", counted)
+        return count
+
+    @pytest.mark.parametrize("state, attempts", [
+        (noisy_entangled(3, 3, 0.2), 0),
+        (bipartite(h_operator(2).matrix / 2, 2, 2), 0),
+        (noisy_entangled(2, 2, 0.6), ENSEMBLE_ATTEMPTS),
+    ], ids=["3x3 noise 0.2", "h/2", "2x2 noise 0.6"])
+    def test_ensemble_attempts_run_only_below_the_gate(self, rotations, state, attempts):
+        assert separable_decompose(state).status is Status.UNKNOWN
+        assert rotations[0] == attempts
+
+    @pytest.mark.parametrize("state", [
+        noisy_entangled(3, 3, 0.2),
+        noisy_entangled(2, 3, 0.3, np.random.default_rng(4)),
+        bipartite(h_operator(2).matrix / 2, 2, 2),
+        noisy_entangled(2, 2, 0.6),
+        random_separable_state(2, 2, np.random.default_rng(11), terms=2)[0],
+    ], ids=["3x3 noise 0.2", "2x3 mixture", "h/2", "2x2 noise 0.6", "separable 2x2"])
+    def test_screen_leaves_every_certificate_unchanged(self, monkeypatch, state):
+        screened = separable_decompose(state)
+        monkeypatch.setattr(cones, "_rotation_floor", lambda x: 0.0)
+        unscreened = separable_decompose(state)
+        assert screened.status is unscreened.status
+        a, b = screened.certificate, unscreened.certificate
+        assert np.float64(a.residual).tobytes() == np.float64(b.residual).tobytes()
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert len(a.factors) == len(b.factors)
+        for f, g in zip(a.factors, b.factors):
+            assert f.left.tobytes() == g.left.tobytes() and f.right.tobytes() == g.right.tobytes()
 
 
 class TestPolishJacobian:

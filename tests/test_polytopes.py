@@ -545,6 +545,39 @@ class TestLinprogCalls:
         assert calls[0] <= limit
 
 
+class TestSimplexFactor:
+    PAIRS = {
+        "simplex x square": (simplex(2), square()),
+        "square x simplex": (square(), simplex(2)),
+        "triangle x 6-gon": (regular_polygon(3), regular_polygon(6)),
+        "point x square": (simplex(0), square()),
+        "segment x segment": (simplex(1), simplex(1)),
+    }
+
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_max_is_min_with_no_enumeration_and_no_lp(self, calls, monkeypatch, name):
+        k1, k2 = self.PAIRS[name]
+        dd = [0]
+
+        def counted(a):
+            dd[0] += 1
+            return double_description(a)
+
+        monkeypatch.setattr(polytopes, "double_description", counted)
+        mx = max_tensor_polytope(k1, k2)
+        assert dd[0] == 0 and calls[0] == 0
+        assert sorted(map(tuple, mx.vertices)) == sorted(map(tuple, min_tensor(k1, k2).vertices))
+
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_matches_the_enumeration(self, monkeypatch, name):
+        k1, k2 = self.PAIRS[name]
+        mx = max_tensor_polytope(k1, k2)
+        monkeypatch.setattr(polytopes, "affine_dimension", lambda k: -2)  # no factor is a simplex
+        enumerated = max_tensor_polytope(k1, k2)
+        assert enumerated.vertices.shape == mx.vertices.shape
+        assert np.max(np.abs(enumerated.vertices - mx.vertices)) <= 1e-9
+
+
 def unscreened_gap(mx, k1, k2):
     """gap_among with a distance LP on every maximal vertex, as it was before
     the screen: (index of the gap vertex, margin), or None."""
