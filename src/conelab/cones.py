@@ -76,7 +76,12 @@ class WitnessCertificate:
 
 @dataclass(frozen=True)
 class SeparableDecomposition:
-    """Nonnegative mixture of pure product states reconstructing the input."""
+    """Nonnegative mixture of pure product states reconstructing the input.
+
+    ``separable_decompose`` lists the atoms by descending weight, each factor
+    phased so that its first entry within 1e-9 of its largest modulus is
+    real and positive.
+    """
 
     weights: np.ndarray
     factors: tuple[ProductVector, ...]
@@ -309,35 +314,43 @@ def _rotation_floor(x: BipartiteOperator) -> float:
 
 
 def _ensemble_rotate(x: np.ndarray, n: int, m: int, k: int, seed: int):
-    """Rotate a square-root ensemble of the state toward product columns.
+    """Rotate a square-root ensemble of the state toward product vectors.
 
     Any decomposition X = sum_i c_i c_i* arises as C = A R with A a square
     root factor and R a co-isometry, so alternate between projecting every
-    column onto its leading product direction (one batched SVD) and
-    re-solving the rotation (orthogonal Procrustes), with over-relaxation
-    to speed up the tangential tail.  Returns the factor arrays
-    ``left (k, n)`` and ``right (k, m)`` of the best configuration and its
-    squared projection error.
+    ensemble vector onto its leading product direction and re-solving the
+    rotation (orthogonal Procrustes), with over-relaxation to speed up the
+    tangential tail.  The ensemble is kept as the rows of C^T.  Read as an
+    n x m block M, a row's projection is u u* M, with u the top eigenvector
+    of M M* (or M v v* with v that of M* M when n > m): one batched
+    eigensolve of the smaller Gram matrices.  Returns the leading singular
+    vectors of the best configuration's blocks as factor arrays
+    ``left (k, n)`` and ``right (k, m)``, and its squared projection error.
     """
     a = _sqrt_factor(x)
     r = a.shape[1]
     k = max(k, r)
+    at, ac = a.T, a.conj()
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))
     q, _ = np.linalg.qr(z.conj().T)
-    c = a @ q.conj().T
+    c = q.conj() @ at
     beta = 0.95
     best_err, best = np.inf, None
     prev = None
     since_improved = 0
     for _ in range(ENSEMBLE_ITERS):
-        u, _, vt = np.linalg.svd(c.T.reshape(k, n, m), full_matrices=False)
-        left, right = u[:, :, 0], vt[:, 0]
-        qv = kron_rows(left, right)
-        proj = (qv * np.einsum("id,di->i", qv.conj(), c)[:, None]).T
-        err = float(np.linalg.norm(c - proj) ** 2)
+        blocks = c.reshape(k, n, m)
+        if n <= m:
+            u = np.linalg.eigh(blocks @ blocks.conj().swapaxes(1, 2))[1][:, :, -1]
+            proj = kron_rows(u, (u.conj()[:, None, :] @ blocks)[:, 0])
+        else:
+            v = np.linalg.eigh(blocks.conj().swapaxes(1, 2) @ blocks)[1][:, :, -1]
+            proj = kron_rows((blocks @ v[:, :, None])[:, :, 0], v.conj())
+        d = (c - proj).ravel()
+        err = float(np.vdot(d, d).real)
         if err < best_err * (1.0 - 1e-9):
-            best_err, best = err, (left, right)
+            best_err, best = err, c
             since_improved = 0
         else:
             since_improved += 1
@@ -347,9 +360,34 @@ def _ensemble_rotate(x: np.ndarray, n: int, m: int, k: int, seed: int):
             break
         accel = proj if prev is None else proj + beta * (proj - prev)
         prev = proj
-        u2, _, vt2 = np.linalg.svd(a.conj().T @ accel, full_matrices=False)
-        c = a @ (u2 @ vt2)
-    return (*best, best_err)
+        u2, _, vt2 = np.linalg.svd(accel @ ac, full_matrices=False)
+        c = (u2 @ vt2) @ at
+    u, _, vt = np.linalg.svd(best.reshape(k, n, m), full_matrices=False)
+    return u[:, :, 0], vt[:, 0], best_err
+
+
+def _canonical_phase(rows: np.ndarray) -> np.ndarray:
+    """Each row times the unit phase that makes its first entry within 1e-9
+    of its largest modulus real and positive."""
+    mod = np.abs(rows)
+    lead = np.argmax(mod >= mod.max(axis=1, keepdims=True) - 1e-9, axis=1)
+    idx = np.arange(len(rows)), lead
+    out = rows * (rows[idx].conj() / mod[idx])[:, None]
+    out[idx] = mod[idx]
+    return out
+
+
+def _canonical_decomposition(residual: float, left: np.ndarray, right: np.ndarray,
+                             weights: np.ndarray) -> SeparableDecomposition:
+    """The atoms of weight > 1e-12 in canonical form: by descending weight
+    (weights equal to 12 decimals keep their order), each factor scaled by
+    ``_canonical_phase``."""
+    keep = np.flatnonzero(weights > 1e-12)
+    keep = keep[np.argsort(-np.round(weights[keep], 12), kind="stable")]
+    factors = zip(_canonical_phase(left[keep]), _canonical_phase(right[keep]))
+    return SeparableDecomposition(weights=weights[keep],
+                                  factors=tuple(ProductVector(p, q) for p, q in factors),
+                                  residual=residual)
 
 
 def _unpack_atoms(params: np.ndarray, n: int, m: int):
@@ -427,6 +465,9 @@ def separable_decompose(x: BipartiteOperator, cfg: OptimizerConfig | None = None
     In (with the certificate) once the Frobenius residual drops below
     ``RESIDUAL_TOL``, Unknown once the budget is spent.  ``cfg`` defaults
     to ``DECOMPOSE_CFG``.  Only defined for states: PSD with unit trace.
+    The certificate is canonical (``_canonical_decomposition``): a
+    decomposition's atom order and factor phases are free (Hughston, Jozsa
+    and Wootters 1993), so they are fixed by the weights and the factors.
 
     The ensemble phase is skipped, with the same Unknown verdict as when
     every batch is dropped, when the partial transpose (Peres 1996) proves
@@ -449,12 +490,7 @@ def separable_decompose(x: BipartiteOperator, cfg: OptimizerConfig | None = None
     seed = cfg.seed
 
     def verdict_of(residual, left, right, weights):
-        keep = weights > 1e-12
-        cert = SeparableDecomposition(
-            weights=weights[keep],
-            factors=tuple(ProductVector(p, q) for p, q in zip(left[keep], right[keep])),
-            residual=residual,
-        )
+        cert = _canonical_decomposition(residual, left, right, weights)
         return Verdict(Status.IN if residual < RESIDUAL_TOL else Status.UNKNOWN, cert)
 
     left, right = np.empty((0, n), complex), np.empty((0, m), complex)

@@ -220,7 +220,8 @@ def hilbert_schmidt(a, b) -> float:
 
 def kron_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Row-wise Kronecker products: (k, n) and (k, m) factors give (k, n*m)."""
-    return (left[:, :, None] * right[:, None, :]).reshape(len(left), -1)
+    n, m = left.shape[1], right.shape[1]
+    return (left[:, :, None] * right[:, None, :]).reshape(len(left), n * m)
 
 
 def product_values(a: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:

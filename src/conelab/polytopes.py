@@ -276,14 +276,21 @@ class SeparatingHyperplane:
 
 
 def max_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> Verdict:
-    """In iff r^T M s >= -LP_TOL for every pair of extreme rays (r, s)."""
+    """In iff r^T M s >= -LP_TOL for every pair of extreme rays (r, s).
+
+    The certificate is the first pair, in row-major order, whose value is
+    within LP_TOL of the minimum and on the same side of -LP_TOL as it, so
+    rounding in the rays does not move it among tied pairs.
+    """
     r1 = positive_ray_generators(k1)
     r2 = positive_ray_generators(k2)
     vals = r1 @ phi.matrix @ r2.T
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    low = vals.min()
+    inside = low >= -LP_TOL
+    tied = (vals <= low + LP_TOL) & ((vals >= -LP_TOL) == inside)
+    i, j = np.unravel_index(np.argmax(tied), vals.shape)
     cert = RayPairCertificate(r1[i], r2[j], float(vals[i, j]))
-    status = Status.IN if vals[i, j] >= -LP_TOL else Status.OUT
-    return Verdict(status, cert)
+    return Verdict(Status.IN if inside else Status.OUT, cert)
 
 
 def _block_lps(c, a_ub, b_ub, a_eq, b_eq, what: str):

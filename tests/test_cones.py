@@ -14,6 +14,8 @@ from conelab.cones import (
     Status,
     _atoms_jacobian,
     _atoms_residual,
+    _canonical_decomposition,
+    _canonical_phase,
     _ensemble_rotate,
     _rotation_floor,
     _sqrt_factor,
@@ -29,10 +31,12 @@ from conelab.cones import (
 from conelab.operators import (
     bipartite,
     h_operator,
+    kron_rows,
     min_eigenvalue,
     partial_transpose,
     random_density,
     random_hermitian,
+    random_unit_rows,
     swap_operator,
     tensor,
 )
@@ -114,6 +118,12 @@ class TestBlockPositiveMin:
     def test_zero_operator(self):
         val, trace = block_positive_min(bipartite(np.zeros((4, 4)), 2, 2), FAST)
         assert val == 0.0
+
+    def test_no_starts_returns_the_best_grid_point(self):
+        val, trace = block_positive_min(swap_operator(2), OptimizerConfig(starts=0))
+        assert val == 0.0 and trace.grid_points == 36
+        assert (trace.best_value, trace.agreeing) == (0.0, 0)
+        assert product_expectation(swap_operator(2), trace.best_vector) == 0.0
 
     def test_swap_converges_before_round_cap(self):
         _, trace = block_positive_min(swap_operator(2), FAST)
@@ -303,6 +313,35 @@ def _atom_projectors(pairs):
     return np.array([np.outer(v, v.conj()) for v in vs])
 
 
+class TestCanonicalCertificate:
+    def test_phase_is_fixed_by_the_first_largest_entry(self):
+        rows = np.array([[0.6j, -0.8], [1.0, 1j], [-3.0, 4j]])
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        want = np.array([[-0.6j, 0.8], [2 ** -0.5, 2 ** -0.5 * 1j], [0.6j, 0.8]])
+        got = _canonical_phase(rows)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert np.all(got[[0, 1, 2], [1, 0, 1]].imag == 0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_removes_the_phase_freedom(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = random_unit_rows(6, 3, rng)
+        phases = np.exp(2j * np.pi * rng.random((6, 1)))
+        np.testing.assert_allclose(_canonical_phase(phases * rows), _canonical_phase(rows),
+                                   rtol=0, atol=1e-15)
+
+    def test_atoms_by_descending_weight_ties_in_search_order(self):
+        rng = np.random.default_rng(0)
+        left, right = random_unit_rows(5, 2, rng), random_unit_rows(5, 3, rng)
+        weights = np.array([0.1, 0.3, 0.0, 0.3 + 1e-14, 0.3])
+        cert = _canonical_decomposition(0.0, left, right, weights)
+        assert cert.weights.tolist() == [0.3, 0.3 + 1e-14, 0.3, 0.1]
+        order = [1, 3, 4, 0]
+        for f, a, b in zip(cert.factors, _canonical_phase(left[order]),
+                           _canonical_phase(right[order])):
+            assert np.array_equal(f.left, a) and np.array_equal(f.right, b)
+
+
 class TestEnsembleRotate:
     @pytest.mark.parametrize("n, m, terms, k", [(2, 3, 3, 8), (3, 3, 4, 10), (2, 2, 0, 10)])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -317,6 +356,101 @@ class TestEnsembleRotate:
         assert err == pytest.approx(ref_err, rel=1e-9, abs=1e-20)
         got = _atom_projectors(zip(left, right))
         assert np.max(np.abs(got - _atom_projectors(atoms))) <= 1e-9
+
+
+def _ensemble_rotate_svd_step(x, n, m, k, seed):
+    """Reference: the rotation projecting through one batched SVD of the
+    n x m blocks per step.  Also returns the number of steps."""
+    a = _sqrt_factor(x)
+    r = a.shape[1]
+    k = max(k, r)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))
+    q, _ = np.linalg.qr(z.conj().T)
+    c = a @ q.conj().T
+    best_err, best, prev, since_improved = np.inf, None, None, 0
+    for steps in range(1, ENSEMBLE_ITERS + 1):
+        u, _, vt = np.linalg.svd(c.T.reshape(k, n, m), full_matrices=False)
+        left, right = u[:, :, 0], vt[:, 0]
+        qv = kron_rows(left, right)
+        proj = (qv * np.einsum("id,di->i", qv.conj(), c)[:, None]).T
+        err = float(np.linalg.norm(c - proj) ** 2)
+        if err < best_err * (1.0 - 1e-9):
+            best_err, best, since_improved = err, (left, right), 0
+        else:
+            since_improved += 1
+            if since_improved > 150:
+                break
+        if err < 1e-22:
+            break
+        accel = proj if prev is None else proj + 0.95 * (proj - prev)
+        prev = proj
+        u2, _, vt2 = np.linalg.svd(a.conj().T @ accel, full_matrices=False)
+        c = a @ (u2 @ vt2)
+    return (*best, best_err, steps)
+
+
+class TestGramStep:
+    """The Gram-eigensolve step of ``_ensemble_rotate`` against the SVD
+    step it replaced, on both sides of n = m.
+
+    Separable states mix n + m - 2 <= (n - 1)(m - 1) + 1 product states,
+    so their range holds finitely many product vectors.  Where the
+    certificate has that many atoms it is the unique decomposition, and
+    both steps must find it; with more atoms the decompositions form a
+    continuum, and the steps' 1e-6 drift in raw phase can move weights.
+    """
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """Counts the rotation's steps: one batched (3-d) eigh each."""
+        count = [0]
+        eigh = np.linalg.eigh
+
+        def counted(g):
+            count[0] += g.ndim == 3
+            return eigh(g)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return count
+
+    @staticmethod
+    def separable(n, m, seed):
+        return random_separable_state(n, m, np.random.default_rng([n, m, seed]),
+                                      terms=n + m - 2)[0]
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("separable", [True, False], ids=["separable", "ppt-violating"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_steps_and_error_as_the_svd_step(self, steps, n, m, separable, seed):
+        if separable:
+            x = self.separable(n, m, seed).matrix
+        else:
+            x = noisy_entangled(n, m, 0.3, np.random.default_rng([n, m, seed])).matrix
+        k = 2 * _sqrt_factor(x).shape[1] + 2
+        _, _, err = _ensemble_rotate(x, n, m, k, seed)
+        _, _, ref_err, ref_steps = _ensemble_rotate_svd_step(x, n, m, k, seed)
+        assert steps[0] == ref_steps
+        assert err == pytest.approx(ref_err, rel=1e-12, abs=1e-20)
+        assert (err < 1e-20) if separable else (err > ROTATION_GATE / 100)
+
+    @pytest.mark.parametrize("n, m, seed", [(2, 2, 1), (2, 3, 2), (3, 2, 3), (3, 3, 1), (4, 2, 2)])
+    def test_same_canonical_certificate_as_the_svd_step(self, monkeypatch, n, m, seed):
+        state = self.separable(n, m, seed)
+        calls = [0]
+
+        def reference(*args):
+            calls[0] += 1
+            return _ensemble_rotate_svd_step(*args)[:3]
+
+        got = separable_decompose(state).certificate
+        monkeypatch.setattr(cones, "_ensemble_rotate", reference)
+        ref = separable_decompose(state).certificate
+        assert calls[0] >= 1
+        assert len(got.weights) == len(ref.weights) == n + m - 2
+        assert np.max(np.abs(got.weights - ref.weights)) <= 1e-9
+        assert np.max(np.abs(_atom_projectors((f.left, f.right) for f in got.factors)
+                             - _atom_projectors((f.left, f.right) for f in ref.factors))) <= 1e-9
 
 
 def noisy_entangled(n, m, noise, rng=None):

@@ -11,6 +11,7 @@ test_golden.py.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conelab import cli
@@ -33,3 +34,36 @@ def test_same_certificates(case, input_dir, capsys):  # noqa: F811
         assert out == ""
     else:
         assert_same(json.loads(out)["certificates"], case["certificates"], "certificates")
+
+
+def decompositions(doc):
+    """Every decomposition certificate inside a certificates section."""
+    if isinstance(doc, dict):
+        if doc.get("type") == "decomposition":
+            yield doc
+        for value in doc.values():
+            yield from decompositions(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from decompositions(value)
+
+
+SEPARABLE = [c for c in CERTIFICATES if c["argv"][:3] == ["membership", "--cone", "separable"]]
+
+
+@pytest.mark.parametrize("case", SEPARABLE, ids=[" ".join(c["argv"]) for c in SEPARABLE])
+def test_decomposition_certificates_are_canonical(case, input_dir, capsys):  # noqa: F811
+    """Atoms by descending weight; in each factor, the first entry within
+    1e-9 of the largest modulus is real and positive."""
+    argv = [str(input_dir / f"{a[1:]}.json") if a.startswith("@") else a for a in case["argv"]]
+    cli.main(argv)
+    out = capsys.readouterr().out
+    found = list(decompositions(json.loads(out)["certificates"])) if out else []
+    assert len(found) == len(list(decompositions(case["certificates"])))
+    for cert in found:
+        assert np.all(np.diff(np.round(cert["weights"], 12)) <= 0)
+        for factor in cert["factors"]:
+            for side in ("left", "right"):
+                z = np.array([complex(re, im) for re, im in factor[side]])
+                lead = z[np.argmax(np.abs(z) >= np.abs(z).max() - 1e-9)]
+                assert lead.imag == 0.0 and lead.real > 0.0

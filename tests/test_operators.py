@@ -256,6 +256,11 @@ class TestProductKernel:
         for i in range(k):
             np.testing.assert_allclose(rows[i], np.kron(left[i], right[i]), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 2)])
+    def test_kron_rows_of_no_rows(self, n, m):
+        rows = kron_rows(np.empty((0, n), complex), np.empty((0, m), complex))
+        assert rows.shape == (0, n * m)
+
     @given(st.integers(1, 6), factor_dims, factor_dims, seeds)
     @settings(max_examples=40, deadline=None)
     def test_product_values_are_expectations(self, k, n, m, seed):

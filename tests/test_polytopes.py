@@ -348,6 +348,49 @@ class TestMembership:
         assert hyp.margin > 1e-6
 
 
+class TestMaxSideTieRule:
+    """The square x square gap functional has eight ray pairs tied at
+    0 +- 1.7e-16; the certificate is the first of them in row-major order."""
+
+    @pytest.fixture
+    def square_gap(self):
+        k1, k2 = square(), square()
+        return barker_gap(k1, k2).functional, k1, k2
+
+    def test_first_tied_pair_is_reported(self, square_gap):
+        phi, k1, k2 = square_gap
+        r1, r2 = positive_ray_generators(k1), positive_ray_generators(k2)
+        vals = r1 @ phi.matrix @ r2.T
+        assert np.sum(np.abs(vals) <= 1e-15) == 8 and vals.min() < 0
+        cert = max_tensor_membership(phi, k1, k2).certificate
+        assert np.array_equal(cert.ray_left, r1[0]) and np.array_equal(cert.ray_right, r2[0])
+        assert cert.value == vals[0, 0]
+
+    def test_rays_moved_by_1e_15_keep_the_pair(self, square_gap, monkeypatch):
+        phi, k1, k2 = square_gap
+        r1, r2 = positive_ray_generators(k1), positive_ray_generators(k2)
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            m1 = r1 + 1e-15 * rng.choice([-1.0, 1.0], size=r1.shape)
+            m2 = r2 + 1e-15 * rng.choice([-1.0, 1.0], size=r2.shape)
+            monkeypatch.setattr(polytopes, "positive_ray_generators",
+                                lambda k: m1 if k is k1 else m2)
+            verdict = max_tensor_membership(phi, k1, k2)
+            assert verdict.status is Status.IN
+            cert = verdict.certificate
+            assert np.array_equal(cert.ray_left, m1[0]) and np.array_equal(cert.ray_right, m2[0])
+
+    def test_out_certificate_still_certifies_out(self):
+        k1, k2 = square(), square()
+        t = min_tensor(k1, k2)
+        phi = functional_from_flat(2 * t.vertices[0] - t.vertices[5], k1, k2)
+        r1, r2 = positive_ray_generators(k1), positive_ray_generators(k2)
+        vals = r1 @ phi.matrix @ r2.T
+        cert = max_tensor_membership(phi, k1, k2).certificate
+        i, j = np.argwhere(vals <= vals.min() + LP_TOL)[0]
+        assert cert.value == vals[i, j] < -LP_TOL
+
+
 class TestMaxTensorPolytope:
     def test_square_square_counts(self):
         mx = max_tensor_polytope(square(), square())
