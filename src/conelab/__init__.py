@@ -35,7 +35,6 @@ from .maps import (
     jamiolkowski,
     map_from_choi,
     normalize_positive_map,
-    state_from_positive_map,
 )
 from .kappa import (
     KappaReport,

@@ -35,7 +35,8 @@ ALL_CHECKS = []
 
 def _check(name: str, identity: str):
     """Register a check, which returns (passed, details), in ALL_CHECKS as a
-    timed callable (quick=False, seed=0) -> CheckResult."""
+    timed callable (quick=False, seed=0) -> CheckResult whose ``check_name``
+    is ``name``."""
 
     def register(fn):
         @functools.wraps(fn)
@@ -44,6 +45,7 @@ def _check(name: str, identity: str):
             passed, details = fn(quick, seed)
             return CheckResult(name, identity, bool(passed), time.perf_counter() - t0, details)
 
+        check.check_name = name
         ALL_CHECKS.append(check)
         return check
 
@@ -251,21 +253,19 @@ def check_11_riesz(quick, seed):
 
 @_check("trace-simplex-tensor", "trace simplexes tensor multiplicatively, pairwise and three-fold")
 def check_12_trace_simplex_tensor(quick, seed):
-    from .algebras import MultiMatrixAlgebra, algebra_tensor, trace_simplex, verify_trace_tensor
-
     pool = [(1,), (2,), (2, 3), (2, 2, 2)]
     results = {}
     passed = True
     for blocks_a in pool:
         for blocks_b in pool:
-            rep = verify_trace_tensor(MultiMatrixAlgebra(blocks_a), MultiMatrixAlgebra(blocks_b))
+            rep = algebras.verify_trace_tensor(algebras.MultiMatrixAlgebra(blocks_a),
+                                               algebras.MultiMatrixAlgebra(blocks_b))
             results[f"{blocks_a}x{blocks_b}"] = rep.passes
             passed = passed and rep.passes
-    a = MultiMatrixAlgebra((2, 2))
-    iterated = algebra_tensor(algebra_tensor(a, a), a)
-    tri = polytopes.min_tensor(
-        polytopes.min_tensor(trace_simplex(a), trace_simplex(a)), trace_simplex(a)
-    )
+    a = algebras.MultiMatrixAlgebra((2, 2))
+    iterated = algebras.algebra_tensor(algebras.algebra_tensor(a, a), a)
+    t = algebras.trace_simplex(a)
+    tri = polytopes.min_tensor(polytopes.min_tensor(t, t), t)
     iter_ok = (
         iterated.n_blocks == 8
         and tri.n_vertices == 8

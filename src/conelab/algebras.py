@@ -96,46 +96,6 @@ def verify_trace_tensor(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> TraceTe
     )
 
 
-@dataclass(frozen=True)
-class GridConeElement:
-    """Matrix-valued function on a grid in [0, 1], scalar at the base point.
-
-    Realizes elements of the discretized algebra {f : f(0) in C.1}; the
-    grid must be strictly increasing and contain both endpoints.
-    """
-
-    n: int
-    grid: tuple[float, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        g = tuple(float(s) for s in self.grid)
-        if not all(0.0 <= s <= 1.0 for s in g):
-            raise ValueError("grid points must lie in [0, 1]")
-        if any(g[i] >= g[i + 1] for i in range(len(g) - 1)):
-            raise ValueError("grid must be strictly increasing")
-        if g[0] != 0.0 or g[-1] != 1.0:
-            raise ValueError("grid must contain 0 and 1")
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (len(g), self.n, self.n):
-            raise ValueError(f"values must have shape {(len(g), self.n, self.n)}")
-        v0 = vals[0]
-        lam = np.trace(v0) / self.n
-        if abs(lam.imag) > 1e-12 or np.max(np.abs(v0 - lam.real * np.eye(self.n))) > 1e-12:
-            raise ValueError("value at 0 must be a real multiple of the identity")
-        object.__setattr__(self, "grid", g)
-        vals = np.ascontiguousarray(vals)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def at(self, s: float) -> np.ndarray:
-        try:
-            idx = self.grid.index(float(s))
-        except ValueError:
-            raise KeyError(f"{s} is not a grid point") from None
-        return self.values[idx]
-
-
 def _check_grid(grid) -> tuple[float, ...]:
     g = tuple(sorted(set(float(s) for s in grid)))
     if len(g) == 0:
@@ -158,12 +118,6 @@ class GridWitness:
     def at(self, s: float, t: float) -> BipartiteOperator:
         swap = swap_operator(self.n)
         return bipartite((s * t) * swap.matrix, self.n, self.n)
-
-    def section_left(self, s: float) -> GridConeElement:
-        """X(s, .) as a grid function of the second variable."""
-        swap = swap_operator(self.n).matrix
-        vals = np.array([(s * t) * swap for t in self.grid])
-        return GridConeElement(self.n * self.n, self.grid, vals)
 
 
 def entangled_witness_X(n: int, grid) -> GridWitness:

@@ -217,7 +217,8 @@ def _cmd_trace_simplex(args) -> tuple[dict, dict]:
 
 def _cmd_reproduce(args) -> tuple[dict, dict]:
     if args.only:
-        selected = [c for c in acceptance.ALL_CHECKS if args.only in c.__name__]
+        selected = [c for c in acceptance.ALL_CHECKS
+                    if args.only in c.check_name or args.only in c.__name__]
         if not selected:
             raise UsageError(f"no acceptance check matches {args.only!r}")
         checks = [c(args.quick, args.seed) for c in selected]

@@ -1,5 +1,6 @@
 """Linear-map calculus on matrix algebras: Choi / Jamiolkowski transforms,
-positivity certification, and the state <-> positive-map correspondence.
+positivity certification, and the normalization of rho_0 o (Phi (x) id)
+to a unital positive map.
 
 A map Phi: M_a -> M_b is stored as a real (b^2) x (a^2) coefficient array
 over the orthonormal Hermitian basis of each algebra: the diagonal matrix
@@ -70,6 +71,8 @@ class MatrixMap:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.input_dim < 1 or self.output_dim < 1:
+            raise ValueError("map dimensions must be positive")
         c = np.asarray(self.coeffs, dtype=float)
         want = (self.output_dim ** 2, self.input_dim ** 2)
         if c.shape != want:
@@ -94,11 +97,6 @@ class MatrixMap:
     @classmethod
     def transpose(cls, n: int) -> "MatrixMap":
         return cls.from_function(n, n, lambda a: a.T)
-
-    @classmethod
-    def trace_state(cls, n: int, m: int) -> "MatrixMap":
-        """A |-> Tr(A) I_m / m, the maximally mixed output map."""
-        return cls.from_function(n, m, lambda a: np.trace(a) * np.eye(m) / m)
 
     @classmethod
     def reduction(cls, n: int) -> "MatrixMap":
@@ -209,47 +207,6 @@ class BipartiteFunctional:
             raise ValueError("operator factorization does not match functional")
         return hilbert_schmidt(x.matrix, self.density.matrix)
 
-    def value_on_identity(self) -> float:
-        return float(self.density.op.trace())
-
-
-_CHECK_CFG = OptimizerConfig(starts=60, steps=200, seed=0)
-
-
-def _require_positive(phi: MatrixMap, cfg: OptimizerConfig | None) -> None:
-    verdict = is_positive_map(phi, cfg=cfg or _CHECK_CFG)
-    if verdict.status is not Status.IN:
-        raise ValueError("map is not certified positive")
-
-
-def state_from_positive_map(
-    phi: MatrixMap,
-    normalized: bool = True,
-    cfg: OptimizerConfig | None = None,
-) -> BipartiteFunctional:
-    """The functional X |-> <Omega, (Phi (x) id_m)(X) Omega> on (n, m) operators.
-
-    Requires Phi positive with tr(Phi(I_n)) = 1 (normalized trace).  With
-    ``normalized=False`` the map is rescaled to satisfy the trace condition
-    first.  The (rescaled) map must be certified positive by
-    ``is_positive_map`` under ``cfg``, else ValueError.  The density of the
-    functional is m^{-1} choi(Phi*).
-    """
-    m = phi.output_dim
-    report = unitality_report(phi)
-    norm_tr = report.normalized_trace_of_image
-    if normalized:
-        if abs(norm_tr - 1.0) > 1e-9:
-            raise ValueError(f"tr(Phi(I)) = {norm_tr:.6g}, expected 1")
-        scaled = phi
-    else:
-        if norm_tr <= 1e-12:
-            raise ValueError("tr(Phi(I)) vanishes; cannot normalize")
-        scaled = MatrixMap(phi.input_dim, phi.output_dim, phi.coeffs / norm_tr)
-    _require_positive(scaled, cfg)
-    density = choi(adjoint_map(scaled))
-    return BipartiteFunctional(bipartite(density.matrix / m, density.n, density.m))
-
 
 def normalize_positive_map(
     phi: MatrixMap, cfg: OptimizerConfig | None = None
@@ -269,7 +226,9 @@ def normalize_positive_map(
     report = unitality_report(phi)
     if abs(report.normalized_trace_of_image - 1.0) > 1e-9:
         raise ValueError("tr(Phi(I)) must equal 1")
-    _require_positive(phi, cfg)
+    verdict = is_positive_map(phi, cfg=cfg or OptimizerConfig(starts=60, steps=200, seed=0))
+    if verdict.status is not Status.IN:
+        raise ValueError("map is not certified positive")
 
     img = report.image_of_identity.matrix
     w, u = np.linalg.eigh(img)

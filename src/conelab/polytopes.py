@@ -92,15 +92,6 @@ class TensorFunctional:
     def flat(self) -> np.ndarray:
         return self.matrix.ravel()
 
-    def slice_left(self) -> np.ndarray:
-        """Point of K1 recovered by pairing with the constant function on K2."""
-        col = self.matrix[:, -1]
-        return col[:-1] / col[-1]
-
-    def slice_right(self) -> np.ndarray:
-        row = self.matrix[-1, :]
-        return row[:-1] / row[-1]
-
 
 # ---------------------------------------------------------------------------
 # elementary constructions
@@ -134,11 +125,6 @@ def _affine_chart(points: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     _, s, vt = np.linalg.svd(points - anchor, full_matrices=False)
     q = int(np.sum(s > 1e-9 * s[0])) if len(s) and s[0] > 0 else 0
     return vt[:q].T
-
-
-def product_functional(v: np.ndarray, w: np.ndarray) -> TensorFunctional:
-    """Rank-one functional [v;1][w;1]^T: the elementary tensor of two points."""
-    return TensorFunctional(np.outer(np.append(v, 1.0), np.append(w, 1.0)))
 
 
 def min_tensor(k1: Polytope, k2: Polytope) -> Polytope:

@@ -29,7 +29,7 @@ from .cones import (
 )
 from .kappa import CbEstimate
 from .maps import MatrixMap
-from .operators import BipartiteOperator, HermitianOperator, bipartite, hermitian
+from .operators import BipartiteOperator, HermitianOperator, bipartite
 from .polytopes import (
     LP_TOL,
     ConvexWeightsCertificate,
@@ -89,16 +89,6 @@ def _matrix_from_entries(entries, dim: int) -> np.ndarray:
         raise MalformedInput(f"expected {dim * dim} entries, got {len(entries)}")
     flat = np.array([complex(re, im) for re, im in entries])
     return _require_finite(flat, "operator entries").reshape(dim, dim)
-
-
-def hermitian_from_dict(d: dict) -> HermitianOperator:
-    try:
-        mat = _matrix_from_entries(d["entries"], _size(d, "dim"))
-        return hermitian(mat)
-    except MalformedInput:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad operator document: {exc}") from exc
 
 
 def bipartite_from_dict(d: dict) -> BipartiteOperator:

@@ -3,7 +3,6 @@ import pytest
 
 from conelab.algebras import (
     RIESZ_MAX_GRID_POINTS,
-    GridConeElement,
     MultiMatrixAlgebra,
     algebra_tensor,
     entangled_witness_X,
@@ -66,25 +65,6 @@ class TestVerifyTraceTensor:
                 assert rep.passes, (a, b)
 
 
-class TestGridConeElement:
-    def test_scalar_at_zero_enforced(self):
-        vals = np.array([np.eye(2), 2 * np.eye(2)])
-        GridConeElement(2, (0.0, 1.0), vals)  # fine: value(0) = I
-        bad = np.array([np.diag([1.0, 2.0]), np.eye(2)])
-        with pytest.raises(ValueError, match="multiple of the identity"):
-            GridConeElement(2, (0.0, 1.0), bad)
-
-    def test_grid_must_have_endpoints(self):
-        vals = np.array([np.eye(2)])
-        with pytest.raises(ValueError, match="contain 0 and 1"):
-            GridConeElement(2, (0.5,), vals)
-
-    def test_rejects_nan_grid_point(self):
-        vals = np.array([np.eye(2)] * 3)
-        with pytest.raises(ValueError, match="lie in"):
-            GridConeElement(2, (0.0, float("nan"), 1.0), vals)
-
-
 class TestWitnessX:
     def test_endpoint_is_swap(self):
         x = entangled_witness_X(2, (0.0, 0.5, 1.0))
@@ -110,12 +90,6 @@ class TestWitnessX:
         assert got == pytest.approx(-1.0, abs=1e-12)
         got_mid = min_eigenvalue(x.at(0.3, 0.7))
         assert got_mid == pytest.approx(-0.21, abs=1e-12)
-
-    def test_section_is_grid_element(self):
-        x = entangled_witness_X(2, (0.0, 0.5, 1.0))
-        sec = x.section_left(0.5)
-        assert isinstance(sec, GridConeElement)
-        assert np.array_equal(sec.at(1.0), 0.5 * swap_operator(2).matrix)
 
     def test_rejects_out_of_range_grid(self):
         with pytest.raises(ValueError, match="lie in"):

@@ -295,6 +295,11 @@ class TestReportCommands:
         assert code == 0
         assert [c["passed"] for c in rep["results"]["checks"]] == [True]
 
+    def test_reproduce_only_matches_printed_name(self, capsys):
+        code, rep = run_json(capsys, ["reproduce", "--quick", "--only", "cone-duality"])
+        assert code == 0
+        assert [c["name"] for c in rep["results"]["checks"]] == ["cone-duality"]
+
 
 class TestErrorPaths:
     def test_unknown_subcommand(self):
@@ -393,6 +398,18 @@ class TestErrorPaths:
         p.write_text(json.dumps(doc))
         assert cli.main([command, "--map", str(p)]) == 65
         assert f"{key} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"input_dim": -1, "output_dim": -1, "coeffs": [[1.0]]},
+        {"input_dim": -2, "output_dim": -2, "coeffs": np.eye(4).tolist()},
+        {"input_dim": 0, "output_dim": 1, "coeffs": [[]]},
+    ], ids=lambda d: f"{d['input_dim']}->{d['output_dim']}")
+    @pytest.mark.parametrize("command", ["map-check", "choi"])
+    def test_map_size_below_one_is_data_error(self, capsys, tmp_path, command, doc):
+        p = tmp_path / "small_map.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main([command, "--map", str(p)]) == 65
+        assert "map dimensions must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["2", 2.5, True], ids=repr)
     def test_non_integer_polytope_dim_is_data_error(self, capsys, tmp_path, square_file, bad):

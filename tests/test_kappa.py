@@ -115,20 +115,6 @@ class TestCbEstimate:
             est = cb_norm_estimate(phi, CB_FAST)
             assert est.value == pytest.approx(kappa_exact(n, m), abs=1e-6)
 
-    def test_induced_state_functionals_bounded_by_closed_form(self):
-        from conelab.maps import state_from_positive_map
-
-        rng = np.random.default_rng(2)
-        n = m = 2
-        for trial in range(10):
-            phi = _random_unital_positive(n, rng)
-            f = state_from_positive_map(phi, cfg=FAST)
-            norm = max_norm_of_functional(f.density)
-            assert 1.0 - 1e-9 <= norm <= kappa_exact(n, m) + 1e-6
-        # the transpose map attains the top of the range
-        f = state_from_positive_map(MatrixMap.transpose(2), cfg=FAST)
-        assert max_norm_of_functional(f.density) == pytest.approx(2.0, abs=1e-9)
-
     @pytest.mark.parametrize("phi", [MatrixMap.transpose(3), extremal_positive_map(3, 4)],
                              ids=["transpose(3)", "extremal(3,4)"])
     def test_seesaw_converges_before_round_cap(self, phi):

@@ -18,7 +18,6 @@ from conelab.maps import (
     normalize_positive_map,
     random_map,
     random_positive_map,
-    state_from_positive_map,
     unitality_report,
 )
 from conelab.operators import (
@@ -64,10 +63,6 @@ class TestChoiJamiolkowski:
         t2 = MatrixMap.transpose(2)
         assert np.allclose(choi(t2).matrix, swap_operator(2).matrix, atol=1e-14)
         assert np.allclose(jamiolkowski(t2).matrix, h_operator(2).matrix, atol=1e-14)
-
-    def test_trace_state_map(self):
-        phi = MatrixMap.trace_state(2, 2)
-        assert np.allclose(choi(phi).matrix, np.eye(4) / 2, atol=1e-14)
 
     @given(map_dims(), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -143,58 +138,6 @@ class TestAdjoint:
             assert np.trace(adj.apply(b)).real == pytest.approx(
                 np.trace(phi.apply(np.eye(2)) @ b).real, abs=1e-12
             )
-
-
-class TestStateFromPositiveMap:
-    def test_identity_gives_maximally_entangled_functional(self):
-        rng = np.random.default_rng(8)
-        phi = MatrixMap.identity(2)
-        f = state_from_positive_map(phi, cfg=FAST)
-        for _ in range(20):
-            x = bipartite(random_hermitian(4, rng).matrix, 2, 2)
-            assert f(x) == pytest.approx(rho0_apply(2, x), abs=1e-12)
-
-    def test_transpose_gives_swap_functional(self):
-        f = state_from_positive_map(MatrixMap.transpose(2), cfg=FAST)
-        assert np.allclose(f.density.matrix, swap_operator(2).matrix / 2, atol=1e-12)
-
-    def test_trace_state_gives_product_functional(self):
-        f = state_from_positive_map(MatrixMap.trace_state(2, 2), cfg=FAST)
-        assert np.allclose(f.density.matrix, np.eye(4) / 4, atol=1e-12)
-
-    def test_unital_value(self):
-        f = state_from_positive_map(MatrixMap.reduction(2), cfg=FAST)
-        assert f.value_on_identity() == pytest.approx(1.0, abs=1e-12)
-
-    def test_nonnegative_on_separable_cone(self):
-        rng = np.random.default_rng(9)
-        phi = random_positive_map(2, 2, rng, transpose_input=True)
-        f = state_from_positive_map(phi, cfg=FAST)
-        from conelab.cones import random_product_state
-
-        for _ in range(200):
-            t = random_product_state(2, 2, rng).projector()
-            assert f(t) >= -1e-9
-
-    def test_rejects_unnormalized(self):
-        phi = MatrixMap.identity(2)
-        doubled = MatrixMap(2, 2, 2 * phi.coeffs)
-        with pytest.raises(ValueError, match="expected 1"):
-            state_from_positive_map(doubled, cfg=FAST)
-
-    def test_normalized_flag_rescales(self):
-        phi = MatrixMap.identity(2)
-        doubled = MatrixMap(2, 2, 2 * phi.coeffs)
-        f = state_from_positive_map(doubled, normalized=False, cfg=FAST)
-        assert f.value_on_identity() == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_nonpositive_map(self):
-        rng = np.random.default_rng(10)
-        bad = random_map(2, 2, rng)
-        rep = unitality_report(bad)
-        scaled = MatrixMap(2, 2, bad.coeffs / rep.normalized_trace_of_image)
-        with pytest.raises(ValueError, match="not certified positive"):
-            state_from_positive_map(scaled, cfg=FAST)
 
 
 class TestNormalizeConstruction:

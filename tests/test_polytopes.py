@@ -28,7 +28,6 @@ from conelab.polytopes import (
     min_tensor,
     min_tensor_membership,
     positive_ray_generators,
-    product_functional,
     relative_bound,
     simplex,
     square,
@@ -117,14 +116,6 @@ class TestMinTensor:
         for flat in t.vertices:
             phi = functional_from_flat(flat, square(), simplex(1))
             assert phi.matrix[-1, -1] == pytest.approx(1.0, abs=1e-15)
-
-    def test_slices_recover_factors(self):
-        k1, k2 = square(), simplex(2)
-        for v in k1.vertices:
-            for w in k2.vertices:
-                phi = product_functional(v, w)
-                assert np.allclose(phi.slice_left(), v, atol=1e-14)
-                assert np.allclose(phi.slice_right(), w, atol=1e-14)
 
 
 class TestDoubleDescription:

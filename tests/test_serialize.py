@@ -6,26 +6,17 @@ from scipy.optimize import linprog
 
 from conelab import polytopes
 from conelab.maps import random_map
-from conelab.operators import random_hermitian, swap_operator
+from conelab.operators import swap_operator
 from conelab.polytopes import LP_BLOCKS, Polytope, square
 from conelab.serialize import (
     MalformedInput,
     bipartite_from_dict,
     bipartite_to_dict,
-    hermitian_from_dict,
-    hermitian_to_dict,
     map_from_dict,
     map_to_dict,
     polytope_from_dict,
     polytope_to_dict,
 )
-
-
-def test_hermitian_roundtrip():
-    rng = np.random.default_rng(0)
-    op = random_hermitian(3, rng)
-    back = hermitian_from_dict(hermitian_to_dict(op))
-    assert np.allclose(back.matrix, op.matrix, atol=0)
 
 
 def test_bipartite_roundtrip():
@@ -51,7 +42,7 @@ def test_polytope_roundtrip():
 
 def test_wrong_entry_count():
     with pytest.raises(MalformedInput, match="expected 4 entries"):
-        hermitian_from_dict({"dim": 2, "entries": [[1.0, 0.0]]})
+        bipartite_from_dict({"n": 1, "m": 2, "entries": [[1.0, 0.0]]})
 
 
 def test_missing_fields():
@@ -62,7 +53,7 @@ def test_missing_fields():
 def test_non_hermitian_payload_rejected():
     entries = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
     with pytest.raises(MalformedInput, match="not Hermitian"):
-        hermitian_from_dict({"dim": 2, "entries": entries})
+        bipartite_from_dict({"n": 1, "m": 2, "entries": entries})
 
 
 def test_polytope_dim_mismatch():
@@ -122,17 +113,14 @@ def test_extremality_lps_are_batched(k, monkeypatch):
 def _docs():
     """A valid document of each reader, by reader name."""
     return {
-        "hermitian": (hermitian_from_dict,
-                      hermitian_to_dict(random_hermitian(2, np.random.default_rng(0)))),
         "bipartite": (bipartite_from_dict, bipartite_to_dict(swap_operator(2))),
         "map": (map_from_dict, map_to_dict(random_map(2, 2, np.random.default_rng(1)))),
         "polytope": (polytope_from_dict, polytope_to_dict(square())),
     }
 
 
-SIZE_FIELDS = [("hermitian", "dim"), ("bipartite", "n"), ("bipartite", "m"),
-               ("bipartite", "dim"), ("map", "input_dim"), ("map", "output_dim"),
-               ("polytope", "dim")]
+SIZE_FIELDS = [("bipartite", "n"), ("bipartite", "m"), ("bipartite", "dim"),
+               ("map", "input_dim"), ("map", "output_dim"), ("polytope", "dim")]
 
 
 @pytest.mark.parametrize("bad", [2.7, 1.5, True, False, "2", None, [2], float("inf")],
