@@ -10,16 +10,16 @@ grid points covers the construction exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cones import LowerBoundCertificate, lower_bound
 from .operators import (
     BipartiteOperator,
     bipartite,
     min_eigenvalue,
-    product_values,
-    random_unit_rows,
+    partial_transpose,
     swap_operator,
 )
 from .polytopes import Polytope, affine_dimension, min_tensor, simplex
@@ -130,60 +130,50 @@ def entangled_witness_X(n: int, grid) -> GridWitness:
 class XSeparationReport:
     n: int
     grid: tuple[float, ...]
-    samples: int
-    seed: int
     most_negative_eigenvalue: float
     argmin_pair: tuple[float, float]
     nonpositive_ok: bool
     separable_min: float
     separable_ok: bool
     passes: bool
+    certificate: LowerBoundCertificate = field(compare=False)  # a function of n, held in arrays
 
 
-def verify_X_separating(
-    n: int, grid, samples: int = 100_000, seed: int = 0
-) -> XSeparationReport:
+def verify_X_separating(n: int, grid) -> XSeparationReport:
     """Check both halves of the witness property of X(s, t) = s t S.
 
     (a) nonpositivity: some grid evaluation has a negative eigenvalue;
-    (b) nonnegativity on separable states: for sampled (s, t, pure sigma_1,
-    pure sigma_2), the value s t <sigma_1 (x) sigma_2, S (...)> stays above
-    -1e-9.  Pure states of the discretized algebra are exactly (grid point,
-    pure matrix state) pairs, which is what the sampler draws.
+    (b) nonnegativity on separable states: a pure state of the discretized
+    algebra is a (grid point, pure matrix state) pair, so on the product of
+    the states (s, a) and (t, b) X is at least s t >= 0 times the value of
+    ``lower_bound(S, S^Gamma)``; the least such product must be >= -1e-9.
     """
     witness = entangled_witness_X(n, grid)
-    g = np.array(witness.grid)
-    if g.max() <= 0.0:
+    if max(witness.grid) <= 0.0:
         raise ValueError("grid needs a point pair with s, t > 0")
 
-    most_neg = np.inf
-    argmin = (0.0, 0.0)
+    swap = swap_operator(n)
+    certificate = lower_bound(swap, partial_transpose(swap, "right"))
+    most_neg, argmin, separable_min = np.inf, (0.0, 0.0), np.inf
     for s in witness.grid:
         for t in witness.grid:
             val = min_eigenvalue(witness.at(s, t))
             if val < most_neg:
                 most_neg, argmin = val, (s, t)
+            separable_min = min(separable_min, s * t * certificate.value)
     nonpositive_ok = most_neg < -1e-9
-
-    rng = np.random.default_rng(seed)
-    ss = rng.choice(g, size=samples)
-    tt = rng.choice(g, size=samples)
-    v1, v2 = (random_unit_rows(samples, n, rng) for _ in range(2))
-    vals = (ss * tt) * product_values(swap_operator(n).matrix, v1, v2)
-    separable_min = float(vals.min())
     separable_ok = separable_min >= -1e-9
 
     return XSeparationReport(
         n=n,
         grid=witness.grid,
-        samples=samples,
-        seed=seed,
         most_negative_eigenvalue=float(most_neg),
         argmin_pair=argmin,
         nonpositive_ok=nonpositive_ok,
-        separable_min=separable_min,
+        separable_min=float(separable_min),
         separable_ok=separable_ok,
         passes=nonpositive_ok and separable_ok,
+        certificate=certificate,
     )
 
 

@@ -181,8 +181,10 @@ def _cmd_polytope(args) -> tuple[dict, dict]:
 
 
 def _check_report(rep) -> tuple[dict, dict]:
-    """Results of a check report: pass or fail by its ``passes``, then every field."""
-    return {"status": "pass" if rep.passes else "fail", **to_json(rep)}, {}
+    """Pass or fail by ``passes``, every other field, and the certificate as ``separable_half``."""
+    results = {"status": "pass" if rep.passes else "fail", **to_json(rep)}
+    cert = results.pop("certificate", None)
+    return results, {} if cert is None else {"separable_half": cert}
 
 
 def _cmd_witness_x(args) -> tuple[dict, dict]:
@@ -190,8 +192,7 @@ def _cmd_witness_x(args) -> tuple[dict, dict]:
         grid = tuple(float(s) for s in args.grid.split(","))
     except ValueError as exc:
         raise UsageError(f"bad grid {args.grid!r}: {exc}") from exc
-    return _check_report(_on_input(algebras.verify_X_separating, args.n, grid,
-                                   samples=args.samples, seed=args.seed))
+    return _check_report(_on_input(algebras.verify_X_separating, args.n, grid))
 
 
 def _cmd_riesz(args) -> tuple[dict, dict]:
@@ -291,9 +292,7 @@ def build_parser() -> _Parser:
     wx = sub.add_parser("witness-x", help="grid witness X(s,t) = st S verification")
     wx.add_argument("--n", type=_positive(int, least=2), required=True)
     wx.add_argument("--grid", default="0,0.5,1")
-    wx.add_argument("--samples", type=_positive(int), default=100_000)
-    wx.add_argument("--seed", type=_positive(int, least=0), default=0)
-    wx.set_defaults(handler=_cmd_witness_x)
+    wx.set_defaults(handler=_cmd_witness_x, seed=0)
 
     rz = sub.add_parser("riesz", help="2x2 Riesz interpolation failure check")
     rz.add_argument("--step", type=_positive(float), default=0.02)

@@ -28,6 +28,7 @@ from .operators import (
     hilbert_schmidt,
     kron_rows,
     min_eigenpair,
+    min_eigenvalue,
     partial_transpose,
     product_values,
     random_unit_rows,
@@ -71,6 +72,14 @@ class WitnessCertificate:
     """Block-positive W with <T, W> < 0, certifying T is not separable."""
 
     witness: BipartiteOperator
+    value: float
+
+
+@dataclass(frozen=True)
+class LowerBoundCertificate:
+    """Hermitian Q and the lower bound on X that ``lower_bound`` derives from it."""
+
+    q: BipartiteOperator
     value: float
 
 
@@ -219,6 +228,17 @@ def block_positive_min(
     agreeing = int(np.sum(f <= all_vals[best] + AGREE_TOL))
     return value, OptimizerTrace(cfg.seed, cfg.starts, cfg.steps, len(gvals), value, best,
                                  best_vec, rounds, converged, agreeing)
+
+
+def lower_bound(x: BipartiteOperator, q: BipartiteOperator) -> LowerBoundCertificate:
+    """Level-1 certificate of Doherty, Parrilo and Spedalieri (PRA 69, 022308,
+    2004): for every Hermitian Q and unit a, b, <a (x) b, X a (x) b> >= value =
+    lambda_min(X - Q^Gamma) + lambda_min(Q), Gamma the right partial transpose,
+    since <a (x) b, Q^Gamma a (x) b> = <a (x) conj(b), Q a (x) conj(b)>."""
+    if (q.n, q.m) != (x.n, x.m):
+        raise ValueError(f"factorizations differ: ({q.n},{q.m}) vs ({x.n},{x.m})")
+    value = min_eigenvalue(x.matrix - partial_transpose(q, "right").matrix) + min_eigenvalue(q)
+    return LowerBoundCertificate(q, value)
 
 
 def is_psd(x: BipartiteOperator, tol: float = SPECTRAL_TOL) -> Verdict:

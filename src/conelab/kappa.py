@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 
 from .cones import OptimizerConfig, Verdict, is_block_positive
 from .maps import MatrixMap, adjoint_map, apply_left
-from .operators import BipartiteOperator, bipartite, embedded_swap, trace_norm
+from .operators import BipartiteOperator, bipartite, embedded_swap, kron_rows, trace_norm
 from .polytopes import Polytope, TensorFunctional, _affine_chart, min_tensor
 
 
@@ -135,9 +135,8 @@ def cb_norm_estimate(phi: MatrixMap, cfg: OptimizerConfig | None = None) -> CbEs
     rounds, converged = 0, False
     while rounds < cfg.steps and not converged:
         va, sa = vecs[active], signs[active]
-        # einsum, not operators.kron_rows, whose broadcast complex multiply may fuse
-        # multiply-adds: tests/test_kappa.py::TestCbActiveSet pins these bits
-        proj = np.einsum("bi,bj->bij", va * sa[:, None], va.conj())
+        d = va.shape[1]
+        proj = kron_rows(va * sa[:, None], va.conj()).reshape(len(va), d, d)
         cand = _sign_project(apply_left(l4adj, proj, m))
         fc, vc, sc = top_eigenpair(cand)
         ok = fc > f[active] + CB_GAIN

@@ -264,12 +264,11 @@ def random_positive_map(
     input_dim: int,
     output_dim: int,
     rng: np.random.Generator,
-    transpose_input: bool | None = None,
     singular_image: bool = False,
 ) -> MatrixMap:
-    """Random positive map: sum of three congruences A -> V A V*, optionally
-    precomposed with the transpose (positive but typically not CP), scaled
-    so that the normalized trace of Phi(I) equals one.
+    """Random positive map: sum of three congruences A -> V A V*, on a coin
+    flip precomposed with the transpose (positive but typically not CP),
+    scaled so that the normalized trace of Phi(I) equals one.
 
     With ``singular_image`` the V factors share a common output corner, so
     Phi(I) has a nontrivial kernel.
@@ -281,8 +280,7 @@ def random_positive_map(
     ]
     if rows != output_dim:
         vs = [np.vstack([v, np.zeros((1, input_dim))]) for v in vs]
-    if transpose_input is None:
-        transpose_input = bool(rng.integers(2))
+    transpose_input = bool(rng.integers(2))
 
     def action(a: np.ndarray) -> np.ndarray:
         src = a.T if transpose_input else a

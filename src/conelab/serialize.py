@@ -1,7 +1,7 @@
 """JSON wire formats for operators, maps, polytopes, certificates and reports.
 
-Operator format: {"dim": n, "entries": [[re, im], ...]} with dim^2 entries
-row-major; bipartite operators add "n" and "m".  Map format:
+Operator format: {"n": n, "m": m, "entries": [[re, im], ...]} with (n m)^2
+entries row-major; an optional "dim" must equal n m.  Map format:
 {"input_dim": a, "output_dim": b, "coeffs": [...]} with a real
 (b^2) x (a^2) coefficient array.  Polytope format:
 {"dim": d, "vertices": [[...], ...]}.  Schemas live in schemas/.
@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .cones import (
+    LowerBoundCertificate,
     OptimizerTrace,
     SeparableDecomposition,
     SpectralCertificate,
@@ -48,6 +49,7 @@ CERTIFICATE_TYPES = {
     ConvexWeightsCertificate: "convex-weights",
     SeparatingHyperplane: "separating-hyperplane",
     CbEstimate: "cb-estimate",
+    LowerBoundCertificate: "lower-bound",
 }
 
 

@@ -11,7 +11,7 @@ from conelab.algebras import (
     verify_trace_tensor,
     verify_X_separating,
 )
-from conelab.operators import min_eigenvalue, swap_operator
+from conelab.operators import h_operator, min_eigenvalue, swap_operator
 from conelab.polytopes import affine_dimension
 
 
@@ -108,31 +108,33 @@ class TestWitnessX:
 
 class TestVerifyXSeparating:
     def test_standard_grid_passes(self):
-        rep = verify_X_separating(2, (0.0, 0.5, 1.0), samples=20_000, seed=0)
+        rep = verify_X_separating(2, (0.0, 0.5, 1.0))
         assert rep.passes
         assert rep.most_negative_eigenvalue == pytest.approx(-1.0, abs=1e-12)
         assert rep.argmin_pair == (1.0, 1.0)
         assert rep.separable_min >= -1e-9
 
     def test_endpoint_grid_n3(self):
-        rep = verify_X_separating(3, (0.0, 1.0), samples=10_000, seed=1)
+        rep = verify_X_separating(3, (0.0, 1.0))
         assert rep.passes
 
     def test_zero_grid_errors(self):
         with pytest.raises(ValueError, match="s, t > 0"):
-            verify_X_separating(2, (0.0,), samples=10)
+            verify_X_separating(2, (0.0,))
 
     def test_separable_minimum_approaches_zero_from_above(self):
-        # without 0 in the grid the sampled minimum is strictly positive
-        rep = verify_X_separating(2, (0.5, 1.0), samples=20_000, seed=2)
-        assert 0.0 < rep.separable_min < 1e-2
-        # with 0 in the grid zero values are attained exactly
-        rep0 = verify_X_separating(2, (0.0, 0.5, 1.0), samples=20_000, seed=2)
-        assert 0.0 <= rep0.separable_min <= 1e-12
+        # without 0 in the grid the minimum is the least s t value, certified by Q = H(n)
+        grid = (0.5, 1.0)
+        for n in (2, 3, 4):
+            rep = verify_X_separating(n, grid)
+            value = rep.certificate.value
+            assert rep.separable_min == min(s * t * value for s in grid for t in grid)
+            assert rep.separable_min >= -1e-15
+            assert np.array_equal(rep.certificate.q.matrix, h_operator(n).matrix)
 
     def test_reproducible(self):
-        a = verify_X_separating(2, (0.0, 0.5, 1.0), samples=5_000, seed=7)
-        b = verify_X_separating(2, (0.0, 0.5, 1.0), samples=5_000, seed=7)
+        a = verify_X_separating(2, (0.0, 0.5, 1.0))
+        b = verify_X_separating(2, (0.0, 0.5, 1.0))
         assert a == b
 
 

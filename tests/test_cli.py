@@ -247,7 +247,7 @@ class TestReportCommands:
     def test_witness_x(self, capsys):
         code, rep = run_json(
             capsys,
-            ["witness-x", "--n", "2", "--grid", "0,0.5,1", "--samples", "2000"],
+            ["witness-x", "--n", "2", "--grid", "0,0.5,1"],
         )
         assert code == 0
         assert rep["results"]["most_negative_eigenvalue"] == pytest.approx(-1.0, abs=1e-9)
@@ -255,8 +255,12 @@ class TestReportCommands:
     def test_witness_x_bad_grid_is_usage_error(self, capsys):
         assert cli.main(["witness-x", "--n", "2", "--grid", "a,b"]) == 64
 
+    @pytest.mark.parametrize("flag", ["--samples", "--seed"])
+    def test_witness_x_takes_no_samples_or_seed(self, capsys, flag):
+        assert cli.main(["witness-x", "--n", "2", flag, "10"]) == 64
+
     def test_witness_x_degenerate_grid_is_data_error(self, capsys):
-        assert cli.main(["witness-x", "--n", "2", "--grid", "0", "--samples", "10"]) == 65
+        assert cli.main(["witness-x", "--n", "2", "--grid", "0"]) == 65
 
     def test_riesz(self, capsys):
         code, rep = run_json(capsys, ["riesz"])
@@ -340,7 +344,6 @@ class TestErrorPaths:
         ["kappa", "--n", "0", "--m", "2"],
         ["kappa", "--n", "2", "--m", "2", "--budget", "0"],
         ["riesz", "--step", "0"],
-        ["witness-x", "--n", "2", "--samples", "0"],
     ], ids=" ".join)
     def test_non_positive_number_is_usage_error(self, capsys, h2_half, t2_map, argv):
         argv = [a.format(h2=h2_half, t2=t2_map) for a in argv]
@@ -369,7 +372,6 @@ class TestErrorPaths:
         ["membership", "--cone", "block-positive", "--input", "{h2}"],
         ["map-check", "--map", "{t2}"],
         ["kappa", "--n", "2", "--m", "2", "--estimate-cb", "{t2}"],
-        ["witness-x", "--n", "2", "--samples", "10"],
         ["reproduce", "--quick", "--only", "witness_norm"],
     ], ids=lambda argv: argv[0])
     def test_negative_seed_is_usage_error(self, capsys, h2_half, t2_map, argv):
@@ -432,7 +434,7 @@ class TestErrorPaths:
         assert cli.main(["polytope", "tensor", "--k1", str(p), "--k2", square_file]) == 0
 
     def test_nan_grid_point_is_data_error(self, capsys):
-        assert cli.main(["witness-x", "--n", "2", "--grid", "0,nan,1", "--samples", "10"]) == 65
+        assert cli.main(["witness-x", "--n", "2", "--grid", "0,nan,1"]) == 65
         assert "grid points must lie in [0, 1]" in capsys.readouterr().err
 
 

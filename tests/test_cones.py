@@ -22,6 +22,7 @@ from conelab.cones import (
     block_positive_min,
     is_block_positive,
     is_psd,
+    lower_bound,
     ppt_check,
     product_expectation,
     random_product_state,
@@ -30,10 +31,12 @@ from conelab.cones import (
 )
 from conelab.operators import (
     bipartite,
+    embedded_swap,
     h_operator,
     kron_rows,
     min_eigenvalue,
     partial_transpose,
+    product_values,
     random_density,
     random_hermitian,
     random_unit_rows,
@@ -177,6 +180,29 @@ class TestIsBlockPositive:
         b = is_block_positive(x, 1e-6, FAST)
         assert a.certificate.best_value == b.certificate.best_value
         assert np.array_equal(a.certificate.best_vector.left, b.certificate.best_vector.left)
+
+
+class TestLowerBound:
+    @given(st.integers(0, 10_000), st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+    @settings(max_examples=20, deadline=None)
+    def test_below_product_values_and_the_seesaw(self, seed, size):
+        n, m = size
+        rng = np.random.default_rng(seed)
+        x, q = random_bipartite(n, m, rng), random_bipartite(n, m, rng)
+        value = lower_bound(x, q).value
+        a, b = random_unit_rows(100, n, rng), random_unit_rows(100, m, rng)
+        assert np.all(value <= product_values(x.matrix, a, b))
+        assert value <= block_positive_min(x)[0] + 1e-12
+
+    @pytest.mark.parametrize("x", [swap_operator(m) for m in range(2, 6)]
+                             + [embedded_swap(n, m) for n, m in [(2, 3), (3, 2), (2, 4)]],
+                             ids=lambda x: f"{x.n}x{x.m}")
+    def test_swap_family_is_certified_by_its_partial_transpose(self, x):
+        assert lower_bound(x, partial_transpose(x, "right")).value >= -1e-12
+
+    def test_factorizations_must_match(self):
+        with pytest.raises(ValueError, match="factorizations differ"):
+            lower_bound(embedded_swap(2, 3), embedded_swap(3, 2))
 
 
 class TestPptCheck:

@@ -23,7 +23,7 @@ from conelab.maps import (
     random_positive_map,
     unitality_report,
 )
-from conelab.operators import bipartite, operator_norm, random_density, swap_operator
+from conelab.operators import bipartite, kron_rows, operator_norm, random_density, swap_operator
 from conelab.polytopes import (
     functional_from_flat,
     max_tensor_polytope,
@@ -179,7 +179,8 @@ def _cb_seesaw_full_batch(phi, cfg):
     f, vecs, signs = top_eigenpair(x)
     rounds, converged = 0, False
     while rounds < cfg.steps and not converged:
-        proj = np.einsum("bi,bj->bij", vecs * signs[:, None], vecs.conj())
+        d = vecs.shape[1]
+        proj = kron_rows(vecs * signs[:, None], vecs.conj()).reshape(len(vecs), d, d)
         cand = sign_project(apply_left(l4adj, proj, m))
         fc, vc, sc = top_eigenpair(cand)
         ok = fc > f + CB_GAIN

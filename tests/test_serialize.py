@@ -1,11 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from conelab import polytopes
-from conelab.maps import random_map
+from conelab.maps import MatrixMap, random_map
 from conelab.operators import swap_operator
 from conelab.polytopes import LP_BLOCKS, Polytope, square
 from conelab.serialize import (
@@ -16,7 +18,10 @@ from conelab.serialize import (
     map_to_dict,
     polytope_from_dict,
     polytope_to_dict,
+    to_json,
 )
+
+ROOT = Path(__file__).parent.parent
 
 
 def test_bipartite_roundtrip():
@@ -146,3 +151,45 @@ def test_integral_float_size_field_accepted(reader, key):
         assert np.array_equal(got.coeffs, want.coeffs)
     else:
         assert np.array_equal(got.matrix, want.matrix)
+
+
+def _validators():
+    jsonschema = pytest.importorskip("jsonschema")
+    return {kind: jsonschema.Draft202012Validator(
+                json.loads((ROOT / "schemas" / f"{kind}.schema.json").read_text()))
+            for kind in ("operator", "map", "polytope")}
+
+
+def _schema_of(doc):
+    return "operator" if "entries" in doc else "map" if "coeffs" in doc else "polytope"
+
+
+def test_golden_inputs_and_encoder_output_match_their_schemas():
+    validators = _validators()
+    golden = json.loads((ROOT / "tests" / "data" / "golden_verdicts.json").read_text())
+    docs = list(golden["inputs"].values())
+    docs += [to_json(swap_operator(2)), to_json(MatrixMap.transpose(2)), to_json(square())]
+    assert {_schema_of(d) for d in docs} == set(validators)
+    for doc in docs:
+        validators[_schema_of(doc)].validate(doc)
+
+
+E4 = [[1.0, 0.0]] * 16  # the 4 x 4 all-ones matrix
+
+
+@pytest.mark.parametrize("doc, schema_ok, reader_ok", [
+    ({"dim": 4, "entries": E4}, False, False),
+    ({"n": 2, "m": 2, "entries": E4}, True, True),
+    ({"n": 2, "m": 2, "dim": 4, "entries": E4}, True, True),
+    # JSON Schema cannot multiply: dim = n m is in the schema's description only
+    ({"n": 1, "m": 2, "dim": 4, "entries": E4}, True, False),
+    ({"n": 2, "m": 2, "dim": 4}, False, False),
+], ids=["dim only", "n and m only", "all three", "n m != dim", "entries missing"])
+def test_operator_schema_and_reader_agree(doc, schema_ok, reader_ok):
+    assert _validators()["operator"].is_valid(doc) is schema_ok
+    try:
+        bipartite_from_dict(doc)
+    except MalformedInput:
+        assert not reader_ok
+    else:
+        assert reader_ok

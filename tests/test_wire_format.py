@@ -9,17 +9,19 @@ import pytest
 
 from conelab import cli
 from conelab.cones import (
+    LowerBoundCertificate,
     OptimizerConfig,
     Status,
     is_block_positive,
     is_psd,
+    lower_bound,
     ppt_check,
     random_product_state,
     separable_decompose,
 )
 from conelab.kappa import CbEstimate, extremal_positive_map
 from conelab.maps import apply_to_left_factor
-from conelab.operators import bipartite, h_operator
+from conelab.operators import bipartite, h_operator, partial_transpose, swap_operator
 from conelab.polytopes import (
     Polytope,
     TensorFunctional,
@@ -90,13 +92,21 @@ def test_certificate_keys_are_type_and_field_names(name, verdict, status):
 
 
 def test_every_verdict_certificate_type_is_exercised():
-    assert {type(v.certificate) for _, v, _ in VERDICTS} == set(CERTIFICATE_TYPES) - {CbEstimate}
+    assert ({type(v.certificate) for _, v, _ in VERDICTS}
+            == set(CERTIFICATE_TYPES) - {CbEstimate, LowerBoundCertificate})
 
 
 def test_type_names():
     assert sorted(CERTIFICATE_TYPES.values()) == sorted([
         "spectral", "witness", "optimizer", "decomposition", "ray-pair",
-        "convex-weights", "separating-hyperplane", "cb-estimate"])
+        "convex-weights", "separating-hyperplane", "cb-estimate", "lower-bound"])
+
+
+def test_lower_bound_certificate_is_q_and_value():
+    s = swap_operator(2)
+    cert = lower_bound(s, partial_transpose(s, "right"))
+    assert to_json(cert) == {"type": "lower-bound", "q": bipartite_to_dict(cert.q),
+                             "value": cert.value}
 
 
 def test_unregistered_dataclass_has_no_type():
@@ -171,13 +181,26 @@ def test_cli_kappa_reports_cb_estimate(capsys):
 
 
 def test_cli_report_commands_carry_every_report_field(capsys):
-    _, rep = run_json(capsys, ["witness-x", "--n", "2", "--samples", "500", "--seed", "4"])
-    assert rep["results"]["passes"] is True and rep["results"]["seed"] == 4
+    _, rep = run_json(capsys, ["witness-x", "--n", "2"])
+    assert rep["results"]["passes"] is True and "certificate" not in rep["results"]
+    assert rep["certificates"]["separable_half"]["type"] == "lower-bound"
     _, rep = run_json(capsys, ["riesz"])
     assert rep["results"]["passes"] is True
     _, rep = run_json(capsys, ["trace-simplex", "--a", "2,3", "--b", "2,5"])
     assert rep["results"]["passes"] is True
     assert rep["results"]["block_count_ok"] is True
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cli_witness_x_certificate_rechecks_with_two_eigvalsh(capsys, n):
+    _, rep = run_json(capsys, ["witness-x", "--n", str(n)])
+    cert = rep["certificates"]["separable_half"]
+    assert set(cert) == {"type", "q", "value"} and cert["type"] == "lower-bound"
+    q = bipartite_from_dict(cert["q"])
+    s = swap_operator(n).matrix
+    value = (np.linalg.eigvalsh(s - partial_transpose(q, "right").matrix)[0]
+             + np.linalg.eigvalsh(q.matrix)[0])
+    assert value == cert["value"] >= -1e-12
 
 
 @pytest.fixture
