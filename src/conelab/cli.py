@@ -169,7 +169,7 @@ def _cmd_polytope(args) -> tuple[dict, dict]:
         mx = _on_input(polytopes.max_tensor_polytope, k1, k2)
         results["max_vertex_count"] = mx.n_vertices
         if args.relative_bound:
-            results["relative_bound"] = polytopes.relative_bound(mn, mx)
+            results["relative_bound"] = _on_input(polytopes.relative_bound, mn, mx)
         if args.gap:
             gap = _on_input(polytopes.gap_among, mx, k1, k2)
             results["gap"] = None

@@ -59,7 +59,7 @@ class Status(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralCertificate:
     """Extremal eigenpair backing a PSD verdict."""
 
@@ -67,7 +67,7 @@ class SpectralCertificate:
     eigenvector: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessCertificate:
     """Block-positive W with <T, W> < 0, certifying T is not separable."""
 
@@ -75,7 +75,7 @@ class WitnessCertificate:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LowerBoundCertificate:
     """Hermitian Q and the lower bound on X that ``lower_bound`` derives from it."""
 
@@ -83,7 +83,7 @@ class LowerBoundCertificate:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparableDecomposition:
     """Nonnegative mixture of pure product states reconstructing the input.
 
@@ -102,7 +102,7 @@ class SeparableDecomposition:
         return (v.T * self.weights) @ v.conj()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizerTrace:
     """Deterministic record of a multistart product-vector optimization.
 

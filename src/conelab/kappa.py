@@ -55,7 +55,7 @@ def kappa_witness(n: int, cfg: OptimizerConfig | None = None) -> KappaWitness:
     return KappaWitness(w, trace_norm(w), is_block_positive(w, cfg=cfg))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CbEstimate:
     """Best cb-norm lower bound found and its maximizing symmetry.
 

@@ -11,7 +11,9 @@ The minimal tensor product is the convex hull of the rank-one matrices
 [v;1][w;1]^T over vertex pairs; the maximal one is cut out by
 nonnegativity against all pairs of extreme rays of the factors' positive
 affine-function cones.  Extreme rays and vertex enumerations come from
-Qhull's halfspace intersection on a cross-section of each cone.
+Qhull's halfspace intersection on a cross-section of each cone, built in
+the factors' unit charts (centroid 0, max-abs coordinate 1), so they do
+not depend on the factors' affine coordinates and solve no LP.
 """
 
 from __future__ import annotations
@@ -111,9 +113,7 @@ def square() -> Polytope:
 
 def affine_dimension(points) -> int:
     """Rank of the difference set; singular values below 1e-9 * max count as zero."""
-    if isinstance(points, Polytope):
-        points = points.vertices
-    p = np.asarray(points, dtype=float)
+    p = np.asarray(points.vertices if isinstance(points, Polytope) else points, dtype=float)
     if p.ndim != 2 or len(p) == 0:
         raise ValueError("need a nonempty point list")
     return _affine_chart(p, p[0]).shape[1]
@@ -147,86 +147,96 @@ def functional_from_flat(flat: np.ndarray, k1: Polytope, k2: Polytope) -> Tensor
 
 
 def double_description(a: np.ndarray) -> np.ndarray:
-    """Extreme rays of the pointed, full-dimensional cone {y : A y >= 0}.
+    """Extreme rays of the pointed cone {y : A y >= 0}, which must have
+    e_last = (0, ..., 0, 1) in its interior: every row ends in a positive entry.
 
     With unit rows a_i and c = sum_i a_i, c.y > 0 on the cone minus 0, so
-    the section {c.y = 1} is a polytope whose vertices are the rays.  Its
-    vertices come from Qhull's halfspace intersection, seeded with the
-    Chebyshev centre of the section; a 1-d section (a segment) is solved
-    in closed form and d = 1 is a sign.  Rays are unit-normalized and
-    returned in lexicographic order.
+    the section {c.y = 1} is a polytope whose vertices are the rays.  They
+    come from Qhull's halfspace intersection seeded at the section's point
+    e_last / c_last, with no LP; a 1-d section (a segment) is solved in closed
+    form and for d = 1 the ray is (1).  Rays are unit-normalized and lexsorted.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[1]
     norms = np.linalg.norm(a, axis=1)
-    if np.any(norms < DD_TOL):
-        raise ValueError("zero inequality row")
+    if np.any(a[:, -1] <= DD_TOL * norms):
+        raise ValueError("e_last is not interior to the cone: a row's last entry is not positive")
     a = a / norms[:, None]
     if np.linalg.matrix_rank(a, tol=1e-9) < d:
         raise ValueError("cone is not pointed: inequality normals do not span")
-    empty = ValueError("cone has empty interior")
     if d == 1:
-        if np.all(a > 0) or np.all(a < 0):
-            return a[:1]
-        raise empty
+        return a[:1]
     c = a.sum(axis=0)
     cc = c @ c
-    if cc < DD_TOL:
-        raise empty
     basis = np.linalg.svd(c[None, :])[2][1:].T  # (d, d-1), orthonormal in c-perp
     g, h = a @ basis, a @ c / cc  # y = c/|c|^2 + basis z is in the cone iff g z + h >= 0
-    gn = np.linalg.norm(g, axis=1)
-    res = linprog(
-        np.append(np.zeros(d - 1), -1.0),
-        A_ub=np.hstack([-g, gn[:, None]]), b_ub=h,
-        bounds=[(None, None)] * (d - 1) + [(0, None)], method="highs",
-    )
-    if not res.success or res.x[-1] <= DD_TOL:
-        raise empty
-    keep = gn > DD_TOL
+    keep = np.linalg.norm(g, axis=1) > DD_TOL
     if d == 2:
         ends = -h[keep] / g[keep, 0]
         z = np.array([[ends[g[keep, 0] > 0].max()], [ends[g[keep, 0] < 0].min()]])
     else:
         halfspaces = np.hstack([-g[keep], -h[keep, None]])
-        try:
-            z = HalfspaceIntersection(halfspaces, res.x[:-1]).intersections
+        try:  # e_last / c_last lies on the section at z = basis^T e_last / c_last
+            z = HalfspaceIntersection(halfspaces, basis[-1] / c[-1]).intersections
         except QhullError as exc:  # precision failure on an ill-conditioned section
             raise ValueError(str(exc).splitlines()[0]) from exc
     rays = c / cc + z @ basis.T
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    # at a degenerate vertex, Qhull's unmerged dual facets give copies of it or
+    # points on edges: keep each set of tight rows once, and only at rank d - 1
+    tight = np.abs(a @ rays.T) <= 1e-9
+    _, first = np.unique(tight.T, axis=0, return_index=True)
+    rank_ok = np.linalg.eigvalsh(np.einsum("ni,nr,nj->rij", a, tight * 1.0, a))[:, 1] > 1e-12
+    rays = rays[np.intersect1d(first, np.flatnonzero(rank_ok))]
     return rays[np.lexsort(np.round(rays, 9).T[::-1])]
 
 
 def _check_ray_input(k: Polytope) -> None:
     """Reject a factor beyond the sizes the module constants support."""
-    if k.ambient_dim > MAX_RAY_AMBIENT_DIM:
-        raise ValueError(
-            f"ambient dimension {k.ambient_dim} exceeds the supported {MAX_RAY_AMBIENT_DIM}"
-        )
-    if k.n_vertices > MAX_RAY_VERTICES:
-        raise ValueError(
-            f"vertex count {k.n_vertices} exceeds the supported {MAX_RAY_VERTICES}"
-        )
+    for what, size, cap in [("ambient dimension", k.ambient_dim, MAX_RAY_AMBIENT_DIM),
+                            ("vertex count", k.n_vertices, MAX_RAY_VERTICES)]:
+        if size > cap:
+            raise ValueError(f"{what} {size} exceeds the supported {cap}")
+
+
+def _unit_chart(points: np.ndarray):
+    """(center, q, scale) of the unit chart of aff(points), u = (x - center)
+    @ q / scale with q from _affine_chart: centroid 0, max-abs coordinate 1."""
+    center = points.mean(axis=0)
+    q = _affine_chart(points, center)
+    return center, q, np.max(np.abs((points - center) @ q), initial=0.0) or 1.0
+
+
+def _chart_rays(k: Polytope):
+    """Extreme rays (alpha, beta) of the positive affine functions
+    u |-> alpha.u + beta on k in its unit chart, and the chart's homogeneous
+    maps: into takes [x; 1] to [u; 1], back takes [u; 1] to [x; 1] on aff(k).
+    The rows (u_i, 1) end in 1, so e_last is interior to the cone, and every
+    ray, positive at the centroid u = 0, ends in a positive entry too.  Vertices
+    that coincide in the chart (a factor too thin to resolve) raise ValueError.
+    """
+    _check_ray_input(k)
+    center, q, scale = _unit_chart(k.vertices)
+    u = (k.vertices - center) @ q / scale
+    if len(u) > 1 and cKDTree(u).query_pairs(1e-9):
+        raise ValueError("vertices coincide in the unit chart of the factor's affine hull")
+    into = np.block([[q.T / scale, -(center @ q)[:, None] / scale], [np.zeros(len(center)), 1.0]])
+    back = np.block([[q * scale, center[:, None]], [np.zeros(q.shape[1]), 1.0]])
+    return double_description(np.hstack([u, np.ones((len(u), 1))])), into, back
 
 
 def positive_ray_generators(k: Polytope) -> np.ndarray:
     """Extreme rays of {(a, b) : a.v + b >= 0 for all vertices v}, one per
     row in coefficient coordinates (a, b) for x |-> a.x + b.
 
-    Lower-dimensional polytopes are handled in an affine chart, where the
-    cone of positive affine functions is pointed; the returned coefficient
-    vectors are representatives pulled back to the ambient coordinates,
-    normalized to max-abs coefficient 1 and lexicographically sorted.  The
-    module constants bound the accepted input size.
+    The rays are enumerated in the unit chart of aff(k) (_chart_rays),
+    where the cone of positive affine functions is pointed, and pulled back
+    to the ambient coordinates as representatives, normalized to max-abs
+    coefficient 1 and lexicographically sorted.  The module constants bound
+    the accepted input size.
     """
-    _check_ray_input(k)
-    v0 = k.vertices[0]
-    basis = _affine_chart(k.vertices, v0)
-    reduced = (k.vertices - v0) @ basis  # (k, q)
-    y = double_description(np.hstack([reduced, np.ones((k.n_vertices, 1))]))
-    a = y[:, :-1] @ basis.T
-    full = np.hstack([a, (y[:, -1] - a @ v0)[:, None]])
+    rays, into, _ = _chart_rays(k)
+    full = rays @ into
     full /= np.max(np.abs(full), axis=1, keepdims=True)
     return full[np.lexsort(np.round(full, 9).T[::-1])]
 
@@ -235,7 +245,7 @@ def positive_ray_generators(k: Polytope) -> np.ndarray:
 # membership
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RayPairCertificate:
     """Value of the functional on one pair of extreme rays."""
 
@@ -244,7 +254,7 @@ class RayPairCertificate:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexWeightsCertificate:
     """Convex combination of minimal-tensor vertices reproducing the input."""
 
@@ -252,7 +262,7 @@ class ConvexWeightsCertificate:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparatingHyperplane:
     """Affine functional h with h(input) > offset >= h(v) on all min vertices."""
 
@@ -286,6 +296,7 @@ def _block_lps(c, a_ub, b_ub, a_eq, b_eq, what: str):
     objectives; the copies share no variable, so the sum is minimal exactly
     when each one is.  (Most of one small LP's time is scipy's wrapper, not
     HiGHS.)  Returns the solutions (n, len(c)) and a_ub duals (n, len(a_ub)).
+    A HiGHS failure raises ValueError: the input is beyond what the LPs solve.
     """
     xs, duals = [], []
     for rows in np.array_split(np.arange(len(b_eq)), -(-len(b_eq) // LP_BLOCKS)):
@@ -294,7 +305,7 @@ def _block_lps(c, a_ub, b_ub, a_eq, b_eq, what: str):
                       A_eq=sparse.kron(eye, a_eq), b_eq=b_eq[rows].ravel(),
                       method="highs", options={"presolve": False})
         if not res.success:
-            raise RuntimeError(f"{what} LP failed: {res.message}")
+            raise ValueError(f"{what} LP failed: {res.message}")
         xs.append(res.x.reshape(len(rows), -1))
         duals.append(res.ineqlin.marginals.reshape(len(rows), -1))
     return np.vstack(xs), np.vstack(duals)
@@ -423,11 +434,8 @@ def _relative_bounds(z: np.ndarray, inner: np.ndarray) -> np.ndarray:
     on its constraints by least squares; a row whose residual stays above
     1e-9 (in that chart) keeps the bound inf, hence gets an LP.
     """
-    center = inner.mean(axis=0)
-    q = _affine_chart(inner, center)
-    coords = (inner - center) @ q
-    scale = np.max(np.abs(coords), initial=0.0) or 1.0
-    a = np.vstack([coords.T / scale, np.ones(len(inner))])  # (m, p)
+    center, q, scale = _unit_chart(inner)
+    a = np.vstack([((inner - center) @ q).T / scale, np.ones(len(inner))])  # (m, p)
     rhs = np.hstack([(z - center) @ q / scale, np.ones((len(z), 1))])
     m = len(a)
     outer = np.einsum("ip,jp->pij", a, a).reshape(len(inner), m * m)  # a_p a_p^T per vertex
@@ -452,34 +460,25 @@ def _relative_bounds(z: np.ndarray, inner: np.ndarray) -> np.ndarray:
 def max_tensor_polytope(k1: Polytope, k2: Polytope) -> Polytope:
     """Vertex enumeration of the maximal tensor product.
 
-    The maximal set lives in the affine hull of the minimal one (the two
-    have equal dimension), so it is parameterized there and cut out by the
-    ray-pair inequalities; the extreme rays of the homogenized cone are the
-    vertices.  When either factor is a simplex the two products are equal,
-    so the minimal vertices are returned with no enumeration and no LP.
-    Vertices are returned as flattened functionals in lexicographic order.
+    In the factors' unit charts (_chart_rays), a functional is a matrix Phi
+    with Phi[-1, -1] = 1 and the maximal set is cut out by r^T Phi s >= 0 over
+    the chart rays.  Its cone has e_last interior, as r(0) s(0) > 0; its extreme
+    rays, scaled to Phi[-1, -1] = 1, are the vertices, mapped back through the
+    charts.  When either factor is a simplex the two products are equal, so the
+    minimal vertices are returned with no enumeration and no LP.  Vertices are
+    returned as flattened functionals in lexicographic order.
     """
     _check_ray_input(k1)
     _check_ray_input(k2)
-    mv = min_tensor(k1, k2).vertices
     if any(k.n_vertices == affine_dimension(k) + 1 for k in (k1, k2)):
+        mv = min_tensor(k1, k2).vertices
         return Polytope(mv[np.lexsort(np.round(mv, 9).T[::-1])])
-    r1 = positive_ray_generators(k1)
-    r2 = positive_ray_generators(k2)
-    m0 = mv.mean(axis=0)
-    q = _affine_chart(mv, m0)  # (D, rank), orthonormal columns
-    prods = np.einsum("ia,jb->ijab", r1, r2).reshape(len(r1) * len(r2), -1)
-    hom = np.vstack([
-        np.hstack([prods @ q, (prods @ m0)[:, None]]),
-        np.append(np.zeros(q.shape[1]), 1.0),
-    ])
-    rays = double_description(hom)
-    t = rays[:, -1]
-    if np.any(t <= 1e-9):
+    (r1, _, back1), (r2, _, back2) = _chart_rays(k1), _chart_rays(k2)
+    rays = double_description(np.einsum("ia,jb->ijab", r1, r2).reshape(len(r1) * len(r2), -1))
+    if np.any(rays[:, -1] <= 1e-9):
         raise RuntimeError("maximal tensor polytope appears unbounded")
-    verts = m0 + (rays[:, :-1] / t[:, None]) @ q.T
-    order = np.lexsort(np.round(verts, 9).T[::-1])
-    return Polytope(verts[order])
+    verts = (rays / rays[:, -1:]) @ np.kron(back1, back2).T  # back1 Phi back2^T, row-major
+    return Polytope(verts[np.lexsort(np.round(verts, 9).T[::-1])])
 
 
 @dataclass(frozen=True)

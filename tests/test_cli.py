@@ -232,10 +232,29 @@ class TestPolytopeCommands:
 
     @pytest.mark.parametrize("command", [["polytope", "tensor", "--gap"], ["barker"]],
                              ids=["tensor-gap", "barker"])
-    def test_qhull_precision_failure_is_data_error(self, capsys, shifted_square_file, command):
+    def test_shifted_square_gives_the_unit_answer(self, capsys, shifted_square_file, command):
         argv = command + ["--k1", shifted_square_file, "--k2", shifted_square_file]
-        assert cli.main(argv) == 65
-        assert "Qhull precision error" in capsys.readouterr().err
+        code, rep = run_json(capsys, argv)
+        assert code == 0
+        assert rep["results"]["max_vertex_count"] == 24
+        assert rep["results"]["gap"] is not None
+
+    def test_degenerate_factor_is_data_error(self, capsys, tmp_path):
+        # the unit square scaled by (1e-6, 1e6): its vertices pair up in the unit chart
+        p = tmp_path / "thin.json"
+        p.write_text(json.dumps(polytope_to_dict(Polytope(square().vertices * [1e-6, 1e6]))))
+        assert cli.main(["polytope", "tensor", "--gap", "--k1", str(p), "--k2", str(p)]) == 65
+        assert "coincide in the unit chart" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["barker"], ["polytope", "tensor", "--relative-bound"]],
+                             ids=["barker", "tensor-relative-bound"])
+    def test_lp_failure_is_data_error(self, capsys, tmp_path, command):
+        # the unit square scaled by 1e-3 and shifted by (1000, 1000), where
+        # HiGHS fails on the distance and relative-bound LPs
+        p = tmp_path / "small_far.json"
+        p.write_text(json.dumps(polytope_to_dict(Polytope(square().vertices * 1e-3 + 1000.0))))
+        assert cli.main(command + ["--k1", str(p), "--k2", str(p)]) == 65
+        assert "LP failed: (HiGHS Status" in capsys.readouterr().err
 
     def test_non_extreme_vertex_is_data_error(self, tmp_path, square_file):
         p = tmp_path / "collinear.json"

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from conelab import polytopes
+from conelab.cones import is_psd
 from conelab.maps import MatrixMap, random_map
 from conelab.operators import swap_operator
 from conelab.polytopes import LP_BLOCKS, Polytope, square
@@ -43,6 +44,16 @@ def test_polytope_roundtrip():
     k = square()
     back = polytope_from_dict(polytope_to_dict(k))
     assert np.array_equal(back.vertices, k.vertices)
+
+
+@pytest.mark.parametrize("make", [lambda: is_psd(swap_operator(2)),
+                                  lambda: polytopes.barker_gap(square(), square()).max_verdict],
+                         ids=["spectral", "ray-pair"])
+def test_certificates_compare_through_to_json(make):
+    """Certificates hold arrays: == on them is identity and must not raise."""
+    a, b = make(), make()
+    assert (a == b) is False and a == a
+    assert json.dumps(to_json(a)) == json.dumps(to_json(b))
 
 
 def test_wrong_entry_count():
