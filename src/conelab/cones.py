@@ -311,26 +311,18 @@ def _sqrt_factor(x: np.ndarray) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])
 
 
-def _rotation_floor(x: BipartiteOperator) -> float:
-    """Lower bound (1/2) max(N - slack, 0)^2 on every error ``_ensemble_rotate``
-    can reach on the state x, with N = ||(X^Gamma)_-||_F the Frobenius norm
-    of the negative part of the right partial transpose (the proof is in
-    ``separable_decompose``).
+def _ppt_distance(x: BipartiteOperator) -> float:
+    """Lower bound max(N - slack, 0) on ||X - Y||_F over separable Y, with
+    N = ||(X^Gamma)_-||_F the Frobenius norm of the negative part of the
+    right partial transpose (the proof is in ``separable_decompose``).
 
-    The proof takes CC* = X and tr X = 1.  The slack, 1e-8 * dim, covers
-    what those two equalities miss.  ``separable_decompose`` admits
-    eigenvalues down to -SPECTRAL_TOL and a trace off by 1e-9, and
-    ``_sqrt_factor`` drops eigenvalues <= 1e-12 * lambda_max <= 1e-12, so
-    CC* = X' with ||X - X'||_F <= sqrt(dim) 1e-9 and tr X' <= 1 + (dim + 1)
-    1e-9.  N is a distance to the PSD cone, hence 1-Lipschitz, and at most
-    ||X||_F <= 1, so the two move the bound's N by at most 2 dim 1e-9.
-    ``eigvalsh`` and the rotation's products are backward stable: their
-    rounding moves N and the error by O(dim^1.5 eps), far below the
-    remaining 8 dim 1e-9.
+    The slack, 1e-8 * dim, covers rounding: ``eigvalsh`` is backward stable,
+    and on a state N and a fit's residual round by O(dim^1.5 eps), far below
+    the slack.  On a separable state X^Gamma is PSD, N is rounding noise and
+    the bound is exactly 0.
     """
     lam = np.linalg.eigvalsh(partial_transpose(x, "right").matrix)
-    neg = float(np.linalg.norm(np.minimum(lam, 0.0)))
-    return 0.5 * max(neg - 1e-8 * x.dim, 0.0) ** 2
+    return max(float(np.linalg.norm(np.minimum(lam, 0.0))) - 1e-8 * x.dim, 0.0)
 
 
 def _ensemble_rotate(x: np.ndarray, n: int, m: int, k: int, seed: int):
@@ -489,16 +481,13 @@ def separable_decompose(x: BipartiteOperator, cfg: OptimizerConfig | None = None
     decomposition's atom order and factor phases are free (Hughston, Jozsa
     and Wootters 1993), so they are fixed by the weights and the factors.
 
-    The ensemble phase is skipped, with the same Unknown verdict as when
-    every batch is dropped, when the partial transpose (Peres 1996) proves
-    that no rotation can pass the gate (``_rotation_floor``).  The rotation
-    only visits configurations C with CC* = X = AA*.  Let p_i be the product
-    projection of column c_i, e_i = c_i - p_i (orthogonal to p_i) and
-    Y = sum_i p_i p_i*.  Then ||c c* - p p*||_F^2 = ||e||^2 (||c||^2 +
-    ||p||^2) <= 2 ||c||^2 ||e||^2, and summing with Cauchy-Schwarz gives
-    ||X - Y||_F <= sqrt(2 tr X err) = sqrt(2 err).  The partial transpose
-    preserves the Frobenius norm and Y^Gamma is PSD, so ||X - Y||_F >=
-    ||(X^Gamma)_-||_F, and err >= (1/2) ||(X^Gamma)_-||_F^2.
+    The ensemble phase is skipped, returning the greedy result as Unknown,
+    when the partial transpose (Peres 1996) proves that no separable state
+    lies within ``RESIDUAL_TOL`` of the input (``_ppt_distance``).  Every
+    fit is Y = sum_t w_t v_t v_t* with w >= 0 and product v_t, so Y^Gamma
+    is PSD.  The partial transpose preserves the Frobenius norm, so
+    ||X - Y||_F = ||X^Gamma - Y^Gamma||_F >= ||(X^Gamma)_-||_F, and no phase
+    can reach a residual below that.
     """
     cfg = cfg or DECOMPOSE_CFG
     if min_eigenpair(x)[0] < -SPECTRAL_TOL:
@@ -524,7 +513,7 @@ def separable_decompose(x: BipartiteOperator, cfg: OptimizerConfig | None = None
             return verdict_of(residual, left, right, weights)
 
     best = (residual, left, right, weights)
-    if _rotation_floor(x) > ROTATION_GATE:  # no attempt could pass the gate below
+    if _ppt_distance(x) >= RESIDUAL_TOL:  # no attempt could reach In
         return verdict_of(*best)
     rank = _sqrt_factor(x.matrix).shape[1]
     for attempt in range(ENSEMBLE_ATTEMPTS):

@@ -99,6 +99,23 @@ class TestMembership:
         assert cert["type"] == "witness"
         assert cert["value"] == pytest.approx(-0.5, abs=1e-9)
 
+    def test_separable_unknown_below_the_ppt_tolerance(self, capsys, tmp_path):
+        # 0.4 psi psi* + 0.6 I/4: the partial transpose's one negative
+        # eigenvalue, -0.05, passes --tol 0.1, so the search runs and stays
+        # at least that far from the state.
+        psi = np.eye(2).ravel() / np.sqrt(2)
+        p = tmp_path / "state.json"
+        state = bipartite(0.4 * np.outer(psi, psi) + 0.6 * np.eye(4) / 4, 2, 2)
+        p.write_text(json.dumps(bipartite_to_dict(state)))
+        code, rep = run_json(capsys, ["membership", "--cone", "separable", "--input", str(p),
+                                      "--tol", "0.1"])
+        assert code == 2
+        assert rep["results"]["status"] == "unknown"
+        cert = rep["certificates"]["verdict"]["certificate"]
+        assert cert["type"] == "decomposition"
+        assert min(cert["weights"]) >= 0
+        assert cert["residual"] >= 0.05 - 1e-8 * 4
+
     def test_optimizer_certificate_reports_rounds(self, capsys, h2_half):
         _, rep = run_json(
             capsys,

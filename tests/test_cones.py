@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from conelab import cones
 from conelab.cones import (
-    ENSEMBLE_ATTEMPTS,
     ENSEMBLE_ITERS,
     POLISH_ROUNDS,
     RESIDUAL_TOL,
@@ -17,7 +16,7 @@ from conelab.cones import (
     _canonical_decomposition,
     _canonical_phase,
     _ensemble_rotate,
-    _rotation_floor,
+    _ppt_distance,
     _sqrt_factor,
     block_positive_min,
     is_block_positive,
@@ -488,25 +487,29 @@ def noisy_entangled(n, m, noise, rng=None):
 
 
 class TestRotationFloor:
-    @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 3)])
-    @pytest.mark.parametrize("noise", [0.1, 0.3, 0.5, 0.7])
-    def test_every_rotation_error_is_above_the_floor(self, n, m, noise):
-        rng = np.random.default_rng([n, m, int(noise * 10)])
+    """The floor ``_ppt_distance`` puts under every separable fit, and the
+    screen that skips the ensemble phase when the floor reaches
+    ``RESIDUAL_TOL``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+           noise=st.floats(0.0, 1.0), atoms=st.integers(1, 6), trace=st.floats(0.0, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_no_separable_operator_is_nearer_than_the_floor(self, size, noise, atoms, trace,
+                                                            seed):
+        n, m = size
+        rng = np.random.default_rng(seed)
         state = noisy_entangled(n, m, noise, rng)
-        floor = _rotation_floor(state)
-        seed = int(rng.integers(1, 1000))
-        _, _, err = _ensemble_rotate(state.matrix, n, m, 2 * n * m + 2, seed)
-        assert err >= floor
+        v = kron_rows(random_unit_rows(atoms, n, rng), random_unit_rows(atoms, m, rng))
+        y = (v.T * (trace * rng.dirichlet(np.ones(atoms)))) @ v.conj()
+        assert np.linalg.norm(state.matrix - y) >= _ppt_distance(state)
 
-    def test_mixtures_straddle_the_gate(self):
-        floors = [_rotation_floor(noisy_entangled(n, m, noise, np.random.default_rng([n, m, t])))
-                  for n, m in [(2, 2), (2, 3), (3, 3)] for t, noise in [(1, 0.1), (7, 0.7)]]
-        assert max(floors) > ROTATION_GATE > min(floors)
-
-    @pytest.mark.parametrize("n, m, noise, floor", [
-        (3, 3, 0.2, 0.0896), (2, 2, 0.6, 0.00125), (2, 2, 0.0, 0.125)])
-    def test_floor_of_noisy_maximally_entangled_states(self, n, m, noise, floor):
-        assert _rotation_floor(noisy_entangled(n, m, noise)) == pytest.approx(floor, abs=1e-4)
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]),
+           terms=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_floor_is_zero_on_separable_states(self, size, terms, seed):
+        state, _ = random_separable_state(*size, np.random.default_rng(seed), terms=terms)
+        assert _ppt_distance(state) == 0.0
 
     @pytest.fixture
     def rotations(self, monkeypatch):
@@ -519,28 +522,32 @@ class TestRotationFloor:
         monkeypatch.setattr(cones, "_ensemble_rotate", counted)
         return count
 
-    @pytest.mark.parametrize("state, attempts", [
-        (noisy_entangled(3, 3, 0.2), 0),
-        (bipartite(h_operator(2).matrix / 2, 2, 2), 0),
-        (noisy_entangled(2, 2, 0.6), ENSEMBLE_ATTEMPTS),
-    ], ids=["3x3 noise 0.2", "h/2", "2x2 noise 0.6"])
-    def test_ensemble_attempts_run_only_below_the_gate(self, rotations, state, attempts):
-        assert separable_decompose(state).status is Status.UNKNOWN
+    @pytest.mark.parametrize("state, status, attempts", [
+        (noisy_entangled(3, 3, 0.2), Status.UNKNOWN, 0),
+        (bipartite(h_operator(2).matrix / 2, 2, 2), Status.UNKNOWN, 0),
+        (noisy_entangled(2, 2, 0.6), Status.UNKNOWN, 0),
+        (random_separable_state(2, 2, np.random.default_rng(11), terms=2)[0], Status.IN, 1),
+    ], ids=["3x3 noise 0.2", "h/2", "2x2 noise 0.6", "separable 2x2"])
+    def test_ensemble_attempts_run_only_below_the_gate(self, rotations, state, status, attempts):
+        assert separable_decompose(state).status is status
         assert rotations[0] == attempts
 
-    @pytest.mark.parametrize("state", [
-        noisy_entangled(3, 3, 0.2),
-        noisy_entangled(2, 3, 0.3, np.random.default_rng(4)),
-        bipartite(h_operator(2).matrix / 2, 2, 2),
-        noisy_entangled(2, 2, 0.6),
-        random_separable_state(2, 2, np.random.default_rng(11), terms=2)[0],
+    @pytest.mark.parametrize("state, identical", [
+        (noisy_entangled(3, 3, 0.2), True),
+        (noisy_entangled(2, 3, 0.3, np.random.default_rng(4)), True),
+        (bipartite(h_operator(2).matrix / 2, 2, 2), True),
+        (noisy_entangled(2, 2, 0.6), False),
+        (random_separable_state(2, 2, np.random.default_rng(11), terms=2)[0], True),
     ], ids=["3x3 noise 0.2", "2x3 mixture", "h/2", "2x2 noise 0.6", "separable 2x2"])
-    def test_screen_leaves_every_certificate_unchanged(self, monkeypatch, state):
+    def test_screen_leaves_every_certificate_unchanged(self, monkeypatch, state, identical):
         screened = separable_decompose(state)
-        monkeypatch.setattr(cones, "_rotation_floor", lambda x: 0.0)
+        monkeypatch.setattr(cones, "_ppt_distance", lambda x: 0.0)
         unscreened = separable_decompose(state)
         assert screened.status is unscreened.status
         a, b = screened.certificate, unscreened.certificate
+        if not identical:
+            assert min(a.residual, b.residual) >= _ppt_distance(state)
+            return
         assert np.float64(a.residual).tobytes() == np.float64(b.residual).tobytes()
         assert a.weights.tobytes() == b.weights.tobytes()
         assert len(a.factors) == len(b.factors)
