@@ -237,7 +237,7 @@ def check_11_riesz(quick, seed):
         "dominated_ok": rep.dominated_ok,
         "not_below_zero_ok": rep.not_below_zero_ok,
         "interpolation_ok": rep.interpolation_ok,
-        "max_admissible_norm": rep.max_admissible_norm,
+        "e11_e22_pairing": rep.e11_e22_pairing,
         "deterministic": deterministic,
     }
 

@@ -18,6 +18,7 @@ from .cones import LowerBoundCertificate, lower_bound
 from .operators import (
     BipartiteOperator,
     bipartite,
+    hilbert_schmidt,
     min_eigenvalue,
     partial_transpose,
     swap_operator,
@@ -184,40 +185,23 @@ class RieszReport:
     eigs_e22_minus_f: tuple[float, float]
     not_below_zero_ok: bool
     eigs_f: tuple[float, float]
+    e11_e22_pairing: float
     interpolation_ok: bool
-    admissible_points: int
-    max_admissible_norm: float
-    grid_step: float
-    zero_threshold: float
     passes: bool
 
 
-# Largest (2 round(1 / step) + 1)^3 grid the Riesz sweep builds: about twice
-# the default step's 101^3 = 1.03M points, and several arrays of that length
-# are alive at once.
-RIESZ_MAX_GRID_POINTS = 2_000_000
+def riesz_counterexample_check() -> RieszReport:
+    """Verify the 2x2 failure of Riesz interpolation, in closed form.
 
-
-def riesz_counterexample_check(
-    step: float = 0.02, zero_threshold: float = 0.05
-) -> RieszReport:
-    """Verify the 2x2 failure of Riesz interpolation, deterministically.
-
-    With F = [[-2/3, 1], [1, -2/3]]:
+    With F = [[-2/3, 1], [1, -2/3]], the pairs F, 0 <= E11, E22 have no
+    interpolant C with F, 0 <= C <= E11, E22:
     (a) E11 - F and E22 - F are positive semidefinite,
     (b) F has a positive eigenvalue (so F is not below 0),
-    (c) brute force over the grid of 2x2 PSD matrices C with trace <= 2
-        (Bloch parameterization at the given step): every C with C <= E11
-        and C <= E22 has norm below the zero threshold, approximating that
-        only C = 0 interpolates.
-
-    A 2x2 Hermitian C = ((tau + z) / 2, (x - iy) / 2; (x + iy) / 2,
-    (tau - z) / 2) is PSD iff |(x, y, z)| <= tau, and C <= E iff the same
-    closed form holds for E - C, so the sweep is exact arithmetic on the
-    grid.  A step with round(1 / step) < 1, such as any step >= 2, raises
-    ValueError: its grid would leave out C = 0.  So does a step whose grid
-    has more than RIESZ_MAX_GRID_POINTS points, before anything is
-    allocated.
+    (c) only C = 0 lies in [0, E11] and [0, E22].  The trace pairing of two
+        PSD matrices is nonnegative, so <E11 - C, E22> >= 0 gives
+        <C, E22> <= <E11, E22> = 0, and likewise <C, E11> <= 0.  With
+        E11 + E22 = I that is tr C <= 0, and C >= 0 forces C = 0.  The
+        check computes <E11, E22> (exactly 0.0) and E11 + E22.
     """
     f = np.array([[-2.0 / 3.0, 1.0], [1.0, -2.0 / 3.0]])
     e11 = np.diag([1.0, 0.0])
@@ -227,31 +211,8 @@ def riesz_counterexample_check(
     dominated_ok = eig1[0] >= -1e-12 and eig2[0] >= -1e-12
     eigf = tuple(float(v) for v in np.linalg.eigvalsh(f))
     not_below_zero_ok = eigf[-1] > 1e-12
-
-    n_half = int(round(min(1.0 / step, 1e6)))  # 1 / step is inf for a subnormal step
-    if n_half < 1:  # the grid would be the single corner tau = 0, (x, y, z) = -1
-        raise ValueError(f"step {step!r} is too coarse: round(1 / step) must be at least 1")
-    if (2 * n_half + 1) ** 3 > RIESZ_MAX_GRID_POINTS:
-        finest = int(RIESZ_MAX_GRID_POINTS ** (1 / 3) - 1) // 2
-        raise ValueError(f"step {step!r} is too fine: its grid would exceed "
-                         f"{RIESZ_MAX_GRID_POINTS} points; use a step above {1 / (finest + 0.5):.4g}")
-    taus = np.linspace(0.0, 2.0, 2 * n_half + 1)
-    axis = np.linspace(-1.0, 1.0, 2 * n_half + 1)
-    xx, yy, zz = (v.ravel() for v in np.meshgrid(axis, axis, axis, indexing="ij"))
-    r2 = xx * xx + yy * yy
-    bloch = np.sqrt(r2 + zz * zz)
-    # C <= E11: 1 - tau >= |(x, y, z - 1)|;  C <= E22: 1 - tau >= |(x, y, z + 1)|
-    need = np.maximum(np.sqrt(r2 + (zz - 1.0) ** 2), np.sqrt(r2 + (zz + 1.0) ** 2))
-    tol = 1e-12
-    admissible = 0
-    max_norm = 0.0
-    for tau in taus:
-        mask = (bloch <= tau + tol) & (need <= 1.0 - tau + tol)
-        count = int(mask.sum())
-        if count:
-            admissible += count
-            max_norm = max(max_norm, float((tau + bloch[mask].max()) / 2.0))
-    interpolation_ok = max_norm < zero_threshold
+    pairing = hilbert_schmidt(e11, e22)
+    interpolation_ok = pairing == 0.0 and np.array_equal(e11 + e22, np.eye(2))
 
     return RieszReport(
         dominated_ok=dominated_ok,
@@ -259,10 +220,7 @@ def riesz_counterexample_check(
         eigs_e22_minus_f=eig2,
         not_below_zero_ok=not_below_zero_ok,
         eigs_f=eigf,
+        e11_e22_pairing=pairing,
         interpolation_ok=interpolation_ok,
-        admissible_points=admissible,
-        max_admissible_norm=max_norm,
-        grid_step=step,
-        zero_threshold=zero_threshold,
         passes=dominated_ok and not_below_zero_ok and interpolation_ok,
     )

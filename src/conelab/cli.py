@@ -155,14 +155,14 @@ def _cmd_kappa(args) -> tuple[dict, dict]:
 
 
 def _cmd_polytope(args) -> tuple[dict, dict]:
-    k1 = polytope_from_dict(load_json(args.k1))
-    k2 = polytope_from_dict(load_json(args.k2))
+    k1 = _on_input(polytope_from_dict, load_json(args.k1))
+    k2 = _on_input(polytope_from_dict, load_json(args.k2))
     mn = polytopes.min_tensor(k1, k2)
     results = {
         "status": "pass",
         "min_tensor": to_json(mn),
         "min_vertex_count": mn.n_vertices,
-        "dimension": polytopes.affine_dimension(mn),
+        "dimension": _on_input(polytopes.affine_dimension, mn),
     }
     certificates: dict = {}
     if args.gap or args.relative_bound:
@@ -196,11 +196,7 @@ def _cmd_witness_x(args) -> tuple[dict, dict]:
 
 
 def _cmd_riesz(args) -> tuple[dict, dict]:
-    try:
-        rep = algebras.riesz_counterexample_check(step=args.step, zero_threshold=args.threshold)
-    except ValueError as exc:
-        raise UsageError(f"bad --step: {exc}") from exc
-    return _check_report(rep)
+    return _check_report(algebras.riesz_counterexample_check())
 
 
 def _parse_blocks(text: str) -> algebras.MultiMatrixAlgebra:
@@ -294,9 +290,7 @@ def build_parser() -> _Parser:
     wx.add_argument("--grid", default="0,0.5,1")
     wx.set_defaults(handler=_cmd_witness_x, seed=0)
 
-    rz = sub.add_parser("riesz", help="2x2 Riesz interpolation failure check")
-    rz.add_argument("--step", type=_positive(float), default=0.02)
-    rz.add_argument("--threshold", type=_positive(float), default=0.05)
+    rz = sub.add_parser("riesz", help="2x2 Riesz interpolation failure, in closed form")
     rz.set_defaults(handler=_cmd_riesz, seed=0)
 
     ts = sub.add_parser("trace-simplex", help="trace simplex tensor arithmetic")

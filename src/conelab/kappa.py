@@ -48,8 +48,10 @@ class KappaWitness:
 def kappa_witness(n: int, cfg: OptimizerConfig | None = None) -> KappaWitness:
     """The unit functional S/n on M_n (x) M_n, with trace norm exactly n.
 
-    Block-positivity of the witness is certified by the optimizer and
-    attached to the result.
+    The attached block-positivity verdict comes from the seesaw search.  Its
+    trace is an upper bound on the product-vector minimum, not a proof that
+    the minimum is >= 0; cones.lower_bound(w, w^Gamma) would be one, and it
+    is not attached here.
     """
     w = normalized_swap(n, n)
     return KappaWitness(w, trace_norm(w), is_block_positive(w, cfg=cfg))

@@ -102,7 +102,7 @@ def bipartite_from_dict(d: dict) -> BipartiteOperator:
         return bipartite(mat, n, m)
     except MalformedInput:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"bad bipartite operator document: {exc}") from exc
 
 
@@ -119,7 +119,7 @@ def map_from_dict(d: dict) -> MatrixMap:
         coeffs = np.asarray(d["coeffs"], dtype=float)
         return MatrixMap(_size(d, "input_dim"), _size(d, "output_dim"),
                          _require_finite(coeffs, "map coefficients"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"bad map document: {exc}") from exc
 
 
@@ -140,7 +140,7 @@ def polytope_from_dict(d: dict) -> Polytope:
         if verts.ndim != 2 or verts.shape[1] != _size(d, "dim"):
             raise ValueError(f"vertices do not match dim={d['dim']}")
         k = Polytope(_require_finite(verts, "polytope vertices"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"bad polytope document: {exc}") from exc
     p, dim = verts.shape
     if p > 1:
@@ -182,12 +182,15 @@ def to_json(value):
 
 
 def load_json(path: str) -> dict:
+    """Read a JSON object from a UTF-8 file.  Bytes that are not UTF-8,
+    nesting too deep for the parser and integers too long to convert are
+    malformed input, like any other invalid JSON."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedInput(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedInput(f"top-level JSON value in {path} must be an object")

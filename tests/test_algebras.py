@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conelab.algebras import (
-    RIESZ_MAX_GRID_POINTS,
     MultiMatrixAlgebra,
     algebra_tensor,
     entangled_witness_X,
@@ -160,10 +159,22 @@ class TestRieszCounterexample:
         assert rep.eigs_f[1] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_interpolation_sweep_finds_only_zero(self):
+        # the proof's two facts: <E11, E22> = 0 exactly and E11 + E22 = I
         rep = riesz_counterexample_check()
         assert rep.interpolation_ok
-        assert rep.admissible_points == 1
-        assert rep.max_admissible_norm == pytest.approx(0.0, abs=1e-12)
+        assert rep.e11_e22_pairing == 0.0
+
+    def test_coarse_grid_sweep_finds_only_zero(self):
+        # numerical cross-check of the proof: on the Bloch grid at step 0.1
+        # (2x2 PSD C with trace tau <= 2), 0 <= C <= E11, E22 only at C = 0
+        axis = np.linspace(-1.0, 1.0, 21)
+        x, y, z = (v.ravel() for v in np.meshgrid(axis, axis, axis, indexing="ij"))
+        r2 = x * x + y * y
+        bloch = np.sqrt(r2 + z * z)
+        need = np.maximum(np.sqrt(r2 + (z - 1.0) ** 2), np.sqrt(r2 + (z + 1.0) ** 2))
+        hits = [(tau, i) for tau in np.linspace(0.0, 2.0, 21)
+                for i in np.flatnonzero((bloch <= tau + 1e-12) & (need <= 1.0 - tau + 1e-12))]
+        assert hits == [(0.0, len(axis) ** 3 // 2)]  # tau = 0 at (x, y, z) = 0
 
     def test_bloch_closed_form_matches_eigen_oracle(self):
         # sample grid points, compare the closed-form PSD tests with eigvalsh
@@ -182,30 +193,3 @@ class TestRieszCounterexample:
             dom_eig = np.linalg.eigvalsh(e11 - c)[0] >= -1e-12
             if abs(np.sqrt(x * x + y * y + (z - 1.0) ** 2) - (1.0 - tau)) > 1e-9:
                 assert dom_closed == dom_eig
-
-    def test_coarsest_step_still_sees_zero(self):
-        # round(1 / 1.99) = 1: the grid has tau = 0 and (x, y, z) = 0
-        rep = riesz_counterexample_check(step=1.99)
-        assert rep.admissible_points == 1
-        assert rep.max_admissible_norm == 0.0
-
-    @pytest.mark.parametrize("step", [2.0, 3.0])
-    def test_step_without_zero_on_grid_rejected(self, step):
-        # round(1 / 2) = 0 would leave the one grid point tau = 0, (x, y, z) = -1
-        with pytest.raises(ValueError, match="too coarse"):
-            riesz_counterexample_check(step=step)
-
-    @pytest.mark.parametrize("step", [1e-9, 5e-324])
-    def test_step_with_oversized_grid_rejected(self, step):
-        # (2 round(1 / step) + 1)^3 points: rejected before anything is allocated
-        with pytest.raises(ValueError, match="too fine"):
-            riesz_counterexample_check(step=step)
-
-    def test_default_grid_within_cap(self):
-        assert (2 * round(1 / 0.02) + 1) ** 3 <= RIESZ_MAX_GRID_POINTS
-        assert riesz_counterexample_check().admissible_points == 1
-
-    def test_tunable_resolution(self):
-        rep = riesz_counterexample_check(step=0.05, zero_threshold=0.1)
-        assert rep.passes
-        assert rep.grid_step == 0.05

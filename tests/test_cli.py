@@ -1,8 +1,16 @@
+import argparse
+import contextlib
+import io
 import json
+import re
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conelab import cli, polytopes
 from conelab.cones import random_product_state
@@ -61,6 +69,31 @@ def run_json(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+# Every command that reads a file, with the document kind it reads.
+FILE_READERS = [
+    (["membership", "--cone", "psd", "--input", "{f}"], "operator"),
+    (["choi", "--map", "{f}"], "map"),
+    (["map-check", "--map", "{f}"], "map"),
+    (["kappa", "--n", "2", "--m", "2", "--estimate-cb", "{f}"], "map"),
+    (["polytope", "tensor", "--k1", "{f}", "--k2", "{f}"], "polytope"),
+    (["barker", "--k1", "{f}", "--k2", "{f}"], "polytope"),
+]
+
+
+def beyond_float(kind: str) -> dict:
+    """A document of ``kind`` whose first number is 10^400."""
+    if kind == "operator":
+        doc = bipartite_to_dict(bipartite(np.eye(4), 2, 2))
+        doc["entries"][0] = [10**400, 0]
+    elif kind == "map":
+        doc = map_to_dict(MatrixMap.transpose(2))
+        doc["coeffs"][0][0] = 10**400
+    else:
+        doc = polytope_to_dict(square())
+        doc["vertices"][0][0] = 10**400
+    return doc
 
 
 class TestMembership:
@@ -302,16 +335,12 @@ class TestReportCommands:
         code, rep = run_json(capsys, ["riesz"])
         assert code == 0
         assert rep["results"]["interpolation_ok"] is True
+        assert rep["results"]["e11_e22_pairing"] == 0.0
 
-    @pytest.mark.parametrize("step", ["2", "3"])
-    def test_riesz_step_without_zero_on_grid_is_usage_error(self, capsys, step):
-        assert cli.main(["riesz", "--step", step]) == 64
-        assert "--step" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("step", ["1e-9", "5e-324"])
-    def test_riesz_step_with_oversized_grid_is_usage_error(self, capsys, step):
-        assert cli.main(["riesz", "--step", step]) == 64
-        assert "--step" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag, value", [("--step", "0.02"), ("--threshold", "0.05")])
+    def test_riesz_takes_no_options(self, capsys, flag, value):
+        assert cli.main(["riesz", flag, value]) == 64
+        assert flag in capsys.readouterr().err
 
     def test_trace_simplex(self, capsys):
         code, rep = run_json(capsys, ["trace-simplex", "--a", "2,3", "--b", "2,5"])
@@ -379,7 +408,6 @@ class TestErrorPaths:
         ["map-check", "--map", "{t2}", "--budget", "0"],
         ["kappa", "--n", "0", "--m", "2"],
         ["kappa", "--n", "2", "--m", "2", "--budget", "0"],
-        ["riesz", "--step", "0"],
     ], ids=" ".join)
     def test_non_positive_number_is_usage_error(self, capsys, h2_half, t2_map, argv):
         argv = [a.format(h2=h2_half, t2=t2_map) for a in argv]
@@ -393,8 +421,6 @@ class TestErrorPaths:
         ["map-check", "--map", "{t2}", "--tol", "nan"],
         ["map-check", "--map", "{t2}", "--tol", "inf"],
         ["map-check", "--map", "{t2}", "--tol", "-1"],
-        ["riesz", "--threshold", "0"],
-        ["riesz", "--threshold", "-0.05"],
         ["witness-x", "--n", "0"],
         ["witness-x", "--n", "1"],
     ], ids=" ".join)
@@ -473,6 +499,56 @@ class TestErrorPaths:
         assert cli.main(["witness-x", "--n", "2", "--grid", "0,nan,1"]) == 65
         assert "grid points must lie in [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["not-utf8", "deep", "beyond-float"])
+    @pytest.mark.parametrize("argv, doc", FILE_READERS, ids=[argv[0] for argv, _ in FILE_READERS])
+    def test_unparsable_file_is_data_error(self, capsys, tmp_path, argv, doc, kind):
+        if kind == "not-utf8":
+            data = b'{"dim": 2, "vertices": [], "note": "\xff\xfe"}'
+        elif kind == "deep":
+            data = b"[" * 200_000
+        else:  # a valid document with one JSON integer 10^400 as a number
+            data = json.dumps(beyond_float(doc)).encode()
+        p = tmp_path / "bad.json"
+        p.write_bytes(data)
+        assert cli.main([a.format(f=p) for a in argv]) == 65
+        assert capsys.readouterr().err.startswith("input error: ")
+
+    @pytest.mark.parametrize("vertices", [
+        [[0, 1e200, 3]],  # its tensor square overflows, and the SVD of the chart fails
+        [[3, 0], [-4.269061995752161e16, 3], [1, 1]],  # HiGHS rejects the extremality LP
+    ], ids=["overflowing-product", "extremality-lp-failure"])
+    def test_extreme_polytope_is_data_error(self, capsys, tmp_path, vertices):
+        p = tmp_path / "extreme.json"
+        p.write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
+        assert cli.main(["polytope", "tensor", "--k1", str(p), "--k2", str(p)]) == 65
+        assert capsys.readouterr().err.startswith("input error: ")
+
+
+SCHEMA_KEYS = ["n", "m", "dim", "entries", "input_dim", "output_dim", "coeffs", "vertices"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+class TestReadersNeverRaise:
+    """Any file content gives an exit code; none runs a search."""
+
+    @given(st.sampled_from([argv for argv, _ in FILE_READERS
+                            if argv[0] in ("membership", "choi", "polytope")]),
+           st.binary(max_size=64) | JSON_VALUES.map(lambda v: json.dumps(v).encode()))
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_for_any_content(self, argv, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "doc.json"
+            p.write_bytes(data)
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = cli.main([a.format(f=p) for a in argv])
+        assert code in (0, 1, 2, 65)
+
 
 class TestDeterminism:
     def test_results_bit_for_bit(self, capsys, h2_half):
@@ -511,3 +587,19 @@ class TestTableFormat:
         assert code == 0
         assert "status" in out
         assert "in" in out
+
+
+class TestReadmeSynopsis:
+    def test_lists_every_long_option_of_every_subcommand(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+        listed: dict[str, set[str]] = {}
+        for line in block.replace("\\\n", " ").splitlines():
+            words = line.split("#", 1)[0].split()
+            listed[words[1]] = set(re.findall(r"--[a-z][a-z0-9-]*", " ".join(words[2:])))
+        (subparsers,) = [a for a in cli.build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        parsed = {name: {s for a in sub._actions for s in a.option_strings if s.startswith("--")}
+                  - {"--help", "--format"}
+                  for name, sub in subparsers.choices.items()}
+        assert listed == parsed
