@@ -39,6 +39,7 @@ from .maps import (
 from .kappa import (
     KappaReport,
     cb_norm_estimate,
+    cb_upper_bound,
     kappa_exact,
     kappa_report,
     kappa_witness,

@@ -68,22 +68,24 @@ def check_01_witness_norm(quick, seed):
 
 
 @_check("kappa-closed-form",
-        "witness value = min{n,n}; cb(transpose_n) in [0.95 n, n] for n = 2, 3")
+        "witness value = min{n,n} with lower bound >= 0; cb(transpose_n) LB = UB = n for n = 2, 3")
 def check_02_kappa_closed_form(quick, seed):
-    witness_errs = {}
+    witness_errs, witness_bounds = {}, {}
     cfg = _opt_cfg(quick, seed)
     for n in range(1, 7):
         w = kappa.kappa_witness(n, cfg=cfg if n <= 3 else OptimizerConfig(starts=60, steps=150, seed=seed))
         witness_errs[n] = abs(w.value - kappa.kappa_exact(n, n))
+        witness_bounds[n] = w.lower_bound.value
     cb_cfg = OptimizerConfig(starts=30 if quick else 100, steps=100 if quick else 300, seed=seed)
-    cb_vals = {}
+    cb_vals, cb_upper = {}, {}
     for n in (2, 3):
         est = kappa.cb_norm_estimate(MatrixMap.transpose(n), cb_cfg)
-        cb_vals[n] = est.value
-    passed = all(e <= 1e-9 for e in witness_errs.values()) and all(
-        n * 0.95 <= cb_vals[n] <= n + 1e-9 for n in cb_vals
-    )
-    return passed, {"witness_max_error": max(witness_errs.values()), "cb": cb_vals}
+        cb_vals[n], cb_upper[n] = est.value, est.upper.value
+    passed = (all(e <= 1e-9 for e in witness_errs.values())
+              and all(v >= -1e-9 for v in witness_bounds.values())
+              and all(abs(b[n] - n) <= 1e-9 * n for b in (cb_vals, cb_upper) for n in b))
+    return passed, {"witness_max_error": max(witness_errs.values()),
+                    "witness_lower_bounds": witness_bounds, "cb": cb_vals, "cb_upper": cb_upper}
 
 
 @_check("witness-block-positive",

@@ -150,6 +150,7 @@ def _cmd_kappa(args) -> tuple[dict, dict]:
         "exact": rep.exact,
         "witness_lower_bound": rep.witness_lower_bound,
         "cb_estimate": rep.cb_estimate,
+        "cb_upper_bound": rep.cb_upper_bound,
     }
     return results, {"witness": to_json(rep.witness), "cb_estimate": to_json(rep.cb)}
 
@@ -264,7 +265,7 @@ def build_parser() -> _Parser:
     mc.add_argument("--budget", type=_positive(int), default=200)
     mc.set_defaults(handler=_cmd_map_check)
 
-    ka = sub.add_parser("kappa", help="max-norm closed form and lower bounds")
+    ka = sub.add_parser("kappa", help="max-norm closed form and cb-norm bounds")
     ka.add_argument("--n", type=_positive(int), required=True)
     ka.add_argument("--m", type=_positive(int), required=True)
     ka.add_argument("--estimate-cb", default=None)

@@ -3,9 +3,11 @@
 The key quantity is the largest max-norm attained on the outer (dual)
 tensor cone's unit functionals; for matrix factors it equals min{n, m},
 with the lower bound witnessed by the normalized swap operator and by the
-completely bounded norm of the transpose map.  Estimation here is
-lower-bound-only: certificates are explicit Hermitian contractions, while
-the matching upper bound is the closed form itself.
+completely bounded norm of the transpose map.  The cb norm of a map is
+bracketed from both sides: a seesaw over Hermitian symmetries gives the
+lower bound, certified by its maximizing contraction, and a feasible
+point of the dual SDP for the diamond norm of the adjoint gives the upper
+bound in closed form.  The seesaw stops once the two meet.
 """
 
 from __future__ import annotations
@@ -15,9 +17,25 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .cones import OptimizerConfig, Verdict, is_block_positive
-from .maps import MatrixMap, adjoint_map, apply_left
-from .operators import BipartiteOperator, bipartite, embedded_swap, kron_rows, trace_norm
+from .cones import (
+    LowerBoundCertificate,
+    OptimizerConfig,
+    Verdict,
+    is_block_positive,
+    lower_bound,
+)
+from .maps import MatrixMap, adjoint_map, apply_left, choi
+from .operators import (
+    BipartiteOperator,
+    bipartite,
+    eigenvalues,
+    embedded_swap,
+    kron_rows,
+    min_eigenvalue,
+    partial_trace,
+    partial_transpose,
+    trace_norm,
+)
 from .polytopes import Polytope, TensorFunctional, _affine_chart, min_tensor
 
 
@@ -43,26 +61,64 @@ class KappaWitness:
     functional: BipartiteOperator
     value: float
     block_positive: Verdict
+    lower_bound: LowerBoundCertificate
 
 
 def kappa_witness(n: int, cfg: OptimizerConfig | None = None) -> KappaWitness:
     """The unit functional S/n on M_n (x) M_n, with trace norm exactly n.
 
-    The attached block-positivity verdict comes from the seesaw search.  Its
-    trace is an upper bound on the product-vector minimum, not a proof that
-    the minimum is >= 0; cones.lower_bound(w, w^Gamma) would be one, and it
-    is not attached here.
+    The block-positivity verdict comes from the seesaw search, whose trace
+    is an upper bound on the product-vector minimum.  The proof that the
+    minimum is >= 0 is ``lower_bound``: cones.lower_bound(w, w^Gamma),
+    whose value is 0 up to rounding.
     """
     w = normalized_swap(n, n)
-    return KappaWitness(w, trace_norm(w), is_block_positive(w, cfg=cfg))
+    return KappaWitness(w, trace_norm(w), is_block_positive(w, cfg=cfg),
+                        lower_bound(w, partial_transpose(w, "right")))
+
+
+@dataclass(frozen=True, eq=False)
+class CbUpperBound:
+    """Upper bound on the cb norm and the dual feasible point Y proving it."""
+
+    value: float
+    y: BipartiteOperator
+
+
+def cb_upper_bound(phi: MatrixMap) -> CbUpperBound:
+    """Upper bound on ||Phi||_cb from Watrous's dual SDP for the diamond norm
+    (Theory of Computing 5, 217, 2009).
+
+    ||Phi||_cb = ||Phi*||_diamond.  Let J be the Choi matrix of Phi*: M_m ->
+    M_n, on C^n (x) C^m.  Every Hermitian Y with -Y <= J <= Y gives
+    ||Phi*||_diamond <= lambda_max(tr_1 Y), tr_1 the partial trace over the
+    left factor.  The diamond norm is the largest trace norm of
+    (Phi* (x) id)(uu*) over unit u in C^m (x) C^k; with B the coefficient
+    matrix of u, that image is K* J K with K = I (x) conj(B), so its trace
+    norm is at most tr(K* Y K) = <tr_1 Y, conj(B) B^T> <= lambda_max(tr_1 Y).
+
+    Here Y = |J|, from one eigh.  Y + delta I is feasible for
+    delta = max(0, -lambda_min(Y - J), -lambda_min(Y + J)), and
+    tr_1(delta I) = n delta I, so value = lambda_max(tr_1 Y) + n delta is
+    an upper bound for every Hermitian Y on C^n (x) C^m, including the
+    rounded |J|.
+    """
+    j = choi(adjoint_map(phi))
+    w, u = np.linalg.eigh(j.matrix)
+    y = bipartite((u * np.abs(w)) @ u.conj().T, j.n, j.m)
+    delta = max(0.0, -min_eigenvalue(y.matrix - j.matrix), -min_eigenvalue(y.matrix + j.matrix))
+    value = float(eigenvalues(partial_trace(y, "left"))[-1]) + j.n * delta
+    return CbUpperBound(value, y)
 
 
 @dataclass(frozen=True, eq=False)
 class CbEstimate:
-    """Best cb-norm lower bound found and its maximizing symmetry.
+    """Best cb-norm lower bound found, its maximizing symmetry, and the
+    upper bound ``upper`` that stopped the search or was not met.
 
     ``rounds`` counts the seesaw rounds run and ``converged`` says whether
-    the last of them improved no start by more than ``CB_GAIN``.
+    the search stopped before its round cap: the value met ``upper``, or
+    the last round improved no start by more than ``CB_GAIN``.
     """
 
     value: float
@@ -72,6 +128,7 @@ class CbEstimate:
     seed: int
     rounds: int
     converged: bool
+    upper: CbUpperBound
 
 
 CB_GAIN = 1e-12  # least gain of a start's value that counts as an improvement
@@ -99,13 +156,23 @@ def cb_norm_estimate(phi: MatrixMap, cfg: OptimizerConfig | None = None) -> CbEs
     rises by more than ``CB_GAIN``.  A start that did not improve is final:
     its next candidate would be the same, so it is not evaluated again.
     Runs ``cfg.starts`` starts (the deterministic candidates first) for at
-    most ``cfg.steps`` rounds, stopping early once no start improves;
-    ``cfg`` defaults to ``CB_CFG`` (100 starts, 300 steps, seed 0).
-    Returns the best value found and the maximizing X.
+    most ``cfg.steps`` rounds; ``cfg`` defaults to ``CB_CFG`` (100 starts,
+    300 steps, seed 0).
+
+    The search stops early, with ``converged`` set, once no start improves
+    or once the best value is within ``CB_GAIN * max(1, UB)`` of the upper
+    bound UB = ``cb_upper_bound(phi).value``, since then no start can gain
+    more than rounding.  Both are checked after every round, and the bound
+    also right after the deterministic candidates: if one of them meets
+    it, no random start is drawn and ``rounds`` is 0.  Where UB is loose
+    the search runs exactly as it would without it.  Returns the best
+    value found, the maximizing X and the bound.
     """
     cfg = cfg or CB_CFG
     n, m = phi.input_dim, phi.output_dim
     dim = n * m
+    upper = cb_upper_bound(phi)
+    target = upper.value - CB_GAIN * max(1.0, upper.value)
     l4 = phi.unit_images()
     l4adj = adjoint_map(phi).unit_images()
     rng = np.random.default_rng(cfg.seed)
@@ -117,8 +184,16 @@ def cb_norm_estimate(phi: MatrixMap, cfg: OptimizerConfig | None = None) -> CbEs
         top = w[rows, idx]
         return np.abs(top), v[rows, :, idx], np.where(top >= 0, 1.0, -1.0)
 
+    def estimate(vals: np.ndarray, args: np.ndarray, rounds: int, converged: bool):
+        best = int(np.argmax(vals))
+        return CbEstimate(value=float(vals[best]), argmax=bipartite(args[best], n, m),
+                          starts=cfg.starts, steps=cfg.steps, seed=cfg.seed,
+                          rounds=rounds, converged=converged, upper=upper)
+
     det = np.array([np.eye(dim, dtype=complex), embedded_swap(n, m).matrix.astype(complex)])
     det_vals, _, _ = top_eigenpair(det)
+    if det_vals.max() >= target:
+        return estimate(det_vals, det, 0, True)
 
     # random symmetries U diag(+-1) U*, U the eigenvectors of a Gaussian
     # Hermitian: drawn start by start, decomposed as one batch
@@ -145,20 +220,9 @@ def cb_norm_estimate(phi: MatrixMap, cfg: OptimizerConfig | None = None) -> CbEs
         active = active[ok]
         x[active], f[active], vecs[active], signs[active] = cand[ok], fc[ok], vc[ok], sc[ok]
         rounds += 1
-        converged = not ok.any()
+        converged = not ok.any() or f.max() >= target
 
-    all_vals = np.concatenate([det_vals, f])
-    best = int(np.argmax(all_vals))
-    arg = det[best] if best < len(det) else x[best - len(det)]
-    return CbEstimate(
-        value=float(all_vals[best]),
-        argmax=bipartite(arg, n, m),
-        starts=cfg.starts,
-        steps=cfg.steps,
-        seed=cfg.seed,
-        rounds=rounds,
-        converged=converged,
-    )
+    return estimate(np.concatenate([det_vals, f]), np.concatenate([det, x]), rounds, converged)
 
 
 def extremal_positive_map(n: int, m: int) -> MatrixMap:
@@ -189,6 +253,10 @@ class KappaReport:
     def cb_estimate(self) -> float:
         return self.cb.value
 
+    @property
+    def cb_upper_bound(self) -> float:
+        return self.cb.upper.value
+
 
 def kappa_report(
     n: int,
@@ -196,8 +264,8 @@ def kappa_report(
     cb_map: MatrixMap | None = None,
     cb_cfg: OptimizerConfig | None = None,
 ) -> KappaReport:
-    """Bundle the closed form with both computed lower bounds; ``cb_cfg``
-    is the budget of ``cb_norm_estimate``.
+    """Bundle the closed form with both computed lower bounds and the cb
+    upper bound; ``cb_cfg`` is the budget of ``cb_norm_estimate``.
 
     A supplied ``cb_map`` must map M_n to M_m, so that its cb estimate
     bounds the same kappa(n, m) as the closed form; otherwise ValueError.

@@ -29,7 +29,7 @@ from .cones import (
     SpectralCertificate,
     WitnessCertificate,
 )
-from .kappa import CbEstimate
+from .kappa import CbEstimate, CbUpperBound
 from .maps import MatrixMap
 from .operators import BipartiteOperator, HermitianOperator, bipartite
 from .polytopes import (
@@ -50,6 +50,7 @@ CERTIFICATE_TYPES = {
     ConvexWeightsCertificate: "convex-weights",
     SeparatingHyperplane: "separating-hyperplane",
     CbEstimate: "cb-estimate",
+    CbUpperBound: "cb-upper-bound",
     LowerBoundCertificate: "lower-bound",
 }
 

@@ -1,11 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conelab import kappa
 from conelab.cones import OptimizerConfig, Status
 from conelab.kappa import (
     CB_GAIN,
     cb_norm_estimate,
+    cb_upper_bound,
     embedded_swap,
     extremal_positive_map,
     kappa_exact,
@@ -19,6 +24,7 @@ from conelab.maps import (
     adjoint_map,
     apply_left,
     apply_to_left_factor,
+    choi,
     random_map,
     random_positive_map,
     unitality_report,
@@ -118,11 +124,20 @@ class TestCbEstimate:
     @pytest.mark.parametrize("phi", [MatrixMap.transpose(3), extremal_positive_map(3, 4)],
                              ids=["transpose(3)", "extremal(3,4)"])
     def test_seesaw_converges_before_round_cap(self, phi):
+        # the embedded swap meets the upper bound, so no round runs
         cfg = OptimizerConfig(starts=100, steps=300, seed=0)
         est = cb_norm_estimate(phi, cfg)
         assert est.converged
-        assert 1 <= est.rounds < cfg.steps
+        assert est.rounds == 0
+        assert est.value >= est.upper.value - CB_GAIN * max(1.0, est.upper.value)
         assert est.value == pytest.approx(3.0, abs=1e-9)
+
+    def test_seesaw_converges_before_round_cap_on_a_loose_bound(self):
+        cfg = OptimizerConfig(starts=100, steps=300, seed=0)
+        est = cb_norm_estimate(random_map(2, 3, np.random.default_rng(8)), cfg)
+        assert est.converged
+        assert 1 <= est.rounds < cfg.steps
+        assert est.value < 0.9 * est.upper.value
 
     def test_estimate_non_decreasing_in_rounds(self):
         rng = np.random.default_rng(4)
@@ -145,14 +160,28 @@ class TestCbEstimate:
             assert est.value >= floor * (1 - 1e-12)
 
 
+def _dual_bound(j, y, n, m):
+    """Watrous's dual bound lambda_max(tr_1 Y) + n delta for a Hermitian Y on
+    C^n (x) C^m, delta the shortfall of -Y <= J <= Y.  Returns (bound, delta)."""
+    delta = max(0.0, -np.linalg.eigvalsh(y - j)[0], -np.linalg.eigvalsh(y + j)[0])
+    trace_1 = np.einsum("ikil->kl", y.reshape(n, m, n, m))
+    return np.linalg.eigvalsh(trace_1)[-1] + n * delta, delta
+
+
 def _cb_seesaw_full_batch(phi, cfg):
     """Reference: the seesaw that re-evaluates every start in every round,
-    with the random starts built one by one.  Returns (value, argmax
-    matrix, rounds, converged)."""
+    with the random starts built one by one, and stops once the best value
+    meets the bound of Y = |J|, J the Choi matrix of the adjoint.  Returns
+    (value, argmax matrix, rounds, converged)."""
     n, m = phi.input_dim, phi.output_dim
     dim = n * m
     l4, l4adj = phi.unit_images(), adjoint_map(phi).unit_images()
     rng = np.random.default_rng(cfg.seed)
+    j = choi(adjoint_map(phi)).matrix
+    w, u = np.linalg.eigh(j)
+    y = (u * np.abs(w)) @ u.conj().T
+    upper, _ = _dual_bound(j, (y + y.conj().T) / 2, n, m)
+    target = upper - CB_GAIN * max(1.0, upper)
 
     def sign_project(xb):
         w, u = np.linalg.eigh(xb)
@@ -167,6 +196,9 @@ def _cb_seesaw_full_batch(phi, cfg):
 
     det = np.array([np.eye(dim, dtype=complex), embedded_swap(n, m).matrix.astype(complex)])
     det_vals, _, _ = top_eigenpair(det)
+    if det_vals.max() >= target:
+        best = int(np.argmax(det_vals))
+        return float(det_vals[best]), bipartite(det[best], n, m).matrix, 0, True
     x = np.empty((cfg.starts, dim, dim), dtype=complex)
     n_det = min(len(det), cfg.starts)
     x[:n_det] = sign_project(det[:n_det])
@@ -186,7 +218,7 @@ def _cb_seesaw_full_batch(phi, cfg):
         ok = fc > f + CB_GAIN
         x[ok], f[ok], vecs[ok], signs[ok] = cand[ok], fc[ok], vc[ok], sc[ok]
         rounds += 1
-        converged = not ok.any()
+        converged = not ok.any() or f.max() >= target
 
     all_vals = np.concatenate([det_vals, f])
     best = int(np.argmax(all_vals))
@@ -195,11 +227,14 @@ def _cb_seesaw_full_batch(phi, cfg):
 
 
 class TestCbActiveSet:
+    # transpose(3) and extremal(3,4) stop on the swap before any round;
+    # reduction(3) meets its bound inside the loop; random(2,3) never does
     @pytest.mark.parametrize("phi", [
         MatrixMap.transpose(3),
         extremal_positive_map(3, 4),
+        MatrixMap.reduction(3),
         random_map(2, 3, np.random.default_rng(8)),
-    ], ids=["transpose(3)", "extremal(3,4)", "random(2,3)"])
+    ], ids=["transpose(3)", "extremal(3,4)", "reduction(3)", "random(2,3)"])
     @pytest.mark.parametrize("starts", [0, 1, 2, 10, 100])
     @pytest.mark.parametrize("steps", [0, 1, 300])
     def test_bit_identical_to_full_batch(self, phi, starts, steps):
@@ -220,10 +255,74 @@ class TestCbActiveSet:
 
         monkeypatch.setattr(kappa, "_sign_project", recorded)
         cfg = OptimizerConfig(starts=100, steps=300, seed=0)
-        est = cb_norm_estimate(MatrixMap.transpose(3), cfg)
+        # the bound of this map is loose, so the search runs until no start improves
+        est = cb_norm_estimate(random_map(2, 3, np.random.default_rng(8)), cfg)
         # the deterministic candidates, then the 100 starts shrinking
-        assert sizes == [2, 100, 98, 3]
-        assert (est.rounds, est.converged) == (3, True)
+        assert sizes == ([2, 100] + [83] * 12 + [81, 78, 76, 67, 43, 13, 4]
+                         + [2] * 27 + [1])
+        assert (est.rounds, est.converged) == (48, True)
+
+
+# name: (map, whether the bound of Y = |J| equals its cb norm)
+BOUNDED_MAPS = {
+    "transpose(3)": (MatrixMap.transpose(3), True),
+    "extremal(3,4)": (extremal_positive_map(3, 4), True),
+    "reduction(3)": (MatrixMap.reduction(3), True),
+    "random(2,3)": (random_map(2, 3, np.random.default_rng(8)), False),
+}
+
+
+@functools.cache
+def _bounded_map_estimate(name):
+    return cb_norm_estimate(BOUNDED_MAPS[name][0]).value
+
+
+class TestCbUpperBound:
+    @pytest.mark.parametrize("phi, exact", [
+        (MatrixMap.identity(3), 1.0),
+        (MatrixMap.transpose(2), 2.0),
+        (MatrixMap.transpose(3), 3.0),
+        (MatrixMap.transpose(4), 4.0),
+        (extremal_positive_map(3, 4), 3.0),
+        (MatrixMap.reduction(3), 10 / 3),
+    ], ids=["identity(3)", "transpose(2)", "transpose(3)", "transpose(4)", "extremal(3,4)",
+            "reduction(3)"])
+    def test_exact_values(self, phi, exact):
+        up = cb_upper_bound(phi)
+        assert abs(up.value - exact) <= 1e-12 * phi.input_dim
+        assert (up.y.n, up.y.m) == (phi.input_dim, phi.output_dim)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_bounds_the_estimate_and_pays_for_rounding(self, seed):
+        phi = random_map(2, 3, np.random.default_rng(seed))
+        up = cb_upper_bound(phi)
+        j = choi(adjoint_map(phi)).matrix
+        value, delta = _dual_bound(j, up.y.matrix, 2, 3)
+        assert up.value == value
+        # Y = |J| is feasible up to rounding
+        assert delta <= 1e-12 * max(1.0, np.abs(j).max())
+        # the estimate's own eigenvalue carries rounding of the same order
+        est = cb_norm_estimate(phi, CB_FAST)
+        assert up.value >= est.value - 1e-12 * max(1.0, est.value)
+
+    @given(st.sampled_from(sorted(BOUNDED_MAPS)), st.integers(0, 80), st.integers(0, 80),
+           st.floats(1e-9, 1.0), st.floats(0, 2 * np.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_perturbed_y_never_bounds_below_the_estimate(self, name, a, b, size, angle):
+        phi, tight = BOUNDED_MAPS[name]
+        n, m = phi.input_dim, phi.output_dim
+        up = cb_upper_bound(phi)
+        i, k = a % (n * m), b % (n * m)
+        y = up.y.matrix.copy()
+        y[i, k] += size * np.exp(1j * angle) if i != k else size * np.cos(angle)
+        y[k, i] = np.conj(y[i, k])
+        moved, _ = _dual_bound(choi(adjoint_map(phi)).matrix, y, n, m)
+        est = _bounded_map_estimate(name)
+        assert moved >= est - 1e-12 * max(1.0, est)
+        if tight:
+            # the bound is the cb norm itself: no Y can lower it
+            assert moved >= up.value - 1e-12 * n
 
 
 def _random_unital_positive(n, rng):

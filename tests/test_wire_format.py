@@ -19,8 +19,14 @@ from conelab.cones import (
     random_product_state,
     separable_decompose,
 )
-from conelab.kappa import CbEstimate, extremal_positive_map
-from conelab.maps import apply_to_left_factor
+from conelab.kappa import (
+    CB_GAIN,
+    CbEstimate,
+    CbUpperBound,
+    cb_upper_bound,
+    extremal_positive_map,
+)
+from conelab.maps import MatrixMap, apply_to_left_factor
 from conelab.operators import bipartite, h_operator, partial_transpose, swap_operator
 from conelab.polytopes import (
     Polytope,
@@ -93,13 +99,14 @@ def test_certificate_keys_are_type_and_field_names(name, verdict, status):
 
 def test_every_verdict_certificate_type_is_exercised():
     assert ({type(v.certificate) for _, v, _ in VERDICTS}
-            == set(CERTIFICATE_TYPES) - {CbEstimate, LowerBoundCertificate})
+            == set(CERTIFICATE_TYPES) - {CbEstimate, CbUpperBound, LowerBoundCertificate})
 
 
 def test_type_names():
     assert sorted(CERTIFICATE_TYPES.values()) == sorted([
         "spectral", "witness", "optimizer", "decomposition", "ray-pair",
-        "convex-weights", "separating-hyperplane", "cb-estimate", "lower-bound"])
+        "convex-weights", "separating-hyperplane", "cb-estimate", "lower-bound",
+        "cb-upper-bound"])
 
 
 def test_lower_bound_certificate_is_q_and_value():
@@ -107,6 +114,12 @@ def test_lower_bound_certificate_is_q_and_value():
     cert = lower_bound(s, partial_transpose(s, "right"))
     assert to_json(cert) == {"type": "lower-bound", "q": bipartite_to_dict(cert.q),
                              "value": cert.value}
+
+
+def test_cb_upper_bound_is_value_and_y():
+    up = cb_upper_bound(MatrixMap.transpose(2))
+    assert to_json(up) == {"type": "cb-upper-bound", "value": up.value,
+                           "y": bipartite_to_dict(up.y)}
 
 
 def test_unregistered_dataclass_has_no_type():
@@ -168,9 +181,14 @@ def test_cli_kappa_reports_cb_estimate(capsys):
     cert = rep["certificates"]["cb_estimate"]
     assert cert["type"] == "cb-estimate"
     assert set(cert) == {"type", "value", "argmax", "starts", "steps", "seed",
-                         "rounds", "converged"}
+                         "rounds", "converged", "upper"}
     assert isinstance(cert["converged"], bool)
-    assert cert["rounds"] >= 1
+    upper = cert["upper"]["value"]
+    assert cert["upper"]["type"] == "cb-upper-bound"
+    assert upper == rep["results"]["cb_upper_bound"]
+    # the embedded swap meets the bound, so the search stops before its first round
+    assert cert["rounds"] == 0
+    assert cert["value"] >= upper - CB_GAIN * max(1.0, upper)
     assert cert["value"] == rep["results"]["cb_estimate"]
     entries = np.array([complex(re, im) for re, im in cert["argmax"]["entries"]]).reshape(9, 9)
     assert np.abs(entries - entries.conj().T).max() <= 1e-12
