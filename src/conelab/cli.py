@@ -158,7 +158,7 @@ def _cmd_kappa(args) -> tuple[dict, dict]:
 def _cmd_polytope(args) -> tuple[dict, dict]:
     k1 = _on_input(polytope_from_dict, load_json(args.k1))
     k2 = _on_input(polytope_from_dict, load_json(args.k2))
-    mn = polytopes.min_tensor(k1, k2)
+    mn = _on_input(polytopes.min_tensor, k1, k2)
     results = {
         "status": "pass",
         "min_tensor": to_json(mn),

@@ -325,6 +325,51 @@ def _ppt_distance(x: BipartiteOperator) -> float:
     return max(float(np.linalg.norm(np.minimum(lam, 0.0))) - 1e-8 * x.dim, 0.0)
 
 
+_SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))  # sigma_y (x) sigma_y, real
+_HADAMARD = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2.0
+
+
+def _wootters_atoms(x: np.ndarray):
+    """Wootters's four product atoms of a full-rank two-qubit state (PRL 80,
+    2245, 1998), as factor arrays ``left (4, 2)`` and ``right (4, 2)``.
+
+    With X = A A*, Y = A conj(U) is another ensemble of X for any unitary U,
+    and its bilinear Gram matrix Y^T S Y (S = sigma_y (x) sigma_y) is
+    U* tau conj(U) with tau = A^T S A.  The Takagi factorization
+    tau = U diag(lam) U^T makes it diag(lam): the columns of U are the top
+    four eigenvectors [p; q] -> p + iq of [[Re tau, Im tau], [Im tau, -Re tau]],
+    whose spectrum is +-lam ([p; q] -> [-q; p] maps one sign to the other).
+    Im(u_i* u_j) pairs a +lam eigenvector with a -lam one, and tau is
+    invertible, so lam > 0, that pairing is 0 and U is unitary even when
+    values repeat.  For z = vec(M), z^T S z = -2 det M, so z is a product
+    vector iff it vanishes.  Phases with sum_i e^{i theta_i} lam_i = 0 exist
+    iff lam_1 <= lam_2 + lam_3 + lam_4 (lam descending), which holds exactly
+    on the separable (= PPT) states; then every z_j = sum_i h_ji e^{i theta_i / 2} y_i / 2
+    has z_j^T S z_j = sum_i e^{i theta_i} lam_i / 4 = 0, and since h / 2 is
+    orthogonal, sum_j z_j z_j* = X.  The phases close the quadrilateral
+    lam_1 e^{i theta_1} + lam_2 e^{i theta_2} = s = -(lam_3 e^{i theta_3} +
+    lam_4 e^{i theta_4}) with s = max(lam_1 - lam_2, lam_3 - lam_4), both
+    triangles by the law of cosines.  Off the PPT states the cosines are
+    clipped and the atoms are not product; the caller's refit rejects them.
+    """
+    a = _sqrt_factor(x)
+    tau = a.T @ _SIGMA_YY @ a
+    lam, vec = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    lam, u = lam[:3:-1], vec[:4, :3:-1] + 1j * vec[4:, :3:-1]
+    s = max(lam[0] - lam[1], lam[2] - lam[3])
+
+    def closing(p, q):
+        """Unit phases (r, r e^{ig}) with p r + q r e^{ig} = |p + q e^{ig}| = s."""
+        turn = np.exp(1j * np.arccos(np.clip((s * s - p * p - q * q) / (2 * p * q), -1.0, 1.0)))
+        w = p + q * turn
+        return (np.conj(w) / abs(w) if abs(w) > 0 else 1.0) * np.array([1.0, turn])
+
+    phase = np.concatenate([closing(lam[0], lam[1]), -closing(lam[2], lam[3])])
+    z = ((a @ u.conj()) * np.sqrt(phase)) @ _HADAMARD
+    left, _, right = np.linalg.svd(z.T.reshape(4, 2, 2))
+    return left[:, :, 0], right[:, 0]
+
+
 def _ensemble_rotate(x: np.ndarray, n: int, m: int, k: int, seed: int):
     """Rotate a square-root ensemble of the state toward product vectors.
 
@@ -463,6 +508,15 @@ def _polish_atoms(x: np.ndarray, n: int, m: int, left: np.ndarray, right: np.nda
 def separable_decompose(x: BipartiteOperator, cfg: OptimizerConfig | None = None) -> Verdict:
     """Column-generation search for a separable decomposition of a state.
 
+    A full-rank 2x2 state is first decomposed in closed form
+    (``_wootters_atoms``, which does not use ``cfg``): four product atoms
+    whose weights are refit on the simplex.  A 2x2 state is separable iff
+    it is PPT (Horodecki 1996), and the closed form succeeds on every
+    full-rank PPT state, so each full-rank separable 2x2 state is settled
+    with exactly 4 atoms; In is still decided by the refit's residual alone.
+    When the residual is not below ``RESIDUAL_TOL`` the search below runs
+    unchanged.
+
     The greedy phase runs ``GREEDY_TERMS`` rounds, each adding the pure
     product state with the largest overlap with the current residual and
     refitting nonnegative weights by least squares on the simplex; the
@@ -497,10 +551,17 @@ def separable_decompose(x: BipartiteOperator, cfg: OptimizerConfig | None = None
 
     n, m = x.n, x.m
     seed = cfg.seed
+    rank = _sqrt_factor(x.matrix).shape[1]
 
     def verdict_of(residual, left, right, weights):
         cert = _canonical_decomposition(residual, left, right, weights)
         return Verdict(Status.IN if residual < RESIDUAL_TOL else Status.UNKNOWN, cert)
+
+    if (n, m) == (2, 2) and rank == 4:
+        left, right = _wootters_atoms(x.matrix)
+        weights, residual, _ = _fit_state(left, right, x.matrix)
+        if residual < RESIDUAL_TOL:
+            return verdict_of(residual, left, right, weights)
 
     left, right = np.empty((0, n), complex), np.empty((0, m), complex)
     residual_mat = x.matrix
@@ -515,7 +576,6 @@ def separable_decompose(x: BipartiteOperator, cfg: OptimizerConfig | None = None
     best = (residual, left, right, weights)
     if _ppt_distance(x) >= RESIDUAL_TOL:  # no attempt could reach In
         return verdict_of(*best)
-    rank = _sqrt_factor(x.matrix).shape[1]
     for attempt in range(ENSEMBLE_ATTEMPTS):
         k = 2 * rank + 2 + 2 * attempt
         if k > MAX_TERMS:

@@ -55,6 +55,8 @@ class Polytope:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or len(v) == 0:
             raise ValueError("vertex list must be a nonempty 2-d array")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("vertex coordinates must be finite")
         if len(v) > 1:
             # all points of R^0 coincide; cKDTree needs at least one coordinate
             pairs = cKDTree(v).query_pairs(1e-10) if v.shape[1] else {(0, 1)}

@@ -4,6 +4,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -522,6 +523,15 @@ class TestErrorPaths:
         p.write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
         assert cli.main(["polytope", "tensor", "--k1", str(p), "--k2", str(p)]) == 65
         assert capsys.readouterr().err.startswith("input error: ")
+
+
+    def test_overflowing_product_raises_no_warning(self, capsys, tmp_path):
+        p = tmp_path / "extreme.json"
+        p.write_text(json.dumps({"dim": 3, "vertices": [[0, 1e200, 3]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["polytope", "tensor", "--k1", str(p), "--k2", str(p)]) == 65
+        assert capsys.readouterr().err == "input error: vertex coordinates must be finite\n"
 
 
 SCHEMA_KEYS = ["n", "m", "dim", "entries", "input_dim", "output_dim", "coeffs", "vertices"]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conelab import cones
@@ -270,9 +270,14 @@ class TestSeparableDecompose:
         v = separable_decompose(state)
         assert v.status is Status.UNKNOWN
 
-    def test_random_mixture_reconstructs(self):
+    @pytest.mark.parametrize("make", [
+        lambda rng: random_separable_state(2, 2, rng, terms=2)[0],
+        lambda rng: bipartite(0.7 * random_separable_state(2, 2, rng, terms=2)[0].matrix
+                              + 0.3 * np.eye(4) / 4, 2, 2),
+    ], ids=["rank-2", "full-rank"])
+    def test_random_mixture_reconstructs(self, make):
         rng = np.random.default_rng(11)
-        state, _ = random_separable_state(2, 2, rng, terms=2)
+        state = make(rng)
         v = separable_decompose(state)
         assert v.status is Status.IN
         recon = v.certificate.reconstruct()
@@ -553,6 +558,43 @@ class TestRotationFloor:
         assert len(a.factors) == len(b.factors)
         for f, g in zip(a.factors, b.factors):
             assert f.left.tobytes() == g.left.tobytes() and f.right.tobytes() == g.right.tobytes()
+
+
+class TestWootters:
+    """The closed-form phase of ``separable_decompose`` on full-rank 2x2 states."""
+
+    rotations = TestRotationFloor.rotations
+
+    # The counter is shared by all examples; each reads only its own increment.
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cols=st.integers(4, 6), seed=st.integers(0, 2**32 - 1))
+    def test_full_rank_states(self, rotations, cols, seed):
+        before = rotations[0]
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(4, cols)) + 1j * rng.normal(size=(4, cols))
+        rho = g @ g.conj().T
+        state = bipartite(rho / np.trace(rho).real, 2, 2)
+        v = separable_decompose(state)
+        if min_eigenvalue(partial_transpose(state, "right")) >= 1e-9:
+            assert v.status is Status.IN
+            assert len(v.certificate.weights) == 4
+            assert v.certificate.residual <= 1e-10
+            assert rotations[0] == before
+        if _ppt_distance(state) >= RESIDUAL_TOL:
+            assert v.status is not Status.IN
+
+    @staticmethod
+    def werner(p):
+        phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+        return bipartite(p * np.outer(phi, phi) + (1 - p) * np.eye(4) / 4, 2, 2)
+
+    def test_werner_boundary(self, rotations):
+        v = separable_decompose(self.werner(1 / 3))
+        assert v.status is Status.IN
+        assert len(v.certificate.weights) == 4
+        assert rotations[0] == 0
+        assert separable_decompose(self.werner(1 / 3 + 1e-6)).status is Status.UNKNOWN
 
 
 class TestPolishJacobian:

@@ -305,6 +305,16 @@ class TestDuplicateDetection:
         with pytest.raises(ValueError, match="duplicate vertices at indices 42, 411"):
             Polytope(v)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_coordinates_rejected(self, bad):
+        with pytest.raises(ValueError, match="vertex coordinates must be finite"):
+            Polytope([[0.0, 1.0], [bad, 0.0]])
+
+    def test_overflowing_min_tensor_rejected(self):
+        k = Polytope([[0.0, 1e200, 3.0]])
+        with pytest.raises(ValueError, match="vertex coordinates must be finite"):
+            min_tensor(k, k)
+
     def test_distinct_many_accepted(self):
         v = np.random.default_rng(3).normal(size=(500, 3))
         assert Polytope(v).n_vertices == 500
