@@ -101,8 +101,7 @@ def _cmd_membership(args) -> tuple[dict, dict]:
         # A PPT violation certifies Out with a witness; only the search can say In.
         verdict = cones.ppt_check(op, tol)
         if verdict.status is not cones.Status.OUT:
-            search = OptimizerConfig(starts=max(8, args.budget // 5), steps=200, seed=args.seed)
-            verdict = _on_input(cones.separable_decompose, op, search)
+            verdict = _on_input(cones.separable_decompose, op, args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown cone {args.cone}")
     return (

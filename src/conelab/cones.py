@@ -14,7 +14,7 @@ certificate, ``Unknown`` otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,7 +24,6 @@ from .operators import (
     BipartiteOperator,
     HermitianOperator,
     ProductVector,
-    bipartite,
     hilbert_schmidt,
     kron_rows,
     min_eigenpair,
@@ -43,7 +42,6 @@ POLISH_ROUNDS = 8  # seesaw rounds allowed past ``steps`` in block_positive_min
 
 # Fixed budget of separable_decompose (see its docstring).
 MAX_TERMS = 32
-GREEDY_TERMS = 6
 ENSEMBLE_ATTEMPTS = 4
 ENSEMBLE_ITERS = 3000
 LM_MAX_NFEV = 500
@@ -140,20 +138,13 @@ class OptimizerConfig:
 
     ``steps`` bounds the rounds of each search that takes this budget:
     ``block_positive_min`` runs at most ``steps + POLISH_ROUNDS`` seesaw
-    rounds over product vectors; ``separable_decompose`` gives the budget
-    to the product-vector search of each greedy term (its seed offset by
-    the term index) and seeds the ensemble rotation from ``seed``;
-    ``kappa.cb_norm_estimate`` runs at most ``steps`` seesaw rounds over
-    Hermitian symmetries.
+    rounds over product vectors; ``kappa.cb_norm_estimate`` runs at most
+    ``steps`` seesaw rounds over Hermitian symmetries.
     """
 
     starts: int = 200
     steps: int = 500
     seed: int = 0
-
-
-# Budget of separable_decompose when none is given.
-DECOMPOSE_CFG = OptimizerConfig(starts=16, steps=60, seed=0)
 
 
 def _product_grid(n: int) -> np.ndarray:
@@ -292,7 +283,7 @@ def ppt_check(x: BipartiteOperator, tol: float = SPECTRAL_TOL) -> Verdict:
 def _fit_state(left: np.ndarray, right: np.ndarray, x: np.ndarray):
     """Nonnegative weights on the simplex (soft sum-to-one row) for the atoms.
 
-    Returns the weights, the Frobenius residual and the residual matrix
+    Returns the weights and the Frobenius residual of
     X - sum_t w_t v_t v_t* with v_t = left_t (x) right_t.
     """
     mu = 1e4
@@ -301,14 +292,20 @@ def _fit_state(left: np.ndarray, right: np.ndarray, x: np.ndarray):
     a = np.vstack([np.concatenate([p.real, p.imag], axis=1).T, mu * np.ones((1, len(v)))])
     b = np.concatenate([x.ravel().real, x.ravel().imag, [mu]])
     weights, _ = nnls(a, b)
-    diff = x - (v.T * weights) @ v.conj()
-    return weights, float(np.linalg.norm(diff)), diff
+    return weights, float(np.linalg.norm(x - (v.T * weights) @ v.conj()))
 
 
 def _sqrt_factor(x: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(x)
     keep = w > 1e-12 * max(float(w[-1]), 1e-300)
     return v[:, keep] * np.sqrt(w[keep])
+
+
+def _leading_pairs(rows: np.ndarray, n: int, m: int):
+    """Leading Schmidt pair of each row read as an n x m block, as factor
+    arrays ``left (k, n)`` and ``right (k, m)``."""
+    u, _, vt = np.linalg.svd(rows.reshape(-1, n, m), full_matrices=False)
+    return u[:, :, 0], vt[:, 0]
 
 
 def _ppt_distance(x: BipartiteOperator) -> float:
@@ -366,8 +363,7 @@ def _wootters_atoms(x: np.ndarray):
 
     phase = np.concatenate([closing(lam[0], lam[1]), -closing(lam[2], lam[3])])
     z = ((a @ u.conj()) * np.sqrt(phase)) @ _HADAMARD
-    left, _, right = np.linalg.svd(z.T.reshape(4, 2, 2))
-    return left[:, :, 0], right[:, 0]
+    return _leading_pairs(z.T, 2, 2)
 
 
 def _ensemble_rotate(x: np.ndarray, n: int, m: int, k: int, seed: int):
@@ -419,8 +415,7 @@ def _ensemble_rotate(x: np.ndarray, n: int, m: int, k: int, seed: int):
         prev = proj
         u2, _, vt2 = np.linalg.svd(accel @ ac, full_matrices=False)
         c = (u2 @ vt2) @ at
-    u, _, vt = np.linalg.svd(best.reshape(k, n, m), full_matrices=False)
-    return u[:, :, 0], vt[:, 0], best_err
+    return (*_leading_pairs(best, n, m), best_err)
 
 
 def _canonical_phase(rows: np.ndarray) -> np.ndarray:
@@ -505,37 +500,34 @@ def _polish_atoms(x: np.ndarray, n: int, m: int, left: np.ndarray, right: np.nda
     return a[ok] / na[ok, None], b[ok] / nb[ok, None]
 
 
-def separable_decompose(x: BipartiteOperator, cfg: OptimizerConfig | None = None) -> Verdict:
-    """Column-generation search for a separable decomposition of a state.
+def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
+    """Search for a separable decomposition of a state.
 
-    A full-rank 2x2 state is first decomposed in closed form
-    (``_wootters_atoms``, which does not use ``cfg``): four product atoms
-    whose weights are refit on the simplex.  A 2x2 state is separable iff
-    it is PPT (Horodecki 1996), and the closed form succeeds on every
-    full-rank PPT state, so each full-rank separable 2x2 state is settled
-    with exactly 4 atoms; In is still decided by the refit's residual alone.
-    When the residual is not below ``RESIDUAL_TOL`` the search below runs
-    unchanged.
+    The first fit is closed form.  A full-rank 2x2 state is written as
+    Wootters's four product atoms (``_wootters_atoms``); a 2x2 state is
+    separable iff it is PPT (Horodecki 1996), and the closed form succeeds
+    on every full-rank PPT state, so each full-rank separable 2x2 state is
+    settled with exactly 4 atoms.  Every other state takes the leading
+    Schmidt pair of each column of a square-root factor X = A A*, which is
+    exact when the columns are product vectors, as on a pure product
+    state.  The first fit's weights are refit on the simplex.
 
-    The greedy phase runs ``GREEDY_TERMS`` rounds, each adding the pure
-    product state with the largest overlap with the current residual and
-    refitting nonnegative weights by least squares on the simplex; the
-    product state comes from ``block_positive_min`` under ``cfg``, its seed
-    offset by the term index.  When that stalls above ``RESIDUAL_TOL``, up
-    to ``ENSEMBLE_ATTEMPTS`` batches of at most ``MAX_TERMS`` candidate
-    atoms are proposed by rotating a square-root ensemble of the state
-    toward product vectors (at most ``ENSEMBLE_ITERS`` iterations each,
-    seeded from ``cfg.seed``); a batch whose squared projection error
-    exceeds ``ROTATION_GATE`` is dropped, the others are polished locally
+    When its residual is not below ``RESIDUAL_TOL``, up to
+    ``ENSEMBLE_ATTEMPTS`` batches of at most ``MAX_TERMS`` candidate atoms
+    are proposed by rotating a square-root ensemble of the state toward
+    product vectors (at most ``ENSEMBLE_ITERS`` iterations each, seeded
+    from ``seed``); a batch whose squared projection error exceeds
+    ``ROTATION_GATE`` is dropped, the others are polished locally
     (``LM_MAX_NFEV`` evaluations) and their weights refit on the simplex.
     In (with the certificate) once the Frobenius residual drops below
-    ``RESIDUAL_TOL``, Unknown once the budget is spent.  ``cfg`` defaults
-    to ``DECOMPOSE_CFG``.  Only defined for states: PSD with unit trace.
-    The certificate is canonical (``_canonical_decomposition``): a
-    decomposition's atom order and factor phases are free (Hughston, Jozsa
-    and Wootters 1993), so they are fixed by the weights and the factors.
+    ``RESIDUAL_TOL``, else Unknown with the best fit found; no verdict
+    rests on the closed forms, only on the residual.  Only defined for
+    states: PSD with unit trace.  The certificate is canonical
+    (``_canonical_decomposition``): a decomposition's atom order and factor
+    phases are free (Hughston, Jozsa and Wootters 1993), so they are fixed
+    by the weights and the factors.
 
-    The ensemble phase is skipped, returning the greedy result as Unknown,
+    The ensemble phase is skipped, returning the first fit as Unknown,
     when the partial transpose (Peres 1996) proves that no separable state
     lies within ``RESIDUAL_TOL`` of the input (``_ppt_distance``).  Every
     fit is Y = sum_t w_t v_t v_t* with w >= 0 and product v_t, so Y^Gamma
@@ -543,15 +535,14 @@ def separable_decompose(x: BipartiteOperator, cfg: OptimizerConfig | None = None
     ||X - Y||_F = ||X^Gamma - Y^Gamma||_F >= ||(X^Gamma)_-||_F, and no phase
     can reach a residual below that.
     """
-    cfg = cfg or DECOMPOSE_CFG
     if min_eigenpair(x)[0] < -SPECTRAL_TOL:
         raise ValueError("input is not positive semidefinite")
     if abs(x.op.trace() - 1.0) > 1e-9:
         raise ValueError("input does not have unit trace")
 
     n, m = x.n, x.m
-    seed = cfg.seed
-    rank = _sqrt_factor(x.matrix).shape[1]
+    a = _sqrt_factor(x.matrix)
+    rank = a.shape[1]
 
     def verdict_of(residual, left, right, weights):
         cert = _canonical_decomposition(residual, left, right, weights)
@@ -559,22 +550,11 @@ def separable_decompose(x: BipartiteOperator, cfg: OptimizerConfig | None = None
 
     if (n, m) == (2, 2) and rank == 4:
         left, right = _wootters_atoms(x.matrix)
-        weights, residual, _ = _fit_state(left, right, x.matrix)
-        if residual < RESIDUAL_TOL:
-            return verdict_of(residual, left, right, weights)
-
-    left, right = np.empty((0, n), complex), np.empty((0, m), complex)
-    residual_mat = x.matrix
-    for term in range(GREEDY_TERMS):
-        term_cfg = replace(cfg, seed=seed + term)
-        vec = block_positive_min(bipartite(-residual_mat, n, m), term_cfg)[1].best_vector
-        left, right = np.vstack([left, vec.left]), np.vstack([right, vec.right])
-        weights, residual, residual_mat = _fit_state(left, right, x.matrix)
-        if residual < RESIDUAL_TOL:
-            return verdict_of(residual, left, right, weights)
-
+    else:
+        left, right = _leading_pairs(a.T, n, m)
+    weights, residual = _fit_state(left, right, x.matrix)
     best = (residual, left, right, weights)
-    if _ppt_distance(x) >= RESIDUAL_TOL:  # no attempt could reach In
+    if residual < RESIDUAL_TOL or _ppt_distance(x) >= RESIDUAL_TOL:
         return verdict_of(*best)
     for attempt in range(ENSEMBLE_ATTEMPTS):
         k = 2 * rank + 2 + 2 * attempt
@@ -583,11 +563,11 @@ def separable_decompose(x: BipartiteOperator, cfg: OptimizerConfig | None = None
         left, right, err = _ensemble_rotate(x.matrix, n, m, k, seed * 131 + attempt + 1)
         if err > ROTATION_GATE:
             continue
-        w, _, _ = _fit_state(left, right, x.matrix)
+        w, _ = _fit_state(left, right, x.matrix)
         left, right = _polish_atoms(x.matrix, n, m, left, right, w)
         if not len(left):
             continue
-        w, res, _ = _fit_state(left, right, x.matrix)
+        w, res = _fit_state(left, right, x.matrix)
         if res < best[0]:
             best = (res, left, right, w)
         if res < RESIDUAL_TOL:

@@ -559,6 +559,45 @@ class TestRotationFloor:
         for f, g in zip(a.factors, b.factors):
             assert f.left.tobytes() == g.left.tobytes() and f.right.tobytes() == g.right.tobytes()
 
+    @pytest.mark.parametrize("state", [
+        noisy_entangled(3, 3, 0.2),
+        bipartite(h_operator(2).matrix / 2, 2, 2),
+        noisy_entangled(2, 2, 0.6),
+    ], ids=["3x3 noise 0.2", "h/2", "2x2 noise 0.6"])
+    def test_screened_certificates_reconstruct(self, state):
+        cert = separable_decompose(state).certificate
+        assert len(cert.weights) >= 1
+        assert np.all(cert.weights >= 0)
+        assert np.linalg.norm(cert.reconstruct() - state.matrix) == pytest.approx(
+            cert.residual, abs=1e-12
+        )
+
+
+class TestFirstFit:
+    """``separable_decompose`` runs no product-vector search: the closed-form
+    first fit and the ensemble phase decide every input."""
+
+    @pytest.mark.parametrize("state, status", [
+        (random_product_state(2, 2, np.random.default_rng(2)).projector(), Status.IN),
+        (random_product_state(3, 3, np.random.default_rng(3)).projector(), Status.IN),
+        (random_separable_state(2, 3, np.random.default_rng(4), terms=3)[0], Status.IN),
+        (bipartite(0.7 * random_separable_state(2, 2, np.random.default_rng(11), terms=2)[0].matrix
+                   + 0.3 * np.eye(4) / 4, 2, 2), Status.IN),
+        (noisy_entangled(3, 3, 0.2), Status.UNKNOWN),
+        (bipartite(h_operator(2).matrix / 2, 2, 2), Status.UNKNOWN),
+    ], ids=["2x2 product", "3x3 product", "2x3 rank-3", "2x2 full-rank", "3x3 noise 0.2",
+            "h/2"])
+    def test_no_block_positive_min_call(self, monkeypatch, state, status):
+        def refuse(*args, **kwargs):
+            raise AssertionError("block_positive_min called")
+
+        monkeypatch.setattr(cones, "block_positive_min", refuse)
+        v = separable_decompose(state)
+        assert v.status is status
+        assert np.linalg.norm(v.certificate.reconstruct() - state.matrix) == pytest.approx(
+            v.certificate.residual, abs=1e-12
+        )
+
 
 class TestWootters:
     """The closed-form phase of ``separable_decompose`` on full-rank 2x2 states."""
@@ -660,11 +699,10 @@ class TestConeNesting:
 class TestDualitySampling:
     def test_certified_pairings_nonnegative(self):
         rng = np.random.default_rng(33)
-        budget = OptimizerConfig(starts=16, steps=60, seed=0)
         ts = []
         for _ in range(6):
             state, _ = random_separable_state(2, 2, rng, terms=2)
-            verdict = separable_decompose(state, budget)
+            verdict = separable_decompose(state)
             assert verdict.status is Status.IN
             ts.append(state.matrix)
         ws = []

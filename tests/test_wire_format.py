@@ -74,7 +74,7 @@ def _verdicts():
     yield "ppt unknown", ppt_check(bipartite(np.eye(9) / 9, 3, 3)), Status.UNKNOWN
     yield "block-positive in", is_block_positive(H2_HALF, 1e-6, FAST), Status.IN
     yield "decompose in", separable_decompose(_product_2x2()), Status.IN
-    yield "decompose unknown", separable_decompose(H2_HALF, FAST), Status.UNKNOWN
+    yield "decompose unknown", separable_decompose(H2_HALF), Status.UNKNOWN
     yield "max in", gap.max_verdict, Status.IN
     yield "max out", _max_out_functional(), Status.OUT
     yield "min in", min_tensor_membership(centre, square(), square()), Status.IN
