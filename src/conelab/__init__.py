@@ -61,7 +61,6 @@ from .polytopes import (
 from .algebras import (
     MultiMatrixAlgebra,
     algebra_tensor,
-    entangled_witness_X,
     riesz_counterexample_check,
     trace_simplex,
     verify_trace_tensor,

@@ -3,7 +3,7 @@ suite and the ``reproduce`` CLI command.
 
 Each check returns a CheckResult with the mathematical identity it
 validates, a pass flag, wall time, and enough detail to audit the run.
-``quick=True`` lowers optimizer budgets without changing any assertion.
+Each check has one fixed budget; ``seed`` seeds its random draws.
 ALL_CHECKS lists the checks in definition order.
 """
 
@@ -35,14 +35,13 @@ ALL_CHECKS = []
 
 def _check(name: str, identity: str):
     """Register a check, which returns (passed, details), in ALL_CHECKS as a
-    timed callable (quick=False, seed=0) -> CheckResult whose ``check_name``
-    is ``name``."""
+    timed callable (seed=0) -> CheckResult whose ``check_name`` is ``name``."""
 
     def register(fn):
         @functools.wraps(fn)
-        def check(quick: bool = False, seed: int = 0) -> CheckResult:
+        def check(seed: int = 0) -> CheckResult:
             t0 = time.perf_counter()
-            passed, details = fn(quick, seed)
+            passed, details = fn(seed)
             return CheckResult(name, identity, bool(passed), time.perf_counter() - t0, details)
 
         check.check_name = name
@@ -52,14 +51,8 @@ def _check(name: str, identity: str):
     return register
 
 
-def _opt_cfg(quick: bool, seed: int = 0) -> OptimizerConfig:
-    if quick:
-        return OptimizerConfig(starts=40, steps=120, seed=seed)
-    return OptimizerConfig(seed=seed)
-
-
 @_check("witness-norm", "trace_norm(S(n)/n) = n for n = 2..6")
-def check_01_witness_norm(quick, seed):
+def check_01_witness_norm(seed):
     errs = {}
     for n in range(2, 7):
         errs[n] = abs(operators.trace_norm(kappa.normalized_swap(n, n)) - n)
@@ -69,17 +62,16 @@ def check_01_witness_norm(quick, seed):
 
 @_check("kappa-closed-form",
         "witness value = min{n,n} with lower bound >= 0; cb(transpose_n) LB = UB = n for n = 2, 3")
-def check_02_kappa_closed_form(quick, seed):
+def check_02_kappa_closed_form(seed):
     witness_errs, witness_bounds = {}, {}
-    cfg = _opt_cfg(quick, seed)
+    cfg = OptimizerConfig(seed=seed)
     for n in range(1, 7):
-        w = kappa.kappa_witness(n, cfg=cfg if n <= 3 else OptimizerConfig(starts=60, steps=150, seed=seed))
+        w = kappa.kappa_witness(n, cfg=cfg)
         witness_errs[n] = abs(w.value - kappa.kappa_exact(n, n))
         witness_bounds[n] = w.lower_bound.value
-    cb_cfg = OptimizerConfig(starts=30 if quick else 100, steps=100 if quick else 300, seed=seed)
     cb_vals, cb_upper = {}, {}
     for n in (2, 3):
-        est = kappa.cb_norm_estimate(MatrixMap.transpose(n), cb_cfg)
+        est = kappa.cb_norm_estimate(MatrixMap.transpose(n))
         cb_vals[n], cb_upper[n] = est.value, est.upper.value
     passed = (all(e <= 1e-9 for e in witness_errs.values())
               and all(v >= -1e-9 for v in witness_bounds.values())
@@ -90,7 +82,7 @@ def check_02_kappa_closed_form(quick, seed):
 
 @_check("witness-block-positive",
         "S(m) block positive: lambda_min(S - Q^Gamma) + lambda_min(Q) >= 0, Q = S^Gamma, m = 2..4")
-def check_03_witness_block_positive(quick, seed):
+def check_03_witness_block_positive(seed):
     swaps = {m: operators.swap_operator(m) for m in (2, 3, 4)}
     bounds = {m: cones.lower_bound(s, operators.partial_transpose(s, "right")).value
               for m, s in swaps.items()}
@@ -99,7 +91,7 @@ def check_03_witness_block_positive(quick, seed):
 
 @_check("entangled-max-state",
         "H(m)/m is PSD yet PPT-violating with eigenvalue -1/m (m = 2, 3)")
-def check_04_entangled_max_state(quick, seed):
+def check_04_entangled_max_state(seed):
     details = {}
     passed = True
     for m in (2, 3):
@@ -120,7 +112,7 @@ def check_04_entangled_max_state(quick, seed):
 
 @_check("choi-jamiolkowski",
         "choi = PT_right(jamiolkowski) and choi/map round trip, exact on 50 maps")
-def check_05_choi_jamiolkowski(quick, seed):
+def check_05_choi_jamiolkowski(seed):
     rng = np.random.default_rng(seed)
     dims = [(2, 2), (2, 3), (3, 2), (3, 3)]
     max_pt = 0.0
@@ -140,9 +132,9 @@ def check_05_choi_jamiolkowski(quick, seed):
 
 @_check("map-normalization",
         "rho0 o (Phi x id) = rho o (Psi x id) with Psi unital, 20 maps x 100 operators")
-def check_06_normalization(quick, seed):
+def check_06_normalization(seed):
     rng = np.random.default_rng(seed)
-    cfg = OptimizerConfig(starts=30 if quick else 60, steps=100 if quick else 200, seed=seed)
+    cfg = OptimizerConfig(starts=60, steps=200, seed=seed)
     specs = [(2, 2, False), (2, 2, True), (3, 2, False), (2, 3, False)] * 5
     max_dev = 0.0
     max_unital_dev = 0.0
@@ -166,7 +158,7 @@ def check_06_normalization(quick, seed):
 
 @_check("simplex-tensor",
         "simplex(n-1) x simplex(m-1) has nm independent vertices, dimension nm-1")
-def check_07_simplex_tensor(quick, seed):
+def check_07_simplex_tensor(seed):
     details = {}
     passed = True
     for n, m in [(2, 2), (2, 3), (3, 3)]:
@@ -180,7 +172,7 @@ def check_07_simplex_tensor(quick, seed):
 
 
 @_check("dimension-and-bound", "dim(min_tensor(square, square)) = 8; 0 < relative bound < 10")
-def check_08_dimension_and_bound(quick, seed):
+def check_08_dimension_and_bound(seed):
     sq = polytopes.square()
     mn = polytopes.min_tensor(sq, sq)
     dim = polytopes.affine_dimension(mn)
@@ -191,7 +183,7 @@ def check_08_dimension_and_bound(quick, seed):
 
 
 @_check("barker-gap", "square x square has a gap point; a simplex factor forces min = max")
-def check_09_barker_gap(quick, seed):
+def check_09_barker_gap(seed):
     sq = polytopes.square()
     gap = polytopes.barker_gap(sq, sq)
     gap_ok = (
@@ -215,23 +207,21 @@ def check_09_barker_gap(quick, seed):
 
 @_check("cone-algebra-witness",
         "X(s,t) = st S is nonpositive, yet on product states >= st lambda_min(S^Gamma) >= 0")
-def check_10_cone_algebra_witness(quick, seed):
-    rep = algebras.verify_X_separating(2, (0.0, 0.5, 1.0))
+def check_10_cone_algebra_witness(seed):
+    rep = algebras.verify_X_separating(2)
     passed = (
         rep.passes
         and rep.most_negative_eigenvalue <= -1.0 + 1e-9
-        and rep.argmin_pair == (1.0, 1.0)
         and rep.separable_min >= -1e-9
     )
     return passed, {
         "most_negative_eigenvalue": rep.most_negative_eigenvalue,
-        "argmin_pair": rep.argmin_pair,
         "separable_min": rep.separable_min,
     }
 
 
 @_check("riesz-failure", "2x2 matrix order has no Riesz interpolation: all three sub-checks")
-def check_11_riesz(quick, seed):
+def check_11_riesz(seed):
     rep = algebras.riesz_counterexample_check()
     rep2 = algebras.riesz_counterexample_check()
     deterministic = rep == rep2
@@ -245,7 +235,7 @@ def check_11_riesz(quick, seed):
 
 
 @_check("trace-simplex-tensor", "trace simplexes tensor multiplicatively, pairwise and three-fold")
-def check_12_trace_simplex_tensor(quick, seed):
+def check_12_trace_simplex_tensor(seed):
     pool = [(1,), (2,), (2, 3), (2, 2, 2)]
     results = {}
     passed = True
@@ -291,15 +281,14 @@ def _random_block_positive(n, m, rng):
 
 @_check("cone-duality",
         "separable x block-positive trace pairings are nonnegative (10^4 pairs)")
-def check_13_duality(quick, seed):
+def check_13_duality(seed):
     rng = np.random.default_rng(seed)
-    cert_cfg = OptimizerConfig(starts=16 if quick else 24, steps=60 if quick else 100, seed=seed)
-    batch = 50 if quick else 100
+    cert_cfg = OptimizerConfig(starts=24, steps=100, seed=seed)
     details = {}
     passed = True
     for n, m in [(2, 2), (2, 3)]:
         ts = []
-        for i in range(batch):
+        for i in range(100):
             t = _random_separable(n, m, rng)
             if i < 3:
                 verdict = cones.separable_decompose(t)
@@ -307,7 +296,7 @@ def check_13_duality(quick, seed):
                     passed = False
             ts.append(t.matrix)
         ws = []
-        for _ in range(batch):
+        for _ in range(100):
             w = _random_block_positive(n, m, rng)
             verdict = cones.is_block_positive(w, cfg=cert_cfg)
             if verdict.status is not Status.IN:
@@ -320,5 +309,5 @@ def check_13_duality(quick, seed):
     return passed, details
 
 
-def run_all(quick: bool = False, seed: int = 0) -> list[CheckResult]:
-    return [check(quick, seed) for check in ALL_CHECKS]
+def run_all(seed: int = 0) -> list[CheckResult]:
+    return [check(seed) for check in ALL_CHECKS]

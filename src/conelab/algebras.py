@@ -4,8 +4,8 @@ entangled witness (s, t) |-> s t S and the 2x2 Riesz-interpolation
 counterexample.
 
 The cone algebra {f in C([0,1], M_k) : f(0) scalar} is discretized on a
-finite grid; the witness below is bilinear in (s, t), so checking it on
-grid points covers the construction exactly.
+finite grid; the witness below is bilinear in (s, t), so its value at the
+corners s t = 0 and s t = 1 covers the construction exactly.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import numpy as np
 
 from .cones import LowerBoundCertificate, lower_bound
 from .operators import (
-    BipartiteOperator,
-    bipartite,
     hilbert_schmidt,
     min_eigenvalue,
     partial_transpose,
@@ -97,42 +95,10 @@ def verify_trace_tensor(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> TraceTe
     )
 
 
-def _check_grid(grid) -> tuple[float, ...]:
-    g = tuple(sorted(set(float(s) for s in grid)))
-    if len(g) == 0:
-        raise ValueError("grid must be nonempty")
-    if not all(0.0 <= s <= 1.0 for s in g):
-        raise ValueError("grid points must lie in [0, 1]")
-    return g
-
-
-@dataclass(frozen=True)
-class GridWitness:
-    """The two-variable matrix function (s, t) |-> s t S on a grid.
-
-    Nonpositive as an element of the tensor algebra, yet nonnegative on
-    every product of states; bilinear, so grid evaluation is exact."""
-
-    n: int
-    grid: tuple[float, ...]
-
-    def at(self, s: float, t: float) -> BipartiteOperator:
-        swap = swap_operator(self.n)
-        return bipartite((s * t) * swap.matrix, self.n, self.n)
-
-
-def entangled_witness_X(n: int, grid) -> GridWitness:
-    if n < 2:
-        raise ValueError("need matrix size n >= 2")
-    return GridWitness(n, _check_grid(grid))
-
-
 @dataclass(frozen=True)
 class XSeparationReport:
     n: int
-    grid: tuple[float, ...]
     most_negative_eigenvalue: float
-    argmin_pair: tuple[float, float]
     nonpositive_ok: bool
     separable_min: float
     separable_ok: bool
@@ -140,36 +106,30 @@ class XSeparationReport:
     certificate: LowerBoundCertificate = field(compare=False)  # a function of n, held in arrays
 
 
-def verify_X_separating(n: int, grid) -> XSeparationReport:
+def verify_X_separating(n: int) -> XSeparationReport:
     """Check both halves of the witness property of X(s, t) = s t S.
 
-    (a) nonpositivity: some grid evaluation has a negative eigenvalue;
+    X is bilinear in (s, t) and s t ranges over [0, 1], so its corners
+    decide both halves:
+    (a) nonpositivity: X(1, 1) = S has the eigenvalue -1 < 0;
     (b) nonnegativity on separable states: a pure state of the discretized
     algebra is a (grid point, pure matrix state) pair, so on the product of
-    the states (s, a) and (t, b) X is at least s t >= 0 times the value of
-    ``lower_bound(S, S^Gamma)``; the least such product must be >= -1e-9.
+    the states (s, a) and (t, b) X is at least s t v, with v the value of
+    ``lower_bound(S, S^Gamma)``; the least of s t v over s t in [0, 1] is
+    min(0, v), which must be >= -1e-9.
     """
-    witness = entangled_witness_X(n, grid)
-    if max(witness.grid) <= 0.0:
-        raise ValueError("grid needs a point pair with s, t > 0")
-
+    if n < 2:
+        raise ValueError("need matrix size n >= 2")
     swap = swap_operator(n)
     certificate = lower_bound(swap, partial_transpose(swap, "right"))
-    most_neg, argmin, separable_min = np.inf, (0.0, 0.0), np.inf
-    for s in witness.grid:
-        for t in witness.grid:
-            val = min_eigenvalue(witness.at(s, t))
-            if val < most_neg:
-                most_neg, argmin = val, (s, t)
-            separable_min = min(separable_min, s * t * certificate.value)
+    most_neg = min_eigenvalue(swap)
+    separable_min = min(0.0, certificate.value)
     nonpositive_ok = most_neg < -1e-9
     separable_ok = separable_min >= -1e-9
 
     return XSeparationReport(
         n=n,
-        grid=witness.grid,
         most_negative_eigenvalue=float(most_neg),
-        argmin_pair=argmin,
         nonpositive_ok=nonpositive_ok,
         separable_min=float(separable_min),
         separable_ok=separable_ok,

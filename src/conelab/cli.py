@@ -188,11 +188,7 @@ def _check_report(rep) -> tuple[dict, dict]:
 
 
 def _cmd_witness_x(args) -> tuple[dict, dict]:
-    try:
-        grid = tuple(float(s) for s in args.grid.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad grid {args.grid!r}: {exc}") from exc
-    return _check_report(_on_input(algebras.verify_X_separating, args.n, grid))
+    return _check_report(algebras.verify_X_separating(args.n))
 
 
 def _cmd_riesz(args) -> tuple[dict, dict]:
@@ -218,12 +214,11 @@ def _cmd_reproduce(args) -> tuple[dict, dict]:
                     if args.only in c.check_name or args.only in c.__name__]
         if not selected:
             raise UsageError(f"no acceptance check matches {args.only!r}")
-        checks = [c(args.quick, args.seed) for c in selected]
+        checks = [c(args.seed) for c in selected]
     else:
-        checks = acceptance.run_all(quick=args.quick, seed=args.seed)
+        checks = acceptance.run_all(seed=args.seed)
     results = {
         "status": "pass" if all(c.passed for c in checks) else "fail",
-        "quick": args.quick,
         "checks": [
             {
                 "name": c.name,
@@ -285,9 +280,8 @@ def build_parser() -> _Parser:
     ba.add_argument("--k2", required=True)
     ba.set_defaults(handler=_cmd_polytope, seed=0, action="tensor", gap=True, relative_bound=False)
 
-    wx = sub.add_parser("witness-x", help="grid witness X(s,t) = st S verification")
+    wx = sub.add_parser("witness-x", help="cone-algebra witness X(s,t) = st S, at its corners")
     wx.add_argument("--n", type=_positive(int, least=2), required=True)
-    wx.add_argument("--grid", default="0,0.5,1")
     wx.set_defaults(handler=_cmd_witness_x, seed=0)
 
     rz = sub.add_parser("riesz", help="2x2 Riesz interpolation failure, in closed form")
@@ -299,7 +293,6 @@ def build_parser() -> _Parser:
     ts.set_defaults(handler=_cmd_trace_simplex, seed=0)
 
     rp = sub.add_parser("reproduce", help="run the full acceptance suite")
-    rp.add_argument("--quick", action="store_true", help="reduced optimizer budgets")
     rp.add_argument("--seed", type=_positive(int, least=0), default=0)
     rp.add_argument("--only", default=None, help="substring filter on check names")
     rp.set_defaults(handler=_cmd_reproduce)

@@ -41,7 +41,6 @@ AGREE_TOL = 1e-9  # starts this close to the best value, in the same units, agre
 POLISH_ROUNDS = 8  # seesaw rounds allowed past ``steps`` in block_positive_min
 
 # Fixed budget of separable_decompose (see its docstring).
-MAX_TERMS = 32
 ENSEMBLE_ATTEMPTS = 4
 ENSEMBLE_ITERS = 3000
 LM_MAX_NFEV = 500
@@ -513,10 +512,10 @@ def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
     state.  The first fit's weights are refit on the simplex.
 
     When its residual is not below ``RESIDUAL_TOL``, up to
-    ``ENSEMBLE_ATTEMPTS`` batches of at most ``MAX_TERMS`` candidate atoms
-    are proposed by rotating a square-root ensemble of the state toward
-    product vectors (at most ``ENSEMBLE_ITERS`` iterations each, seeded
-    from ``seed``); a batch whose squared projection error exceeds
+    ``ENSEMBLE_ATTEMPTS`` batches of candidate atoms (2 rank(X) + 2 in the
+    first, two more in each next) are proposed by rotating a square-root
+    ensemble of the state toward product vectors (at most
+    ``ENSEMBLE_ITERS`` iterations each, seeded from ``seed``); a batch whose squared projection error exceeds
     ``ROTATION_GATE`` is dropped, the others are polished locally
     (``LM_MAX_NFEV`` evaluations) and their weights refit on the simplex.
     In (with the certificate) once the Frobenius residual drops below
@@ -558,8 +557,6 @@ def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
         return verdict_of(*best)
     for attempt in range(ENSEMBLE_ATTEMPTS):
         k = 2 * rank + 2 + 2 * attempt
-        if k > MAX_TERMS:
-            break
         left, right, err = _ensemble_rotate(x.matrix, n, m, k, seed * 131 + attempt + 1)
         if err > ROTATION_GATE:
             continue

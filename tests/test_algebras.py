@@ -4,7 +4,6 @@ import pytest
 from conelab.algebras import (
     MultiMatrixAlgebra,
     algebra_tensor,
-    entangled_witness_X,
     riesz_counterexample_check,
     trace_simplex,
     verify_trace_tensor,
@@ -66,75 +65,66 @@ class TestVerifyTraceTensor:
 
 class TestWitnessX:
     def test_endpoint_is_swap(self):
-        x = entangled_witness_X(2, (0.0, 0.5, 1.0))
-        assert np.array_equal(x.at(1.0, 1.0).matrix, swap_operator(2).matrix)
+        # X(1, 1) = S gives the most negative eigenvalue
+        for n in range(2, 7):
+            rep = verify_X_separating(n)
+            assert rep.passes
+            assert rep.most_negative_eigenvalue == min_eigenvalue(swap_operator(n))
 
     def test_zero_boundary(self):
-        x = entangled_witness_X(3, (0.0, 0.5, 1.0))
-        for t in x.grid:
-            assert np.array_equal(x.at(0.0, t).matrix, np.zeros((9, 9)))
+        # X(0, t) = 0 for every t, so the s t = 0 corner caps the least
+        # separable value at 0
+        for n in range(2, 7):
+            swap = swap_operator(n).matrix
+            for t in np.linspace(0.0, 1.0, 11):
+                assert np.array_equal((0.0 * t) * swap, np.zeros((n * n, n * n)))
+            assert verify_X_separating(n).separable_min <= 0.0
 
     def test_bilinear_scaling_exact(self):
-        x = entangled_witness_X(2, (0.0, 0.25, 0.5, 1.0))
-        base = x.at(1.0, 1.0).matrix
-        for s in x.grid:
-            for t in x.grid:
-                assert np.array_equal(x.at(s, t).matrix, (s * t) * base)
+        # numerical cross-check of the corners: on the (s, t) grid at step 0.1
+        # the least eigenvalue of s t S and the least s t v are the report's
+        axis = np.linspace(0.0, 1.0, 11)
+        for n in range(2, 7):
+            rep = verify_X_separating(n)
+            swap = swap_operator(n).matrix
+            eigs = [np.linalg.eigvalsh((s * t) * swap)[0] for s in axis for t in axis]
+            assert min(eigs) == pytest.approx(rep.most_negative_eigenvalue, abs=1e-15)
+            assert min(s * t * rep.certificate.value for s in axis for t in axis) == rep.separable_min
 
     def test_min_eigenvalue_formula(self):
-        # eigenvalues of s t S are {-st, +st}; the grid minimum is -max(st)
-        grid = (0.0, 0.3, 0.7, 1.0)
-        x = entangled_witness_X(2, grid)
-        got = min(min_eigenvalue(x.at(s, t)) for s in grid for t in grid)
-        assert got == pytest.approx(-1.0, abs=1e-12)
-        got_mid = min_eigenvalue(x.at(0.3, 0.7))
-        assert got_mid == pytest.approx(-0.21, abs=1e-12)
-
-    def test_rejects_out_of_range_grid(self):
-        with pytest.raises(ValueError, match="lie in"):
-            entangled_witness_X(2, (0.0, 1.5))
-
-    @pytest.mark.parametrize("grid", [(0.0, float("nan"), 1.0), (float("nan"), 0.0, 1.0),
-                                      (0.0, 1.0, float("nan"))])
-    def test_rejects_nan_grid_point(self, grid):
-        with pytest.raises(ValueError, match="lie in"):
-            entangled_witness_X(2, grid)
+        # eigenvalues of s t S are {-st, +st}, so the least one is -1 at s = t = 1
+        for n in range(2, 7):
+            eigs = np.linalg.eigvalsh(swap_operator(n).matrix)
+            assert np.allclose(np.abs(eigs), 1.0, atol=1e-12)
+            assert verify_X_separating(n).most_negative_eigenvalue == pytest.approx(-1.0, abs=1e-12)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="n >= 2"):
-            entangled_witness_X(1, (0.0, 1.0))
+            verify_X_separating(1)
 
 
 class TestVerifyXSeparating:
     def test_standard_grid_passes(self):
-        rep = verify_X_separating(2, (0.0, 0.5, 1.0))
+        # the corners s t = 0, 1 stand in for the old default grid (0, 0.5, 1)
+        rep = verify_X_separating(2)
         assert rep.passes
         assert rep.most_negative_eigenvalue == pytest.approx(-1.0, abs=1e-12)
-        assert rep.argmin_pair == (1.0, 1.0)
         assert rep.separable_min >= -1e-9
 
     def test_endpoint_grid_n3(self):
-        rep = verify_X_separating(3, (0.0, 1.0))
-        assert rep.passes
-
-    def test_zero_grid_errors(self):
-        with pytest.raises(ValueError, match="s, t > 0"):
-            verify_X_separating(2, (0.0,))
+        assert verify_X_separating(3).passes
 
     def test_separable_minimum_approaches_zero_from_above(self):
-        # without 0 in the grid the minimum is the least s t value, certified by Q = H(n)
-        grid = (0.5, 1.0)
-        for n in (2, 3, 4):
-            rep = verify_X_separating(n, grid)
-            value = rep.certificate.value
-            assert rep.separable_min == min(s * t * value for s in grid for t in grid)
+        # s t v over s t in [0, 1] is least at s t = 0 or 1, so the minimum is
+        # min(0, v), v the bound certified by Q = S^Gamma = H(n)
+        for n in range(2, 7):
+            rep = verify_X_separating(n)
+            assert rep.separable_min == min(0.0, rep.certificate.value)
             assert rep.separable_min >= -1e-15
             assert np.array_equal(rep.certificate.q.matrix, h_operator(n).matrix)
 
     def test_reproducible(self):
-        a = verify_X_separating(2, (0.0, 0.5, 1.0))
-        b = verify_X_separating(2, (0.0, 0.5, 1.0))
-        assert a == b
+        assert verify_X_separating(2) == verify_X_separating(2)
 
 
 class TestRieszCounterexample:

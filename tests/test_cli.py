@@ -317,7 +317,7 @@ class TestReportCommands:
     def test_witness_x(self, capsys):
         code, rep = run_json(
             capsys,
-            ["witness-x", "--n", "2", "--grid", "0,0.5,1"],
+            ["witness-x", "--n", "2"],
         )
         assert code == 0
         assert rep["results"]["most_negative_eigenvalue"] == pytest.approx(-1.0, abs=1e-9)
@@ -328,9 +328,6 @@ class TestReportCommands:
     @pytest.mark.parametrize("flag", ["--samples", "--seed"])
     def test_witness_x_takes_no_samples_or_seed(self, capsys, flag):
         assert cli.main(["witness-x", "--n", "2", flag, "10"]) == 64
-
-    def test_witness_x_degenerate_grid_is_data_error(self, capsys):
-        assert cli.main(["witness-x", "--n", "2", "--grid", "0"]) == 65
 
     def test_riesz(self, capsys):
         code, rep = run_json(capsys, ["riesz"])
@@ -343,6 +340,14 @@ class TestReportCommands:
         assert cli.main(["riesz", flag, value]) == 64
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["witness-x", "--n", "2", "--grid", "0,1"], "--grid"),
+        (["reproduce", "--quick", "--only", "witness_norm"], "--quick"),
+    ], ids=["witness-x", "reproduce"])
+    def test_removed_options_are_usage_errors(self, capsys, argv, flag):
+        assert cli.main(argv) == 64
+        assert flag in capsys.readouterr().err
+
     def test_trace_simplex(self, capsys):
         code, rep = run_json(capsys, ["trace-simplex", "--a", "2,3", "--b", "2,5"])
         assert code == 0
@@ -353,7 +358,7 @@ class TestReportCommands:
 
     def test_reproduce_single_check(self, capsys):
         code, rep = run_json(
-            capsys, ["reproduce", "--quick", "--only", "witness_norm"]
+            capsys, ["reproduce", "--only", "witness_norm"]
         )
         assert code == 0
         assert len(rep["results"]["checks"]) == 1
@@ -361,12 +366,12 @@ class TestReportCommands:
         assert "identity" in rep["results"]["checks"][0]
 
     def test_reproduce_numpy_bool_check_serializes(self, capsys):
-        code, rep = run_json(capsys, ["reproduce", "--quick", "--only", "witness_block"])
+        code, rep = run_json(capsys, ["reproduce", "--only", "witness_block"])
         assert code == 0
         assert [c["passed"] for c in rep["results"]["checks"]] == [True]
 
     def test_reproduce_only_matches_printed_name(self, capsys):
-        code, rep = run_json(capsys, ["reproduce", "--quick", "--only", "cone-duality"])
+        code, rep = run_json(capsys, ["reproduce", "--only", "cone-duality"])
         assert code == 0
         assert [c["name"] for c in rep["results"]["checks"]] == ["cone-duality"]
 
@@ -435,7 +440,7 @@ class TestErrorPaths:
         ["membership", "--cone", "block-positive", "--input", "{h2}"],
         ["map-check", "--map", "{t2}"],
         ["kappa", "--n", "2", "--m", "2", "--estimate-cb", "{t2}"],
-        ["reproduce", "--quick", "--only", "witness_norm"],
+        ["reproduce", "--only", "witness_norm"],
     ], ids=lambda argv: argv[0])
     def test_negative_seed_is_usage_error(self, capsys, h2_half, t2_map, argv):
         argv = [a.format(h2=h2_half, t2=t2_map) for a in argv] + ["--seed", "-1"]
@@ -495,10 +500,6 @@ class TestErrorPaths:
         doc["dim"] = 2.0
         p.write_text(json.dumps(doc))
         assert cli.main(["polytope", "tensor", "--k1", str(p), "--k2", square_file]) == 0
-
-    def test_nan_grid_point_is_data_error(self, capsys):
-        assert cli.main(["witness-x", "--n", "2", "--grid", "0,nan,1"]) == 65
-        assert "grid points must lie in [0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["not-utf8", "deep", "beyond-float"])
     @pytest.mark.parametrize("argv, doc", FILE_READERS, ids=[argv[0] for argv, _ in FILE_READERS])

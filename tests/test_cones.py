@@ -295,6 +295,17 @@ class TestSeparableDecompose:
             v.certificate.residual, abs=1e-12
         )
 
+    def test_full_rank_4x4_runs_the_ensemble(self):
+        # rank 16: the first ensemble batch has 2 * 16 + 2 = 34 atoms
+        mix, _ = random_separable_state(4, 4, np.random.default_rng(0), terms=8)
+        state = bipartite(0.7 * mix.matrix + 0.3 * np.eye(16) / 16, 4, 4)
+        v = separable_decompose(state)
+        assert v.status is Status.IN
+        assert len(v.certificate.weights) == 34
+        assert np.linalg.norm(v.certificate.reconstruct() - state.matrix) == pytest.approx(
+            v.certificate.residual, abs=1e-12
+        )
+
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             separable_decompose(swap_operator(2))
