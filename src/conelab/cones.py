@@ -38,7 +38,6 @@ SPECTRAL_TOL = 1e-9
 OPTIMIZER_TOL = 1e-6
 SEESAW_DROP = 1e-15  # per-round decrease, in spectral-norm units, that ends the seesaw
 AGREE_TOL = 1e-9  # starts this close to the best value, in the same units, agree
-POLISH_ROUNDS = 8  # seesaw rounds allowed past ``steps`` in block_positive_min
 
 # Fixed budget of separable_decompose (see its docstring).
 ENSEMBLE_ATTEMPTS = 4
@@ -107,12 +106,12 @@ class OptimizerTrace:
     last of them left every start's value unchanged to within
     ``SEESAW_DROP``, and ``agreeing`` counts the starts whose value came
     within ``AGREE_TOL`` of the best (both in spectral-norm units).
+    ``best_index`` is the start that reached ``best_value``.
     """
 
     seed: int
     starts: int
     steps: int
-    grid_points: int
     best_value: float
     best_index: int
     best_vector: ProductVector
@@ -135,30 +134,14 @@ class Verdict:
 class OptimizerConfig:
     """Budget of a seeded multistart search: ``starts`` starts from ``seed``.
 
-    ``steps`` bounds the rounds of each search that takes this budget:
-    ``block_positive_min`` runs at most ``steps + POLISH_ROUNDS`` seesaw
-    rounds over product vectors; ``kappa.cb_norm_estimate`` runs at most
-    ``steps`` seesaw rounds over Hermitian symmetries.
+    Each search that takes this budget runs at most ``steps`` seesaw
+    rounds: ``block_positive_min`` over product vectors,
+    ``kappa.cb_norm_estimate`` over Hermitian symmetries.
     """
 
     starts: int = 200
     steps: int = 500
     seed: int = 0
-
-
-def _product_grid(n: int) -> np.ndarray:
-    """Coarse deterministic grid on the unit sphere of C^n.
-
-    Standard basis vectors plus all two-coordinate combinations with
-    phases {1, -1, i, -i}.
-    """
-    eye = np.eye(n, dtype=complex)
-    vecs = [eye[i] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for ph in (1.0, -1.0, 1j, -1j):
-                vecs.append((eye[i] + ph * eye[j]) / np.sqrt(2))
-    return np.array(vecs)
 
 
 def product_expectation(x: BipartiteOperator, vec: ProductVector) -> float:
@@ -171,19 +154,20 @@ def block_positive_min(
 ) -> tuple[float, OptimizerTrace]:
     """Best-found minimum of <phi (x) psi, X (phi (x) psi)> over product vectors.
 
-    Batched seesaw from seeded random starts, the first few taken from the
-    best points of a coarse deterministic grid: each round sets phi to the
-    lowest eigenvector of the reduced matrix <psi| X |psi>, then psi to that
-    of <phi| X |phi>.  Rounds stop after ``steps + POLISH_ROUNDS`` or once no
-    start's value drops by more than ``SEESAW_DROP``.  The result is an upper
-    bound on the true minimum; grid points and starts are merged by minimum
-    value with the lowest index winning ties, so the output is independent
-    of evaluation order.
+    Batched seesaw from ``starts`` seeded random starts: each round sets phi
+    to the lowest eigenvector of the reduced matrix <psi| X |psi>, then psi
+    to that of <phi| X |phi>.  Rounds stop after ``steps`` or once no
+    start's value drops by more than ``SEESAW_DROP``.  The result is an
+    upper bound on the true minimum, reached by the start with the lowest
+    final value (the lowest index on ties).  Raises ValueError when
+    ``starts`` < 1.
 
     The operator is rescaled by its spectral norm before optimizing, which
     makes the result exactly positively homogeneous in X.
     """
     cfg = cfg or OptimizerConfig()
+    if cfg.starts < 1:
+        raise ValueError(f"block_positive_min needs at least one start, got {cfg.starts}")
     n, m = x.n, x.m
     scale = float(np.max(np.abs(np.linalg.eigvalsh(x.matrix)))) or 1.0
     a = x.matrix / scale
@@ -191,18 +175,12 @@ def block_positive_min(
     # matrix is one GEMM of this with the other factor's outer products.
     a_lr = a.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
     rng = np.random.default_rng(cfg.seed)
-
     phi = random_unit_rows(cfg.starts, n, rng)
     psi = random_unit_rows(cfg.starts, m, rng)
-    gl, gr = _product_grid(n), _product_grid(m)
-    gphi, gpsi = np.repeat(gl, len(gr), axis=0), np.tile(gr, (len(gl), 1))
-    gvals = product_values(a, gphi, gpsi)
-    seeds = np.argsort(gvals, kind="stable")[: min(8, cfg.starts)]
-    phi[: len(seeds)], psi[: len(seeds)] = gphi[seeds], gpsi[seeds]
 
     prev = np.full(cfg.starts, np.inf)
     rounds, converged = 0, False
-    while rounds < cfg.steps + POLISH_ROUNDS and not converged:
+    while rounds < cfg.steps and not converged:
         phi = np.linalg.eigh((kron_rows(psi.conj(), psi) @ a_lr.T).reshape(-1, n, n))[1][:, :, 0]
         low, vecs = np.linalg.eigh((kron_rows(phi.conj(), phi) @ a_lr).reshape(-1, m, m))
         psi = vecs[:, :, 0]
@@ -211,13 +189,11 @@ def block_positive_min(
         prev = low[:, 0]
     f = product_values(a, phi, psi)
 
-    all_vals = np.concatenate([gvals, f])
-    best = int(np.argmin(all_vals))
-    best_vec = ProductVector(np.concatenate([gphi, phi])[best], np.concatenate([gpsi, psi])[best])
-    value = float(all_vals[best] * scale)
-    agreeing = int(np.sum(f <= all_vals[best] + AGREE_TOL))
-    return value, OptimizerTrace(cfg.seed, cfg.starts, cfg.steps, len(gvals), value, best,
-                                 best_vec, rounds, converged, agreeing)
+    best = int(np.argmin(f))
+    value = float(f[best] * scale)
+    agreeing = int(np.sum(f <= f[best] + AGREE_TOL))
+    return value, OptimizerTrace(cfg.seed, cfg.starts, cfg.steps, value, best,
+                                 ProductVector(phi[best], psi[best]), rounds, converged, agreeing)
 
 
 def lower_bound(x: BipartiteOperator, q: BipartiteOperator) -> LowerBoundCertificate:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conelab import cli, polytopes
 from conelab.cones import random_product_state
 from conelab.maps import MatrixMap
-from conelab.operators import bipartite, h_operator
+from conelab.operators import bipartite, h_operator, kron_rows, random_unit_rows
 from conelab.polytopes import Polytope, simplex, square
 from conelab.serialize import bipartite_to_dict, map_to_dict, polytope_to_dict
 
@@ -150,6 +150,19 @@ class TestMembership:
         assert min(cert["weights"]) >= 0
         assert cert["residual"] >= 0.05 - 1e-8 * 4
 
+    def test_separable_falls_back_on_exact_ppt(self, capsys, tmp_path):
+        # A four-term 2x3 product mixture on which the search stops short of
+        # RESIDUAL_TOL; PPT is exact at 2x3, so its spectral certificate says In.
+        rng = np.random.default_rng([2, 3, 4, 1])
+        v = kron_rows(random_unit_rows(4, 2, rng), random_unit_rows(4, 3, rng))
+        w = rng.dirichlet(np.ones(4))
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps(bipartite_to_dict(bipartite((v.T * w) @ v.conj(), 2, 3))))
+        code, rep = run_json(capsys, ["membership", "--cone", "separable", "--input", str(p)])
+        assert code == 0
+        assert rep["results"]["status"] == "in"
+        assert rep["certificates"]["verdict"]["certificate"]["type"] == "spectral"
+
     def test_optimizer_certificate_reports_rounds(self, capsys, h2_half):
         _, rep = run_json(
             capsys,
@@ -158,7 +171,7 @@ class TestMembership:
         cert = rep["certificates"]["verdict"]["certificate"]
         assert cert["type"] == "optimizer"
         assert cert["converged"] is True
-        assert 0 < cert["rounds"] < 500 + 8
+        assert 0 < cert["rounds"] <= 500
         assert 1 <= cert["agreeing"] <= 30
 
     def test_budget_and_seed_reach_optimizer_certificate(self, capsys, h2_half):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from conelab import cones
 from conelab.cones import (
     ENSEMBLE_ITERS,
-    POLISH_ROUNDS,
     RESIDUAL_TOL,
     ROTATION_GATE,
     OptimizerConfig,
@@ -121,21 +120,26 @@ class TestBlockPositiveMin:
         val, trace = block_positive_min(bipartite(np.zeros((4, 4)), 2, 2), FAST)
         assert val == 0.0
 
-    def test_no_starts_returns_the_best_grid_point(self):
-        val, trace = block_positive_min(swap_operator(2), OptimizerConfig(starts=0))
-        assert val == 0.0 and trace.grid_points == 36
-        assert (trace.best_value, trace.agreeing) == (0.0, 0)
-        assert product_expectation(swap_operator(2), trace.best_vector) == 0.0
+    def test_no_starts_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one start"):
+            block_positive_min(swap_operator(2), OptimizerConfig(starts=0))
+
+    def test_steps_caps_the_rounds(self):
+        _, trace = block_positive_min(swap_operator(2), OptimizerConfig(starts=4, steps=1))
+        assert (trace.rounds, trace.steps) == (1, 1)
 
     def test_swap_converges_before_round_cap(self):
         _, trace = block_positive_min(swap_operator(2), FAST)
         assert trace.converged
-        assert trace.rounds < FAST.steps + POLISH_ROUNDS
+        assert trace.rounds < FAST.steps
         assert 1 <= trace.agreeing <= FAST.starts
 
-    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3), (4, 4)])
+    @pytest.mark.parametrize("n,m,starts",
+                             [pytest.param(n, m, 200, id=f"{n}-{m}")
+                              for n, m in [(2, 2), (2, 3), (3, 3), (4, 4)]]
+                             + [pytest.param(4, 4, 8, id="4-4-8starts")])
     @pytest.mark.parametrize("eps", [1e-5, -1e-5])
-    def test_planted_minimum(self, n, m, eps):
+    def test_planted_minimum(self, n, m, eps, starts):
         # X = P^Gamma / ||P^Gamma|| + eps I with P = g g* and g orthogonal to
         # a (x) conj(b): every product vector gives P^Gamma the value
         # |<g, phi (x) conj(psi)>|^2 >= 0, and a (x) b gives it 0, so the
@@ -148,7 +152,7 @@ class TestBlockPositiveMin:
         g -= zero * np.vdot(zero, g)
         pt = partial_transpose(bipartite(np.outer(g, g.conj()), n, m), "right").matrix
         x = bipartite(pt / np.max(np.abs(np.linalg.eigvalsh(pt))) + eps * np.eye(n * m), n, m)
-        val, _ = block_positive_min(x)
+        val, _ = block_positive_min(x, OptimizerConfig(starts=starts))
         assert val == pytest.approx(eps, abs=1e-9)
 
 
