@@ -341,6 +341,31 @@ def _wootters_atoms(x: np.ndarray):
     return _leading_pairs(z.T, 2, 2)
 
 
+def _range_atoms(a: np.ndarray, n: int, m: int):
+    """The product vectors in the range of X = A A* when its rank r is n or
+    m (Kraus, Cirac, Karnas and Lewenstein, PRA 61, 062302, 2000; Horodecki,
+    Lewenstein, Vidal and Cirac, PRA 62, 032310, 2000), as factor arrays
+    ``left (r, n)`` and ``right (r, m)``; None when the pencil is singular.
+
+    Cut A into square blocks B_i: rows i m .. i m + m - 1 when r = m, rows
+    i, m + i, ... when r = n.  A range vector A c is a product a (x) b iff
+    B_i c = a_i b for every i, so when B_s = sum_i B_i is invertible, c is
+    a common eigenvector of the E_i = B_s^-1 B_i, with eigenvalues
+    a_i / sum_i a_i.  The eigenvectors of E = sum_i (i + 1) E_i are those c
+    for a generic mixture of r product states; on any other state the
+    caller's refit rejects them.
+    """
+    r = a.shape[1]
+    blocks = a.reshape(n, m, r) if r == m else a.reshape(n, m, r).transpose(1, 0, 2)
+    total = blocks.sum(axis=0)
+    s = np.linalg.svd(total, compute_uv=False)
+    if s[-1] <= 1e-9 * s[0]:
+        return None
+    pencil = np.tensordot(np.arange(1.0, len(blocks) + 1), blocks, axes=1)
+    c = np.linalg.eig(np.linalg.solve(total, pencil))[1]
+    return _leading_pairs((a @ c).T, n, m)
+
+
 def _ensemble_rotate(x: np.ndarray, n: int, m: int, k: int, seed: int):
     """Rotate a square-root ensemble of the state toward product vectors.
 
@@ -478,14 +503,18 @@ def _polish_atoms(x: np.ndarray, n: int, m: int, left: np.ndarray, right: np.nda
 def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
     """Search for a separable decomposition of a state.
 
-    The first fit is closed form.  A full-rank 2x2 state is written as
-    Wootters's four product atoms (``_wootters_atoms``); a 2x2 state is
-    separable iff it is PPT (Horodecki 1996), and the closed form succeeds
-    on every full-rank PPT state, so each full-rank separable 2x2 state is
-    settled with exactly 4 atoms.  Every other state takes the leading
-    Schmidt pair of each column of a square-root factor X = A A*, which is
-    exact when the columns are product vectors, as on a pure product
-    state.  The first fit's weights are refit on the simplex.
+    The first fit is one of three closed forms.  A full-rank 2x2 state is
+    written as Wootters's four product atoms (``_wootters_atoms``); a 2x2
+    state is separable iff it is PPT (Horodecki 1996), and the closed form
+    succeeds on every full-rank PPT state, so each full-rank separable 2x2
+    state is settled with exactly 4 atoms.  A state of rank n or m is
+    written as the product vectors in its range (``_range_atoms``), which
+    settles a generic mixture of rank-many product states with exactly
+    that many atoms.  Every other state, and one whose range pencil is
+    singular, takes the leading Schmidt pair of each column of a
+    square-root factor X = A A*, which is exact when the columns are
+    product vectors, as on a pure product state.  The first fit's weights
+    are refit on the simplex.
 
     When its residual is not below ``RESIDUAL_TOL``, up to
     ``ENSEMBLE_ATTEMPTS`` batches of candidate atoms (2 rank(X) + 2 in the
@@ -523,10 +552,12 @@ def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
         cert = _canonical_decomposition(residual, left, right, weights)
         return Verdict(Status.IN if residual < RESIDUAL_TOL else Status.UNKNOWN, cert)
 
+    fit = None
     if (n, m) == (2, 2) and rank == 4:
-        left, right = _wootters_atoms(x.matrix)
-    else:
-        left, right = _leading_pairs(a.T, n, m)
+        fit = _wootters_atoms(x.matrix)
+    elif rank in (n, m):
+        fit = _range_atoms(a, n, m)
+    left, right = _leading_pairs(a.T, n, m) if fit is None else fit
     weights, residual = _fit_state(left, right, x.matrix)
     best = (residual, left, right, weights)
     if residual < RESIDUAL_TOL or _ppt_distance(x) >= RESIDUAL_TOL:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -488,6 +490,8 @@ class TestGramStep:
             calls[0] += 1
             return _ensemble_rotate_svd_step(*args)[:3]
 
+        if n + m - 2 in (n, m):  # rank n or m: keep the range closed form out of the way
+            monkeypatch.setattr(cones, "_range_atoms", lambda *args: None)
         got = separable_decompose(state).certificate
         monkeypatch.setattr(cones, "_ensemble_rotate", reference)
         ref = separable_decompose(state).certificate
@@ -548,7 +552,10 @@ class TestRotationFloor:
         (noisy_entangled(2, 2, 0.6), Status.UNKNOWN, 0),
         (random_separable_state(2, 2, np.random.default_rng(11), terms=2)[0], Status.IN, 1),
     ], ids=["3x3 noise 0.2", "h/2", "2x2 noise 0.6", "separable 2x2"])
-    def test_ensemble_attempts_run_only_below_the_gate(self, rotations, state, status, attempts):
+    def test_ensemble_attempts_run_only_below_the_gate(self, monkeypatch, rotations, state, status,
+                                                       attempts):
+        if attempts:  # the separable 2x2 state has rank 2: keep the range closed form out of the way
+            monkeypatch.setattr(cones, "_range_atoms", lambda *args: None)
         assert separable_decompose(state).status is status
         assert rotations[0] == attempts
 
@@ -649,6 +656,69 @@ class TestWootters:
         assert len(v.certificate.weights) == 4
         assert rotations[0] == 0
         assert separable_decompose(self.werner(1 / 3 + 1e-6)).status is Status.UNKNOWN
+
+
+class TestRangeAtoms:
+    """The closed-form phase of ``separable_decompose`` on states of rank n or m."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("search called")
+
+        monkeypatch.setattr(cones, "_ensemble_rotate", refuse)
+        monkeypatch.setattr(cones, "least_squares", refuse)
+
+    @pytest.mark.parametrize("n, m, rank", [(2, 2, 2), (2, 3, 3), (3, 2, 3), (2, 4, 4), (4, 2, 4),
+                                            (3, 3, 3), (3, 4, 4), (4, 3, 4), (2, 3, 2)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_generic_mixtures_need_no_search(self, searches, n, m, rank, seed):
+        state, _ = random_separable_state(n, m, np.random.default_rng([n, m, rank, seed]),
+                                          terms=rank)
+        v = separable_decompose(state)
+        assert v.status is Status.IN
+        assert len(v.certificate.weights) == rank
+        assert np.linalg.norm(v.certificate.reconstruct() - state.matrix) <= 1e-9
+
+    @pytest.mark.parametrize("state", [
+        *(TestGramStep.separable(n, m, seed) for n, m, seed in
+          [(2, 2, 1), (2, 3, 2), (3, 2, 3), (4, 2, 2)]),
+        random_separable_state(2, 2, np.random.default_rng(11), terms=2)[0],
+    ], ids=["2-2-1", "2-3-2", "3-2-3", "4-2-2", "separable 2x2"])
+    def test_same_certificate_as_the_ensemble(self, monkeypatch, state):
+        got = separable_decompose(state).certificate
+        monkeypatch.setattr(cones, "_range_atoms", lambda *args: None)
+        ref = separable_decompose(state).certificate
+        assert len(got.weights) == len(ref.weights)
+        assert np.max(np.abs(got.weights - ref.weights)) <= 1e-9
+        assert np.max(np.abs(_atom_projectors((f.left, f.right) for f in got.factors)
+                             - _atom_projectors((f.left, f.right) for f in ref.factors))) <= 1e-9
+
+    def test_none_on_a_singular_pencil(self):
+        # right factors in span(e_0, e_1): no range vector reaches e_2, so the
+        # blocks' sum has a zero row
+        rng = np.random.default_rng(3)
+        right = np.zeros((3, 3), dtype=complex)
+        right[:, :2] = random_unit_rows(3, 2, rng)
+        v = kron_rows(random_unit_rows(3, 2, rng), right)
+        x = (v.T * rng.dirichlet(np.ones(3))) @ v.conj()
+        a = _sqrt_factor(x)
+        assert a.shape[1] == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cones._range_atoms(a, 2, 3) is None
+        assert separable_decompose(bipartite(x, 2, 3)).status is Status.IN  # by the ensemble
+
+    def test_ppt_violating_state_of_rank_n_stays_unknown(self):
+        psi = np.eye(2, 3).ravel() / np.sqrt(2)
+        e00 = np.eye(6)[0]
+        state = bipartite((np.outer(psi, psi) + np.outer(e00, e00)) / 2, 2, 3)
+        assert _sqrt_factor(state.matrix).shape[1] == 2
+        v = separable_decompose(state)
+        assert v.status is Status.UNKNOWN
+        assert np.linalg.norm(v.certificate.reconstruct() - state.matrix) == pytest.approx(
+            v.certificate.residual, abs=1e-12
+        )
 
 
 class TestPolishJacobian:
