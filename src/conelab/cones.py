@@ -342,27 +342,44 @@ def _wootters_atoms(x: np.ndarray):
 
 
 def _range_atoms(a: np.ndarray, n: int, m: int):
-    """The product vectors in the range of X = A A* when its rank r is n or
-    m (Kraus, Cirac, Karnas and Lewenstein, PRA 61, 062302, 2000; Horodecki,
-    Lewenstein, Vidal and Cirac, PRA 62, 032310, 2000), as factor arrays
-    ``left (r, n)`` and ``right (r, m)``; None when the pencil is singular.
+    """The r product vectors in the range of X = A A* (A is nm x r), as
+    factor arrays ``left (r, n)`` and ``right (r, m)``; None when r < 2,
+    when there are fewer than r (r - 1) / 2 minors below, or when the range
+    does not hold exactly r independent product vectors.
 
-    Cut A into square blocks B_i: rows i m .. i m + m - 1 when r = m, rows
-    i, m + i, ... when r = n.  A range vector A c is a product a (x) b iff
-    B_i c = a_i b for every i, so when B_s = sum_i B_i is invertible, c is
-    a common eigenvector of the E_i = B_s^-1 B_i, with eigenvalues
-    a_i / sum_i a_i.  The eigenvectors of E = sum_i (i + 1) E_i are those c
-    for a generic mixture of r product states; on any other state the
-    caller's refit rejects them.
+    With t = A.reshape(n, m, r), A c is a product vector iff every 2x2
+    minor c^T Q c of its n x m block vanishes, Q = t_ik t_jl^T - t_il t_jk^T
+    for i < j, k < l (Horodecki, Lewenstein, Vidal and Cirac, PRA 62,
+    032310, 2000).  When those are A c_1 .. A c_r with independent c_k, the
+    symmetric S with sum Q_pq S_pq = 0 for every Q are exactly C D C^T, D
+    diagonal, and two of them, M1 = C D1 C^T and M2 = C D2 C^T, give
+    M2 M1^-1 = C D2 D1^-1 C^-1, whose eigenvectors are the c_k (Jennrich's
+    simultaneous diagonalization; Leurgans, Ross and Abel, SIAM J. Matrix
+    Anal. Appl. 14, 1064, 1993).  That holds for a generic mixture of r
+    product states; on any other state the caller's refit rejects them.
+    Singular values below 1e-9 times the largest count as zero.
     """
     r = a.shape[1]
-    blocks = a.reshape(n, m, r) if r == m else a.reshape(n, m, r).transpose(1, 0, 2)
-    total = blocks.sum(axis=0)
-    s = np.linalg.svd(total, compute_uv=False)
+    p, q = np.triu_indices(r)
+    if r < 2 or n * (n - 1) * m * (m - 1) // 4 < len(p) - r:
+        return None
+    t = a.reshape(n, m, r)
+    i, j = np.triu_indices(n, 1)
+    k, l = np.triu_indices(m, 1)
+    minors = (t[i][:, k, :, None] * t[j][:, l, None, :]
+              - t[i][:, l, :, None] * t[j][:, k, None, :]).reshape(-1, r, r)
+    # S = U + U^T with U upper triangular: <Q, S> = <Q + Q^T, U>
+    _, s, vh = np.linalg.svd((minors + minors.swapaxes(1, 2))[:, p, q])
+    kept = int(np.sum(s > 1e-9 * s[0]))
+    if len(p) - kept != r:
+        return None
+    pair = np.zeros((2, r, r), dtype=complex)
+    pair[:, p, q] = np.stack([np.ones(r), np.arange(1.0, r + 1)]) @ vh[kept:].conj()
+    m1, m2 = pair + pair.swapaxes(1, 2)
+    s = np.linalg.svd(m1, compute_uv=False)
     if s[-1] <= 1e-9 * s[0]:
         return None
-    pencil = np.tensordot(np.arange(1.0, len(blocks) + 1), blocks, axes=1)
-    c = np.linalg.eig(np.linalg.solve(total, pencil))[1]
+    c = np.linalg.eig(np.linalg.solve(m1, m2).T)[1]  # M1, M2 symmetric: M2 M1^-1
     return _leading_pairs((a @ c).T, n, m)
 
 
@@ -507,11 +524,12 @@ def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
     written as Wootters's four product atoms (``_wootters_atoms``); a 2x2
     state is separable iff it is PPT (Horodecki 1996), and the closed form
     succeeds on every full-rank PPT state, so each full-rank separable 2x2
-    state is settled with exactly 4 atoms.  A state of rank n or m is
-    written as the product vectors in its range (``_range_atoms``), which
-    settles a generic mixture of rank-many product states with exactly
-    that many atoms.  Every other state, and one whose range pencil is
-    singular, takes the leading Schmidt pair of each column of a
+    state is settled with exactly 4 atoms.  Every other state of rank r
+    with C(n, 2) C(m, 2) >= r (r - 1) / 2 is written as the product vectors
+    in its range (``_range_atoms``), which settles a generic mixture of r
+    product states with exactly r atoms.  A state of rank 1 or above that
+    bound, and one whose range does not hold exactly r independent product
+    vectors, takes the leading Schmidt pair of each column of a
     square-root factor X = A A*, which is exact when the columns are
     product vectors, as on a pure product state.  The first fit's weights
     are refit on the simplex.
@@ -555,7 +573,7 @@ def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
     fit = None
     if (n, m) == (2, 2) and rank == 4:
         fit = _wootters_atoms(x.matrix)
-    elif rank in (n, m):
+    else:
         fit = _range_atoms(a, n, m)
     left, right = _leading_pairs(a.T, n, m) if fit is None else fit
     weights, residual = _fit_state(left, right, x.matrix)

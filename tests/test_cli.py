@@ -163,14 +163,16 @@ class TestMembership:
         assert rep["results"]["status"] == "in"
         assert rep["certificates"]["verdict"]["certificate"]["type"] == "spectral"
 
-    def test_separable_rank_m_mixture_in_closed_form(self, capsys, tmp_path):
-        # A four-term 2x4 product mixture has rank 4 = m; PPT is not exact at
-        # 2x4, so only the decomposition can say In.
-        rng = np.random.default_rng([2, 4, 4, 1])
-        v = kron_rows(random_unit_rows(4, 2, rng), random_unit_rows(4, 4, rng))
+    @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
+    def test_separable_four_term_mixture_in_closed_form(self, capsys, tmp_path, n, m):
+        # A four-term product mixture has rank 4, within the closed form's
+        # bound at 2x4 and 3x3; PPT is not exact at either size, so only the
+        # decomposition can say In.
+        rng = np.random.default_rng([n, m, 4, 1])
+        v = kron_rows(random_unit_rows(4, n, rng), random_unit_rows(4, m, rng))
         w = rng.dirichlet(np.ones(4))
         p = tmp_path / "state.json"
-        p.write_text(json.dumps(bipartite_to_dict(bipartite((v.T * w) @ v.conj(), 2, 4))))
+        p.write_text(json.dumps(bipartite_to_dict(bipartite((v.T * w) @ v.conj(), n, m))))
         code, rep = run_json(capsys, ["membership", "--cone", "separable", "--input", str(p)])
         assert code == 0
         cert = rep["certificates"]["verdict"]["certificate"]

@@ -490,8 +490,8 @@ class TestGramStep:
             calls[0] += 1
             return _ensemble_rotate_svd_step(*args)[:3]
 
-        if n + m - 2 in (n, m):  # rank n or m: keep the range closed form out of the way
-            monkeypatch.setattr(cones, "_range_atoms", lambda *args: None)
+        # every state here is decided by the range closed form: keep it out of the way
+        monkeypatch.setattr(cones, "_range_atoms", lambda *args: None)
         got = separable_decompose(state).certificate
         monkeypatch.setattr(cones, "_ensemble_rotate", reference)
         ref = separable_decompose(state).certificate
@@ -659,7 +659,10 @@ class TestWootters:
 
 
 class TestRangeAtoms:
-    """The closed-form phase of ``separable_decompose`` on states of rank n or m."""
+    """The closed-form phase of ``separable_decompose`` on states of rank r
+    with C(n, 2) C(m, 2) >= r (r - 1) / 2."""
+
+    rotations = TestRotationFloor.rotations
 
     @pytest.fixture
     def searches(self, monkeypatch):
@@ -670,7 +673,9 @@ class TestRangeAtoms:
         monkeypatch.setattr(cones, "least_squares", refuse)
 
     @pytest.mark.parametrize("n, m, rank", [(2, 2, 2), (2, 3, 3), (3, 2, 3), (2, 4, 4), (4, 2, 4),
-                                            (3, 3, 3), (3, 4, 4), (4, 3, 4), (2, 3, 2)])
+                                            (3, 3, 3), (3, 4, 4), (4, 3, 4), (2, 3, 2), (3, 3, 4),
+                                            (2, 4, 3), (3, 4, 5), (3, 4, 6), (4, 4, 5), (4, 4, 9),
+                                            (2, 5, 4)])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_generic_mixtures_need_no_search(self, searches, n, m, rank, seed):
         state, _ = random_separable_state(n, m, np.random.default_rng([n, m, rank, seed]),
@@ -682,9 +687,9 @@ class TestRangeAtoms:
 
     @pytest.mark.parametrize("state", [
         *(TestGramStep.separable(n, m, seed) for n, m, seed in
-          [(2, 2, 1), (2, 3, 2), (3, 2, 3), (4, 2, 2)]),
+          [(2, 2, 1), (2, 3, 2), (3, 2, 3), (4, 2, 2), (3, 3, 1)]),
         random_separable_state(2, 2, np.random.default_rng(11), terms=2)[0],
-    ], ids=["2-2-1", "2-3-2", "3-2-3", "4-2-2", "separable 2x2"])
+    ], ids=["2-2-1", "2-3-2", "3-2-3", "4-2-2", "3-3-1", "separable 2x2"])
     def test_same_certificate_as_the_ensemble(self, monkeypatch, state):
         got = separable_decompose(state).certificate
         monkeypatch.setattr(cones, "_range_atoms", lambda *args: None)
@@ -694,9 +699,10 @@ class TestRangeAtoms:
         assert np.max(np.abs(_atom_projectors((f.left, f.right) for f in got.factors)
                              - _atom_projectors((f.left, f.right) for f in ref.factors))) <= 1e-9
 
-    def test_none_on_a_singular_pencil(self):
-        # right factors in span(e_0, e_1): no range vector reaches e_2, so the
-        # blocks' sum has a zero row
+    def test_none_on_a_conic_of_product_vectors(self):
+        # right factors in span(e_0, e_1): the range is a 3-dimensional
+        # subspace of C^2 (x) C^2, which holds a conic of product vectors, so
+        # the symmetric matrices the minors annihilate outnumber the rank
         rng = np.random.default_rng(3)
         right = np.zeros((3, 3), dtype=complex)
         right[:, :2] = random_unit_rows(3, 2, rng)
@@ -708,6 +714,37 @@ class TestRangeAtoms:
             warnings.simplefilter("error")
             assert cones._range_atoms(a, 2, 3) is None
         assert separable_decompose(bipartite(x, 2, 3)).status is Status.IN  # by the ensemble
+
+    @pytest.mark.parametrize("n, m", [(3, 3), (2, 4)])
+    def test_none_one_rank_past_the_bound(self, rotations, n, m):
+        state, _ = random_separable_state(n, m, np.random.default_rng([n, m, 5]), terms=5)
+        a = _sqrt_factor(state.matrix)
+        assert a.shape[1] == 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cones._range_atoms(a, n, m) is None
+        separable_decompose(state)
+        assert rotations[0] >= 1
+
+    def test_tiles_state_stays_unknown(self):
+        # (I - P) / 4 over the Tiles unextendible product basis (Bennett et
+        # al., PRL 82, 5385, 1999): PPT and entangled, its range holds no
+        # product vector
+        e = np.eye(3)
+        tiles = [(e[0], e[0] - e[1]), (e[0] - e[1], e[2]), (e[2], e[1] - e[2]),
+                 (e[1] - e[2], e[0]), (e.sum(axis=0), e.sum(axis=0))]
+        v = np.array([np.kron(p, q) / np.linalg.norm(np.kron(p, q)) for p, q in tiles])
+        state = bipartite((np.eye(9) - v.T @ v) / 4, 3, 3)
+        a = _sqrt_factor(state.matrix)
+        assert a.shape[1] == 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cones._range_atoms(a, 3, 3) is None
+        verdict = separable_decompose(state)
+        assert verdict.status is Status.UNKNOWN
+        assert np.linalg.norm(verdict.certificate.reconstruct() - state.matrix) == pytest.approx(
+            verdict.certificate.residual, abs=1e-12
+        )
 
     def test_ppt_violating_state_of_rank_n_stays_unknown(self):
         psi = np.eye(2, 3).ravel() / np.sqrt(2)
