@@ -23,6 +23,7 @@ from .cones import (
     block_positive_min,
     is_block_positive,
     is_psd,
+    is_separable,
     ppt_check,
     separable_decompose,
     witness_value,

@@ -98,14 +98,7 @@ def _cmd_membership(args) -> tuple[dict, dict]:
     elif args.cone == "ppt":
         verdict = cones.ppt_check(op, tol)
     elif args.cone == "separable":
-        # A PPT violation certifies Out with a witness; the search says In,
-        # or else PPT where it is exact, at SPECTRAL_TOL whatever --tol is.
-        verdict = cones.ppt_check(op, tol)
-        if verdict.status is not cones.Status.OUT:
-            verdict = _on_input(cones.separable_decompose, op, args.seed)
-            if not verdict.is_in:
-                exact = cones.ppt_check(op)
-                verdict = exact if exact.is_in else verdict
+        verdict = _on_input(cones.is_separable, op, tol, args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown cone {args.cone}")
     return (

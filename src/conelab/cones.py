@@ -144,11 +144,6 @@ class OptimizerConfig:
     seed: int = 0
 
 
-def product_expectation(x: BipartiteOperator, vec: ProductVector) -> float:
-    """<phi (x) psi, X (phi (x) psi)>."""
-    return float(product_values(x.matrix, vec.left[None], vec.right[None])[0])
-
-
 def block_positive_min(
     x: BipartiteOperator, cfg: OptimizerConfig | None = None
 ) -> tuple[float, OptimizerTrace]:
@@ -237,7 +232,7 @@ def ppt_check(x: BipartiteOperator, tol: float = SPECTRAL_TOL) -> Verdict:
     eigenvalue < -tol; the certificate is the decomposable witness
     W = (v v*)^{T_right} built from the violating eigenvector v, which is
     block positive and pairs negatively with the input.  In is returned
-    only at 2x2 / 2x3 sizes and when a factor is C^1 (a PSD X is then
+    only at 2x2, 2x3 and 3x2 sizes and when a factor is C^1 (a PSD X is then
     1 (x) X_B or X_A (x) 1), where PPT is exact, and only when the input
     itself is PSD.  Elsewhere a passing PPT test yields Unknown.
     """
@@ -301,9 +296,10 @@ _SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))  # sigma_y (x) sigma_y, r
 _HADAMARD = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2.0
 
 
-def _wootters_atoms(x: np.ndarray):
-    """Wootters's four product atoms of a full-rank two-qubit state (PRL 80,
-    2245, 1998), as factor arrays ``left (4, 2)`` and ``right (4, 2)``.
+def _wootters_atoms(a: np.ndarray):
+    """Wootters's four product atoms of a full-rank two-qubit state X = A A*
+    (PRL 80, 2245, 1998; A is 4 x 4), as factor arrays ``left (4, 2)`` and
+    ``right (4, 2)``.
 
     With X = A A*, Y = A conj(U) is another ensemble of X for any unitary U,
     and its bilinear Gram matrix Y^T S Y (S = sigma_y (x) sigma_y) is
@@ -324,7 +320,6 @@ def _wootters_atoms(x: np.ndarray):
     triangles by the law of cosines.  Off the PPT states the cosines are
     clipped and the atoms are not product; the caller's refit rejects them.
     """
-    a = _sqrt_factor(x)
     tau = a.T @ _SIGMA_YY @ a
     lam, vec = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
     lam, u = lam[:3:-1], vec[:4, :3:-1] + 1j * vec[4:, :3:-1]
@@ -570,9 +565,8 @@ def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
         cert = _canonical_decomposition(residual, left, right, weights)
         return Verdict(Status.IN if residual < RESIDUAL_TOL else Status.UNKNOWN, cert)
 
-    fit = None
     if (n, m) == (2, 2) and rank == 4:
-        fit = _wootters_atoms(x.matrix)
+        fit = _wootters_atoms(a)
     else:
         fit = _range_atoms(a, n, m)
     left, right = _leading_pairs(a.T, n, m) if fit is None else fit
@@ -596,6 +590,26 @@ def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
             break
 
     return verdict_of(*best)
+
+
+def is_separable(x: BipartiteOperator, tol: float = SPECTRAL_TOL, seed: int = 0) -> Verdict:
+    """Separability oracle for states.
+
+    Out when the partial transpose has an eigenvalue < -tol (``ppt_check``
+    at ``tol``, with its witness); otherwise In when ``separable_decompose``
+    finds a decomposition; otherwise In where PPT is exact (``ppt_check``
+    at ``SPECTRAL_TOL`` whatever ``tol`` is: 2x2, 2x3 and 3x2, or a factor
+    C^1); otherwise the search's Unknown.  An input that passes the PPT
+    test but is not a state raises ValueError from ``separable_decompose``.
+    """
+    verdict = ppt_check(x, tol)
+    if verdict.status is Status.OUT:
+        return verdict
+    verdict = separable_decompose(x, seed)
+    if not verdict.is_in:
+        exact = ppt_check(x)
+        verdict = exact if exact.is_in else verdict
+    return verdict
 
 
 def witness_value(w: BipartiteOperator, t: BipartiteOperator) -> float:

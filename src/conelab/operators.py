@@ -104,12 +104,6 @@ class ProductVector:
     def kron(self) -> np.ndarray:
         return np.kron(self.left, self.right)
 
-    def projector(self) -> BipartiteOperator:
-        v = self.kron
-        return BipartiteOperator(
-            len(self.left), len(self.right), HermitianOperator(np.outer(v, v.conj()))
-        )
-
 
 def hermitian(matrix_like) -> HermitianOperator:
     return HermitianOperator(np.asarray(matrix_like, dtype=complex))
@@ -169,11 +163,6 @@ def min_eigenvalue(x) -> float:
 def min_eigenpair(x) -> tuple[float, np.ndarray]:
     w, v = np.linalg.eigh(_as_matrix(x))
     return float(w[0]), v[:, 0]
-
-
-def operator_norm(x) -> float:
-    w = eigenvalues(x)
-    return float(max(abs(w[0]), abs(w[-1]))) if len(w) else 0.0
 
 
 def embedded_swap(n: int, m: int) -> BipartiteOperator:

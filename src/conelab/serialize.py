@@ -107,14 +107,6 @@ def bipartite_from_dict(d: dict) -> BipartiteOperator:
         raise MalformedInput(f"bad bipartite operator document: {exc}") from exc
 
 
-def map_to_dict(phi: MatrixMap) -> dict:
-    return {
-        "input_dim": phi.input_dim,
-        "output_dim": phi.output_dim,
-        "coeffs": [[float(v) for v in row] for row in phi.coeffs],
-    }
-
-
 def map_from_dict(d: dict) -> MatrixMap:
     try:
         coeffs = np.asarray(d["coeffs"], dtype=float)

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab import cli, polytopes
+from conelab import cli, cones, polytopes
 from conelab.cones import random_product_state
 from conelab.maps import MatrixMap
 from conelab.operators import bipartite, h_operator, kron_rows, random_unit_rows
 from conelab.polytopes import Polytope, simplex, square
-from conelab.serialize import bipartite_to_dict, map_to_dict, polytope_to_dict
+from conelab.serialize import bipartite_to_dict, polytope_to_dict, to_json
 
 
 @pytest.fixture
@@ -32,7 +32,8 @@ def h2_half(tmp_path):
 @pytest.fixture
 def product_state(tmp_path):
     pv = random_product_state(2, 2, np.random.default_rng(5))
-    doc = bipartite_to_dict(pv.projector())
+    v = pv.kron
+    doc = bipartite_to_dict(bipartite(np.outer(v, v.conj()), 2, 2))
     p = tmp_path / "prod.json"
     p.write_text(json.dumps(doc))
     return str(p)
@@ -41,7 +42,7 @@ def product_state(tmp_path):
 @pytest.fixture
 def t2_map(tmp_path):
     p = tmp_path / "t2.json"
-    p.write_text(json.dumps(map_to_dict(MatrixMap.transpose(2))))
+    p.write_text(json.dumps(to_json(MatrixMap.transpose(2))))
     return str(p)
 
 
@@ -89,7 +90,7 @@ def beyond_float(kind: str) -> dict:
         doc = bipartite_to_dict(bipartite(np.eye(4), 2, 2))
         doc["entries"][0] = [10**400, 0]
     elif kind == "map":
-        doc = map_to_dict(MatrixMap.transpose(2))
+        doc = to_json(MatrixMap.transpose(2))
         doc["coeffs"][0][0] = 10**400
     else:
         doc = polytope_to_dict(square())
@@ -162,6 +163,18 @@ class TestMembership:
         assert code == 0
         assert rep["results"]["status"] == "in"
         assert rep["certificates"]["verdict"]["certificate"]["type"] == "spectral"
+
+    def test_separable_runs_the_library_oracle(self, capsys, tmp_path):
+        rng = np.random.default_rng([2, 3, 4, 1])
+        v = kron_rows(random_unit_rows(4, 2, rng), random_unit_rows(4, 3, rng))
+        w = rng.dirichlet(np.ones(4))
+        state = bipartite((v.T * w) @ v.conj(), 2, 3)
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps(bipartite_to_dict(state)))
+        _, rep = run_json(capsys, ["membership", "--cone", "separable", "--input", str(p)])
+        verdict = json.loads(json.dumps(to_json(cones.is_separable(state))))
+        assert rep["results"] == {"status": verdict["status"], "cone": "separable", "n": 2, "m": 3}
+        assert rep["certificates"] == {"verdict": verdict}
 
     @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
     def test_separable_four_term_mixture_in_closed_form(self, capsys, tmp_path, n, m):
@@ -428,7 +441,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_map_coefficient(self, tmp_path, bad):
-        doc = map_to_dict(MatrixMap.transpose(2))
+        doc = to_json(MatrixMap.transpose(2))
         doc["coeffs"][0][0] = bad
         p = tmp_path / "non_finite_map.json"
         p.write_text(json.dumps(doc))
@@ -491,7 +504,7 @@ class TestErrorPaths:
                                           ("input_dim", "2")], ids=repr)
     @pytest.mark.parametrize("command", ["map-check", "choi"])
     def test_non_integer_map_size_is_data_error(self, capsys, tmp_path, command, key, bad):
-        doc = map_to_dict(MatrixMap.transpose(2))
+        doc = to_json(MatrixMap.transpose(2))
         doc[key] = bad
         p = tmp_path / "bad_size.json"
         p.write_text(json.dumps(doc))

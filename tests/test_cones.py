@@ -11,7 +11,11 @@ from conelab.cones import (
     RESIDUAL_TOL,
     ROTATION_GATE,
     OptimizerConfig,
+    SeparableDecomposition,
+    SpectralCertificate,
     Status,
+    Verdict,
+    WitnessCertificate,
     _atoms_jacobian,
     _atoms_residual,
     _canonical_decomposition,
@@ -22,9 +26,9 @@ from conelab.cones import (
     block_positive_min,
     is_block_positive,
     is_psd,
+    is_separable,
     lower_bound,
     ppt_check,
-    product_expectation,
     random_product_state,
     separable_decompose,
     witness_value,
@@ -45,6 +49,11 @@ from conelab.operators import (
 )
 
 FAST = OptimizerConfig(starts=40, steps=120, seed=0)
+
+
+def projector(pv):
+    v = pv.kron
+    return bipartite(np.outer(v, v.conj()), len(pv.left), len(pv.right))
 
 
 def random_bipartite(n, m, rng):
@@ -99,7 +108,10 @@ class TestBlockPositiveMin:
     def test_trace_matches_reported_vector(self):
         x = bipartite(-h_operator(2).matrix, 2, 2)
         val, trace = block_positive_min(x, FAST)
-        assert product_expectation(x, trace.best_vector) == pytest.approx(val, abs=1e-12)
+        v = trace.best_vector
+        assert product_values(x.matrix, v.left[None], v.right[None])[0] == pytest.approx(
+            val, abs=1e-12
+        )
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=12, deadline=None)
@@ -171,7 +183,8 @@ class TestIsBlockPositive:
         # minimum -1, witnessed by a product vector the certificate reproduces
         assert v.certificate.best_value == pytest.approx(-1.0, abs=1e-9)
         x = bipartite(-h_operator(2).matrix, 2, 2)
-        assert product_expectation(x, v.certificate.best_vector) == pytest.approx(
+        pv = v.certificate.best_vector
+        assert product_values(x.matrix, pv.left[None], pv.right[None])[0] == pytest.approx(
             v.certificate.best_value, abs=1e-12
         )
 
@@ -255,12 +268,20 @@ class TestPptCheck:
         assert v.status is Status.OUT
         assert v.certificate.value == pytest.approx(-0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("n, m, status", [(2, 3, Status.IN), (3, 2, Status.IN),
+                                              (2, 4, Status.UNKNOWN)])
+    def test_product_mixture_is_in_only_at_exact_sizes(self, n, m, status):
+        rng = np.random.default_rng([n, m, 5])
+        v = kron_rows(random_unit_rows(5, n, rng), random_unit_rows(5, m, rng))
+        state = bipartite((v.T * rng.dirichlet(np.ones(5))) @ v.conj(), n, m)
+        assert ppt_check(state).status is status
+
 
 class TestSeparableDecompose:
     def test_pure_product_single_term(self):
         rng = np.random.default_rng(2)
         pv = random_product_state(2, 2, rng)
-        v = separable_decompose(pv.projector())
+        v = separable_decompose(projector(pv))
         assert v.status is Status.IN
         assert len(v.certificate.weights) == 1
         assert v.certificate.residual < 1e-10
@@ -600,8 +621,8 @@ class TestFirstFit:
     first fit and the ensemble phase decide every input."""
 
     @pytest.mark.parametrize("state, status", [
-        (random_product_state(2, 2, np.random.default_rng(2)).projector(), Status.IN),
-        (random_product_state(3, 3, np.random.default_rng(3)).projector(), Status.IN),
+        (projector(random_product_state(2, 2, np.random.default_rng(2))), Status.IN),
+        (projector(random_product_state(3, 3, np.random.default_rng(3))), Status.IN),
         (random_separable_state(2, 3, np.random.default_rng(4), terms=3)[0], Status.IN),
         (bipartite(0.7 * random_separable_state(2, 2, np.random.default_rng(11), terms=2)[0].matrix
                    + 0.3 * np.eye(4) / 4, 2, 2), Status.IN),
@@ -758,6 +779,49 @@ class TestRangeAtoms:
         )
 
 
+def tiles_state():
+    """(I - P) / 4 over the Tiles unextendible product basis (Bennett et al.,
+    PRL 82, 5385, 1999): PPT and entangled."""
+    e = np.eye(3)
+    tiles = [(e[0], e[0] - e[1]), (e[0] - e[1], e[2]), (e[2], e[1] - e[2]),
+             (e[1] - e[2], e[0]), (e.sum(axis=0), e.sum(axis=0))]
+    v = np.array([np.kron(p, q) / np.linalg.norm(np.kron(p, q)) for p, q in tiles])
+    return bipartite((np.eye(9) - v.T @ v) / 4, 3, 3)
+
+
+class TestIsSeparable:
+    def test_ppt_violation_is_out_with_witness(self):
+        v = is_separable(bipartite(h_operator(2).matrix / 2, 2, 2))
+        assert v.status is Status.OUT
+        assert isinstance(v.certificate, WitnessCertificate)
+        assert v.certificate.value == pytest.approx(-0.5, abs=1e-9)
+
+    def test_decomposition_is_in(self):
+        state, _ = random_separable_state(2, 3, np.random.default_rng(4), terms=3)
+        v = is_separable(state)
+        assert v.status is Status.IN
+        assert isinstance(v.certificate, SeparableDecomposition)
+        assert v.certificate.residual < RESIDUAL_TOL
+
+    def test_exact_ppt_is_in_when_the_search_misses(self, monkeypatch):
+        search = cones.separable_decompose
+        monkeypatch.setattr(cones, "separable_decompose",
+                            lambda x, seed: Verdict(Status.UNKNOWN, search(x, seed).certificate))
+        state, _ = random_separable_state(2, 3, np.random.default_rng(4), terms=3)
+        v = is_separable(state)
+        assert v.status is Status.IN
+        assert isinstance(v.certificate, SpectralCertificate)
+
+    def test_ppt_entangled_state_is_unknown(self):
+        v = is_separable(tiles_state())
+        assert v.status is Status.UNKNOWN
+        assert v.certificate.residual >= RESIDUAL_TOL
+
+    def test_rejects_a_non_state(self):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            is_separable(swap_operator(2))
+
+
 class TestPolishJacobian:
     def test_matches_central_differences(self):
         rng = np.random.default_rng(17)
@@ -795,7 +859,7 @@ class TestWitnessValue:
         rng = np.random.default_rng(9)
         s = swap_operator(2)
         for _ in range(200):
-            t = random_product_state(2, 2, rng).projector()
+            t = projector(random_product_state(2, 2, rng))
             assert witness_value(s, t) >= -1e-12
 
     def test_dimension_mismatch(self):

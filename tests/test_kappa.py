@@ -29,7 +29,7 @@ from conelab.maps import (
     random_positive_map,
     unitality_report,
 )
-from conelab.operators import bipartite, kron_rows, operator_norm, random_density, swap_operator
+from conelab.operators import bipartite, kron_rows, random_density, swap_operator
 from conelab.polytopes import (
     functional_from_flat,
     max_tensor_polytope,
@@ -102,9 +102,9 @@ class TestCbEstimate:
         est = cb_norm_estimate(MatrixMap.transpose(n), CB_FAST)
         assert n * 0.95 <= est.value <= n + 1e-9
         # reported maximizer is an admissible certificate
-        assert operator_norm(est.argmax) <= 1.0 + 1e-9
+        assert np.linalg.norm(est.argmax.matrix, 2) <= 1.0 + 1e-9
         out = apply_to_left_factor(MatrixMap.transpose(n), est.argmax)
-        assert operator_norm(out) == pytest.approx(est.value, abs=1e-9)
+        assert np.linalg.norm(out.matrix, 2) == pytest.approx(est.value, abs=1e-9)
 
     def test_unital_positive_maps_below_closed_form(self):
         rng = np.random.default_rng(1)
@@ -153,7 +153,7 @@ class TestCbEstimate:
         for n, m in [(2, 2), (2, 3), (3, 2)]:
             phi = random_map(n, m, rng)
             floor = max(
-                operator_norm(apply_to_left_factor(phi, x))
+                np.linalg.norm(apply_to_left_factor(phi, x).matrix, 2)
                 for x in (bipartite(np.eye(n * m), n, m), embedded_swap(n, m))
             )
             est = cb_norm_estimate(phi, OptimizerConfig(starts=starts, steps=30, seed=7))
@@ -360,7 +360,7 @@ class TestReport:
         assert (rep.witness.n, rep.witness.m) == (2, 3)
 
     def test_embedded_swap_norm_one(self):
-        assert operator_norm(embedded_swap(2, 3)) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(embedded_swap(2, 3).matrix, 2) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPolytopeLinkage:

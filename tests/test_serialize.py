@@ -16,7 +16,6 @@ from conelab.serialize import (
     bipartite_from_dict,
     bipartite_to_dict,
     map_from_dict,
-    map_to_dict,
     polytope_from_dict,
     polytope_to_dict,
     to_json,
@@ -35,7 +34,7 @@ def test_bipartite_roundtrip():
 
 def test_map_roundtrip():
     phi = random_map(2, 3, np.random.default_rng(1))
-    back = map_from_dict(map_to_dict(phi))
+    back = map_from_dict(to_json(phi))
     assert np.array_equal(back.coeffs, phi.coeffs)
     assert (back.input_dim, back.output_dim) == (2, 3)
 
@@ -130,7 +129,7 @@ def _docs():
     """A valid document of each reader, by reader name."""
     return {
         "bipartite": (bipartite_from_dict, bipartite_to_dict(swap_operator(2))),
-        "map": (map_from_dict, map_to_dict(random_map(2, 2, np.random.default_rng(1)))),
+        "map": (map_from_dict, to_json(random_map(2, 2, np.random.default_rng(1)))),
         "polytope": (polytope_from_dict, polytope_to_dict(square())),
     }
 

@@ -50,7 +50,8 @@ FAST = OptimizerConfig(starts=20, steps=100, seed=0)
 
 
 def _product_2x2():
-    return random_product_state(2, 2, np.random.default_rng(5)).projector()
+    v = random_product_state(2, 2, np.random.default_rng(5)).kron
+    return bipartite(np.outer(v, v.conj()), 2, 2)
 
 
 def _max_out_functional():
