@@ -223,14 +223,11 @@ def check_10_cone_algebra_witness(seed):
 @_check("riesz-failure", "2x2 matrix order has no Riesz interpolation: all three sub-checks")
 def check_11_riesz(seed):
     rep = algebras.riesz_counterexample_check()
-    rep2 = algebras.riesz_counterexample_check()
-    deterministic = rep == rep2
-    return rep.passes and deterministic, {
+    return rep.passes, {
         "dominated_ok": rep.dominated_ok,
         "not_below_zero_ok": rep.not_below_zero_ok,
         "interpolation_ok": rep.interpolation_ok,
         "e11_e22_pairing": rep.e11_e22_pairing,
-        "deterministic": deterministic,
     }
 
 

@@ -30,11 +30,6 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
-# tolerance of each membership test when --tol is not given; map-check
-# tests block positivity of the Jamiolkowski matrix
-DEFAULT_TOL = {"psd": cones.SPECTRAL_TOL, "ppt": cones.SPECTRAL_TOL,
-               "separable": cones.SPECTRAL_TOL, "block-positive": cones.OPTIMIZER_TOL}
-
 
 class UsageError(Exception):
     pass
@@ -87,20 +82,17 @@ def exit_code_for(report: dict) -> int:
 
 
 def _cmd_membership(args) -> tuple[dict, dict]:
-    doc = load_json(args.input)
-    op = bipartite_from_dict(doc)
+    op = bipartite_from_dict(load_json(args.input))
     cfg = OptimizerConfig(starts=args.budget, seed=args.seed)
-    tol = DEFAULT_TOL[args.cone] if args.tol is None else args.tol
+    tol = {} if args.tol is None else {"tol": args.tol}  # else the oracle's default
     if args.cone == "psd":
-        verdict = cones.is_psd(op, tol)
+        verdict = cones.is_psd(op, **tol)
     elif args.cone == "block-positive":
-        verdict = cones.is_block_positive(op, tol, cfg)
+        verdict = cones.is_block_positive(op, cfg=cfg, **tol)
     elif args.cone == "ppt":
-        verdict = cones.ppt_check(op, tol)
-    elif args.cone == "separable":
-        verdict = _on_input(cones.is_separable, op, tol, args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown cone {args.cone}")
+        verdict = cones.ppt_check(op, **tol)
+    else:  # separable: argparse restricts the choices
+        verdict = _on_input(cones.is_separable, op, seed=args.seed, **tol)
     return (
         {"status": verdict.status.value, "cone": args.cone, "n": op.n, "m": op.m},
         {"verdict": to_json(verdict)},
@@ -122,8 +114,8 @@ def _cmd_choi(args) -> tuple[dict, dict]:
 def _cmd_map_check(args) -> tuple[dict, dict]:
     phi = map_from_dict(load_json(args.map))
     cfg = OptimizerConfig(starts=args.budget, seed=args.seed)
-    tol = DEFAULT_TOL["block-positive"] if args.tol is None else args.tol
-    verdict = maps.is_positive_map(phi, tol, cfg)
+    tol = {} if args.tol is None else {"tol": args.tol}  # else the oracle's default
+    verdict = maps.is_positive_map(phi, cfg=cfg, **tol)
     report = maps.unitality_report(phi)
     results = {
         "status": verdict.status.value,

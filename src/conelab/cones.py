@@ -265,8 +265,10 @@ def _fit_state(left: np.ndarray, right: np.ndarray, x: np.ndarray):
     return weights, float(np.linalg.norm(x - (v.T * weights) @ v.conj()))
 
 
-def _sqrt_factor(x: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(x)
+def _sqrt_factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Square-root factor A of X = A A* from the eigenpairs ``w, v`` of
+    ``np.linalg.eigh(X)``: the columns sqrt(w_i) v_i with w_i above 1e-12
+    times the largest eigenvalue, so A has rank(X) columns."""
     keep = w > 1e-12 * max(float(w[-1]), 1e-300)
     return v[:, keep] * np.sqrt(w[keep])
 
@@ -378,21 +380,21 @@ def _range_atoms(a: np.ndarray, n: int, m: int):
     return _leading_pairs((a @ c).T, n, m)
 
 
-def _ensemble_rotate(x: np.ndarray, n: int, m: int, k: int, seed: int):
-    """Rotate a square-root ensemble of the state toward product vectors.
+def _ensemble_rotate(a: np.ndarray, n: int, m: int, k: int, seed: int):
+    """Rotate a square-root ensemble of the state X = A A* toward product
+    vectors, from its square-root factor ``a`` (``_sqrt_factor``).
 
-    Any decomposition X = sum_i c_i c_i* arises as C = A R with A a square
-    root factor and R a co-isometry, so alternate between projecting every
-    ensemble vector onto its leading product direction and re-solving the
-    rotation (orthogonal Procrustes), with over-relaxation to speed up the
-    tangential tail.  The ensemble is kept as the rows of C^T.  Read as an
-    n x m block M, a row's projection is u u* M, with u the top eigenvector
-    of M M* (or M v v* with v that of M* M when n > m): one batched
-    eigensolve of the smaller Gram matrices.  Returns the leading singular
-    vectors of the best configuration's blocks as factor arrays
-    ``left (k, n)`` and ``right (k, m)``, and its squared projection error.
+    Any decomposition X = sum_i c_i c_i* arises as C = A R with R a
+    co-isometry, so alternate between projecting every ensemble vector onto
+    its leading product direction and re-solving the rotation (orthogonal
+    Procrustes), with over-relaxation to speed up the tangential tail.  The
+    ensemble is kept as the rows of C^T.  Read as an n x m block M, a row's
+    projection is u u* M, with u the top eigenvector of M M* (or M v v* with
+    v that of M* M when n > m): one batched eigensolve of the smaller Gram
+    matrices.  Returns the leading singular vectors of the best
+    configuration's blocks as factor arrays ``left (k, n)`` and
+    ``right (k, m)``, and its squared projection error.
     """
-    a = _sqrt_factor(x)
     r = a.shape[1]
     k = max(k, r)
     at, ac = a.T, a.conj()
@@ -552,13 +554,14 @@ def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
     ||X - Y||_F = ||X^Gamma - Y^Gamma||_F >= ||(X^Gamma)_-||_F, and no phase
     can reach a residual below that.
     """
-    if min_eigenpair(x)[0] < -SPECTRAL_TOL:
+    lam, vec = np.linalg.eigh(x.matrix)  # shared by the PSD check and every phase
+    if lam[0] < -SPECTRAL_TOL:
         raise ValueError("input is not positive semidefinite")
     if abs(x.op.trace() - 1.0) > 1e-9:
         raise ValueError("input does not have unit trace")
 
     n, m = x.n, x.m
-    a = _sqrt_factor(x.matrix)
+    a = _sqrt_factor(lam, vec)
     rank = a.shape[1]
 
     def verdict_of(residual, left, right, weights):
@@ -576,7 +579,7 @@ def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
         return verdict_of(*best)
     for attempt in range(ENSEMBLE_ATTEMPTS):
         k = 2 * rank + 2 + 2 * attempt
-        left, right, err = _ensemble_rotate(x.matrix, n, m, k, seed * 131 + attempt + 1)
+        left, right, err = _ensemble_rotate(a, n, m, k, seed * 131 + attempt + 1)
         if err > ROTATION_GATE:
             continue
         w, _ = _fit_state(left, right, x.matrix)

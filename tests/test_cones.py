@@ -333,6 +333,32 @@ class TestSeparableDecompose:
             v.certificate.residual, abs=1e-12
         )
 
+    @pytest.mark.parametrize("state, rotations", [
+        (random_separable_state(2, 3, np.random.default_rng(3), terms=3)[0], 0),
+        (bipartite(0.7 * random_separable_state(2, 2, np.random.default_rng(11), terms=2)[0].matrix
+                   + 0.3 * np.eye(4) / 4, 2, 2), 0),
+        (random_separable_state(2, 2, np.random.default_rng(5), terms=3)[0], 1),
+    ], ids=["2x3 rank-3", "2x2 full-rank", "2x2 rank-3 ensemble"])
+    def test_one_eigendecomposition_of_the_state(self, monkeypatch, state, rotations):
+        # the PSD check, the square-root factor and every ensemble attempt
+        # share one eigh of the nm x nm state
+        calls, rotated = [], [0]
+        eigh, rotate = np.linalg.eigh, cones._ensemble_rotate
+
+        def counted_eigh(g):
+            calls.append(g.shape == (state.dim, state.dim))
+            return eigh(g)
+
+        def counted_rotate(*args):
+            rotated[0] += 1
+            return rotate(*args)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(cones, "_ensemble_rotate", counted_rotate)
+        assert separable_decompose(state).status is Status.IN
+        assert sum(calls) == 1
+        assert rotated[0] == rotations
+
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             separable_decompose(swap_operator(2))
@@ -342,9 +368,8 @@ class TestSeparableDecompose:
             separable_decompose(bipartite(np.eye(4), 2, 2))
 
 
-def _ensemble_rotate_by_column(x, n, m, k, seed):
+def _ensemble_rotate_by_column(a, n, m, k, seed):
     """Reference: the rotation with one SVD and one kron per column."""
-    a = _sqrt_factor(x)
     r = a.shape[1]
     k = max(k, r)
     rng = np.random.default_rng(seed)
@@ -418,18 +443,18 @@ class TestEnsembleRotate:
             state, _ = random_separable_state(n, m, np.random.default_rng(5), terms=terms)
         else:  # PPT-violating: the rotation stalls at its floor
             state = bipartite(0.6 * h_operator(2).matrix / 2 + 0.1 * np.eye(4), 2, 2)
-        left, right, err = _ensemble_rotate(state.matrix, n, m, k, seed)
-        atoms, ref_err = _ensemble_rotate_by_column(state.matrix, n, m, k, seed)
+        a = _sqrt_factor(*np.linalg.eigh(state.matrix))
+        left, right, err = _ensemble_rotate(a, n, m, k, seed)
+        atoms, ref_err = _ensemble_rotate_by_column(a, n, m, k, seed)
         assert left.shape == (k, n) and right.shape == (k, m)
         assert err == pytest.approx(ref_err, rel=1e-9, abs=1e-20)
         got = _atom_projectors(zip(left, right))
         assert np.max(np.abs(got - _atom_projectors(atoms))) <= 1e-9
 
 
-def _ensemble_rotate_svd_step(x, n, m, k, seed):
+def _ensemble_rotate_svd_step(a, n, m, k, seed):
     """Reference: the rotation projecting through one batched SVD of the
     n x m blocks per step.  Also returns the number of steps."""
-    a = _sqrt_factor(x)
     r = a.shape[1]
     k = max(k, r)
     rng = np.random.default_rng(seed)
@@ -495,9 +520,10 @@ class TestGramStep:
             x = self.separable(n, m, seed).matrix
         else:
             x = noisy_entangled(n, m, 0.3, np.random.default_rng([n, m, seed])).matrix
-        k = 2 * _sqrt_factor(x).shape[1] + 2
-        _, _, err = _ensemble_rotate(x, n, m, k, seed)
-        _, _, ref_err, ref_steps = _ensemble_rotate_svd_step(x, n, m, k, seed)
+        a = _sqrt_factor(*np.linalg.eigh(x))
+        k = 2 * a.shape[1] + 2
+        _, _, err = _ensemble_rotate(a, n, m, k, seed)
+        _, _, ref_err, ref_steps = _ensemble_rotate_svd_step(a, n, m, k, seed)
         assert steps[0] == ref_steps
         assert err == pytest.approx(ref_err, rel=1e-12, abs=1e-20)
         assert (err < 1e-20) if separable else (err > ROTATION_GATE / 100)
@@ -729,7 +755,7 @@ class TestRangeAtoms:
         right[:, :2] = random_unit_rows(3, 2, rng)
         v = kron_rows(random_unit_rows(3, 2, rng), right)
         x = (v.T * rng.dirichlet(np.ones(3))) @ v.conj()
-        a = _sqrt_factor(x)
+        a = _sqrt_factor(*np.linalg.eigh(x))
         assert a.shape[1] == 3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -739,7 +765,7 @@ class TestRangeAtoms:
     @pytest.mark.parametrize("n, m", [(3, 3), (2, 4)])
     def test_none_one_rank_past_the_bound(self, rotations, n, m):
         state, _ = random_separable_state(n, m, np.random.default_rng([n, m, 5]), terms=5)
-        a = _sqrt_factor(state.matrix)
+        a = _sqrt_factor(*np.linalg.eigh(state.matrix))
         assert a.shape[1] == 5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -756,7 +782,7 @@ class TestRangeAtoms:
                  (e[1] - e[2], e[0]), (e.sum(axis=0), e.sum(axis=0))]
         v = np.array([np.kron(p, q) / np.linalg.norm(np.kron(p, q)) for p, q in tiles])
         state = bipartite((np.eye(9) - v.T @ v) / 4, 3, 3)
-        a = _sqrt_factor(state.matrix)
+        a = _sqrt_factor(*np.linalg.eigh(state.matrix))
         assert a.shape[1] == 4
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -771,7 +797,7 @@ class TestRangeAtoms:
         psi = np.eye(2, 3).ravel() / np.sqrt(2)
         e00 = np.eye(6)[0]
         state = bipartite((np.outer(psi, psi) + np.outer(e00, e00)) / 2, 2, 3)
-        assert _sqrt_factor(state.matrix).shape[1] == 2
+        assert _sqrt_factor(*np.linalg.eigh(state.matrix)).shape[1] == 2
         v = separable_decompose(state)
         assert v.status is Status.UNKNOWN
         assert np.linalg.norm(v.certificate.reconstruct() - state.matrix) == pytest.approx(

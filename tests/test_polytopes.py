@@ -288,6 +288,18 @@ class TestAffineInvariance:
         k1, k2 = screening_pair(name)
         assert max_tensor_polytope(k1, k2).n_vertices == 24
 
+    @pytest.mark.parametrize("scale", [
+        1.0, 1e-3,
+        pytest.param(8e-5, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 5")),
+    ])
+    def test_scaled_square_gap_agrees_with_relative_bound(self, scale):
+        # r = 0.5 at every scale; barker_gap's absolute LP tolerance reads the
+        # 8e-5 square as min = max and returns None, a false proof
+        k = Polytope(square().vertices * scale)
+        gap = barker_gap(k, k)
+        r = relative_bound(min_tensor(k, k), max_tensor_polytope(k, k))
+        assert (gap is None) == (r == 0.0)
+
     def test_degenerate_factor_raises(self):
         # the unit square scaled by (1e-6, 1e6): an SVD at relative
         # precision 1e-9 sees a segment, on which the vertices pair up
