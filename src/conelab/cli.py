@@ -9,6 +9,7 @@ seed reproduces the results section of the report bit for bit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -129,7 +130,7 @@ def _cmd_map_check(args) -> tuple[dict, dict]:
 
 def _cmd_kappa(args) -> tuple[dict, dict]:
     cb_map = map_from_dict(load_json(args.estimate_cb)) if args.estimate_cb else None
-    cb_cfg = OptimizerConfig(starts=args.budget, steps=kappa.CB_CFG.steps, seed=args.seed)
+    cb_cfg = dataclasses.replace(kappa.CB_CFG, starts=args.budget, seed=args.seed)
     rep = _on_input(kappa.kappa_report, args.n, args.m, cb_map=cb_map, cb_cfg=cb_cfg)
     results = {
         "status": "pass",
@@ -147,11 +148,14 @@ def _cmd_polytope(args) -> tuple[dict, dict]:
     k1 = _on_input(polytope_from_dict, load_json(args.k1))
     k2 = _on_input(polytope_from_dict, load_json(args.k2))
     mn = _on_input(polytopes.min_tensor, k1, k2)
+    # aff(mn) spans the products [v;1][w;1]^T, so its dimension follows from
+    # the factors'; an SVD of mn's own vertices loses directions at large offsets
+    d1, d2 = polytopes.affine_dimension(k1), polytopes.affine_dimension(k2)
     results = {
         "status": "pass",
         "min_tensor": to_json(mn),
         "min_vertex_count": mn.n_vertices,
-        "dimension": _on_input(polytopes.affine_dimension, mn),
+        "dimension": (d1 + 1) * (d2 + 1) - 1,
     }
     certificates: dict = {}
     if args.gap or args.relative_bound:
@@ -234,7 +238,7 @@ def build_parser() -> _Parser:
     mem.add_argument("--input", required=True)
     mem.add_argument("--tol", type=_positive(float, least=0), default=None)
     mem.add_argument("--seed", type=_positive(int, least=0), default=0)
-    mem.add_argument("--budget", type=_positive(int), default=200)
+    mem.add_argument("--budget", type=_positive(int), default=OptimizerConfig.starts)
     mem.set_defaults(handler=_cmd_membership)
 
     ch = sub.add_parser("choi", help="Choi and Jamiolkowski matrices of a map")
@@ -245,7 +249,7 @@ def build_parser() -> _Parser:
     mc.add_argument("--map", required=True)
     mc.add_argument("--tol", type=_positive(float, least=0), default=None)
     mc.add_argument("--seed", type=_positive(int, least=0), default=0)
-    mc.add_argument("--budget", type=_positive(int), default=200)
+    mc.add_argument("--budget", type=_positive(int), default=OptimizerConfig.starts)
     mc.set_defaults(handler=_cmd_map_check)
 
     ka = sub.add_parser("kappa", help="max-norm closed form and cb-norm bounds")
@@ -253,7 +257,7 @@ def build_parser() -> _Parser:
     ka.add_argument("--m", type=_positive(int), required=True)
     ka.add_argument("--estimate-cb", default=None)
     ka.add_argument("--seed", type=_positive(int, least=0), default=0)
-    ka.add_argument("--budget", type=_positive(int), default=100)
+    ka.add_argument("--budget", type=_positive(int), default=kappa.CB_CFG.starts)
     ka.set_defaults(handler=_cmd_kappa)
 
     po = sub.add_parser("polytope", help="tensor products of vertex-listed polytopes")

@@ -31,7 +31,6 @@ from .operators import (
     partial_transpose,
     product_values,
     random_unit_rows,
-    random_unit_vector,
 )
 
 SPECTRAL_TOL = 1e-9
@@ -623,4 +622,4 @@ def witness_value(w: BipartiteOperator, t: BipartiteOperator) -> float:
 
 
 def random_product_state(n: int, m: int, rng: np.random.Generator) -> ProductVector:
-    return ProductVector(random_unit_vector(n, rng), random_unit_vector(m, rng))
+    return ProductVector(random_unit_rows(1, n, rng)[0], random_unit_rows(1, m, rng)[0])

@@ -21,6 +21,7 @@ from .cones import OPTIMIZER_TOL, OptimizerConfig, Status, Verdict, is_block_pos
 from .operators import (
     BipartiteOperator,
     HermitianOperator,
+    _frozen_array,
     bipartite,
     h_operator,
     hilbert_schmidt,
@@ -47,9 +48,7 @@ def hermitian_basis(n: int) -> np.ndarray:
             e[i, j] = 1j / np.sqrt(2)
             e[j, i] = -1j / np.sqrt(2)
             mats.append(e)
-    out = np.array(mats)
-    out.setflags(write=False)
-    return out
+    return _frozen_array(np.array(mats))
 
 
 def basis_coefficients(m: np.ndarray) -> np.ndarray:
@@ -77,9 +76,7 @@ class MatrixMap:
         want = (self.output_dim ** 2, self.input_dim ** 2)
         if c.shape != want:
             raise ValueError(f"coefficient array must have shape {want}, got {c.shape}")
-        c = np.ascontiguousarray(c)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", _frozen_array(c))
 
     @classmethod
     def from_function(cls, input_dim: int, output_dim: int, fn) -> "MatrixMap":

@@ -219,12 +219,6 @@ def product_values(a: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> np.ndarra
     return np.einsum("bi,bi->b", v.conj(), v @ a.T).real
 
 
-def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unit vector via normalized complex Gaussian components."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
 def random_unit_rows(k: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """k Haar-random unit vectors of C^dim as the rows of a (k, dim) array."""
     v = rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))

@@ -26,6 +26,7 @@ from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection, QhullError, cKDTree
 
 from .cones import Status, Verdict
+from .operators import _frozen_array
 
 LP_TOL = 1e-9
 DD_TOL = 1e-10
@@ -63,9 +64,7 @@ class Polytope:
             if pairs:
                 i, j = min(pairs)
                 raise ValueError(f"duplicate vertices at indices {i}, {j}")
-        v = np.ascontiguousarray(v)
-        v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "vertices", _frozen_array(v))
 
     @property
     def ambient_dim(self) -> int:
@@ -88,9 +87,7 @@ class TensorFunctional:
             raise ValueError("functional must be a 2-d coefficient matrix")
         if abs(m[-1, -1] - 1.0) > 1e-12:
             raise ValueError(f"normalization entry is {m[-1, -1]!r}, expected 1")
-        m = np.ascontiguousarray(m)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen_array(m))
 
     @property
     def flat(self) -> np.ndarray:
@@ -434,11 +431,17 @@ def _relative_bounds(z: np.ndarray, inner: np.ndarray) -> np.ndarray:
     mass bounds r(z).  r is affine invariant, so the iteration runs in the unit chart of
     aff(inner): centroid 0, max-abs coordinate 1.  Each iterate is put back
     on its constraints by least squares; a row whose residual stays above
-    1e-9 (in that chart) keeps the bound inf, hence gets an LP.
+    1e-9 (in that chart) keeps the bound inf, hence gets an LP.  Raises
+    ValueError when a row of z lies off aff(inner): its residual off the
+    chart's span exceeds 1e-9 * max(1, max|z|).
     """
     center, q, scale = _unit_chart(inner)
+    d = z - center
+    off = np.linalg.norm(d - (d @ q) @ q.T, axis=1)
+    if not np.all(off <= 1e-9 * max(1.0, float(np.max(np.abs(z))))):
+        raise ValueError("affine hull of outer is not contained in that of inner")
     a = np.vstack([((inner - center) @ q).T / scale, np.ones(len(inner))])  # (m, p)
-    rhs = np.hstack([(z - center) @ q / scale, np.ones((len(z), 1))])
+    rhs = np.hstack([d @ q / scale, np.ones((len(z), 1))])
     m = len(a)
     outer = np.einsum("ip,jp->pij", a, a).reshape(len(inner), m * m)  # a_p a_p^T per vertex
     pinv = np.linalg.pinv(a)
@@ -534,14 +537,6 @@ def barker_gap(k1: Polytope, k2: Polytope) -> BarkerGap | None:
 # relative boundedness
 
 
-def _aff_contained(outer: np.ndarray, inner: np.ndarray) -> bool:
-    basis = _affine_chart(inner, inner[0])
-    d = outer - inner[0]
-    resid = d - (d @ basis) @ basis.T
-    scale = max(1.0, float(np.max(np.abs(outer))))
-    return bool(np.all(np.linalg.norm(resid, axis=1) <= 1e-9 * scale))
-
-
 def relative_bound(inner: Polytope, outer: Polytope) -> float:
     """Smallest r >= 0 with outer contained in {(r+1)x - ry : x, y in inner}.
 
@@ -552,8 +547,6 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
     solved in blocks by _block_lps, runs only on the vertices whose bound
     can reach the maximum (_screened).  Errors when the affine hulls differ.
     """
-    if not _aff_contained(outer.vertices, inner.vertices):
-        raise ValueError("affine hull of outer is not contained in that of inner")
     iv, p = inner.vertices, inner.n_vertices
     c, ones = np.append(np.zeros(p), np.ones(p)), np.ones((1, p))
     b_eq = np.hstack([outer.vertices, np.ones((outer.n_vertices, 1))])

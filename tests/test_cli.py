@@ -151,27 +151,33 @@ class TestMembership:
         assert min(cert["weights"]) >= 0
         assert cert["residual"] >= 0.05 - 1e-8 * 4
 
-    def test_separable_falls_back_on_exact_ppt(self, capsys, tmp_path):
-        # A four-term 2x3 product mixture on which the search stops short of
-        # RESIDUAL_TOL; PPT is exact at 2x3, so its spectral certificate says In.
-        rng = np.random.default_rng([2, 3, 4, 1])
-        v = kron_rows(random_unit_rows(4, 2, rng), random_unit_rows(4, 3, rng))
-        w = rng.dirichlet(np.ones(4))
-        p = tmp_path / "state.json"
-        p.write_text(json.dumps(bipartite_to_dict(bipartite((v.T * w) @ v.conj(), 2, 3))))
-        code, rep = run_json(capsys, ["membership", "--cone", "separable", "--input", str(p)])
-        assert code == 0
-        assert rep["results"]["status"] == "in"
-        assert rep["certificates"]["verdict"]["certificate"]["type"] == "spectral"
+    @pytest.fixture(scope="class")
+    def ppt_fallback_run(self, tmp_path_factory):
+        """The state, exit code and report of one separable membership run.
 
-    def test_separable_runs_the_library_oracle(self, capsys, tmp_path):
+        A four-term 2x3 product mixture on which the search stops short of
+        RESIDUAL_TOL; PPT is exact at 2x3, so its spectral certificate says In.
+        The full search takes seconds, so the tests below share one run.
+        """
         rng = np.random.default_rng([2, 3, 4, 1])
         v = kron_rows(random_unit_rows(4, 2, rng), random_unit_rows(4, 3, rng))
         w = rng.dirichlet(np.ones(4))
         state = bipartite((v.T * w) @ v.conj(), 2, 3)
-        p = tmp_path / "state.json"
+        p = tmp_path_factory.mktemp("ppt_fallback") / "state.json"
         p.write_text(json.dumps(bipartite_to_dict(state)))
-        _, rep = run_json(capsys, ["membership", "--cone", "separable", "--input", str(p)])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):  # capsys is function-scoped
+            code = cli.main(["membership", "--cone", "separable", "--input", str(p)])
+        return state, code, json.loads(out.getvalue())
+
+    def test_separable_falls_back_on_exact_ppt(self, ppt_fallback_run):
+        _, code, rep = ppt_fallback_run
+        assert code == 0
+        assert rep["results"]["status"] == "in"
+        assert rep["certificates"]["verdict"]["certificate"]["type"] == "spectral"
+
+    def test_separable_runs_the_library_oracle(self, ppt_fallback_run):
+        state, _, rep = ppt_fallback_run
         verdict = json.loads(json.dumps(to_json(cones.is_separable(state))))
         assert rep["results"] == {"status": verdict["status"], "cone": "separable", "n": 2, "m": 3}
         assert rep["certificates"] == {"verdict": verdict}
@@ -285,6 +291,15 @@ class TestPolytopeCommands:
         assert res["gap"] is not None
         assert res["gap_margin"] > 1e-6
         assert rep["certificates"]["gap_min_side"]["certificate"]["type"] == "separating-hyperplane"
+
+    def test_tensor_dimension_of_far_shifted_square(self, capsys, tmp_path):
+        # aff of the minimal product of two squares has dimension (2+1)(2+1)-1 = 8;
+        # an SVD of its vertices at +1e4 sees three directions as zero and says 5
+        p = tmp_path / "far_square.json"
+        p.write_text(json.dumps(polytope_to_dict(Polytope(square().vertices + 1e4))))
+        code, rep = run_json(capsys, ["polytope", "tensor", "--k1", str(p), "--k2", str(p)])
+        assert code == 0
+        assert rep["results"]["dimension"] == 8
 
     def test_barker_none_for_simplex(self, capsys, square_file, simplex2_file):
         code, rep = run_json(capsys, ["barker", "--k1", simplex2_file, "--k2", square_file])
