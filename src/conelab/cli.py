@@ -1,9 +1,10 @@
 """cone-lab: unified command-line surface with JSON run reports.
 
 Exit codes: 0 for In / pass, 1 for Out / fail, 2 for Unknown, 64 for usage
-errors, 65 for malformed input files.  All randomness sits behind a single
---seed flag (default 0); re-running a command with identical inputs and
-seed reproduces the results section of the report bit for bit.
+errors, 65 for malformed input files or any other input the library rejects
+with a ValueError; ``main`` alone maps errors to codes.  All randomness sits
+behind a single --seed flag (default 0); re-running a command with identical
+inputs and seed reproduces the results section of the report bit for bit.
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ import time
 
 from . import acceptance, algebras, cones, kappa, maps, polytopes
 from .cones import OptimizerConfig
-from .serialize import (
-    MalformedInput,
-    bipartite_from_dict,
-    load_json,
-    map_from_dict,
-    polytope_from_dict,
-    to_json,
-)
+from .serialize import bipartite_from_dict, load_json, map_from_dict, polytope_from_dict, to_json
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -59,15 +53,6 @@ def _positive(kind, least=None):
     return convert
 
 
-def _on_input(fn, *args, **kwargs):
-    """Call ``fn``; its ValueError means the input lies outside what it
-    supports, which is malformed input (exit 65), not a verdict."""
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise MalformedInput(str(exc)) from exc
-
-
 def _status_exit(status: str) -> int:
     return {"in": EXIT_PASS, "pass": EXIT_PASS, "out": EXIT_FAIL,
             "fail": EXIT_FAIL, "unknown": EXIT_UNKNOWN}[status]
@@ -93,7 +78,7 @@ def _cmd_membership(args) -> tuple[dict, dict]:
     elif args.cone == "ppt":
         verdict = cones.ppt_check(op, **tol)
     else:  # separable: argparse restricts the choices
-        verdict = _on_input(cones.is_separable, op, seed=args.seed, **tol)
+        verdict = cones.is_separable(op, seed=args.seed, **tol)
     return (
         {"status": verdict.status.value, "cone": args.cone, "n": op.n, "m": op.m},
         {"verdict": to_json(verdict)},
@@ -131,7 +116,7 @@ def _cmd_map_check(args) -> tuple[dict, dict]:
 def _cmd_kappa(args) -> tuple[dict, dict]:
     cb_map = map_from_dict(load_json(args.estimate_cb)) if args.estimate_cb else None
     cb_cfg = dataclasses.replace(kappa.CB_CFG, starts=args.budget, seed=args.seed)
-    rep = _on_input(kappa.kappa_report, args.n, args.m, cb_map=cb_map, cb_cfg=cb_cfg)
+    rep = kappa.kappa_report(args.n, args.m, cb_map=cb_map, cb_cfg=cb_cfg)
     results = {
         "status": "pass",
         "n": rep.n,
@@ -145,9 +130,9 @@ def _cmd_kappa(args) -> tuple[dict, dict]:
 
 
 def _cmd_polytope(args) -> tuple[dict, dict]:
-    k1 = _on_input(polytope_from_dict, load_json(args.k1))
-    k2 = _on_input(polytope_from_dict, load_json(args.k2))
-    mn = _on_input(polytopes.min_tensor, k1, k2)
+    k1 = polytope_from_dict(load_json(args.k1))
+    k2 = polytope_from_dict(load_json(args.k2))
+    mn = polytopes.min_tensor(k1, k2)
     # aff(mn) spans the products [v;1][w;1]^T, so its dimension follows from
     # the factors'; an SVD of mn's own vertices loses directions at large offsets
     d1, d2 = polytopes.affine_dimension(k1), polytopes.affine_dimension(k2)
@@ -159,12 +144,12 @@ def _cmd_polytope(args) -> tuple[dict, dict]:
     }
     certificates: dict = {}
     if args.gap or args.relative_bound:
-        mx = _on_input(polytopes.max_tensor_polytope, k1, k2)
+        mx = polytopes.max_tensor_polytope(k1, k2)
         results["max_vertex_count"] = mx.n_vertices
         if args.relative_bound:
-            results["relative_bound"] = _on_input(polytopes.relative_bound, mn, mx)
+            results["relative_bound"] = polytopes.relative_bound(mn, mx)
         if args.gap:
-            gap = _on_input(polytopes.gap_among, mx, k1, k2)
+            gap = polytopes.gap_among(mx, k1, k2)
             results["gap"] = None
             if gap is not None:
                 results.update(gap=to_json(gap.functional.matrix), gap_margin=gap.margin)
@@ -314,20 +299,14 @@ def _print_table(report: dict) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    t0 = time.perf_counter()
-    try:
+        args = build_parser().parse_args(argv)
+        t0 = time.perf_counter()
         results, certificates = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MalformedInput as exc:
+    except ValueError as exc:  # every ValueError in the library rejects an argument
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -336,7 +315,7 @@ def main(argv=None) -> int:
         "inputs": _echo_inputs(args),
         "results": results,
         "certificates": certificates,
-        "seed": getattr(args, "seed", 0),
+        "seed": args.seed,
         "wall_time": round(time.perf_counter() - t0, 4),
     }
     if args.format == "table":

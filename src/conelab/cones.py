@@ -499,8 +499,6 @@ def _polish_atoms(x: np.ndarray, n: int, m: int, left: np.ndarray, right: np.nda
     of the atoms that keep a nonzero norm.
     """
     keep = weights > 1e-12
-    if not keep.any():
-        return left[:0], right[:0]
     a = np.sqrt(weights[keep])[:, None] * left[keep]
     b = right[keep]
     x0 = np.concatenate([a.real, a.imag, b.real, b.imag], axis=1).ravel()

@@ -101,8 +101,6 @@ def bipartite_from_dict(d: dict) -> BipartiteOperator:
         dim = _size(d, "dim") if "dim" in d else n * m
         mat = _matrix_from_entries(d["entries"], dim)
         return bipartite(mat, n, m)
-    except MalformedInput:
-        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"bad bipartite operator document: {exc}") from exc
 

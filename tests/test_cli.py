@@ -47,6 +47,16 @@ def t2_map(tmp_path):
 
 
 @pytest.fixture
+def gaussian_map(tmp_path):
+    """A seeded Gaussian map M_2 -> M_2.  Neither deterministic cb candidate
+    meets its upper bound, so its cb estimate draws random starts."""
+    p = tmp_path / "gaussian.json"
+    coeffs = np.random.default_rng(0).standard_normal((4, 4))
+    p.write_text(json.dumps({"input_dim": 2, "output_dim": 2, "coeffs": coeffs.tolist()}))
+    return str(p)
+
+
+@pytest.fixture
 def square_file(tmp_path):
     p = tmp_path / "square.json"
     p.write_text(json.dumps(polytope_to_dict(square())))
@@ -413,6 +423,15 @@ class TestReportCommands:
     def test_trace_simplex_bad_blocks(self, capsys):
         assert cli.main(["trace-simplex", "--a", "2,x", "--b", "2"]) == 64
 
+    def test_trace_simplex_zero_block_is_usage_error(self, capsys):
+        # the algebra's ValueError stays a usage error, not input error 65
+        assert cli.main(["trace-simplex", "--a", "0,2", "--b", "2"]) == 64
+        assert capsys.readouterr().err.startswith("usage error: bad block list '0,2': ")
+
+    def test_trace_simplex_table(self, capsys):
+        assert cli.main(["trace-simplex", "--a", "2,3", "--b", "2,5", "--format", "table"]) == 0
+        assert "[4, 10, 6, 15]" in capsys.readouterr().out
+
     def test_reproduce_single_check(self, capsys):
         code, rep = run_json(
             capsys, ["reproduce", "--only", "witness_norm"]
@@ -431,6 +450,16 @@ class TestReportCommands:
         code, rep = run_json(capsys, ["reproduce", "--only", "cone-duality"])
         assert code == 0
         assert [c["name"] for c in rep["results"]["checks"]] == ["cone-duality"]
+
+    def test_reproduce_only_matching_nothing_is_usage_error(self, capsys):
+        assert cli.main(["reproduce", "--only", "no-such-check"]) == 64
+        assert "no acceptance check matches 'no-such-check'" in capsys.readouterr().err
+
+    def test_reproduce_table(self, capsys):
+        assert cli.main(["reproduce", "--only", "witness_norm", "--format", "table"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and lines[1].startswith("PASS ")
+        assert lines[-1] == "overall: pass"
 
 
 class TestErrorPaths:
@@ -464,6 +493,27 @@ class TestErrorPaths:
 
     def test_missing_file(self):
         assert cli.main(["membership", "--cone", "psd", "--input", "/nonexistent.json"]) == 65
+
+    def test_non_numeric_budget_is_usage_error(self, capsys, h2_half):
+        argv = ["membership", "--cone", "psd", "--input", h2_half, "--budget", "abc"]
+        assert cli.main(argv) == 64
+        assert capsys.readouterr().err.startswith("usage error: argument --budget: ")
+
+    # A budget above numpy's array-size limit makes the search's first
+    # allocation raise ValueError before any memory is taken.
+    @pytest.mark.parametrize("argv", [
+        ["membership", "--cone", "block-positive", "--input", "{h2}"],
+        ["map-check", "--map", "{t2}"],
+        ["kappa", "--n", "2", "--m", "2", "--estimate-cb", "{gauss}"],
+    ], ids=lambda argv: argv[0])
+    def test_budget_beyond_array_limit_is_data_error(self, capsys, h2_half, t2_map,
+                                                     gaussian_map, argv):
+        argv = [a.format(h2=h2_half, t2=t2_map, gauss=gaussian_map) for a in argv]
+        assert cli.main(argv + ["--budget", "100000000000000000000"]) == 65
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["membership", "--cone", "block-positive", "--input", "{h2}", "--budget", "-1"],

@@ -774,14 +774,8 @@ class TestRangeAtoms:
         assert rotations[0] >= 1
 
     def test_tiles_state_stays_unknown(self):
-        # (I - P) / 4 over the Tiles unextendible product basis (Bennett et
-        # al., PRL 82, 5385, 1999): PPT and entangled, its range holds no
-        # product vector
-        e = np.eye(3)
-        tiles = [(e[0], e[0] - e[1]), (e[0] - e[1], e[2]), (e[2], e[1] - e[2]),
-                 (e[1] - e[2], e[0]), (e.sum(axis=0), e.sum(axis=0))]
-        v = np.array([np.kron(p, q) / np.linalg.norm(np.kron(p, q)) for p, q in tiles])
-        state = bipartite((np.eye(9) - v.T @ v) / 4, 3, 3)
+        # its range holds no product vector
+        state = tiles_state()
         a = _sqrt_factor(*np.linalg.eigh(state.matrix))
         assert a.shape[1] == 4
         with warnings.catch_warnings():
