@@ -1,8 +1,9 @@
 """cone-lab: unified command-line surface with JSON run reports.
 
 Exit codes: 0 for In / pass, 1 for Out / fail, 2 for Unknown, 64 for usage
-errors, 65 for malformed input files or any other input the library rejects
-with a ValueError; ``main`` alone maps errors to codes.  All randomness sits
+errors, 65 for malformed input files, any other input the library rejects
+with a ValueError, and a budget or input whose arrays do not fit in memory
+(MemoryError); ``main`` alone maps errors to codes.  All randomness sits
 behind a single --seed flag (default 0); re-running a command with identical
 inputs and seed reproduces the results section of the report bit for bit.
 """
@@ -308,6 +309,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:  # every ValueError in the library rejects an argument
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # a budget or input too large for this machine
+        print(f"input error: out of memory. {exc}".rstrip(), file=sys.stderr)
         return EXIT_DATA
 
     report = {

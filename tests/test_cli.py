@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab import cli, cones, polytopes
+from conelab import cli, cones, kappa, maps, polytopes
 from conelab.cones import random_product_state
 from conelab.maps import MatrixMap
 from conelab.operators import bipartite, h_operator, kron_rows, random_unit_rows
@@ -514,6 +514,25 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    # A budget below that limit but beyond memory raises MemoryError; the
+    # oracles are patched to raise it, so nothing is allocated.
+    @pytest.mark.parametrize("argv,module,name", [
+        (["membership", "--cone", "block-positive", "--input", "{h2}"], cones, "is_block_positive"),
+        (["map-check", "--map", "{t2}"], maps, "is_positive_map"),
+        (["kappa", "--n", "2", "--m", "2", "--estimate-cb", "{t2}"], kappa, "kappa_report"),
+    ], ids=["membership", "map-check", "kappa"])
+    def test_budget_beyond_memory_is_data_error(self, capsys, monkeypatch, h2_half, t2_map,
+                                                argv, module, name):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(module, name, out_of_memory)
+        argv = [a.format(h2=h2_half, t2=t2_map) for a in argv]
+        assert cli.main(argv + ["--budget", "1000000000"]) == 65
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "input error: out of memory. Unable to allocate 74.5 GiB for an array\n"
 
     @pytest.mark.parametrize("argv", [
         ["membership", "--cone", "block-positive", "--input", "{h2}", "--budget", "-1"],

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.spatial import cKDTree
 
 from conelab import polytopes
 from conelab.cones import Status
@@ -145,6 +146,18 @@ class TestDoubleDescription:
         with pytest.raises(ValueError, match="not pointed"):
             double_description(np.array([[1.0, 0.0]]) @ to_e_last(np.array([1.0, 0.0])))
 
+    # Kronecker products of polygon cones are degenerate: many rows meet at
+    # each ray.  Up to 16 rows, so that the brute force stays quick in 9-D.
+    @pytest.mark.parametrize("k1,k2", [(3, 3), (3, 4), (4, 3), (4, 4), (3, 5), (5, 3)])
+    def test_kronecker_product_of_polygon_cones(self, k1, k2):
+        rng = np.random.default_rng([32, k1, k2])
+        a = np.kron(polygon_cone(k1, rng), polygon_cone(k2, rng))
+        assert_same_rays(double_description(a), brute_force_rays(a))
+
+    def test_more_rows_than_one_bitset_word(self):
+        a = random_pointed_cone(np.random.default_rng(64), 3, 70)
+        assert_same_rays(double_description(a), brute_force_rays(a))
+
 
 def random_pointed_cone(rng, d, k):
     """k random rows in R^d, each with a.u >= 0.2 for one unit vector u: u is
@@ -175,6 +188,22 @@ def brute_force_rays(a, tol=1e-9):
     return np.array(found)
 
 
+def assert_same_rays(got, want):
+    assert got.shape == want.shape
+    for r in want:
+        assert np.min(np.linalg.norm(got - r, axis=1)) < 1e-9
+
+
+def polygon_cone(k, rng):
+    """Rows (v, 1) of k random points v on the unit circle, no two arcs
+    between them of pi or more: the cone of affine functions that are
+    nonnegative on a k-gon around 0."""
+    while True:
+        t = np.sort(rng.uniform(0, 2 * np.pi, k))
+        if np.diff(np.append(t, t[0] + 2 * np.pi)).max() < np.pi:
+            return np.column_stack([np.cos(t), np.sin(t), np.ones(k)])
+
+
 def regular_polygon(k):
     angles = 2 * np.pi * np.arange(k) / k
     return Polytope(np.column_stack([np.cos(angles), np.sin(angles)]))
@@ -188,6 +217,10 @@ def affine_polygon(k, rng):
 
 
 class TestQhullDoubleDescription:
+    """Brute-force checks on generic cones.  The name is that of the Qhull
+    enumerator double_description once wrapped, kept so that the test ids
+    stay stable."""
+
     @pytest.mark.parametrize("seed", range(24))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
@@ -273,8 +306,9 @@ class TestAffineInvariance:
 
     REGULAR_PAIR_COUNT = {3: 9, 4: 24, 5: 135, 6: 552}
 
-    # on draws 6 and 19 Qhull returns copies of degenerate maximal vertices,
-    # and on 195 and 211 points on edges, which double_description drops
+    # draws 6 and 19 have degenerate maximal vertices at which Qhull, the
+    # former enumerator, returned copies, and 195 and 211 ones at which it
+    # returned points on edges
     @pytest.mark.parametrize("seed", [*range(24), 195, 211])
     def test_random_affine_images_of_regular_polygons(self, seed):
         k = 3 + seed % 4
@@ -484,6 +518,78 @@ class TestMaxTensorPolytope:
             for flat in mx.vertices:
                 phi = functional_from_flat(flat, k1, k2)
                 assert min_tensor_membership(phi, k1, k2).status is Status.IN
+
+
+def cube():
+    return Polytope(np.array(list(itertools.product([0.0, 1.0], repeat=3))))
+
+
+def octahedron():
+    return Polytope(np.vstack([np.eye(3), -np.eye(3)]))
+
+
+def square_pyramid():
+    return Polytope(np.vstack([square().vertices @ np.eye(2, 3), [0.5, 0.5, 1.0]]))
+
+
+class TestSolidFactorCounts:
+    @pytest.mark.parametrize("k1,k2,count", [
+        (cube, square, 128),
+        (octahedron, square, 48),
+        (octahedron, lambda: regular_polygon(5), 390),
+        (cube, lambda: regular_polygon(6), 2688),
+        (square_pyramid, square, 28),
+    ], ids=["cube-square", "octahedron-square", "octahedron-5gon", "cube-6gon", "pyramid-square"])
+    def test_max_vertex_count(self, k1, k2, count):
+        assert max_tensor_polytope(k1(), k2()).n_vertices == count
+
+
+class TestNearDegenerateHexagon:
+    """The hexagon on the angles sorted(default_rng(5).uniform(0, 2 pi, 6))
+    of (cos t, 1.3 sin t), two of whose vertices are 0.018 rad apart, and
+    the second 6-gon perfbench draws from default_rng([0, 206])."""
+
+    HEXAGON = Polytope([
+        [0.9431353593852195, 0.43213160339491336],
+        [-0.2230544105008146, 1.2672477948790706],
+        [-0.7432942580834515, 0.8696539895678567],
+        [-0.995367377629595, -0.12498797622500903],
+        [0.33875520457621455, -1.2231369098427087],
+        [0.35606425654052465, -1.2147999153819824],
+    ])
+    PARTNER = Polytope([
+        [1.4104050464766509, -1.1969966228180269],
+        [2.249568663584682, -0.2926416972575839],
+        [1.7643855305250586, 0.49194089154236376],
+        [0.440038780357404, 0.3721685547818685],
+        [-0.39912483675062704, -0.5321863707785743],
+        [0.08605829630899653, -1.3167689595785226],
+    ])
+
+    def test_max_vertex_count(self):
+        assert max_tensor_polytope(self.HEXAGON, self.PARTNER).n_vertices == 1620
+
+    def test_paired_with_itself_no_vertex_is_split(self):
+        # slacks of about 5e-9 sit near the tightness tolerance here; an
+        # enumeration that split one vertex into two 1.5e-8 apart gave 1423
+        verts = max_tensor_polytope(self.HEXAGON, self.HEXAGON).vertices
+        assert len(verts) == 1422
+        assert not cKDTree(verts).query_pairs(1e-6)
+
+    def test_gap_certificates_verify(self):
+        k1, k2 = self.HEXAGON, self.PARTNER
+        gap = barker_gap(k1, k2)
+        m = gap.functional.matrix
+        r1, r2 = positive_ray_generators(k1), positive_ray_generators(k2)
+        assert (r1 @ m @ r2.T).min() >= -LP_TOL
+        ray = gap.max_verdict.certificate
+        assert gap.max_verdict.status is Status.IN and ray.value >= -LP_TOL
+        assert ray.ray_left @ m @ ray.ray_right == pytest.approx(ray.value, abs=1e-12)
+        plane = gap.min_verdict.certificate
+        assert gap.min_verdict.status is Status.OUT
+        assert (min_tensor(k1, k2).vertices @ plane.normal).max() <= plane.offset + 1e-9
+        assert plane.normal @ gap.functional.flat - plane.offset == pytest.approx(plane.margin, abs=1e-9)
+        assert plane.margin > 1e-6
 
 
 class TestBarkerGap:
