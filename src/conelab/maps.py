@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cones import OPTIMIZER_TOL, OptimizerConfig, Status, Verdict, is_block_positive
+from .cones import OPTIMIZER_TOL, OptimizerConfig, Verdict, is_block_positive, is_psd
 from .operators import (
     BipartiteOperator,
     HermitianOperator,
@@ -205,27 +205,25 @@ class BipartiteFunctional:
         return hilbert_schmidt(x.matrix, self.density.matrix)
 
 
-def normalize_positive_map(
-    phi: MatrixMap, cfg: OptimizerConfig | None = None
-) -> tuple[MatrixMap, BipartiteFunctional]:
+def normalize_positive_map(phi: MatrixMap) -> tuple[MatrixMap, BipartiteFunctional]:
     """Rewrite rho_0 o (Phi (x) id) with a unital positive map.
 
-    Given Phi: M_n -> M_m with tr(Phi(I)) = 1, certified positive by
-    ``is_positive_map`` under ``cfg`` (else ValueError), build
-    Psi(A) = R Phi(A) R + Psi_1(A) with R the inverse of Phi(I)^{1/2} on
-    its range, and the state rho(X) = <Omega, (Phi(I)^{1/2} (x) I) X
-    (Phi(I)^{1/2} (x) I) Omega>, so that rho o (Psi (x) id) agrees with
-    rho_0 o (Phi (x) id).  Psi_1 routes through the fixed state
-    sigma(A) = A[0, 0] followed by compression to the complement of the
-    range projection.  Eigenvalues of Phi(I) below 1e-10 count as kernel.
+    Given Phi: M_n -> M_m with tr(Phi(I)) = 1 that is CP or co-CP (a PSD
+    Choi or Jamiolkowski matrix; else ValueError, even for a positive map
+    such as Choi's map on M_3), build Psi(A) = R Phi(A) R + Psi_1(A) with R
+    the inverse of Phi(I)^{1/2} on its range, and the state rho(X) =
+    <Omega, (Phi(I)^{1/2} (x) I) X (Phi(I)^{1/2} (x) I) Omega>, so that
+    rho o (Psi (x) id) agrees with rho_0 o (Phi (x) id).  Psi_1 routes
+    through the fixed state sigma(A) = A[0, 0] followed by compression to
+    the complement of the range projection.  Eigenvalues of Phi(I) below
+    1e-10 count as kernel.
     """
     n, m = phi.input_dim, phi.output_dim
     report = unitality_report(phi)
     if abs(report.normalized_trace_of_image - 1.0) > 1e-9:
         raise ValueError("tr(Phi(I)) must equal 1")
-    verdict = is_positive_map(phi, cfg=cfg or OptimizerConfig(starts=60, steps=200, seed=0))
-    if verdict.status is not Status.IN:
-        raise ValueError("map is not certified positive")
+    if not (is_psd(choi(phi)).is_in or is_psd(jamiolkowski(phi)).is_in):
+        raise ValueError("map is not certified positive: it is neither CP nor co-CP")
 
     img = report.image_of_identity.matrix
     w, u = np.linalg.eigh(img)

@@ -123,7 +123,7 @@ def affine_dimension(points) -> int:
     p = np.asarray(points.vertices if isinstance(points, Polytope) else points, dtype=float)
     if p.ndim != 2 or len(p) == 0:
         raise ValueError("need a nonempty point list")
-    return _affine_chart(p, p[0]).shape[1]
+    return _affine_chart(p, p.mean(axis=0)).shape[1]
 
 
 def _affine_chart(points: np.ndarray, anchor: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab.cones import OptimizerConfig, Status
+from conelab import cones
+from conelab.cones import OptimizerConfig, Status, is_psd
 from conelab.maps import (
     MatrixMap,
     adjoint_map,
@@ -36,6 +37,21 @@ FAST = OptimizerConfig(starts=40, steps=120, seed=0)
 @st.composite
 def map_dims(draw):
     return draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
+
+
+def cp_or_co_cp(phi):
+    """(Choi matrix PSD, Jamiolkowski matrix PSD): Phi is CP, Phi is co-CP."""
+    return is_psd(choi(phi)).is_in, is_psd(jamiolkowski(phi)).is_in
+
+
+def choi_map():
+    """Choi's map Phi[2, 0, 1]/2 on M_3: unital and positive, neither CP nor co-CP."""
+
+    def action(a):
+        d = np.diag(a)
+        return (np.diag(2 * d + np.roll(d, 1)) - a) / 2
+
+    return MatrixMap.from_function(3, 3, action)
 
 
 class TestHermitianBasis:
@@ -141,16 +157,27 @@ class TestAdjoint:
 
 
 class TestNormalizeConstruction:
-    def test_already_unital_is_fixed_point(self):
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        """Fail the test if a product-vector search runs."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("block_positive_min called")
+
+        monkeypatch.setattr(cones, "block_positive_min", refuse)
+
+    def test_already_unital_is_fixed_point(self, no_search):
         phi = MatrixMap.reduction(2)  # unital: Tr(A) I - A maps I to I
-        psi, rho = normalize_positive_map(phi, cfg=FAST)
+        assert cp_or_co_cp(phi) == (False, True)
+        psi, rho = normalize_positive_map(phi)
         assert np.allclose(psi.coeffs, phi.coeffs, atol=1e-10)
         assert np.allclose(rho.density.matrix, h_operator(2).matrix / 2, atol=1e-12)
 
-    def test_rank_deficient_example(self):
-        # Phi(A) = diag(2 A_00, 0): positive, tr(Phi(I)) = 1, singular image
+    def test_rank_deficient_example(self, no_search):
+        # Phi(A) = diag(2 A_00, 0): CP, tr(Phi(I)) = 1, singular image
         phi = MatrixMap.from_function(2, 2, lambda a: np.diag([2 * a[0, 0], 0.0]))
-        psi, rho = normalize_positive_map(phi, cfg=FAST)
+        assert cp_or_co_cp(phi)[0]
+        psi, rho = normalize_positive_map(phi)
         # construction routes the complement through sigma(A) = A_00: Psi(A) = A_00 I
         assert np.allclose(psi.apply(np.diag([1.0, 0.0])), np.eye(2), atol=1e-10)
         assert np.allclose(psi.apply(np.diag([0.0, 1.0])), np.zeros((2, 2)), atol=1e-10)
@@ -161,9 +188,11 @@ class TestNormalizeConstruction:
         rng = np.random.default_rng(12)
         for singular in (False, True):
             phi = random_positive_map(2, 2, rng, singular_image=singular)
-            psi, rho = normalize_positive_map(phi, cfg=FAST)
+            psi, rho = normalize_positive_map(phi)
             assert unitality_report(psi).is_unital
             assert is_positive_map(psi, cfg=FAST).status is Status.IN
+            # Psi = R Phi R + A_00 (I - P) is CP, or co-CP, whenever Phi is
+            assert any(a and b for a, b in zip(cp_or_co_cp(phi), cp_or_co_cp(psi)))
             for _ in range(50):
                 x = bipartite(random_hermitian(4, rng).matrix, 2, 2)
                 lhs = rho0_apply(2, apply_to_left_factor(phi, x))
@@ -173,14 +202,30 @@ class TestNormalizeConstruction:
     def test_rejects_wrong_trace(self):
         phi = MatrixMap(2, 2, 2 * MatrixMap.identity(2).coeffs)
         with pytest.raises(ValueError, match="must equal 1"):
-            normalize_positive_map(phi, cfg=FAST)
+            normalize_positive_map(phi)
+
+    def test_refuses_choi_map(self, no_search):
+        # positive, but neither spectral proof covers it
+        phi = choi_map()
+        assert cp_or_co_cp(phi) == (False, False)
+        with pytest.raises(ValueError, match="neither CP nor co-CP"):
+            normalize_positive_map(phi)
+
+    @given(map_dims(), st.booleans(), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_random_positive_map_is_cp_or_co_cp(self, dims, singular, seed):
+        # the invariant the map-normalization check rests on: the three
+        # congruences share one transpose coin
+        out_dim, in_dim = dims
+        phi = random_positive_map(in_dim, out_dim, np.random.default_rng(seed), singular)
+        assert any(cp_or_co_cp(phi))
 
     def test_rejects_nonpositive_map(self):
         bad = random_map(2, 2, np.random.default_rng(10))
         rep = unitality_report(bad)
         scaled = MatrixMap(2, 2, bad.coeffs / rep.normalized_trace_of_image)
         with pytest.raises(ValueError, match="not certified positive"):
-            normalize_positive_map(scaled, cfg=FAST)
+            normalize_positive_map(scaled)
 
 
 class TestUnitImages:

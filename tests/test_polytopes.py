@@ -334,11 +334,18 @@ class TestAffineInvariance:
         r = relative_bound(min_tensor(k, k), max_tensor_polytope(k, k))
         assert (gap is None) == (r == 0.0)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
     def test_far_shifted_min_tensor_dimension(self):
         # three genuine directions of the 16 vertices have relative singular
-        # values near 7.5e-10, below affine_dimension's 1e-9 cut, so it says 5
+        # values near 7.5e-10 from a vertex, below the 1e-9 cut, and near
+        # 1.2e-9 from the centroid, where affine_dimension anchors its chart
         k, _ = screening_pair("+1e4")
+        assert affine_dimension(min_tensor(k, k)) == 8
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+    def test_small_far_shifted_min_tensor_dimension(self):
+        # the square x1e-3 shifted by (1000, 1000): from the centroid the
+        # three directions are near 1.2e-10, so affine_dimension says 5
+        k = Polytope(square().vertices * 1e-3 + 1000)
         assert affine_dimension(min_tensor(k, k)) == 8
 
     def test_degenerate_factor_raises(self):
