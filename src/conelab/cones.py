@@ -219,9 +219,7 @@ def is_block_positive(
     reliable for n*m <= 16 and best-effort beyond.
     """
     value, trace = block_positive_min(x, cfg)
-    if value >= -tol:
-        return Verdict(Status.IN, trace)
-    return Verdict(Status.OUT, trace)
+    return Verdict(Status.IN if value >= -tol else Status.OUT, trace)
 
 
 def ppt_check(x: BipartiteOperator, tol: float = SPECTRAL_TOL) -> Verdict:
@@ -337,45 +335,43 @@ def _wootters_atoms(a: np.ndarray):
     return _leading_pairs(z.T, 2, 2)
 
 
-def _range_atoms(a: np.ndarray, n: int, m: int):
+def _range_atoms(a: np.ndarray, b: np.ndarray, n: int, m: int):
     """The r product vectors in the range of X = A A* (A is nm x r), as
-    factor arrays ``left (r, n)`` and ``right (r, m)``; None when r < 2,
-    when there are fewer than r (r - 1) / 2 minors below, or when the range
-    does not hold exactly r independent product vectors.
+    factor arrays ``left (r, n)`` and ``right (r, m)``, read from that range
+    and the range of X^Gamma = B B*, Gamma the right partial transpose;
+    None when B has not r columns, when r (r - 1) > n^2 C(m, 2) with the
+    larger factor on the right, or when the ranges do not hold exactly r
+    independent product vectors.
 
-    With t = A.reshape(n, m, r), A c is a product vector iff every 2x2
-    minor c^T Q c of its n x m block vanishes, Q = t_ik t_jl^T - t_il t_jk^T
-    for i < j, k < l (Horodecki, Lewenstein, Vidal and Cirac, PRA 62,
-    032310, 2000).  When those are A c_1 .. A c_r with independent c_k, the
-    symmetric S with sum Q_pq S_pq = 0 for every Q are exactly C D C^T, D
-    diagonal, and two of them, M1 = C D1 C^T and M2 = C D2 C^T, give
-    M2 M1^-1 = C D2 D1^-1 C^-1, whose eigenvectors are the c_k (Jennrich's
-    simultaneous diagonalization; Leurgans, Ross and Abel, SIAM J. Matrix
-    Anal. Appl. 14, 1064, 1993).  That holds for a generic mixture of r
-    product states; on any other state the caller's refit rejects them.
-    Singular values below 1e-9 times the largest count as zero.
+    A product vector A c = e (x) f has the partner B d = e (x) conj(f)
+    (P. Horodecki, PLA 232, 333, 1997): with V, W their n x m blocks,
+    V_ik conj(W_jl) = V_il conj(W_jk) for all i, j and k < l, equations
+    linear in M = c d* (Horodecki, Lewenstein, Vidal and Cirac, PRA 62,
+    032310, 2000).  When the product vectors are A c_k with independent c_k
+    and partners B d_k, the solutions are C L D*, L diagonal, and two of
+    them give N2 N1^-1 = C L2 L1^-1 C^-1, whose eigenvectors are the c_k
+    (Jennrich's simultaneous diagonalization; Leurgans, Ross and Abel, SIAM
+    J. Matrix Anal. Appl. 14, 1064, 1993).  That holds for a generic mixture
+    of r product states; on any other state the caller's refit rejects them.
+    Singular values below 1e-9 ||A||_F ||B||_F count as zero.
     """
     r = a.shape[1]
-    p, q = np.triu_indices(r)
-    if r < 2 or n * (n - 1) * m * (m - 1) // 4 < len(p) - r:
+    t, s = a.reshape(n, m, r), b.conj().reshape(n, m, -1)
+    if n > m:  # swap the factors: X's left partial transpose is conj(X^Gamma)
+        t, s = t.swapaxes(0, 1), b.reshape(n, m, -1).swapaxes(0, 1)
+    p, q = t.shape[:2]
+    if s.shape[2] != r or r * (r - 1) > p * p * q * (q - 1) // 2:
         return None
-    t = a.reshape(n, m, r)
-    i, j = np.triu_indices(n, 1)
-    k, l = np.triu_indices(m, 1)
-    minors = (t[i][:, k, :, None] * t[j][:, l, None, :]
-              - t[i][:, l, :, None] * t[j][:, k, None, :]).reshape(-1, r, r)
-    # S = U + U^T with U upper triangular: <Q, S> = <Q + Q^T, U>
-    _, s, vh = np.linalg.svd((minors + minors.swapaxes(1, 2))[:, p, q])
-    kept = int(np.sum(s > 1e-9 * s[0]))
-    if len(p) - kept != r:
+    k, l = np.triu_indices(q, 1)
+    vw = np.einsum("ikx,jly->ijklxy", t, s)  # V_ik conj(W_jl) = sum_xy vw_ijklxy M_xy
+    _, sv, vh = np.linalg.svd((vw - vw.swapaxes(2, 3))[:, :, k, l].reshape(-1, r * r))
+    kept = int(np.sum(sv > 1e-9 * np.linalg.norm(a) * np.linalg.norm(b)))
+    if r * r - kept != r:
         return None
-    pair = np.zeros((2, r, r), dtype=complex)
-    pair[:, p, q] = np.stack([np.ones(r), np.arange(1.0, r + 1)]) @ vh[kept:].conj()
-    m1, m2 = pair + pair.swapaxes(1, 2)
-    s = np.linalg.svd(m1, compute_uv=False)
-    if s[-1] <= 1e-9 * s[0]:
+    n1, n2 = (np.stack([np.ones(r), np.arange(1.0, r + 1)]) @ vh[kept:].conj()).reshape(2, r, r)
+    if np.linalg.cond(n1) >= 1e9:
         return None
-    c = np.linalg.eig(np.linalg.solve(m1, m2).T)[1]  # M1, M2 symmetric: M2 M1^-1
+    c = np.linalg.eig(np.linalg.solve(n1.T, n2.T).T)[1]  # N2 N1^-1
     return _leading_pairs((a @ c).T, n, m)
 
 
@@ -519,22 +515,22 @@ def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
     state is separable iff it is PPT (Horodecki 1996), and the closed form
     succeeds on every full-rank PPT state, so each full-rank separable 2x2
     state is settled with exactly 4 atoms.  Every other state of rank r
-    with C(n, 2) C(m, 2) >= r (r - 1) / 2 is written as the product vectors
-    in its range (``_range_atoms``), which settles a generic mixture of r
-    product states with exactly r atoms.  A state of rank 1 or above that
-    bound, and one whose range does not hold exactly r independent product
-    vectors, takes the leading Schmidt pair of each column of a
-    square-root factor X = A A*, which is exact when the columns are
-    product vectors, as on a pure product state.  The first fit's weights
-    are refit on the simplex.
+    with r (r - 1) <= n^2 C(m, 2), the larger factor on the right (r up to
+    4 at 2x3, 5 at 2x4 and 3x3, 10 at 4x4), is written as the product
+    vectors in the ranges of X and X^Gamma (``_range_atoms``), which settles
+    a generic mixture of r product states with exactly r atoms.  Any other
+    state takes the leading Schmidt pair of each column of a square-root
+    factor X = A A*, exact when the columns are product vectors (as when a
+    factor is C^1).  The first fit's weights are refit on the simplex.
 
     When its residual is not below ``RESIDUAL_TOL``, up to
     ``ENSEMBLE_ATTEMPTS`` batches of candidate atoms (2 rank(X) + 2 in the
     first, two more in each next) are proposed by rotating a square-root
     ensemble of the state toward product vectors (at most
-    ``ENSEMBLE_ITERS`` iterations each, seeded from ``seed``); a batch whose squared projection error exceeds
-    ``ROTATION_GATE`` is dropped, the others are polished locally
-    (``LM_MAX_NFEV`` evaluations) and their weights refit on the simplex.
+    ``ENSEMBLE_ITERS`` iterations each, seeded from ``seed``); a batch whose
+    squared projection error exceeds ``ROTATION_GATE`` is dropped, the
+    others are polished locally (``LM_MAX_NFEV`` evaluations; a polish that
+    raises ``LinAlgError`` drops its batch) and their weights refit.
     In (with the certificate) once the Frobenius residual drops below
     ``RESIDUAL_TOL``, else Unknown with the best fit found; no verdict
     rests on the closed forms, only on the residual.  Only defined for
@@ -561,35 +557,34 @@ def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
     a = _sqrt_factor(lam, vec)
     rank = a.shape[1]
 
-    def verdict_of(residual, left, right, weights):
-        cert = _canonical_decomposition(residual, left, right, weights)
-        return Verdict(Status.IN if residual < RESIDUAL_TOL else Status.UNKNOWN, cert)
-
     if (n, m) == (2, 2) and rank == 4:
         fit = _wootters_atoms(a)
     else:
-        fit = _range_atoms(a, n, m)
+        b = _sqrt_factor(*np.linalg.eigh(partial_transpose(x, "right").matrix))
+        fit = _range_atoms(a, b, n, m)
     left, right = _leading_pairs(a.T, n, m) if fit is None else fit
     weights, residual = _fit_state(left, right, x.matrix)
     best = (residual, left, right, weights)
-    if residual < RESIDUAL_TOL or _ppt_distance(x) >= RESIDUAL_TOL:
-        return verdict_of(*best)
-    for attempt in range(ENSEMBLE_ATTEMPTS):
-        k = 2 * rank + 2 + 2 * attempt
-        left, right, err = _ensemble_rotate(a, n, m, k, seed * 131 + attempt + 1)
-        if err > ROTATION_GATE:
-            continue
-        w, _ = _fit_state(left, right, x.matrix)
-        left, right = _polish_atoms(x.matrix, n, m, left, right, w)
-        if not len(left):
-            continue
-        w, res = _fit_state(left, right, x.matrix)
-        if res < best[0]:
-            best = (res, left, right, w)
-        if res < RESIDUAL_TOL:
-            break
-
-    return verdict_of(*best)
+    if residual >= RESIDUAL_TOL and _ppt_distance(x) < RESIDUAL_TOL:
+        for attempt in range(ENSEMBLE_ATTEMPTS):
+            k = 2 * rank + 2 + 2 * attempt
+            left, right, err = _ensemble_rotate(a, n, m, k, seed * 131 + attempt + 1)
+            if err > ROTATION_GATE:
+                continue
+            w, _ = _fit_state(left, right, x.matrix)
+            try:
+                left, right = _polish_atoms(x.matrix, n, m, left, right, w)
+            except np.linalg.LinAlgError:  # an SVD inside scipy's trf did not converge
+                continue
+            if not len(left):
+                continue
+            w, res = _fit_state(left, right, x.matrix)
+            if res < best[0]:
+                best = (res, left, right, w)
+            if res < RESIDUAL_TOL:
+                break
+    status = Status.IN if best[0] < RESIDUAL_TOL else Status.UNKNOWN
+    return Verdict(status, _canonical_decomposition(*best))
 
 
 def is_separable(x: BipartiteOperator, tol: float = SPECTRAL_TOL, seed: int = 0) -> Verdict:

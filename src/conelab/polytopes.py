@@ -153,6 +153,11 @@ def functional_from_flat(flat: np.ndarray, k1: Polytope, k2: Polytope) -> Tensor
 # extreme rays
 
 
+def _lexsorted(x: np.ndarray) -> np.ndarray:
+    """Rows of x in stable lexicographic order of their entries rounded to 9 decimals."""
+    return x[np.lexsort(np.round(x, 9).T[::-1])]
+
+
 def double_description(a: np.ndarray) -> np.ndarray:
     """Extreme rays of the pointed cone {y : A y >= 0}, which must have
     e_last = (0, ..., 0, 1) in its interior: every row ends in a positive entry.
@@ -192,7 +197,7 @@ def double_description(a: np.ndarray) -> np.ndarray:
             new = s[p, None] * rays[q] - s[q, None] * rays[p]
             rays = np.vstack([rays[~cut], new / np.linalg.norm(new, axis=1, keepdims=True)])
             tight = np.vstack([tight[~cut], tight[p] & tight[q] | bits[i]])
-    return rays[np.lexsort(np.round(rays, 9).T[::-1])]
+    return _lexsorted(rays)
 
 
 def _adjacent(tight: np.ndarray, plus: np.ndarray, minus: np.ndarray, d: int):
@@ -284,7 +289,7 @@ def positive_ray_generators(k: Polytope) -> np.ndarray:
     rays, into, _ = _chart_rays(k)
     full = rays @ into
     full /= np.max(np.abs(full), axis=1, keepdims=True)
-    return full[np.lexsort(np.round(full, 9).T[::-1])]
+    return _lexsorted(full)
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +528,13 @@ def max_tensor_polytope(k1: Polytope, k2: Polytope) -> Polytope:
     _check_ray_input(k1)
     _check_ray_input(k2)
     if any(k.n_vertices == affine_dimension(k) + 1 for k in (k1, k2)):
-        mv = min_tensor(k1, k2).vertices
-        return Polytope(mv[np.lexsort(np.round(mv, 9).T[::-1])])
+        return Polytope(_lexsorted(min_tensor(k1, k2).vertices))
     (r1, _, back1), (r2, _, back2) = _chart_rays(k1), _chart_rays(k2)
     rays = double_description(np.einsum("ia,jb->ijab", r1, r2).reshape(len(r1) * len(r2), -1))
     if np.any(rays[:, -1] <= 1e-9):
         raise RuntimeError("maximal tensor polytope appears unbounded")
     verts = (rays / rays[:, -1:]) @ np.kron(back1, back2).T  # back1 Phi back2^T, row-major
-    return Polytope(verts[np.lexsort(np.round(verts, 9).T[::-1])])
+    return Polytope(_lexsorted(verts))
 
 
 @dataclass(frozen=True)

@@ -165,13 +165,14 @@ class TestMembership:
     def ppt_fallback_run(self, tmp_path_factory):
         """The state, exit code and report of one separable membership run.
 
-        A four-term 2x3 product mixture on which the search stops short of
-        RESIDUAL_TOL; PPT is exact at 2x3, so its spectral certificate says In.
-        The full search takes seconds, so the tests below share one run.
+        A five-term 2x3 product mixture, past the range closed form's bound,
+        on which the search stops short of RESIDUAL_TOL; PPT is exact at 2x3,
+        so its spectral certificate says In.  The full search takes seconds,
+        so the tests below share one run.
         """
-        rng = np.random.default_rng([2, 3, 4, 1])
-        v = kron_rows(random_unit_rows(4, 2, rng), random_unit_rows(4, 3, rng))
-        w = rng.dirichlet(np.ones(4))
+        rng = np.random.default_rng([2, 3, 5, 4])
+        v = kron_rows(random_unit_rows(5, 2, rng), random_unit_rows(5, 3, rng))
+        w = rng.dirichlet(np.ones(5))
         state = bipartite((v.T * w) @ v.conj(), 2, 3)
         p = tmp_path_factory.mktemp("ppt_fallback") / "state.json"
         p.write_text(json.dumps(bipartite_to_dict(state)))
@@ -192,11 +193,11 @@ class TestMembership:
         assert rep["results"] == {"status": verdict["status"], "cone": "separable", "n": 2, "m": 3}
         assert rep["certificates"] == {"verdict": verdict}
 
-    @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize("n, m", [(2, 3), (2, 4), (3, 3)])
     def test_separable_four_term_mixture_in_closed_form(self, capsys, tmp_path, n, m):
         # A four-term product mixture has rank 4, within the closed form's
-        # bound at 2x4 and 3x3; PPT is not exact at either size, so only the
-        # decomposition can say In.
+        # bound at 2x3, 2x4 and 3x3; PPT is not exact at 2x4 or 3x3, so only
+        # the decomposition can say In there.
         rng = np.random.default_rng([n, m, 4, 1])
         v = kron_rows(random_unit_rows(4, n, rng), random_unit_rows(4, m, rng))
         w = rng.dirichlet(np.ones(4))
@@ -231,6 +232,30 @@ class TestMembership:
         p.write_text(json.dumps(doc))
         code = cli.main(["membership", "--cone", "separable", "--input", str(p)])
         assert code == 65
+
+    def test_separable_failed_polish_is_unknown(self, capsys, tmp_path, monkeypatch):
+        # np.linalg.LinAlgError subclasses ValueError, the input-error class;
+        # from the polish it is a failed attempt, not malformed input.  The
+        # Tiles state (Bennett et al., PRL 82, 5385, 1999) is PPT and
+        # entangled at 3x3, so the search reaches the polish and only it
+        # could say In.
+        calls = [0]
+
+        def fail(*args, **kwargs):
+            calls[0] += 1
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        e = np.eye(3)
+        tiles = [(e[0], e[0] - e[1]), (e[0] - e[1], e[2]), (e[2], e[1] - e[2]),
+                 (e[1] - e[2], e[0]), (e.sum(axis=0), e.sum(axis=0))]
+        v = np.array([np.kron(a, b) / np.linalg.norm(np.kron(a, b)) for a, b in tiles])
+        p = tmp_path / "tiles.json"
+        p.write_text(json.dumps(bipartite_to_dict(bipartite((np.eye(9) - v.T @ v) / 4, 3, 3))))
+        monkeypatch.setattr(cones, "least_squares", fail)
+        code = cli.main(["membership", "--cone", "separable", "--input", str(p)])
+        assert calls[0] >= 1
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["results"]["status"] == "unknown"
 
     @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (3, 1)])
     def test_ppt_in_at_a_one_dimensional_factor(self, capsys, tmp_path, n, m):

@@ -341,12 +341,14 @@ class TestSeparableDecompose:
     ], ids=["2x3 rank-3", "2x2 full-rank", "2x2 rank-3 ensemble"])
     def test_one_eigendecomposition_of_the_state(self, monkeypatch, state, rotations):
         # the PSD check, the square-root factor and every ensemble attempt
-        # share one eigh of the nm x nm state
+        # share one eigh of the state; the range closed form adds at most
+        # one of its partial transpose
         calls, rotated = [], [0]
         eigh, rotate = np.linalg.eigh, cones._ensemble_rotate
+        pt = partial_transpose(state, "right").matrix
 
         def counted_eigh(g):
-            calls.append(g.shape == (state.dim, state.dim))
+            calls.append((np.array_equal(g, state.matrix), np.array_equal(g, pt)))
             return eigh(g)
 
         def counted_rotate(*args):
@@ -356,12 +358,32 @@ class TestSeparableDecompose:
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(cones, "_ensemble_rotate", counted_rotate)
         assert separable_decompose(state).status is Status.IN
-        assert sum(calls) == 1
+        of_state, of_pt = np.sum(calls, axis=0)
+        assert of_state == 1
+        assert of_pt <= 1
         assert rotated[0] == rotations
 
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             separable_decompose(swap_operator(2))
+
+    def test_a_failed_polish_is_a_failed_attempt(self, monkeypatch):
+        # scipy's trf can raise LinAlgError ("SVD did not converge") on a
+        # stalled fit: that attempt is dropped, like an empty polish
+        calls = [0]
+
+        def fail(*args, **kwargs):
+            calls[0] += 1
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cones, "least_squares", fail)
+        state, _ = random_separable_state(2, 2, np.random.default_rng(5), terms=3)
+        v = separable_decompose(state)
+        assert calls[0] >= 1
+        assert v.status is Status.UNKNOWN
+        assert np.linalg.norm(v.certificate.reconstruct() - state.matrix) == pytest.approx(
+            v.certificate.residual, abs=1e-12
+        )
 
     def test_rejects_non_unit_trace(self):
         with pytest.raises(ValueError, match="unit trace"):
@@ -707,9 +729,7 @@ class TestWootters:
 
 class TestRangeAtoms:
     """The closed-form phase of ``separable_decompose`` on states of rank r
-    with C(n, 2) C(m, 2) >= r (r - 1) / 2."""
-
-    rotations = TestRotationFloor.rotations
+    with r (r - 1) <= n^2 C(m, 2), the larger factor on the right."""
 
     @pytest.fixture
     def searches(self, monkeypatch):
@@ -719,10 +739,17 @@ class TestRangeAtoms:
         monkeypatch.setattr(cones, "_ensemble_rotate", refuse)
         monkeypatch.setattr(cones, "least_squares", refuse)
 
+    @staticmethod
+    def factors(x):
+        """Square-root factors of the state and of its right partial transpose."""
+        return (_sqrt_factor(*np.linalg.eigh(x.matrix)),
+                _sqrt_factor(*np.linalg.eigh(partial_transpose(x, "right").matrix)))
+
     @pytest.mark.parametrize("n, m, rank", [(2, 2, 2), (2, 3, 3), (3, 2, 3), (2, 4, 4), (4, 2, 4),
                                             (3, 3, 3), (3, 4, 4), (4, 3, 4), (2, 3, 2), (3, 3, 4),
                                             (2, 4, 3), (3, 4, 5), (3, 4, 6), (4, 4, 5), (4, 4, 9),
-                                            (2, 5, 4)])
+                                            (2, 5, 4), (2, 3, 4), (3, 2, 4), (2, 4, 5), (3, 3, 5),
+                                            (4, 2, 5), (4, 4, 10), (1, 3, 3), (3, 1, 3)])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_generic_mixtures_need_no_search(self, searches, n, m, rank, seed):
         state, _ = random_separable_state(n, m, np.random.default_rng([n, m, rank, seed]),
@@ -731,6 +758,39 @@ class TestRangeAtoms:
         assert v.status is Status.IN
         assert len(v.certificate.weights) == rank
         assert np.linalg.norm(v.certificate.reconstruct() - state.matrix) <= 1e-9
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5),
+                                      (3, 4), (4, 3), (4, 4)])
+    def test_settles_every_rank_of_the_minors_bound(self, n, m):
+        # C(n, 2) C(m, 2) >= r (r - 1) / 2 bounded the 2x2-minors form this
+        # one replaced: every generic mixture there keeps exactly r atoms
+        ranks = [r for r in range(1, n * m) if r * (r - 1) <= n * (n - 1) * m * (m - 1) // 2]
+        for rank in ranks:
+            for seed in range(5):
+                x, _ = random_separable_state(n, m, np.random.default_rng([n, m, rank, seed, 7]),
+                                              terms=rank)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    fit = cones._range_atoms(*self.factors(x), n, m)
+                assert fit is not None, (rank, seed)
+                weights, residual = cones._fit_state(*fit, x.matrix)
+                assert residual < RESIDUAL_TOL
+                assert np.sum(weights > 1e-12) == rank
+
+    @pytest.mark.parametrize("n, m", [(1, 3), (3, 1)])
+    def test_a_factor_of_dimension_one(self, searches, n, m):
+        # every vector is product: rank 1 is one atom, and a larger range
+        # holds a continuum, which the columns of A decompose instead
+        for rank in (1, 2, 3):
+            x, _ = random_separable_state(n, m, np.random.default_rng([n, m, rank]), terms=rank)
+            a, b = self.factors(x)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fit = cones._range_atoms(a, b, n, m)
+            assert (fit is None) == (rank > 1)
+            v = separable_decompose(x)
+            assert v.status is Status.IN
+            assert len(v.certificate.weights) == rank
 
     @pytest.mark.parametrize("state", [
         *(TestGramStep.separable(n, m, seed) for n, m, seed in
@@ -749,38 +809,52 @@ class TestRangeAtoms:
     def test_none_on_a_conic_of_product_vectors(self):
         # right factors in span(e_0, e_1): the range is a 3-dimensional
         # subspace of C^2 (x) C^2, which holds a conic of product vectors, so
-        # the symmetric matrices the minors annihilate outnumber the rank
+        # the solutions of the range equations outnumber the rank
         rng = np.random.default_rng(3)
         right = np.zeros((3, 3), dtype=complex)
         right[:, :2] = random_unit_rows(3, 2, rng)
         v = kron_rows(random_unit_rows(3, 2, rng), right)
-        x = (v.T * rng.dirichlet(np.ones(3))) @ v.conj()
-        a = _sqrt_factor(*np.linalg.eigh(x))
+        x = bipartite((v.T * rng.dirichlet(np.ones(3))) @ v.conj(), 2, 3)
+        a, b = self.factors(x)
         assert a.shape[1] == 3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cones._range_atoms(a, 2, 3) is None
-        assert separable_decompose(bipartite(x, 2, 3)).status is Status.IN  # by the ensemble
+            assert cones._range_atoms(a, b, 2, 3) is None
+        assert separable_decompose(x).status is Status.IN  # by the ensemble
 
-    @pytest.mark.parametrize("n, m", [(3, 3), (2, 4)])
-    def test_none_one_rank_past_the_bound(self, rotations, n, m):
-        state, _ = random_separable_state(n, m, np.random.default_rng([n, m, 5]), terms=5)
-        a = _sqrt_factor(*np.linalg.eigh(state.matrix))
-        assert a.shape[1] == 5
+    @pytest.fixture
+    def gated(self, monkeypatch):
+        """Counts the ensemble attempts and drops each at the gate, so a
+        state past the bound returns its first fit without the polish."""
+        count = [0]
+
+        def dropped(*args):
+            count[0] += 1
+            return None, None, np.inf
+
+        monkeypatch.setattr(cones, "_ensemble_rotate", dropped)
+        return count
+
+    @pytest.mark.parametrize("n, m, rank", [pytest.param(n, m, r, id=f"{n}-{m}")
+                                            for n, m, r in [(2, 3, 5), (2, 4, 6), (3, 3, 6)]])
+    def test_none_one_rank_past_the_bound(self, gated, n, m, rank):
+        state, _ = random_separable_state(n, m, np.random.default_rng([n, m, rank]), terms=rank)
+        a, b = self.factors(state)
+        assert a.shape[1] == b.shape[1] == rank
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cones._range_atoms(a, n, m) is None
-        separable_decompose(state)
-        assert rotations[0] >= 1
+            assert cones._range_atoms(a, b, n, m) is None
+        assert separable_decompose(state).status is Status.UNKNOWN
+        assert gated[0] == cones.ENSEMBLE_ATTEMPTS
 
     def test_tiles_state_stays_unknown(self):
         # its range holds no product vector
         state = tiles_state()
-        a = _sqrt_factor(*np.linalg.eigh(state.matrix))
+        a, b = self.factors(state)
         assert a.shape[1] == 4
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cones._range_atoms(a, 3, 3) is None
+            assert cones._range_atoms(a, b, 3, 3) is None
         verdict = separable_decompose(state)
         assert verdict.status is Status.UNKNOWN
         assert np.linalg.norm(verdict.certificate.reconstruct() - state.matrix) == pytest.approx(
