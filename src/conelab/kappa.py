@@ -294,7 +294,7 @@ def polytope_max_norm(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> floa
     bound of the polytope pair to the max-norm picture.
     """
     mv = min_tensor(k1, k2).vertices
-    q = _affine_chart(mv, 0).T
+    q = _affine_chart(mv, 0)[0].T
     obj = q @ phi.flat
     constr = mv @ q.T
     a_ub = np.vstack([constr, -constr])

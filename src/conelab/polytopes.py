@@ -48,10 +48,11 @@ MAX_RAY_VERTICES = 12
 LP_BLOCKS = 24
 # Iterations of the bounds that screen the per-vertex LPs (_distance_bounds,
 # _relative_bounds).  Fewer only loosen the bounds, which costs LPs, never
-# correctness.
+# correctness.  The two relative bounds of an affine k-gon pair meet in 8
+# steps at k = 4 and 6 and in 23 at k = 5.
 FISTA_STEPS = 100
 FISTA_CHECK = 10
-IRLS_STEPS = 4
+IRLS_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -123,15 +124,16 @@ def affine_dimension(points) -> int:
     p = np.asarray(points.vertices if isinstance(points, Polytope) else points, dtype=float)
     if p.ndim != 2 or len(p) == 0:
         raise ValueError("need a nonempty point list")
-    return _affine_chart(p, p.mean(axis=0)).shape[1]
+    return _affine_chart(p, p.mean(axis=0))[0].shape[1]
 
 
-def _affine_chart(points: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Orthonormal direction basis (d, q) of aff(points), from the SVD of
-    points - anchor; singular values below 1e-9 * max count as zero."""
+def _affine_chart(points: np.ndarray, anchor: np.ndarray):
+    """Orthonormal direction basis (d, q) of aff(points) and the singular
+    values of points - anchor, from their SVD; singular values below
+    1e-9 * max count as zero."""
     _, s, vt = np.linalg.svd(points - anchor, full_matrices=False)
     q = int(np.sum(s > 1e-9 * s[0])) if len(s) and s[0] > 0 else 0
-    return vt[:q].T
+    return vt[:q].T, s
 
 
 def min_tensor(k1: Polytope, k2: Polytope) -> Polytope:
@@ -251,11 +253,12 @@ def _check_ray_input(k: Polytope) -> None:
 
 
 def _unit_chart(points: np.ndarray):
-    """(center, q, scale) of the unit chart of aff(points), u = (x - center)
-    @ q / scale with q from _affine_chart: centroid 0, max-abs coordinate 1."""
+    """(center, q, scale, s) of the unit chart of aff(points), u = (x - center)
+    @ q / scale with q and the singular values s from _affine_chart: centroid
+    0, max-abs coordinate 1."""
     center = points.mean(axis=0)
-    q = _affine_chart(points, center)
-    return center, q, np.max(np.abs((points - center) @ q), initial=0.0) or 1.0
+    q, s = _affine_chart(points, center)
+    return center, q, np.max(np.abs((points - center) @ q), initial=0.0) or 1.0, s
 
 
 def _chart_rays(k: Polytope):
@@ -267,7 +270,7 @@ def _chart_rays(k: Polytope):
     that coincide in the chart (a factor too thin to resolve) raise ValueError.
     """
     _check_ray_input(k)
-    center, q, scale = _unit_chart(k.vertices)
+    center, q, scale, _ = _unit_chart(k.vertices)
     u = (k.vertices - center) @ q / scale
     if len(u) > 1 and cKDTree(u).query_pairs(1e-9):
         raise ValueError("vertices coincide in the unit chart of the factor's affine hull")
@@ -286,7 +289,11 @@ def positive_ray_generators(k: Polytope) -> np.ndarray:
     coefficient 1 and lexicographically sorted.  The module constants bound
     the accepted input size.
     """
-    rays, into, _ = _chart_rays(k)
+    return _ambient_rays(*_chart_rays(k)[:2])
+
+
+def _ambient_rays(rays: np.ndarray, into: np.ndarray) -> np.ndarray:
+    """Chart rays pulled back through into, at max-abs coefficient 1, lexsorted."""
     full = rays @ into
     full /= np.max(np.abs(full), axis=1, keepdims=True)
     return _lexsorted(full)
@@ -329,8 +336,11 @@ def max_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> 
     within LP_TOL of the minimum and on the same side of -LP_TOL as it, so
     rounding in the rays does not move it among tied pairs.
     """
-    r1 = positive_ray_generators(k1)
-    r2 = positive_ray_generators(k2)
+    return _max_verdict(phi, positive_ray_generators(k1), positive_ray_generators(k2))
+
+
+def _max_verdict(phi: TensorFunctional, r1: np.ndarray, r2: np.ndarray) -> Verdict:
+    """max_tensor_membership's verdict on phi from the factors' rays r1, r2."""
     vals = r1 @ phi.matrix @ r2.T
     low = vals.min()
     inside = low >= -LP_TOL
@@ -474,47 +484,92 @@ def _distance_bounds(z: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     return bound
 
 
-def _relative_bounds(z: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Upper bounds (n,) on r(z), the relative_bound LP's value at each row of z.
+def _relative_bounds(z: np.ndarray, inner: np.ndarray):
+    """Certified bounds on r(z), the relative_bound LP's value at each row of
+    z: upper bounds (n,) and a lower bound on their maximum.
 
     r(z) = min sum(w-) over weights w with sum w = 1 and w.V = z, and
-    sum(w-) = (|w|_1 - 1) / 2 for such w; every iterate of IRLS (iteratively
-    reweighted least squares) for min |w|_1 is such a w, so its negative
-    mass bounds r(z).  r is affine invariant, so the iteration runs in the unit chart of
+    sum(w-) = (|w|_1 - 1) / 2 for such w.  IRLS (iteratively reweighted least
+    squares) for min |w|_1 s.t. A w = rhs gives both bounds.  Its iterates
+    are such w, so their negative mass bounds r(z) from above.  Its
+    multipliers nu = (A D A^T)^-1 rhs, scaled to |A^T nu|_inf = 1, are
+    feasible for the dual max rhs.nu s.t. |A^T nu|_inf <= 1 (Daubechies,
+    DeVore, Fornasier and Güntürk 2010), which is the same for every z, so
+    (rhs.nu - 1) / 2 bounds the largest r from below, as 0 does.  An outer
+    vertex that is an inner vertex has r = 0 and is not iterated.  A row
+    leaves the iteration once its upper bound is below (lower bound -
+    LP_TOL).  The iteration stops when the largest upper bound is within
+    1e-12 (relative) of the lower bound, when a system is singular, or, from
+    step 8, when the gap's rate over the last 4 steps would not close it by
+    step IRLS_STEPS.
+
+    r is affine invariant, so the iteration runs in the unit chart of
     aff(inner): centroid 0, max-abs coordinate 1.  Each iterate is put back
     on its constraints by least squares; a row whose residual stays above
-    1e-9 (in that chart) keeps the bound inf, hence gets an LP.  Raises
+    1e-9 (in that chart) keeps the bound inf, hence gets an LP.  So does
+    every row when the chart may have dropped a genuine direction (a
+    singular value of the centred inner vertices between 1e-13 and 1e-9 of
+    the largest), as it then poses fewer constraints than the LP.  Raises
     ValueError when a row of z lies off aff(inner): its residual off the
     chart's span exceeds 1e-9 * max(1, max|z|).
     """
-    center, q, scale = _unit_chart(inner)
+    center, q, scale, s = _unit_chart(inner)
     d = z - center
     off = np.linalg.norm(d - (d @ q) @ q.T, axis=1)
     if not np.all(off <= 1e-9 * max(1.0, float(np.max(np.abs(z))))):
         raise ValueError("affine hull of outer is not contained in that of inner")
+    bound, lower = np.full(len(z), np.inf), 0.0
+    top = np.max(s, initial=0.0)
+    if np.any((s > 1e-13 * top) & (s <= 1e-9 * top)):
+        return bound, lower
     a = np.vstack([((inner - center) @ q).T / scale, np.ones(len(inner))])  # (m, p)
-    rhs = np.hstack([d @ q / scale, np.ones((len(z), 1))])
     m = len(a)
     outer = np.einsum("ip,jp->pij", a, a).reshape(len(inner), m * m)  # a_p a_p^T per vertex
     pinv = np.linalg.pinv(a)
+    bound[cKDTree(inner).query(z)[0] == 0] = 0.0
+    active = np.flatnonzero(bound > 0)
+    rhs = np.hstack([d[active] @ q / scale, np.ones((len(active), 1))])
     tol = 1e-9 * np.maximum(1.0, np.abs(rhs).max(axis=1))
-    bound = np.full(len(z), np.inf)
-    w = rhs @ pinv.T  # least-norm start
-    for k in range(IRLS_STEPS + 1):
-        if k:  # w = D A^T (A D A^T)^-1 rhs, D = diag(|w| + 10^(1-k)), then back onto A w = rhs
-            d = np.abs(w) + 10.0 ** (1 - k)
-            w = d * (np.linalg.solve((d @ outer).reshape(-1, m, m), rhs[:, :, None])[:, :, 0] @ a)
-            w += (rhs - w @ a.T) @ pinv.T
+    w, gaps = rhs @ pinv.T, [np.inf]  # least-norm start
+    for k in range(1, IRLS_STEPS + 1):
+        # w = D A^T nu, nu = (A D A^T)^-1 rhs, D = diag(|w| + 10^(2-2k)), then back onto A w = rhs
+        d = np.abs(w) + 10.0 ** (2 - 2 * k)
+        try:
+            nu = np.linalg.solve((d @ outer).reshape(-1, m, m), rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            break
+        slope = nu @ a
+        dual = np.sum(rhs * nu, axis=1) / np.abs(slope).max(axis=1)
+        lower = max(lower, (np.max(dual, where=np.isfinite(dual), initial=1.0) - 1.0) / 2.0)
+        w = d * slope
+        w += (rhs - w @ a.T) @ pinv.T
         trusted = np.abs(w @ a.T - rhs).max(axis=1) <= tol
-        bound[trusted] = np.minimum(bound[trusted], np.maximum(-w[trusted], 0.0).sum(axis=1))
-    return bound
+        bound[active[trusted]] = np.minimum(bound[active[trusted]],
+                                            np.maximum(-w[trusted], 0.0).sum(axis=1))
+        gap = bound.max() - lower
+        if gap <= 1e-12 * lower:
+            break
+        # from step 8, the gap must shrink fast enough over the last 4 steps
+        # to close by step IRLS_STEPS
+        if 8 <= k < IRLS_STEPS and not (0.0 < lower and gap < gaps[-4] and np.log(
+                gap / (1e-12 * lower)) <= np.log(gaps[-4] / gap) * (IRLS_STEPS - k) / 4):
+            break
+        gaps.append(gap)
+        keep = bound[active] >= lower - LP_TOL
+        active, rhs, tol, w = active[keep], rhs[keep], tol[keep], w[keep]
+    return bound, lower
 
 
 # ---------------------------------------------------------------------------
 # maximal tensor polytope and the gap finder
 
 
-def max_tensor_polytope(k1: Polytope, k2: Polytope) -> Polytope:
+def _simplex_factor(k1: Polytope, k2: Polytope) -> bool:
+    """Whether k1 or k2 is a simplex, which makes the two products equal."""
+    return any(k.n_vertices == affine_dimension(k) + 1 for k in (k1, k2))
+
+
+def max_tensor_polytope(k1: Polytope, k2: Polytope, charts=None) -> Polytope:
     """Vertex enumeration of the maximal tensor product.
 
     In the factors' unit charts (_chart_rays), a functional is a matrix Phi
@@ -523,13 +578,14 @@ def max_tensor_polytope(k1: Polytope, k2: Polytope) -> Polytope:
     rays, scaled to Phi[-1, -1] = 1, are the vertices, mapped back through the
     charts.  When either factor is a simplex the two products are equal, so the
     minimal vertices are returned with no enumeration and no LP.  Vertices are
-    returned as flattened functionals in lexicographic order.
+    returned as flattened functionals in lexicographic order.  charts, when
+    given, are the factors' (_chart_rays(k1), _chart_rays(k2)).
     """
     _check_ray_input(k1)
     _check_ray_input(k2)
-    if any(k.n_vertices == affine_dimension(k) + 1 for k in (k1, k2)):
+    if _simplex_factor(k1, k2):
         return Polytope(_lexsorted(min_tensor(k1, k2).vertices))
-    (r1, _, back1), (r2, _, back2) = _chart_rays(k1), _chart_rays(k2)
+    (r1, _, back1), (r2, _, back2) = charts or (_chart_rays(k1), _chart_rays(k2))
     rays = double_description(np.einsum("ia,jb->ijab", r1, r2).reshape(len(r1) * len(r2), -1))
     if np.any(rays[:, -1] <= 1e-9):
         raise RuntimeError("maximal tensor polytope appears unbounded")
@@ -565,6 +621,12 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
     bound can reach the largest distance (_screened), and on none when every
     bound is <= LP_TOL.
     """
+    return _gap_among(mx, k1, k2, None)
+
+
+def _gap_among(mx: Polytope, k1: Polytope, k2: Polytope, charts) -> BarkerGap | None:
+    """gap_among, whose max-side certificate reads the rays from the factors'
+    _chart_rays, given in charts or enumerated here."""
     mv = min_tensor(k1, k2).vertices
     bounds = _distance_bounds(mx.vertices, mv)
     if bounds.max() <= LP_TOL:
@@ -575,13 +637,16 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
         return None
     i = np.argmax(dist >= dist.max() - LP_TOL)
     phi = functional_from_flat(mx.vertices[rows[i]], k1, k2)
-    return BarkerGap(phi, max_tensor_membership(phi, k1, k2),
+    charts = charts or (_chart_rays(k1), _chart_rays(k2))
+    return BarkerGap(phi, _max_verdict(phi, *(_ambient_rays(r, into) for r, into, _ in charts)),
                      _min_verdict(phi.flat, mv, dist[i], weights[i], normals[i]))
 
 
 def barker_gap(k1: Polytope, k2: Polytope) -> BarkerGap | None:
-    """gap_among on the maximal tensor polytope of k1 and k2, built here."""
-    return gap_among(max_tensor_polytope(k1, k2), k1, k2)
+    """gap_among on the maximal tensor polytope of k1 and k2, built here from
+    the factors' chart rays, which the max-side certificate reuses."""
+    charts = None if _simplex_factor(k1, k2) else (_chart_rays(k1), _chart_rays(k2))
+    return _gap_among(max_tensor_polytope(k1, k2, charts), k1, k2, charts)
 
 
 # ---------------------------------------------------------------------------
@@ -594,18 +659,26 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
     The bound is the maximum over the outer vertices z of an LP: z =
     (r+1)x - ry with x, y convex combinations of inner vertices becomes z =
     V^T(a - b), 1^T(a - b) = 1, a, b >= 0, minimizing r = 1^T b.  Every outer
-    vertex first gets an upper bound on its r (_relative_bounds); the LP,
-    solved in blocks by _block_lps, runs only on the vertices whose bound
-    can reach the maximum (_screened).  Errors when the affine hulls differ.
+    vertex first gets an upper bound on its r, and the maximum a lower bound
+    (_relative_bounds).  When the largest upper bound is within 1e-12
+    (relative) of the lower bound, it is returned and no LP runs.  Otherwise
+    the LP, solved in blocks by _block_lps, runs only on the vertices left
+    open, those whose bound is >= (lower bound - LP_TOL), and among them
+    only on those whose bound can reach the maximum (_screened).  Errors
+    when the affine hulls differ.
     """
     iv, p = inner.vertices, inner.n_vertices
+    upper, lower = _relative_bounds(outer.vertices, iv)
+    if upper.max() - lower <= 1e-12 * lower:
+        return max(0.0, float(upper.max()))
     c, ones = np.append(np.zeros(p), np.ones(p)), np.ones((1, p))
     b_eq = np.hstack([outer.vertices, np.ones((outer.n_vertices, 1))])
+    rows = np.flatnonzero(upper >= lower - LP_TOL)
 
-    def solve(rows):
-        x = _block_lps(c, np.zeros((0, 2 * p)), np.zeros((len(rows), 0)),
-                       np.block([[iv.T, -iv.T], [ones, -ones]]), b_eq[rows], "relative-bound")[0]
+    def solve(sub):
+        x = _block_lps(c, np.zeros((0, 2 * p)), np.zeros((len(sub), 0)),
+                       np.block([[iv.T, -iv.T], [ones, -ones]]), b_eq[rows[sub]], "relative-bound")[0]
         return (x @ c,)
 
-    _, (r,) = _screened(_relative_bounds(outer.vertices, iv), solve)
+    _, (r,) = _screened(upper[rows], solve)
     return max(0.0, float(np.max(r)))

@@ -914,7 +914,10 @@ class TestScreening:
         # functionals have entries near 1e6 and 1e8, that is the LP's error:
         # it reports r = 0.50000006 at +1e4, where the exact r is 1/2
         tol = 1e-7 if name[0] == "+" else 1e-12
-        assert np.all(_relative_bounds(mx.vertices, mn.vertices) >= relative_bound_lps(mn, mx) - tol)
+        upper, lower = _relative_bounds(mx.vertices, mn.vertices)
+        r = relative_bound_lps(mn, mx)
+        assert np.all(upper >= r - tol)
+        assert lower <= r.max() + tol
 
     @pytest.mark.parametrize("name", POLYGON_PAIRS + ["x1", "x8e-5", "x1e3"])
     def test_screened_matches_unscreened(self, name):
@@ -949,3 +952,66 @@ class TestScreening:
         calls[0] = 0
         assert relative_bound(mn, mx) == pytest.approx(0.5, abs=1e-9)
         assert calls[0] <= 2
+
+
+def mixed_pair(k1, k2, seed):
+    rng = np.random.default_rng([k1, k2, seed])
+    return affine_polygon(k1, rng), affine_polygon(k2, rng)
+
+
+class TestRelativeBoundWithoutLP:
+    """relative_bound returns the IRLS upper bound when it meets the dual
+    lower bound (_relative_bounds), and solves LPs only otherwise."""
+
+    @pytest.mark.parametrize("name", [f"{k}-gon/{seed}" for k in (4, 5, 6) for seed in (0, 1)])
+    def test_equal_k_pairs_solve_no_lp(self, name, calls):
+        k1, k2 = screening_pair(name)
+        mn, mx = min_tensor(k1, k2), max_tensor_polytope(k1, k2)
+        calls[0] = 0
+        r = relative_bound(mn, mx)
+        assert calls[0] == 0
+        assert r == pytest.approx(float(relative_bound_lps(mn, mx).max()), rel=1e-9)
+
+    @pytest.mark.parametrize("k1, k2", [(3, 6), (4, 5), (4, 6), (5, 6)])
+    def test_mixed_pairs_match_the_lps(self, k1, k2):
+        mn, mx = min_tensor(*mixed_pair(k1, k2, 0)), max_tensor_polytope(*mixed_pair(k1, k2, 0))
+        want = max(0.0, float(relative_bound_lps(mn, mx).max()))
+        assert relative_bound(mn, mx) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_simplex_factor_gives_exactly_zero(self, k, calls):
+        tri, other = mixed_pair(3, k, 1)
+        assert relative_bound(min_tensor(tri, other), max_tensor_polytope(tri, other)) == 0.0
+        assert calls[0] == 0
+
+    def test_inexact_chart_still_reaches_the_lp(self):
+        # three genuine directions of the minimal vertices have relative
+        # singular values near 1.2e-10, below the chart's 1e-9 cut, so the
+        # chart poses fewer constraints than the LP and bounds nothing; r is
+        # 1/2, and HiGHS fails on the LP in ambient coordinates
+        k = Polytope(square().vertices * 1e-3 + 1000)
+        mn, mx = min_tensor(k, k), max_tensor_polytope(k, k)
+        assert np.all(np.isinf(_relative_bounds(mx.vertices, mn.vertices)[0]))
+        with pytest.raises(ValueError, match="relative-bound LP failed"):
+            relative_bound(mn, mx)
+
+
+class TestSharedChartRays:
+    def test_barker_gap_enumerates_each_cone_once(self, monkeypatch):
+        k1, k2 = mixed_pair(5, 5, 0)
+        dd = [0]
+
+        def counted(a):
+            dd[0] += 1
+            return double_description(a)
+
+        def refused(k):
+            raise AssertionError("the chart rays were enumerated again")
+
+        monkeypatch.setattr(polytopes, "double_description", counted)
+        monkeypatch.setattr(polytopes, "positive_ray_generators", refused)
+        gap = barker_gap(k1, k2)
+        assert dd[0] == 3  # one per factor, one for the tensor cone
+        monkeypatch.undo()
+        want = gap_among(max_tensor_polytope(k1, k2), k1, k2)
+        assert json.dumps(to_json(gap)) == json.dumps(to_json(want))
