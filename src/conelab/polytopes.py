@@ -19,7 +19,7 @@ depend on the factors' affine coordinates and solve no LP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy import sparse
@@ -57,7 +57,9 @@ IRLS_STEPS = 30
 
 @dataclass(frozen=True)
 class Polytope:
-    """Compact convex set given by its (distinct) vertex list."""
+    """Compact convex set given by its (distinct) vertex list.  Its unit
+    chart and chart rays are computed on first use, kept read-only, and
+    shared by every call on it."""
 
     vertices: np.ndarray
 
@@ -82,6 +84,33 @@ class Polytope:
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def unit_chart(self):
+        """_unit_chart of the vertices: (center, q, scale, s)."""
+        center, q, scale, s = _unit_chart(self.vertices)
+        for a in (center, q, s):
+            a.setflags(write=False)
+        return center, q, scale, s
+
+    @cached_property
+    def chart_rays(self):
+        """Extreme rays (alpha, beta) of the positive affine functions u |->
+        alpha.u + beta in the unit chart, and the chart's homogeneous maps: into
+        takes [x; 1] to [u; 1], back takes [u; 1] to [x; 1] on the affine hull.
+        The rows (u_i, 1) end in 1, so e_last is interior to the cone, and every
+        ray, positive at the centroid u = 0, ends in a positive entry too.  A
+        polytope too large (_check_ray_input) or too thin to resolve (vertices
+        coincide in the chart) raises ValueError, and nothing is cached."""
+        _check_ray_input(self)
+        center, q, scale, _ = self.unit_chart
+        u = (self.vertices - center) @ q / scale
+        if len(u) > 1 and cKDTree(u).query_pairs(1e-9):
+            raise ValueError("vertices coincide in the unit chart of the factor's affine hull")
+        into = np.block([[q.T / scale, -(center @ q)[:, None] / scale], [np.zeros(len(center)), 1.0]])
+        back = np.block([[q * scale, center[:, None]], [np.zeros(q.shape[1]), 1.0]])
+        rays = double_description(np.hstack([u, np.ones((len(u), 1))]))
+        return _frozen_array(rays), _frozen_array(into), _frozen_array(back)
 
 
 @dataclass(frozen=True)
@@ -121,7 +150,9 @@ def square() -> Polytope:
 
 def affine_dimension(points) -> int:
     """Rank of the difference set; singular values below 1e-9 * max count as zero."""
-    p = np.asarray(points.vertices if isinstance(points, Polytope) else points, dtype=float)
+    if isinstance(points, Polytope):
+        return points.unit_chart[1].shape[1]
+    p = np.asarray(points, dtype=float)
     if p.ndim != 2 or len(p) == 0:
         raise ValueError("need a nonempty point list")
     return _affine_chart(p, p.mean(axis=0))[0].shape[1]
@@ -261,35 +292,17 @@ def _unit_chart(points: np.ndarray):
     return center, q, np.max(np.abs((points - center) @ q), initial=0.0) or 1.0, s
 
 
-def _chart_rays(k: Polytope):
-    """Extreme rays (alpha, beta) of the positive affine functions
-    u |-> alpha.u + beta on k in its unit chart, and the chart's homogeneous
-    maps: into takes [x; 1] to [u; 1], back takes [u; 1] to [x; 1] on aff(k).
-    The rows (u_i, 1) end in 1, so e_last is interior to the cone, and every
-    ray, positive at the centroid u = 0, ends in a positive entry too.  Vertices
-    that coincide in the chart (a factor too thin to resolve) raise ValueError.
-    """
-    _check_ray_input(k)
-    center, q, scale, _ = _unit_chart(k.vertices)
-    u = (k.vertices - center) @ q / scale
-    if len(u) > 1 and cKDTree(u).query_pairs(1e-9):
-        raise ValueError("vertices coincide in the unit chart of the factor's affine hull")
-    into = np.block([[q.T / scale, -(center @ q)[:, None] / scale], [np.zeros(len(center)), 1.0]])
-    back = np.block([[q * scale, center[:, None]], [np.zeros(q.shape[1]), 1.0]])
-    return double_description(np.hstack([u, np.ones((len(u), 1))])), into, back
-
-
 def positive_ray_generators(k: Polytope) -> np.ndarray:
     """Extreme rays of {(a, b) : a.v + b >= 0 for all vertices v}, one per
     row in coefficient coordinates (a, b) for x |-> a.x + b.
 
-    The rays are enumerated in the unit chart of aff(k) (_chart_rays),
-    where the cone of positive affine functions is pointed, and pulled back
-    to the ambient coordinates as representatives, normalized to max-abs
+    They are k.chart_rays, enumerated once per polytope in the unit chart of
+    aff(k), where the cone of positive affine functions is pointed, pulled
+    back to the ambient coordinates as representatives, normalized to max-abs
     coefficient 1 and lexicographically sorted.  The module constants bound
     the accepted input size.
     """
-    return _ambient_rays(*_chart_rays(k)[:2])
+    return _ambient_rays(*k.chart_rays[:2])
 
 
 def _ambient_rays(rays: np.ndarray, into: np.ndarray) -> np.ndarray:
@@ -564,28 +577,22 @@ def _relative_bounds(z: np.ndarray, inner: np.ndarray):
 # maximal tensor polytope and the gap finder
 
 
-def _simplex_factor(k1: Polytope, k2: Polytope) -> bool:
-    """Whether k1 or k2 is a simplex, which makes the two products equal."""
-    return any(k.n_vertices == affine_dimension(k) + 1 for k in (k1, k2))
-
-
-def max_tensor_polytope(k1: Polytope, k2: Polytope, charts=None) -> Polytope:
+def max_tensor_polytope(k1: Polytope, k2: Polytope) -> Polytope:
     """Vertex enumeration of the maximal tensor product.
 
-    In the factors' unit charts (_chart_rays), a functional is a matrix Phi
-    with Phi[-1, -1] = 1 and the maximal set is cut out by r^T Phi s >= 0 over
-    the chart rays.  Its cone has e_last interior, as r(0) s(0) > 0; its extreme
+    In the factors' unit charts, a functional is a matrix Phi with Phi[-1, -1]
+    = 1 and the maximal set is cut out by r^T Phi s >= 0 over the factors'
+    chart_rays.  Its cone has e_last interior, as r(0) s(0) > 0; its extreme
     rays, scaled to Phi[-1, -1] = 1, are the vertices, mapped back through the
-    charts.  When either factor is a simplex the two products are equal, so the
-    minimal vertices are returned with no enumeration and no LP.  Vertices are
-    returned as flattened functionals in lexicographic order.  charts, when
-    given, are the factors' (_chart_rays(k1), _chart_rays(k2)).
+    charts.  When either factor is a simplex the two products are equal, so
+    the minimal vertices are returned with no enumeration and no LP.
+    Vertices are returned as flattened functionals in lexicographic order.
     """
     _check_ray_input(k1)
     _check_ray_input(k2)
-    if _simplex_factor(k1, k2):
+    if any(k.n_vertices == affine_dimension(k) + 1 for k in (k1, k2)):
         return Polytope(_lexsorted(min_tensor(k1, k2).vertices))
-    (r1, _, back1), (r2, _, back2) = charts or (_chart_rays(k1), _chart_rays(k2))
+    (r1, _, back1), (r2, _, back2) = k1.chart_rays, k2.chart_rays
     rays = double_description(np.einsum("ia,jb->ijab", r1, r2).reshape(len(r1) * len(r2), -1))
     if np.any(rays[:, -1] <= 1e-9):
         raise RuntimeError("maximal tensor polytope appears unbounded")
@@ -613,20 +620,15 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
     The LP distance to the minimal polytope is convex, so its maximum over
     mx is attained at a vertex: take the first vertex whose distance is
     within LP_TOL of the largest (so rounding noise among tied vertices
-    cannot pick one) and return it with both certificates, the min-side one
-    from its row of the batched distance LPs, or None when every vertex
-    lies in the minimal polytope (which proves the two sets are equal).
-    Every vertex first gets an upper bound on its distance
+    cannot pick one) and return it with both certificates, or None when
+    every vertex lies in the minimal polytope (which proves the two sets are
+    equal).  Every vertex first gets an upper bound on its distance
     (_distance_bounds); the distance LP runs only on the vertices whose
     bound can reach the largest distance (_screened), and on none when every
-    bound is <= LP_TOL.
+    bound is <= LP_TOL.  The min-side certificate is the gap vertex's row of
+    those LPs; the max-side one reads the factors' chart_rays, which
+    max_tensor_polytope(k1, k2) has already enumerated.
     """
-    return _gap_among(mx, k1, k2, None)
-
-
-def _gap_among(mx: Polytope, k1: Polytope, k2: Polytope, charts) -> BarkerGap | None:
-    """gap_among, whose max-side certificate reads the rays from the factors'
-    _chart_rays, given in charts or enumerated here."""
     mv = min_tensor(k1, k2).vertices
     bounds = _distance_bounds(mx.vertices, mv)
     if bounds.max() <= LP_TOL:
@@ -637,16 +639,13 @@ def _gap_among(mx: Polytope, k1: Polytope, k2: Polytope, charts) -> BarkerGap | 
         return None
     i = np.argmax(dist >= dist.max() - LP_TOL)
     phi = functional_from_flat(mx.vertices[rows[i]], k1, k2)
-    charts = charts or (_chart_rays(k1), _chart_rays(k2))
-    return BarkerGap(phi, _max_verdict(phi, *(_ambient_rays(r, into) for r, into, _ in charts)),
+    return BarkerGap(phi, _max_verdict(phi, *(_ambient_rays(*k.chart_rays[:2]) for k in (k1, k2))),
                      _min_verdict(phi.flat, mv, dist[i], weights[i], normals[i]))
 
 
 def barker_gap(k1: Polytope, k2: Polytope) -> BarkerGap | None:
-    """gap_among on the maximal tensor polytope of k1 and k2, built here from
-    the factors' chart rays, which the max-side certificate reuses."""
-    charts = None if _simplex_factor(k1, k2) else (_chart_rays(k1), _chart_rays(k2))
-    return _gap_among(max_tensor_polytope(k1, k2, charts), k1, k2, charts)
+    """gap_among on the maximal tensor polytope of k1 and k2."""
+    return gap_among(max_tensor_polytope(k1, k2), k1, k2)
 
 
 # ---------------------------------------------------------------------------

@@ -359,19 +359,32 @@ class TestPolytopeCommands:
         assert barker["inputs"] == tensor["inputs"]
         assert barker["results"] == tensor["results"]
 
-    def test_tensor_builds_each_polytope_once(self, capsys, monkeypatch, square_file):
+    @staticmethod
+    def count_tensor_calls(capsys, monkeypatch, argv):
         calls = Counter()
-        for name in ("max_tensor_polytope", "positive_ray_generators"):
+        for name in ("max_tensor_polytope", "positive_ray_generators", "double_description"):
             def counted(*args, _fn=getattr(polytopes, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(polytopes, name, counted)
-        code, _ = run_json(capsys, ["polytope", "tensor", "--k1", square_file, "--k2",
-                                    square_file, "--gap", "--relative-bound"])
+        code, _ = run_json(capsys, argv)
         assert code == 0
+        return calls
+
+    def test_tensor_builds_each_polytope_once(self, capsys, monkeypatch, square_file):
+        calls = self.count_tensor_calls(capsys, monkeypatch, [
+            "polytope", "tensor", "--k1", square_file, "--k2", square_file, "--gap", "--relative-bound"])
         assert calls["max_tensor_polytope"] == 1
         assert calls["positive_ray_generators"] <= 4
+        # one enumeration per factor's chart rays, one for the tensor cone
+        assert calls["double_description"] == 3
+
+    def test_barker_enumerates_each_cone_once(self, capsys, monkeypatch, square_file):
+        calls = self.count_tensor_calls(capsys, monkeypatch,
+                                        ["barker", "--k1", square_file, "--k2", square_file])
+        assert calls["max_tensor_polytope"] == 1
+        assert calls["double_description"] == 3
 
     @pytest.mark.parametrize("command", [["polytope", "tensor", "--gap"], ["barker"]],
                              ids=["tensor-gap", "barker"])

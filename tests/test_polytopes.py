@@ -1,6 +1,9 @@
+import importlib.util
 import itertools
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1015,3 +1018,61 @@ class TestSharedChartRays:
         monkeypatch.undo()
         want = gap_among(max_tensor_polytope(k1, k2), k1, k2)
         assert json.dumps(to_json(gap)) == json.dumps(to_json(want))
+
+    def test_a_second_barker_gap_enumerates_only_the_tensor_cone(self, monkeypatch):
+        k1, k2 = mixed_pair(5, 5, 0)
+        first = json.dumps(to_json(barker_gap(k1, k2)))
+        dd = [0]
+
+        def counted(a):
+            dd[0] += 1
+            return double_description(a)
+
+        monkeypatch.setattr(polytopes, "double_description", counted)
+        second = json.dumps(to_json(barker_gap(k1, k2)))
+        assert dd[0] == 1  # the factors' chart rays are kept on k1 and k2
+        fresh = json.dumps(to_json(barker_gap(Polytope(k1.vertices.copy()), Polytope(k2.vertices.copy()))))
+        assert second == first == fresh
+
+    @pytest.mark.parametrize("name", ["13-gon", "thin"])
+    def test_a_refused_factor_is_refused_again(self, name):
+        # the 13-gon exceeds MAX_RAY_VERTICES; the square scaled by
+        # (1e-6, 1e6) has vertices that coincide in its unit chart
+        k, match = {"13-gon": (regular_polygon(13), "vertex count 13 exceeds"),
+                    "thin": (Polytope(square().vertices * [1e-6, 1e6]), "coincide in the unit chart")}[name]
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                positive_ray_generators(k)
+            with pytest.raises(ValueError, match=match):
+                barker_gap(k, square())
+        assert "chart_rays" not in vars(k)
+
+    def test_kept_arrays_are_read_only(self):
+        k = regular_polygon(5)
+        center, q, _, s = k.unit_chart
+        for a in (center, q, s, *k.chart_rays):
+            assert not a.flags.writeable
+
+    def test_affine_dimension_reads_the_unit_chart(self):
+        squares = [screening_pair(name)[0] for name in ("x1e3", "x8e-5", "x1e6", "+100", "+1000", "+1e4")]
+        squares.append(Polytope(square().vertices * 1e-3 + 1000))
+        factors = perfbench_polygons() + squares
+        for k in factors + [min_tensor(k, k) for k in factors]:
+            assert affine_dimension(k) == affine_dimension(k.vertices)
+
+
+def perfbench_polygons():
+    """The factors of perfbench's tensor-gap workload at seeds 0 and 1000."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
+    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(gen)
+    factors = []
+    for seed in (0, 1000):
+        for k in (4, 5, 6):
+            r = np.random.default_rng([seed, 200 + k])
+            factors += [gen.polygon(k, r), gen.polygon(k, r)]
+        for k in (5, 6):
+            r = np.random.default_rng([seed, 210 + k])
+            factors += [gen.polygon(3, r), gen.polygon(k, r)]
+    return factors
