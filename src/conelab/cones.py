@@ -277,18 +277,18 @@ def _leading_pairs(rows: np.ndarray, n: int, m: int):
     return u[:, :, 0], vt[:, 0]
 
 
-def _ppt_distance(x: BipartiteOperator) -> float:
+def _ppt_distance(lam: np.ndarray) -> float:
     """Lower bound max(N - slack, 0) on ||X - Y||_F over separable Y, with
     N = ||(X^Gamma)_-||_F the Frobenius norm of the negative part of the
-    right partial transpose (the proof is in ``separable_decompose``).
+    right partial transpose, read from its eigenvalues ``lam`` (the proof is
+    in ``separable_decompose``).
 
-    The slack, 1e-8 * dim, covers rounding: ``eigvalsh`` is backward stable,
-    and on a state N and a fit's residual round by O(dim^1.5 eps), far below
-    the slack.  On a separable state X^Gamma is PSD, N is rounding noise and
-    the bound is exactly 0.
+    The slack, 1e-8 * dim, covers rounding: ``eigh`` and ``eigvalsh`` are
+    backward stable, and on a state N and a fit's residual round by
+    O(dim^1.5 eps), far below the slack.  On a separable state X^Gamma is
+    PSD, N is rounding noise and the bound is exactly 0.
     """
-    lam = np.linalg.eigvalsh(partial_transpose(x, "right").matrix)
-    return max(float(np.linalg.norm(np.minimum(lam, 0.0))) - 1e-8 * x.dim, 0.0)
+    return max(float(np.linalg.norm(np.minimum(lam, 0.0))) - 1e-8 * len(lam), 0.0)
 
 
 _SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))  # sigma_y (x) sigma_y, real
@@ -557,15 +557,18 @@ def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
     a = _sqrt_factor(lam, vec)
     rank = a.shape[1]
 
+    lam_pt = None  # the spectrum of X^Gamma, which the Wootters atoms do not read
     if (n, m) == (2, 2) and rank == 4:
         fit = _wootters_atoms(a)
     else:
-        b = _sqrt_factor(*np.linalg.eigh(partial_transpose(x, "right").matrix))
-        fit = _range_atoms(a, b, n, m)
+        lam_pt, vec_pt = np.linalg.eigh(partial_transpose(x, "right").matrix)
+        fit = _range_atoms(a, _sqrt_factor(lam_pt, vec_pt), n, m)
     left, right = _leading_pairs(a.T, n, m) if fit is None else fit
     weights, residual = _fit_state(left, right, x.matrix)
     best = (residual, left, right, weights)
-    if residual >= RESIDUAL_TOL and _ppt_distance(x) < RESIDUAL_TOL:
+    if residual >= RESIDUAL_TOL and lam_pt is None:
+        lam_pt = np.linalg.eigvalsh(partial_transpose(x, "right").matrix)
+    if residual >= RESIDUAL_TOL and _ppt_distance(lam_pt) < RESIDUAL_TOL:
         for attempt in range(ENSEMBLE_ATTEMPTS):
             k = 2 * rank + 2 + 2 * attempt
             left, right, err = _ensemble_rotate(a, n, m, k, seed * 131 + attempt + 1)

@@ -40,12 +40,13 @@ DD_TOL = 1e-10
 DD_BLOCK = 1 << 16
 MAX_RAY_AMBIENT_DIM = 4
 MAX_RAY_VERTICES = 12
-# LP copies per HiGHS call in _block_lps, and the size of the first round of
-# _screened.  HiGHS's memory grows faster than the block count: when every
-# maximal vertex still got an LP, tensor-gap (seed 0) gave batch_s
-# 0.81/0.72/0.69/0.65 s at peak RSS 89.1/90.5/92.5/94.3 MB for 16/24/32/48
-# blocks, against 88.1 MB unbatched; 24 was the fastest within +5% of that.
-LP_BLOCKS = 24
+# LP copies per HiGHS call in _block_lps; _distance_bounds stops once this
+# many rows are open.  tensor-gap's open distance LPs are 8/24/32 rows at
+# seed 0 and 8/27/34 at seed 1000, so from 34 up each pair takes one call
+# (36 leaves two rows of room).  At 24 the seed-1000 pass makes two more and
+# its batch_s read 0.092 s against 0.087 s; 36 costs about 2 MB of peak RSS
+# (90.5 against 88.2 MB; medians of 6 pairs, one BLAS thread, 2 vCPUs).
+LP_BLOCKS = 36
 # Iterations of the bounds that screen the per-vertex LPs (_distance_bounds,
 # _relative_bounds).  Fewer only loosen the bounds, which costs LPs, never
 # correctness.  The two relative bounds of an affine k-gon pair meet in 8
@@ -425,29 +426,7 @@ def min_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> 
 
 
 # ---------------------------------------------------------------------------
-# certified upper bounds that screen the per-vertex LPs
-
-
-def _screened(bounds: np.ndarray, solve):
-    """Solve only the rows whose exact value can reach the maximum.
-
-    solve(rows) returns a tuple of arrays, one row per entry of rows, whose
-    first array holds the exact values, each at most bounds[row].  The
-    LP_BLOCKS rows with the largest bounds are solved first; then every
-    other row whose bound is >= (best value so far - LP_TOL).  A skipped row
-    has value <= bound < best - LP_TOL, so it is neither the maximum nor
-    within LP_TOL of it.  Returns the solved rows in increasing order and
-    solve's arrays in that order.
-    """
-    order = np.argsort(-bounds, kind="stable")
-    first, rest = np.sort(order[:LP_BLOCKS]), np.sort(order[LP_BLOCKS:])
-    out = solve(first)
-    rest = rest[bounds[rest] >= out[0].max() - LP_TOL]
-    rows = np.concatenate([first, rest])
-    if len(rest):
-        out = tuple(np.concatenate(pair) for pair in zip(out, solve(rest)))
-    keep = np.argsort(rows)
-    return rows[keep], tuple(a[keep] for a in out)
+# certified bounds that screen the per-vertex LPs
 
 
 def _simplex_projection(y: np.ndarray) -> np.ndarray:
@@ -460,18 +439,20 @@ def _simplex_projection(y: np.ndarray) -> np.ndarray:
     return np.maximum(y - theta[:, None], 0.0)
 
 
-def _distance_bounds(z: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Upper bounds (n,) on the inf-norm distance from each row of z to the
-    convex hull of the vertices, the value of _min_distance_lp.
+def _distance_bounds(z: np.ndarray, vertices: np.ndarray):
+    """Certified bounds on the inf-norm distance from each row of z to the
+    convex hull of the vertices, the value of _min_distance_lp: upper bounds
+    (n,) and a lower bound on their maximum.
 
-    Each bound is the inf-norm distance to a point of the hull: the nearest
-    vertex, or an iterate of FISTA (Beck and Teboulle 2009) on the Euclidean
-    distance over the simplex weights, whichever is nearer.  Every
-    FISTA_CHECK steps, a row leaves the iteration once its bound is <= LP_TOL
-    or below (the largest dual lower bound - LP_TOL), where _screened skips
-    it whatever its bound; the dual bound of an iterate x is y.z - max_p y.V_p
-    with y = (z - x) / |z - x|_1.  The iteration stops once at most LP_BLOCKS
-    rows are left, since those are the first ones _screened solves.
+    Each upper bound is the inf-norm distance to a point of the hull: the
+    nearest vertex, or an iterate of FISTA (Beck and Teboulle 2009) on the
+    Euclidean distance over the simplex weights, whichever is nearer.  The
+    lower bound is the largest dual bound of an iterate x, y.z - max_p y.V_p
+    with y = (z - x) / |z - x|_1, or 0.  Every FISTA_CHECK steps, a row
+    leaves the iteration once its upper bound is <= LP_TOL or below (lower
+    bound - LP_TOL): it is then closed whatever its bound.  The iteration
+    stops once at most LP_BLOCKS rows are left open, as they fit one HiGHS
+    call.
     """
     center = vertices.mean(axis=0)  # the weights sum to 1, so centring is exact
     v, z = vertices - center, z - center
@@ -494,7 +475,7 @@ def _distance_bounds(z: np.ndarray, vertices: np.ndarray) -> np.ndarray:
             lower = max(lower, float(np.max(np.sum(normal * za, axis=1) - np.max(normal @ v.T, axis=1))))
             keep = (bound[active] > LP_TOL) & (bound[active] >= lower - LP_TOL)
             active, za, y, prev = active[keep], za[keep], y[keep], prev[keep]
-    return bound
+    return bound, lower
 
 
 def _relative_bounds(z: np.ndarray, inner: np.ndarray):
@@ -622,19 +603,22 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
     within LP_TOL of the largest (so rounding noise among tied vertices
     cannot pick one) and return it with both certificates, or None when
     every vertex lies in the minimal polytope (which proves the two sets are
-    equal).  Every vertex first gets an upper bound on its distance
-    (_distance_bounds); the distance LP runs only on the vertices whose
-    bound can reach the largest distance (_screened), and on none when every
-    bound is <= LP_TOL.  The min-side certificate is the gap vertex's row of
-    those LPs; the max-side one reads the factors' chart_rays, which
-    max_tensor_polytope(k1, k2) has already enumerated.
+    equal).  Every vertex first gets an upper bound on its distance, and the
+    largest distance a lower bound (_distance_bounds).  The distance LPs run
+    in one _block_lps call on the vertices left open, those whose upper bound
+    is > LP_TOL and >= (lower bound - LP_TOL), and on none when no vertex is
+    open: a closed vertex's distance is <= LP_TOL or more than LP_TOL below
+    the largest, so it is neither the gap vertex nor tied with it.  The
+    min-side certificate is the gap vertex's row of those LPs; the max-side
+    one reads the factors' chart_rays, which max_tensor_polytope(k1, k2) has
+    already enumerated.
     """
     mv = min_tensor(k1, k2).vertices
-    bounds = _distance_bounds(mx.vertices, mv)
-    if bounds.max() <= LP_TOL:
+    upper, lower = _distance_bounds(mx.vertices, mv)
+    rows = np.flatnonzero((upper > LP_TOL) & (upper >= lower - LP_TOL))
+    if not len(rows):
         return None
-    rows, (dist, weights, normals) = _screened(
-        bounds, lambda r: _min_distance_lp(mx.vertices[r], mv))
+    dist, weights, normals = _min_distance_lp(mx.vertices[rows], mv)
     if dist.max() <= LP_TOL:
         return None
     i = np.argmax(dist >= dist.max() - LP_TOL)
@@ -661,23 +645,16 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
     vertex first gets an upper bound on its r, and the maximum a lower bound
     (_relative_bounds).  When the largest upper bound is within 1e-12
     (relative) of the lower bound, it is returned and no LP runs.  Otherwise
-    the LP, solved in blocks by _block_lps, runs only on the vertices left
-    open, those whose bound is >= (lower bound - LP_TOL), and among them
-    only on those whose bound can reach the maximum (_screened).  Errors
-    when the affine hulls differ.
+    the LP runs in one _block_lps call on the vertices left open, those
+    whose upper bound is >= (lower bound - LP_TOL); a closed vertex's r is
+    more than LP_TOL below the maximum.  Errors when the affine hulls differ.
     """
     iv, p = inner.vertices, inner.n_vertices
     upper, lower = _relative_bounds(outer.vertices, iv)
     if upper.max() - lower <= 1e-12 * lower:
         return max(0.0, float(upper.max()))
     c, ones = np.append(np.zeros(p), np.ones(p)), np.ones((1, p))
-    b_eq = np.hstack([outer.vertices, np.ones((outer.n_vertices, 1))])
-    rows = np.flatnonzero(upper >= lower - LP_TOL)
-
-    def solve(sub):
-        x = _block_lps(c, np.zeros((0, 2 * p)), np.zeros((len(sub), 0)),
-                       np.block([[iv.T, -iv.T], [ones, -ones]]), b_eq[rows[sub]], "relative-bound")[0]
-        return (x @ c,)
-
-    _, (r,) = _screened(upper[rows], solve)
-    return max(0.0, float(np.max(r)))
+    b_eq = np.hstack([outer.vertices, np.ones((outer.n_vertices, 1))])[upper >= lower - LP_TOL]
+    x = _block_lps(c, np.zeros((0, 2 * p)), np.zeros((len(b_eq), 0)),
+                   np.block([[iv.T, -iv.T], [ones, -ones]]), b_eq, "relative-bound")[0]
+    return max(0.0, float(np.max(x @ c)))

@@ -579,6 +579,11 @@ def noisy_entangled(n, m, noise, rng=None):
     return bipartite((1 - noise) * np.outer(psi, psi) + noise * sigma, n, m)
 
 
+def ppt_floor(state):
+    """``_ppt_distance`` of a state, from the spectrum of its partial transpose."""
+    return _ppt_distance(np.linalg.eigvalsh(partial_transpose(state, "right").matrix))
+
+
 class TestRotationFloor:
     """The floor ``_ppt_distance`` puts under every separable fit, and the
     screen that skips the ensemble phase when the floor reaches
@@ -595,14 +600,14 @@ class TestRotationFloor:
         state = noisy_entangled(n, m, noise, rng)
         v = kron_rows(random_unit_rows(atoms, n, rng), random_unit_rows(atoms, m, rng))
         y = (v.T * (trace * rng.dirichlet(np.ones(atoms)))) @ v.conj()
-        assert np.linalg.norm(state.matrix - y) >= _ppt_distance(state)
+        assert np.linalg.norm(state.matrix - y) >= ppt_floor(state)
 
     @settings(max_examples=60, deadline=None)
     @given(size=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]),
            terms=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
     def test_floor_is_zero_on_separable_states(self, size, terms, seed):
         state, _ = random_separable_state(*size, np.random.default_rng(seed), terms=terms)
-        assert _ppt_distance(state) == 0.0
+        assert ppt_floor(state) == 0.0
 
     @pytest.fixture
     def rotations(self, monkeypatch):
@@ -637,12 +642,12 @@ class TestRotationFloor:
     ], ids=["3x3 noise 0.2", "2x3 mixture", "h/2", "2x2 noise 0.6", "separable 2x2"])
     def test_screen_leaves_every_certificate_unchanged(self, monkeypatch, state, identical):
         screened = separable_decompose(state)
-        monkeypatch.setattr(cones, "_ppt_distance", lambda x: 0.0)
+        monkeypatch.setattr(cones, "_ppt_distance", lambda lam: 0.0)
         unscreened = separable_decompose(state)
         assert screened.status is unscreened.status
         a, b = screened.certificate, unscreened.certificate
         if not identical:
-            assert min(a.residual, b.residual) >= _ppt_distance(state)
+            assert min(a.residual, b.residual) >= ppt_floor(state)
             return
         assert np.float64(a.residual).tobytes() == np.float64(b.residual).tobytes()
         assert a.weights.tobytes() == b.weights.tobytes()
@@ -662,6 +667,17 @@ class TestRotationFloor:
         assert np.linalg.norm(cert.reconstruct() - state.matrix) == pytest.approx(
             cert.residual, abs=1e-12
         )
+
+    def test_screen_reads_the_range_atoms_spectrum(self, monkeypatch):
+        count = [0]
+
+        def counted(*args):
+            count[0] += 1
+            return partial_transpose(*args)
+
+        monkeypatch.setattr(cones, "partial_transpose", counted)
+        assert separable_decompose(noisy_entangled(3, 3, 0.2)).status is Status.UNKNOWN
+        assert count[0] == 1
 
 
 class TestFirstFit:
@@ -711,7 +727,7 @@ class TestWootters:
             assert len(v.certificate.weights) == 4
             assert v.certificate.residual <= 1e-10
             assert rotations[0] == before
-        if _ppt_distance(state) >= RESIDUAL_TOL:
+        if ppt_floor(state) >= RESIDUAL_TOL:
             assert v.status is not Status.IN
 
     @staticmethod

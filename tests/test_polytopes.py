@@ -21,7 +21,6 @@ from conelab.polytopes import (
     _distance_bounds,
     _min_distance_lp,
     _relative_bounds,
-    _screened,
     affine_dimension,
     barker_gap,
     double_description,
@@ -859,8 +858,12 @@ def relative_bound_lps(inner, outer):
 
 
 def screening_pair(name):
-    """Factor pairs: seeded affine k-gons "k-gon/seed", or the unit square
-    scaled ("x1", "x8e-5", "x1e3") or shifted ("+1000", "+1e4")."""
+    """Factor pairs: seeded affine k-gons "k-gon/seed", perfbench's
+    tensor-gap pairs "perfbench/seed/k1xk2", or the unit square scaled
+    ("x1", "x8e-5", "x1e3") or shifted ("+1000", "+1e4")."""
+    if name.startswith("perfbench/"):
+        i = PERFBENCH_PAIRS.index(name)
+        return tuple(perfbench_polygons()[2 * i:2 * i + 2])
     if "gon/" in name:
         k, seed = int(name[0]), int(name.split("/")[1])
         rng = np.random.default_rng([k, seed])
@@ -871,48 +874,25 @@ def screening_pair(name):
 
 
 POLYGON_PAIRS = [f"{k}-gon/{seed}" for k in (3, 4, 5, 6) for seed in (0, 1)]
+# in perfbench_polygons' order: k-gon x k-gon for k = 4, 5, 6, then triangle
+# x 5-gon and triangle x 6-gon, at seed 0 and then 1000
+PERFBENCH_PAIRS = [f"perfbench/{seed}/{pair}" for seed in (0, 1000)
+                   for pair in ("4x4", "5x5", "6x6", "3x5", "3x6")]
 
 
 class TestScreening:
     """The LP screen of gap_among and relative_bound: certified upper bounds
-    decide which maximal vertices get an LP, without changing the answer."""
-
-    def test_screen_solves_every_row_that_can_reach_the_max(self):
-        n = LP_BLOCKS + 6
-        bounds = np.r_[np.full(LP_BLOCKS, 3.0), 0.5, 1.0 - LP_TOL / 2, 0.2, 2.5, 1.0 - 2 * LP_TOL, 0.9]
-        values = np.r_[np.full(LP_BLOCKS, 1.0), 0.5, 1.0 - LP_TOL / 2, 0.1, 2.0, 1.0 - 2 * LP_TOL, 0.9]
-        batches = []
-
-        def solve(rows):
-            batches.append(rows.tolist())
-            return values[rows], 10 * rows
-
-        rows, (vals, tags) = _screened(bounds, solve)
-        # round 1: the LP_BLOCKS largest bounds (best 1.0); round 2: every
-        # other bound >= 1.0 - LP_TOL, which finds the maximum 2.0
-        assert batches == [list(range(LP_BLOCKS)), [LP_BLOCKS + 1, LP_BLOCKS + 3]]
-        assert rows.tolist() == list(range(LP_BLOCKS)) + [LP_BLOCKS + 1, LP_BLOCKS + 3]
-        assert np.array_equal(vals, values[rows]) and np.array_equal(tags, 10 * rows)
-        assert n - len(rows) == 4
-
-    def test_screen_makes_no_empty_call(self):
-        batches = []
-
-        def solve(rows):
-            batches.append(len(rows))
-            return (np.ones(len(rows)),)
-
-        _screened(np.ones(3), solve)
-        _screened(np.r_[np.ones(LP_BLOCKS), np.zeros(5)], solve)
-        assert batches == [3, LP_BLOCKS]
+    and a lower bound on their maximum decide which maximal vertices get an
+    LP, without changing the answer."""
 
     @pytest.mark.parametrize("name", POLYGON_PAIRS + ["x8e-5", "x1e3", "+1000", "+1e4"])
     def test_bounds_are_upper_bounds(self, name):
         k1, k2 = screening_pair(name)
         mx, mn = max_tensor_polytope(k1, k2), min_tensor(k1, k2)
         dist = _min_distance_lp(mx.vertices, mn.vertices)[0]
-        bounds = _distance_bounds(mx.vertices, mn.vertices)
+        bounds, lower = _distance_bounds(mx.vertices, mn.vertices)
         assert np.all(bounds >= dist - 1e-12 * max(1.0, dist.max()))
+        assert lower <= dist.max() + 1e-12 * max(1.0, dist.max())
         # HiGHS meets its constraints to 1e-7; on the shifted squares, whose
         # functionals have entries near 1e6 and 1e8, that is the LP's error:
         # it reports r = 0.50000006 at +1e4, where the exact r is 1/2
@@ -922,7 +902,7 @@ class TestScreening:
         assert np.all(upper >= r - tol)
         assert lower <= r.max() + tol
 
-    @pytest.mark.parametrize("name", POLYGON_PAIRS + ["x1", "x8e-5", "x1e3"])
+    @pytest.mark.parametrize("name", POLYGON_PAIRS + ["x1", "x8e-5", "x1e3"] + PERFBENCH_PAIRS)
     def test_screened_matches_unscreened(self, name):
         k1, k2 = screening_pair(name)
         mx, mn = max_tensor_polytope(k1, k2), min_tensor(k1, k2)
@@ -947,11 +927,24 @@ class TestScreening:
         assert gap_among(mx, tri, other) is None
         assert calls[0] == 0
 
+    def test_square_gap_solves_only_its_open_vertices(self, monkeypatch):
+        # 16 of the 24 maximal vertices are product vertices, at distance 0
+        k = square()
+        mx, copies = max_tensor_polytope(k, k), []
+
+        def counted(*args, **kwargs):
+            copies.append(len(kwargs["b_eq"]))  # one equality row per distance LP
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(polytopes, "linprog", counted)
+        assert gap_among(mx, k, k).margin == pytest.approx(1 / 12, abs=1e-12)
+        assert copies == [8]
+
     def test_hexagon_relative_bound_in_two_lp_calls(self, calls):
         rng = np.random.default_rng(6)
         k1, k2 = affine_polygon(6, rng), affine_polygon(6, rng)
         mn, mx = min_tensor(k1, k2), max_tensor_polytope(k1, k2)
-        assert mx.n_vertices == 552  # 23 LP calls of LP_BLOCKS without the screen
+        assert mx.n_vertices == 552  # 16 LP calls of LP_BLOCKS without the screen
         calls[0] = 0
         assert relative_bound(mn, mx) == pytest.approx(0.5, abs=1e-9)
         assert calls[0] <= 2
