@@ -88,8 +88,12 @@ class Polytope:
 
     @cached_property
     def unit_chart(self):
-        """_unit_chart of the vertices: (center, q, scale, s)."""
-        center, q, scale, s = _unit_chart(self.vertices)
+        """(center, q, scale, s) of the unit chart u = (x - center) @ q / scale
+        of aff(vertices), centroid 0 and max-abs coordinate 1, with q and the
+        singular values s from _affine_chart."""
+        center = self.vertices.mean(axis=0)
+        q, s = _affine_chart(self.vertices, center)
+        scale = np.max(np.abs((self.vertices - center) @ q), initial=0.0) or 1.0
         for a in (center, q, s):
             a.setflags(write=False)
         return center, q, scale, s
@@ -284,30 +288,17 @@ def _check_ray_input(k: Polytope) -> None:
             raise ValueError(f"{what} {size} exceeds the supported {cap}")
 
 
-def _unit_chart(points: np.ndarray):
-    """(center, q, scale, s) of the unit chart of aff(points), u = (x - center)
-    @ q / scale with q and the singular values s from _affine_chart: centroid
-    0, max-abs coordinate 1."""
-    center = points.mean(axis=0)
-    q, s = _affine_chart(points, center)
-    return center, q, np.max(np.abs((points - center) @ q), initial=0.0) or 1.0, s
-
-
 def positive_ray_generators(k: Polytope) -> np.ndarray:
     """Extreme rays of {(a, b) : a.v + b >= 0 for all vertices v}, one per
     row in coefficient coordinates (a, b) for x |-> a.x + b.
 
     They are k.chart_rays, enumerated once per polytope in the unit chart of
-    aff(k), where the cone of positive affine functions is pointed, pulled
-    back to the ambient coordinates as representatives, normalized to max-abs
-    coefficient 1 and lexicographically sorted.  The module constants bound
-    the accepted input size.
+    aff(k), where the cone of positive affine functions is pointed, and
+    pulled back through its into map on each call as ambient representatives,
+    at max-abs coefficient 1, lexsorted.  The module constants bound the
+    accepted input size.
     """
-    return _ambient_rays(*k.chart_rays[:2])
-
-
-def _ambient_rays(rays: np.ndarray, into: np.ndarray) -> np.ndarray:
-    """Chart rays pulled back through into, at max-abs coefficient 1, lexsorted."""
+    rays, into, _ = k.chart_rays
     full = rays @ into
     full /= np.max(np.abs(full), axis=1, keepdims=True)
     return _lexsorted(full)
@@ -346,15 +337,12 @@ class SeparatingHyperplane:
 def max_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> Verdict:
     """In iff r^T M s >= -LP_TOL for every pair of extreme rays (r, s).
 
-    The certificate is the first pair, in row-major order, whose value is
-    within LP_TOL of the minimum and on the same side of -LP_TOL as it, so
-    rounding in the rays does not move it among tied pairs.
+    The rays are positive_ray_generators of the factors, read from the chart
+    rays each keeps.  The certificate is the first pair, in row-major order,
+    whose value is within LP_TOL of the minimum and on the same side of
+    -LP_TOL as it, so rounding in the rays does not move it among tied pairs.
     """
-    return _max_verdict(phi, positive_ray_generators(k1), positive_ray_generators(k2))
-
-
-def _max_verdict(phi: TensorFunctional, r1: np.ndarray, r2: np.ndarray) -> Verdict:
-    """max_tensor_membership's verdict on phi from the factors' rays r1, r2."""
+    r1, r2 = positive_ray_generators(k1), positive_ray_generators(k2)
     vals = r1 @ phi.matrix @ r2.T
     low = vals.min()
     inside = low >= -LP_TOL
@@ -406,11 +394,14 @@ def _min_distance_lp(flat_phi: np.ndarray, vertices: np.ndarray):
 
 def _min_verdict(flat, mv, dist, weights, normal) -> Verdict:
     """Verdict on flat from its row of _min_distance_lp(., mv): In with the
-    weights when dist <= LP_TOL, else Out with the normal as hyperplane."""
+    weights when dist <= LP_TOL, else Out with the normal as hyperplane; a
+    normal that does not separate (margin <= 0, LP rounding) raises ValueError."""
     if dist <= LP_TOL:
         return Verdict(Status.IN, ConvexWeightsCertificate(weights, float(dist)))
     offset = float(np.max(mv @ normal))
     margin = float(normal @ flat - offset)
+    if margin <= 0:
+        raise ValueError(f"membership LP failed: its hyperplane does not separate (margin {margin:.3g})")
     return Verdict(Status.OUT, SeparatingHyperplane(normal, offset, margin))
 
 
@@ -478,7 +469,7 @@ def _distance_bounds(z: np.ndarray, vertices: np.ndarray):
     return bound, lower
 
 
-def _relative_bounds(z: np.ndarray, inner: np.ndarray):
+def _relative_bounds(z: np.ndarray, inner: Polytope):
     """Certified bounds on r(z), the relative_bound LP's value at each row of
     z: upper bounds (n,) and a lower bound on their maximum.
 
@@ -497,17 +488,18 @@ def _relative_bounds(z: np.ndarray, inner: np.ndarray):
     step 8, when the gap's rate over the last 4 steps would not close it by
     step IRLS_STEPS.
 
-    r is affine invariant, so the iteration runs in the unit chart of
-    aff(inner): centroid 0, max-abs coordinate 1.  Each iterate is put back
-    on its constraints by least squares; a row whose residual stays above
-    1e-9 (in that chart) keeps the bound inf, hence gets an LP.  So does
-    every row when the chart may have dropped a genuine direction (a
-    singular value of the centred inner vertices between 1e-13 and 1e-9 of
-    the largest), as it then poses fewer constraints than the LP.  Raises
-    ValueError when a row of z lies off aff(inner): its residual off the
-    chart's span exceeds 1e-9 * max(1, max|z|).
+    r is affine invariant, so the iteration runs in the unit chart that the
+    Polytope inner keeps (inner.unit_chart): centroid 0, max-abs coordinate
+    1.  Each iterate is put back on its constraints by least squares; a row
+    whose residual stays above 1e-9 (in that chart) keeps the bound inf,
+    hence gets an LP.  So does every row when the chart may have dropped a
+    genuine direction (a singular value of the centred inner vertices
+    between 1e-13 and 1e-9 of the largest), as it then poses fewer
+    constraints than the LP.  Raises ValueError when a row of z lies off
+    aff(inner): its residual off the chart's span exceeds 1e-9 * max(1,
+    max|z|).
     """
-    center, q, scale, s = _unit_chart(inner)
+    (center, q, scale, s), iv = inner.unit_chart, inner.vertices
     d = z - center
     off = np.linalg.norm(d - (d @ q) @ q.T, axis=1)
     if not np.all(off <= 1e-9 * max(1.0, float(np.max(np.abs(z))))):
@@ -516,11 +508,11 @@ def _relative_bounds(z: np.ndarray, inner: np.ndarray):
     top = np.max(s, initial=0.0)
     if np.any((s > 1e-13 * top) & (s <= 1e-9 * top)):
         return bound, lower
-    a = np.vstack([((inner - center) @ q).T / scale, np.ones(len(inner))])  # (m, p)
+    a = np.vstack([((iv - center) @ q).T / scale, np.ones(len(iv))])  # (m, p)
     m = len(a)
-    outer = np.einsum("ip,jp->pij", a, a).reshape(len(inner), m * m)  # a_p a_p^T per vertex
+    outer = np.einsum("ip,jp->pij", a, a).reshape(len(iv), m * m)  # a_p a_p^T per vertex
     pinv = np.linalg.pinv(a)
-    bound[cKDTree(inner).query(z)[0] == 0] = 0.0
+    bound[cKDTree(iv).query(z)[0] == 0] = 0.0
     active = np.flatnonzero(bound > 0)
     rhs = np.hstack([d[active] @ q / scale, np.ones((len(active), 1))])
     tol = 1e-9 * np.maximum(1.0, np.abs(rhs).max(axis=1))
@@ -610,8 +602,8 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
     open: a closed vertex's distance is <= LP_TOL or more than LP_TOL below
     the largest, so it is neither the gap vertex nor tied with it.  The
     min-side certificate is the gap vertex's row of those LPs; the max-side
-    one reads the factors' chart_rays, which max_tensor_polytope(k1, k2) has
-    already enumerated.
+    verdict is max_tensor_membership(phi, k1, k2), which reads the chart
+    rays that max_tensor_polytope(k1, k2) has already enumerated on k1 and k2.
     """
     mv = min_tensor(k1, k2).vertices
     upper, lower = _distance_bounds(mx.vertices, mv)
@@ -623,7 +615,7 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
         return None
     i = np.argmax(dist >= dist.max() - LP_TOL)
     phi = functional_from_flat(mx.vertices[rows[i]], k1, k2)
-    return BarkerGap(phi, _max_verdict(phi, *(_ambient_rays(*k.chart_rays[:2]) for k in (k1, k2))),
+    return BarkerGap(phi, max_tensor_membership(phi, k1, k2),
                      _min_verdict(phi.flat, mv, dist[i], weights[i], normals[i]))
 
 
@@ -650,7 +642,7 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
     more than LP_TOL below the maximum.  Errors when the affine hulls differ.
     """
     iv, p = inner.vertices, inner.n_vertices
-    upper, lower = _relative_bounds(outer.vertices, iv)
+    upper, lower = _relative_bounds(outer.vertices, inner)
     if upper.max() - lower <= 1e-12 * lower:
         return max(0.0, float(upper.max()))
     c, ones = np.append(np.zeros(p), np.ones(p)), np.ones((1, p))

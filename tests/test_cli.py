@@ -412,6 +412,16 @@ class TestPolytopeCommands:
         assert cli.main(command + ["--k1", str(p), "--k2", str(p)]) == 65
         assert "LP failed: (HiGHS Status" in capsys.readouterr().err
 
+    def test_non_separating_hyperplane_is_data_error(self, capsys, tmp_path):
+        # the unit square scaled by 1e-2 and shifted by (1000, 1000): the
+        # distance LP reports 1.7e-8 > LP_TOL, but its dual normal does not
+        # separate the gap vertex from the minimal product (margin -5.7e-14)
+        p = tmp_path / "far.json"
+        p.write_text(json.dumps(polytope_to_dict(Polytope(square().vertices * 1e-2 + 1000.0))))
+        assert cli.main(["barker", "--k1", str(p), "--k2", str(p)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("input error: membership LP failed") and err.count("\n") == 1
+
     def test_non_extreme_vertex_is_data_error(self, tmp_path, square_file):
         p = tmp_path / "collinear.json"
         p.write_text(json.dumps({"dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]}))

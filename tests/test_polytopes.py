@@ -336,6 +336,16 @@ class TestAffineInvariance:
         r = relative_bound(min_tensor(k, k), max_tensor_polytope(k, k))
         assert (gap is None) == (r == 0.0)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+    @pytest.mark.parametrize("scale, shift", [(1e-2, 1000.0), (1e-3, 100.0)])
+    def test_small_far_shifted_square_relative_bound(self, scale, shift):
+        # both minimal products have dimension 8 and r = 1/2, but the
+        # relative-bound LP in ambient coordinates fails (HiGHS Status 4)
+        k = Polytope(square().vertices * scale + shift)
+        mn = min_tensor(k, k)
+        assert affine_dimension(mn) == 8
+        assert relative_bound(mn, max_tensor_polytope(k, k)) == pytest.approx(0.5, abs=1e-7)
+
     def test_far_shifted_min_tensor_dimension(self):
         # three genuine directions of the 16 vertices have relative singular
         # values near 7.5e-10 from a vertex, below the 1e-9 cut, and near
@@ -686,6 +696,21 @@ class TestRelativeBound:
         relative_bound(mn, mx)
         assert calls[0] == 1
 
+    def test_relative_bound_reads_the_inner_unit_chart(self, monkeypatch):
+        # affine_dimension and the bounds read the one chart mn keeps
+        mn = min_tensor(square(), square())
+        mx = max_tensor_polytope(square(), square())
+        chart, calls = polytopes._affine_chart, [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return chart(*args)
+
+        monkeypatch.setattr(polytopes, "_affine_chart", counted)
+        assert affine_dimension(mn) == 8
+        assert relative_bound(mn, mx) == pytest.approx(0.5, abs=1e-9)
+        assert calls[0] == 1
+
     def test_differing_hulls_error(self):
         seg = Polytope(np.array([[0.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="affine hull"):
@@ -897,7 +922,7 @@ class TestScreening:
         # functionals have entries near 1e6 and 1e8, that is the LP's error:
         # it reports r = 0.50000006 at +1e4, where the exact r is 1/2
         tol = 1e-7 if name[0] == "+" else 1e-12
-        upper, lower = _relative_bounds(mx.vertices, mn.vertices)
+        upper, lower = _relative_bounds(mx.vertices, mn)
         r = relative_bound_lps(mn, mx)
         assert np.all(upper >= r - tol)
         assert lower <= r.max() + tol
@@ -987,7 +1012,7 @@ class TestRelativeBoundWithoutLP:
         # 1/2, and HiGHS fails on the LP in ambient coordinates
         k = Polytope(square().vertices * 1e-3 + 1000)
         mn, mx = min_tensor(k, k), max_tensor_polytope(k, k)
-        assert np.all(np.isinf(_relative_bounds(mx.vertices, mn.vertices)[0]))
+        assert np.all(np.isinf(_relative_bounds(mx.vertices, mn)[0]))
         with pytest.raises(ValueError, match="relative-bound LP failed"):
             relative_bound(mn, mx)
 
@@ -1001,16 +1026,16 @@ class TestSharedChartRays:
             dd[0] += 1
             return double_description(a)
 
-        def refused(k):
-            raise AssertionError("the chart rays were enumerated again")
-
         monkeypatch.setattr(polytopes, "double_description", counted)
-        monkeypatch.setattr(polytopes, "positive_ray_generators", refused)
         gap = barker_gap(k1, k2)
-        assert dd[0] == 3  # one per factor, one for the tensor cone
+        # one per factor, one for the tensor cone: the max-side verdict's
+        # positive_ray_generators read the factors' kept chart rays
+        assert dd[0] == 3
         monkeypatch.undo()
         want = gap_among(max_tensor_polytope(k1, k2), k1, k2)
         assert json.dumps(to_json(gap)) == json.dumps(to_json(want))
+        max_side = max_tensor_membership(gap.functional, k1, k2)
+        assert json.dumps(to_json(gap.max_verdict)) == json.dumps(to_json(max_side))
 
     def test_a_second_barker_gap_enumerates_only_the_tensor_cone(self, monkeypatch):
         k1, k2 = mixed_pair(5, 5, 0)
