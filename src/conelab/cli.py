@@ -54,14 +54,10 @@ def _positive(kind, least=None):
     return convert
 
 
-def _status_exit(status: str) -> int:
-    return {"in": EXIT_PASS, "pass": EXIT_PASS, "out": EXIT_FAIL,
-            "fail": EXIT_FAIL, "unknown": EXIT_UNKNOWN}[status]
-
-
 def exit_code_for(report: dict) -> int:
     """Exit codes are a total function of the emitted report."""
-    return _status_exit(report["results"]["status"])
+    return {"in": EXIT_PASS, "pass": EXIT_PASS, "out": EXIT_FAIL,
+            "fail": EXIT_FAIL, "unknown": EXIT_UNKNOWN}[report["results"]["status"]]
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +275,6 @@ def build_parser() -> _Parser:
     return p
 
 
-def _echo_inputs(args) -> dict:
-    skip = {"handler", "command", "format"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
 def _print_table(report: dict) -> None:
     results = report["results"]
     if "checks" in results:
@@ -316,7 +307,8 @@ def main(argv=None) -> int:
 
     report = {
         "command": args.command,
-        "inputs": _echo_inputs(args),
+        "inputs": {k: v for k, v in sorted(vars(args).items())
+                   if k not in {"handler", "command", "format"}},
         "results": results,
         "certificates": certificates,
         "seed": args.seed,

@@ -391,7 +391,6 @@ def _ensemble_rotate(a: np.ndarray, n: int, m: int, k: int, seed: int):
     ``right (k, m)``, and its squared projection error.
     """
     r = a.shape[1]
-    k = max(k, r)
     at, ac = a.T, a.conj()
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))

@@ -247,10 +247,10 @@ def _adjacent(tight: np.ndarray, plus: np.ndarray, minus: np.ndarray, d: int):
     two rays, p and q, are.  When the pairs left and all rays fit in one
     block, every ray is tested; otherwise only the rays tight on Z's rarest
     row (the one the fewest rays are tight on), as any ray tight on all of
-    Z is tight on it.  (With d = 2, Z is empty and the cone's two rays are
-    adjacent.)  The row counts, and then the containment tests, go in blocks
-    of at most about DD_BLOCK pairs, word by word, as numpy is slow on a
-    short last axis.
+    Z is tight on it.  There is no 2-D case: with d = 2, Z is empty and the
+    cone has exactly the two rays p and q, so the test counts two.  The row
+    counts, and then the containment tests, go in blocks of at most about
+    DD_BLOCK pairs, word by word, as numpy is slow on a short last axis.
     """
     words, pairs = range(tight.shape[1]), [np.zeros((2, 0), dtype=int)]
     step = max(1, DD_BLOCK // len(minus))
@@ -260,8 +260,6 @@ def _adjacent(tight: np.ndarray, plus: np.ndarray, minus: np.ndarray, d: int):
         i, j = np.divmod(np.flatnonzero(common >= d - 2), len(minus))
         pairs.append([ps[i], minus[j]])
     p, q = np.hstack(pairs)
-    if d == 2:
-        return p, q
     shared = tight[p] & tight[q]
     if len(p) * len(tight) <= DD_BLOCK:  # one block: test every ray
         groups = [(np.arange(len(p)), tight)]
@@ -483,10 +481,9 @@ def _relative_bounds(z: np.ndarray, inner: Polytope):
     (rhs.nu - 1) / 2 bounds the largest r from below, as 0 does.  An outer
     vertex that is an inner vertex has r = 0 and is not iterated.  A row
     leaves the iteration once its upper bound is below (lower bound -
-    LP_TOL).  The iteration stops when the largest upper bound is within
-    1e-12 (relative) of the lower bound, when a system is singular, or, from
-    step 8, when the gap's rate over the last 4 steps would not close it by
-    step IRLS_STEPS.
+    LP_TOL).  The iteration has three stops and no other: the bracket closes
+    (the largest upper bound is within 1e-12, relative, of the lower bound),
+    a system is singular, or IRLS_STEPS steps have run.
 
     r is affine invariant, so the iteration runs in the unit chart that the
     Polytope inner keeps (inner.unit_chart): centroid 0, max-abs coordinate
@@ -516,7 +513,7 @@ def _relative_bounds(z: np.ndarray, inner: Polytope):
     active = np.flatnonzero(bound > 0)
     rhs = np.hstack([d[active] @ q / scale, np.ones((len(active), 1))])
     tol = 1e-9 * np.maximum(1.0, np.abs(rhs).max(axis=1))
-    w, gaps = rhs @ pinv.T, [np.inf]  # least-norm start
+    w = rhs @ pinv.T  # least-norm start
     for k in range(1, IRLS_STEPS + 1):
         # w = D A^T nu, nu = (A D A^T)^-1 rhs, D = diag(|w| + 10^(2-2k)), then back onto A w = rhs
         d = np.abs(w) + 10.0 ** (2 - 2 * k)
@@ -532,15 +529,8 @@ def _relative_bounds(z: np.ndarray, inner: Polytope):
         trusted = np.abs(w @ a.T - rhs).max(axis=1) <= tol
         bound[active[trusted]] = np.minimum(bound[active[trusted]],
                                             np.maximum(-w[trusted], 0.0).sum(axis=1))
-        gap = bound.max() - lower
-        if gap <= 1e-12 * lower:
+        if bound.max() - lower <= 1e-12 * lower:
             break
-        # from step 8, the gap must shrink fast enough over the last 4 steps
-        # to close by step IRLS_STEPS
-        if 8 <= k < IRLS_STEPS and not (0.0 < lower and gap < gaps[-4] and np.log(
-                gap / (1e-12 * lower)) <= np.log(gaps[-4] / gap) * (IRLS_STEPS - k) / 4):
-            break
-        gaps.append(gap)
         keep = bound[active] >= lower - LP_TOL
         active, rhs, tol, w = active[keep], rhs[keep], tol[keep], w[keep]
     return bound, lower
@@ -588,31 +578,36 @@ class BarkerGap:
 
 def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
     """Search the maximal tensor polytope mx of k1 and k2 for a point
-    outside the minimal one.
+    outside the minimal one, or return None exactly when mx has as many
+    vertices as there are products v (x) w of vertices: the two sets are
+    then equal.  Each product is a vertex of mx, as its marginals, the
+    extreme points v and w, pin it; a vertex of mx in the minimal set is a
+    vertex there too, hence a product.
 
     The LP distance to the minimal polytope is convex, so its maximum over
     mx is attained at a vertex: take the first vertex whose distance is
     within LP_TOL of the largest (so rounding noise among tied vertices
-    cannot pick one) and return it with both certificates, or None when
-    every vertex lies in the minimal polytope (which proves the two sets are
-    equal).  Every vertex first gets an upper bound on its distance, and the
-    largest distance a lower bound (_distance_bounds).  The distance LPs run
-    in one _block_lps call on the vertices left open, those whose upper bound
-    is > LP_TOL and >= (lower bound - LP_TOL), and on none when no vertex is
-    open: a closed vertex's distance is <= LP_TOL or more than LP_TOL below
-    the largest, so it is neither the gap vertex nor tied with it.  The
-    min-side certificate is the gap vertex's row of those LPs; the max-side
-    verdict is max_tensor_membership(phi, k1, k2), which reads the chart
-    rays that max_tensor_polytope(k1, k2) has already enumerated on k1 and k2.
+    cannot pick one) and return it with both certificates.  Every vertex
+    first gets an upper bound on its distance, and the largest distance a
+    lower bound (_distance_bounds).  The distance LPs run in one _block_lps
+    call on the vertices left open, those whose upper bound is > LP_TOL and
+    >= (lower bound - LP_TOL): a closed vertex's distance is <= LP_TOL or
+    more than LP_TOL below the largest.  As the count proves a gap, no open
+    vertex or no distance above LP_TOL means the LPs failed: ValueError.
+    The min-side certificate is the gap vertex's row of those LPs; the
+    max-side verdict is max_tensor_membership(phi, k1, k2), which reads the
+    chart rays that max_tensor_polytope(k1, k2) enumerated on k1 and k2.
     """
     mv = min_tensor(k1, k2).vertices
+    if mx.n_vertices == len(mv):
+        return None
     upper, lower = _distance_bounds(mx.vertices, mv)
     rows = np.flatnonzero((upper > LP_TOL) & (upper >= lower - LP_TOL))
-    if not len(rows):
-        return None
-    dist, weights, normals = _min_distance_lp(mx.vertices[rows], mv)
-    if dist.max() <= LP_TOL:
-        return None
+    if len(rows):
+        dist, weights, normals = _min_distance_lp(mx.vertices[rows], mv)
+    if not len(rows) or dist.max() <= LP_TOL:
+        raise ValueError(f"membership LP failed: no distance exceeds LP_TOL, yet the maximal "
+                         f"product has {mx.n_vertices} vertices and the minimal only {len(mv)}")
     i = np.argmax(dist >= dist.max() - LP_TOL)
     phi = functional_from_flat(mx.vertices[rows[i]], k1, k2)
     return BarkerGap(phi, max_tensor_membership(phi, k1, k2),
@@ -639,7 +634,9 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
     (relative) of the lower bound, it is returned and no LP runs.  Otherwise
     the LP runs in one _block_lps call on the vertices left open, those
     whose upper bound is >= (lower bound - LP_TOL); a closed vertex's r is
-    more than LP_TOL below the maximum.  Errors when the affine hulls differ.
+    more than LP_TOL below the maximum.  An LP maximum below (lower bound -
+    LP_TOL) contradicts the certified bound, so the LP failed and ValueError
+    is raised, as it is when the affine hulls differ.
     """
     iv, p = inner.vertices, inner.n_vertices
     upper, lower = _relative_bounds(outer.vertices, inner)
@@ -649,4 +646,8 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
     b_eq = np.hstack([outer.vertices, np.ones((outer.n_vertices, 1))])[upper >= lower - LP_TOL]
     x = _block_lps(c, np.zeros((0, 2 * p)), np.zeros((len(b_eq), 0)),
                    np.block([[iv.T, -iv.T], [ones, -ones]]), b_eq, "relative-bound")[0]
-    return max(0.0, float(np.max(x @ c)))
+    r = float(np.max(x @ c))
+    if r < lower - LP_TOL:
+        raise ValueError(f"relative-bound LP failed: its maximum {r} is below the certified "
+                         f"lower bound {float(lower)}")
+    return max(0.0, r)

@@ -422,6 +422,24 @@ class TestPolytopeCommands:
         err = capsys.readouterr().err
         assert err.startswith("input error: membership LP failed") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("scale, shift, argv, want", [
+        # the maximal product has 24 vertices and the minimal 16, but every
+        # distance LP reads <= LP_TOL, which would claim min = max
+        (8e-5, 0.0, ["barker"], "membership LP failed"),
+        (1e-3, 100.0, ["barker"], "membership LP failed"),
+        # the relative-bound LP answers 0.0 and 0.4999999977 against
+        # certified lower bounds of 0.50000002842392 and 0.49999999999876
+        (1e-3, 10.0, ["polytope", "tensor", "--relative-bound"], "relative-bound LP failed"),
+        (1e-2, 100.0, ["polytope", "tensor", "--relative-bound"], "relative-bound LP failed"),
+    ], ids=["barker-x8e-5", "barker-x1e-3+100", "bound-x1e-3+10", "bound-x1e-2+100"])
+    def test_lp_answer_that_contradicts_a_bound_is_data_error(self, capsys, tmp_path, scale, shift,
+                                                                argv, want):
+        p = tmp_path / "small.json"
+        p.write_text(json.dumps(polytope_to_dict(Polytope(square().vertices * scale + shift))))
+        assert cli.main([*argv, "--k1", str(p), "--k2", str(p)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {want}") and err.count("\n") == 1
+
     def test_non_extreme_vertex_is_data_error(self, tmp_path, square_file):
         p = tmp_path / "collinear.json"
         p.write_text(json.dumps({"dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]}))

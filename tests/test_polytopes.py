@@ -156,6 +156,15 @@ class TestDoubleDescription:
         a = np.kron(polygon_cone(k1, rng), polygon_cone(k2, rng))
         assert_same_rays(double_description(a), brute_force_rays(a))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_dimensional_cone_has_two_rays(self, seed):
+        # each added row cuts one ray or none; _adjacent's general test joins
+        # the cut ray to the kept one, as its shared set is empty
+        a = random_pointed_cone(np.random.default_rng([2, seed]), 2, 12)
+        rays = double_description(a)
+        assert len(rays) == 2
+        assert_same_rays(rays, brute_force_rays(a))
+
     def test_more_rows_than_one_bitset_word(self):
         a = random_pointed_cone(np.random.default_rng(64), 3, 70)
         assert_same_rays(double_description(a), brute_force_rays(a))
@@ -345,6 +354,13 @@ class TestAffineInvariance:
         mn = min_tensor(k, k)
         assert affine_dimension(mn) == 8
         assert relative_bound(mn, max_tensor_polytope(k, k)) == pytest.approx(0.5, abs=1e-7)
+
+    def test_small_shifted_square_gap_is_refused(self):
+        # the square x1e-3 shifted by (100, 100): the maximal product has 24
+        # vertices and the minimal 16, but every distance LP reads <= LP_TOL
+        k = Polytope(square().vertices * 1e-3 + 100)
+        with pytest.raises(ValueError, match="membership LP failed"):
+            barker_gap(k, k)
 
     def test_far_shifted_min_tensor_dimension(self):
         # three genuine directions of the 16 vertices have relative singular
@@ -931,10 +947,17 @@ class TestScreening:
     def test_screened_matches_unscreened(self, name):
         k1, k2 = screening_pair(name)
         mx, mn = max_tensor_polytope(k1, k2), min_tensor(k1, k2)
-        want, gap = unscreened_gap(mx, k1, k2), gap_among(mx, k1, k2)
-        if want is None:
-            assert gap is None
+        want = unscreened_gap(mx, k1, k2)
+        if name == "x8e-5":
+            # the unscreened LPs read every distance <= LP_TOL, yet 8 of the
+            # 24 maximal vertices are not product vertices: the LPs failed
+            assert want is None and mx.n_vertices - mn.n_vertices == 8
+            with pytest.raises(ValueError, match="membership LP failed"):
+                gap_among(mx, k1, k2)
+        elif want is None:
+            assert gap_among(mx, k1, k2) is None
         else:
+            gap = gap_among(mx, k1, k2)
             (index,) = np.flatnonzero(np.all(mx.vertices == gap.functional.flat, axis=1))
             assert index == want[0]
             assert gap.margin == pytest.approx(want[1], rel=1e-9)
@@ -1004,6 +1027,25 @@ class TestRelativeBoundWithoutLP:
         tri, other = mixed_pair(3, k, 1)
         assert relative_bound(min_tensor(tri, other), max_tensor_polytope(tri, other)) == 0.0
         assert calls[0] == 0
+
+    @pytest.mark.parametrize("k1, k2", [(5, 6), (6, 5)])
+    def test_unclosed_bracket_runs_irls_to_its_last_step(self, k1, k2, calls):
+        # the bracket does not close, so IRLS runs all IRLS_STEPS steps, and
+        # the rows its bounds leave open take 5 HiGHS calls
+        mn, mx = min_tensor(*mixed_pair(k1, k2, 0)), max_tensor_polytope(*mixed_pair(k1, k2, 0))
+        calls[0] = 0
+        r = relative_bound(mn, mx)
+        assert calls[0] == 5
+        assert r == pytest.approx(float(relative_bound_lps(mn, mx).max()), rel=1e-9)
+
+    def test_lp_below_the_certified_lower_bound_is_refused(self, calls):
+        # the square x1e-3 shifted by (10, 10): the bracket is [0.50000002842392,
+        # 0.50000002842479], just open, and the one HiGHS call answers 0.0
+        k = Polytope(square().vertices * 1e-3 + 10)
+        mn, mx = min_tensor(k, k), max_tensor_polytope(k, k)
+        with pytest.raises(ValueError, match="relative-bound LP failed: its maximum 0.0 is below"):
+            relative_bound(mn, mx)
+        assert calls[0] == 1
 
     def test_inexact_chart_still_reaches_the_lp(self):
         # three genuine directions of the minimal vertices have relative
