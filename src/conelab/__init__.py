@@ -7,7 +7,6 @@ from .operators import (
     ProductVector,
     bipartite,
     h_operator,
-    hermitian,
     min_eigenvalue,
     partial_trace,
     partial_transpose,

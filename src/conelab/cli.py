@@ -120,8 +120,8 @@ def _cmd_kappa(args) -> tuple[dict, dict]:
         "m": rep.m,
         "exact": rep.exact,
         "witness_lower_bound": rep.witness_lower_bound,
-        "cb_estimate": rep.cb_estimate,
-        "cb_upper_bound": rep.cb_upper_bound,
+        "cb_estimate": rep.cb.value,
+        "cb_upper_bound": rep.cb.upper.value,
     }
     return results, {"witness": to_json(rep.witness), "cb_estimate": to_json(rep.cb)}
 

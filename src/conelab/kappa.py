@@ -174,8 +174,6 @@ def cb_norm_estimate(phi: MatrixMap, cfg: OptimizerConfig | None = None) -> CbEs
     upper = cb_upper_bound(phi)
     target = upper.value - CB_GAIN * max(1.0, upper.value)
     l4 = phi.unit_images()
-    l4adj = adjoint_map(phi).unit_images()
-    rng = np.random.default_rng(cfg.seed)
 
     def top_eigenpair(xb: np.ndarray):
         w, v = np.linalg.eigh(apply_left(l4, xb, m))
@@ -194,6 +192,8 @@ def cb_norm_estimate(phi: MatrixMap, cfg: OptimizerConfig | None = None) -> CbEs
     det_vals, _, _ = top_eigenpair(det)
     if det_vals.max() >= target:
         return estimate(det_vals, det, 0, True)
+    l4adj = adjoint_map(phi).unit_images()
+    rng = np.random.default_rng(cfg.seed)
 
     # random symmetries U diag(+-1) U*, U the eigenvectors of a Gaussian
     # Hermitian: drawn start by start, decomposed as one batch
@@ -248,14 +248,6 @@ class KappaReport:
     witness_lower_bound: float
     cb: CbEstimate
     witness: BipartiteOperator
-
-    @property
-    def cb_estimate(self) -> float:
-        return self.cb.value
-
-    @property
-    def cb_upper_bound(self) -> float:
-        return self.cb.upper.value
 
 
 def kappa_report(

@@ -105,12 +105,8 @@ class ProductVector:
         return np.kron(self.left, self.right)
 
 
-def hermitian(matrix_like) -> HermitianOperator:
-    return HermitianOperator(np.asarray(matrix_like, dtype=complex))
-
-
 def bipartite(matrix_like, n: int, m: int) -> BipartiteOperator:
-    return BipartiteOperator(n, m, hermitian(matrix_like))
+    return BipartiteOperator(n, m, HermitianOperator(matrix_like))
 
 
 def _as_matrix(x) -> np.ndarray:

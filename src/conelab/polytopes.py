@@ -372,6 +372,16 @@ def _block_lps(c, a_ub, b_ub, a_eq, b_eq, what: str):
     return np.vstack(xs), np.vstack(duals)
 
 
+def _distance_rows(vertices: np.ndarray):
+    """The inf-norm distance LP to the hull of the vertices (p, dim), in the
+    variables (lam, t): objective t, rows [V^T, -1; -V^T, -1] against
+    [phi; -phi], and the simplex row sum lam = 1.  Returns (c, a_ub, a_eq)."""
+    p, dim = vertices.shape
+    ones = np.ones((dim, 1))
+    return (np.append(np.zeros(p), 1.0), np.block([[vertices.T, -ones], [-vertices.T, -ones]]),
+            np.append(np.ones(p), 0.0)[None, :])
+
+
 def _min_distance_lp(flat_phi: np.ndarray, vertices: np.ndarray):
     """Inf-norm distance from each row of flat_phi (n, dim) to the convex
     hull of the vertices: min t s.t. |sum_p lam_p V_p - phi| <= t, lam in
@@ -382,12 +392,26 @@ def _min_distance_lp(flat_phi: np.ndarray, vertices: np.ndarray):
     hull when t > 0.
     """
     p, dim = vertices.shape
-    c, ones = np.append(np.zeros(p), 1.0), np.ones((dim, 1))
-    a_ub = np.block([[vertices.T, -ones], [-vertices.T, -ones]])
-    a_eq = np.append(np.ones(p), 0.0)[None, :]
+    c, a_ub, a_eq = _distance_rows(vertices)
     x, u = _block_lps(c, a_ub, np.hstack([flat_phi, -flat_phi]), a_eq,
                       np.ones((len(flat_phi), 1)), "membership")
     return x[:, -1], x[:, :p], u[:, :dim] - u[:, dim:]
+
+
+def non_vertices(points) -> np.ndarray:
+    """Indices, ascending, of the listed points (p, dim) at inf-norm
+    distance <= LP_TOL from the hull of the others.  Copy i of the batched
+    distance LP measures point i against all p points with the added rows
+    lam <= 1 - e_i, which force lam_i = 0.  A HiGHS failure raises ValueError.
+    """
+    points = np.asarray(points, dtype=float)
+    p = len(points)
+    if p < 2:
+        return np.zeros(0, dtype=int)
+    c, a_ub, a_eq = _distance_rows(points)
+    x, _ = _block_lps(c, np.vstack([a_ub, np.eye(p, p + 1)]),
+                      np.hstack([points, -points, 1.0 - np.eye(p)]), a_eq, np.ones((p, 1)), "extremality")
+    return np.flatnonzero(x[:, -1] <= LP_TOL)
 
 
 def _min_verdict(flat, mv, dist, weights, normal) -> Verdict:

@@ -33,12 +33,11 @@ from .kappa import CbEstimate, CbUpperBound
 from .maps import MatrixMap
 from .operators import BipartiteOperator, HermitianOperator, bipartite
 from .polytopes import (
-    LP_TOL,
     ConvexWeightsCertificate,
     Polytope,
     RayPairCertificate,
     SeparatingHyperplane,
-    _block_lps,
+    non_vertices,
 )
 
 CERTIFICATE_TYPES = {
@@ -119,13 +118,8 @@ def polytope_to_dict(k: Polytope) -> dict:
 
 
 def polytope_from_dict(d: dict) -> Polytope:
-    """Read a polytope document; every listed point must be a vertex, at
-    inf-norm distance above LP_TOL from the hull of the others.
-
-    The p distance LPs are solved as one batch: copy i keeps all p points
-    in the hull (weights lam) and adds the rows lam <= 1 - e_i, forcing
-    lam_i = 0.
-    """
+    """Read a polytope document; every listed point must be a vertex, one
+    that polytopes.non_vertices does not return."""
     try:
         verts = np.asarray(d["vertices"], dtype=float)
         if verts.ndim != 2 or verts.shape[1] != _size(d, "dim"):
@@ -133,17 +127,9 @@ def polytope_from_dict(d: dict) -> Polytope:
         k = Polytope(_require_finite(verts, "polytope vertices"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"bad polytope document: {exc}") from exc
-    p, dim = verts.shape
-    if p > 1:
-        ones = np.ones((dim, 1))
-        a_ub = np.block([[verts.T, -ones], [-verts.T, -ones], [np.eye(p), np.zeros((p, 1))]])
-        b_ub = np.hstack([verts, -verts, 1.0 - np.eye(p)])
-        x, _ = _block_lps(np.append(np.zeros(p), 1.0), a_ub, b_ub,
-                          np.append(np.ones(p), 0.0)[None, :], np.ones((p, 1)), "extremality")
-        (inner,) = np.nonzero(x[:, -1] <= LP_TOL)
-        if len(inner):
-            raise MalformedInput(f"vertex {inner[0]} is not extreme: "
-                                 "it lies in the hull of the others")
+    inner = non_vertices(verts)
+    if len(inner):
+        raise MalformedInput(f"vertex {inner[0]} is not extreme: it lies in the hull of the others")
     return k
 
 

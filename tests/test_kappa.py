@@ -350,13 +350,13 @@ class TestReport:
         rep = kappa_report(2, 2, cb_cfg=CB_FAST)
         assert rep.exact == 2.0
         assert rep.witness_lower_bound == pytest.approx(2.0, abs=1e-9)
-        assert 1.9 <= rep.cb_estimate <= 2.0 + 1e-9
+        assert 1.9 <= rep.cb.value <= 2.0 + 1e-9
 
     def test_rectangular_case(self):
         rep = kappa_report(2, 3, cb_cfg=CB_FAST)
         assert rep.exact == 2.0
         assert rep.witness_lower_bound == pytest.approx(2.0, abs=1e-9)
-        assert rep.cb_estimate <= 2.0 + 1e-6
+        assert rep.cb.value <= 2.0 + 1e-6
         assert (rep.witness.n, rep.witness.m) == (2, 3)
 
     def test_embedded_swap_norm_one(self):

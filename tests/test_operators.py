@@ -10,7 +10,6 @@ from conelab.operators import (
     bipartite,
     embedded_swap,
     h_operator,
-    hermitian,
     kron_rows,
     maximally_entangled_vector,
     min_eigenvalue,
@@ -51,43 +50,43 @@ def hermitians(draw, max_dim=3):
 class TestConstruction:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
-            hermitian([[0.0, 1.0], [0.0, 0.0]])
+            HermitianOperator([[0.0, 1.0], [0.0, 0.0]])
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            hermitian(np.zeros((2, 3)))
+            HermitianOperator(np.zeros((2, 3)))
 
     def test_symmetrizes_benign_rounding(self):
         a = np.array([[1.0, 0.5 + 1e-14j], [0.5 - 3e-14j, 2.0]])
-        op = hermitian(a)
+        op = HermitianOperator(a)
         assert np.array_equal(op.matrix, op.matrix.conj().T)
 
     def test_bipartite_dimension_mismatch(self):
         with pytest.raises(ValueError, match="n\\*m"):
-            BipartiteOperator(2, 3, hermitian(np.eye(4)))
+            BipartiteOperator(2, 3, HermitianOperator(np.eye(4)))
 
     def test_product_vector_requires_unit_norm(self):
         with pytest.raises(ValueError, match="unit vector"):
             ProductVector(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
 
     def test_matrices_are_immutable(self):
-        op = hermitian(np.eye(2))
+        op = HermitianOperator(np.eye(2))
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
 
 
 class TestTensor:
     def test_identity(self):
-        t = tensor(hermitian(np.eye(2)), hermitian(np.eye(2)))
+        t = tensor(HermitianOperator(np.eye(2)), HermitianOperator(np.eye(2)))
         assert np.array_equal(t.matrix, np.eye(4))
         assert (t.n, t.m) == (2, 2)
 
     def test_matrix_units(self):
-        t = tensor(hermitian(_e(0, 0)), hermitian(_e(1, 1)))
+        t = tensor(HermitianOperator(_e(0, 0)), HermitianOperator(_e(1, 1)))
         assert np.array_equal(t.matrix, np.diag([0.0, 1.0, 0.0, 0.0]))
 
     def test_diagonal_signs(self):
-        z = hermitian(np.diag([1.0, -1.0]))
+        z = HermitianOperator(np.diag([1.0, -1.0]))
         assert np.array_equal(tensor(z, z).matrix, np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
@@ -143,7 +142,7 @@ class TestPartialTrace:
 
 class TestSpectralQuantities:
     def test_trace_norm_identity(self):
-        assert trace_norm(hermitian(np.eye(2))) == pytest.approx(2.0, abs=1e-12)
+        assert trace_norm(HermitianOperator(np.eye(2))) == pytest.approx(2.0, abs=1e-12)
 
     def test_trace_norm_swap(self):
         # eigenvalues of the 2x2 swap: {1, 1, 1, -1}
@@ -154,7 +153,7 @@ class TestSpectralQuantities:
         assert trace_norm(bipartite(s.matrix / 3, 3, 3)) == pytest.approx(3.0, abs=1e-11)
 
     def test_min_eigenvalue_examples(self):
-        assert min_eigenvalue(hermitian(np.eye(3))) == pytest.approx(1.0, abs=1e-12)
+        assert min_eigenvalue(HermitianOperator(np.eye(3))) == pytest.approx(1.0, abs=1e-12)
         assert min_eigenvalue(swap_operator(2)) == pytest.approx(-1.0, abs=1e-12)
         # H has eigenvalues {2, 0, 0, 0}
         assert min_eigenvalue(h_operator(2)) == pytest.approx(0.0, abs=1e-12)
@@ -213,7 +212,7 @@ class TestMaximallyEntangledFunctional:
         rng = np.random.default_rng(7)
         for m in (2, 3):
             a = random_hermitian(m, rng)
-            got = rho0_apply(m, tensor(a, hermitian(np.eye(m))))
+            got = rho0_apply(m, tensor(a, HermitianOperator(np.eye(m))))
             assert got == pytest.approx(np.trace(a.matrix).real / m, abs=1e-12)
 
     def test_on_h(self):

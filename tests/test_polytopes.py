@@ -30,6 +30,7 @@ from conelab.polytopes import (
     max_tensor_polytope,
     min_tensor,
     min_tensor_membership,
+    non_vertices,
     positive_ray_generators,
     relative_bound,
     simplex,
@@ -338,8 +339,9 @@ class TestAffineInvariance:
         pytest.param(8e-5, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 5")),
     ])
     def test_scaled_square_gap_agrees_with_relative_bound(self, scale):
-        # r = 0.5 at every scale; barker_gap's absolute LP tolerance reads the
-        # 8e-5 square as min = max and returns None, a false proof
+        # r = 0.5 at every scale; barker_gap's absolute LP tolerance reads every
+        # distance of the 8e-5 square as <= LP_TOL, so it raises ValueError
+        # ("membership LP failed ...") since the vertex counts prove a gap
         k = Polytope(square().vertices * scale)
         gap = barker_gap(k, k)
         r = relative_bound(min_tensor(k, k), max_tensor_polytope(k, k))
@@ -809,6 +811,18 @@ class TestBatchedDistanceLP:
             assert np.abs(lam @ mv - phi).max() <= t + 1e-9
             assert np.abs(y).sum() <= 1 + 1e-12
             assert y @ phi - (mv @ y).max() >= t - 1e-9
+
+    def test_non_vertices_lists_every_inner_point(self):
+        # a hexagon with its centre, an edge midpoint and a copy of vertex 0
+        t = 2 * np.pi * np.arange(6) / 6
+        hexagon = np.column_stack([np.cos(t), np.sin(t)])
+        points = np.vstack([hexagon[:3], [[0.0, 0.0]], hexagon[3:],
+                            (hexagon[4] + hexagon[5]) / 2, hexagon[:1]])
+        want = [i for i in range(len(points))
+                if inf_norm_distance(points[i], np.delete(points, i, axis=0)) <= LP_TOL]
+        assert want == [0, 3, 7, 8]
+        assert non_vertices(points).tolist() == want
+        assert non_vertices(hexagon).tolist() == non_vertices(hexagon[:1]).tolist() == []
 
 
 @pytest.fixture
