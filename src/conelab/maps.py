@@ -8,6 +8,11 @@ units E_ii first, then (E_ij + E_ji)/sqrt(2) for i < j in lexicographic
 order, then i(E_ij - E_ji)/sqrt(2).  A real coefficient array is exactly
 the condition that Hermitian inputs go to Hermitian outputs; the action on
 non-Hermitian matrices is the canonical complex-linear extension.
+
+The Choi and Jamiolkowski matrices are index permutations of the unit-image
+tensor L = ``unit_images()``, L[p, q, i, j] = Phi(E_ij)[p, q]; ``map_from_choi``
+contracts C with each input basis element B_y and reads Psi(B_y) in the
+output basis.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .operators import (
     bipartite,
     h_operator,
     hilbert_schmidt,
-    swap_operator,
 )
 
 
@@ -121,7 +125,7 @@ def adjoint_map(psi: MatrixMap) -> MatrixMap:
     In the orthonormal Hermitian basis this is exactly the transposed
     coefficient array.
     """
-    return MatrixMap(psi.output_dim, psi.input_dim, psi.coeffs.T.copy())
+    return MatrixMap(psi.output_dim, psi.input_dim, psi.coeffs.T)
 
 
 def apply_left(units: np.ndarray, xb: np.ndarray, m: int) -> np.ndarray:
@@ -146,28 +150,23 @@ def apply_to_left_factor(phi: MatrixMap, x: BipartiteOperator) -> BipartiteOpera
 
 
 def choi(psi: MatrixMap) -> BipartiteOperator:
-    """Choi matrix (Psi (x) id)(H) = sum_ij Psi(E_ij) (x) E_ij."""
-    return apply_to_left_factor(psi, h_operator(psi.input_dim))
+    """Choi matrix sum_ij Psi(E_ij) (x) E_ij: C[(p, i), (q, j)] = L[p, q, i, j]."""
+    b, a = psi.output_dim, psi.input_dim
+    return bipartite(psi.unit_images().transpose(0, 2, 1, 3).reshape(b * a, b * a), b, a)
 
 
 def jamiolkowski(psi: MatrixMap) -> BipartiteOperator:
-    """Jamiolkowski matrix (Psi (x) id)(S) = sum_ij Psi(E_ij) (x) E_ji.
-
-    Related to the Choi matrix by a right-factor partial transpose.
-    """
-    return apply_to_left_factor(psi, swap_operator(psi.input_dim))
+    """Jamiolkowski matrix sum_ij Psi(E_ij) (x) E_ji: J[(p, j), (q, i)] = L[p, q, i, j],
+    the Choi matrix with its right factor partially transposed."""
+    b, a = psi.output_dim, psi.input_dim
+    return bipartite(psi.unit_images().transpose(0, 3, 1, 2).reshape(b * a, b * a), b, a)
 
 
 def map_from_choi(c: BipartiteOperator) -> MatrixMap:
     """The unique map with the given Choi matrix (exact inverse of ``choi``)."""
-    n, m = c.n, c.m
-    c4 = c.reshaped()
-
-    def action(a: np.ndarray) -> np.ndarray:
-        # Psi(E_kl)[i, j] = C[(i,k), (j,l)]
-        return np.einsum("ikjl,kl->ij", c4, a)
-
-    return MatrixMap.from_function(m, n, action)
+    # Psi(B_y)[i, j] = sum_kl C[(i, k), (j, l)] B_y[k, l], then read in the output basis
+    images = np.einsum("ikjl,ykl->yij", c.reshaped(), hermitian_basis(c.m))
+    return MatrixMap(c.m, c.n, np.einsum("xpq,yqp->xy", hermitian_basis(c.n), images).real)
 
 
 @dataclass(frozen=True)
@@ -230,7 +229,7 @@ def normalize_positive_map(phi: MatrixMap) -> tuple[MatrixMap, BipartiteFunction
     if w[0] < -1e-10:
         raise ValueError("Phi(I) is not positive semidefinite")
     on_range = w > 1e-10
-    proj = (u[:, on_range] @ u[:, on_range].conj().T) if on_range.any() else np.zeros((m, m))
+    proj = u[:, on_range] @ u[:, on_range].conj().T
     inv_sqrt = np.zeros(m)
     inv_sqrt[on_range] = 1.0 / np.sqrt(w[on_range])
     r = (u * inv_sqrt) @ u.conj().T

@@ -104,6 +104,17 @@ class TestChoiJamiolkowski:
         c = choi(psi)
         assert (c.n, c.m) == (2, 3)
 
+    @pytest.mark.parametrize("a, b", [(1, 3), (3, 1), (2, 3), (2, 4), (4, 2)])
+    def test_matches_the_defining_sums(self, a, b):
+        # The non-Hermitian units E_ij pin the index convention; the real H and S cannot.
+        phi = random_map(a, b, np.random.default_rng(10 * a + b))
+        units = np.eye(a * a).reshape(a, a, a, a)  # units[i, j] = E_ij
+        c = sum(np.kron(phi.apply(units[i, j]), units[i, j]) for i in range(a) for j in range(a))
+        j_ = sum(np.kron(phi.apply(units[i, j]), units[j, i]) for i in range(a) for j in range(a))
+        assert np.max(np.abs(choi(phi).matrix - c)) < 1e-13
+        assert np.max(np.abs(jamiolkowski(phi).matrix - j_)) < 1e-13
+        assert np.max(np.abs(map_from_choi(choi(phi)).coeffs - phi.coeffs)) < 1e-13
+
 
 class TestPositivity:
     def test_transpose_positive(self):
