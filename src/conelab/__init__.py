@@ -37,11 +37,9 @@ from .maps import (
     normalize_positive_map,
 )
 from .kappa import (
-    KappaReport,
     cb_norm_estimate,
     cb_upper_bound,
     kappa_exact,
-    kappa_report,
     kappa_witness,
     max_norm_of_functional,
 )

@@ -64,10 +64,15 @@ def exit_code_for(report: dict) -> int:
 # subcommand handlers: each returns the results/certificates sections
 
 
+def _search_options(args) -> tuple[OptimizerConfig, dict]:
+    """Seesaw budget and ``tol`` keyword; without --tol the oracle's default holds."""
+    return (OptimizerConfig(starts=args.budget, seed=args.seed),
+            {} if args.tol is None else {"tol": args.tol})
+
+
 def _cmd_membership(args) -> tuple[dict, dict]:
     op = bipartite_from_dict(load_json(args.input))
-    cfg = OptimizerConfig(starts=args.budget, seed=args.seed)
-    tol = {} if args.tol is None else {"tol": args.tol}  # else the oracle's default
+    cfg, tol = _search_options(args)
     if args.cone == "psd":
         verdict = cones.is_psd(op, **tol)
     elif args.cone == "block-positive":
@@ -96,8 +101,7 @@ def _cmd_choi(args) -> tuple[dict, dict]:
 
 def _cmd_map_check(args) -> tuple[dict, dict]:
     phi = map_from_dict(load_json(args.map))
-    cfg = OptimizerConfig(starts=args.budget, seed=args.seed)
-    tol = {} if args.tol is None else {"tol": args.tol}  # else the oracle's default
+    cfg, tol = _search_options(args)
     verdict = maps.is_positive_map(phi, cfg=cfg, **tol)
     report = maps.unitality_report(phi)
     results = {
@@ -111,19 +115,25 @@ def _cmd_map_check(args) -> tuple[dict, dict]:
 
 
 def _cmd_kappa(args) -> tuple[dict, dict]:
-    cb_map = map_from_dict(load_json(args.estimate_cb)) if args.estimate_cb else None
-    cb_cfg = dataclasses.replace(kappa.CB_CFG, starts=args.budget, seed=args.seed)
-    rep = kappa.kappa_report(args.n, args.m, cb_map=cb_map, cb_cfg=cb_cfg)
+    n, m = args.n, args.m
+    phi = (map_from_dict(load_json(args.estimate_cb)) if args.estimate_cb
+           else kappa.extremal_positive_map(n, m))
+    if (phi.input_dim, phi.output_dim) != (n, m):  # else its cb norm bounds another kappa
+        raise ValueError(f"map is M_{phi.input_dim} -> M_{phi.output_dim}, "
+                         f"expected M_{n} -> M_{m}")
+    witness = kappa.normalized_swap(n, m)
+    cb = kappa.cb_norm_estimate(
+        phi, dataclasses.replace(kappa.CB_CFG, starts=args.budget, seed=args.seed))
     results = {
         "status": "pass",
-        "n": rep.n,
-        "m": rep.m,
-        "exact": rep.exact,
-        "witness_lower_bound": rep.witness_lower_bound,
-        "cb_estimate": rep.cb.value,
-        "cb_upper_bound": rep.cb.upper.value,
+        "n": n,
+        "m": m,
+        "exact": kappa.kappa_exact(n, m),
+        "witness_lower_bound": kappa.max_norm_of_functional(witness),
+        "cb_estimate": cb.value,
+        "cb_upper_bound": cb.upper.value,
     }
-    return results, {"witness": to_json(rep.witness), "cb_estimate": to_json(rep.cb)}
+    return results, {"witness": to_json(witness), "cb_estimate": to_json(cb)}
 
 
 def _cmd_polytope(args) -> tuple[dict, dict]:
@@ -211,27 +221,29 @@ def build_parser() -> _Parser:
     p = _Parser(prog="cone-lab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "table"], default="json")
-    sub = p.add_subparsers(dest="command", required=True,
-                           parser_class=lambda **kw: _Parser(parents=[common], **kw))
+    sub = p.add_subparsers(
+        dest="command", required=True,
+        parser_class=lambda parents=(), **kw: _Parser(parents=[common, *parents], **kw))
+    # the options _search_options reads; parents share these Action objects,
+    # so no subcommand may override their defaults
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--tol", type=_positive(float, least=0), default=None)
+    search.add_argument("--seed", type=_positive(int, least=0), default=0)
+    search.add_argument("--budget", type=_positive(int), default=OptimizerConfig.starts)
 
-    mem = sub.add_parser("membership", help="cone membership oracle with certificate")
+    mem = sub.add_parser("membership", parents=[search],
+                         help="cone membership oracle with certificate")
     mem.add_argument("--cone", required=True,
                      choices=["psd", "separable", "block-positive", "ppt"])
     mem.add_argument("--input", required=True)
-    mem.add_argument("--tol", type=_positive(float, least=0), default=None)
-    mem.add_argument("--seed", type=_positive(int, least=0), default=0)
-    mem.add_argument("--budget", type=_positive(int), default=OptimizerConfig.starts)
     mem.set_defaults(handler=_cmd_membership)
 
     ch = sub.add_parser("choi", help="Choi and Jamiolkowski matrices of a map")
     ch.add_argument("--map", required=True)
     ch.set_defaults(handler=_cmd_choi, seed=0)
 
-    mc = sub.add_parser("map-check", help="positivity and unitality of a map")
+    mc = sub.add_parser("map-check", parents=[search], help="positivity and unitality of a map")
     mc.add_argument("--map", required=True)
-    mc.add_argument("--tol", type=_positive(float, least=0), default=None)
-    mc.add_argument("--seed", type=_positive(int, least=0), default=0)
-    mc.add_argument("--budget", type=_positive(int), default=OptimizerConfig.starts)
     mc.set_defaults(handler=_cmd_map_check)
 
     ka = sub.add_parser("kappa", help="max-norm closed form and cb-norm bounds")

@@ -240,43 +240,6 @@ def extremal_positive_map(n: int, m: int) -> MatrixMap:
     return MatrixMap.from_function(n, m, action)
 
 
-@dataclass(frozen=True)
-class KappaReport:
-    n: int
-    m: int
-    exact: float
-    witness_lower_bound: float
-    cb: CbEstimate
-    witness: BipartiteOperator
-
-
-def kappa_report(
-    n: int,
-    m: int,
-    cb_map: MatrixMap | None = None,
-    cb_cfg: OptimizerConfig | None = None,
-) -> KappaReport:
-    """Bundle the closed form with both computed lower bounds and the cb
-    upper bound; ``cb_cfg`` is the budget of ``cb_norm_estimate``.
-
-    A supplied ``cb_map`` must map M_n to M_m, so that its cb estimate
-    bounds the same kappa(n, m) as the closed form; otherwise ValueError.
-    """
-    if cb_map is not None and (cb_map.input_dim, cb_map.output_dim) != (n, m):
-        raise ValueError(f"map is M_{cb_map.input_dim} -> M_{cb_map.output_dim}, "
-                         f"expected M_{n} -> M_{m}")
-    witness = normalized_swap(n, m)
-    phi = cb_map if cb_map is not None else extremal_positive_map(n, m)
-    return KappaReport(
-        n=n,
-        m=m,
-        exact=kappa_exact(n, m),
-        witness_lower_bound=max_norm_of_functional(witness),
-        cb=cb_norm_estimate(phi, cb_cfg),
-        witness=witness,
-    )
-
-
 def polytope_max_norm(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> float:
     """Norm of a tensor functional against the unit ball of functions
     bounded by 1 on the minimal tensor polytope.

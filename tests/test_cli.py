@@ -289,6 +289,22 @@ class TestKappa:
         assert rep["results"]["exact"] == 2.0
         assert rep["results"]["witness_lower_bound"] == pytest.approx(2.0, abs=1e-9)
 
+    def test_square_case(self, capsys):
+        code, rep = run_json(capsys, ["kappa", "--n", "2", "--m", "2", "--budget", "30"])
+        assert code == 0
+        assert rep["results"]["exact"] == 2.0
+        assert rep["results"]["witness_lower_bound"] == pytest.approx(2.0, abs=1e-9)
+        assert 1.9 <= rep["results"]["cb_estimate"] <= 2.0 + 1e-9
+
+    def test_rectangular_case(self, capsys):
+        code, rep = run_json(capsys, ["kappa", "--n", "2", "--m", "3", "--budget", "30"])
+        assert code == 0
+        assert rep["results"]["exact"] == 2.0
+        assert rep["results"]["witness_lower_bound"] == pytest.approx(2.0, abs=1e-9)
+        assert rep["results"]["cb_estimate"] <= 2.0 + 1e-6
+        witness = rep["certificates"]["witness"]
+        assert (witness["n"], witness["m"]) == (2, 3)
+
     def test_cb_of_supplied_map(self, capsys, t2_map):
         code, rep = run_json(
             capsys,
@@ -586,7 +602,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv,module,name", [
         (["membership", "--cone", "block-positive", "--input", "{h2}"], cones, "is_block_positive"),
         (["map-check", "--map", "{t2}"], maps, "is_positive_map"),
-        (["kappa", "--n", "2", "--m", "2", "--estimate-cb", "{t2}"], kappa, "kappa_report"),
+        (["kappa", "--n", "2", "--m", "2", "--estimate-cb", "{t2}"], kappa, "cb_norm_estimate"),
     ], ids=["membership", "map-check", "kappa"])
     def test_budget_beyond_memory_is_data_error(self, capsys, monkeypatch, h2_half, t2_map,
                                                 argv, module, name):
@@ -672,6 +688,22 @@ class TestErrorPaths:
         p.write_text(json.dumps(doc))
         assert cli.main([command, "--map", str(p)]) == 65
         assert "map dimensions must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["map-check", "--map", "{f}"],
+         {"input_dim": 2, "output_dim": 2, "coeffs": [[1.0, 0.0]]},
+         "coefficient array must have shape (4, 4), got (1, 2)"),
+        (["membership", "--cone", "psd", "--input", "{f}"],
+         {**bipartite_to_dict(bipartite(np.eye(4) / 4, 2, 2)), "n": 0},
+         "factor dimensions must be positive"),
+    ], ids=["map-coefficient-shape", "operator-factor-zero"])
+    def test_document_the_library_rejects_is_data_error(self, capsys, tmp_path, argv, doc,
+                                                        message):
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main([a.format(f=p) for a in argv]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and message in err
 
     @pytest.mark.parametrize("bad", ["2", 2.5, True], ids=repr)
     def test_non_integer_polytope_dim_is_data_error(self, capsys, tmp_path, square_file, bad):

@@ -14,7 +14,6 @@ from conelab.kappa import (
     embedded_swap,
     extremal_positive_map,
     kappa_exact,
-    kappa_report,
     kappa_witness,
     max_norm_of_functional,
     polytope_max_norm,
@@ -71,6 +70,9 @@ class TestMaxNorm:
         assert max_norm_of_functional(bipartite(-s.matrix / 3, 3, 3)) == pytest.approx(
             3.0, abs=1e-11
         )
+
+    def test_embedded_swap_norm_one(self):
+        assert np.linalg.norm(embedded_swap(2, 3).matrix, 2) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestWitness:
@@ -343,24 +345,6 @@ def _random_unital_positive(n, rng):
         return w[0] * conj + w[1] * twist + w[2] * pinch
 
     return MatrixMap.from_function(n, n, action)
-
-
-class TestReport:
-    def test_square_case(self):
-        rep = kappa_report(2, 2, cb_cfg=CB_FAST)
-        assert rep.exact == 2.0
-        assert rep.witness_lower_bound == pytest.approx(2.0, abs=1e-9)
-        assert 1.9 <= rep.cb.value <= 2.0 + 1e-9
-
-    def test_rectangular_case(self):
-        rep = kappa_report(2, 3, cb_cfg=CB_FAST)
-        assert rep.exact == 2.0
-        assert rep.witness_lower_bound == pytest.approx(2.0, abs=1e-9)
-        assert rep.cb.value <= 2.0 + 1e-6
-        assert (rep.witness.n, rep.witness.m) == (2, 3)
-
-    def test_embedded_swap_norm_one(self):
-        assert np.linalg.norm(embedded_swap(2, 3).matrix, 2) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPolytopeLinkage:

@@ -74,6 +74,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda: partial_transpose(bipartite(np.eye(4), 2, 2), "middle"), "side must be"),
+        (lambda: partial_trace(bipartite(np.eye(4), 2, 2), "up"), "side must be"),
+        (lambda: swap_operator(0), "m must be >= 1"),
+        (lambda: h_operator(0), "m must be >= 1"),
+    ], ids=["partial_transpose-side", "partial_trace-side", "swap_operator-0", "h_operator-0"])
+    def test_rejects_bad_arguments(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
 
 class TestTensor:
     def test_identity(self):

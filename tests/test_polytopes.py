@@ -751,6 +751,20 @@ class TestTensorFunctional:
             TensorFunctional(m)
 
 
+class TestArgumentGuards:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: Polytope(np.empty((0, 2))), "nonempty 2-d array"),
+        (lambda: Polytope([0.0, 1.0]), "nonempty 2-d array"),
+        (lambda: TensorFunctional(np.array([0.0, 1.0])), "2-d coefficient matrix"),
+        (lambda: simplex(-1), "n must be >= 0"),
+        (lambda: affine_dimension(np.empty((0, 2))), "nonempty point list"),
+    ], ids=["empty-vertex-list", "1-d-vertex-list", "1-d-functional", "simplex-minus-one",
+            "affine-dimension-of-no-points"])
+    def test_rejects_bad_arguments(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 def inf_norm_distance(flat, vertices):
     """min t with |V^T lam - phi|_inf <= t over the simplex, solved afresh."""
     p, dim = vertices.shape
