@@ -9,10 +9,10 @@ order, then i(E_ij - E_ji)/sqrt(2).  A real coefficient array is exactly
 the condition that Hermitian inputs go to Hermitian outputs; the action on
 non-Hermitian matrices is the canonical complex-linear extension.
 
-The Choi and Jamiolkowski matrices are index permutations of the unit-image
-tensor L = ``unit_images()``, L[p, q, i, j] = Phi(E_ij)[p, q]; ``map_from_choi``
-contracts C with each input basis element B_y and reads Psi(B_y) in the
-output basis.
+A map acts through its unit-image tensor L = ``unit_images()``, L[p, q, i, j] =
+Phi(E_ij)[p, q]: ``apply`` is one ``apply_left`` GEMM, the Choi and Jamiolkowski
+matrices are index permutations of L, and a map built from the images of the
+input basis elements B_y reads them back in the output basis (``_coefficients``).
 """
 
 from __future__ import annotations
@@ -55,14 +55,9 @@ def hermitian_basis(n: int) -> np.ndarray:
     return _frozen_array(np.array(mats))
 
 
-def basis_coefficients(m: np.ndarray) -> np.ndarray:
-    """Coefficients of a matrix in the Hermitian basis (complex in general)."""
-    b = hermitian_basis(m.shape[0])
-    return np.einsum("kpq,qp->k", b, m)
-
-
-def matrix_from_coefficients(c: np.ndarray, n: int) -> np.ndarray:
-    return np.einsum("k,kpq->pq", c, hermitian_basis(n))
+def _coefficients(images: np.ndarray) -> np.ndarray:
+    """Coefficient array whose column y reads images[y] = Phi(B_y) in the output basis."""
+    return np.einsum("xpq,yqp->xy", hermitian_basis(images.shape[1]), images).real
 
 
 @dataclass(frozen=True)
@@ -85,11 +80,8 @@ class MatrixMap:
     @classmethod
     def from_function(cls, input_dim: int, output_dim: int, fn) -> "MatrixMap":
         """Build the coefficient array by applying ``fn`` to the Hermitian basis."""
-        cols = []
-        for b in hermitian_basis(input_dim):
-            out = np.asarray(fn(b), dtype=complex)
-            cols.append(basis_coefficients(out).real)
-        return cls(input_dim, output_dim, np.array(cols).T)
+        images = np.array([fn(b) for b in hermitian_basis(input_dim)], dtype=complex)
+        return cls(input_dim, output_dim, _coefficients(images))
 
     @classmethod
     def identity(cls, n: int) -> "MatrixMap":
@@ -105,18 +97,17 @@ class MatrixMap:
         return cls.from_function(n, n, lambda a: np.trace(a) * np.eye(n) - a)
 
     def apply(self, m: np.ndarray) -> np.ndarray:
-        c = basis_coefficients(np.asarray(m, dtype=complex))
-        return matrix_from_coefficients(self.coeffs @ c, self.output_dim)
+        return apply_left(self.unit_images(), np.asarray(m, dtype=complex)[None], 1)[0]
 
     def unit_images(self) -> np.ndarray:
         """Tensor L[p, q, i, j] = Phi(E_ij)[p, q]; the complex-linear action.
 
         E_ij has coefficient conj(B_l[i, j]) = B_l[j, i] on the Hermitian
-        basis element B_l, so L is one contraction of the two bases with
-        the coefficient array.
+        basis element B_l, so L contracts the coefficients with the input
+        basis, then the output basis: two einsums, not one over all indices.
         """
-        return np.einsum("kpq,kl,lji->pqij", hermitian_basis(self.output_dim), self.coeffs,
-                         hermitian_basis(self.input_dim))
+        t = np.einsum("kl,lji->kij", self.coeffs, hermitian_basis(self.input_dim))
+        return np.einsum("kpq,kij->pqij", hermitian_basis(self.output_dim), t)
 
 
 def adjoint_map(psi: MatrixMap) -> MatrixMap:
@@ -166,7 +157,7 @@ def map_from_choi(c: BipartiteOperator) -> MatrixMap:
     """The unique map with the given Choi matrix (exact inverse of ``choi``)."""
     # Psi(B_y)[i, j] = sum_kl C[(i, k), (j, l)] B_y[k, l], then read in the output basis
     images = np.einsum("ikjl,ykl->yij", c.reshaped(), hermitian_basis(c.m))
-    return MatrixMap(c.m, c.n, np.einsum("xpq,yqp->xy", hermitian_basis(c.n), images).real)
+    return MatrixMap(c.m, c.n, _coefficients(images))
 
 
 @dataclass(frozen=True)
@@ -236,10 +227,10 @@ def normalize_positive_map(phi: MatrixMap) -> tuple[MatrixMap, BipartiteFunction
     sqrt_img = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
     complement = np.eye(m) - proj
 
-    def psi_action(a: np.ndarray) -> np.ndarray:
-        return r @ phi.apply(a) @ r + a[0, 0] * complement
-
-    psi = MatrixMap.from_function(n, m, psi_action)
+    # Psi(B_y) = R Phi(B_y) R + B_y[0, 0] (I - P) for the whole input basis at once
+    basis = hermitian_basis(n)
+    images = r @ apply_left(phi.unit_images(), basis, 1) @ r + basis[:, :1, :1] * complement
+    psi = MatrixMap(n, m, _coefficients(images))
 
     half = np.kron(sqrt_img, np.eye(m))
     h = h_operator(m).matrix

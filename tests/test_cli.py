@@ -283,12 +283,6 @@ class TestMapCommands:
 
 
 class TestKappa:
-    def test_closed_form(self, capsys):
-        code, rep = run_json(capsys, ["kappa", "--n", "2", "--m", "2", "--budget", "20"])
-        assert code == 0
-        assert rep["results"]["exact"] == 2.0
-        assert rep["results"]["witness_lower_bound"] == pytest.approx(2.0, abs=1e-9)
-
     def test_square_case(self, capsys):
         code, rep = run_json(capsys, ["kappa", "--n", "2", "--m", "2", "--budget", "30"])
         assert code == 0

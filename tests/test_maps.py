@@ -6,16 +6,15 @@ from hypothesis import strategies as st
 from conelab import cones
 from conelab.cones import OptimizerConfig, Status, is_psd
 from conelab.maps import (
+    BipartiteFunctional,
     MatrixMap,
     adjoint_map,
     apply_to_left_factor,
-    basis_coefficients,
     choi,
     hermitian_basis,
     is_positive_map,
     jamiolkowski,
     map_from_choi,
-    matrix_from_coefficients,
     normalize_positive_map,
     random_map,
     random_positive_map,
@@ -62,10 +61,10 @@ class TestHermitianBasis:
         assert np.allclose(gram, np.eye(n * n), atol=1e-14)
 
     def test_roundtrip_complex_matrix(self):
+        # the identity map writes a complex matrix in the basis and reads it back
         rng = np.random.default_rng(0)
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        c = basis_coefficients(m)
-        assert np.allclose(matrix_from_coefficients(c, 3), m, atol=1e-13)
+        assert np.max(np.abs(MatrixMap.identity(3).apply(m) - m)) <= 1e-13
 
 
 class TestChoiJamiolkowski:
@@ -231,12 +230,32 @@ class TestNormalizeConstruction:
         phi = random_positive_map(in_dim, out_dim, np.random.default_rng(seed), singular)
         assert any(cp_or_co_cp(phi))
 
+    def test_rejects_negative_image_of_identity(self, no_search):
+        # the Choi matrix of A -> V A V*, V = sqrt(2) e0 e0^T, with its
+        # ((1, 1), (1, 1)) entry lowered by 5e-10: is_psd passes it at 1e-9,
+        # but Phi(I) has eigenvalues -5e-10 and 2
+        v = np.sqrt(2) * np.diag([1.0, 0.0])
+        c = choi(MatrixMap.from_function(2, 2, lambda a: v @ a @ v.T)).matrix.copy()
+        c[3, 3] -= 5e-10
+        phi = map_from_choi(bipartite(c, 2, 2))
+        assert is_psd(choi(phi)).is_in
+        with pytest.raises(ValueError, match=r"Phi\(I\) is not positive semidefinite"):
+            normalize_positive_map(phi)
+
     def test_rejects_nonpositive_map(self):
         bad = random_map(2, 2, np.random.default_rng(10))
         rep = unitality_report(bad)
         scaled = MatrixMap(2, 2, bad.coeffs / rep.normalized_trace_of_image)
         with pytest.raises(ValueError, match="not certified positive"):
             normalize_positive_map(scaled)
+
+
+class TestBipartiteFunctional:
+    def test_rejects_operator_of_another_factorization(self):
+        rho = BipartiteFunctional(bipartite(np.eye(6) / 6, 2, 3))
+        assert rho(bipartite(np.eye(6), 2, 3)) == pytest.approx(1.0, abs=1e-14)
+        with pytest.raises(ValueError, match="factorization does not match"):
+            rho(bipartite(np.eye(6), 3, 2))
 
 
 class TestUnitImages:

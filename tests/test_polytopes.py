@@ -1066,6 +1066,22 @@ class TestRelativeBoundWithoutLP:
         assert calls[0] == 5
         assert r == pytest.approx(float(relative_bound_lps(mn, mx).max()), rel=1e-9)
 
+    def test_singular_system_leaves_every_row_to_the_lp(self, calls, monkeypatch):
+        # a singular IRLS system stops the iteration before it bounds a row,
+        # so the open rows of the square's gap go to one HiGHS call
+        sq = square()
+        mn, mx = min_tensor(sq, sq), max_tensor_polytope(sq, sq)
+        solves = [0]
+
+        def singular(*args, **kwargs):
+            solves[0] += 1
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        calls[0] = 0
+        assert relative_bound(mn, mx) == pytest.approx(0.5, abs=1e-9)
+        assert (solves[0], calls[0]) == (1, 1)
+
     def test_lp_below_the_certified_lower_bound_is_refused(self, calls):
         # the square x1e-3 shifted by (10, 10): the bracket is [0.50000002842392,
         # 0.50000002842479], just open, and the one HiGHS call answers 0.0
