@@ -18,7 +18,7 @@ input basis elements B_y reads them back in the output basis (``_coefficients``)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -100,23 +100,27 @@ class MatrixMap:
         return apply_left(self.unit_images(), np.asarray(m, dtype=complex)[None], 1)[0]
 
     def unit_images(self) -> np.ndarray:
-        """Tensor L[p, q, i, j] = Phi(E_ij)[p, q]; the complex-linear action.
+        """Tensor L[p, q, i, j] = Phi(E_ij)[p, q], read-only, contracted on first use."""
+        return self._unit_images
 
-        E_ij has coefficient conj(B_l[i, j]) = B_l[j, i] on the Hermitian
-        basis element B_l, so L contracts the coefficients with the input
-        basis, then the output basis: two einsums, not one over all indices.
-        """
+    @cached_property
+    def _unit_images(self) -> np.ndarray:
+        # E_ij has coefficient conj(B_l[i, j]) = B_l[j, i] on the basis element B_l, so
+        # contract with the input basis, then the output basis (two einsums, not one)
         t = np.einsum("kl,lji->kij", self.coeffs, hermitian_basis(self.input_dim))
-        return np.einsum("kpq,kij->pqij", hermitian_basis(self.output_dim), t)
+        return _frozen_array(np.einsum("kpq,kij->pqij", hermitian_basis(self.output_dim), t))
 
 
 def adjoint_map(psi: MatrixMap) -> MatrixMap:
     """Adjoint for the trace pairing: Tr(Psi(A) B) = Tr(A Psi*(B)).
 
     In the orthonormal Hermitian basis this is exactly the transposed
-    coefficient array.
+    coefficient array, and Psi*(E_ij)[p, q] = Psi(E_qp)[j, i], so its unit
+    images are psi's transposed rather than contracted again.
     """
-    return MatrixMap(psi.output_dim, psi.input_dim, psi.coeffs.T)
+    adj = MatrixMap(psi.output_dim, psi.input_dim, psi.coeffs.T)
+    object.__setattr__(adj, "_unit_images", _frozen_array(psi.unit_images().transpose(3, 2, 1, 0)))
+    return adj
 
 
 def apply_left(units: np.ndarray, xb: np.ndarray, m: int) -> np.ndarray:

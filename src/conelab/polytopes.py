@@ -503,11 +503,13 @@ def _relative_bounds(z: np.ndarray, inner: Polytope):
     feasible for the dual max rhs.nu s.t. |A^T nu|_inf <= 1 (Daubechies,
     DeVore, Fornasier and Güntürk 2010), which is the same for every z, so
     (rhs.nu - 1) / 2 bounds the largest r from below, as 0 does.  An outer
-    vertex that is an inner vertex has r = 0 and is not iterated.  A row
-    leaves the iteration once its upper bound is below (lower bound -
-    LP_TOL).  The iteration has three stops and no other: the bracket closes
-    (the largest upper bound is within 1e-12, relative, of the lower bound),
-    a system is singular, or IRLS_STEPS steps have run.
+    vertex that is an exact copy of an inner vertex has r = 0 and is not
+    iterated; only the simplex shortcut of max_tensor_polytope makes such
+    copies, as the vertices it enumerates match only to rounding.  A row
+    leaves the iteration once its upper bound is below (lower bound - LP_TOL).
+    The iteration has three stops and no other: the bracket closes (the
+    largest upper bound is within 1e-12, relative, of the lower bound), a
+    system is singular, or IRLS_STEPS steps have run.
 
     r is affine invariant, so the iteration runs in the unit chart that the
     Polytope inner keeps (inner.unit_chart): centroid 0, max-abs coordinate

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from conelab.operators import (
     swap_operator,
     tensor,
 )
+from conelab.serialize import to_json
 
 FAST = OptimizerConfig(starts=40, steps=120, seed=0)
 
@@ -165,6 +168,15 @@ class TestAdjoint:
                 np.trace(phi.apply(np.eye(2)) @ b).real, abs=1e-12
             )
 
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    @pytest.mark.parametrize("b", [1, 2, 3, 4])
+    def test_unit_images_are_the_transposed_images_of_psi(self, a, b):
+        phi = random_map(a, b, np.random.default_rng(10 * a + b))
+        adj = adjoint_map(phi)
+        fresh = MatrixMap(phi.output_dim, phi.input_dim, phi.coeffs.T)
+        assert np.array_equal(adj.unit_images(), fresh.unit_images())
+        assert np.array_equal(choi(adj).matrix, choi(fresh).matrix)
+
 
 class TestNormalizeConstruction:
     @pytest.fixture
@@ -269,6 +281,27 @@ class TestUnitImages:
                 e[i, j] = 1.0
                 want[:, :, i, j] = phi.apply(e)
         np.testing.assert_allclose(phi.unit_images(), want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("a, b", [(1, 3), (2, 2), (3, 2), (4, 4)])
+    def test_contracted_once_and_read_only(self, a, b):
+        phi = random_map(a, b, np.random.default_rng(10 * a + b))
+        t = np.einsum("kl,lji->kij", phi.coeffs, hermitian_basis(a))
+        want = np.einsum("kpq,kij->pqij", hermitian_basis(b), t)
+        units = phi.unit_images()
+        assert phi.unit_images() is units
+        assert not units.flags.writeable
+        assert np.array_equal(units, want)
+
+    def test_call_order_does_not_change_results(self):
+        def run(first_positivity: bool):
+            phi = random_positive_map(2, 3, np.random.default_rng(11))
+            if first_positivity:
+                verdict, report = is_positive_map(phi, cfg=FAST), unitality_report(phi)
+            else:
+                report, verdict = unitality_report(phi), is_positive_map(phi, cfg=FAST)
+            return json.dumps(to_json(verdict)), json.dumps(to_json(report))
+
+        assert run(True) == run(False)
 
 
 class TestApplyToLeftFactor:
