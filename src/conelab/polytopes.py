@@ -41,11 +41,13 @@ DD_BLOCK = 1 << 16
 MAX_RAY_AMBIENT_DIM = 4
 MAX_RAY_VERTICES = 12
 # LP copies per HiGHS call in _block_lps; _distance_bounds stops once this
-# many rows are open.  tensor-gap's open distance LPs are 8/24/32 rows at
-# seed 0 and 8/27/34 at seed 1000, so from 34 up each pair takes one call
-# (36 leaves two rows of room).  At 24 the seed-1000 pass makes two more and
-# its batch_s read 0.092 s against 0.087 s; 36 costs about 2 MB of peak RSS
-# (90.5 against 88.2 MB; medians of 6 pairs, one BLAS thread, 2 vCPUs).
+# many rows are open, and _exact_distances then settles them.  tensor-gap's
+# FISTA leaves 8/24/32 rows open at seed 0 and 8/27/34 at seed 1000, and the
+# exact finish closes all but the gap vertex's, so those pairs run no distance
+# LP.  Stopping FISTA at 72, 150 or 600 open rows (600: no FISTA step) put
+# tensor-gap's six k-gon^2 gap_among calls at 90, 93 and 167 ms against 94 ms
+# at 36 (medians of 7, one BLAS thread, 2 vCPUs).  The blocks still take the
+# tied rows (8 on square^2, 60 on cube^2) and the relative-bound LPs.
 LP_BLOCKS = 36
 # Iterations of the bounds that screen the per-vertex LPs (_distance_bounds,
 # _relative_bounds).  Fewer only loosen the bounds, which costs LPs, never
@@ -54,6 +56,10 @@ LP_BLOCKS = 36
 FISTA_STEPS = 100
 FISTA_CHECK = 10
 IRLS_STEPS = 30
+# Pivots per row in _exact_distances.  Every open row closes its bracket
+# within 24 pivots on the tensor-gap and seeded k-gon^2 pairs, and within 40
+# on cube^2 and hexagon x cube; a row left open at the cap only goes to HiGHS.
+SIMPLEX_PIVOTS = 100
 
 
 @dataclass(frozen=True)
@@ -491,6 +497,73 @@ def _distance_bounds(z: np.ndarray, vertices: np.ndarray):
     return bound, lower
 
 
+def _exact_distances(z: np.ndarray, vertices: np.ndarray):
+    """Certified brackets on the inf-norm distance from each row of z to the
+    convex hull of the vertices, the value of _min_distance_lp, from a
+    batched revised primal simplex on that LP (_distance_rows) with a slack
+    per inequality.  Each row starts from the basis of its nearest vertex k:
+    lam_k, t and every slack but the one at the coordinate where |V_k - z|
+    peaks.  A pivot enters the most negative reduced cost (Dantzig), leaves
+    by the ratio test and updates B^-1 by a rank-1 step.  A row stops when
+    no reduced cost is below -1e-12, or no entry of its pivot column is
+    above 1e-12; every row stops after SIMPLEX_PIVOTS pivots.
+
+    Both bounds are read off each row's final basis and hold whatever the
+    pivots did, so an unfinished or inexact row only keeps a wider bracket.
+    The upper bound is |lam V - z|_inf with lam clipped to >= 0 and rescaled
+    to sum 1; the lower bound is y.z - max_p y.V_p with y = pi_a - pi_b, the
+    difference of the two inequality blocks' duals (oriented as
+    _min_distance_lp's normal), divided by max(1, |y|_1).  Returns the upper
+    and lower bounds (n,), the weights lam (n, p) and the normals y (n, dim).
+    """
+    center = vertices.mean(axis=0)  # the weights sum to 1, so centring is exact
+    v, z = vertices - center, z - center
+    (p, dim), n = v.shape, len(z)
+    c, a_ub, a_eq = _distance_rows(v)
+    a = np.block([[a_ub, np.eye(2 * dim)], [a_eq, np.zeros((1, 2 * dim))]])
+    c = np.append(c, np.zeros(2 * dim))
+    b = np.hstack([z, -z, np.ones((n, 1))])
+    nearest = cKDTree(v).query(z, p=np.inf)[1]
+    diff = v[nearest] - z
+    tight = p + 1 + np.argmax(np.hstack([diff, -diff]), axis=1)  # the slack that is 0
+    slacks = np.broadcast_to(p + 1 + np.arange(2 * dim), (n, 2 * dim))
+    basis = np.column_stack([nearest, np.full(n, p), slacks[slacks != tight[:, None]].reshape(n, -1)])
+    binv = np.linalg.inv(np.moveaxis(a[:, basis], 0, 1))
+    xb = np.einsum("rij,rj->ri", binv, b)
+    live = np.arange(n)  # rows whose iterate may still improve
+    for _ in range(SIMPLEX_PIVOTS):
+        pi = np.einsum("ri,rij->rj", c[basis[live]], binv[live])
+        cost = c - pi @ a
+        enter = np.argmin(cost, axis=1)
+        go = cost[np.arange(len(live)), enter] < -1e-12
+        live, enter = live[go], enter[go]
+        u = np.einsum("rij,jr->ri", binv[live], a[:, enter])
+        ratio = np.maximum(xb[live], 0.0) / np.where(u > 1e-12, u, np.nan)
+        go = ~np.all(np.isnan(ratio), axis=1)
+        live, enter, u, ratio = live[go], enter[go], u[go], ratio[go]
+        if not len(live):
+            break
+        leave = np.nanargmin(ratio, axis=1)
+        pivot = u[np.arange(len(live)), leave]
+        row = binv[live, leave] / pivot[:, None]
+        binv[live] -= u[:, :, None] * row[:, None, :]
+        binv[live, leave] = row
+        theta = xb[live, leave] / pivot
+        xb[live] -= theta[:, None] * u
+        xb[live, leave] = theta
+        basis[live, leave] = enter
+    lam = np.zeros((n, p))
+    on = basis < p
+    lam[np.nonzero(on)[0], basis[on]] = np.maximum(xb[on], 0.0)
+    lam /= lam.sum(axis=1, keepdims=True)
+    upper = np.abs(lam @ v - z).max(axis=1)
+    pi = np.einsum("ri,rij->rj", c[basis], binv)
+    y = pi[:, :dim] - pi[:, dim:2 * dim]
+    y /= np.maximum(1.0, np.abs(y).sum(axis=1, keepdims=True))
+    lower = np.sum(y * z, axis=1) - np.max(y @ v.T, axis=1)
+    return upper, lower, lam, y
+
+
 def _relative_bounds(z: np.ndarray, inner: Polytope):
     """Certified bounds on r(z), the relative_bound LP's value at each row of
     z: upper bounds (n,) and a lower bound on their maximum.
@@ -613,15 +686,24 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
     The LP distance to the minimal polytope is convex, so its maximum over
     mx is attained at a vertex: take the first vertex whose distance is
     within LP_TOL of the largest (so rounding noise among tied vertices
-    cannot pick one) and return it with both certificates.  Every vertex
-    first gets an upper bound on its distance, and the largest distance a
-    lower bound (_distance_bounds).  The distance LPs run in one _block_lps
-    call on the vertices left open, those whose upper bound is > LP_TOL and
-    >= (lower bound - LP_TOL): a closed vertex's distance is <= LP_TOL or
-    more than LP_TOL below the largest.  As the count proves a gap, no open
-    vertex or no distance above LP_TOL means the LPs failed: ValueError.
-    The min-side certificate is the gap vertex's row of those LPs; the
-    max-side verdict is max_tensor_membership(phi, k1, k2), which reads the
+    cannot pick one) and return it with both certificates.  Three stages
+    narrow the candidates; a vertex drops out only when a certified bound
+    puts its distance more than LP_TOL below the largest, or, in the first
+    stage, at most LP_TOL:
+    - _distance_bounds (FISTA) gives every vertex an upper bound and the
+      largest distance a lower bound; it leaves open the vertices whose
+      upper bound is > LP_TOL and >= (lower bound - LP_TOL);
+    - _exact_distances brackets each open vertex's distance; one closes when
+      its upper bound is below (largest lower bound - LP_TOL), never for
+      being <= LP_TOL, so such rows keep HiGHS's verdict and messages;
+    - when exactly one vertex is left, its bracket is closed (width <= 1e-12
+      of its lower bound) and above LP_TOL, its weights and normal are the
+      min-side certificate and no LP runs.  Otherwise the distance LPs run in
+      one _block_lps call on the vertices left, and the certificate is the gap
+      vertex's row of those LPs.
+    As the count proves a gap, no distance above LP_TOL means the LPs
+    failed: ValueError, as is a normal that does not separate (_min_verdict).
+    The max-side verdict is max_tensor_membership(phi, k1, k2), which reads the
     chart rays that max_tensor_polytope(k1, k2) enumerated on k1 and k2.
     """
     mv = min_tensor(k1, k2).vertices
@@ -630,7 +712,11 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
     upper, lower = _distance_bounds(mx.vertices, mv)
     rows = np.flatnonzero((upper > LP_TOL) & (upper >= lower - LP_TOL))
     if len(rows):
-        dist, weights, normals = _min_distance_lp(mx.vertices[rows], mv)
+        dist, below, weights, normals = _exact_distances(mx.vertices[rows], mv)
+        keep = ~(dist < max(lower, below.max()) - LP_TOL)
+        rows, dist, below, weights, normals = (a[keep] for a in (rows, dist, below, weights, normals))
+        if not (len(rows) == 1 and LP_TOL < below[0] and dist[0] - below[0] <= 1e-12 * below[0]):
+            dist, weights, normals = _min_distance_lp(mx.vertices[rows], mv)
     if not len(rows) or dist.max() <= LP_TOL:
         raise ValueError(f"membership LP failed: no distance exceeds LP_TOL, yet the maximal "
                          f"product has {mx.n_vertices} vertices and the minimal only {len(mv)}")

@@ -19,6 +19,7 @@ from conelab.polytopes import (
     TensorFunctional,
     _block_lps,
     _distance_bounds,
+    _exact_distances,
     _min_distance_lp,
     _relative_bounds,
     affine_dimension,
@@ -1024,6 +1025,77 @@ class TestScreening:
         calls[0] = 0
         assert relative_bound(mn, mx) == pytest.approx(0.5, abs=1e-9)
         assert calls[0] <= 2
+
+
+GAP_PAIRS = [f"{k}-gon/{seed}" for k in (4, 5, 6) for seed in (0, 1)]
+PERFBENCH_GAP_PAIRS = [name for name in PERFBENCH_PAIRS if name.endswith(("4x4", "5x5", "6x6"))]
+
+
+class TestExactDistances:
+    """_exact_distances, the batched simplex that settles the rows the FISTA
+    screen leaves open: certified brackets on every row, closed on the
+    polygon pairs, and the lone open row's certificate in place of HiGHS."""
+
+    @pytest.mark.parametrize("name", POLYGON_PAIRS + PERFBENCH_PAIRS + ["x1", "x8e-5", "x1e3", "+1000", "+1e4"])
+    def test_brackets_contain_the_lp_distance(self, name):
+        k1, k2 = screening_pair(name)
+        mx, mv = max_tensor_polytope(k1, k2), min_tensor(k1, k2).vertices
+        dist = _min_distance_lp(mx.vertices, mv)[0]
+        upper, lower, weights, normals = _exact_distances(mx.vertices, mv)
+        tol = 1e-12 * max(1.0, dist.max())
+        assert np.all(upper >= dist - tol)
+        assert lower.max() <= dist.max() + tol
+        # there HiGHS's own row is the inexact one: at x1e3 it reads 0 for a
+        # maximal vertex 4.7e-10 from its product vertex, and at +1e4 6.2e-6
+        # for one of the eight gap vertices that the square's symmetry ties
+        if name not in ("x1e3", "+1e4"):
+            assert np.all(lower <= dist + tol)
+        assert np.allclose(weights.sum(axis=1), 1.0) and np.all(weights >= 0)
+        assert np.all(np.abs(normals).sum(axis=1) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("name", GAP_PAIRS + PERFBENCH_GAP_PAIRS)
+    def test_brackets_close_on_the_open_rows(self, name):
+        k1, k2 = screening_pair(name)
+        mx, mv = max_tensor_polytope(k1, k2), min_tensor(k1, k2).vertices
+        upper, lower = _distance_bounds(mx.vertices, mv)
+        rows = np.flatnonzero((upper > LP_TOL) & (upper >= lower - LP_TOL))  # as gap_among leaves them
+        assert len(rows) >= 8
+        upper, lower, _, _ = _exact_distances(mx.vertices[rows], mv)
+        assert np.all(upper - lower <= 1e-12 * lower)
+
+    @pytest.mark.parametrize("name", PERFBENCH_GAP_PAIRS)
+    def test_perfbench_polygon_pairs_solve_no_lp(self, name, calls):
+        k1, k2 = screening_pair(name)
+        mx = max_tensor_polytope(k1, k2)
+        calls[0] = 0
+        assert gap_among(mx, k1, k2) is not None
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("name", GAP_PAIRS + PERFBENCH_GAP_PAIRS)
+    def test_lone_row_certificate_matches_highs(self, name, calls):
+        k1, k2 = screening_pair(name)
+        mx, mv = max_tensor_polytope(k1, k2), min_tensor(k1, k2).vertices
+        index, margin = unscreened_gap(mx, k1, k2)
+        normal = _min_distance_lp(mx.vertices[index][None, :], mv)[2][0]
+        calls[0] = 0
+        gap = gap_among(mx, k1, k2)
+        assert calls[0] == 0
+        assert np.array_equal(gap.functional.flat, mx.vertices[index])
+        cert = gap.min_verdict.certificate
+        assert cert.margin == pytest.approx(margin, abs=1e-12)
+        assert np.max(np.abs(cert.normal - normal)) <= 1e-12
+
+    @pytest.mark.parametrize("name", GAP_PAIRS + PERFBENCH_GAP_PAIRS)
+    def test_unsettled_rows_fall_back_to_highs(self, name, calls, monkeypatch):
+        k1, k2 = screening_pair(name)
+        mx = max_tensor_polytope(k1, k2)
+        settled = gap_among(mx, k1, k2)
+        monkeypatch.setattr(polytopes, "SIMPLEX_PIVOTS", 0)
+        calls[0] = 0
+        gap = gap_among(mx, k1, k2)
+        assert calls[0] >= 1
+        assert np.array_equal(gap.functional.flat, settled.functional.flat)
+        assert gap.margin == pytest.approx(settled.margin, abs=1e-12)
 
 
 def mixed_pair(k1, k2, seed):
