@@ -40,25 +40,18 @@ DD_TOL = 1e-10
 DD_BLOCK = 1 << 16
 MAX_RAY_AMBIENT_DIM = 4
 MAX_RAY_VERTICES = 12
-# LP copies per HiGHS call in _block_lps; _distance_bounds stops once this
-# many rows are open, and _exact_distances then settles them.  tensor-gap's
-# FISTA leaves 8/24/32 rows open at seed 0 and 8/27/34 at seed 1000, and the
-# exact finish closes all but the gap vertex's, so those pairs run no distance
-# LP.  Stopping FISTA at 72, 150 or 600 open rows (600: no FISTA step) put
-# tensor-gap's six k-gon^2 gap_among calls at 90, 93 and 167 ms against 94 ms
-# at 36 (medians of 7, one BLAS thread, 2 vCPUs).  The blocks still take the
-# tied rows (8 on square^2, 60 on cube^2) and the relative-bound LPs.
+# LP copies per HiGHS call in _block_lps: the tied gap rows that
+# _exact_distances leaves open (8 on square^2, 60 on cube^2) and the
+# relative-bound LPs.
 LP_BLOCKS = 36
-# Iterations of the bounds that screen the per-vertex LPs (_distance_bounds,
-# _relative_bounds).  Fewer only loosen the bounds, which costs LPs, never
-# correctness.  The two relative bounds of an affine k-gon pair meet in 8
-# steps at k = 4 and 6 and in 23 at k = 5.
-FISTA_STEPS = 100
-FISTA_CHECK = 10
+# IRLS iterations of _relative_bounds.  Fewer only loosen the bounds, which
+# costs LPs, never correctness.  The two relative bounds of an affine k-gon
+# pair meet in 8 steps at k = 4 and 6 and in 23 at k = 5.
 IRLS_STEPS = 30
-# Pivots per row in _exact_distances.  Every open row closes its bracket
-# within 24 pivots on the tensor-gap and seeded k-gon^2 pairs, and within 40
-# on cube^2 and hexagon x cube; a row left open at the cap only goes to HiGHS.
+# Pivots per row in _exact_distances.  Every row it does not prune closes its
+# bracket within 17 pivots on the tensor-gap and seeded k-gon^2 pairs, and
+# within 39 on cube^2 and hexagon x cube; a row left open at the cap only goes
+# to HiGHS.
 SIMPLEX_PIVOTS = 100
 
 
@@ -448,55 +441,6 @@ def min_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> 
 # certified bounds that screen the per-vertex LPs
 
 
-def _simplex_projection(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of y onto the probability simplex
-    (sort and threshold; Held, Wolfe and Crowder 1974)."""
-    u = np.sort(y, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    rho = np.count_nonzero(u * np.arange(1, y.shape[1] + 1) > css, axis=1)
-    theta = css[np.arange(len(y)), rho - 1] / rho
-    return np.maximum(y - theta[:, None], 0.0)
-
-
-def _distance_bounds(z: np.ndarray, vertices: np.ndarray):
-    """Certified bounds on the inf-norm distance from each row of z to the
-    convex hull of the vertices, the value of _min_distance_lp: upper bounds
-    (n,) and a lower bound on their maximum.
-
-    Each upper bound is the inf-norm distance to a point of the hull: the
-    nearest vertex, or an iterate of FISTA (Beck and Teboulle 2009) on the
-    Euclidean distance over the simplex weights, whichever is nearer.  The
-    lower bound is the largest dual bound of an iterate x, y.z - max_p y.V_p
-    with y = (z - x) / |z - x|_1, or 0.  Every FISTA_CHECK steps, a row
-    leaves the iteration once its upper bound is <= LP_TOL or below (lower
-    bound - LP_TOL): it is then closed whatever its bound.  The iteration
-    stops once at most LP_BLOCKS rows are left open, as they fit one HiGHS
-    call.
-    """
-    center = vertices.mean(axis=0)  # the weights sum to 1, so centring is exact
-    v, z = vertices - center, z - center
-    bound, nearest = cKDTree(v).query(z, p=np.inf)
-    active = np.flatnonzero(bound > LP_TOL)
-    lam = np.zeros((len(active), len(v)))
-    lam[np.arange(len(active)), nearest[active]] = 1.0
-    za, y, prev, t, lower = z[active], lam, lam, 1.0, 0.0
-    step = 1.0 / max(np.linalg.norm(v, 2) ** 2, np.finfo(float).tiny)
-    for k in range(1, FISTA_STEPS + 1):
-        if len(active) <= LP_BLOCKS:
-            break
-        lam = _simplex_projection(y - ((y @ v - za) @ v.T) * step)
-        res = za - lam @ v
-        bound[active] = np.minimum(bound[active], np.abs(res).max(axis=1))
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        y, prev, t = lam + ((t - 1.0) / t_next) * (lam - prev), lam, t_next
-        if k % FISTA_CHECK == 0:
-            normal = res / np.maximum(np.abs(res).sum(axis=1, keepdims=True), np.finfo(float).tiny)
-            lower = max(lower, float(np.max(np.sum(normal * za, axis=1) - np.max(normal @ v.T, axis=1))))
-            keep = (bound[active] > LP_TOL) & (bound[active] >= lower - LP_TOL)
-            active, za, y, prev = active[keep], za[keep], y[keep], prev[keep]
-    return bound, lower
-
-
 def _exact_distances(z: np.ndarray, vertices: np.ndarray):
     """Certified brackets on the inf-norm distance from each row of z to the
     convex hull of the vertices, the value of _min_distance_lp, from a
@@ -506,15 +450,20 @@ def _exact_distances(z: np.ndarray, vertices: np.ndarray):
     peaks.  A pivot enters the most negative reduced cost (Dantzig), leaves
     by the ratio test and updates B^-1 by a rank-1 step.  A row stops when
     no reduced cost is below -1e-12, or no entry of its pivot column is
-    above 1e-12; every row stops after SIMPLEX_PIVOTS pivots.
+    above 1e-12, or its objective t is below (the largest lower bound any
+    row's basis has given - LP_TOL): its distance is then more than LP_TOL
+    below the largest.  Every row stops after SIMPLEX_PIVOTS pivots.  Each
+    distinct start basis is inverted once, and the pivots run on stacks of
+    basis, B^-1 and x_B that keep only the rows still pivoting.
 
-    Both bounds are read off each row's final basis and hold whatever the
-    pivots did, so an unfinished or inexact row only keeps a wider bracket.
-    The upper bound is |lam V - z|_inf with lam clipped to >= 0 and rescaled
-    to sum 1; the lower bound is y.z - max_p y.V_p with y = pi_a - pi_b, the
-    difference of the two inequality blocks' duals (oriented as
-    _min_distance_lp's normal), divided by max(1, |y|_1).  Returns the upper
-    and lower bounds (n,), the weights lam (n, p) and the normals y (n, dim).
+    Both bounds are read off each row's last basis and hold whatever the
+    pivots did, so a pruned, unfinished or inexact row only keeps a wider
+    bracket.  The upper bound is |lam V - z|_inf with lam clipped to >= 0
+    and rescaled to sum 1; the lower bound is y.z - max_p y.V_p with y =
+    pi_a - pi_b, the difference of the two inequality blocks' duals
+    (oriented as _min_distance_lp's normal), divided by max(1, |y|_1).
+    Returns the upper and lower bounds (n,), the weights lam (n, p) and the
+    normals y (n, dim).
     """
     center = vertices.mean(axis=0)  # the weights sum to 1, so centring is exact
     v, z = vertices - center, z - center
@@ -528,39 +477,53 @@ def _exact_distances(z: np.ndarray, vertices: np.ndarray):
     tight = p + 1 + np.argmax(np.hstack([diff, -diff]), axis=1)  # the slack that is 0
     slacks = np.broadcast_to(p + 1 + np.arange(2 * dim), (n, 2 * dim))
     basis = np.column_stack([nearest, np.full(n, p), slacks[slacks != tight[:, None]].reshape(n, -1)])
-    binv = np.linalg.inv(np.moveaxis(a[:, basis], 0, 1))
-    xb = np.einsum("rij,rj->ri", binv, b)
-    live = np.arange(n)  # rows whose iterate may still improve
+    # one inverse per distinct start basis, (nearest, tight), which rows share
+    _, first, index = np.unique(nearest * len(c) + tight, return_index=True, return_inverse=True)
+    li = np.linalg.inv(np.moveaxis(a[:, basis[first]], 0, 1))[index]
+    xb = np.einsum("rij,rj->ri", li, b)
+
+    def dual(cb, inv, zs):
+        """The duals pi, normals y and lower bounds of bases with costs cb and inverses inv."""
+        pi = np.einsum("ri,rij->rj", cb, inv)
+        y = pi[:, :dim] - pi[:, dim:2 * dim]
+        y /= np.maximum(1.0, np.abs(y).sum(axis=1, keepdims=True))
+        return pi, y, np.sum(y * zs, axis=1) - np.max(y @ v.T, axis=1)
+
+    y, lower = np.empty((n, dim)), np.empty(n)
+    live, best = np.arange(n), -np.inf  # the rows still pivoting, and the largest lower bound
+    lb, lx, lz = basis, xb, z  # their basis, x_B and z; li holds their B^-1
     for _ in range(SIMPLEX_PIVOTS):
-        pi = np.einsum("ri,rij->rj", c[basis[live]], binv[live])
+        cb = c[lb]
+        pi, ly, ll = dual(cb, li, lz)
+        best = max(best, float(ll.max()))
         cost = c - pi @ a
         enter = np.argmin(cost, axis=1)
-        go = cost[np.arange(len(live)), enter] < -1e-12
-        live, enter = live[go], enter[go]
-        u = np.einsum("rij,jr->ri", binv[live], a[:, enter])
-        ratio = np.maximum(xb[live], 0.0) / np.where(u > 1e-12, u, np.nan)
-        go = ~np.all(np.isnan(ratio), axis=1)
-        live, enter, u, ratio = live[go], enter[go], u[go], ratio[go]
+        u = np.einsum("rij,jr->ri", li, a[:, enter])
+        ratio = np.maximum(lx, 0.0) / np.where(u > 1e-12, u, np.nan)
+        go = ((cost[np.arange(len(live)), enter] < -1e-12) & ~np.all(np.isnan(ratio), axis=1)
+              & (np.sum(cb * lx, axis=1) >= best - LP_TOL))
+        if not go.all():
+            stop = live[~go]
+            basis[stop], xb[stop], y[stop], lower[stop] = lb[~go], lx[~go], ly[~go], ll[~go]
+            live, lb, li, lx, lz, enter, u, ratio = (x[go] for x in (live, lb, li, lx, lz, enter, u, ratio))
         if not len(live):
             break
-        leave = np.nanargmin(ratio, axis=1)
-        pivot = u[np.arange(len(live)), leave]
-        row = binv[live, leave] / pivot[:, None]
-        binv[live] -= u[:, :, None] * row[:, None, :]
-        binv[live, leave] = row
-        theta = xb[live, leave] / pivot
-        xb[live] -= theta[:, None] * u
-        xb[live, leave] = theta
-        basis[live, leave] = enter
+        r, leave = np.arange(len(live)), np.nanargmin(ratio, axis=1)
+        pivot = u[r, leave]
+        row = li[r, leave] / pivot[:, None]
+        li -= u[:, :, None] * row[:, None, :]
+        li[r, leave] = row
+        theta = lx[r, leave] / pivot
+        lx -= theta[:, None] * u
+        lx[r, leave] = theta
+        lb[r, leave] = enter
+    basis[live], xb[live] = lb, lx
+    _, y[live], lower[live] = dual(c[lb], li, lz)
     lam = np.zeros((n, p))
     on = basis < p
     lam[np.nonzero(on)[0], basis[on]] = np.maximum(xb[on], 0.0)
     lam /= lam.sum(axis=1, keepdims=True)
     upper = np.abs(lam @ v - z).max(axis=1)
-    pi = np.einsum("ri,rij->rj", c[basis], binv)
-    y = pi[:, :dim] - pi[:, dim:2 * dim]
-    y /= np.maximum(1.0, np.abs(y).sum(axis=1, keepdims=True))
-    lower = np.sum(y * z, axis=1) - np.max(y @ v.T, axis=1)
     return upper, lower, lam, y
 
 
@@ -686,21 +649,17 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
     The LP distance to the minimal polytope is convex, so its maximum over
     mx is attained at a vertex: take the first vertex whose distance is
     within LP_TOL of the largest (so rounding noise among tied vertices
-    cannot pick one) and return it with both certificates.  Three stages
-    narrow the candidates; a vertex drops out only when a certified bound
-    puts its distance more than LP_TOL below the largest, or, in the first
-    stage, at most LP_TOL:
-    - _distance_bounds (FISTA) gives every vertex an upper bound and the
-      largest distance a lower bound; it leaves open the vertices whose
-      upper bound is > LP_TOL and >= (lower bound - LP_TOL);
-    - _exact_distances brackets each open vertex's distance; one closes when
-      its upper bound is below (largest lower bound - LP_TOL), never for
-      being <= LP_TOL, so such rows keep HiGHS's verdict and messages;
-    - when exactly one vertex is left, its bracket is closed (width <= 1e-12
-      of its lower bound) and above LP_TOL, its weights and normal are the
-      min-side certificate and no LP runs.  Otherwise the distance LPs run in
-      one _block_lps call on the vertices left, and the certificate is the gap
-      vertex's row of those LPs.
+    cannot pick one) and return it with both certificates.  A vertex within
+    LP_TOL (inf-norm) of its nearest minimal vertex is at most LP_TOL from
+    the minimal polytope and drops out.  _exact_distances, the only screen,
+    brackets the distance of every other vertex; one closes when its upper
+    bound is more than LP_TOL below the largest lower bound, never for
+    being <= LP_TOL, so such rows keep HiGHS's verdict and messages.  When
+    exactly one vertex is left, its bracket is closed (width <= 1e-12 of
+    its lower bound) and above LP_TOL, its weights and normal are the
+    min-side certificate and no LP runs.  Otherwise the distance LPs run in
+    one _block_lps call on the vertices left, and the certificate is the
+    gap vertex's row of those LPs.
     As the count proves a gap, no distance above LP_TOL means the LPs
     failed: ValueError, as is a normal that does not separate (_min_verdict).
     The max-side verdict is max_tensor_membership(phi, k1, k2), which reads the
@@ -709,11 +668,10 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
     mv = min_tensor(k1, k2).vertices
     if mx.n_vertices == len(mv):
         return None
-    upper, lower = _distance_bounds(mx.vertices, mv)
-    rows = np.flatnonzero((upper > LP_TOL) & (upper >= lower - LP_TOL))
+    rows = np.flatnonzero(cKDTree(mv).query(mx.vertices, p=np.inf)[0] > LP_TOL)
     if len(rows):
         dist, below, weights, normals = _exact_distances(mx.vertices[rows], mv)
-        keep = ~(dist < max(lower, below.max()) - LP_TOL)
+        keep = ~(dist < below.max() - LP_TOL)
         rows, dist, below, weights, normals = (a[keep] for a in (rows, dist, below, weights, normals))
         if not (len(rows) == 1 and LP_TOL < below[0] and dist[0] - below[0] <= 1e-12 * below[0]):
             dist, weights, normals = _min_distance_lp(mx.vertices[rows], mv)

@@ -2,7 +2,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from collections import Counter
@@ -787,6 +790,28 @@ class TestDeterminism:
         _, rep2 = run_json(capsys, argv)
         assert json.dumps(rep1["results"]) == json.dumps(rep2["results"])
         assert json.dumps(rep1["certificates"]) == json.dumps(rep2["certificates"])
+
+    def test_certificates_do_not_depend_on_blas_threads(self, tmp_path):
+        # the 4x4 state of test_full_rank_4x4_runs_the_ensemble, large enough
+        # for OpenBLAS to split its products over threads when it may
+        rng, mix = np.random.default_rng(0), 0
+        for w in rng.dirichlet(np.ones(8)):
+            v = random_product_state(4, 4, rng).kron
+            mix = mix + w * np.outer(v, v.conj())
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(bipartite_to_dict(bipartite(0.7 * mix + 0.3 * np.eye(16) / 16, 4, 4))))
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+        reports = []
+        for extra in ({}, dict.fromkeys(names, "1")):
+            run = subprocess.run([sys.executable, "-m", "cone_lab", "membership", "--cone", "separable",
+                                  "--input", str(path)], env=env | extra, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            reports.append(json.loads(run.stdout))
+        unset, pinned = reports
+        assert json.dumps(unset["results"]) == json.dumps(pinned["results"])
+        assert json.dumps(unset["certificates"]) == json.dumps(pinned["certificates"])
 
     def test_report_echoes_inputs_and_seed(self, capsys, h2_half):
         _, rep = run_json(
