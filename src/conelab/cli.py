@@ -6,6 +6,7 @@ with a ValueError, and a budget or input whose arrays do not fit in memory
 (MemoryError); ``main`` alone maps errors to codes.  All randomness sits
 behind a single --seed flag (default 0); re-running a command with identical
 inputs and seed reproduces the results section of the report bit for bit.
+The command runs through cone_lab, which fixes the BLAS thread count first.
 """
 
 from __future__ import annotations
@@ -331,7 +332,3 @@ def main(argv=None) -> int:
     else:
         print(json.dumps(report, indent=2))
     return exit_code_for(report)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -442,19 +442,20 @@ def min_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> 
 
 
 def _exact_distances(z: np.ndarray, vertices: np.ndarray):
-    """Certified brackets on the inf-norm distance from each row of z to the
+    """Certified brackets on the inf-norm distance from the rows of z to the
     convex hull of the vertices, the value of _min_distance_lp, from a
     batched revised primal simplex on that LP (_distance_rows) with a slack
-    per inequality.  Each row starts from the basis of its nearest vertex k:
-    lam_k, t and every slack but the one at the coordinate where |V_k - z|
-    peaks.  A pivot enters the most negative reduced cost (Dantzig), leaves
-    by the ratio test and updates B^-1 by a rank-1 step.  A row stops when
-    no reduced cost is below -1e-12, or no entry of its pivot column is
-    above 1e-12, or its objective t is below (the largest lower bound any
-    row's basis has given - LP_TOL): its distance is then more than LP_TOL
-    below the largest.  Every row stops after SIMPLEX_PIVOTS pivots.  Each
-    distinct start basis is inverted once, and the pivots run on stacks of
-    basis, B^-1 and x_B that keep only the rows still pivoting.
+    per inequality.  A row within LP_TOL (inf-norm) of its nearest vertex k
+    is at most LP_TOL from the hull and is dropped; each other row starts
+    from the basis of k: lam_k, t and every slack but the one at the
+    coordinate where |V_k - z| peaks.  A pivot enters the most negative
+    reduced cost (Dantzig), leaves by the ratio test and updates B^-1 by a
+    rank-1 step.  A row stops when no reduced cost is below -1e-12, or no
+    entry of its pivot column is above 1e-12, or its objective t is below
+    (the largest lower bound any row's basis has given - LP_TOL): its
+    distance is then more than LP_TOL below the largest.  Every row stops
+    after SIMPLEX_PIVOTS pivots.  The pivots run on stacks of basis, B^-1
+    and x_B that keep only the rows still pivoting.
 
     Both bounds are read off each row's last basis and hold whatever the
     pivots did, so a pruned, unfinished or inexact row only keeps a wider
@@ -462,24 +463,24 @@ def _exact_distances(z: np.ndarray, vertices: np.ndarray):
     and rescaled to sum 1; the lower bound is y.z - max_p y.V_p with y =
     pi_a - pi_b, the difference of the two inequality blocks' duals
     (oriented as _min_distance_lp's normal), divided by max(1, |y|_1).
-    Returns the upper and lower bounds (n,), the weights lam (n, p) and the
-    normals y (n, dim).
+    Returns the indices of the rows kept (n,), ascending, and their upper and
+    lower bounds (n,), weights lam (n, p) and normals y (n, dim).
     """
     center = vertices.mean(axis=0)  # the weights sum to 1, so centring is exact
     v, z = vertices - center, z - center
+    near, nearest = cKDTree(v).query(z, p=np.inf)
+    rows = np.flatnonzero(near > LP_TOL)
+    z, nearest = z[rows], nearest[rows]
     (p, dim), n = v.shape, len(z)
     c, a_ub, a_eq = _distance_rows(v)
     a = np.block([[a_ub, np.eye(2 * dim)], [a_eq, np.zeros((1, 2 * dim))]])
     c = np.append(c, np.zeros(2 * dim))
     b = np.hstack([z, -z, np.ones((n, 1))])
-    nearest = cKDTree(v).query(z, p=np.inf)[1]
     diff = v[nearest] - z
     tight = p + 1 + np.argmax(np.hstack([diff, -diff]), axis=1)  # the slack that is 0
     slacks = np.broadcast_to(p + 1 + np.arange(2 * dim), (n, 2 * dim))
-    basis = np.column_stack([nearest, np.full(n, p), slacks[slacks != tight[:, None]].reshape(n, -1)])
-    # one inverse per distinct start basis, (nearest, tight), which rows share
-    _, first, index = np.unique(nearest * len(c) + tight, return_index=True, return_inverse=True)
-    li = np.linalg.inv(np.moveaxis(a[:, basis[first]], 0, 1))[index]
+    basis = np.column_stack([nearest, np.full(n, p), slacks[slacks != tight[:, None]].reshape(n, 2 * dim - 1)])
+    li = np.linalg.inv(np.moveaxis(a[:, basis], 0, 1))
     xb = np.einsum("rij,rj->ri", li, b)
 
     def dual(cb, inv, zs):
@@ -495,7 +496,7 @@ def _exact_distances(z: np.ndarray, vertices: np.ndarray):
     for _ in range(SIMPLEX_PIVOTS):
         cb = c[lb]
         pi, ly, ll = dual(cb, li, lz)
-        best = max(best, float(ll.max()))
+        best = max(best, float(ll.max(initial=-np.inf)))
         cost = c - pi @ a
         enter = np.argmin(cost, axis=1)
         u = np.einsum("rij,jr->ri", li, a[:, enter])
@@ -524,7 +525,7 @@ def _exact_distances(z: np.ndarray, vertices: np.ndarray):
     lam[np.nonzero(on)[0], basis[on]] = np.maximum(xb[on], 0.0)
     lam /= lam.sum(axis=1, keepdims=True)
     upper = np.abs(lam @ v - z).max(axis=1)
-    return upper, lower, lam, y
+    return rows, upper, lower, lam, y
 
 
 def _relative_bounds(z: np.ndarray, inner: Polytope):
@@ -649,17 +650,17 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
     The LP distance to the minimal polytope is convex, so its maximum over
     mx is attained at a vertex: take the first vertex whose distance is
     within LP_TOL of the largest (so rounding noise among tied vertices
-    cannot pick one) and return it with both certificates.  A vertex within
-    LP_TOL (inf-norm) of its nearest minimal vertex is at most LP_TOL from
-    the minimal polytope and drops out.  _exact_distances, the only screen,
-    brackets the distance of every other vertex; one closes when its upper
-    bound is more than LP_TOL below the largest lower bound, never for
-    being <= LP_TOL, so such rows keep HiGHS's verdict and messages.  When
-    exactly one vertex is left, its bracket is closed (width <= 1e-12 of
-    its lower bound) and above LP_TOL, its weights and normal are the
-    min-side certificate and no LP runs.  Otherwise the distance LPs run in
-    one _block_lps call on the vertices left, and the certificate is the
-    gap vertex's row of those LPs.
+    cannot pick one) and return it with both certificates.
+    _exact_distances, the only screen, drops each vertex within LP_TOL
+    (inf-norm) of its nearest minimal vertex, which is at most LP_TOL from
+    the minimal polytope, and brackets the distance of every other vertex;
+    one closes when its upper bound is more than LP_TOL below the largest
+    lower bound, never for being <= LP_TOL, so such rows keep HiGHS's
+    verdict and messages.  When exactly one vertex is left, its bracket is
+    closed (width <= 1e-12 of its lower bound) and above LP_TOL, its
+    weights and normal are the min-side certificate and no LP runs.
+    Otherwise the distance LPs run in one _block_lps call on the vertices
+    left, and the certificate is the gap vertex's row of those LPs.
     As the count proves a gap, no distance above LP_TOL means the LPs
     failed: ValueError, as is a normal that does not separate (_min_verdict).
     The max-side verdict is max_tensor_membership(phi, k1, k2), which reads the
@@ -668,9 +669,8 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
     mv = min_tensor(k1, k2).vertices
     if mx.n_vertices == len(mv):
         return None
-    rows = np.flatnonzero(cKDTree(mv).query(mx.vertices, p=np.inf)[0] > LP_TOL)
+    rows, dist, below, weights, normals = _exact_distances(mx.vertices, mv)
     if len(rows):
-        dist, below, weights, normals = _exact_distances(mx.vertices[rows], mv)
         keep = ~(dist < below.max() - LP_TOL)
         rows, dist, below, weights, normals = (a[keep] for a in (rows, dist, below, weights, normals))
         if not (len(rows) == 1 and LP_TOL < below[0] and dist[0] - below[0] <= 1e-12 * below[0]):

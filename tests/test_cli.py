@@ -813,6 +813,18 @@ class TestDeterminism:
         assert json.dumps(unset["results"]) == json.dumps(pinned["results"])
         assert json.dumps(unset["certificates"]) == json.dumps(pinned["certificates"])
 
+    def test_a_callers_thread_count_is_left_alone(self):
+        # OpenBLAS reads its own variable before OMP_NUM_THREADS, so pinning
+        # it would override a count set through OMP_NUM_THREADS alone
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+        show = "import os, cone_lab; print([os.environ.get(n) for n in cone_lab._NAMES])"
+        for extra, seen in (({}, ["1", "1", "1"]), ({"OMP_NUM_THREADS": "4"}, [None, "4", None])):
+            run = subprocess.run([sys.executable, "-c", show], env=env | extra, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            assert run.stdout.strip() == repr(seen)
+
     def test_report_echoes_inputs_and_seed(self, capsys, h2_half):
         _, rep = run_json(
             capsys,

@@ -1039,15 +1039,16 @@ class TestExactDistances:
         k1, k2 = screening_pair(name)
         mx, mv = max_tensor_polytope(k1, k2), min_tensor(k1, k2).vertices
         dist = _min_distance_lp(mx.vertices, mv)[0]
-        upper, lower, weights, normals = _exact_distances(mx.vertices, mv)
+        rows, upper, lower, weights, normals = _exact_distances(mx.vertices, mv)
         tol = 1e-12 * max(1.0, dist.max())
-        assert np.all(upper >= dist - tol)
-        assert lower.max() <= dist.max() + tol
+        assert np.all(upper >= dist[rows] - tol)
+        assert np.all(np.delete(dist, rows) <= LP_TOL + tol)  # the rows dropped near a vertex
+        assert np.all(lower <= dist.max() + tol)
         # there HiGHS's own row is the inexact one: at x1e3 it reads 0 for a
         # maximal vertex 4.7e-10 from its product vertex, and at +1e4 6.2e-6
         # for one of the eight gap vertices that the square's symmetry ties
         if name not in ("x1e3", "+1e4"):
-            assert np.all(lower <= dist + tol)
+            assert np.all(lower <= dist[rows] + tol)
         assert np.allclose(weights.sum(axis=1), 1.0) and np.all(weights >= 0)
         assert np.all(np.abs(normals).sum(axis=1) <= 1.0 + 1e-12)
 
@@ -1056,9 +1057,8 @@ class TestExactDistances:
     def test_brackets_close_on_the_open_rows(self, name):
         k1, k2 = screening_pair(name)
         mx, mv = max_tensor_polytope(k1, k2), min_tensor(k1, k2).vertices
-        rows = np.flatnonzero(cKDTree(mv).query(mx.vertices, p=np.inf)[0] > LP_TOL)  # as gap_among takes them
+        rows, upper, lower, _, _ = _exact_distances(mx.vertices, mv)
         assert len(rows) >= 8
-        upper, lower, _, _ = _exact_distances(mx.vertices[rows], mv)
         # a row closes, or its bracket (still open if the row was pruned) lies
         # more than LP_TOL below the largest lower bound, so gap_among drops it
         excluded = upper < lower.max() - LP_TOL
