@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import least_squares, nnls
 
 from .operators import (
     BipartiteOperator,
@@ -46,6 +45,10 @@ RESIDUAL_TOL = 1e-7
 # Squared projection error of _ensemble_rotate above which its atoms are
 # dropped unpolished: the configuration is far from any product ensemble.
 ROTATION_GATE = 0.05
+# Condition number above which nnls hands its system to scipy.  Every
+# _fit_state system of the decompose benchmark (seeds 0-100 and 1000) is
+# below 6.8e4.
+NNLS_COND = 1e6
 
 
 class Status(str, Enum):
@@ -247,6 +250,67 @@ def ppt_check(x: BipartiteOperator, tol: float = SPECTRAL_TOL) -> Verdict:
     return Verdict(Status.UNKNOWN, SpectralCertificate(val, vec))
 
 
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on the first call: only
+    the ensemble phase's polish needs scipy.optimize, which takes about
+    0.4 s to import."""
+    from scipy import optimize
+
+    return optimize.least_squares(*args, **kwargs)
+
+
+def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The x >= 0 that minimizes ||a x - b||.
+
+    One ``lstsq`` solves the unconstrained problem.  When ``a`` has full
+    column rank and condition number at most ``NNLS_COND``, a solution
+    with every entry positive meets the KKT conditions at once and is
+    returned as it is.  Otherwise the active set of Lawson and Hanson
+    (Solving Least Squares Problems, 1974, ch. 23) starts from it: the
+    passive set is the positive entries, shrunk until its least-squares
+    solution is positive, so that it is the solution on its support.  A
+    rank-deficient or worse-conditioned system, as near-duplicate atoms of
+    the ensemble phase make, goes to ``scipy.optimize.nnls``, whose own
+    active set then picks among the optima; so does a system on which the
+    active set has not settled after 3 k steps, k the number of columns.
+    """
+    k = a.shape[1]
+    x, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
+    if rank == k and sv[0] <= NNLS_COND * sv[-1]:
+        if x.min() > 0:
+            return x
+
+        def solve(passive):
+            z = np.zeros(k)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            return z
+
+        passive = x > 0
+        x = solve(passive)
+        while np.any(x[passive] <= 0):
+            passive &= x > 0
+            x = solve(passive)
+        # dual entries up to tol are rounding (up to 7e-8 on _fit_state's, tol 4e-6)
+        tol = max(a.shape) * np.finfo(float).eps * np.linalg.norm(a, 1) * np.linalg.norm(b, np.inf)
+        for _ in range(3 * k):
+            w = np.where(passive, -np.inf, a.T @ (b - a @ x))
+            if w.max() <= tol:
+                return x
+            passive[np.argmax(w)] = True
+            z = solve(passive)
+            while np.any(z[passive] <= 0):  # step back to the first entry that reaches 0
+                cut = np.flatnonzero(passive & (z <= 0))
+                ratio = x[cut] / (x[cut] - z[cut])
+                x = x + ratio.min() * (z - x)
+                x[cut[np.argmin(ratio)]] = 0.0
+                passive &= x > 0
+                z = solve(passive)
+            x = z
+    from scipy import optimize
+
+    return optimize.nnls(a, b)[0]
+
+
 def _fit_state(left: np.ndarray, right: np.ndarray, x: np.ndarray):
     """Nonnegative weights on the simplex (soft sum-to-one row) for the atoms.
 
@@ -258,7 +322,7 @@ def _fit_state(left: np.ndarray, right: np.ndarray, x: np.ndarray):
     p = kron_rows(v, v.conj())
     a = np.vstack([np.concatenate([p.real, p.imag], axis=1).T, mu * np.ones((1, len(v)))])
     b = np.concatenate([x.ravel().real, x.ravel().imag, [mu]])
-    weights, _ = nnls(a, b)
+    weights = nnls(a, b)
     return weights, float(np.linalg.norm(x - (v.T * weights) @ v.conj()))
 
 

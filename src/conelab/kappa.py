@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .cones import (
     LowerBoundCertificate,
@@ -36,7 +35,7 @@ from .operators import (
     partial_transpose,
     trace_norm,
 )
-from .polytopes import Polytope, TensorFunctional, _affine_chart, min_tensor
+from .polytopes import Polytope, TensorFunctional, _affine_chart, linprog, min_tensor
 
 
 def max_norm_of_functional(t: BipartiteOperator) -> float:

@@ -22,10 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
-from scipy.linalg import qr
-from scipy.spatial import cKDTree
 
 from .cones import Status, Verdict
 from .operators import _frozen_array
@@ -64,6 +60,11 @@ class Polytope:
     vertices: np.ndarray
 
     def __post_init__(self) -> None:
+        # The first polytope imports all of scipy that this module calls
+        # (about 0.4 s), so no later LP or gap pays for it.
+        import scipy.linalg, scipy.optimize, scipy.sparse  # noqa: E401, F401
+        from scipy.spatial import cKDTree
+
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or len(v) == 0:
             raise ValueError("vertex list must be a nonempty 2-d array")
@@ -106,6 +107,8 @@ class Polytope:
         ray, positive at the centroid u = 0, ends in a positive entry too.  A
         polytope too large (_check_ray_input) or too thin to resolve (vertices
         coincide in the chart) raises ValueError, and nothing is cached."""
+        from scipy.spatial import cKDTree
+
         _check_ray_input(self)
         center, q, scale, _ = self.unit_chart
         u = (self.vertices - center) @ q / scale
@@ -209,6 +212,8 @@ def double_description(a: np.ndarray) -> np.ndarray:
     sets are bitsets in uint64 words.  Two rays never share a tight set, so
     no ray is repeated.  Rays are unit-normalized and lexsorted.
     """
+    from scipy.linalg import qr
+
     a = np.asarray(a, dtype=float)
     m, d = a.shape
     norms = np.linalg.norm(a, axis=1)
@@ -349,6 +354,13 @@ def max_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> 
     return Verdict(Status.IN if inside else Status.OUT, cert)
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the call; kappa binds this function too."""
+    from scipy import optimize
+
+    return optimize.linprog(*args, **kwargs)
+
+
 def _block_lps(c, a_ub, b_ub, a_eq, b_eq, what: str):
     """Solve the n LPs min c.x s.t. a_ub x <= b_ub[i], a_eq x = b_eq[i],
     x >= 0, which differ only in their right-hand sides.  Up to LP_BLOCKS
@@ -358,6 +370,8 @@ def _block_lps(c, a_ub, b_ub, a_eq, b_eq, what: str):
     HiGHS.)  Returns the solutions (n, len(c)) and a_ub duals (n, len(a_ub)).
     A HiGHS failure raises ValueError: the input is beyond what the LPs solve.
     """
+    from scipy import sparse
+
     xs, duals = [], []
     for rows in np.array_split(np.arange(len(b_eq)), -(-len(b_eq) // LP_BLOCKS)):
         eye = sparse.identity(len(rows), format="csr")
@@ -466,6 +480,8 @@ def _exact_distances(z: np.ndarray, vertices: np.ndarray):
     Returns the indices of the rows kept (n,), ascending, and their upper and
     lower bounds (n,), weights lam (n, p) and normals y (n, dim).
     """
+    from scipy.spatial import cKDTree
+
     center = vertices.mean(axis=0)  # the weights sum to 1, so centring is exact
     v, z = vertices - center, z - center
     near, nearest = cKDTree(v).query(z, p=np.inf)
@@ -559,6 +575,8 @@ def _relative_bounds(z: np.ndarray, inner: Polytope):
     aff(inner): its residual off the chart's span exceeds 1e-9 * max(1,
     max|z|).
     """
+    from scipy.spatial import cKDTree
+
     (center, q, scale, s), iv = inner.unit_chart, inner.vertices
     d = z - center
     off = np.linalg.norm(d - (d @ q) @ q.T, axis=1)

@@ -1,9 +1,12 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls as scipy_nnls
 
 from conelab import cones
 from conelab.cones import (
@@ -704,6 +707,75 @@ class TestFirstFit:
         assert np.linalg.norm(v.certificate.reconstruct() - state.matrix) == pytest.approx(
             v.certificate.residual, abs=1e-12
         )
+
+
+class TestNnls:
+    """``cones.nnls`` against ``scipy.optimize.nnls``: the same weights where
+    the system is well conditioned, and scipy's own answer elsewhere."""
+
+    @pytest.fixture
+    def scipy_calls(self, monkeypatch):
+        """Counts the calls that reach ``scipy.optimize.nnls``."""
+        count = [0]
+
+        def counted(a, b):
+            count[0] += 1
+            return scipy_nnls(a, b)
+
+        monkeypatch.setattr(scipy.optimize, "nnls", counted)
+        return count
+
+    @staticmethod
+    def system(seed, active):
+        """A random 40 x 8 system.  With ``active`` the right-hand side is
+        random and some weights are 0 at the optimum; otherwise it is a
+        positive mix of the columns plus noise, and none is."""
+        rng = np.random.default_rng([seed, 49])
+        a = rng.normal(size=(40, 8))
+        b = rng.normal(size=40) if active else a @ rng.uniform(0.5, 1.5, 8) + 0.1 * rng.normal(size=40)
+        return a, b
+
+    @pytest.mark.parametrize("active", [True, False], ids=["active", "interior"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_agrees_with_scipy(self, scipy_calls, seed, active):
+        a, b = self.system(seed, active)
+        ref = scipy_nnls(a, b)[0]
+        assert bool(np.any(ref == 0)) is active
+        assert bool(np.any(np.linalg.lstsq(a, b, rcond=None)[0] <= 0)) is active
+        x = cones.nnls(a, b)
+        assert scipy_calls[0] == 0
+        assert np.all(x >= 0)
+        assert np.max(np.abs(x - ref)) <= 1e-11
+
+    def test_agrees_with_scipy_on_a_benchmark_fit(self, scipy_calls, monkeypatch):
+        # The first fit of perfbench's decompose seed 6, entangled 3x3 (request
+        # 107): one atom's unconstrained weight is negative.
+        systems = []
+        with monkeypatch.context() as m:
+            m.syspath_prepend(Path(__file__).resolve().parents[1] / "perfbench")
+            import generators
+
+            m.setattr(cones, "nnls", lambda a, b: systems.append((a, b)) or scipy_nnls(a, b)[0])
+            separable_decompose(generators.entangled_state(3, 3, 0.2, np.random.default_rng([6, 107])))
+        a, b = systems[0]
+        assert np.sum(np.linalg.lstsq(a, b, rcond=None)[0] <= 0) == 1
+        ref = scipy_nnls(a, b)[0]
+        x = cones.nnls(a, b)
+        assert scipy_calls[0] == 0
+        assert np.sum(ref == 0) == np.sum(x == 0) == 1
+        assert np.max(np.abs(x - ref)) <= 1e-11
+
+    @pytest.mark.parametrize("how", ["duplicate column", "cond 1e8"])
+    def test_degenerate_systems_reach_scipy(self, scipy_calls, how):
+        a, b = self.system(0, active=False)
+        if how == "duplicate column":
+            a[:, 1] = a[:, 0]
+            assert np.linalg.matrix_rank(a) == 7
+        else:
+            a[:, 1] = a[:, 0] + 1e-8 * a[:, 1]
+            assert np.linalg.matrix_rank(a) == 8 and np.linalg.cond(a) > 1e6
+        assert np.all(cones.nnls(a, b) == scipy_nnls(a, b)[0])
+        assert scipy_calls[0] == 1
 
 
 class TestWootters:
