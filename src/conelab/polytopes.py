@@ -49,6 +49,12 @@ IRLS_STEPS = 30
 # within 39 on cube^2 and hexagon x cube; a row left open at the cap only goes
 # to HiGHS.
 SIMPLEX_PIVOTS = 100
+# Rows per block of _exact_distances, which bounds its B^-1 stack at
+# SIMPLEX_ROWS * (2 dim + 1)^2 floats.  tensor-gap (seed 0, medians of 5 runs
+# on 2 shared vCPUs, one BLAS thread) peaked at 84.3/84.5/85.9/87.8 MB RSS
+# with blocks of 64/128/256/all rows, and its batch_s read 64/55/55/55 ms:
+# 128 is the smallest block that costs no time.
+SIMPLEX_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -455,21 +461,54 @@ def min_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> 
 # certified bounds that screen the per-vertex LPs
 
 
+def _start_bases(v: np.ndarray, z: np.ndarray, nearest: np.ndarray):
+    """The start basis of _exact_distances for each row of z (n, dim) at its
+    nearest vertex k = nearest (n,) among v (p, dim), and its inverse.
+
+    The basis is (lam_k, t, every slack but the one j* at the coordinate
+    where |V_k - z| peaks), as columns of the distance LP with a slack per
+    inequality.  With a_k = [V_k; -V_k; 1], lam_k's column, and every
+    slack's t-coefficient -1, B x = b solves in closed form: lam_k = b_last,
+    t = a_k[j*] b_last - b_j*, and s_j = b_j - a_k[j] b_last + t for each
+    other slack j.  B^-1 is written row by row from these formulas, so no
+    stack of bases is factored.  Returns the basis (n, m) and B^-1 (n, m, m),
+    m = 2 dim + 1.
+    """
+    (p, dim), n = v.shape, len(z)
+    m = 2 * dim + 1
+    ak = np.hstack([v[nearest], -v[nearest]])  # a_k without its last entry 1
+    jstar = np.argmax(ak - np.hstack([z, -z]), axis=1)  # t = max_j a_k[j] - b_j
+    slack = np.broadcast_to(np.arange(2 * dim), (n, 2 * dim))
+    others = slack[slack != jstar[:, None]].reshape(n, 2 * dim - 1)
+    r = np.arange(n)
+    inv = np.zeros((n, m, m))
+    inv[:, 0, -1] = 1.0  # lam_k = b_last
+    inv[r, 1, jstar] = -1.0  # t = a_k[j*] b_last - b_j*
+    inv[:, 1, -1] = ak[r, jstar]
+    inv[:, 2:, :] = inv[:, 1:2, :]  # s_j = t + b_j - a_k[j] b_last
+    inv[r[:, None], np.arange(2, m), others] += 1.0
+    inv[:, 2:, -1] -= np.take_along_axis(ak, others, axis=1)
+    return np.column_stack([nearest, np.full(n, p), p + 1 + others]), inv
+
+
 def _exact_distances(z: np.ndarray, vertices: np.ndarray):
     """Certified brackets on the inf-norm distance from the rows of z to the
     convex hull of the vertices, the value of _min_distance_lp, from a
     batched revised primal simplex on that LP (_distance_rows) with a slack
     per inequality.  A row within LP_TOL (inf-norm) of its nearest vertex k
     is at most LP_TOL from the hull and is dropped; each other row starts
-    from the basis of k: lam_k, t and every slack but the one at the
-    coordinate where |V_k - z| peaks.  A pivot enters the most negative
-    reduced cost (Dantzig), leaves by the ratio test and updates B^-1 by a
-    rank-1 step.  A row stops when no reduced cost is below -1e-12, or no
-    entry of its pivot column is above 1e-12, or its objective t is below
-    (the largest lower bound any row's basis has given - LP_TOL): its
-    distance is then more than LP_TOL below the largest.  Every row stops
-    after SIMPLEX_PIVOTS pivots.  The pivots run on stacks of basis, B^-1
-    and x_B that keep only the rows still pivoting.
+    from the basis of k that _start_bases writes down with its inverse.  A
+    pivot enters the most negative reduced cost (Dantzig), leaves by the
+    ratio test and updates B^-1 by a rank-1 step.  A row stops when no
+    reduced cost is below -1e-12, or no entry of its pivot column is above
+    1e-12, or its objective t is below (the largest lower bound any row's
+    basis has given - LP_TOL): its distance is then more than LP_TOL below
+    the largest.  Every row stops after SIMPLEX_PIVOTS pivots.  The rows
+    pivot in consecutive blocks of SIMPLEX_ROWS, in index order, each block
+    starting from the largest lower bound the blocks before it left, on
+    stacks of basis, B^-1 and x_B that keep only the block's rows still
+    pivoting; so the B^-1 stack holds at most SIMPLEX_ROWS (m, m) matrices,
+    m = 2 dim + 1, whatever the number of rows.
 
     Both bounds are read off each row's last basis and hold whatever the
     pivots did, so a pruned, unfinished or inexact row only keeps a wider
@@ -491,51 +530,49 @@ def _exact_distances(z: np.ndarray, vertices: np.ndarray):
     c, a_ub, a_eq = _distance_rows(v)
     a = np.block([[a_ub, np.eye(2 * dim)], [a_eq, np.zeros((1, 2 * dim))]])
     c = np.append(c, np.zeros(2 * dim))
-    b = np.hstack([z, -z, np.ones((n, 1))])
-    diff = v[nearest] - z
-    tight = p + 1 + np.argmax(np.hstack([diff, -diff]), axis=1)  # the slack that is 0
-    slacks = np.broadcast_to(p + 1 + np.arange(2 * dim), (n, 2 * dim))
-    basis = np.column_stack([nearest, np.full(n, p), slacks[slacks != tight[:, None]].reshape(n, 2 * dim - 1)])
-    li = np.linalg.inv(np.moveaxis(a[:, basis], 0, 1))
-    xb = np.einsum("rij,rj->ri", li, b)
 
     def dual(cb, inv, zs):
         """The duals pi, normals y and lower bounds of bases with costs cb and inverses inv."""
-        pi = np.einsum("ri,rij->rj", cb, inv)
+        pi = (cb[:, None, :] @ inv)[:, 0]
         y = pi[:, :dim] - pi[:, dim:2 * dim]
         y /= np.maximum(1.0, np.abs(y).sum(axis=1, keepdims=True))
         return pi, y, np.sum(y * zs, axis=1) - np.max(y @ v.T, axis=1)
 
+    basis, xb = np.empty((n, 2 * dim + 1), dtype=int), np.empty((n, 2 * dim + 1))
     y, lower = np.empty((n, dim)), np.empty(n)
-    live, best = np.arange(n), -np.inf  # the rows still pivoting, and the largest lower bound
-    lb, lx, lz = basis, xb, z  # their basis, x_B and z; li holds their B^-1
-    for _ in range(SIMPLEX_PIVOTS):
-        cb = c[lb]
-        pi, ly, ll = dual(cb, li, lz)
-        best = max(best, float(ll.max(initial=-np.inf)))
-        cost = c - pi @ a
-        enter = np.argmin(cost, axis=1)
-        u = np.einsum("rij,jr->ri", li, a[:, enter])
-        ratio = np.maximum(lx, 0.0) / np.where(u > 1e-12, u, np.nan)
-        go = ((cost[np.arange(len(live)), enter] < -1e-12) & ~np.all(np.isnan(ratio), axis=1)
-              & (np.sum(cb * lx, axis=1) >= best - LP_TOL))
-        if not go.all():
-            stop = live[~go]
-            basis[stop], xb[stop], y[stop], lower[stop] = lb[~go], lx[~go], ly[~go], ll[~go]
-            live, lb, li, lx, lz, enter, u, ratio = (x[go] for x in (live, lb, li, lx, lz, enter, u, ratio))
-        if not len(live):
-            break
-        r, leave = np.arange(len(live)), np.nanargmin(ratio, axis=1)
-        pivot = u[r, leave]
-        row = li[r, leave] / pivot[:, None]
-        li -= u[:, :, None] * row[:, None, :]
-        li[r, leave] = row
-        theta = lx[r, leave] / pivot
-        lx -= theta[:, None] * u
-        lx[r, leave] = theta
-        lb[r, leave] = enter
-    basis[live], xb[live] = lb, lx
-    _, y[live], lower[live] = dual(c[lb], li, lz)
+    best = -np.inf  # the largest lower bound
+    for start in range(0, n, SIMPLEX_ROWS):
+        live = np.arange(start, min(start + SIMPLEX_ROWS, n))  # the block's rows still pivoting
+        lz = z[live]
+        lb, li = _start_bases(v, lz, nearest[live])  # their basis and B^-1
+        lx = (li @ np.hstack([lz, -lz, np.ones((len(live), 1))])[:, :, None])[:, :, 0]  # their x_B
+        for _ in range(SIMPLEX_PIVOTS):
+            cb = c[lb]
+            pi, ly, ll = dual(cb, li, lz)
+            best = max(best, float(ll.max(initial=-np.inf)))
+            cost = c - pi @ a
+            enter = np.argmin(cost, axis=1)
+            u = (li @ a.T[enter][:, :, None])[:, :, 0]
+            ratio = np.maximum(lx, 0.0) / np.where(u > 1e-12, u, np.nan)
+            go = ((cost[np.arange(len(live)), enter] < -1e-12) & ~np.all(np.isnan(ratio), axis=1)
+                  & (np.sum(cb * lx, axis=1) >= best - LP_TOL))
+            if not go.all():
+                stop = live[~go]
+                basis[stop], xb[stop], y[stop], lower[stop] = lb[~go], lx[~go], ly[~go], ll[~go]
+                live, lb, li, lx, lz, enter, u, ratio = (x[go] for x in (live, lb, li, lx, lz, enter, u, ratio))
+            if not len(live):
+                break
+            r, leave = np.arange(len(live)), np.nanargmin(ratio, axis=1)
+            pivot = u[r, leave]
+            row = li[r, leave] / pivot[:, None]
+            li -= u[:, :, None] * row[:, None, :]
+            li[r, leave] = row
+            theta = lx[r, leave] / pivot
+            lx -= theta[:, None] * u
+            lx[r, leave] = theta
+            lb[r, leave] = enter
+        basis[live], xb[live] = lb, lx
+        _, y[live], lower[live] = dual(c[lb], li, lz)
     lam = np.zeros((n, p))
     on = basis < p
     lam[np.nonzero(on)[0], basis[on]] = np.maximum(xb[on], 0.0)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,11 @@ from conelab.polytopes import (
     Polytope,
     TensorFunctional,
     _block_lps,
+    _distance_rows,
     _exact_distances,
     _min_distance_lp,
     _relative_bounds,
+    _start_bases,
     affine_dimension,
     barker_gap,
     double_description,
@@ -929,8 +932,13 @@ def relative_bound_lps(inner, outer):
 def screening_pair(name):
     """Factor pairs: seeded affine k-gons "k-gon/seed", perfbench's
     tensor-gap pairs "perfbench/seed/k1xk2", regular polygons
-    "regular/k1xk2", or the unit square scaled ("x1", "x8e-5", "x1e3") or
-    shifted ("+1000", "+1e4")."""
+    "regular/k1xk2", the 3-D pairs "octahedron^2" and "hexagon x cube"
+    (the regular hexagon and the unit cube), or the unit square scaled
+    ("x1", "x8e-5", "x1e3") or shifted ("+1000", "+1e4")."""
+    if name == "octahedron^2":
+        return octahedron(), octahedron()
+    if name == "hexagon x cube":
+        return regular_polygon(6), cube()
     if name.startswith("regular/"):
         return tuple(regular_polygon(int(k)) for k in name[8:].split("x"))
     if name.startswith("perfbench/"):
@@ -1097,6 +1105,68 @@ class TestExactDistances:
         assert calls[0] >= 1
         assert np.array_equal(gap.functional.flat, settled.functional.flat)
         assert gap.margin == pytest.approx(settled.margin, abs=1e-12)
+
+
+class TestScreenBlocks:
+    """_exact_distances pivots its rows in blocks of SIMPLEX_ROWS from the
+    closed-form start bases of _start_bases, so its memory does not grow
+    with the number of rows, and the block size changes no answer."""
+
+    @pytest.mark.parametrize("name", PERFBENCH_GAP_PAIRS + ["x1", "octahedron^2", "hexagon x cube"])
+    def test_block_size_changes_no_answer(self, name, monkeypatch):
+        k1, k2 = screening_pair(name)
+        mx, mv = max_tensor_polytope(k1, k2), min_tensor(k1, k2).vertices
+        dist = _min_distance_lp(mx.vertices, mv)[0]
+        tol = 1e-12 * max(1.0, dist.max())
+        screens, gaps = [], []
+
+        def recorded(z, vertices):
+            screens.append(_exact_distances(z, vertices))
+            return screens[-1]
+
+        monkeypatch.setattr(polytopes, "_exact_distances", recorded)
+        for size in (polytopes.SIMPLEX_ROWS, 1, 7, 10**6):
+            monkeypatch.setattr(polytopes, "SIMPLEX_ROWS", size)
+            gaps.append(gap_among(mx, k1, k2))
+            rows, upper, lower, _, _ = screens[-1]
+            assert np.all(upper >= dist[rows] - tol) and np.all(lower <= dist[rows] + tol)
+            assert np.all(np.delete(dist, rows) <= LP_TOL + tol)
+        for gap in gaps[1:]:
+            assert np.array_equal(gap.functional.flat, gaps[0].functional.flat)
+            assert gap.margin == pytest.approx(gaps[0].margin, abs=1e-12)
+
+    def test_no_kept_row_gives_empty_arrays(self):
+        mv = min_tensor(regular_polygon(3), regular_polygon(5)).vertices  # (15, 9)
+        out = _exact_distances(mv, mv)
+        assert [a.shape for a in out] == [(0,), (0,), (0,), (0, 15), (0, 9)]
+
+    @pytest.mark.parametrize("name", PERFBENCH_PAIRS + ["hexagon x cube"])
+    def test_start_inverse_is_the_inverse(self, name):
+        k1, k2 = screening_pair(name)
+        mx, mv = max_tensor_polytope(k1, k2), min_tensor(k1, k2).vertices
+        v, z = mv - mv.mean(axis=0), mx.vertices - mv.mean(axis=0)
+        nearest = cKDTree(v).query(z, p=np.inf)[1]
+        basis, inv = _start_bases(v, z, nearest)
+        _, a_ub, a_eq = _distance_rows(v)
+        a = np.block([[a_ub, np.eye(len(a_ub))], [a_eq, np.zeros((1, len(a_ub)))]])
+        assert np.max(np.abs(inv - np.linalg.inv(np.moveaxis(a[:, basis], 0, 1)))) <= 1e-12
+        # the start is feasible, and t is the inf-norm distance to the nearest vertex
+        xb = (inv @ np.hstack([z, -z, np.ones((len(z), 1))])[:, :, None])[:, :, 0]
+        assert np.all(xb >= -1e-12)
+        assert np.allclose(xb[:, 1], np.abs(v[nearest] - z).max(axis=1), rtol=0, atol=1e-12)
+
+    def test_screen_memory_is_bounded(self):
+        # one B^-1 stack for all 2,640 rows took 34 MB at its peak
+        k1, k2 = screening_pair("hexagon x cube")
+        mx, mv = max_tensor_polytope(k1, k2), min_tensor(k1, k2).vertices
+        tracemalloc.start()
+        try:
+            rows = _exact_distances(mx.vertices, mv)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 2640
+        assert peak < 10e6
 
 
 def mixed_pair(k1, k2, seed):
