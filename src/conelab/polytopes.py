@@ -37,20 +37,17 @@ DD_BLOCK = 1 << 16
 MAX_RAY_AMBIENT_DIM = 4
 MAX_RAY_VERTICES = 12
 # LP copies per HiGHS call in _block_lps: the tied gap rows that
-# _exact_distances leaves open (8 on square^2, 60 on cube^2) and the
-# relative-bound LPs.
+# _exact_distances leaves open (8 on square^2, 60 on cube^2), the extremality
+# LPs of non_vertices and min_tensor_membership's one LP.
 LP_BLOCKS = 36
-# IRLS iterations of _relative_bounds.  Fewer only loosen the bounds, which
-# costs LPs, never correctness.  The two relative bounds of an affine k-gon
-# pair meet in 8 steps at k = 4 and 6 and in 23 at k = 5.
-IRLS_STEPS = 30
-# Pivots per row in _exact_distances.  Every row it does not prune closes its
+# Pivots per row in _simplex.  Every gap row it does not prune closes its
 # bracket within 17 pivots on the tensor-gap and seeded k-gon^2 pairs, and
-# within 39 on cube^2 and hexagon x cube; a row left open at the cap only goes
-# to HiGHS.
+# within 39 on cube^2 and hexagon x cube; every relative-bound row within 19
+# on the mixed polygon pairs and 26 on the 3-D pairs.  A gap row left open at
+# the cap only goes to HiGHS; a relative-bound row left open is refused.
 SIMPLEX_PIVOTS = 100
-# Rows per block of _exact_distances, which bounds its B^-1 stack at
-# SIMPLEX_ROWS * (2 dim + 1)^2 floats.  tensor-gap (seed 0, medians of 5 runs
+# Rows per block of _simplex, which bounds the B^-1 stack of _exact_distances
+# at SIMPLEX_ROWS * (2 dim + 1)^2 floats.  tensor-gap (seed 0, medians of 5 runs
 # on 2 shared vCPUs, one BLAS thread) peaked at 84.3/84.5/85.9/87.8 MB RSS
 # with blocks of 64/128/256/all rows, and its batch_s read 64/55/55/55 ms:
 # 128 is the smallest block that costs no time.
@@ -491,24 +488,77 @@ def _start_bases(v: np.ndarray, z: np.ndarray, nearest: np.ndarray):
     return np.column_stack([nearest, np.full(n, p), p + 1 + others]), inv
 
 
+def _simplex(a: np.ndarray, c: np.ndarray, rhs: np.ndarray, start, bound):
+    """Batched revised primal simplex on the LPs min c.x s.t. a x = rhs[i],
+    x >= 0, which share their columns a (m, k) and costs c (k,) and differ in
+    their right-hand sides rhs (n, m).  start(rows) gives the rows' feasible
+    start bases (len(rows), m) and their inverses (len(rows), m, m), and
+    bound(rows, pi) a certified lower bound on each row's value from its
+    duals pi = c_B B^-1 (len(rows), m).
+
+    A pivot enters the most negative reduced cost (Dantzig), leaves by the
+    ratio test over the entries of its pivot column above 1e-9 (a smaller
+    pivot, such as the 2e-12 ones of the relative-bound LP on the unit square
+    shifted by (1e4, 1e4), moves x_B off its constraints by up to 2e-4) and
+    updates B^-1 by a rank-1 step.  A row stops when it is optimal (no
+    reduced cost below -1e-12), when it is pruned (its objective c_B x_B is
+    below the largest lower bound any row's basis has given, less LP_TOL, so
+    its value is more than LP_TOL below the largest), when no entry of its
+    pivot column is above 1e-9, or after SIMPLEX_PIVOTS pivots; the last two
+    leave it open.  The rows pivot in consecutive blocks of SIMPLEX_ROWS, in
+    index order, each starting from the largest lower bound the blocks
+    before it left, on stacks of basis, B^-1 and x_B that keep only the
+    block's rows still pivoting; so the B^-1 stack holds at most SIMPLEX_ROWS
+    (m, m) matrices, whatever n.  Returns each row's last basis (n, m), x_B
+    (n, m), duals pi (n, m) and lower bound (n,), and whether the row is
+    open (n,).
+    """
+    n, m = rhs.shape
+    basis, xb, duals = np.empty((n, m), dtype=int), np.empty((n, m)), np.empty((n, m))
+    lower, unsettled = np.empty(n), np.zeros(n, dtype=bool)
+    best = -np.inf  # the largest lower bound
+    for first in range(0, n, SIMPLEX_ROWS):
+        live = np.arange(first, min(first + SIMPLEX_ROWS, n))  # the block's rows still pivoting
+        lb, li = start(live)  # their basis and B^-1
+        lx = (li @ rhs[live][:, :, None])[:, :, 0]  # their x_B
+        for step in range(SIMPLEX_PIVOTS + 1):
+            cb = c[lb]
+            pi = (cb[:, None, :] @ li)[:, 0]
+            ll = bound(live, pi)
+            best = max(best, float(ll.max(initial=-np.inf)))
+            cost = c - pi @ a
+            r, enter = np.arange(len(live)), np.argmin(cost, axis=1)
+            u = (li @ a.T[enter][:, :, None])[:, :, 0]
+            ratio = np.divide(np.maximum(lx, 0.0), u, out=np.full_like(u, np.inf), where=u > 1e-9)
+            leave = np.argmin(ratio, axis=1)
+            done = (cost[r, enter] >= -1e-12) | (np.sum(cb * lx, axis=1) < best - LP_TOL)
+            go = ~done & np.isfinite(ratio[r, leave]) & (step < SIMPLEX_PIVOTS)
+            if not go.all():
+                stop = live[~go]
+                basis[stop], xb[stop], duals[stop], lower[stop] = lb[~go], lx[~go], pi[~go], ll[~go]
+                unsettled[stop] = ~done[~go]
+                live, lb, li, lx, enter, u, leave = (x[go] for x in (live, lb, li, lx, enter, u, leave))
+            if not len(live):
+                break
+            r = np.arange(len(live))
+            pivot = u[r, leave]
+            row = li[r, leave] / pivot[:, None]
+            li -= u[:, :, None] * row[:, None, :]
+            li[r, leave] = row
+            theta = lx[r, leave] / pivot
+            lx -= theta[:, None] * u
+            lx[r, leave] = theta
+            lb[r, leave] = enter
+    return basis, xb, duals, lower, unsettled
+
+
 def _exact_distances(z: np.ndarray, vertices: np.ndarray):
     """Certified brackets on the inf-norm distance from the rows of z to the
-    convex hull of the vertices, the value of _min_distance_lp, from a
-    batched revised primal simplex on that LP (_distance_rows) with a slack
-    per inequality.  A row within LP_TOL (inf-norm) of its nearest vertex k
-    is at most LP_TOL from the hull and is dropped; each other row starts
-    from the basis of k that _start_bases writes down with its inverse.  A
-    pivot enters the most negative reduced cost (Dantzig), leaves by the
-    ratio test and updates B^-1 by a rank-1 step.  A row stops when no
-    reduced cost is below -1e-12, or no entry of its pivot column is above
-    1e-12, or its objective t is below (the largest lower bound any row's
-    basis has given - LP_TOL): its distance is then more than LP_TOL below
-    the largest.  Every row stops after SIMPLEX_PIVOTS pivots.  The rows
-    pivot in consecutive blocks of SIMPLEX_ROWS, in index order, each block
-    starting from the largest lower bound the blocks before it left, on
-    stacks of basis, B^-1 and x_B that keep only the block's rows still
-    pivoting; so the B^-1 stack holds at most SIMPLEX_ROWS (m, m) matrices,
-    m = 2 dim + 1, whatever the number of rows.
+    convex hull of the vertices, the value of _min_distance_lp, from _simplex
+    on that LP (_distance_rows) with a slack per inequality.  A row within
+    LP_TOL (inf-norm) of its nearest vertex k is at most LP_TOL from the hull
+    and is dropped; each other row starts from the basis of k that
+    _start_bases writes down with its inverse.
 
     Both bounds are read off each row's last basis and hold whatever the
     pivots did, so a pruned, unfinished or inexact row only keeps a wider
@@ -526,132 +576,27 @@ def _exact_distances(z: np.ndarray, vertices: np.ndarray):
     near, nearest = cKDTree(v).query(z, p=np.inf)
     rows = np.flatnonzero(near > LP_TOL)
     z, nearest = z[rows], nearest[rows]
-    (p, dim), n = v.shape, len(z)
+    p, dim = v.shape
     c, a_ub, a_eq = _distance_rows(v)
     a = np.block([[a_ub, np.eye(2 * dim)], [a_eq, np.zeros((1, 2 * dim))]])
-    c = np.append(c, np.zeros(2 * dim))
 
-    def dual(cb, inv, zs):
-        """The duals pi, normals y and lower bounds of bases with costs cb and inverses inv."""
-        pi = (cb[:, None, :] @ inv)[:, 0]
+    def normals(pi):
         y = pi[:, :dim] - pi[:, dim:2 * dim]
-        y /= np.maximum(1.0, np.abs(y).sum(axis=1, keepdims=True))
-        return pi, y, np.sum(y * zs, axis=1) - np.max(y @ v.T, axis=1)
+        return y / np.maximum(1.0, np.abs(y).sum(axis=1, keepdims=True))
 
-    basis, xb = np.empty((n, 2 * dim + 1), dtype=int), np.empty((n, 2 * dim + 1))
-    y, lower = np.empty((n, dim)), np.empty(n)
-    best = -np.inf  # the largest lower bound
-    for start in range(0, n, SIMPLEX_ROWS):
-        live = np.arange(start, min(start + SIMPLEX_ROWS, n))  # the block's rows still pivoting
-        lz = z[live]
-        lb, li = _start_bases(v, lz, nearest[live])  # their basis and B^-1
-        lx = (li @ np.hstack([lz, -lz, np.ones((len(live), 1))])[:, :, None])[:, :, 0]  # their x_B
-        for _ in range(SIMPLEX_PIVOTS):
-            cb = c[lb]
-            pi, ly, ll = dual(cb, li, lz)
-            best = max(best, float(ll.max(initial=-np.inf)))
-            cost = c - pi @ a
-            enter = np.argmin(cost, axis=1)
-            u = (li @ a.T[enter][:, :, None])[:, :, 0]
-            ratio = np.maximum(lx, 0.0) / np.where(u > 1e-12, u, np.nan)
-            go = ((cost[np.arange(len(live)), enter] < -1e-12) & ~np.all(np.isnan(ratio), axis=1)
-                  & (np.sum(cb * lx, axis=1) >= best - LP_TOL))
-            if not go.all():
-                stop = live[~go]
-                basis[stop], xb[stop], y[stop], lower[stop] = lb[~go], lx[~go], ly[~go], ll[~go]
-                live, lb, li, lx, lz, enter, u, ratio = (x[go] for x in (live, lb, li, lx, lz, enter, u, ratio))
-            if not len(live):
-                break
-            r, leave = np.arange(len(live)), np.nanargmin(ratio, axis=1)
-            pivot = u[r, leave]
-            row = li[r, leave] / pivot[:, None]
-            li -= u[:, :, None] * row[:, None, :]
-            li[r, leave] = row
-            theta = lx[r, leave] / pivot
-            lx -= theta[:, None] * u
-            lx[r, leave] = theta
-            lb[r, leave] = enter
-        basis[live], xb[live] = lb, lx
-        _, y[live], lower[live] = dual(c[lb], li, lz)
-    lam = np.zeros((n, p))
+    def bound(live, pi):
+        y = normals(pi)
+        return np.sum(y * z[live], axis=1) - np.max(y @ v.T, axis=1)
+
+    basis, xb, pi, lower, _ = _simplex(a, np.append(c, np.zeros(2 * dim)),
+                                       np.hstack([z, -z, np.ones((len(z), 1))]),
+                                       lambda live: _start_bases(v, z[live], nearest[live]), bound)
+    lam = np.zeros((len(z), p))
     on = basis < p
     lam[np.nonzero(on)[0], basis[on]] = np.maximum(xb[on], 0.0)
     lam /= lam.sum(axis=1, keepdims=True)
     upper = np.abs(lam @ v - z).max(axis=1)
-    return rows, upper, lower, lam, y
-
-
-def _relative_bounds(z: np.ndarray, inner: Polytope):
-    """Certified bounds on r(z), the relative_bound LP's value at each row of
-    z: upper bounds (n,) and a lower bound on their maximum.
-
-    r(z) = min sum(w-) over weights w with sum w = 1 and w.V = z, and
-    sum(w-) = (|w|_1 - 1) / 2 for such w.  IRLS (iteratively reweighted least
-    squares) for min |w|_1 s.t. A w = rhs gives both bounds.  Its iterates
-    are such w, so their negative mass bounds r(z) from above.  Its
-    multipliers nu = (A D A^T)^-1 rhs, scaled to |A^T nu|_inf = 1, are
-    feasible for the dual max rhs.nu s.t. |A^T nu|_inf <= 1 (Daubechies,
-    DeVore, Fornasier and Güntürk 2010), which is the same for every z, so
-    (rhs.nu - 1) / 2 bounds the largest r from below, as 0 does.  An outer
-    vertex that is an exact copy of an inner vertex has r = 0 and is not
-    iterated; only the simplex shortcut of max_tensor_polytope makes such
-    copies, as the vertices it enumerates match only to rounding.  A row
-    leaves the iteration once its upper bound is below (lower bound - LP_TOL).
-    The iteration has three stops and no other: the bracket closes (the
-    largest upper bound is within 1e-12, relative, of the lower bound), a
-    system is singular, or IRLS_STEPS steps have run.
-
-    r is affine invariant, so the iteration runs in the unit chart that the
-    Polytope inner keeps (inner.unit_chart): centroid 0, max-abs coordinate
-    1.  Each iterate is put back on its constraints by least squares; a row
-    whose residual stays above 1e-9 (in that chart) keeps the bound inf,
-    hence gets an LP.  So does every row when the chart may have dropped a
-    genuine direction (a singular value of the centred inner vertices
-    between 1e-13 and 1e-9 of the largest), as it then poses fewer
-    constraints than the LP.  Raises ValueError when a row of z lies off
-    aff(inner): its residual off the chart's span exceeds 1e-9 * max(1,
-    max|z|).
-    """
-    from scipy.spatial import cKDTree
-
-    (center, q, scale, s), iv = inner.unit_chart, inner.vertices
-    d = z - center
-    off = np.linalg.norm(d - (d @ q) @ q.T, axis=1)
-    if not np.all(off <= 1e-9 * max(1.0, float(np.max(np.abs(z))))):
-        raise ValueError("affine hull of outer is not contained in that of inner")
-    bound, lower = np.full(len(z), np.inf), 0.0
-    top = np.max(s, initial=0.0)
-    if np.any((s > 1e-13 * top) & (s <= 1e-9 * top)):
-        return bound, lower
-    a = np.vstack([((iv - center) @ q).T / scale, np.ones(len(iv))])  # (m, p)
-    m = len(a)
-    outer = np.einsum("ip,jp->pij", a, a).reshape(len(iv), m * m)  # a_p a_p^T per vertex
-    pinv = np.linalg.pinv(a)
-    bound[cKDTree(iv).query(z)[0] == 0] = 0.0
-    active = np.flatnonzero(bound > 0)
-    rhs = np.hstack([d[active] @ q / scale, np.ones((len(active), 1))])
-    tol = 1e-9 * np.maximum(1.0, np.abs(rhs).max(axis=1))
-    w = rhs @ pinv.T  # least-norm start
-    for k in range(1, IRLS_STEPS + 1):
-        # w = D A^T nu, nu = (A D A^T)^-1 rhs, D = diag(|w| + 10^(2-2k)), then back onto A w = rhs
-        d = np.abs(w) + 10.0 ** (2 - 2 * k)
-        try:
-            nu = np.linalg.solve((d @ outer).reshape(-1, m, m), rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            break
-        slope = nu @ a
-        dual = np.sum(rhs * nu, axis=1) / np.abs(slope).max(axis=1)
-        lower = max(lower, (np.max(dual, where=np.isfinite(dual), initial=1.0) - 1.0) / 2.0)
-        w = d * slope
-        w += (rhs - w @ a.T) @ pinv.T
-        trusted = np.abs(w @ a.T - rhs).max(axis=1) <= tol
-        bound[active[trusted]] = np.minimum(bound[active[trusted]],
-                                            np.maximum(-w[trusted], 0.0).sum(axis=1))
-        if bound.max() - lower <= 1e-12 * lower:
-            break
-        keep = bound[active] >= lower - LP_TOL
-        active, rhs, tol, w = active[keep], rhs[keep], tol[keep], w[keep]
-    return bound, lower
+    return rows, upper, lower, lam, normals(pi)
 
 
 # ---------------------------------------------------------------------------
@@ -752,27 +697,79 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
     """Smallest r >= 0 with outer contained in {(r+1)x - ry : x, y in inner}.
 
     The bound is the maximum over the outer vertices z of an LP: z =
-    (r+1)x - ry with x, y convex combinations of inner vertices becomes z =
-    V^T(a - b), 1^T(a - b) = 1, a, b >= 0, minimizing r = 1^T b.  Every outer
-    vertex first gets an upper bound on its r, and the maximum a lower bound
-    (_relative_bounds).  When the largest upper bound is within 1e-12
-    (relative) of the lower bound, it is returned and no LP runs.  Otherwise
-    the LP runs in one _block_lps call on the vertices left open, those
-    whose upper bound is >= (lower bound - LP_TOL); a closed vertex's r is
-    more than LP_TOL below the maximum.  An LP maximum below (lower bound -
-    LP_TOL) contradicts the certified bound, so the LP failed and ValueError
-    is raised, as it is when the affine hulls differ.
+    (r+1)x - ry with x, y convex combinations of inner vertices becomes A(a
+    - b) = (z_u, 1), a, b >= 0, minimizing r = 1^T b, where A = [U; 1^T]
+    holds the inner vertices u_j as columns (u_j, 1).  r is affine
+    invariant, so U and z_u are in the unit chart that inner keeps
+    (inner.unit_chart): centroid 0, max-abs coordinate 1.  An outer vertex
+    that is an exact copy of an inner vertex has r = 0 and gets no LP; only
+    the simplex shortcut of max_tensor_polytope makes such copies, as the
+    vertices it enumerates match only to rounding.
+
+    _simplex solves the other rows' LPs.  Their start bases come from m =
+    dim + 1 affinely independent inner vertices S, picked once by a pivoted
+    QR of A: beta = A_S^-1 (z_u, 1) are z's affine coordinates on S, the
+    basis takes a_i where beta_i >= 0 and b_i where beta_i < 0, so B^-1 =
+    diag(sign beta) A_S^-1 and x_B = |beta|.  The rows go in decreasing
+    order of their start objective.  A basis with duals (y, pi_0) bounds r(z)
+    from below by y.z_u - max_j y.u_j once y is scaled so that the width
+    max_j y.u_j - min_j y.u_j is at most 1: that is the dual objective of
+    (y, -max_j y.u_j), which is then dual feasible.  The largest objective
+    is returned; a row pruned by _simplex is more than LP_TOL below it.
+
+    Raises ValueError when outer's affine hull is not in inner's (a
+    residual off the chart's span above 1e-9 * max(1, max|z|)), when the
+    chart may have dropped a genuine direction (a singular value of the
+    centred inner vertices between 1e-13 and 1e-9 of the largest), as it
+    then poses fewer constraints than the LP, and when the simplex is at
+    fault: a row is left open (_simplex), a last basis is more than LP_TOL *
+    max|(z_u, 1)| off its constraints or has a weight below -LP_TOL, or the
+    maximum is below the largest lower bound less LP_TOL.  No check sees
+    how far rounding moved the chart from inner's vertices (ROADMAP item 5).
     """
-    iv, p = inner.vertices, inner.n_vertices
-    upper, lower = _relative_bounds(outer.vertices, inner)
-    if upper.max() - lower <= 1e-12 * lower:
-        return max(0.0, float(upper.max()))
-    c, ones = np.append(np.zeros(p), np.ones(p)), np.ones((1, p))
-    b_eq = np.hstack([outer.vertices, np.ones((outer.n_vertices, 1))])[upper >= lower - LP_TOL]
-    x = _block_lps(c, np.zeros((0, 2 * p)), np.zeros((len(b_eq), 0)),
-                   np.block([[iv.T, -iv.T], [ones, -ones]]), b_eq, "relative-bound")[0]
-    r = float(np.max(x @ c))
-    if r < lower - LP_TOL:
+    from scipy.linalg import qr
+    from scipy.spatial import cKDTree
+
+    (center, q, scale, s), iv, z = inner.unit_chart, inner.vertices, outer.vertices
+    d = z - center
+    off = np.linalg.norm(d - (d @ q) @ q.T, axis=1)
+    if not np.all(off <= 1e-9 * max(1.0, float(np.max(np.abs(z))))):
+        raise ValueError("affine hull of outer is not contained in that of inner")
+    top = np.max(s, initial=0.0)
+    if np.any((s > 1e-13 * top) & (s <= 1e-9 * top)):
+        raise ValueError("relative-bound LP failed: the unit chart of inner drops a singular value "
+                         "between 1e-13 and 1e-9 of the largest")
+    p = len(iv)
+    u = ((iv - center) @ q / scale).T
+    a = np.vstack([u, np.ones(p)])
+    chosen = qr(a, mode="r", pivoting=True)[1][:len(a)]
+    inv = np.linalg.inv(a[:, chosen])
+    d = d[cKDTree(iv).query(z)[0] > 0]
+    rhs = np.hstack([d @ q / scale, np.ones((len(d), 1))])
+    beta = rhs @ inv.T
+    order = np.argsort(-np.maximum(-beta, 0.0).sum(axis=1), kind="stable")
+    rhs, negative = rhs[order], beta[order] < 0
+
+    def start(live):
+        return chosen + p * negative[live], np.where(negative[live, :, None], -inv, inv)
+
+    def bound(live, pi):
+        spread = pi[:, :-1] @ u
+        high = spread.max(axis=1)
+        width = high - spread.min(axis=1)
+        return (np.sum(pi[:, :-1] * rhs[live, :-1], axis=1) - high) / np.maximum(1.0, width)
+
+    c, columns = np.repeat([0.0, 1.0], p), np.hstack([a, -a])
+    basis, xb, _, lower, unsettled = _simplex(columns, c, rhs, start, bound)
+    drift = np.abs((xb[:, None, :] @ columns.T[basis])[:, 0] - rhs).max(axis=1) / np.abs(rhs).max(axis=1)
+    r = float(np.max(np.sum(c[basis] * xb, axis=1), initial=0.0))
+    if unsettled.any():
+        raise ValueError(f"relative-bound LP failed: {np.count_nonzero(unsettled)} of {len(rhs)} "
+                         f"rows are still open after at most {SIMPLEX_PIVOTS} pivots")
+    if np.any(drift > LP_TOL) or np.any(xb < -LP_TOL):
+        raise ValueError(f"relative-bound LP failed: its last bases are up to {drift.max():.3g} off "
+                         f"their constraints, with weights down to {xb.min():.3g}")
+    if r < np.max(lower, initial=-np.inf) - LP_TOL:
         raise ValueError(f"relative-bound LP failed: its maximum {r} is below the certified "
-                         f"lower bound {float(lower)}")
-    return max(0.0, r)
+                         f"lower bound {lower.max()}")
+    return r

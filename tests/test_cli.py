@@ -415,15 +415,19 @@ class TestPolytopeCommands:
         assert cli.main(["polytope", "tensor", "--gap", "--k1", str(p), "--k2", str(p)]) == 65
         assert "coincide in the unit chart" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["barker"], ["polytope", "tensor", "--relative-bound"]],
-                             ids=["barker", "tensor-relative-bound"])
-    def test_lp_failure_is_data_error(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize("command, want", [
+        (["barker"], "membership LP failed: (HiGHS Status"),
+        (["polytope", "tensor", "--relative-bound"], "relative-bound LP failed: the unit chart of inner drops"),
+    ], ids=["barker", "tensor-relative-bound"])
+    def test_lp_failure_is_data_error(self, capsys, tmp_path, command, want):
         # the unit square scaled by 1e-3 and shifted by (1000, 1000), where
-        # HiGHS fails on the distance and relative-bound LPs
+        # HiGHS fails on the distance LP, and the minimal product's unit
+        # chart has rank 5, not 8, so the relative-bound LP is refused
         p = tmp_path / "small_far.json"
         p.write_text(json.dumps(polytope_to_dict(Polytope(square().vertices * 1e-3 + 1000.0))))
         assert cli.main(command + ["--k1", str(p), "--k2", str(p)]) == 65
-        assert "LP failed: (HiGHS Status" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {want}") and err.count("\n") == 1
 
     def test_non_separating_hyperplane_is_data_error(self, capsys, tmp_path):
         # the unit square scaled by 1e-2 and shifted by (1000, 1000): the
@@ -440,11 +444,7 @@ class TestPolytopeCommands:
         # distance LP reads <= LP_TOL, which would claim min = max
         (8e-5, 0.0, ["barker"], "membership LP failed"),
         (1e-3, 100.0, ["barker"], "membership LP failed"),
-        # the relative-bound LP answers 0.0 and 0.4999999977 against
-        # certified lower bounds of 0.50000002842392 and 0.49999999999876
-        (1e-3, 10.0, ["polytope", "tensor", "--relative-bound"], "relative-bound LP failed"),
-        (1e-2, 100.0, ["polytope", "tensor", "--relative-bound"], "relative-bound LP failed"),
-    ], ids=["barker-x8e-5", "barker-x1e-3+100", "bound-x1e-3+10", "bound-x1e-2+100"])
+    ], ids=["barker-x8e-5", "barker-x1e-3+100"])
     def test_lp_answer_that_contradicts_a_bound_is_data_error(self, capsys, tmp_path, scale, shift,
                                                                 argv, want):
         p = tmp_path / "small.json"
@@ -452,6 +452,17 @@ class TestPolytopeCommands:
         assert cli.main([*argv, "--k1", str(p), "--k2", str(p)]) == 65
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {want}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("scale, shift", [(1e-3, 10.0), (1e-2, 100.0)],
+                             ids=["bound-x1e-3+10", "bound-x1e-2+100"])
+    def test_small_shifted_square_bound_is_answered(self, capsys, tmp_path, scale, shift):
+        # HiGHS, on the LP in ambient coordinates, answered 0.0 and
+        # 0.4999999977 here; the simplex in the unit chart answers 1/2
+        p = tmp_path / "small.json"
+        p.write_text(json.dumps(polytope_to_dict(Polytope(square().vertices * scale + shift))))
+        code, rep = run_json(capsys, ["polytope", "tensor", "--relative-bound", "--k1", str(p), "--k2", str(p)])
+        assert code == 0
+        assert rep["results"]["relative_bound"] == pytest.approx(0.5, abs=1e-7)
 
     def test_non_extreme_vertex_is_data_error(self, tmp_path, square_file):
         p = tmp_path / "collinear.json"

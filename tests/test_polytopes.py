@@ -22,7 +22,7 @@ from conelab.polytopes import (
     _distance_rows,
     _exact_distances,
     _min_distance_lp,
-    _relative_bounds,
+    _simplex,
     _start_bases,
     affine_dimension,
     barker_gap,
@@ -350,11 +350,14 @@ class TestAffineInvariance:
         r = relative_bound(min_tensor(k, k), max_tensor_polytope(k, k))
         assert (gap is None) == (r == 0.0)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
-    @pytest.mark.parametrize("scale, shift", [(1e-2, 1000.0), (1e-3, 100.0)])
+    @pytest.mark.parametrize("scale, shift", [
+        pytest.param(1e-2, 1000.0, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 5")),
+        (1e-3, 100.0),
+    ])
     def test_small_far_shifted_square_relative_bound(self, scale, shift):
-        # both minimal products have dimension 8 and r = 1/2, but the
-        # relative-bound LP in ambient coordinates fails (HiGHS Status 4)
+        # both minimal products have dimension 8 and r = 1/2; the chart LP
+        # answers 0.50000000001 at x1e-3 +100 and 0.49999942 at x1e-2 +1000,
+        # where the minimal product's own chart rounds off too much
         k = Polytope(square().vertices * scale + shift)
         mn = min_tensor(k, k)
         assert affine_dimension(mn) == 8
@@ -566,6 +569,11 @@ def cube():
 
 def octahedron():
     return Polytope(np.vstack([np.eye(3), -np.eye(3)]))
+
+
+def triangular_prism():
+    triangle = regular_polygon(3).vertices
+    return Polytope(np.vstack([np.hstack([triangle, np.zeros((3, 1))]), np.hstack([triangle, np.ones((3, 1))])]))
 
 
 def square_pyramid():
@@ -932,18 +940,23 @@ def relative_bound_lps(inner, outer):
 def screening_pair(name):
     """Factor pairs: seeded affine k-gons "k-gon/seed", perfbench's
     tensor-gap pairs "perfbench/seed/k1xk2", regular polygons
-    "regular/k1xk2", the 3-D pairs "octahedron^2" and "hexagon x cube"
-    (the regular hexagon and the unit cube), or the unit square scaled
-    ("x1", "x8e-5", "x1e3") or shifted ("+1000", "+1e4")."""
-    if name == "octahedron^2":
-        return octahedron(), octahedron()
-    if name == "hexagon x cube":
-        return regular_polygon(6), cube()
+    "regular/k1xk2", the mixed pairs "mixed/k1xk2/seed", the 3-D pairs
+    "octahedron^2", "cube^2", "prism^2" (the triangular prism) and "hexagon
+    x cube" (the regular hexagon and the unit cube), or the unit square
+    scaled ("x1", "x8e-5", "x1e3") or shifted ("+1000", "+1e4")."""
+    solids = {"octahedron^2": (octahedron, octahedron), "cube^2": (cube, cube),
+              "prism^2": (triangular_prism, triangular_prism), "hexagon x cube": (lambda: regular_polygon(6), cube)}
+    if name in solids:
+        return tuple(f() for f in solids[name])
     if name.startswith("regular/"):
         return tuple(regular_polygon(int(k)) for k in name[8:].split("x"))
+    if name.startswith("mixed/"):
+        (k1, k2), seed = name.split("/")[1].split("x"), int(name.split("/")[2])
+        return mixed_pair(int(k1), int(k2), seed)
     if name.startswith("perfbench/"):
-        i = PERFBENCH_PAIRS.index(name)
-        return tuple(perfbench_polygons()[2 * i:2 * i + 2])
+        _, seed, pair = name.split("/")
+        i = ("4x4", "5x5", "6x6", "3x5", "3x6").index(pair)
+        return tuple(perfbench_polygons((int(seed),))[2 * i:2 * i + 2])
     if "gon/" in name:
         k, seed = int(name[0]), int(name.split("/")[1])
         rng = np.random.default_rng([k, seed])
@@ -958,25 +971,59 @@ POLYGON_PAIRS = [f"{k}-gon/{seed}" for k in (3, 4, 5, 6) for seed in (0, 1)]
 # x 5-gon and triangle x 6-gon, at seed 0 and then 1000
 PERFBENCH_PAIRS = [f"perfbench/{seed}/{pair}" for seed in (0, 1000)
                    for pair in ("4x4", "5x5", "6x6", "3x5", "3x6")]
+PERFBENCH_PAIRS_30 = PERFBENCH_PAIRS + [f"perfbench/30/{pair}" for pair in ("4x4", "5x5", "6x6", "3x5", "3x6")]
+MIXED_PAIRS = [f"mixed/{k1}x{k2}/{seed}" for k1 in (3, 4, 5, 6) for k2 in (4, 5, 6) for seed in (0, 1)]
+SOLID_PAIRS = ["hexagon x cube", "cube^2", "octahedron^2", "prism^2"]
 
 
 class TestScreening:
-    """The LP screen of gap_among and relative_bound: certified upper bounds
-    and a lower bound on their maximum decide which maximal vertices get an
-    LP, without changing the answer."""
+    """The LP screens of gap_among and relative_bound: certified brackets
+    decide which maximal vertices get a HiGHS LP (gap_among) or keep
+    pivoting, without changing the answer."""
 
-    @pytest.mark.parametrize("name", POLYGON_PAIRS + ["x8e-5", "x1e3", "+1000", "+1e4"])
-    def test_bounds_are_upper_bounds(self, name):
+    @pytest.mark.parametrize("name", POLYGON_PAIRS + ["x8e-5", "x1e3", "+1000", "+1e4"] + MIXED_PAIRS
+                             + PERFBENCH_PAIRS_30 + SOLID_PAIRS)
+    def test_bounds_are_upper_bounds(self, name, calls, monkeypatch):
+        # relative_bound with its _simplex call recorded: no linprog call, a
+        # value within 1e-9 (relative) of the LPs' maximum, a feasible start
+        # basis given with its inverse, and a bracket [lower, objective]
+        # around each row's LP value that closes unless the row was pruned
         k1, k2 = screening_pair(name)
-        mx, mn = max_tensor_polytope(k1, k2), min_tensor(k1, k2)
-        # HiGHS meets its constraints to 1e-7; on the shifted squares, whose
-        # functionals have entries near 1e6 and 1e8, that is the LP's error:
-        # it reports r = 0.50000006 at +1e4, where the exact r is 1/2
-        tol = 1e-7 if name[0] == "+" else 1e-12
-        upper, lower = _relative_bounds(mx.vertices, mn)
-        r = relative_bound_lps(mn, mx)
-        assert np.all(upper >= r - tol)
-        assert lower <= r.max() + tol
+        inner, outer = min_tensor(k1, k2), max_tensor_polytope(k1, k2)
+        recorded = []
+
+        def recording(a, c, rhs, start, bound):
+            recorded.append((a, c, rhs, start(np.arange(len(rhs))), _simplex(a, c, rhs, start, bound)))
+            return recorded[-1][-1]
+
+        monkeypatch.setattr(polytopes, "_simplex", recording)
+        calls[0] = 0
+        r = relative_bound(inner, outer)
+        assert calls[0] == 0
+        monkeypatch.undo()
+        want = relative_bound_lps(inner, outer)
+        assert r == pytest.approx(max(0.0, float(want.max())), rel=1e-9, abs=1e-12)
+        ((a, c, rhs, (basis, inv), (last, xb, _, lower, unsettled)),) = recorded
+        # an outer vertex that is an exact copy of an inner vertex gets no row
+        copies = cKDTree(inner.vertices).query(outer.vertices)[0] == 0
+        assert len(rhs) == np.count_nonzero(~copies) and np.all(want[copies] <= 1e-12)
+        assert not unsettled.any()
+        assert np.max(np.abs(inv @ np.moveaxis(a[:, basis], 0, 1) - np.eye(len(a))), initial=0.0) <= 1e-12
+        assert np.all((inv @ rhs[:, :, None])[:, :, 0] >= -1e-12)
+        # the rows are the outer vertices in the chart: match them to the LPs
+        center, q, scale, _ = inner.unit_chart
+        row_want = want[cKDTree((outer.vertices - center) @ q / scale).query(rhs[:, :-1])[1]]
+        upper = np.sum(c[last] * xb, axis=1)
+        if np.max(np.abs(outer.vertices)) > 100:
+            # HiGHS meets its constraints to 1e-7; on the shifted squares, whose
+            # functionals have entries near 1e6 and 1e8, its rows are that far
+            # off or worse: at +1e4 it reads 0.25 for six rows whose r is 1/2 by
+            # the square's symmetry, though its maximum is right
+            assert np.all(upper >= row_want - 1e-7) and np.all(lower <= want.max() + 1e-7)
+        else:
+            assert np.all(upper >= row_want - 1e-12) and np.all(lower <= row_want + 1e-12)
+        kept = upper >= lower.max(initial=-np.inf) - LP_TOL
+        assert np.all(upper[kept] - lower[kept] <= 1e-12)
 
     @pytest.mark.parametrize("name", POLYGON_PAIRS + ["x1", "x8e-5", "x1e3"] + PERFBENCH_PAIRS)
     def test_screened_matches_unscreened(self, name):
@@ -1175,8 +1222,8 @@ def mixed_pair(k1, k2, seed):
 
 
 class TestRelativeBoundWithoutLP:
-    """relative_bound returns the IRLS upper bound when it meets the dual
-    lower bound (_relative_bounds), and solves LPs only otherwise."""
+    """relative_bound solves its LPs by _simplex in the unit chart of the
+    inner polytope, from closed-form start bases, and calls no linprog."""
 
     @pytest.mark.parametrize("name", [f"{k}-gon/{seed}" for k in (4, 5, 6) for seed in (0, 1)])
     def test_equal_k_pairs_solve_no_lp(self, name, calls):
@@ -1199,51 +1246,65 @@ class TestRelativeBoundWithoutLP:
         assert relative_bound(min_tensor(tri, other), max_tensor_polytope(tri, other)) == 0.0
         assert calls[0] == 0
 
-    @pytest.mark.parametrize("k1, k2", [(5, 6), (6, 5)])
-    def test_unclosed_bracket_runs_irls_to_its_last_step(self, k1, k2, calls):
-        # the bracket does not close, so IRLS runs all IRLS_STEPS steps, and
-        # the rows its bounds leave open take 5 HiGHS calls
-        mn, mx = min_tensor(*mixed_pair(k1, k2, 0)), max_tensor_polytope(*mixed_pair(k1, k2, 0))
-        calls[0] = 0
-        r = relative_bound(mn, mx)
-        assert calls[0] == 5
-        assert r == pytest.approx(float(relative_bound_lps(mn, mx).max()), rel=1e-9)
-
-    def test_singular_system_leaves_every_row_to_the_lp(self, calls, monkeypatch):
-        # a singular IRLS system stops the iteration before it bounds a row,
-        # so the open rows of the square's gap go to one HiGHS call
+    def test_rows_open_at_the_pivot_cap_are_refused(self, monkeypatch):
         sq = square()
         mn, mx = min_tensor(sq, sq), max_tensor_polytope(sq, sq)
-        solves = [0]
-
-        def singular(*args, **kwargs):
-            solves[0] += 1
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        calls[0] = 0
-        assert relative_bound(mn, mx) == pytest.approx(0.5, abs=1e-9)
-        assert (solves[0], calls[0]) == (1, 1)
-
-    def test_lp_below_the_certified_lower_bound_is_refused(self, calls):
-        # the square x1e-3 shifted by (10, 10): the bracket is [0.50000002842392,
-        # 0.50000002842479], just open, and the one HiGHS call answers 0.0
-        k = Polytope(square().vertices * 1e-3 + 10)
-        mn, mx = min_tensor(k, k), max_tensor_polytope(k, k)
-        with pytest.raises(ValueError, match="relative-bound LP failed: its maximum 0.0 is below"):
+        monkeypatch.setattr(polytopes, "SIMPLEX_PIVOTS", 0)
+        with pytest.raises(ValueError, match="relative-bound LP failed: .* rows are still open"):
             relative_bound(mn, mx)
-        assert calls[0] == 1
 
-    def test_inexact_chart_still_reaches_the_lp(self):
+    @pytest.mark.parametrize("fault", ["drift", "negative weight"])
+    def test_faulty_simplex_result_is_refused(self, fault, monkeypatch):
+        # a weight moved 1e-6 off the constraints, or the largest weight of
+        # row 0 moved to its negated column and negated, which keeps B x_B
+        sq = square()
+        mn, mx = min_tensor(sq, sq), max_tensor_polytope(sq, sq)
+
+        def faulty(a, c, rhs, start, bound):
+            basis, xb, pi, lower, unsettled = _simplex(a, c, rhs, start, bound)
+            if fault == "drift":
+                xb[:, 0] += 1e-6
+            else:
+                k = np.argmax(xb[0])
+                basis[0, k], xb[0, k] = (basis[0, k] + len(c) // 2) % len(c), -xb[0, k]
+            return basis, xb, pi, lower, unsettled
+
+        assert relative_bound(mn, mx) == pytest.approx(0.5, abs=1e-12)
+        monkeypatch.setattr(polytopes, "_simplex", faulty)
+        with pytest.raises(ValueError, match="relative-bound LP failed: .* off their constraints"):
+            relative_bound(mn, mx)
+
+    def test_lp_below_the_certified_lower_bound_is_refused(self, monkeypatch):
+        # a lower bound 1e-6 above the LPs' maximum 1/2 contradicts it
+        sq = square()
+        mn, mx = min_tensor(sq, sq), max_tensor_polytope(sq, sq)
+
+        def raised(*args):
+            basis, xb, pi, lower, unsettled = _simplex(*args)
+            lower[0] = 0.5 + 1e-6
+            return basis, xb, pi, lower, unsettled
+
+        monkeypatch.setattr(polytopes, "_simplex", raised)
+        with pytest.raises(ValueError, match="relative-bound LP failed: its maximum .* is below the certified"):
+            relative_bound(mn, mx)
+
+    @pytest.mark.parametrize("shift, scale", [(10.0, 1e-3), (100.0, 1e-2)])
+    def test_small_shifted_square_is_answered(self, shift, scale, calls):
+        # HiGHS, on the LP in ambient coordinates, answered 0.0 and
+        # 0.4999999977; the chart LP answers 0.500000028 and 0.5000000000003
+        k = Polytope(square().vertices * scale + shift)
+        assert relative_bound(min_tensor(k, k), max_tensor_polytope(k, k)) == pytest.approx(0.5, abs=1e-7)
+        assert calls[0] == 0
+
+    def test_inexact_chart_is_refused(self, calls):
         # three genuine directions of the minimal vertices have relative
         # singular values near 1.2e-10, below the chart's 1e-9 cut, so the
-        # chart poses fewer constraints than the LP and bounds nothing; r is
-        # 1/2, and HiGHS fails on the LP in ambient coordinates
+        # chart has rank 5, not 8: the chart LP would answer 2.9e-5 for r = 1/2
         k = Polytope(square().vertices * 1e-3 + 1000)
         mn, mx = min_tensor(k, k), max_tensor_polytope(k, k)
-        assert np.all(np.isinf(_relative_bounds(mx.vertices, mn)[0]))
-        with pytest.raises(ValueError, match="relative-bound LP failed"):
+        with pytest.raises(ValueError, match="relative-bound LP failed: the unit chart of inner drops"):
             relative_bound(mn, mx)
+        assert calls[0] == 0
 
 
 class TestSharedChartRays:
@@ -1308,14 +1369,14 @@ class TestSharedChartRays:
             assert affine_dimension(k) == affine_dimension(k.vertices)
 
 
-def perfbench_polygons():
-    """The factors of perfbench's tensor-gap workload at seeds 0 and 1000."""
+def perfbench_polygons(seeds=(0, 1000)):
+    """The factors of perfbench's tensor-gap workload at the given seeds."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
     spec = importlib.util.spec_from_file_location("perfbench_generators", path)
     gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
     spec.loader.exec_module(gen)
     factors = []
-    for seed in (0, 1000):
+    for seed in seeds:
         for k in (4, 5, 6):
             r = np.random.default_rng([seed, 200 + k])
             factors += [gen.polygon(k, r), gen.polygon(k, r)]
