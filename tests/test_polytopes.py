@@ -353,11 +353,15 @@ class TestAffineInvariance:
     @pytest.mark.parametrize("scale, shift", [
         pytest.param(1e-2, 1000.0, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 5")),
         (1e-3, 100.0),
+        pytest.param(1e-4, 10.0, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 5")),
+        pytest.param(0.1, 3000.0, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 5")),
     ])
     def test_small_far_shifted_square_relative_bound(self, scale, shift):
         # both minimal products have dimension 8 and r = 1/2; the chart LP
         # answers 0.50000000001 at x1e-3 +100 and 0.49999942 at x1e-2 +1000,
-        # where the minimal product's own chart rounds off too much
+        # where the minimal product's own chart rounds off too much, and
+        # 0.5000043 at x1e-4 +10 and 0.50000055 at x0.1 +3000, near the r of
+        # the rounded minimal vertices
         k = Polytope(square().vertices * scale + shift)
         mn = min_tensor(k, k)
         assert affine_dimension(mn) == 8
