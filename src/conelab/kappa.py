@@ -35,7 +35,9 @@ from .operators import (
     partial_transpose,
     trace_norm,
 )
-from .polytopes import Polytope, TensorFunctional, _affine_chart, linprog, min_tensor
+
+# perfbench/test_perfbench.py reads kappa.linprog; it goes with that pin.
+from .polytopes import linprog  # noqa: F401
 
 
 def max_norm_of_functional(t: BipartiteOperator) -> float:
@@ -237,24 +239,3 @@ def extremal_positive_map(n: int, m: int) -> MatrixMap:
         return out
 
     return MatrixMap.from_function(n, m, action)
-
-
-def polytope_max_norm(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> float:
-    """Norm of a tensor functional against the unit ball of functions
-    bounded by 1 on the minimal tensor polytope.
-
-    Functionals of the form (r+1) x - r y with x, y in the minimal polytope
-    have norm at most 2r + 1 in this pairing, which links the relative
-    bound of the polytope pair to the max-norm picture.
-    """
-    mv = min_tensor(k1, k2).vertices
-    q = _affine_chart(mv, 0)[0].T
-    obj = q @ phi.flat
-    constr = mv @ q.T
-    a_ub = np.vstack([constr, -constr])
-    b_ub = np.ones(2 * len(mv))
-    res = linprog(-obj, A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * len(q), method="highs")
-    if not res.success:
-        raise RuntimeError(f"max-norm LP failed: {res.message}")
-    return float(-res.fun)

@@ -65,7 +65,7 @@ class Polytope:
     def __post_init__(self) -> None:
         # The first polytope imports all of scipy that this module calls
         # (about 0.4 s), so no later LP or gap pays for it.
-        import scipy.linalg, scipy.optimize, scipy.sparse  # noqa: E401, F401
+        import scipy.optimize, scipy.sparse  # noqa: E401, F401
         from scipy.spatial import cKDTree
 
         v = np.asarray(self.vertices, dtype=float)
@@ -177,6 +177,19 @@ def _affine_chart(points: np.ndarray, anchor: np.ndarray):
     return vt[:q].T, s
 
 
+def _pivot_columns(a: np.ndarray, k: int) -> np.ndarray:
+    """The first k column pivots of a QR factorization of a with column
+    pivoting (Businger and Golub 1965): each step takes the column of largest
+    residual norm, first on ties, and projects it out of the others."""
+    r = np.array(a, dtype=float)
+    picked = np.empty(k, dtype=np.intp)
+    for i in range(k):
+        picked[i] = j = np.argmax(np.einsum("ij,ij->j", r, r))
+        v = r[:, j] / np.linalg.norm(r[:, j])
+        r -= np.outer(v, v @ r)
+    return picked
+
+
 def min_tensor(k1: Polytope, k2: Polytope) -> Polytope:
     """Minimal tensor product: vertices are elementary tensors of vertex pairs,
     flattened row-major.  They are distinct: the last column of [v;1][w;1]^T
@@ -215,8 +228,6 @@ def double_description(a: np.ndarray) -> np.ndarray:
     sets are bitsets in uint64 words.  Two rays never share a tight set, so
     no ray is repeated.  Rays are unit-normalized and lexsorted.
     """
-    from scipy.linalg import qr
-
     a = np.asarray(a, dtype=float)
     m, d = a.shape
     norms = np.linalg.norm(a, axis=1)
@@ -227,7 +238,7 @@ def double_description(a: np.ndarray) -> np.ndarray:
         raise ValueError("cone is not pointed: inequality normals do not span")
     words = -(-m // 64)
     bits = np.packbits(np.eye(m, 64 * words, dtype=bool), axis=1, bitorder="little").view(np.uint64)
-    basis = qr(a.T, mode="r", pivoting=True)[1][:d]  # well-conditioned first rows
+    basis = _pivot_columns(a.T, d)  # well-conditioned first rows
     rays = np.linalg.inv(a[basis]).T
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
     tight = np.bitwise_or.reduce(bits[basis]) ^ bits[basis]
@@ -707,15 +718,16 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
     vertices it enumerates match only to rounding.
 
     _simplex solves the other rows' LPs.  Their start bases come from m =
-    dim + 1 affinely independent inner vertices S, picked once by a pivoted
-    QR of A: beta = A_S^-1 (z_u, 1) are z's affine coordinates on S, the
-    basis takes a_i where beta_i >= 0 and b_i where beta_i < 0, so B^-1 =
-    diag(sign beta) A_S^-1 and x_B = |beta|.  The rows go in decreasing
-    order of their start objective.  A basis with duals (y, pi_0) bounds r(z)
-    from below by y.z_u - max_j y.u_j once y is scaled so that the width
-    max_j y.u_j - min_j y.u_j is at most 1: that is the dual objective of
-    (y, -max_j y.u_j), which is then dual feasible.  The largest objective
-    is returned; a row pruned by _simplex is more than LP_TOL below it.
+    dim + 1 affinely independent inner vertices S, the first column pivots
+    of A (_pivot_columns): beta = A_S^-1 (z_u, 1) are z's affine
+    coordinates on S, the basis takes a_i where beta_i >= 0 and b_i where
+    beta_i < 0, so B^-1 = diag(sign beta) A_S^-1 and x_B = |beta|.  The
+    rows go in decreasing order of their start objective.  A basis with
+    duals (y, pi_0) bounds r(z) from below by y.z_u - max_j y.u_j once y is
+    scaled so that the width max_j y.u_j - min_j y.u_j is at most 1: that
+    is the dual objective of (y, -max_j y.u_j), which is then dual
+    feasible.  The largest objective is returned; a row pruned by _simplex
+    is more than LP_TOL below it.
 
     Raises ValueError when outer's affine hull is not in inner's (a
     residual off the chart's span above 1e-9 * max(1, max|z|)), when the
@@ -727,7 +739,6 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
     maximum is below the largest lower bound less LP_TOL.  No check sees
     how far rounding moved the chart from inner's vertices (ROADMAP item 5).
     """
-    from scipy.linalg import qr
     from scipy.spatial import cKDTree
 
     (center, q, scale, s), iv, z = inner.unit_chart, inner.vertices, outer.vertices
@@ -742,7 +753,7 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
     p = len(iv)
     u = ((iv - center) @ q / scale).T
     a = np.vstack([u, np.ones(p)])
-    chosen = qr(a, mode="r", pivoting=True)[1][:len(a)]
+    chosen = _pivot_columns(a, len(a))
     inv = np.linalg.inv(a[:, chosen])
     d = d[cKDTree(iv).query(z)[0] > 0]
     rhs = np.hstack([d @ q / scale, np.ones((len(d), 1))])

@@ -16,7 +16,6 @@ from conelab.kappa import (
     kappa_exact,
     kappa_witness,
     max_norm_of_functional,
-    polytope_max_norm,
 )
 from conelab.maps import (
     MatrixMap,
@@ -29,13 +28,6 @@ from conelab.maps import (
     unitality_report,
 )
 from conelab.operators import bipartite, kron_rows, random_density, swap_operator
-from conelab.polytopes import (
-    functional_from_flat,
-    max_tensor_polytope,
-    min_tensor,
-    relative_bound,
-    square,
-)
 
 FAST = OptimizerConfig(starts=40, steps=120, seed=0)
 CB_FAST = OptimizerConfig(starts=30, steps=120, seed=0)
@@ -345,22 +337,3 @@ def _random_unital_positive(n, rng):
         return w[0] * conj + w[1] * twist + w[2] * pinch
 
     return MatrixMap.from_function(n, n, action)
-
-
-class TestPolytopeLinkage:
-    def test_max_norm_bounded_by_relative_bound(self):
-        sq = square()
-        mn = min_tensor(sq, sq)
-        mx = max_tensor_polytope(sq, sq)
-        r = relative_bound(mn, mx)
-        worst = max(
-            polytope_max_norm(functional_from_flat(v, sq, sq), sq, sq)
-            for v in mx.vertices
-        )
-        assert worst <= 2 * r + 1 + 1e-6
-
-    def test_min_vertices_have_norm_one(self):
-        sq = square()
-        mn = min_tensor(sq, sq)
-        val = polytope_max_norm(functional_from_flat(mn.vertices[0], sq, sq), sq, sq)
-        assert val == pytest.approx(1.0, abs=1e-9)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
@@ -1371,6 +1372,47 @@ class TestSharedChartRays:
         factors = perfbench_polygons() + squares
         for k in factors + [min_tensor(k, k) for k in factors]:
             assert affine_dimension(k) == affine_dimension(k.vertices)
+
+
+class TestPivotColumns:
+    """_pivot_columns picks the start rows of double_description and the
+    start simplex of relative_bound as LAPACK's pivoted QR would, in numpy."""
+
+    @pytest.mark.parametrize("d", range(3, 17))
+    def test_pivots_match_lapack(self, d):
+        rng = np.random.default_rng([53, d])
+        for m in range(d, 61):
+            a = rng.normal(size=(d, m))
+            for k in (1, d // 2, d):
+                want = scipy.linalg.qr(a, mode="r", pivoting=True)[1][:k]
+                assert polytopes._pivot_columns(a, k).tolist() == want.tolist()
+
+    # the triangle pairs take max_tensor_polytope's simplex shortcut, no DD
+    @pytest.mark.parametrize("name", PERFBENCH_GAP_PAIRS + SOLID_PAIRS)
+    def test_double_description_start_rows_are_independent(self, name, monkeypatch):
+        # exact ties (unit rows, symmetric factors) may be broken otherwise
+        # than by LAPACK, so only the conditioning of the pick is checked
+        picks, pivot = [], polytopes._pivot_columns
+
+        def recorded(a, k):
+            picked = pivot(a, k)
+            picks.append(np.linalg.svd(a[:, picked], compute_uv=False).min())
+            return picked
+
+        monkeypatch.setattr(polytopes, "_pivot_columns", recorded)
+        max_tensor_polytope(*screening_pair(name))
+        assert picks and min(picks) >= 1e-9
+
+    @pytest.mark.parametrize("name", PERFBENCH_GAP_PAIRS + ["hexagon x cube"])
+    def test_the_polytope_layer_calls_no_scipy_qr(self, name, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("scipy.linalg.qr called")
+
+        monkeypatch.setattr(scipy.linalg, "qr", refused)
+        k1, k2 = screening_pair(name)
+        mx = max_tensor_polytope(k1, k2)
+        barker_gap(k1, k2)
+        relative_bound(min_tensor(k1, k2), mx)
 
 
 def perfbench_polygons(seeds=(0, 1000)):
