@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebras, cones, kappa, maps, operators, polytopes
-from .cones import OptimizerConfig, Status
+from .cones import Status
 from .maps import MatrixMap
 from .operators import bipartite, random_hermitian
 
@@ -64,9 +64,8 @@ def check_01_witness_norm(seed):
         "witness value = min{n,n} with lower bound >= 0; cb(transpose_n) LB = UB = n for n = 2, 3")
 def check_02_kappa_closed_form(seed):
     witness_errs, witness_bounds = {}, {}
-    cfg = OptimizerConfig(seed=seed)
     for n in range(1, 7):
-        w = kappa.kappa_witness(n, cfg=cfg)
+        w = kappa.kappa_witness(n)
         witness_errs[n] = abs(w.value - kappa.kappa_exact(n, n))
         witness_bounds[n] = w.lower_bound.value
     cb_vals, cb_upper = {}, {}

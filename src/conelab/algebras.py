@@ -33,6 +33,8 @@ class MultiMatrixAlgebra:
     def __post_init__(self) -> None:
         if len(self.blocks) == 0:
             raise ValueError("need at least one block")
+        if any(not float(b).is_integer() for b in self.blocks):
+            raise ValueError("block sizes must be integers")
         if any(b < 1 for b in self.blocks):
             raise ValueError("block sizes must be >= 1")
         object.__setattr__(self, "blocks", tuple(int(b) for b in self.blocks))

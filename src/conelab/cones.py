@@ -45,10 +45,6 @@ RESIDUAL_TOL = 1e-7
 # Squared projection error of _ensemble_rotate above which its atoms are
 # dropped unpolished: the configuration is far from any product ensemble.
 ROTATION_GATE = 0.05
-# Condition number above which nnls hands its system to scipy.  Every
-# _fit_state system of the decompose benchmark (seeds 0-100 and 1000) is
-# below 6.8e4.
-NNLS_COND = 1e6
 
 
 class Status(str, Enum):
@@ -262,53 +258,55 @@ def least_squares(*args, **kwargs):
 def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The x >= 0 that minimizes ||a x - b||.
 
-    One ``lstsq`` solves the unconstrained problem.  When ``a`` has full
-    column rank and condition number at most ``NNLS_COND``, a solution
-    with every entry positive meets the KKT conditions at once and is
-    returned as it is.  Otherwise the active set of Lawson and Hanson
-    (Solving Least Squares Problems, 1974, ch. 23) starts from it: the
-    passive set is the positive entries, shrunk until its least-squares
-    solution is positive, so that it is the solution on its support.  A
-    rank-deficient or worse-conditioned system, as near-duplicate atoms of
-    the ensemble phase make, goes to ``scipy.optimize.nnls``, whose own
-    active set then picks among the optima; so does a system on which the
-    active set has not settled after 3 k steps, k the number of columns.
+    When ``a`` has full column rank and ``lstsq``'s solution is positive,
+    that solution meets the KKT conditions.  Otherwise the active set of
+    Lawson and Hanson (Solving Least Squares Problems, 1974, ch. 23) runs
+    from the empty passive set.  Of the columns with a positive dual entry,
+    the largest enters whose part orthogonal to the passive columns exceeds
+    100 eps times its part in their span, so that the passive columns stay
+    independent where near-duplicate ensemble atoms make ``a`` rank
+    deficient, and whose weight in the enlarged fit is positive.  Raises
+    RuntimeError after 3 k steps, k the number of columns.
     """
     k = a.shape[1]
-    x, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
-    if rank == k and sv[0] <= NNLS_COND * sv[-1]:
-        if x.min() > 0:
-            return x
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    if rank == k and x.min() > 0:
+        return x
 
-        def solve(passive):
-            z = np.zeros(k)
-            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
-            return z
+    def solve(passive):
+        z = np.zeros(k)
+        z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        return z
 
-        passive = x > 0
-        x = solve(passive)
-        while np.any(x[passive] <= 0):
-            passive &= x > 0
-            x = solve(passive)
-        # dual entries up to tol are rounding (up to 7e-8 on _fit_state's, tol 4e-6)
-        tol = max(a.shape) * np.finfo(float).eps * np.linalg.norm(a, 1) * np.linalg.norm(b, np.inf)
-        for _ in range(3 * k):
-            w = np.where(passive, -np.inf, a.T @ (b - a @ x))
-            if w.max() <= tol:
-                return x
-            passive[np.argmax(w)] = True
+    x = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    for _ in range(3 * k):
+        q = np.linalg.qr(a[:, passive])[0]
+        inside = q.T @ a
+        outside = a - q @ inside
+        # a.T @ r in exact arithmetic, as r is orthogonal to the passive
+        # columns; on a alone the rounding of _fit_state's mu row (1e4 * 1e4
+        # * eps) would swamp the duals near the optimum
+        dual = outside.T @ (b - a @ x)
+        dual[passive | (np.linalg.norm(outside, axis=0)
+                        <= 100 * np.finfo(float).eps * np.linalg.norm(inside, axis=0))] = 0.0
+        for t in sorted(np.flatnonzero(dual > 0), key=lambda j: -dual[j]):
+            passive[t] = True
             z = solve(passive)
-            while np.any(z[passive] <= 0):  # step back to the first entry that reaches 0
-                cut = np.flatnonzero(passive & (z <= 0))
-                ratio = x[cut] / (x[cut] - z[cut])
-                x = x + ratio.min() * (z - x)
-                x[cut[np.argmin(ratio)]] = 0.0
-                passive &= x > 0
-                z = solve(passive)
-            x = z
-    from scipy import optimize
-
-    return optimize.nnls(a, b)[0]
+            if z[t] > 0:
+                break
+            passive[t] = False
+        else:
+            return x
+        while np.any(z[passive] <= 0):  # step back to the first entry that reaches 0
+            cut = np.flatnonzero(passive & (z <= 0))
+            ratio = x[cut] / (x[cut] - z[cut])
+            x = x + ratio.min() * (z - x)
+            x[cut[np.argmin(ratio)]] = 0.0
+            passive &= x > 0
+            z = solve(passive)
+        x = z
+    raise RuntimeError("nnls: no solution after 3 k steps")
 
 
 def _fit_state(left: np.ndarray, right: np.ndarray, x: np.ndarray):

@@ -16,13 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (
-    LowerBoundCertificate,
-    OptimizerConfig,
-    Verdict,
-    is_block_positive,
-    lower_bound,
-)
+from .cones import LowerBoundCertificate, OptimizerConfig, lower_bound
+
+# perfbench/test_perfbench.py reads kappa.is_block_positive; it goes with that pin.
+from .cones import is_block_positive  # noqa: F401
 from .maps import MatrixMap, adjoint_map, apply_left, choi
 from .operators import (
     BipartiteOperator,
@@ -61,21 +58,17 @@ def normalized_swap(n: int, m: int) -> BipartiteOperator:
 class KappaWitness:
     functional: BipartiteOperator
     value: float
-    block_positive: Verdict
     lower_bound: LowerBoundCertificate
 
 
-def kappa_witness(n: int, cfg: OptimizerConfig | None = None) -> KappaWitness:
+def kappa_witness(n: int) -> KappaWitness:
     """The unit functional S/n on M_n (x) M_n, with trace norm exactly n.
 
-    The block-positivity verdict comes from the seesaw search, whose trace
-    is an upper bound on the product-vector minimum.  The proof that the
-    minimum is >= 0 is ``lower_bound``: cones.lower_bound(w, w^Gamma),
-    whose value is 0 up to rounding.
+    Its block positivity is proved by ``lower_bound``:
+    cones.lower_bound(w, w^Gamma), whose value is 0 up to rounding.
     """
     w = normalized_swap(n, n)
-    return KappaWitness(w, trace_norm(w), is_block_positive(w, cfg=cfg),
-                        lower_bound(w, partial_transpose(w, "right")))
+    return KappaWitness(w, trace_norm(w), lower_bound(w, partial_transpose(w, "right")))
 
 
 @dataclass(frozen=True, eq=False)

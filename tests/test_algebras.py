@@ -31,6 +31,10 @@ class TestTraceSimplex:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             MultiMatrixAlgebra(())
+        for blocks in [(2.5,), (float("inf"),), (float("nan"),)]:
+            with pytest.raises(ValueError, match="integers"):
+                MultiMatrixAlgebra(blocks)
+        assert MultiMatrixAlgebra((2.0,)).blocks == (2,)
 
 
 class TestAlgebraTensor:

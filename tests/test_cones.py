@@ -710,8 +710,8 @@ class TestFirstFit:
 
 
 class TestNnls:
-    """``cones.nnls`` against ``scipy.optimize.nnls``: the same weights where
-    the system is well conditioned, and scipy's own answer elsewhere."""
+    """``cones.nnls`` against ``scipy.optimize.nnls``, which runs the same
+    active set: the same optimum, without calling scipy."""
 
     @pytest.fixture
     def scipy_calls(self, monkeypatch):
@@ -766,7 +766,7 @@ class TestNnls:
         assert np.max(np.abs(x - ref)) <= 1e-11
 
     @pytest.mark.parametrize("how", ["duplicate column", "cond 1e8"])
-    def test_degenerate_systems_reach_scipy(self, scipy_calls, how):
+    def test_degenerate_systems_agree_with_scipy(self, scipy_calls, how):
         a, b = self.system(0, active=False)
         if how == "duplicate column":
             a[:, 1] = a[:, 0]
@@ -774,8 +774,58 @@ class TestNnls:
         else:
             a[:, 1] = a[:, 0] + 1e-8 * a[:, 1]
             assert np.linalg.matrix_rank(a) == 8 and np.linalg.cond(a) > 1e6
-        assert np.all(cones.nnls(a, b) == scipy_nnls(a, b)[0])
-        assert scipy_calls[0] == 1
+        ref = scipy_nnls(a, b)[0]
+        x = cones.nnls(a, b)
+        assert scipy_calls[0] == 0
+        assert np.array_equal(x == 0, ref == 0)
+        assert np.max(np.abs(x - ref)) <= 1e-12
+        assert np.linalg.norm(a @ x - b) <= np.linalg.norm(a @ ref - b) + 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_duplicate_atoms_fit_as_well_as_scipy(self, scipy_calls, monkeypatch, seed):
+        # A 3x3 seven-term mixture fitted on its atoms and two copies of each,
+        # nudged by 1e-4 (condition number about 1e9).  Many weights are
+        # optimal there, so only the residual is compared.
+        rng = np.random.default_rng([seed, 54])
+        left, right = random_unit_rows(7, 3, rng), random_unit_rows(7, 3, rng)
+        v = kron_rows(left, right)
+        x = (v.T * rng.dirichlet(np.ones(7))) @ v.conj() + 1e-7 * np.eye(9)
+
+        def copies(f):
+            g = np.vstack([f] + [f + 1e-4 * random_unit_rows(7, 3, rng) for _ in range(2)])
+            return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+        systems = []
+        with monkeypatch.context() as m:
+            m.setattr(cones, "nnls", lambda a, b: systems.append((a, b)) or scipy_nnls(a, b)[0])
+            cones._fit_state(copies(left), copies(right), x)
+        (a, b), = systems
+        ref = scipy_nnls(a, b)[0]
+        got = cones.nnls(a, b)
+        assert scipy_calls[0] == 0
+        assert np.all(got >= 0)
+        assert np.linalg.norm(a @ got - b) <= np.linalg.norm(a @ ref - b) + 1e-12 * np.linalg.norm(b)
+
+    def test_ensemble_fits_need_no_scipy(self, monkeypatch):
+        # With the range closed form out of the way, the search's near-duplicate
+        # atoms make rank-deficient fits.
+        systems = []
+        nnls = cones.nnls
+
+        def recorded(a, b):
+            systems.append(a)
+            return nnls(a, b)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.optimize.nnls called")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", refuse)
+        monkeypatch.setattr(cones, "nnls", recorded)
+        monkeypatch.setattr(cones, "_range_atoms", lambda *args: None)
+        v = separable_decompose(TestGramStep.separable(3, 2, 3))
+        assert v.status is Status.IN
+        assert len(v.certificate.weights) == 3 + 2 - 2
+        assert any(np.linalg.matrix_rank(a) < a.shape[1] for a in systems)
 
 
 class TestWootters:

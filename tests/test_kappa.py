@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelab import kappa
-from conelab.cones import OptimizerConfig, Status
+from conelab.cones import OptimizerConfig
 from conelab.kappa import (
     CB_GAIN,
     cb_norm_estimate,
@@ -29,7 +29,6 @@ from conelab.maps import (
 )
 from conelab.operators import bipartite, kron_rows, random_density, swap_operator
 
-FAST = OptimizerConfig(starts=40, steps=120, seed=0)
 CB_FAST = OptimizerConfig(starts=30, steps=120, seed=0)
 
 
@@ -69,19 +68,19 @@ class TestMaxNorm:
 
 class TestWitness:
     def test_scalar_case(self):
-        w = kappa_witness(1, cfg=FAST)
+        w = kappa_witness(1)
         assert np.array_equal(w.functional.matrix, [[1.0]])
         assert w.value == pytest.approx(1.0, abs=1e-12)
 
     def test_two_by_two(self):
-        w = kappa_witness(2, cfg=FAST)
+        w = kappa_witness(2)
         assert np.allclose(w.functional.matrix, swap_operator(2).matrix / 2, atol=0)
         assert w.value == pytest.approx(2.0, abs=1e-12)
-        assert w.block_positive.status is Status.IN
+        assert w.lower_bound.value >= -1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_closed_form(self, n):
-        w = kappa_witness(n, cfg=OptimizerConfig(starts=30, steps=80, seed=0))
+        w = kappa_witness(n)
         assert w.value == pytest.approx(kappa_exact(n, n), abs=1e-9)
         assert abs(w.functional.op.trace() - 1.0) < 1e-12
 
