@@ -42,9 +42,6 @@ ENSEMBLE_ATTEMPTS = 4
 ENSEMBLE_ITERS = 3000
 LM_MAX_NFEV = 500
 RESIDUAL_TOL = 1e-7
-# Squared projection error of _ensemble_rotate above which its atoms are
-# dropped unpolished: the configuration is far from any product ensemble.
-ROTATION_GATE = 0.05
 
 
 class Status(str, Enum):
@@ -588,10 +585,9 @@ def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
     ``ENSEMBLE_ATTEMPTS`` batches of candidate atoms (2 rank(X) + 2 in the
     first, two more in each next) are proposed by rotating a square-root
     ensemble of the state toward product vectors (at most
-    ``ENSEMBLE_ITERS`` iterations each, seeded from ``seed``); a batch whose
-    squared projection error exceeds ``ROTATION_GATE`` is dropped, the
-    others are polished locally (``LM_MAX_NFEV`` evaluations; a polish that
-    raises ``LinAlgError`` drops its batch) and their weights refit.
+    ``ENSEMBLE_ITERS`` iterations each, seeded from ``seed``); every batch
+    is refit, polished locally (``LM_MAX_NFEV`` evaluations; a polish that
+    raises ``LinAlgError`` or keeps no atom drops its batch) and refit again.
     In (with the certificate) once the Frobenius residual drops below
     ``RESIDUAL_TOL``, else Unknown with the best fit found; no verdict
     rests on the closed forms, only on the residual.  Only defined for
@@ -601,10 +597,10 @@ def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
     by the weights and the factors.
 
     The ensemble phase is skipped, returning the first fit as Unknown,
-    when the partial transpose (Peres 1996) proves that no separable state
-    lies within ``RESIDUAL_TOL`` of the input (``_ppt_distance``).  Every
-    fit is Y = sum_t w_t v_t v_t* with w >= 0 and product v_t, so Y^Gamma
-    is PSD.  The partial transpose preserves the Frobenius norm, so
+    only when the partial transpose (Peres 1996) proves that no separable
+    state lies within ``RESIDUAL_TOL`` of the input (``_ppt_distance``).
+    Every fit is Y = sum_t w_t v_t v_t* with w >= 0 and product v_t, so
+    Y^Gamma is PSD.  The partial transpose preserves the Frobenius norm, so
     ||X - Y||_F = ||X^Gamma - Y^Gamma||_F >= ||(X^Gamma)_-||_F, and no phase
     can reach a residual below that.
     """
@@ -632,9 +628,7 @@ def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
     if residual >= RESIDUAL_TOL and _ppt_distance(lam_pt) < RESIDUAL_TOL:
         for attempt in range(ENSEMBLE_ATTEMPTS):
             k = 2 * rank + 2 + 2 * attempt
-            left, right, err = _ensemble_rotate(a, n, m, k, seed * 131 + attempt + 1)
-            if err > ROTATION_GATE:
-                continue
+            left, right, _ = _ensemble_rotate(a, n, m, k, seed * 131 + attempt + 1)
             w, _ = _fit_state(left, right, x.matrix)
             try:
                 left, right = _polish_atoms(x.matrix, n, m, left, right, w)

@@ -31,7 +31,7 @@ class TestTraceSimplex:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             MultiMatrixAlgebra(())
-        for blocks in [(2.5,), (float("inf"),), (float("nan"),)]:
+        for blocks in [(2.5,), (float("inf"),), (float("nan"),), (True,), (np.True_,)]:
             with pytest.raises(ValueError, match="integers"):
                 MultiMatrixAlgebra(blocks)
         assert MultiMatrixAlgebra((2.0,)).blocks == (2,)

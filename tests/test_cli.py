@@ -532,9 +532,11 @@ class TestReportCommands:
         assert "identity" in rep["results"]["checks"][0]
 
     def test_reproduce_numpy_bool_check_serializes(self, capsys):
-        code, rep = run_json(capsys, ["reproduce", "--only", "witness_block"])
-        assert code == 0
-        assert [c["passed"] for c in rep["results"]["checks"]] == [True]
+        # without --only every acceptance check runs
+        for only, count in [(["--only", "witness_block"], 1), ([], 13)]:
+            code, rep = run_json(capsys, ["reproduce", *only])
+            assert code == 0
+            assert [c["passed"] for c in rep["results"]["checks"]] == [True] * count
 
     def test_reproduce_only_matches_printed_name(self, capsys):
         code, rep = run_json(capsys, ["reproduce", "--only", "cone-duality"])

@@ -12,7 +12,6 @@ from conelab import cones
 from conelab.cones import (
     ENSEMBLE_ITERS,
     RESIDUAL_TOL,
-    ROTATION_GATE,
     OptimizerConfig,
     SeparableDecomposition,
     SpectralCertificate,
@@ -551,7 +550,7 @@ class TestGramStep:
         _, _, ref_err, ref_steps = _ensemble_rotate_svd_step(a, n, m, k, seed)
         assert steps[0] == ref_steps
         assert err == pytest.approx(ref_err, rel=1e-12, abs=1e-20)
-        assert (err < 1e-20) if separable else (err > ROTATION_GATE / 100)
+        assert (err < 1e-20) if separable else (err > 5e-4)
 
     @pytest.mark.parametrize("n, m, seed", [(2, 2, 1), (2, 3, 2), (3, 2, 3), (3, 3, 1), (4, 2, 2)])
     def test_same_canonical_certificate_as_the_svd_step(self, monkeypatch, n, m, seed):
@@ -629,16 +628,37 @@ class TestRotationFloor:
         (noisy_entangled(2, 2, 0.6), Status.UNKNOWN, 0),
         (random_separable_state(2, 2, np.random.default_rng(11), terms=2)[0], Status.IN, 1),
     ], ids=["3x3 noise 0.2", "h/2", "2x2 noise 0.6", "separable 2x2"])
-    def test_ensemble_attempts_run_only_below_the_gate(self, monkeypatch, rotations, state, status,
-                                                       attempts):
+    def test_ensemble_attempts_run_only_below_the_floor(self, monkeypatch, rotations, state,
+                                                        status, attempts):
         if attempts:  # the separable 2x2 state has rank 2: keep the range closed form out of the way
             monkeypatch.setattr(cones, "_range_atoms", lambda *args: None)
         assert separable_decompose(state).status is status
         assert rotations[0] == attempts
 
+    def test_every_rotation_batch_is_polished(self, monkeypatch):
+        # a batch far from any product ensemble is still polished: the
+        # screen is the only guard in front of the ensemble phase
+        polished = [0]
+
+        def far(*args):
+            left, right, _ = _ensemble_rotate(*args)
+            return left, right, 1.0
+
+        def counted(*args):
+            polished[0] += 1
+            return polish(*args)
+
+        polish = cones._polish_atoms
+        monkeypatch.setattr(cones, "_range_atoms", lambda *args: None)
+        monkeypatch.setattr(cones, "_ensemble_rotate", far)
+        monkeypatch.setattr(cones, "_polish_atoms", counted)
+        state = random_separable_state(2, 2, np.random.default_rng(11), terms=2)[0]
+        assert separable_decompose(state).status is Status.IN
+        assert polished[0] == 1
+
     @pytest.mark.parametrize("state, identical", [
-        (noisy_entangled(3, 3, 0.2), True),
-        (noisy_entangled(2, 3, 0.3, np.random.default_rng(4)), True),
+        (noisy_entangled(3, 3, 0.2), False),
+        (noisy_entangled(2, 3, 0.3, np.random.default_rng(4)), False),
         (bipartite(h_operator(2).matrix / 2, 2, 2), True),
         (noisy_entangled(2, 2, 0.6), False),
         (random_separable_state(2, 2, np.random.default_rng(11), terms=2)[0], True),
@@ -961,21 +981,21 @@ class TestRangeAtoms:
         assert separable_decompose(x).status is Status.IN  # by the ensemble
 
     @pytest.fixture
-    def gated(self, monkeypatch):
-        """Counts the ensemble attempts and drops each at the gate, so a
-        state past the bound returns its first fit without the polish."""
+    def unpolished(self, monkeypatch):
+        """Counts the ensemble attempts and makes each polish keep no atom,
+        so a state past the bound returns its first fit."""
         count = [0]
 
-        def dropped(*args):
+        def dropped(x, n, m, left, right, weights):
             count[0] += 1
-            return None, None, np.inf
+            return left[:0], right[:0]
 
-        monkeypatch.setattr(cones, "_ensemble_rotate", dropped)
+        monkeypatch.setattr(cones, "_polish_atoms", dropped)
         return count
 
     @pytest.mark.parametrize("n, m, rank", [pytest.param(n, m, r, id=f"{n}-{m}")
                                             for n, m, r in [(2, 3, 5), (2, 4, 6), (3, 3, 6)]])
-    def test_none_one_rank_past_the_bound(self, gated, n, m, rank):
+    def test_none_one_rank_past_the_bound(self, unpolished, n, m, rank):
         state, _ = random_separable_state(n, m, np.random.default_rng([n, m, rank]), terms=rank)
         a, b = self.factors(state)
         assert a.shape[1] == b.shape[1] == rank
@@ -983,7 +1003,7 @@ class TestRangeAtoms:
             warnings.simplefilter("error")
             assert cones._range_atoms(a, b, n, m) is None
         assert separable_decompose(state).status is Status.UNKNOWN
-        assert gated[0] == cones.ENSEMBLE_ATTEMPTS
+        assert unpolished[0] == cones.ENSEMBLE_ATTEMPTS
 
     def test_tiles_state_stays_unknown(self):
         # its range holds no product vector

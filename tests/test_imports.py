@@ -1,10 +1,12 @@
 """scipy loads where conelab calls it, never with the package and never in
 the middle of a benchmark batch.  Each run check uses a fresh interpreter,
 as this one has scipy loaded already; the functions that import scipy are
-read from the source."""
+read from the source.  Every module constant and every import in the
+package is read somewhere."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,3 +85,69 @@ def test_cli_imports_no_scipy():
 def test_a_benchmark_batch_imports_nothing(workload, seed, scipy):
     # tensor-gap's set-up builds polytopes, which load scipy
     assert run(BATCH, workload, str(seed)) == ["[]", str(scipy)]
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Every UPPER_CASE name assigned at module level that no module reads
+    (as a name, an attribute or an imported name)."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            unread += [f"{name}: {t.id}" for t in targets
+                       if isinstance(t, ast.Name) and t.id.isupper() and t.id not in read]
+    return unread
+
+
+def unread_imports(name: str, source: str) -> list[str]:
+    """Every name an import binds that its module never reads as a name (or
+    as the base of an attribute).  An import kept for its side effect or for
+    a pinned alias carries ``# noqa: F401``."""
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if any(re.search(r"#\s*noqa:.*F401", line) for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in read:
+                unread.append(f"{name}:{node.lineno}: {bound}")
+    return unread
+
+
+SOURCES = {path.name: path.read_text() for path in sorted((ROOT / "src" / "conelab").glob("*.py"))}
+
+
+def test_every_module_constant_is_read():
+    # a deleted mechanism cannot leave its knob behind
+    assert unread_constants(SOURCES) == []
+
+
+def test_every_import_is_read():
+    # each function keeps one import path, and a deleted call cannot leave
+    # its import behind
+    assert [line for name, source in SOURCES.items() for line in unread_imports(name, source)] == []
+
+
+def test_the_lint_rules_flag_what_they_describe():
+    constants = {"a.py": "GATE = 0.05\nUSED = 1\nTOL: float = 2\n",
+                 "b.py": "from a import TOL\nprint(USED)\n"}
+    assert unread_constants(constants) == ["a.py: GATE"]
+    source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
+              "import scipy.optimize\nfrom . import kept  # noqa: F401\nnp.eye(2)\n")
+    assert unread_imports("m.py", source) == ["m.py:2: os", "m.py:4: scipy"]
