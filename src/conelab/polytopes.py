@@ -36,17 +36,16 @@ DD_TOL = 1e-10
 DD_BLOCK = 1 << 16
 MAX_RAY_AMBIENT_DIM = 4
 MAX_RAY_VERTICES = 12
-# LP copies per HiGHS call in _block_lps: the tied gap rows that
-# _exact_distances leaves open (8 on square^2, 60 on cube^2), the extremality
-# LPs of non_vertices and min_tensor_membership's one LP.
+# LP copies per HiGHS call in _block_lps: the gap rows that linprog leaves
+# open, the extremality LPs of non_vertices and min_tensor_membership's one LP.
 LP_BLOCKS = 36
-# Pivots per row in _simplex.  Every gap row it does not prune closes its
+# Pivots per row in linprog.  Every gap row it does not prune closes its
 # bracket within 17 pivots on the tensor-gap and seeded k-gon^2 pairs, and
 # within 39 on cube^2 and hexagon x cube; every relative-bound row within 19
 # on the mixed polygon pairs and 26 on the 3-D pairs.  A gap row left open at
 # the cap only goes to HiGHS; a relative-bound row left open is refused.
 SIMPLEX_PIVOTS = 100
-# Rows per block of _simplex, which bounds the B^-1 stack of _exact_distances
+# Rows per block of linprog, which bounds the B^-1 stack of _exact_distances
 # at SIMPLEX_ROWS * (2 dim + 1)^2 floats.  tensor-gap (seed 0, medians of 5 runs
 # on 2 shared vCPUs, one BLAS thread) peaked at 84.3/84.5/85.9/87.8 MB RSS
 # with blocks of 64/128/256/all rows, and its batch_s read 64/55/55/55 ms:
@@ -63,22 +62,14 @@ class Polytope:
     vertices: np.ndarray
 
     def __post_init__(self) -> None:
-        # The first polytope imports all of scipy that this module calls
-        # (about 0.4 s), so no later LP or gap pays for it.
-        import scipy.optimize, scipy.sparse  # noqa: E401, F401
-        from scipy.spatial import cKDTree
-
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or len(v) == 0:
             raise ValueError("vertex list must be a nonempty 2-d array")
         if not np.all(np.isfinite(v)):
             raise ValueError("vertex coordinates must be finite")
-        if len(v) > 1:
-            # all points of R^0 coincide; cKDTree needs at least one coordinate
-            pairs = cKDTree(v).query_pairs(1e-10) if v.shape[1] else {(0, 1)}
-            if pairs:
-                i, j = min(pairs)
-                raise ValueError(f"duplicate vertices at indices {i}, {j}")
+        pair = _first_close_pair(v, 1e-10)
+        if pair is not None:
+            raise ValueError(f"duplicate vertices at indices {pair[0]}, {pair[1]}")
         object.__setattr__(self, "vertices", _frozen_array(v))
 
     @property
@@ -110,12 +101,10 @@ class Polytope:
         ray, positive at the centroid u = 0, ends in a positive entry too.  A
         polytope too large (_check_ray_input) or too thin to resolve (vertices
         coincide in the chart) raises ValueError, and nothing is cached."""
-        from scipy.spatial import cKDTree
-
         _check_ray_input(self)
         center, q, scale, _ = self.unit_chart
         u = (self.vertices - center) @ q / scale
-        if len(u) > 1 and cKDTree(u).query_pairs(1e-9):
+        if _first_close_pair(u, 1e-9) is not None:
             raise ValueError("vertices coincide in the unit chart of the factor's affine hull")
         into = np.block([[q.T / scale, -(center @ q)[:, None] / scale], [np.zeros(len(center)), 1.0]])
         back = np.block([[q * scale, center[:, None]], [np.zeros(q.shape[1]), 1.0]])
@@ -188,6 +177,44 @@ def _pivot_columns(a: np.ndarray, k: int) -> np.ndarray:
         v = r[:, j] / np.linalg.norm(r[:, j])
         r -= np.outer(v, v @ r)
     return picked
+
+
+@np.errstate(over="ignore", invalid="ignore")  # coordinates near the float range only widen the search
+def _first_close_pair(x: np.ndarray, r: float):
+    """The first pair (i, j), i < j, in lexicographic order, of rows of x
+    (n, d) within Euclidean distance r, or None.  Two such rows project
+    within r |w| onto the fixed generic direction w = sin(1..d), and the
+    rounding of each projection is below (d + 2) d eps max|x|, so the rows
+    are sorted by projection and only the pairs inside that window are
+    measured: by inf-norm first, then by the sum of squares."""
+    n, d = x.shape
+    w = np.sin(np.arange(1.0, d + 1.0))
+    s = x @ w
+    window = 2 * (r * np.linalg.norm(w) + (d + 2) * d * np.finfo(float).eps * np.max(np.abs(x), initial=0.0))
+    order = np.argsort(s, kind="stable")
+    count = np.searchsorted(s[order], s[order] + window, side="right") - np.arange(1, n + 1)
+    a = np.repeat(np.arange(n), count)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    i, j = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
+    gap = np.abs(x[i] - x[j])
+    close = np.flatnonzero(np.max(gap, axis=1, initial=0.0) <= r)
+    close = close[np.sum(gap[close] ** 2, axis=1) <= r * r]
+    if not len(close):
+        return None
+    first = close[np.lexsort((j[close], i[close]))[0]]
+    return int(i[first]), int(j[first])
+
+
+def _nearest(z: np.ndarray, v: np.ndarray):
+    """The inf-norm distance (n,) from each row of z (n, d) to its nearest
+    row of v (p, d), and that row's index (n,), the first on ties, from the
+    (p, n) distances built up one coordinate at a time."""
+    gaps = np.zeros((len(v), len(z)))
+    for k in range(z.shape[1]):
+        diff = v[:, k, None] - z[:, k]
+        np.maximum(gaps, np.abs(diff, out=diff), out=gaps)
+    nearest = gaps.argmin(axis=0)
+    return gaps[nearest, np.arange(len(z))], nearest
 
 
 def min_tensor(k1: Polytope, k2: Polytope) -> Polytope:
@@ -286,7 +313,8 @@ def _adjacent(tight: np.ndarray, plus: np.ndarray, minus: np.ndarray, d: int):
         count = on.sum(axis=0)
         on_shared = np.unpackbits(shared.view(np.uint8), axis=1, bitorder="little")
         rarest = np.argmin(np.where(on_shared, count, len(tight)), axis=1)
-        groups = ((np.flatnonzero(rarest == row), tight[on[:, row]]) for row in np.unique(rarest))
+        groups = ((np.flatnonzero(rarest == row), tight[on[:, row]])
+                  for row in np.flatnonzero(np.bincount(rarest)))
     adjacent = np.zeros(len(p), dtype=bool)
     for group, candidates in groups:
         step = max(1, DD_BLOCK // len(candidates))
@@ -368,8 +396,8 @@ def max_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> 
     return Verdict(Status.IN if inside else Status.OUT, cert)
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the call; kappa binds this function too."""
+def _highs(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the call."""
     from scipy import optimize
 
     return optimize.linprog(*args, **kwargs)
@@ -389,9 +417,9 @@ def _block_lps(c, a_ub, b_ub, a_eq, b_eq, what: str):
     xs, duals = [], []
     for rows in np.array_split(np.arange(len(b_eq)), -(-len(b_eq) // LP_BLOCKS)):
         eye = sparse.identity(len(rows), format="csr")
-        res = linprog(np.tile(c, len(rows)), A_ub=sparse.kron(eye, a_ub), b_ub=b_ub[rows].ravel(),
-                      A_eq=sparse.kron(eye, a_eq), b_eq=b_eq[rows].ravel(),
-                      method="highs", options={"presolve": False})
+        res = _highs(np.tile(c, len(rows)), A_ub=sparse.kron(eye, a_ub), b_ub=b_ub[rows].ravel(),
+                     A_eq=sparse.kron(eye, a_eq), b_eq=b_eq[rows].ravel(),
+                     method="highs", options={"presolve": False})
         if not res.success:
             raise ValueError(f"{what} LP failed: {res.message}")
         xs.append(res.x.reshape(len(rows), -1))
@@ -499,13 +527,13 @@ def _start_bases(v: np.ndarray, z: np.ndarray, nearest: np.ndarray):
     return np.column_stack([nearest, np.full(n, p), p + 1 + others]), inv
 
 
-def _simplex(a: np.ndarray, c: np.ndarray, rhs: np.ndarray, start, bound):
-    """Batched revised primal simplex on the LPs min c.x s.t. a x = rhs[i],
-    x >= 0, which share their columns a (m, k) and costs c (k,) and differ in
-    their right-hand sides rhs (n, m).  start(rows) gives the rows' feasible
-    start bases (len(rows), m) and their inverses (len(rows), m, m), and
-    bound(rows, pi) a certified lower bound on each row's value from its
-    duals pi = c_B B^-1 (len(rows), m).
+def linprog(a: np.ndarray, c: np.ndarray, rhs: np.ndarray, start, bound):
+    """The polytope layer's LP kernel: a batched revised primal simplex on
+    the LPs min c.x s.t. a x = rhs[i], x >= 0, which share their columns a
+    (m, k) and costs c (k,) and differ in their right-hand sides rhs (n, m).
+    start(rows) gives the rows' feasible start bases (len(rows), m) and
+    their inverses (len(rows), m, m), and bound(rows, pi) a certified lower
+    bound on each row's value from its duals pi = c_B B^-1 (len(rows), m).
 
     A pivot enters the most negative reduced cost (Dantzig), leaves by the
     ratio test over the entries of its pivot column above 1e-9 (a smaller
@@ -565,7 +593,7 @@ def _simplex(a: np.ndarray, c: np.ndarray, rhs: np.ndarray, start, bound):
 
 def _exact_distances(z: np.ndarray, vertices: np.ndarray):
     """Certified brackets on the inf-norm distance from the rows of z to the
-    convex hull of the vertices, the value of _min_distance_lp, from _simplex
+    convex hull of the vertices, the value of _min_distance_lp, from linprog
     on that LP (_distance_rows) with a slack per inequality.  A row within
     LP_TOL (inf-norm) of its nearest vertex k is at most LP_TOL from the hull
     and is dropped; each other row starts from the basis of k that
@@ -580,11 +608,9 @@ def _exact_distances(z: np.ndarray, vertices: np.ndarray):
     Returns the indices of the rows kept (n,), ascending, and their upper and
     lower bounds (n,), weights lam (n, p) and normals y (n, dim).
     """
-    from scipy.spatial import cKDTree
-
     center = vertices.mean(axis=0)  # the weights sum to 1, so centring is exact
     v, z = vertices - center, z - center
-    near, nearest = cKDTree(v).query(z, p=np.inf)
+    near, nearest = _nearest(z, v)
     rows = np.flatnonzero(near > LP_TOL)
     z, nearest = z[rows], nearest[rows]
     p, dim = v.shape
@@ -599,9 +625,9 @@ def _exact_distances(z: np.ndarray, vertices: np.ndarray):
         y = normals(pi)
         return np.sum(y * z[live], axis=1) - np.max(y @ v.T, axis=1)
 
-    basis, xb, pi, lower, _ = _simplex(a, np.append(c, np.zeros(2 * dim)),
-                                       np.hstack([z, -z, np.ones((len(z), 1))]),
-                                       lambda live: _start_bases(v, z[live], nearest[live]), bound)
+    basis, xb, pi, lower, _ = linprog(a, np.append(c, np.zeros(2 * dim)),
+                                      np.hstack([z, -z, np.ones((len(z), 1))]),
+                                      lambda live: _start_bases(v, z[live], nearest[live]), bound)
     lam = np.zeros((len(z), p))
     on = basis < p
     lam[np.nonzero(on)[0], basis[on]] = np.maximum(xb[on], 0.0)
@@ -667,11 +693,12 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
     the minimal polytope, and brackets the distance of every other vertex;
     one closes when its upper bound is more than LP_TOL below the largest
     lower bound, never for being <= LP_TOL, so such rows keep HiGHS's
-    verdict and messages.  When exactly one vertex is left, its bracket is
-    closed (width <= 1e-12 of its lower bound) and above LP_TOL, its
-    weights and normal are the min-side certificate and no LP runs.
-    Otherwise the distance LPs run in one _block_lps call on the vertices
-    left, and the certificate is the gap vertex's row of those LPs.
+    verdict and messages.  When every vertex left has its bracket closed
+    (width <= 1e-12 of its lower bound) and above LP_TOL, as when several
+    tie at the largest distance, their weights and normals are the min-side
+    certificates and no HiGHS LP runs.  Otherwise the distance LPs run in
+    one _block_lps call on the vertices left, and the certificate is the
+    gap vertex's row of those LPs.
     As the count proves a gap, no distance above LP_TOL means the LPs
     failed: ValueError, as is a normal that does not separate (_min_verdict).
     The max-side verdict is max_tensor_membership(phi, k1, k2), which reads the
@@ -684,7 +711,7 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
     if len(rows):
         keep = ~(dist < below.max() - LP_TOL)
         rows, dist, below, weights, normals = (a[keep] for a in (rows, dist, below, weights, normals))
-        if not (len(rows) == 1 and LP_TOL < below[0] and dist[0] - below[0] <= 1e-12 * below[0]):
+        if not np.all((LP_TOL < below) & (dist - below <= 1e-12 * below)):
             dist, weights, normals = _min_distance_lp(mx.vertices[rows], mv)
     if not len(rows) or dist.max() <= LP_TOL:
         raise ValueError(f"membership LP failed: no distance exceeds LP_TOL, yet the maximal "
@@ -717,7 +744,7 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
     the simplex shortcut of max_tensor_polytope makes such copies, as the
     vertices it enumerates match only to rounding.
 
-    _simplex solves the other rows' LPs.  Their start bases come from m =
+    linprog solves the other rows' LPs.  Their start bases come from m =
     dim + 1 affinely independent inner vertices S, the first column pivots
     of A (_pivot_columns): beta = A_S^-1 (z_u, 1) are z's affine
     coordinates on S, the basis takes a_i where beta_i >= 0 and b_i where
@@ -726,7 +753,7 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
     duals (y, pi_0) bounds r(z) from below by y.z_u - max_j y.u_j once y is
     scaled so that the width max_j y.u_j - min_j y.u_j is at most 1: that
     is the dual objective of (y, -max_j y.u_j), which is then dual
-    feasible.  The largest objective is returned; a row pruned by _simplex
+    feasible.  The largest objective is returned; a row pruned by linprog
     is more than LP_TOL below it.
 
     Raises ValueError when outer's affine hull is not in inner's (a
@@ -734,13 +761,11 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
     chart may have dropped a genuine direction (a singular value of the
     centred inner vertices between 1e-13 and 1e-9 of the largest), as it
     then poses fewer constraints than the LP, and when the simplex is at
-    fault: a row is left open (_simplex), a last basis is more than LP_TOL *
+    fault: a row is left open (linprog), a last basis is more than LP_TOL *
     max|(z_u, 1)| off its constraints or has a weight below -LP_TOL, or the
     maximum is below the largest lower bound less LP_TOL.  No check sees
     how far rounding moved the chart from inner's vertices (ROADMAP item 5).
     """
-    from scipy.spatial import cKDTree
-
     (center, q, scale, s), iv, z = inner.unit_chart, inner.vertices, outer.vertices
     d = z - center
     off = np.linalg.norm(d - (d @ q) @ q.T, axis=1)
@@ -755,7 +780,7 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
     a = np.vstack([u, np.ones(p)])
     chosen = _pivot_columns(a, len(a))
     inv = np.linalg.inv(a[:, chosen])
-    d = d[cKDTree(iv).query(z)[0] > 0]
+    d = d[_nearest(z, iv)[0] > 0]
     rhs = np.hstack([d @ q / scale, np.ones((len(d), 1))])
     beta = rhs @ inv.T
     order = np.argsort(-np.maximum(-beta, 0.0).sum(axis=1), kind="stable")
@@ -771,7 +796,7 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
         return (np.sum(pi[:, :-1] * rhs[live, :-1], axis=1) - high) / np.maximum(1.0, width)
 
     c, columns = np.repeat([0.0, 1.0], p), np.hstack([a, -a])
-    basis, xb, _, lower, unsettled = _simplex(columns, c, rhs, start, bound)
+    basis, xb, _, lower, unsettled = linprog(columns, c, rhs, start, bound)
     drift = np.abs((xb[:, None, :] @ columns.T[basis])[:, 0] - rhs).max(axis=1) / np.abs(rhs).max(axis=1)
     r = float(np.max(np.sum(c[basis] * xb, axis=1), initial=0.0))
     if unsettled.any():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.optimize import linprog
+from scipy.optimize import linprog as scipy_linprog
 from scipy.spatial import cKDTree
 
 from conelab import polytopes
@@ -23,13 +23,13 @@ from conelab.polytopes import (
     _distance_rows,
     _exact_distances,
     _min_distance_lp,
-    _simplex,
     _start_bases,
     affine_dimension,
     barker_gap,
     double_description,
     functional_from_flat,
     gap_among,
+    linprog,
     max_tensor_membership,
     max_tensor_polytope,
     min_tensor,
@@ -52,7 +52,7 @@ def in_conic_hull(ray, others, tol=1e-9):
     """LP feasibility: ray = sum_j lam_j others_j with lam >= 0."""
     if len(others) == 0:
         return False
-    res = linprog(
+    res = scipy_linprog(
         np.zeros(len(others)),
         A_eq=np.array(others).T,
         b_eq=ray,
@@ -785,9 +785,9 @@ def inf_norm_distance(flat, vertices):
     """min t with |V^T lam - phi|_inf <= t over the simplex, solved afresh."""
     p, dim = vertices.shape
     a_ub = np.block([[vertices.T, -np.ones((dim, 1))], [-vertices.T, -np.ones((dim, 1))]])
-    res = linprog(np.r_[np.zeros(p), 1.0], A_ub=a_ub, b_ub=np.r_[flat, -flat],
-                  A_eq=np.r_[np.ones(p), 0.0][None, :], b_eq=[1.0],
-                  bounds=[(0, None)] * (p + 1), method="highs")
+    res = scipy_linprog(np.r_[np.zeros(p), 1.0], A_ub=a_ub, b_ub=np.r_[flat, -flat],
+                        A_eq=np.r_[np.ones(p), 0.0][None, :], b_eq=[1.0],
+                        bounds=[(0, None)] * (p + 1), method="highs")
     assert res.success
     return res.fun
 
@@ -857,14 +857,14 @@ class TestBatchedDistanceLP:
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count the linprog calls made by the polytopes module."""
+    """Count the HiGHS calls made by the polytopes module."""
     count = [0]
 
     def counted(*args, **kwargs):
         count[0] += 1
-        return linprog(*args, **kwargs)
+        return scipy_linprog(*args, **kwargs)
 
-    monkeypatch.setattr(polytopes, "linprog", counted)
+    monkeypatch.setattr(polytopes, "_highs", counted)
     return count
 
 
@@ -989,7 +989,7 @@ class TestScreening:
     @pytest.mark.parametrize("name", POLYGON_PAIRS + ["x8e-5", "x1e3", "+1000", "+1e4"] + MIXED_PAIRS
                              + PERFBENCH_PAIRS_30 + SOLID_PAIRS)
     def test_bounds_are_upper_bounds(self, name, calls, monkeypatch):
-        # relative_bound with its _simplex call recorded: no linprog call, a
+        # relative_bound with its linprog call recorded: no HiGHS call, a
         # value within 1e-9 (relative) of the LPs' maximum, a feasible start
         # basis given with its inverse, and a bracket [lower, objective]
         # around each row's LP value that closes unless the row was pruned
@@ -998,10 +998,10 @@ class TestScreening:
         recorded = []
 
         def recording(a, c, rhs, start, bound):
-            recorded.append((a, c, rhs, start(np.arange(len(rhs))), _simplex(a, c, rhs, start, bound)))
+            recorded.append((a, c, rhs, start(np.arange(len(rhs))), linprog(a, c, rhs, start, bound)))
             return recorded[-1][-1]
 
-        monkeypatch.setattr(polytopes, "_simplex", recording)
+        monkeypatch.setattr(polytopes, "linprog", recording)
         calls[0] = 0
         r = relative_bound(inner, outer)
         assert calls[0] == 0
@@ -1069,11 +1069,11 @@ class TestScreening:
 
         def counted(*args, **kwargs):
             copies.append(len(kwargs["b_eq"]))  # one equality row per distance LP
-            return linprog(*args, **kwargs)
+            return scipy_linprog(*args, **kwargs)
 
-        monkeypatch.setattr(polytopes, "linprog", counted)
+        monkeypatch.setattr(polytopes, "_highs", counted)
         assert gap_among(mx, k, k).margin == pytest.approx(1 / 12, abs=1e-12)
-        assert copies == [8]
+        assert copies == []  # the eight tied vertices close in the screen
 
     def test_hexagon_relative_bound_in_two_lp_calls(self, calls):
         rng = np.random.default_rng(6)
@@ -1159,6 +1159,33 @@ class TestExactDistances:
         assert gap.margin == pytest.approx(settled.margin, abs=1e-12)
 
 
+class TestTiedGapRows:
+    """Gap vertices that tie at the largest distance close their brackets in
+    the screen, which certifies the first of them with no HiGHS call."""
+
+    # the 4-gon^2 pairs of perfbench seeds 30, 36 and 44 tie rows too
+    @pytest.mark.parametrize("name", ["x1", "cube^2", "octahedron^2", "hexagon x cube", "regular/8x8",
+                                      "perfbench/30/4x4", "perfbench/36/4x4", "perfbench/44/4x4"])
+    def test_tied_rows_match_highs_without_it(self, name, calls):
+        k1, k2 = screening_pair(name)
+        mx, mv = max_tensor_polytope(k1, k2), min_tensor(k1, k2).vertices
+        gap = barker_gap(k1, k2)
+        assert calls[0] == 0
+        candidates = np.arange(mx.n_vertices)
+        if mx.n_vertices > 1500:
+            # hexagon x cube (2,688) and the 8-gon^2 (8,656, 5.5 s unscreened): HiGHS
+            # solves the rows whose screen brackets reach the largest lower bound
+            rows, upper, lower, _, _ = _exact_distances(mx.vertices, mv)
+            candidates = rows[upper >= lower.max() - LP_TOL]
+        index, margin = unscreened_gap(Polytope(mx.vertices[candidates]), k1, k2)
+        index = candidates[index]
+        assert np.array_equal(gap.functional.flat, mx.vertices[index])
+        assert gap.margin == pytest.approx(margin, abs=1e-12)
+        if name != "regular/8x8":  # there the optimal dual is not unique: same margin, another normal
+            normal = _min_distance_lp(mx.vertices[index][None, :], mv)[2][0]
+            assert np.max(np.abs(gap.min_verdict.certificate.normal - normal)) <= 1e-12
+
+
 class TestScreenBlocks:
     """_exact_distances pivots its rows in blocks of SIMPLEX_ROWS from the
     closed-form start bases of _start_bases, so its memory does not grow
@@ -1227,8 +1254,8 @@ def mixed_pair(k1, k2, seed):
 
 
 class TestRelativeBoundWithoutLP:
-    """relative_bound solves its LPs by _simplex in the unit chart of the
-    inner polytope, from closed-form start bases, and calls no linprog."""
+    """relative_bound solves its LPs by linprog in the unit chart of the
+    inner polytope, from closed-form start bases, and calls no HiGHS."""
 
     @pytest.mark.parametrize("name", [f"{k}-gon/{seed}" for k in (4, 5, 6) for seed in (0, 1)])
     def test_equal_k_pairs_solve_no_lp(self, name, calls):
@@ -1266,7 +1293,7 @@ class TestRelativeBoundWithoutLP:
         mn, mx = min_tensor(sq, sq), max_tensor_polytope(sq, sq)
 
         def faulty(a, c, rhs, start, bound):
-            basis, xb, pi, lower, unsettled = _simplex(a, c, rhs, start, bound)
+            basis, xb, pi, lower, unsettled = linprog(a, c, rhs, start, bound)
             if fault == "drift":
                 xb[:, 0] += 1e-6
             else:
@@ -1275,7 +1302,7 @@ class TestRelativeBoundWithoutLP:
             return basis, xb, pi, lower, unsettled
 
         assert relative_bound(mn, mx) == pytest.approx(0.5, abs=1e-12)
-        monkeypatch.setattr(polytopes, "_simplex", faulty)
+        monkeypatch.setattr(polytopes, "linprog", faulty)
         with pytest.raises(ValueError, match="relative-bound LP failed: .* off their constraints"):
             relative_bound(mn, mx)
 
@@ -1285,11 +1312,11 @@ class TestRelativeBoundWithoutLP:
         mn, mx = min_tensor(sq, sq), max_tensor_polytope(sq, sq)
 
         def raised(*args):
-            basis, xb, pi, lower, unsettled = _simplex(*args)
+            basis, xb, pi, lower, unsettled = linprog(*args)
             lower[0] = 0.5 + 1e-6
             return basis, xb, pi, lower, unsettled
 
-        monkeypatch.setattr(polytopes, "_simplex", raised)
+        monkeypatch.setattr(polytopes, "linprog", raised)
         with pytest.raises(ValueError, match="relative-bound LP failed: its maximum .* is below the certified"):
             relative_bound(mn, mx)
 
@@ -1413,6 +1440,61 @@ class TestPivotColumns:
         mx = max_tensor_polytope(k1, k2)
         barker_gap(k1, k2)
         relative_bound(min_tensor(k1, k2), mx)
+
+
+class TestNeighbourQueries:
+    """_first_close_pair (the duplicate and coincidence tests) and _nearest
+    (the gap screen's nearest vertex, relative_bound's exact copies) in
+    numpy against scipy's cKDTree."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_close_pairs_match_kdtree(self, seed):
+        rng = np.random.default_rng([56, seed])
+        for _ in range(60):
+            n, d = rng.integers(2, 50), rng.integers(1, 7)
+            x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 7)
+            if rng.random() < 0.3:
+                x = np.round(x)  # ties in every coordinate
+            i, j = rng.integers(0, n, size=(2, 3))
+            x[j] = x[i] + rng.normal(size=(3, d)) * 10.0 ** rng.integers(-13, -8, size=(3, 1))
+            for r in (1e-10, 1e-9):
+                pairs = cKDTree(x).query_pairs(r)
+                assert polytopes._first_close_pair(x, r) == (min(pairs) if pairs else None)
+
+    def test_points_in_no_dimension_coincide(self):
+        assert polytopes._first_close_pair(np.zeros((3, 0)), 1e-10) == (0, 1)
+        assert polytopes._first_close_pair(np.zeros((1, 0)), 1e-10) is None
+        with pytest.raises(ValueError, match="duplicate vertices at indices 0, 1"):
+            Polytope(np.zeros((2, 0)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nearest_matches_kdtree(self, seed):
+        rng = np.random.default_rng([56, 10 + seed])
+        v = np.round(rng.normal(size=(40, 5)), 1)  # ties in distance
+        z = np.vstack([rng.normal(size=(200, 5)), v[rng.integers(0, 40, 50)]])
+        near, nearest = polytopes._nearest(z, v)
+        want, _ = cKDTree(v).query(z, p=np.inf)
+        assert np.array_equal(near, want)
+        assert np.array_equal(np.abs(z - v[nearest]).max(axis=1), want)
+        assert np.array_equal(near > 0, cKDTree(v).query(z)[0] > 0)
+
+    @pytest.mark.parametrize("name", PERFBENCH_PAIRS + SOLID_PAIRS)
+    def test_benchmark_pairs_match_kdtree(self, name):
+        k1, k2 = screening_pair(name)
+        mn, mx = min_tensor(k1, k2), max_tensor_polytope(k1, k2)
+        for k in (k1, k2, mn, mx):
+            assert polytopes._first_close_pair(k.vertices, 1e-10) is None and not cKDTree(k.vertices).query_pairs(1e-10)
+        for k in (k1, k2):
+            center, q, scale, _ = k.unit_chart
+            u = (k.vertices - center) @ q / scale
+            assert polytopes._first_close_pair(u, 1e-9) is None and not cKDTree(u).query_pairs(1e-9)
+        center = mn.vertices.mean(axis=0)
+        v, z = mn.vertices - center, mx.vertices - center
+        near, nearest = polytopes._nearest(z, v)
+        want = cKDTree(v).query(z, p=np.inf)[0]
+        assert np.array_equal(near, want) and np.array_equal(np.abs(z - v[nearest]).max(axis=1), want)
+        copies = polytopes._nearest(mx.vertices, mn.vertices)[0] == 0
+        assert np.array_equal(copies, cKDTree(mn.vertices).query(mx.vertices)[0] == 0)
 
 
 def perfbench_polygons(seeds=(0, 1000)):

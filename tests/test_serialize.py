@@ -117,7 +117,7 @@ def test_extremality_lps_are_batched(k, monkeypatch):
         count[0] += 1
         return linprog(*args, **kwargs)
 
-    monkeypatch.setattr(polytopes, "linprog", counted)
+    monkeypatch.setattr(polytopes, "_highs", counted)
     t = 2 * np.pi * np.arange(k) / k
     poly = Polytope(np.column_stack([np.cos(t), np.sin(t)]))
     back = polytope_from_dict(polytope_to_dict(poly))
