@@ -36,14 +36,12 @@ DD_TOL = 1e-10
 DD_BLOCK = 1 << 16
 MAX_RAY_AMBIENT_DIM = 4
 MAX_RAY_VERTICES = 12
-# LP copies per HiGHS call in _block_lps: the gap rows that linprog leaves
-# open, the extremality LPs of non_vertices and min_tensor_membership's one LP.
-LP_BLOCKS = 36
 # Pivots per row in linprog.  Every gap row it does not prune closes its
 # bracket within 17 pivots on the tensor-gap and seeded k-gon^2 pairs, and
 # within 39 on cube^2 and hexagon x cube; every relative-bound row within 19
 # on the mixed polygon pairs and 26 on the 3-D pairs.  A gap row left open at
-# the cap only goes to HiGHS; a relative-bound row left open is refused.
+# the cap keeps its last basis's bracket; a relative-bound row left open is
+# refused.
 SIMPLEX_PIVOTS = 100
 # Rows per block of linprog, which bounds the B^-1 stack of _exact_distances
 # at SIMPLEX_ROWS * (2 dim + 1)^2 floats.  tensor-gap (seed 0, medians of 5 runs
@@ -396,37 +394,6 @@ def max_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> 
     return Verdict(Status.IN if inside else Status.OUT, cert)
 
 
-def _highs(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the call."""
-    from scipy import optimize
-
-    return optimize.linprog(*args, **kwargs)
-
-
-def _block_lps(c, a_ub, b_ub, a_eq, b_eq, what: str):
-    """Solve the n LPs min c.x s.t. a_ub x <= b_ub[i], a_eq x = b_eq[i],
-    x >= 0, which differ only in their right-hand sides.  Up to LP_BLOCKS
-    of them go to HiGHS as one block-diagonal LP minimizing the sum of their
-    objectives; the copies share no variable, so the sum is minimal exactly
-    when each one is.  (Most of one small LP's time is scipy's wrapper, not
-    HiGHS.)  Returns the solutions (n, len(c)) and a_ub duals (n, len(a_ub)).
-    A HiGHS failure raises ValueError: the input is beyond what the LPs solve.
-    """
-    from scipy import sparse
-
-    xs, duals = [], []
-    for rows in np.array_split(np.arange(len(b_eq)), -(-len(b_eq) // LP_BLOCKS)):
-        eye = sparse.identity(len(rows), format="csr")
-        res = _highs(np.tile(c, len(rows)), A_ub=sparse.kron(eye, a_ub), b_ub=b_ub[rows].ravel(),
-                     A_eq=sparse.kron(eye, a_eq), b_eq=b_eq[rows].ravel(),
-                     method="highs", options={"presolve": False})
-        if not res.success:
-            raise ValueError(f"{what} LP failed: {res.message}")
-        xs.append(res.x.reshape(len(rows), -1))
-        duals.append(res.ineqlin.marginals.reshape(len(rows), -1))
-    return np.vstack(xs), np.vstack(duals)
-
-
 def _distance_rows(vertices: np.ndarray):
     """The inf-norm distance LP to the hull of the vertices (p, dim), in the
     variables (lam, t): objective t, rows [V^T, -1; -V^T, -1] against
@@ -437,44 +404,32 @@ def _distance_rows(vertices: np.ndarray):
             np.append(np.ones(p), 0.0)[None, :])
 
 
-def _min_distance_lp(flat_phi: np.ndarray, vertices: np.ndarray):
-    """Inf-norm distance from each row of flat_phi (n, dim) to the convex
-    hull of the vertices: min t s.t. |sum_p lam_p V_p - phi| <= t, lam in
-    the simplex.  Returns the distances (n,), weights lam (n, p) and normals
-    y = u_+ - u_- (n, dim), where u_+ and u_- (<= 0) are the duals of the
-    rows V^T lam - t <= phi and -V^T lam - t <= -phi.  By LP duality
-    ||y||_1 <= 1 and y.phi - max_p y.V_p >= t, so y separates phi from the
-    hull when t > 0.
-    """
-    p, dim = vertices.shape
-    c, a_ub, a_eq = _distance_rows(vertices)
-    x, u = _block_lps(c, a_ub, np.hstack([flat_phi, -flat_phi]), a_eq,
-                      np.ones((len(flat_phi), 1)), "membership")
-    return x[:, -1], x[:, :p], u[:, :dim] - u[:, dim:]
-
-
 def non_vertices(points) -> np.ndarray:
     """Indices, ascending, of the listed points (p, dim) at inf-norm
-    distance <= LP_TOL from the hull of the others.  Copy i of the batched
-    distance LP measures point i against all p points with the added rows
-    lam <= 1 - e_i, which force lam_i = 0.  A HiGHS failure raises ValueError.
+    distance <= LP_TOL from the hull of the others, decided from the
+    _exact_distances bracket on each point's distance to the hull of the
+    others: a point it drops, or whose upper bound is <= LP_TOL, is not a
+    vertex, and one whose lower bound exceeds LP_TOL is.  A bracket across
+    LP_TOL raises ValueError.
     """
     points = np.asarray(points, dtype=float)
-    p = len(points)
-    if p < 2:
+    if len(points) < 2:
         return np.zeros(0, dtype=int)
-    c, a_ub, a_eq = _distance_rows(points)
-    x, _ = _block_lps(c, np.vstack([a_ub, np.eye(p, p + 1)]),
-                      np.hstack([points, -points, 1.0 - np.eye(p)]), a_eq, np.ones((p, 1)), "extremality")
-    return np.flatnonzero(x[:, -1] <= LP_TOL)
+    inner = []
+    for i in range(len(points)):
+        rows, upper, lower, _, _ = _exact_distances(points[i:i + 1], np.delete(points, i, axis=0))
+        if not len(rows) or upper[0] <= LP_TOL:
+            inner.append(i)
+        elif lower[0] <= LP_TOL:
+            raise ValueError(f"extremality LP failed: point {i} is [{lower[0]:.3g}, {upper[0]:.3g}] "
+                             f"from the others")
+    return np.array(inner, dtype=int)
 
 
-def _min_verdict(flat, mv, dist, weights, normal) -> Verdict:
-    """Verdict on flat from its row of _min_distance_lp(., mv): In with the
-    weights when dist <= LP_TOL, else Out with the normal as hyperplane; a
-    normal that does not separate (margin <= 0, LP rounding) raises ValueError."""
-    if dist <= LP_TOL:
-        return Verdict(Status.IN, ConvexWeightsCertificate(weights, float(dist)))
+def _out_verdict(flat, mv, normal) -> Verdict:
+    """Out with the hyperplane y = normal, offset max_p y.mv_p, separating
+    flat from the hull of mv; a normal that does not separate (margin <= 0,
+    LP rounding) raises ValueError."""
     offset = float(np.max(mv @ normal))
     margin = float(normal @ flat - offset)
     if margin <= 0:
@@ -483,14 +438,25 @@ def _min_verdict(flat, mv, dist, weights, normal) -> Verdict:
 
 
 def min_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> Verdict:
-    """LP test for membership in the convex hull of elementary tensors.
+    """LP test for membership in the convex hull of elementary tensors,
+    decided from the _exact_distances bracket on the inf-norm distance.
 
-    In with the convex weights when the inf-norm distance is <= LP_TOL; Out
-    with the separating hyperplane read off the same LP's duals otherwise.
+    In with weights e_k when phi is within LP_TOL of its nearest product
+    vertex k, and with the last basis's weights when the upper bound is
+    <= LP_TOL; Out with the basis's dual normal as hyperplane when the lower
+    bound exceeds LP_TOL.  A bracket across LP_TOL raises ValueError.
     """
-    mv = min_tensor(k1, k2).vertices
-    (dist,), (weights,), (normal,) = _min_distance_lp(phi.flat[None, :], mv)
-    return _min_verdict(phi.flat, mv, dist, weights, normal)
+    mv, flat = min_tensor(k1, k2).vertices, phi.flat
+    rows, upper, lower, weights, normals = _exact_distances(flat[None, :], mv)
+    if not len(rows):
+        (near,), (k,) = _nearest(flat[None, :], mv)
+        return Verdict(Status.IN, ConvexWeightsCertificate(np.eye(len(mv))[k], float(near)))
+    if upper[0] <= LP_TOL:
+        return Verdict(Status.IN, ConvexWeightsCertificate(weights[0], float(upper[0])))
+    if lower[0] <= LP_TOL:
+        raise ValueError(f"membership LP failed: the functional is [{lower[0]:.3g}, {upper[0]:.3g}] "
+                         f"from the minimal product")
+    return _out_verdict(flat, mv, normals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -593,20 +559,22 @@ def linprog(a: np.ndarray, c: np.ndarray, rhs: np.ndarray, start, bound):
 
 def _exact_distances(z: np.ndarray, vertices: np.ndarray):
     """Certified brackets on the inf-norm distance from the rows of z to the
-    convex hull of the vertices, the value of _min_distance_lp, from linprog
-    on that LP (_distance_rows) with a slack per inequality.  A row within
-    LP_TOL (inf-norm) of its nearest vertex k is at most LP_TOL from the hull
-    and is dropped; each other row starts from the basis of k that
-    _start_bases writes down with its inverse.
+    convex hull of the vertices, min t s.t. |sum_p lam_p V_p - z|_inf <= t,
+    lam in the simplex, from linprog on that LP (_distance_rows) with a
+    slack per inequality.  A row within LP_TOL (inf-norm) of its nearest
+    vertex k is at most LP_TOL from the hull and is dropped; each other row
+    starts from the basis of k that _start_bases writes down with its
+    inverse.
 
     Both bounds are read off each row's last basis and hold whatever the
     pivots did, so a pruned, unfinished or inexact row only keeps a wider
     bracket.  The upper bound is |lam V - z|_inf with lam clipped to >= 0
     and rescaled to sum 1; the lower bound is y.z - max_p y.V_p with y =
-    pi_a - pi_b, the difference of the two inequality blocks' duals
-    (oriented as _min_distance_lp's normal), divided by max(1, |y|_1).
-    Returns the indices of the rows kept (n,), ascending, and their upper and
-    lower bounds (n,), weights lam (n, p) and normals y (n, dim).
+    pi_a - pi_b, the difference of the two inequality blocks' duals,
+    divided by max(1, |y|_1), so y separates z from the hull by at least
+    the lower bound.  Returns the indices of the rows kept (n,), ascending,
+    and their upper and lower bounds (n,), weights lam (n, p) and normals
+    y (n, dim).
     """
     center = vertices.mean(axis=0)  # the weights sum to 1, so centring is exact
     v, z = vertices - center, z - center
@@ -685,41 +653,32 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
     vertex there too, hence a product.
 
     The LP distance to the minimal polytope is convex, so its maximum over
-    mx is attained at a vertex: take the first vertex whose distance is
-    within LP_TOL of the largest (so rounding noise among tied vertices
-    cannot pick one) and return it with both certificates.
-    _exact_distances, the only screen, drops each vertex within LP_TOL
-    (inf-norm) of its nearest minimal vertex, which is at most LP_TOL from
-    the minimal polytope, and brackets the distance of every other vertex;
-    one closes when its upper bound is more than LP_TOL below the largest
-    lower bound, never for being <= LP_TOL, so such rows keep HiGHS's
-    verdict and messages.  When every vertex left has its bracket closed
-    (width <= 1e-12 of its lower bound) and above LP_TOL, as when several
-    tie at the largest distance, their weights and normals are the min-side
-    certificates and no HiGHS LP runs.  Otherwise the distance LPs run in
-    one _block_lps call on the vertices left, and the certificate is the
-    gap vertex's row of those LPs.
-    As the count proves a gap, no distance above LP_TOL means the LPs
-    failed: ValueError, as is a normal that does not separate (_min_verdict).
-    The max-side verdict is max_tensor_membership(phi, k1, k2), which reads the
-    chart rays that max_tensor_polytope(k1, k2) enumerated on k1 and k2.
+    mx is attained at a vertex.  _exact_distances drops each vertex within
+    LP_TOL (inf-norm) of its nearest minimal vertex, which is at most LP_TOL
+    from the minimal polytope, and brackets the distance of every other
+    vertex; a vertex stops pivoting once its objective is more than LP_TOL
+    below the largest lower bound, so it can neither be the maximum nor tie
+    with it.  The gap vertex is the first whose certified lower bound
+    exceeds LP_TOL and is within LP_TOL of the largest (so rounding noise
+    among tied vertices cannot pick one): the first vertex within LP_TOL of
+    the largest distance whenever the brackets close, as they do within
+    SIMPLEX_PIVOTS on every pair measured.  Its last basis's dual normal is
+    the min-side certificate.  As the count proves a gap, no lower bound
+    above LP_TOL means the LPs failed: ValueError, as is a normal that does
+    not separate (_out_verdict).  The max-side verdict is
+    max_tensor_membership(phi, k1, k2), which reads the chart rays that
+    max_tensor_polytope(k1, k2) enumerated on k1 and k2.
     """
     mv = min_tensor(k1, k2).vertices
     if mx.n_vertices == len(mv):
         return None
-    rows, dist, below, weights, normals = _exact_distances(mx.vertices, mv)
-    if len(rows):
-        keep = ~(dist < below.max() - LP_TOL)
-        rows, dist, below, weights, normals = (a[keep] for a in (rows, dist, below, weights, normals))
-        if not np.all((LP_TOL < below) & (dist - below <= 1e-12 * below)):
-            dist, weights, normals = _min_distance_lp(mx.vertices[rows], mv)
-    if not len(rows) or dist.max() <= LP_TOL:
+    rows, _, below, _, normals = _exact_distances(mx.vertices, mv)
+    if below.max(initial=-np.inf) <= LP_TOL:
         raise ValueError(f"membership LP failed: no distance exceeds LP_TOL, yet the maximal "
                          f"product has {mx.n_vertices} vertices and the minimal only {len(mv)}")
-    i = np.argmax(dist >= dist.max() - LP_TOL)
+    i = np.argmax((below >= below.max() - LP_TOL) & (below > LP_TOL))
     phi = functional_from_flat(mx.vertices[rows[i]], k1, k2)
-    return BarkerGap(phi, max_tensor_membership(phi, k1, k2),
-                     _min_verdict(phi.flat, mv, dist[i], weights[i], normals[i]))
+    return BarkerGap(phi, max_tensor_membership(phi, k1, k2), _out_verdict(phi.flat, mv, normals[i]))
 
 
 def barker_gap(k1: Polytope, k2: Polytope) -> BarkerGap | None:

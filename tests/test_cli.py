@@ -416,35 +416,52 @@ class TestPolytopeCommands:
         assert "coincide in the unit chart" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, want", [
-        (["barker"], "membership LP failed: (HiGHS Status"),
+        (["barker"], "membership LP failed: no distance exceeds LP_TOL"),
         (["polytope", "tensor", "--relative-bound"], "relative-bound LP failed: the unit chart of inner drops"),
     ], ids=["barker", "tensor-relative-bound"])
     def test_lp_failure_is_data_error(self, capsys, tmp_path, command, want):
         # the unit square scaled by 1e-3 and shifted by (1000, 1000), where
-        # HiGHS fails on the distance LP, and the minimal product's unit
-        # chart has rank 5, not 8, so the relative-bound LP is refused
+        # no distance LP certifies a distance above LP_TOL, though the counts
+        # prove a gap, and the minimal product's unit chart has rank 5, not
+        # 8, so the relative-bound LP is refused
         p = tmp_path / "small_far.json"
         p.write_text(json.dumps(polytope_to_dict(Polytope(square().vertices * 1e-3 + 1000.0))))
         assert cli.main(command + ["--k1", str(p), "--k2", str(p)]) == 65
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {want}") and err.count("\n") == 1
 
-    def test_non_separating_hyperplane_is_data_error(self, capsys, tmp_path):
-        # the unit square scaled by 1e-2 and shifted by (1000, 1000): the
-        # distance LP reports 1.7e-8 > LP_TOL, but its dual normal does not
-        # separate the gap vertex from the minimal product (margin -5.7e-14)
-        p = tmp_path / "far.json"
-        p.write_text(json.dumps(polytope_to_dict(Polytope(square().vertices * 1e-2 + 1000.0))))
-        assert cli.main(["barker", "--k1", str(p), "--k2", str(p)]) == 65
-        err = capsys.readouterr().err
-        assert err.startswith("input error: membership LP failed") and err.count("\n") == 1
+    @pytest.mark.parametrize("scale, shift, margin", [(1e-3, 100.0, 1.2376162e-9), (1e-2, 1000.0, 1.2487419e-8)],
+                             ids=["x1e-3+100", "x1e-2+1000"])
+    def test_small_shifted_square_gap_is_answered(self, capsys, tmp_path, scale, shift, margin):
+        # exit 65 while HiGHS solved the gap LPs: at x1e-3 +(100, 100) it read
+        # every distance <= LP_TOL, and at x1e-2 +(1000, 1000) its dual normal
+        # did not separate (margin -5.7e-14); the simplex certifies vertex 8
+        p = tmp_path / "small.json"
+        k = Polytope(square().vertices * scale + shift)
+        p.write_text(json.dumps(polytope_to_dict(k)))
+        code, rep = run_json(capsys, ["barker", "--k1", str(p), "--k2", str(p)])
+        assert code == 0
+        res = rep["results"]
+        assert np.array_equal(np.ravel(res["gap"]), polytopes.max_tensor_polytope(k, k).vertices[8])
+        assert res["gap_margin"] == pytest.approx(margin, rel=1e-7)
+
+    def test_tiny_pentagon_gap_has_a_margin(self, capsys, tmp_path):
+        # the regular pentagon scaled by 5.7e-5: the gap vertex was a row at
+        # distance 8.2e-10 <= LP_TOL, whose In certificate has no margin, and
+        # reading it raised AttributeError (a traceback, exit 1)
+        t = 2 * np.pi * np.arange(5) / 5
+        p = tmp_path / "pentagon.json"
+        p.write_text(json.dumps(polytope_to_dict(Polytope(np.column_stack([np.cos(t), np.sin(t)])
+                                                          * 5.71336842831558e-05))))
+        code, rep = run_json(capsys, ["barker", "--k1", str(p), "--k2", str(p)])
+        assert code == 0
+        assert rep["results"]["gap_margin"] == pytest.approx(1.0087e-9, rel=1e-4)
 
     @pytest.mark.parametrize("scale, shift, argv, want", [
         # the maximal product has 24 vertices and the minimal 16, but every
         # distance LP reads <= LP_TOL, which would claim min = max
         (8e-5, 0.0, ["barker"], "membership LP failed"),
-        (1e-3, 100.0, ["barker"], "membership LP failed"),
-    ], ids=["barker-x8e-5", "barker-x1e-3+100"])
+    ], ids=["barker-x8e-5"])
     def test_lp_answer_that_contradicts_a_bound_is_data_error(self, capsys, tmp_path, scale, shift,
                                                                 argv, want):
         p = tmp_path / "small.json"
@@ -751,7 +768,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("vertices", [
         [[0, 1e200, 3]],  # its tensor square overflows, and the SVD of the chart fails
-        [[3, 0], [-4.269061995752161e16, 3], [1, 1]],  # HiGHS rejects the extremality LP
+        [[3, 0], [-4.269061995752161e16, 3], [1, 1]],  # the extremality LP's bracket for point 2 is [0, 1]
     ], ids=["overflowing-product", "extremality-lp-failure"])
     def test_extreme_polytope_is_data_error(self, capsys, tmp_path, vertices):
         p = tmp_path / "extreme.json"

@@ -40,11 +40,7 @@ def run(code: str, *args: str) -> list[str]:
 
 # Every function in src/conelab that imports scipy, as module.qualified_name.
 # A new scipy call site must be added here, and to ROADMAP item 29.
-SCIPY_CALLERS = {
-    "cones.least_squares",
-    "polytopes._highs",
-    "polytopes._block_lps",
-}
+SCIPY_CALLERS = {"cones.least_squares"}
 
 
 def scipy_imports(node, name: str):
@@ -101,6 +97,43 @@ print(len(requests), "judged")
 @pytest.mark.parametrize("seed", [0, 30, 1000])
 def test_tensor_gap_runs_without_scipy(seed):
     assert run(NO_SCIPY, "tensor-gap", str(seed)) == ["13 judged"]
+
+
+# Writes two polytope files and runs the polytope commands on them, then
+# the extremality test and the min-side membership test, with scipy
+# unimportable.
+POLYTOPE_COMMANDS = """
+import io, json, sys
+from contextlib import redirect_stdout
+sys.modules["scipy"] = None
+import numpy as np
+from conelab import cli, polytopes
+
+t = np.pi * np.arange(6) / 3
+hexagon = np.column_stack([np.cos(t), np.sin(t)])
+for name, vertices in [("hexagon", hexagon), ("square", polytopes.square().vertices)]:
+    with open(f"{sys.argv[1]}/{name}.json", "w") as f:
+        json.dump({"dim": 2, "vertices": vertices.tolist()}, f)
+files = [f"{sys.argv[1]}/hexagon.json", f"{sys.argv[1]}/square.json"]
+for argv in (["barker"], ["polytope", "tensor", "--gap", "--relative-bound"]):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv + ["--k1", files[0], "--k2", files[1]])
+    results = json.loads(out.getvalue())["results"]
+    print(code, round(results["gap_margin"], 12), round(results.get("relative_bound", -1.0), 12))
+points = np.vstack([hexagon, [[0.0, 0.0]]])
+print(polytopes.non_vertices(points).tolist())
+k = polytopes.square()
+mv = polytopes.min_tensor(k, k).vertices
+for flat in (mv.mean(axis=0), polytopes.max_tensor_polytope(k, k).vertices[8]):
+    phi = polytopes.functional_from_flat(flat, k, k)
+    print(polytopes.min_tensor_membership(phi, k, k).status.value)
+"""
+
+
+def test_polytope_commands_run_without_scipy(tmp_path):
+    assert run(POLYTOPE_COMMANDS, str(tmp_path)) == [
+        "0 0.122008467928 -1.0", "0 0.122008467928 0.25", "[6]", "in", "out"]
 
 
 def unread_constants(sources: dict[str, str]) -> list[str]:

@@ -1,7 +1,6 @@
 import importlib.util
 import itertools
 import json
-import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -9,20 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
+from highs_reference import _block_lps, _min_distance_lp
 from scipy.optimize import linprog as scipy_linprog
 from scipy.spatial import cKDTree
 
 from conelab import polytopes
 from conelab.cones import Status
 from conelab.polytopes import (
-    LP_BLOCKS,
     LP_TOL,
     Polytope,
     TensorFunctional,
-    _block_lps,
     _distance_rows,
     _exact_distances,
-    _min_distance_lp,
     _start_bases,
     affine_dimension,
     barker_gap,
@@ -368,12 +366,31 @@ class TestAffineInvariance:
         assert affine_dimension(mn) == 8
         assert relative_bound(mn, max_tensor_polytope(k, k)) == pytest.approx(0.5, abs=1e-7)
 
-    def test_small_shifted_square_gap_is_refused(self):
-        # the square x1e-3 shifted by (100, 100): the maximal product has 24
-        # vertices and the minimal 16, but every distance LP reads <= LP_TOL
-        k = Polytope(square().vertices * 1e-3 + 100)
-        with pytest.raises(ValueError, match="membership LP failed"):
-            barker_gap(k, k)
+    @pytest.mark.parametrize("scale, shift, margin", [(1e-3, 100.0, 1.2376162e-9), (1e-2, 1000.0, 1.2487419e-8)],
+                             ids=["x1e-3+100", "x1e-2+1000"])
+    def test_small_shifted_square_gap_is_answered(self, scale, shift, margin):
+        # the maximal product has 24 vertices and the minimal 16; HiGHS read
+        # every distance <= LP_TOL at x1e-3 +(100, 100), and at x1e-2 +(1000,
+        # 1000) 1.7e-8 with a dual normal that did not separate (margin
+        # -5.7e-14).  The screen's last basis certifies vertex 8 of the eight
+        # the square's symmetry ties, at the exact distances of the float
+        # vertices (1.24e-9 and 1.25e-8)
+        k = Polytope(square().vertices * scale + shift)
+        gap = barker_gap(k, k)
+        assert np.array_equal(gap.functional.flat, max_tensor_polytope(k, k).vertices[8])
+        assert gap.min_verdict.status is Status.OUT and gap.margin > LP_TOL
+        assert gap.margin == pytest.approx(margin, rel=1e-7)
+        plane = gap.min_verdict.certificate
+        assert np.max(min_tensor(k, k).vertices @ plane.normal) <= plane.offset
+
+    def test_tiny_pentagon_gap_is_certified(self):
+        # the regular pentagon scaled by 5.7e-5: a row at distance 8.2e-10 <=
+        # LP_TOL ties the largest within LP_TOL, and was taken as the gap
+        # vertex, so the gap carried an In certificate with no margin
+        k = Polytope(regular_polygon(5).vertices * 5.71336842831558e-05)
+        gap = barker_gap(k, k)
+        assert gap.min_verdict.status is Status.OUT
+        assert gap.margin == pytest.approx(1.0087e-9, rel=1e-4)
 
     def test_far_shifted_min_tensor_dimension(self):
         # three genuine directions of the 16 vertices have relative singular
@@ -857,14 +874,15 @@ class TestBatchedDistanceLP:
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count the HiGHS calls made by the polytopes module."""
+    """Count the HiGHS calls (scipy.optimize.linprog) made through scipy;
+    the test helpers' own references do not count."""
     count = [0]
 
     def counted(*args, **kwargs):
         count[0] += 1
         return scipy_linprog(*args, **kwargs)
 
-    monkeypatch.setattr(polytopes, "_highs", counted)
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
     return count
 
 
@@ -873,13 +891,9 @@ class TestLinprogCalls:
         pent = regular_polygon(5)
         mn, mx = min_tensor(pent, pent), max_tensor_polytope(pent, pent)
         assert mx.n_vertices == 135
-        limit = math.ceil(135 / LP_BLOCKS) + 8
-        calls[0] = 0
         assert barker_gap(pent, pent) is not None
-        assert calls[0] <= limit
-        calls[0] = 0
         relative_bound(mn, mx)
-        assert calls[0] <= limit
+        assert calls[0] == 0
 
     def test_enumeration_solves_no_lp(self, calls):
         for k in (square(), regular_polygon(5), affine_polygon(6, np.random.default_rng(6))):
@@ -983,8 +997,8 @@ SOLID_PAIRS = ["hexagon x cube", "cube^2", "octahedron^2", "prism^2"]
 
 class TestScreening:
     """The LP screens of gap_among and relative_bound: certified brackets
-    decide which maximal vertices get a HiGHS LP (gap_among) or keep
-    pivoting, without changing the answer."""
+    decide which maximal vertices keep pivoting, without changing the
+    answer that HiGHS gives on every vertex."""
 
     @pytest.mark.parametrize("name", POLYGON_PAIRS + ["x8e-5", "x1e3", "+1000", "+1e4"] + MIXED_PAIRS
                              + PERFBENCH_PAIRS_30 + SOLID_PAIRS)
@@ -1071,7 +1085,7 @@ class TestScreening:
             copies.append(len(kwargs["b_eq"]))  # one equality row per distance LP
             return scipy_linprog(*args, **kwargs)
 
-        monkeypatch.setattr(polytopes, "_highs", counted)
+        monkeypatch.setattr(scipy.optimize, "linprog", counted)
         assert gap_among(mx, k, k).margin == pytest.approx(1 / 12, abs=1e-12)
         assert copies == []  # the eight tied vertices close in the screen
 
@@ -1092,7 +1106,7 @@ PERFBENCH_GAP_PAIRS = [name for name in PERFBENCH_PAIRS if name.endswith(("4x4",
 class TestExactDistances:
     """_exact_distances, the batched simplex that screens the gap rows:
     certified brackets on every row, closed on the rows it does not prune,
-    and the lone open row's certificate in place of HiGHS."""
+    and the gap row's certificate, which HiGHS's matches."""
 
     @pytest.mark.parametrize("name", POLYGON_PAIRS + PERFBENCH_PAIRS + ["x1", "x8e-5", "x1e3", "+1000", "+1e4"])
     def test_brackets_contain_the_lp_distance(self, name):
@@ -1148,15 +1162,27 @@ class TestExactDistances:
 
     @pytest.mark.parametrize("name", GAP_PAIRS + PERFBENCH_GAP_PAIRS)
     def test_unsettled_rows_fall_back_to_highs(self, name, calls, monkeypatch):
+        # there is no fallback: with no pivot, no start basis certifies a
+        # distance above LP_TOL, and an uncertified row is never answered
         k1, k2 = screening_pair(name)
         mx = max_tensor_polytope(k1, k2)
-        settled = gap_among(mx, k1, k2)
+        assert gap_among(mx, k1, k2) is not None
         monkeypatch.setattr(polytopes, "SIMPLEX_PIVOTS", 0)
-        calls[0] = 0
-        gap = gap_among(mx, k1, k2)
-        assert calls[0] >= 1
-        assert np.array_equal(gap.functional.flat, settled.functional.flat)
-        assert gap.margin == pytest.approx(settled.margin, abs=1e-12)
+        with pytest.raises(ValueError, match="membership LP failed: no distance exceeds LP_TOL"):
+            gap_among(mx, k1, k2)
+        assert calls[0] == 0
+
+    def test_non_separating_normal_is_refused(self, monkeypatch):
+        # a certified lower bound with a normal that does not separate (here
+        # negated) is never reported as an Out certificate
+        def negated(z, vertices):
+            rows, upper, lower, weights, normals = _exact_distances(z, vertices)
+            return rows, upper, lower, weights, -normals
+
+        k = square()
+        monkeypatch.setattr(polytopes, "_exact_distances", negated)
+        with pytest.raises(ValueError, match="membership LP failed: its hyperplane does not separate"):
+            barker_gap(k, k)
 
 
 class TestTiedGapRows:
