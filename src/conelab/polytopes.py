@@ -145,14 +145,10 @@ def square() -> Polytope:
     return Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
 
 
-def affine_dimension(points) -> int:
-    """Rank of the difference set; singular values below 1e-9 * max count as zero."""
-    if isinstance(points, Polytope):
-        return points.unit_chart[1].shape[1]
-    p = np.asarray(points, dtype=float)
-    if p.ndim != 2 or len(p) == 0:
-        raise ValueError("need a nonempty point list")
-    return _affine_chart(p, p.mean(axis=0))[0].shape[1]
+def affine_dimension(k: Polytope) -> int:
+    """Dimension of aff(k.vertices), read off the unit chart: singular values
+    below 1e-9 * max count as zero."""
+    return k.unit_chart[1].shape[1]
 
 
 def _affine_chart(points: np.ndarray, anchor: np.ndarray):
@@ -507,7 +503,7 @@ def linprog(a: np.ndarray, c: np.ndarray, rhs: np.ndarray, start, bound):
     shifted by (1e4, 1e4), moves x_B off its constraints by up to 2e-4) and
     updates B^-1 by a rank-1 step.  A row stops when it is optimal (no
     reduced cost below -1e-12), when it is pruned (its objective c_B x_B is
-    below the largest lower bound any row's basis has given, less LP_TOL, so
+    below the largest lower bound of a row that has stopped, less LP_TOL, so
     its value is more than LP_TOL below the largest), when no entry of its
     pivot column is above 1e-9, or after SIMPLEX_PIVOTS pivots; the last two
     leave it open.  The rows pivot in consecutive blocks of SIMPLEX_ROWS, in
@@ -521,7 +517,7 @@ def linprog(a: np.ndarray, c: np.ndarray, rhs: np.ndarray, start, bound):
     n, m = rhs.shape
     basis, xb, duals = np.empty((n, m), dtype=int), np.empty((n, m)), np.empty((n, m))
     lower, unsettled = np.empty(n), np.zeros(n, dtype=bool)
-    best = -np.inf  # the largest lower bound
+    best = -np.inf  # the largest lower bound of a stopped row
     for first in range(0, n, SIMPLEX_ROWS):
         live = np.arange(first, min(first + SIMPLEX_ROWS, n))  # the block's rows still pivoting
         lb, li = start(live)  # their basis and B^-1
@@ -529,8 +525,6 @@ def linprog(a: np.ndarray, c: np.ndarray, rhs: np.ndarray, start, bound):
         for step in range(SIMPLEX_PIVOTS + 1):
             cb = c[lb]
             pi = (cb[:, None, :] @ li)[:, 0]
-            ll = bound(live, pi)
-            best = max(best, float(ll.max(initial=-np.inf)))
             cost = c - pi @ a
             r, enter = np.arange(len(live)), np.argmin(cost, axis=1)
             u = (li @ a.T[enter][:, :, None])[:, :, 0]
@@ -540,7 +534,9 @@ def linprog(a: np.ndarray, c: np.ndarray, rhs: np.ndarray, start, bound):
             go = ~done & np.isfinite(ratio[r, leave]) & (step < SIMPLEX_PIVOTS)
             if not go.all():
                 stop = live[~go]
-                basis[stop], xb[stop], duals[stop], lower[stop] = lb[~go], lx[~go], pi[~go], ll[~go]
+                basis[stop], xb[stop], duals[stop] = lb[~go], lx[~go], pi[~go]
+                lower[stop] = bound(stop, pi[~go])
+                best = max(best, float(lower[stop].max()))
                 unsettled[stop] = ~done[~go]
                 live, lb, li, lx, enter, u, leave = (x[go] for x in (live, lb, li, lx, enter, u, leave))
             if not len(live):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,8 @@ class TestAlgebraTensor:
 
 
 class TestVerifyTraceTensor:
+    POOL = [(1,), (2,), (2, 3), (1, 1), (2, 2, 2)]
+
     def test_two_by_two_blocks(self):
         rep = verify_trace_tensor(MultiMatrixAlgebra((2, 3)), MultiMatrixAlgebra((2, 5)))
         assert rep.passes
@@ -60,11 +64,21 @@ class TestVerifyTraceTensor:
         assert rep.tensor_vertex_count == 1
 
     def test_all_pool_pairs(self):
-        pool = [(1,), (2,), (2, 3), (1, 1), (2, 2, 2)]
-        for a in pool:
-            for b in pool:
+        for a in self.POOL:
+            for b in self.POOL:
                 rep = verify_trace_tensor(MultiMatrixAlgebra(a), MultiMatrixAlgebra(b))
                 assert rep.passes, (a, b)
+
+    def test_report_states_only_the_dimension_check(self):
+        # passes is the one computed fact: the n_a n_b product vertices are
+        # affinely independent
+        for a in self.POOL:
+            for b in self.POOL:
+                rep = verify_trace_tensor(MultiMatrixAlgebra(a), MultiMatrixAlgebra(b))
+                assert [f.name for f in fields(rep)] == ["blocks_a", "blocks_b", "blocks_product",
+                                                         "tensor_vertex_count", "tensor_dimension", "passes"]
+                assert rep.tensor_vertex_count == len(a) * len(b) == len(rep.blocks_product)
+                assert rep.passes == (rep.tensor_dimension == rep.tensor_vertex_count - 1)
 
 
 class TestWitnessX:

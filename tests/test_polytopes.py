@@ -19,6 +19,7 @@ from conelab.polytopes import (
     LP_TOL,
     Polytope,
     TensorFunctional,
+    _affine_chart,
     _distance_rows,
     _exact_distances,
     _start_bases,
@@ -790,9 +791,7 @@ class TestArgumentGuards:
         (lambda: Polytope([0.0, 1.0]), "nonempty 2-d array"),
         (lambda: TensorFunctional(np.array([0.0, 1.0])), "2-d coefficient matrix"),
         (lambda: simplex(-1), "n must be >= 0"),
-        (lambda: affine_dimension(np.empty((0, 2))), "nonempty point list"),
-    ], ids=["empty-vertex-list", "1-d-vertex-list", "1-d-functional", "simplex-minus-one",
-            "affine-dimension-of-no-points"])
+    ], ids=["empty-vertex-list", "1-d-vertex-list", "1-d-functional", "simplex-minus-one"])
     def test_rejects_bad_arguments(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
@@ -1043,6 +1042,31 @@ class TestScreening:
             assert np.all(upper >= row_want - 1e-12) and np.all(lower <= row_want + 1e-12)
         kept = upper >= lower.max(initial=-np.inf) - LP_TOL
         assert np.all(upper[kept] - lower[kept] <= 1e-12)
+
+    @pytest.mark.parametrize("name", ["x1", "perfbench/0/5x5", "perfbench/0/6x6", "hexagon x cube"])
+    def test_each_row_is_bounded_once(self, name, monkeypatch):
+        # linprog evaluates a row's certified lower bound once, when the row
+        # stops, in the gap LPs and in the relative-bound LPs alike
+        k1, k2 = screening_pair(name)
+        mn, mx = min_tensor(k1, k2), max_tensor_polytope(k1, k2)
+        reached = []
+
+        def counting(a, c, rhs, start, bound):
+            rows = []
+            reached.append((len(rhs), rows))
+
+            def counted(live, pi):
+                rows.extend(live.tolist())
+                return bound(live, pi)
+
+            return linprog(a, c, rhs, start, counted)
+
+        monkeypatch.setattr(polytopes, "linprog", counting)
+        gap_among(mx, k1, k2)
+        relative_bound(mn, mx)
+        assert len(reached) == 2
+        for n, rows in reached:
+            assert sorted(rows) == list(range(n))
 
     @pytest.mark.parametrize("name", POLYGON_PAIRS + ["x1", "x8e-5", "x1e3"] + PERFBENCH_PAIRS)
     def test_screened_matches_unscreened(self, name):
@@ -1424,7 +1448,7 @@ class TestSharedChartRays:
         squares.append(Polytope(square().vertices * 1e-3 + 1000))
         factors = perfbench_polygons() + squares
         for k in factors + [min_tensor(k, k) for k in factors]:
-            assert affine_dimension(k) == affine_dimension(k.vertices)
+            assert affine_dimension(k) == _affine_chart(k.vertices, k.vertices.mean(axis=0))[0].shape[1]
 
 
 class TestPivotColumns:

@@ -207,7 +207,7 @@ def test_cli_report_commands_carry_every_report_field(capsys):
     assert rep["results"]["passes"] is True
     _, rep = run_json(capsys, ["trace-simplex", "--a", "2,3", "--b", "2,5"])
     assert rep["results"]["passes"] is True
-    assert rep["results"]["block_count_ok"] is True
+    assert rep["results"]["tensor_dimension"] == 3
 
 
 @pytest.mark.parametrize("n", [2, 3])
