@@ -211,6 +211,7 @@ def _cmd_reproduce(args) -> tuple[dict, dict]:
                 "identity": c.identity,
                 "passed": c.passed,
                 "wall_time": round(c.wall_time, 3),
+                "details": c.details,
             }
             for c in checks
         ],

@@ -53,9 +53,10 @@ SIMPLEX_ROWS = 128
 
 @dataclass(frozen=True)
 class Polytope:
-    """Compact convex set given by its (distinct) vertex list.  Its unit
-    chart and chart rays are computed on first use, kept read-only, and
-    shared by every call on it."""
+    """Compact convex set given by its vertex list, unchecked for repeats: a
+    file's repeated point is refused as not extreme (polytope_from_dict), and
+    coincident vertices by chart_rays.  Its unit chart and chart rays are
+    computed on first use, kept read-only, and shared by every call on it."""
 
     vertices: np.ndarray
 
@@ -65,9 +66,6 @@ class Polytope:
             raise ValueError("vertex list must be a nonempty 2-d array")
         if not np.all(np.isfinite(v)):
             raise ValueError("vertex coordinates must be finite")
-        pair = _first_close_pair(v, 1e-10)
-        if pair is not None:
-            raise ValueError(f"duplicate vertices at indices {pair[0]}, {pair[1]}")
         object.__setattr__(self, "vertices", _frozen_array(v))
 
     @property
@@ -102,7 +100,7 @@ class Polytope:
         _check_ray_input(self)
         center, q, scale, _ = self.unit_chart
         u = (self.vertices - center) @ q / scale
-        if _first_close_pair(u, 1e-9) is not None:
+        if np.any(np.linalg.norm(u[:, None] - u, axis=-1)[np.triu_indices(len(u), 1)] <= 1e-9):
             raise ValueError("vertices coincide in the unit chart of the factor's affine hull")
         into = np.block([[q.T / scale, -(center @ q)[:, None] / scale], [np.zeros(len(center)), 1.0]])
         back = np.block([[q * scale, center[:, None]], [np.zeros(q.shape[1]), 1.0]])
@@ -171,32 +169,6 @@ def _pivot_columns(a: np.ndarray, k: int) -> np.ndarray:
         v = r[:, j] / np.linalg.norm(r[:, j])
         r -= np.outer(v, v @ r)
     return picked
-
-
-@np.errstate(over="ignore", invalid="ignore")  # coordinates near the float range only widen the search
-def _first_close_pair(x: np.ndarray, r: float):
-    """The first pair (i, j), i < j, in lexicographic order, of rows of x
-    (n, d) within Euclidean distance r, or None.  Two such rows project
-    within r |w| onto the fixed generic direction w = sin(1..d), and the
-    rounding of each projection is below (d + 2) d eps max|x|, so the rows
-    are sorted by projection and only the pairs inside that window are
-    measured: by inf-norm first, then by the sum of squares."""
-    n, d = x.shape
-    w = np.sin(np.arange(1.0, d + 1.0))
-    s = x @ w
-    window = 2 * (r * np.linalg.norm(w) + (d + 2) * d * np.finfo(float).eps * np.max(np.abs(x), initial=0.0))
-    order = np.argsort(s, kind="stable")
-    count = np.searchsorted(s[order], s[order] + window, side="right") - np.arange(1, n + 1)
-    a = np.repeat(np.arange(n), count)
-    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
-    i, j = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
-    gap = np.abs(x[i] - x[j])
-    close = np.flatnonzero(np.max(gap, axis=1, initial=0.0) <= r)
-    close = close[np.sum(gap[close] ** 2, axis=1) <= r * r]
-    if not len(close):
-        return None
-    first = close[np.lexsort((j[close], i[close]))[0]]
-    return int(i[first]), int(j[first])
 
 
 def _nearest(z: np.ndarray, v: np.ndarray):

@@ -37,6 +37,7 @@ class TestTraceSimplex:
             with pytest.raises(ValueError, match="integers"):
                 MultiMatrixAlgebra(blocks)
         assert MultiMatrixAlgebra((2.0,)).blocks == (2,)
+        assert MultiMatrixAlgebra((10**400,)).blocks == (10**400,)
 
 
 class TestAlgebraTensor:

@@ -527,6 +527,12 @@ class TestReportCommands:
         assert code == 0
         assert rep["results"]["blocks_product"] == [4, 10, 6, 15]
 
+    def test_trace_simplex_huge_block(self, capsys):
+        # a block size beyond float range is still an integer
+        code, rep = run_json(capsys, ["trace-simplex", "--a", str(10**399), "--b", "2"])
+        assert code == 0
+        assert rep["results"]["blocks_product"] == [2 * 10**399]
+
     def test_trace_simplex_bad_blocks(self, capsys):
         assert cli.main(["trace-simplex", "--a", "2,x", "--b", "2"]) == 64
 
@@ -554,6 +560,13 @@ class TestReportCommands:
             code, rep = run_json(capsys, ["reproduce", *only])
             assert code == 0
             assert [c["passed"] for c in rep["results"]["checks"]] == [True] * count
+
+    def test_reproduce_reports_details(self, capsys):
+        code, rep = run_json(capsys, ["reproduce", "--only", "cone-duality"])
+        assert code == 0
+        details = rep["results"]["checks"][0]["details"]
+        for pair in ("2x2", "2x3"):
+            assert details[pair]["pairings"] == 10000 and details[pair]["min_pairing"] >= -1e-9
 
     def test_reproduce_only_matches_printed_name(self, capsys):
         code, rep = run_json(capsys, ["reproduce", "--only", "cone-duality"])

@@ -73,8 +73,13 @@ class TestElementary:
         assert affine_dimension(simplex(2)) == 2
 
     def test_duplicate_vertices_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Polytope(np.array([[0.0, 0.0], [0.0, 0.0]]))
+        # a Polytope is built without a duplicate test; every double
+        # description on it refuses the repeated vertex
+        k = Polytope(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="coincide in the unit chart"):
+            positive_ray_generators(k)
+        with pytest.raises(ValueError, match="coincide in the unit chart"):
+            max_tensor_polytope(square(), k)
 
     def test_affine_dimension_examples(self):
         assert affine_dimension(square()) == 2
@@ -332,7 +337,7 @@ class TestAffineInvariance:
         assert len(positive_ray_generators(k1)) == len(positive_ray_generators(k2)) == k
         assert max_tensor_polytope(k1, k2).n_vertices == self.REGULAR_PAIR_COUNT[k]
 
-    @pytest.mark.parametrize("name", ["x1e3", "x8e-5", "x1e6", "+100", "+1000", "+1e4"])
+    @pytest.mark.parametrize("name", ["x1e3", "x8e-5", "x1e-6", "x1e-7", "x1e6", "+100", "+1000", "+1e4"])
     def test_scaled_and_shifted_squares(self, name):
         k1, k2 = screening_pair(name)
         assert max_tensor_polytope(k1, k2).n_vertices == 24
@@ -355,6 +360,7 @@ class TestAffineInvariance:
         (1e-3, 100.0),
         pytest.param(1e-4, 10.0, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 5")),
         pytest.param(0.1, 3000.0, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 5")),
+        (1e-6, 0.0), (1e-7, 0.0),
     ])
     def test_small_far_shifted_square_relative_bound(self, scale, shift):
         # both minimal products have dimension 8 and r = 1/2; the chart LP
@@ -418,12 +424,6 @@ class TestAffineInvariance:
 
 
 class TestDuplicateDetection:
-    def test_planted_duplicate_among_many(self):
-        v = np.random.default_rng(3).normal(size=(500, 3))
-        v[411] = v[42]
-        with pytest.raises(ValueError, match="duplicate vertices at indices 42, 411"):
-            Polytope(v)
-
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_coordinates_rejected(self, bad):
         with pytest.raises(ValueError, match="vertex coordinates must be finite"):
@@ -1493,29 +1493,13 @@ class TestPivotColumns:
 
 
 class TestNeighbourQueries:
-    """_first_close_pair (the duplicate and coincidence tests) and _nearest
-    (the gap screen's nearest vertex, relative_bound's exact copies) in
-    numpy against scipy's cKDTree."""
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_close_pairs_match_kdtree(self, seed):
-        rng = np.random.default_rng([56, seed])
-        for _ in range(60):
-            n, d = rng.integers(2, 50), rng.integers(1, 7)
-            x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 7)
-            if rng.random() < 0.3:
-                x = np.round(x)  # ties in every coordinate
-            i, j = rng.integers(0, n, size=(2, 3))
-            x[j] = x[i] + rng.normal(size=(3, d)) * 10.0 ** rng.integers(-13, -8, size=(3, 1))
-            for r in (1e-10, 1e-9):
-                pairs = cKDTree(x).query_pairs(r)
-                assert polytopes._first_close_pair(x, r) == (min(pairs) if pairs else None)
+    """_nearest (the gap screen's nearest vertex, relative_bound's exact
+    copies) in numpy against scipy's cKDTree, and the unit chart's
+    coincidence test."""
 
     def test_points_in_no_dimension_coincide(self):
-        assert polytopes._first_close_pair(np.zeros((3, 0)), 1e-10) == (0, 1)
-        assert polytopes._first_close_pair(np.zeros((1, 0)), 1e-10) is None
-        with pytest.raises(ValueError, match="duplicate vertices at indices 0, 1"):
-            Polytope(np.zeros((2, 0)))
+        with pytest.raises(ValueError, match="coincide in the unit chart"):
+            positive_ray_generators(Polytope(np.zeros((2, 0))))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_nearest_matches_kdtree(self, seed):
@@ -1532,12 +1516,6 @@ class TestNeighbourQueries:
     def test_benchmark_pairs_match_kdtree(self, name):
         k1, k2 = screening_pair(name)
         mn, mx = min_tensor(k1, k2), max_tensor_polytope(k1, k2)
-        for k in (k1, k2, mn, mx):
-            assert polytopes._first_close_pair(k.vertices, 1e-10) is None and not cKDTree(k.vertices).query_pairs(1e-10)
-        for k in (k1, k2):
-            center, q, scale, _ = k.unit_chart
-            u = (k.vertices - center) @ q / scale
-            assert polytopes._first_close_pair(u, 1e-9) is None and not cKDTree(u).query_pairs(1e-9)
         center = mn.vertices.mean(axis=0)
         v, z = mn.vertices - center, mx.vertices - center
         near, nearest = polytopes._nearest(z, v)

@@ -101,6 +101,7 @@ def test_non_extreme_polytope_point_rejected(vertices):
         ([[0.5, 0.5], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], 0),
         ([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [0.0, 1.0]], 2),
         ([[0.0, 0.0], [0.25, 0.25], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], 1),
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], 1),  # a repeated point
     ],
 )
 def test_first_non_extreme_point_is_named(vertices, index):
