@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -243,13 +244,43 @@ def ppt_check(x: BipartiteOperator, tol: float = SPECTRAL_TOL) -> Verdict:
     return Verdict(Status.UNKNOWN, SpectralCertificate(val, vec))
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on the first call: only
-    the ensemble phase's polish needs scipy.optimize, which takes about
-    0.4 s to import."""
-    from scipy import optimize
+def least_squares(fun, x0: np.ndarray, jac) -> SimpleNamespace:
+    """Levenberg-Marquardt from ``x0`` on ||fun(x)||^2, ``jac`` its Jacobian.
 
-    return optimize.least_squares(*args, **kwargs)
+    Each step solves (J J^T + lam I) y = r, lam = mu tr(J J^T) / rows, by
+    Cholesky and moves by -J^T y: by the push-through identity the damped
+    step (J^T J + lam I)^-1 J^T r for either shape of J.  mu starts at 1e-3
+    and follows Nielsen's gain-ratio rule (IMM-REP-1999-05, DTU): a step
+    whose actual decrease of ||r||^2 over the predicted one, rho, is
+    positive is taken and scales mu by max(1/3, 1 - (2 rho - 1)^3); any
+    other scales mu by nu, which then doubles.  Stops after ``LM_MAX_NFEV``
+    residual evaluations or on a step below 1e-15 ||x|| (or not finite).
+    The Cholesky factorization raises LinAlgError on a damped matrix that
+    is not positive definite, as an infinite Jacobian entry makes it.
+    """
+    x = np.array(x0, dtype=float)
+    r = fun(x)
+    nfev, cost, mu, nu = 1, r @ r, 1e-3, 2.0
+    j = jac(x)
+    while nfev < LM_MAX_NFEV:
+        g = j @ j.T
+        lam = mu * np.trace(g) / len(r)
+        lower = np.linalg.cholesky(g + lam * np.eye(len(r)))
+        y = np.linalg.solve(lower.T, np.linalg.solve(lower, r))
+        step = -(j.T @ y)
+        if not np.linalg.norm(step) > 1e-15 * np.linalg.norm(x):
+            break
+        r_new = fun(x + step)
+        nfev += 1
+        cost_new, jstep = r_new @ r_new, j @ step
+        rho = (cost - cost_new) / (jstep @ jstep + 2 * lam * (step @ step))
+        if rho > 0:
+            x, r, cost = x + step, r_new, cost_new
+            j = jac(x)
+            mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
+        else:
+            mu, nu = mu * nu, 2 * nu
+    return SimpleNamespace(x=x, nfev=nfev)
 
 
 def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -556,9 +587,8 @@ def _polish_atoms(x: np.ndarray, n: int, m: int, left: np.ndarray, right: np.nda
     a = np.sqrt(weights[keep])[:, None] * left[keep]
     b = right[keep]
     x0 = np.concatenate([a.real, a.imag, b.real, b.imag], axis=1).ravel()
-    sol = least_squares(_atoms_residual, x0, jac=_atoms_jacobian, method="trf",
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=LM_MAX_NFEV,
-                        args=(x, n, m))
+    sol = least_squares(lambda p: _atoms_residual(p, x, n, m), x0,
+                        lambda p: _atoms_jacobian(p, x, n, m))
     a, b = _unpack_atoms(sol.x, n, m)
     na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
     ok = na * nb >= 1e-10
@@ -632,7 +662,7 @@ def separable_decompose(x: BipartiteOperator, seed: int = 0) -> Verdict:
             w, _ = _fit_state(left, right, x.matrix)
             try:
                 left, right = _polish_atoms(x.matrix, n, m, left, right, w)
-            except np.linalg.LinAlgError:  # an SVD inside scipy's trf did not converge
+            except np.linalg.LinAlgError:  # the polish's damped matrix was not positive definite
                 continue
             if not len(left):
                 continue

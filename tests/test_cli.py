@@ -246,7 +246,7 @@ class TestMembership:
 
         def fail(*args, **kwargs):
             calls[0] += 1
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         e = np.eye(3)
         tiles = [(e[0], e[0] - e[1]), (e[0] - e[1], e[2]), (e[2], e[1] - e[2]),

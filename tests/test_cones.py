@@ -11,6 +11,7 @@ from scipy.optimize import nnls as scipy_nnls
 from conelab import cones
 from conelab.cones import (
     ENSEMBLE_ITERS,
+    LM_MAX_NFEV,
     RESIDUAL_TOL,
     OptimizerConfig,
     SeparableDecomposition,
@@ -370,13 +371,14 @@ class TestSeparableDecompose:
             separable_decompose(swap_operator(2))
 
     def test_a_failed_polish_is_a_failed_attempt(self, monkeypatch):
-        # scipy's trf can raise LinAlgError ("SVD did not converge") on a
-        # stalled fit: that attempt is dropped, like an empty polish
+        # the polish's Cholesky raises LinAlgError when its damped matrix
+        # is not positive definite: that attempt is dropped, like an empty
+        # polish
         calls = [0]
 
         def fail(*args, **kwargs):
             calls[0] += 1
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr(cones, "least_squares", fail)
         state, _ = random_separable_state(2, 2, np.random.default_rng(5), terms=3)
@@ -386,6 +388,17 @@ class TestSeparableDecompose:
         assert np.linalg.norm(v.certificate.reconstruct() - state.matrix) == pytest.approx(
             v.certificate.residual, abs=1e-12
         )
+
+    def test_polish_settles_a_five_term_2x3_mixture(self):
+        # past the range closed form's bound at 2x3, so only the polish can
+        # reach RESIDUAL_TOL
+        rng = np.random.default_rng([2, 3, 5, 0])
+        v = kron_rows(random_unit_rows(5, 2, rng), random_unit_rows(5, 3, rng))
+        state = bipartite((v.T * rng.dirichlet(np.ones(5))) @ v.conj(), 2, 3)
+        verdict = separable_decompose(state)
+        assert verdict.status is Status.IN
+        assert len(verdict.certificate.weights) == 16
+        assert verdict.certificate.residual < RESIDUAL_TOL
 
     def test_rejects_non_unit_trace(self):
         with pytest.raises(ValueError, match="unit trace"):
@@ -1093,6 +1106,22 @@ class TestPolishJacobian:
         ], axis=1)
         assert jac.shape == numeric.shape
         assert np.max(np.abs(jac - numeric)) <= 1e-6
+
+
+class TestLeastSquares:
+    def test_solves_a_consistent_underdetermined_system(self):
+        rng = np.random.default_rng(3)
+        a, x = rng.normal(size=(6, 10)), rng.normal(size=10)
+        b = a @ x
+
+        def solve():
+            return cones.least_squares(lambda z: a @ z - b, np.zeros(10), lambda z: a)
+
+        first, second = solve(), solve()
+        assert np.linalg.norm(a @ first.x - b) <= 1e-12
+        assert isinstance(first.nfev, int)
+        assert 1 <= first.nfev <= LM_MAX_NFEV
+        assert np.array_equal(first.x, second.x)
 
 
 class TestWitnessValue:

@@ -1,8 +1,9 @@
-"""scipy loads where conelab calls it, never with the package and never in
-the middle of a benchmark batch.  Each run check uses a fresh interpreter,
-as this one has scipy loaded already; the functions that import scipy are
-read from the source.  Every module constant and every import in the
-package is read somewhere."""
+"""conelab needs numpy only: no function in the package imports scipy, a
+benchmark batch imports nothing, and the commands run with scipy
+unimportable.  Each run check uses a fresh interpreter, as this one has
+scipy loaded already; the functions that import scipy are read from the
+source.  Every module constant and every import in the package is read
+somewhere."""
 
 import ast
 import os
@@ -38,9 +39,9 @@ def run(code: str, *args: str) -> list[str]:
     return out.splitlines()
 
 
-# Every function in src/conelab that imports scipy, as module.qualified_name.
-# A new scipy call site must be added here, and to ROADMAP item 29.
-SCIPY_CALLERS = {"cones.least_squares"}
+# Every function in src/conelab that imports scipy, as module.qualified_name:
+# none, as conelab needs numpy only at run time.
+SCIPY_CALLERS = set()
 
 
 def scipy_imports(node, name: str):
@@ -134,6 +135,35 @@ for flat in (mv.mean(axis=0), polytopes.max_tensor_polytope(k, k).vertices[8]):
 def test_polytope_commands_run_without_scipy(tmp_path):
     assert run(POLYTOPE_COMMANDS, str(tmp_path)) == [
         "0 0.122008467928 -1.0", "0 0.122008467928 0.25", "[6]", "in", "out"]
+
+
+# Writes the five-term 2x3 product mixture default_rng([2, 3, 5, 0]), which
+# only the polish decomposes, and runs the separable membership command on
+# it with scipy unimportable.
+SEPARABLE_COMMAND = """
+import io, json, sys
+from contextlib import redirect_stdout
+sys.modules["scipy"] = None
+import numpy as np
+from conelab import cli
+from conelab.operators import bipartite, kron_rows, random_unit_rows
+from conelab.serialize import bipartite_to_dict
+
+rng = np.random.default_rng([2, 3, 5, 0])
+v = kron_rows(random_unit_rows(5, 2, rng), random_unit_rows(5, 3, rng))
+state = bipartite((v.T * rng.dirichlet(np.ones(5))) @ v.conj(), 2, 3)
+with open(f"{sys.argv[1]}/state.json", "w") as f:
+    json.dump(bipartite_to_dict(state), f)
+out = io.StringIO()
+with redirect_stdout(out):
+    code = cli.main(["membership", "--cone", "separable", "--input", f"{sys.argv[1]}/state.json"])
+report = json.loads(out.getvalue())
+print(code, report["results"]["status"], report["certificates"]["verdict"]["certificate"]["type"])
+"""
+
+
+def test_separable_membership_runs_without_scipy(tmp_path):
+    assert run(SEPARABLE_COMMAND, str(tmp_path)) == ["0 in decomposition"]
 
 
 def unread_constants(sources: dict[str, str]) -> list[str]:
