@@ -65,7 +65,7 @@ def check_01_witness_norm(seed):
 def check_02_kappa_closed_form(seed):
     witness_errs, witness_bounds = {}, {}
     for n in range(1, 7):
-        w = kappa.kappa_witness(n)
+        w = kappa.kappa_witness(n, n)
         witness_errs[n] = abs(w.value - kappa.kappa_exact(n, n))
         witness_bounds[n] = w.lower_bound.value
     cb_vals, cb_upper = {}, {}
@@ -294,6 +294,3 @@ def check_13_duality(seed):
         passed = passed and vals.min() >= -1e-9
     return passed, details
 
-
-def run_all(seed: int = 0) -> list[CheckResult]:
-    return [check(seed) for check in ALL_CHECKS]

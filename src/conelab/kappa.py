@@ -37,11 +37,6 @@ from .operators import (
 from .polytopes import linprog  # noqa: F401
 
 
-def max_norm_of_functional(t: BipartiteOperator) -> float:
-    """Norm of the functional <., T>: the trace norm of T in finite dimension."""
-    return trace_norm(t)
-
-
 def kappa_exact(n: int, m: int) -> float:
     """Closed form min{n, m}; equals 1 exactly when one factor is commutative."""
     if n < 1 or m < 1:
@@ -54,20 +49,22 @@ def normalized_swap(n: int, m: int) -> BipartiteOperator:
     return bipartite(embedded_swap(n, m).matrix / min(n, m), n, m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KappaWitness:
     functional: BipartiteOperator
     value: float
     lower_bound: LowerBoundCertificate
 
 
-def kappa_witness(n: int) -> KappaWitness:
-    """The unit functional S/n on M_n (x) M_n, with trace norm exactly n.
+def kappa_witness(n: int, m: int) -> KappaWitness:
+    """The unit functional S/k on M_n (x) M_m, k = min{n, m}, whose trace
+    norm k is the norm of the functional <., S/k>.
 
     Its block positivity is proved by ``lower_bound``:
-    cones.lower_bound(w, w^Gamma), whose value is 0 up to rounding.
+    cones.lower_bound(w, w^Gamma), whose value is >= 0 up to rounding,
+    since w^Gamma is the embedded H_k/k >= 0.
     """
-    w = normalized_swap(n, n)
+    w = normalized_swap(n, m)
     return KappaWitness(w, trace_norm(w), lower_bound(w, partial_transpose(w, "right")))
 
 

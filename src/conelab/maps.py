@@ -60,7 +60,7 @@ def _coefficients(images: np.ndarray) -> np.ndarray:
     return np.einsum("xpq,yqp->xy", hermitian_basis(images.shape[1]), images).real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixMap:
     """Real-linear map M_{input_dim} -> M_{output_dim} on Hermitian matrices."""
 
@@ -164,7 +164,7 @@ def map_from_choi(c: BipartiteOperator) -> MatrixMap:
     return MatrixMap(c.m, c.n, _coefficients(images))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitalityReport:
     image_of_identity: HermitianOperator
     is_unital: bool
@@ -187,7 +187,7 @@ def is_positive_map(
     return is_block_positive(jamiolkowski(psi), tol, cfg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteFunctional:
     """Linear functional X |-> <X, density> on bipartite (n, m) operators."""
 

@@ -26,7 +26,7 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A self-adjoint complex matrix.
 
@@ -55,7 +55,7 @@ class HermitianOperator:
         return float(np.trace(self.matrix).real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteOperator:
     """Hermitian operator on C^n (x) C^m, tagged with its factorization."""
 
@@ -84,7 +84,7 @@ class BipartiteOperator:
         return self.matrix.reshape(self.n, self.m, self.n, self.m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductVector:
     """A pair of unit vectors (phi, psi); phi (x) psi is a pure product state."""
 

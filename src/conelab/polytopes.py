@@ -51,7 +51,7 @@ SIMPLEX_PIVOTS = 100
 SIMPLEX_ROWS = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polytope:
     """Compact convex set given by its vertex list, unchecked for repeats: a
     file's repeated point is refused as not extreme (polytope_from_dict), and
@@ -108,7 +108,7 @@ class Polytope:
         return _frozen_array(rays), _frozen_array(into), _frozen_array(back)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TensorFunctional:
     """Functional on A(K1) (x) A(K2), normalized to 1 on u1 (x) u2."""
 
@@ -373,25 +373,13 @@ def _distance_rows(vertices: np.ndarray):
 
 
 def non_vertices(points) -> np.ndarray:
-    """Indices, ascending, of the listed points (p, dim) at inf-norm
-    distance <= LP_TOL from the hull of the others, decided from the
-    _exact_distances bracket on each point's distance to the hull of the
-    others: a point it drops, or whose upper bound is <= LP_TOL, is not a
-    vertex, and one whose lower bound exceeds LP_TOL is.  A bracket across
-    LP_TOL raises ValueError.
-    """
+    """Indices, ascending, of the listed points (p, dim) that _hull_verdict
+    puts In the hull of the others, so within LP_TOL of it (inf-norm)."""
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
         return np.zeros(0, dtype=int)
-    inner = []
-    for i in range(len(points)):
-        rows, upper, lower, _, _ = _exact_distances(points[i:i + 1], np.delete(points, i, axis=0))
-        if not len(rows) or upper[0] <= LP_TOL:
-            inner.append(i)
-        elif lower[0] <= LP_TOL:
-            raise ValueError(f"extremality LP failed: point {i} is [{lower[0]:.3g}, {upper[0]:.3g}] "
-                             f"from the others")
-    return np.array(inner, dtype=int)
+    return np.flatnonzero([_hull_verdict(z, np.delete(points, i, axis=0)).status is Status.IN
+                           for i, z in enumerate(points)])
 
 
 def _out_verdict(flat, mv, normal) -> Verdict:
@@ -405,26 +393,30 @@ def _out_verdict(flat, mv, normal) -> Verdict:
     return Verdict(Status.OUT, SeparatingHyperplane(normal, offset, margin))
 
 
-def min_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> Verdict:
-    """LP test for membership in the convex hull of elementary tensors,
-    decided from the _exact_distances bracket on the inf-norm distance.
+def _hull_verdict(z: np.ndarray, vertices: np.ndarray) -> Verdict:
+    """LP test for membership of the point z (dim,) in the convex hull of the
+    vertices (p, dim), decided from the _exact_distances bracket on the
+    inf-norm distance.
 
-    In with weights e_k when phi is within LP_TOL of its nearest product
-    vertex k, and with the last basis's weights when the upper bound is
-    <= LP_TOL; Out with the basis's dual normal as hyperplane when the lower
-    bound exceeds LP_TOL.  A bracket across LP_TOL raises ValueError.
+    In with weights e_k when z is within LP_TOL of its nearest vertex k, and
+    with the last basis's weights when the upper bound is <= LP_TOL; Out with
+    the basis's dual normal as hyperplane when the lower bound exceeds
+    LP_TOL.  A bracket across LP_TOL raises ValueError.
     """
-    mv, flat = min_tensor(k1, k2).vertices, phi.flat
-    rows, upper, lower, weights, normals = _exact_distances(flat[None, :], mv)
+    rows, upper, lower, weights, normals = _exact_distances(z[None, :], vertices)
     if not len(rows):
-        (near,), (k,) = _nearest(flat[None, :], mv)
-        return Verdict(Status.IN, ConvexWeightsCertificate(np.eye(len(mv))[k], float(near)))
+        (near,), (k,) = _nearest(z[None, :], vertices)
+        return Verdict(Status.IN, ConvexWeightsCertificate(np.eye(len(vertices))[k], float(near)))
     if upper[0] <= LP_TOL:
         return Verdict(Status.IN, ConvexWeightsCertificate(weights[0], float(upper[0])))
     if lower[0] <= LP_TOL:
-        raise ValueError(f"membership LP failed: the functional is [{lower[0]:.3g}, {upper[0]:.3g}] "
-                         f"from the minimal product")
-    return _out_verdict(flat, mv, normals[0])
+        raise ValueError(f"membership LP failed: the point is [{lower[0]:.3g}, {upper[0]:.3g}] from the hull")
+    return _out_verdict(z, vertices, normals[0])
+
+
+def min_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> Verdict:
+    """Membership in the convex hull of elementary tensors, by _hull_verdict."""
+    return _hull_verdict(phi.flat, min_tensor(k1, k2).vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +591,7 @@ def max_tensor_polytope(k1: Polytope, k2: Polytope) -> Polytope:
     return Polytope(_lexsorted(verts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BarkerGap:
     """A functional inside the maximal but outside the minimal tensor product."""
 

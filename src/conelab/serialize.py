@@ -10,8 +10,9 @@ Certificates, verdicts and reports are written by the one encoder
 ``to_json``: a dataclass becomes an object keyed by its field names,
 headed by {"type": name} when its class is in ``CERTIFICATE_TYPES``;
 complex vectors become [re, im] pairs and operators and polytopes use the
-formats above.  Those classes are declared with eq=False, so == on them is
-identity and never meets an array; two values are compared through to_json.
+formats above.  Those classes, like every class that holds an array, are
+declared with eq=False, so == on them is identity and never meets an array;
+two values are compared through to_json.
 """
 
 from __future__ import annotations

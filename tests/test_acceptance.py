@@ -1,9 +1,11 @@
 """Acceptance suite: every criterion runs at its stated tolerance and
 prints one pass/fail line (visible with pytest -s / in the tee'd log)."""
 
+import json
+
 import numpy as np
 
-from conelab import acceptance, cones, operators
+from conelab import acceptance, cli, cones, operators
 
 
 def _report(result):
@@ -138,7 +140,7 @@ def test_criterion_13_duality():
         assert r.details[key]["min_pairing"] >= -1e-9
 
 
-def test_run_all_calls_each_check_once_in_order(monkeypatch):
+def test_reproduce_calls_each_check_once_in_order(monkeypatch, capsys):
     assert len(acceptance.ALL_CHECKS) == 13
     calls = []
 
@@ -146,10 +148,11 @@ def test_run_all_calls_each_check_once_in_order(monkeypatch):
         def check(seed=0):
             calls.append((name, seed))
             return acceptance.CheckResult(name, "", True, 0.0)
+        check.check_name = name
         return check
 
     names = [f"stub-{i}" for i in range(3)]
     monkeypatch.setattr(acceptance, "ALL_CHECKS", [stub(name) for name in names])
-    results = acceptance.run_all(seed=7)
+    assert cli.main(["reproduce", "--seed", "7"]) == 0
     assert calls == [(name, 7) for name in names]
-    assert [r.name for r in results] == names
+    assert [c["name"] for c in json.loads(capsys.readouterr().out)["results"]["checks"]] == names

@@ -302,6 +302,22 @@ class TestKappa:
         witness = rep["certificates"]["witness"]
         assert (witness["n"], witness["m"]) == (2, 3)
 
+    def test_witness_block_positivity_rechecks_from_json(self, capsys):
+        code, rep = run_json(capsys, ["kappa", "--n", "2", "--m", "3", "--budget", "30"])
+        assert code == 0
+        cert = rep["certificates"]["witness_block_positive"]
+        assert cert["type"] == "lower-bound"
+
+        def matrix(d):
+            k = d["n"] * d["m"]
+            return np.array([complex(re, im) for re, im in d["entries"]]).reshape(k, k)
+
+        w, q = matrix(rep["certificates"]["witness"]), matrix(cert["q"])
+        q_gamma = q.reshape(2, 3, 2, 3).transpose(0, 3, 2, 1).reshape(6, 6)
+        value = np.linalg.eigvalsh(w - q_gamma)[0] + np.linalg.eigvalsh(q)[0]
+        assert value == pytest.approx(cert["value"], abs=1e-12)
+        assert value >= -1e-9
+
     def test_cb_of_supplied_map(self, capsys, t2_map):
         code, rep = run_json(
             capsys,

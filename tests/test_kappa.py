@@ -15,7 +15,7 @@ from conelab.kappa import (
     extremal_positive_map,
     kappa_exact,
     kappa_witness,
-    max_norm_of_functional,
+    normalized_swap,
 )
 from conelab.maps import (
     MatrixMap,
@@ -27,7 +27,7 @@ from conelab.maps import (
     random_positive_map,
     unitality_report,
 )
-from conelab.operators import bipartite, kron_rows, random_density, swap_operator
+from conelab.operators import bipartite, kron_rows, random_density, swap_operator, trace_norm
 
 CB_FAST = OptimizerConfig(starts=30, steps=120, seed=0)
 
@@ -48,17 +48,17 @@ class TestMaxNorm:
         rng = np.random.default_rng(0)
         for n, m in [(2, 2), (2, 3)]:
             t = bipartite(random_density(n * m, rng).matrix, n, m)
-            assert max_norm_of_functional(t) == pytest.approx(1.0, abs=1e-9)
+            assert trace_norm(t) == pytest.approx(1.0, abs=1e-9)
 
     def test_normalized_swap(self):
         s = swap_operator(2)
-        assert max_norm_of_functional(bipartite(s.matrix / 2, 2, 2)) == pytest.approx(
+        assert trace_norm(bipartite(s.matrix / 2, 2, 2)) == pytest.approx(
             2.0, abs=1e-12
         )
 
     def test_sign_invariance(self):
         s = swap_operator(3)
-        assert max_norm_of_functional(bipartite(-s.matrix / 3, 3, 3)) == pytest.approx(
+        assert trace_norm(bipartite(-s.matrix / 3, 3, 3)) == pytest.approx(
             3.0, abs=1e-11
         )
 
@@ -68,21 +68,29 @@ class TestMaxNorm:
 
 class TestWitness:
     def test_scalar_case(self):
-        w = kappa_witness(1)
+        w = kappa_witness(1, 1)
         assert np.array_equal(w.functional.matrix, [[1.0]])
         assert w.value == pytest.approx(1.0, abs=1e-12)
 
     def test_two_by_two(self):
-        w = kappa_witness(2)
+        w = kappa_witness(2, 2)
         assert np.allclose(w.functional.matrix, swap_operator(2).matrix / 2, atol=0)
         assert w.value == pytest.approx(2.0, abs=1e-12)
         assert w.lower_bound.value >= -1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_closed_form(self, n):
-        w = kappa_witness(n)
+        w = kappa_witness(n, n)
         assert w.value == pytest.approx(kappa_exact(n, n), abs=1e-9)
         assert abs(w.functional.op.trace() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_rectangular_witness_is_block_positive(self, n, m):
+        w = kappa_witness(n, m)
+        assert w.value == pytest.approx(min(n, m), abs=1e-9)
+        assert w.lower_bound.value >= -1e-9
+        assert np.array_equal(w.functional.matrix, normalized_swap(n, m).matrix)
 
 
 class TestCbEstimate:

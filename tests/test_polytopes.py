@@ -870,6 +870,19 @@ class TestBatchedDistanceLP:
         assert non_vertices(points).tolist() == want
         assert non_vertices(hexagon).tolist() == non_vertices(hexagon[:1]).tolist() == []
 
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_non_vertices_agrees_with_highs(self, k):
+        # an affine k-gon with an interior point, an edge midpoint and a copy
+        # of a vertex, in seeded order; HiGHS solves each point's distance LP
+        rng = np.random.default_rng(k)
+        gon = affine_polygon(k, rng).vertices
+        points = rng.permutation(np.vstack([gon, gon.mean(axis=0), (gon[0] + gon[1]) / 2, gon[k // 2]]))
+        dist = np.array([_min_distance_lp(points[i:i + 1], np.delete(points, i, axis=0))[0][0]
+                         for i in range(len(points))])
+        inner = dist <= LP_TOL
+        assert inner.sum() == 4 and dist[~inner].min() > 1e-3
+        assert non_vertices(points).tolist() == np.flatnonzero(inner).tolist()
+
 
 @pytest.fixture
 def calls(monkeypatch):

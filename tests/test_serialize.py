@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conelab import polytopes
+from conelab import maps, polytopes
 from conelab.cones import is_psd
+from conelab.kappa import kappa_witness
 from conelab.maps import MatrixMap, random_map
-from conelab.operators import swap_operator
+from conelab.operators import HermitianOperator, ProductVector, swap_operator
 from conelab.polytopes import Polytope, square
 from conelab.serialize import (
     MalformedInput,
@@ -52,6 +54,29 @@ def test_certificates_compare_through_to_json(make):
     a, b = make(), make()
     assert (a == b) is False and a == a
     assert json.dumps(to_json(a)) == json.dumps(to_json(b))
+
+
+ARRAY_HOLDERS = {
+    "HermitianOperator": lambda: HermitianOperator(np.eye(2)),
+    "BipartiteOperator": lambda: swap_operator(2),
+    "ProductVector": lambda: ProductVector(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+    "MatrixMap": lambda: MatrixMap.identity(2),
+    "UnitalityReport": lambda: maps.unitality_report(MatrixMap.identity(2)),
+    "BipartiteFunctional": lambda: maps.BipartiteFunctional(swap_operator(2)),
+    "Polytope": square,
+    "TensorFunctional": lambda: polytopes.functional_from_flat(np.eye(3).ravel(), square(), square()),
+    "BarkerGap": lambda: polytopes.barker_gap(square(), square()),
+    "KappaWitness": lambda: kappa_witness(2, 2),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_array_holders_compare_by_identity(name):
+    """Every value that holds an array compares and hashes by identity, like the certificates."""
+    x = ARRAY_HOLDERS[name]()
+    assert type(x).__name__ == name
+    assert x == x and x != copy.copy(x)
+    assert hash(x) == hash(x)
 
 
 def test_wrong_entry_count():
