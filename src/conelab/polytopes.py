@@ -36,18 +36,17 @@ DD_TOL = 1e-10
 DD_BLOCK = 1 << 16
 MAX_RAY_AMBIENT_DIM = 4
 MAX_RAY_VERTICES = 12
-# Pivots per row in linprog.  Every gap row it does not prune closes its
-# bracket within 17 pivots on the tensor-gap and seeded k-gon^2 pairs, and
-# within 39 on cube^2 and hexagon x cube; every relative-bound row within 19
-# on the mixed polygon pairs and 26 on the 3-D pairs.  A gap row left open at
-# the cap keeps its last basis's bracket; a relative-bound row left open is
-# refused.
+# Pivots per row in linprog.  Every chart-LP row closes within 11 pivots on
+# the tensor-gap pairs of seeds 0, 30, 36, 44 and 1000, within 17 on the
+# mixed polygon pairs and the 8-gon^2, and within 25 on hexagon x cube,
+# cube^2, octahedron^2 and prism^2.  A gap row left open at the cap keeps its
+# last basis's bracket; relative_bound refuses an open row.
 SIMPLEX_PIVOTS = 100
-# Rows per block of linprog, which bounds the B^-1 stack of _exact_distances
-# at SIMPLEX_ROWS * (2 dim + 1)^2 floats.  tensor-gap (seed 0, medians of 5 runs
-# on 2 shared vCPUs, one BLAS thread) peaked at 84.3/84.5/85.9/87.8 MB RSS
-# with blocks of 64/128/256/all rows, and its batch_s read 64/55/55/55 ms:
-# 128 is the smallest block that costs no time.
+# Rows per block of linprog, which bounds the B^-1 stack of _chart_lps at
+# SIMPLEX_ROWS * (dim + 1)^2 floats, dim that of the inner chart.  tensor-gap
+# (seed 0, medians of 3 runs on 2 shared vCPUs, one BLAS thread) peaked at
+# 40.3/40.5/40.4/41.5 MB RSS with blocks of 64/128/256/all rows, and its
+# batch_s read 56/49/46/50 ms: 64 costs time, one block of all rows 1 MB.
 SIMPLEX_ROWS = 128
 
 
@@ -337,7 +336,10 @@ class ConvexWeightsCertificate:
 
 @dataclass(frozen=True, eq=False)
 class SeparatingHyperplane:
-    """Affine functional h with h(input) > offset >= h(v) on all min vertices."""
+    """Linear functional h = normal with h(input) - margin = offset >= h(v)
+    on the hull's vertices v.  The hull is at most 1 wide along a chart
+    LP's normal (_chart_lps), so the margin, a lower bound on the input's
+    relative bound, does not depend on the hull's scale."""
 
     normal: np.ndarray
     offset: float
@@ -362,23 +364,15 @@ def max_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> 
     return Verdict(Status.IN if inside else Status.OUT, cert)
 
 
-def _distance_rows(vertices: np.ndarray):
-    """The inf-norm distance LP to the hull of the vertices (p, dim), in the
-    variables (lam, t): objective t, rows [V^T, -1; -V^T, -1] against
-    [phi; -phi], and the simplex row sum lam = 1.  Returns (c, a_ub, a_eq)."""
-    p, dim = vertices.shape
-    ones = np.ones((dim, 1))
-    return (np.append(np.zeros(p), 1.0), np.block([[vertices.T, -ones], [-vertices.T, -ones]]),
-            np.append(np.ones(p), 0.0)[None, :])
-
-
 def non_vertices(points) -> np.ndarray:
     """Indices, ascending, of the listed points (p, dim) that _hull_verdict
-    puts In the hull of the others, so within LP_TOL of it (inf-norm)."""
+    puts In the hull of the others: exact copies of another point, and
+    points whose relative bound to the others, in their unit chart, is at
+    most LP_TOL."""
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
         return np.zeros(0, dtype=int)
-    return np.flatnonzero([_hull_verdict(z, np.delete(points, i, axis=0)).status is Status.IN
+    return np.flatnonzero([_hull_verdict(z, Polytope(np.delete(points, i, axis=0))).status is Status.IN
                            for i, z in enumerate(points)])
 
 
@@ -393,64 +387,44 @@ def _out_verdict(flat, mv, normal) -> Verdict:
     return Verdict(Status.OUT, SeparatingHyperplane(normal, offset, margin))
 
 
-def _hull_verdict(z: np.ndarray, vertices: np.ndarray) -> Verdict:
-    """LP test for membership of the point z (dim,) in the convex hull of the
-    vertices (p, dim), decided from the _exact_distances bracket on the
-    inf-norm distance.
+def _hull_verdict(z: np.ndarray, hull: Polytope) -> Verdict:
+    """Membership of the point z (dim,) in the polytope hull, decided in
+    hull's unit chart (centroid 0, max-abs coordinate 1).
 
-    In with weights e_k when z is within LP_TOL of its nearest vertex k, and
-    with the last basis's weights when the upper bound is <= LP_TOL; Out with
-    the basis's dual normal as hyperplane when the lower bound exceeds
-    LP_TOL.  A bracket across LP_TOL raises ValueError.
+    In with weights e_k when z is an exact copy of vertex k.  Out when the
+    part d of z - centroid off the chart's span is more than LP_TOL long in
+    chart units (|d| / scale), with normal d / (scale |d|), whose margin is
+    that length.  Otherwise the chart LP (_chart_lps) decides: In with its
+    weights, clipped to >= 0 and rescaled to sum 1, when the relative bound
+    r of z is at most LP_TOL; Out with its dual normal when the certified
+    lower bound on r exceeds LP_TOL.  A bracket across LP_TOL raises
+    ValueError.  The In certificate's residual is |sum_p w_p V_p - z|_inf.
     """
-    rows, upper, lower, weights, normals = _exact_distances(z[None, :], vertices)
-    if not len(rows):
-        (near,), (k,) = _nearest(z[None, :], vertices)
-        return Verdict(Status.IN, ConvexWeightsCertificate(np.eye(len(vertices))[k], float(near)))
-    if upper[0] <= LP_TOL:
-        return Verdict(Status.IN, ConvexWeightsCertificate(weights[0], float(upper[0])))
-    if lower[0] <= LP_TOL:
-        raise ValueError(f"membership LP failed: the point is [{lower[0]:.3g}, {upper[0]:.3g}] from the hull")
-    return _out_verdict(z, vertices, normals[0])
+    (near,), (k,) = _nearest(z[None, :], hull.vertices)
+    if near == 0:
+        return Verdict(Status.IN, ConvexWeightsCertificate(np.eye(hull.n_vertices)[k], 0.0))
+    center, q, scale, _ = hull.unit_chart
+    off = (z - center) - ((z - center) @ q) @ q.T
+    length = np.linalg.norm(off) / scale
+    if length > LP_TOL:
+        return _out_verdict(z, hull.vertices, off / (scale * scale * length))
+    _, (r,), (weights,), (lower,), (normal,), _, _ = _chart_lps(hull, z[None, :])
+    if r <= LP_TOL:
+        weights = np.maximum(weights, 0.0) / np.maximum(weights, 0.0).sum()
+        residual = float(np.abs(weights @ hull.vertices - z).max())
+        return Verdict(Status.IN, ConvexWeightsCertificate(weights, residual))
+    if lower <= LP_TOL:
+        raise ValueError(f"membership LP failed: the point's relative bound is in [{lower:.3g}, {r:.3g}]")
+    return _out_verdict(z, hull.vertices, normal)
 
 
 def min_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> Verdict:
     """Membership in the convex hull of elementary tensors, by _hull_verdict."""
-    return _hull_verdict(phi.flat, min_tensor(k1, k2).vertices)
+    return _hull_verdict(phi.flat, min_tensor(k1, k2))
 
 
 # ---------------------------------------------------------------------------
-# certified bounds that screen the per-vertex LPs
-
-
-def _start_bases(v: np.ndarray, z: np.ndarray, nearest: np.ndarray):
-    """The start basis of _exact_distances for each row of z (n, dim) at its
-    nearest vertex k = nearest (n,) among v (p, dim), and its inverse.
-
-    The basis is (lam_k, t, every slack but the one j* at the coordinate
-    where |V_k - z| peaks), as columns of the distance LP with a slack per
-    inequality.  With a_k = [V_k; -V_k; 1], lam_k's column, and every
-    slack's t-coefficient -1, B x = b solves in closed form: lam_k = b_last,
-    t = a_k[j*] b_last - b_j*, and s_j = b_j - a_k[j] b_last + t for each
-    other slack j.  B^-1 is written row by row from these formulas, so no
-    stack of bases is factored.  Returns the basis (n, m) and B^-1 (n, m, m),
-    m = 2 dim + 1.
-    """
-    (p, dim), n = v.shape, len(z)
-    m = 2 * dim + 1
-    ak = np.hstack([v[nearest], -v[nearest]])  # a_k without its last entry 1
-    jstar = np.argmax(ak - np.hstack([z, -z]), axis=1)  # t = max_j a_k[j] - b_j
-    slack = np.broadcast_to(np.arange(2 * dim), (n, 2 * dim))
-    others = slack[slack != jstar[:, None]].reshape(n, 2 * dim - 1)
-    r = np.arange(n)
-    inv = np.zeros((n, m, m))
-    inv[:, 0, -1] = 1.0  # lam_k = b_last
-    inv[r, 1, jstar] = -1.0  # t = a_k[j*] b_last - b_j*
-    inv[:, 1, -1] = ak[r, jstar]
-    inv[:, 2:, :] = inv[:, 1:2, :]  # s_j = t + b_j - a_k[j] b_last
-    inv[r[:, None], np.arange(2, m), others] += 1.0
-    inv[:, 2:, -1] -= np.take_along_axis(ak, others, axis=1)
-    return np.column_stack([nearest, np.full(n, p), p + 1 + others]), inv
+# the chart LP
 
 
 def linprog(a: np.ndarray, c: np.ndarray, rhs: np.ndarray, start, bound):
@@ -463,7 +437,7 @@ def linprog(a: np.ndarray, c: np.ndarray, rhs: np.ndarray, start, bound):
 
     A pivot enters the most negative reduced cost (Dantzig), leaves by the
     ratio test over the entries of its pivot column above 1e-9 (a smaller
-    pivot, such as the 2e-12 ones of the relative-bound LP on the unit square
+    pivot, such as the 2e-12 ones of the chart LP on the unit square
     shifted by (1e4, 1e4), moves x_B off its constraints by up to 2e-4) and
     updates B^-1 by a rank-1 step.  A row stops when it is optimal (no
     reduced cost below -1e-12), when it is pruned (its objective c_B x_B is
@@ -517,51 +491,63 @@ def linprog(a: np.ndarray, c: np.ndarray, rhs: np.ndarray, start, bound):
     return basis, xb, duals, lower, unsettled
 
 
-def _exact_distances(z: np.ndarray, vertices: np.ndarray):
-    """Certified brackets on the inf-norm distance from the rows of z to the
-    convex hull of the vertices, min t s.t. |sum_p lam_p V_p - z|_inf <= t,
-    lam in the simplex, from linprog on that LP (_distance_rows) with a
-    slack per inequality.  A row within LP_TOL (inf-norm) of its nearest
-    vertex k is at most LP_TOL from the hull and is dropped; each other row
-    starts from the basis of k that _start_bases writes down with its
-    inverse.
+def _chart_lps(inner: Polytope, z: np.ndarray):
+    """The relative-bound LP of each row of z (n, dim) against inner: the
+    smallest r >= 0 with z = (r+1)x - ry, x and y in inner, that is, A(a -
+    b) = (z_u, 1), a, b >= 0, minimizing r = 1^T b, where A = [U; 1^T]
+    holds the inner vertices u_j as columns (u_j, 1).  r is affine
+    invariant, so U and z_u are in inner's unit chart (inner.unit_chart).
+    A row that is an exact copy of an inner vertex has r = 0 and no LP.
 
-    Both bounds are read off each row's last basis and hold whatever the
-    pivots did, so a pruned, unfinished or inexact row only keeps a wider
-    bracket.  The upper bound is |lam V - z|_inf with lam clipped to >= 0
-    and rescaled to sum 1; the lower bound is y.z - max_p y.V_p with y =
-    pi_a - pi_b, the difference of the two inequality blocks' duals,
-    divided by max(1, |y|_1), so y separates z from the hull by at least
-    the lower bound.  Returns the indices of the rows kept (n,), ascending,
-    and their upper and lower bounds (n,), weights lam (n, p) and normals
-    y (n, dim).
+    linprog solves the others, in decreasing order of their start
+    objective.  The start bases come from m = dim + 1 affinely independent
+    inner vertices S, the first column pivots of A (_pivot_columns): beta
+    = A_S^-1 (z_u, 1) are z's affine coordinates on S, the basis takes a_i
+    where beta_i >= 0 and b_i where beta_i < 0, so B^-1 = diag(sign beta)
+    A_S^-1 and x_B = |beta|.  A basis with duals (y, pi_0) bounds r from
+    below by y.z_u - max_j y.u_j once y is divided by max(1, max_j y.u_j -
+    min_j y.u_j): that is the dual objective of (y, -max_j y.u_j), then
+    dual feasible.  That y, y @ q^T / scale in ambient coordinates, is the
+    row's normal: it separates z from inner by the lower bound.
+
+    Returns the indices (k,), ascending, of the rows solved, and for each
+    its last basis's objective r (k,), weights a - b (k, p), certified lower
+    bound (k,) and normal (k, dim), whether linprog left it open (k,), and
+    its drift (k,): how far the basis is off its constraints, the larger of
+    |A(a - b) - (z_u, 1)|_inf / |(z_u, 1)|_inf and -min x_B.
     """
-    center = vertices.mean(axis=0)  # the weights sum to 1, so centring is exact
-    v, z = vertices - center, z - center
-    near, nearest = _nearest(z, v)
-    rows = np.flatnonzero(near > LP_TOL)
-    z, nearest = z[rows], nearest[rows]
-    p, dim = v.shape
-    c, a_ub, a_eq = _distance_rows(v)
-    a = np.block([[a_ub, np.eye(2 * dim)], [a_eq, np.zeros((1, 2 * dim))]])
+    (center, q, scale, _), iv = inner.unit_chart, inner.vertices
+    p = len(iv)
+    u = ((iv - center) @ q / scale).T
+    a = np.vstack([u, np.ones(p)])
+    chosen = _pivot_columns(a, len(a))
+    inv = np.linalg.inv(a[:, chosen])
+    rows = np.flatnonzero(_nearest(z, iv)[0] > 0)
+    rhs = np.hstack([(z[rows] - center) @ q / scale, np.ones((len(rows), 1))])
+    beta = rhs @ inv.T
+    order = np.argsort(-np.maximum(-beta, 0.0).sum(axis=1), kind="stable")
+    rows, rhs, negative = rows[order], rhs[order], beta[order] < 0
+
+    def start(live):
+        return chosen + p * negative[live], np.where(negative[live, :, None], -inv, inv)
 
     def normals(pi):
-        y = pi[:, :dim] - pi[:, dim:2 * dim]
-        return y / np.maximum(1.0, np.abs(y).sum(axis=1, keepdims=True))
+        spread = pi[:, :-1] @ u
+        return pi[:, :-1] / np.maximum(1.0, spread.max(axis=1) - spread.min(axis=1))[:, None]
 
     def bound(live, pi):
         y = normals(pi)
-        return np.sum(y * z[live], axis=1) - np.max(y @ v.T, axis=1)
+        return np.sum(y * rhs[live, :-1], axis=1) - np.max(y @ u, axis=1)
 
-    basis, xb, pi, lower, _ = linprog(a, np.append(c, np.zeros(2 * dim)),
-                                      np.hstack([z, -z, np.ones((len(z), 1))]),
-                                      lambda live: _start_bases(v, z[live], nearest[live]), bound)
-    lam = np.zeros((len(z), p))
-    on = basis < p
-    lam[np.nonzero(on)[0], basis[on]] = np.maximum(xb[on], 0.0)
-    lam /= lam.sum(axis=1, keepdims=True)
-    upper = np.abs(lam @ v - z).max(axis=1)
-    return rows, upper, lower, lam, normals(pi)
+    c, columns = np.repeat([0.0, 1.0], p), np.hstack([a, -a])
+    basis, xb, pi, lower, unsettled = linprog(columns, c, rhs, start, bound)
+    weights = np.zeros((len(rows), p))
+    np.add.at(weights, (np.arange(len(rows))[:, None], basis % p), np.where(basis < p, xb, -xb))
+    drift = np.maximum(np.abs(weights @ a.T - rhs).max(axis=1, initial=0.0) / np.abs(rhs).max(axis=1),
+                       -xb.min(axis=1, initial=0.0))
+    back = np.argsort(rows)
+    return (rows[back], np.sum(c[basis] * xb, axis=1)[back], weights[back], lower[back],
+            (normals(pi) @ q.T / scale)[back], unsettled[back], drift[back])
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +587,8 @@ class BarkerGap:
 
     @property
     def margin(self) -> float:
+        """The min-side margin: relative_bound(min_tensor(k1, k2),
+        max_tensor_polytope(k1, k2)), certified from below (gap_among)."""
         return self.min_verdict.certificate.margin
 
 
@@ -612,33 +600,30 @@ def gap_among(mx: Polytope, k1: Polytope, k2: Polytope) -> BarkerGap | None:
     extreme points v and w, pin it; a vertex of mx in the minimal set is a
     vertex there too, hence a product.
 
-    The LP distance to the minimal polytope is convex, so its maximum over
-    mx is attained at a vertex.  _exact_distances drops each vertex within
-    LP_TOL (inf-norm) of its nearest minimal vertex, which is at most LP_TOL
-    from the minimal polytope, and brackets the distance of every other
-    vertex; a vertex stops pivoting once its objective is more than LP_TOL
-    below the largest lower bound, so it can neither be the maximum nor tie
-    with it.  The gap vertex is the first whose certified lower bound
-    exceeds LP_TOL and is within LP_TOL of the largest (so rounding noise
-    among tied vertices cannot pick one): the first vertex within LP_TOL of
-    the largest distance whenever the brackets close, as they do within
-    SIMPLEX_PIVOTS on every pair measured.  Its last basis's dual normal is
-    the min-side certificate.  As the count proves a gap, no lower bound
-    above LP_TOL means the LPs failed: ValueError, as is a normal that does
-    not separate (_out_verdict).  The max-side verdict is
+    The relative bound r to the minimal polytope is convex, so its maximum
+    over mx, relative_bound(min_tensor(k1, k2), mx), is at a vertex, whose
+    chart LP (_chart_lps) is pruned once it is more than LP_TOL below the
+    largest lower bound.  The gap vertex is the first whose certified lower
+    bound exceeds LP_TOL and is within LP_TOL of the largest (so rounding
+    among tied vertices cannot pick one), and its dual normal is the
+    min-side certificate, whose margin is that lower bound: the relative
+    bound whenever the rows close, as they do within SIMPLEX_PIVOTS on
+    every pair measured.  As the count proves a gap, no lower bound above
+    LP_TOL means the LPs failed: ValueError, as is a normal that does not
+    separate (_out_verdict).  The max-side verdict is
     max_tensor_membership(phi, k1, k2), which reads the chart rays that
     max_tensor_polytope(k1, k2) enumerated on k1 and k2.
     """
-    mv = min_tensor(k1, k2).vertices
-    if mx.n_vertices == len(mv):
+    mn = min_tensor(k1, k2)
+    if mx.n_vertices == mn.n_vertices:
         return None
-    rows, _, below, _, normals = _exact_distances(mx.vertices, mv)
+    rows, _, _, below, normals, _, _ = _chart_lps(mn, mx.vertices)
     if below.max(initial=-np.inf) <= LP_TOL:
-        raise ValueError(f"membership LP failed: no distance exceeds LP_TOL, yet the maximal "
-                         f"product has {mx.n_vertices} vertices and the minimal only {len(mv)}")
+        raise ValueError(f"membership LP failed: no lower bound exceeds LP_TOL, yet the maximal "
+                         f"product has {mx.n_vertices} vertices and the minimal only {mn.n_vertices}")
     i = np.argmax((below >= below.max() - LP_TOL) & (below > LP_TOL))
     phi = functional_from_flat(mx.vertices[rows[i]], k1, k2)
-    return BarkerGap(phi, max_tensor_membership(phi, k1, k2), _out_verdict(phi.flat, mv, normals[i]))
+    return BarkerGap(phi, max_tensor_membership(phi, k1, k2), _out_verdict(phi.flat, mn.vertices, normals[i]))
 
 
 def barker_gap(k1: Polytope, k2: Polytope) -> BarkerGap | None:
@@ -651,41 +636,24 @@ def barker_gap(k1: Polytope, k2: Polytope) -> BarkerGap | None:
 
 
 def relative_bound(inner: Polytope, outer: Polytope) -> float:
-    """Smallest r >= 0 with outer contained in {(r+1)x - ry : x, y in inner}.
-
-    The bound is the maximum over the outer vertices z of an LP: z =
-    (r+1)x - ry with x, y convex combinations of inner vertices becomes A(a
-    - b) = (z_u, 1), a, b >= 0, minimizing r = 1^T b, where A = [U; 1^T]
-    holds the inner vertices u_j as columns (u_j, 1).  r is affine
-    invariant, so U and z_u are in the unit chart that inner keeps
-    (inner.unit_chart): centroid 0, max-abs coordinate 1.  An outer vertex
-    that is an exact copy of an inner vertex has r = 0 and gets no LP; only
-    the simplex shortcut of max_tensor_polytope makes such copies, as the
-    vertices it enumerates match only to rounding.
-
-    linprog solves the other rows' LPs.  Their start bases come from m =
-    dim + 1 affinely independent inner vertices S, the first column pivots
-    of A (_pivot_columns): beta = A_S^-1 (z_u, 1) are z's affine
-    coordinates on S, the basis takes a_i where beta_i >= 0 and b_i where
-    beta_i < 0, so B^-1 = diag(sign beta) A_S^-1 and x_B = |beta|.  The
-    rows go in decreasing order of their start objective.  A basis with
-    duals (y, pi_0) bounds r(z) from below by y.z_u - max_j y.u_j once y is
-    scaled so that the width max_j y.u_j - min_j y.u_j is at most 1: that
-    is the dual objective of (y, -max_j y.u_j), which is then dual
-    feasible.  The largest objective is returned; a row pruned by linprog
-    is more than LP_TOL below it.
+    """Smallest r >= 0 with outer contained in {(r+1)x - ry : x, y in inner}:
+    the largest objective of the chart LPs (_chart_lps) of the outer
+    vertices against inner.  A row pruned by linprog is more than LP_TOL
+    below it.  The simplex shortcut of max_tensor_polytope makes every
+    outer vertex an exact copy of an inner one, so a simplex factor gives
+    exactly 0.0.
 
     Raises ValueError when outer's affine hull is not in inner's (a
     residual off the chart's span above 1e-9 * max(1, max|z|)), when the
     chart may have dropped a genuine direction (a singular value of the
     centred inner vertices between 1e-13 and 1e-9 of the largest), as it
     then poses fewer constraints than the LP, and when the simplex is at
-    fault: a row is left open (linprog), a last basis is more than LP_TOL *
-    max|(z_u, 1)| off its constraints or has a weight below -LP_TOL, or the
-    maximum is below the largest lower bound less LP_TOL.  No check sees
-    how far rounding moved the chart from inner's vertices (ROADMAP item 5).
+    fault: a row is left open (linprog), a last basis drifts more than
+    LP_TOL off its constraints, or the maximum is below the largest lower
+    bound less LP_TOL.  No check sees how far rounding moved the chart from
+    inner's vertices (ROADMAP item 5).
     """
-    (center, q, scale, s), iv, z = inner.unit_chart, inner.vertices, outer.vertices
+    (center, q, _, s), z = inner.unit_chart, outer.vertices
     d = z - center
     off = np.linalg.norm(d - (d @ q) @ q.T, axis=1)
     if not np.all(off <= 1e-9 * max(1.0, float(np.max(np.abs(z))))):
@@ -694,36 +662,14 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
     if np.any((s > 1e-13 * top) & (s <= 1e-9 * top)):
         raise ValueError("relative-bound LP failed: the unit chart of inner drops a singular value "
                          "between 1e-13 and 1e-9 of the largest")
-    p = len(iv)
-    u = ((iv - center) @ q / scale).T
-    a = np.vstack([u, np.ones(p)])
-    chosen = _pivot_columns(a, len(a))
-    inv = np.linalg.inv(a[:, chosen])
-    d = d[_nearest(z, iv)[0] > 0]
-    rhs = np.hstack([d @ q / scale, np.ones((len(d), 1))])
-    beta = rhs @ inv.T
-    order = np.argsort(-np.maximum(-beta, 0.0).sum(axis=1), kind="stable")
-    rhs, negative = rhs[order], beta[order] < 0
-
-    def start(live):
-        return chosen + p * negative[live], np.where(negative[live, :, None], -inv, inv)
-
-    def bound(live, pi):
-        spread = pi[:, :-1] @ u
-        high = spread.max(axis=1)
-        width = high - spread.min(axis=1)
-        return (np.sum(pi[:, :-1] * rhs[live, :-1], axis=1) - high) / np.maximum(1.0, width)
-
-    c, columns = np.repeat([0.0, 1.0], p), np.hstack([a, -a])
-    basis, xb, _, lower, unsettled = linprog(columns, c, rhs, start, bound)
-    drift = np.abs((xb[:, None, :] @ columns.T[basis])[:, 0] - rhs).max(axis=1) / np.abs(rhs).max(axis=1)
-    r = float(np.max(np.sum(c[basis] * xb, axis=1), initial=0.0))
+    rows, values, _, lower, _, unsettled, drift = _chart_lps(inner, z)
+    r = float(np.max(values, initial=0.0))
     if unsettled.any():
-        raise ValueError(f"relative-bound LP failed: {np.count_nonzero(unsettled)} of {len(rhs)} "
+        raise ValueError(f"relative-bound LP failed: {np.count_nonzero(unsettled)} of {len(rows)} "
                          f"rows are still open after at most {SIMPLEX_PIVOTS} pivots")
-    if np.any(drift > LP_TOL) or np.any(xb < -LP_TOL):
+    if np.any(drift > LP_TOL):
         raise ValueError(f"relative-bound LP failed: its last bases are up to {drift.max():.3g} off "
-                         f"their constraints, with weights down to {xb.min():.3g}")
+                         f"their constraints")
     if r < np.max(lower, initial=-np.inf) - LP_TOL:
         raise ValueError(f"relative-bound LP failed: its maximum {r} is below the certified "
                          f"lower bound {lower.max()}")

@@ -1,15 +1,26 @@
-"""The inf-norm distance LPs solved by HiGHS, the reference that the
-polytope layer's simplex (polytopes.linprog) is checked against.  The
-library imports no scipy for its LPs; the tests solve these here."""
+"""LPs solved by HiGHS, the references that the polytope layer's simplex
+(polytopes.linprog) is checked against: the relative-bound LPs in ambient
+coordinates (test_polytopes.relative_bound_lps, on _block_lps) and the
+inf-norm distance LP to a hull (_min_distance_lp), the reference of
+non_vertices.  The library imports no scipy for its LPs; the tests solve
+these here."""
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog as _highs
 
-from conelab.polytopes import _distance_rows
-
 # LP copies per HiGHS call in _block_lps.
 LP_BLOCKS = 36
+
+
+def _distance_rows(vertices: np.ndarray):
+    """The inf-norm distance LP to the hull of the vertices (p, dim), in the
+    variables (lam, t): objective t, rows [V^T, -1; -V^T, -1] against
+    [phi; -phi], and the simplex row sum lam = 1.  Returns (c, a_ub, a_eq)."""
+    p, dim = vertices.shape
+    ones = np.ones((dim, 1))
+    return (np.append(np.zeros(p), 1.0), np.block([[vertices.T, -ones], [-vertices.T, -ones]]),
+            np.append(np.ones(p), 0.0)[None, :])
 
 
 def _block_lps(c, a_ub, b_ub, a_eq, b_eq, what: str):
@@ -18,10 +29,10 @@ def _block_lps(c, a_ub, b_ub, a_eq, b_eq, what: str):
     of them go to HiGHS as one block-diagonal LP minimizing the sum of their
     objectives; the copies share no variable, so the sum is minimal exactly
     when each one is.  (Most of one small LP's time is scipy's wrapper, not
-    HiGHS.)  Returns the solutions (n, len(c)) and a_ub duals (n, len(a_ub)).
-    A HiGHS failure raises ValueError: the input is beyond what the LPs solve.
+    HiGHS.)  Returns the solutions (n, len(c)), a_ub duals (n, len(a_ub))
+    and a_eq duals (n, len(a_eq)).  A HiGHS failure raises ValueError: the input is beyond what the LPs solve.
     """
-    xs, duals = [], []
+    xs, duals, eq_duals = [], [], []
     for rows in np.array_split(np.arange(len(b_eq)), -(-len(b_eq) // LP_BLOCKS)):
         eye = sparse.identity(len(rows), format="csr")
         res = _highs(np.tile(c, len(rows)), A_ub=sparse.kron(eye, a_ub), b_ub=b_ub[rows].ravel(),
@@ -31,7 +42,8 @@ def _block_lps(c, a_ub, b_ub, a_eq, b_eq, what: str):
             raise ValueError(f"{what} LP failed: {res.message}")
         xs.append(res.x.reshape(len(rows), -1))
         duals.append(res.ineqlin.marginals.reshape(len(rows), -1))
-    return np.vstack(xs), np.vstack(duals)
+        eq_duals.append(res.eqlin.marginals.reshape(len(rows), -1))
+    return np.vstack(xs), np.vstack(duals), np.vstack(eq_duals)
 
 
 def _min_distance_lp(flat_phi: np.ndarray, vertices: np.ndarray):
@@ -45,6 +57,6 @@ def _min_distance_lp(flat_phi: np.ndarray, vertices: np.ndarray):
     """
     p, dim = vertices.shape
     c, a_ub, a_eq = _distance_rows(vertices)
-    x, u = _block_lps(c, a_ub, np.hstack([flat_phi, -flat_phi]), a_eq,
+    x, u, _ = _block_lps(c, a_ub, np.hstack([flat_phi, -flat_phi]), a_eq,
                       np.ones((len(flat_phi), 1)), "membership")
     return x[:, -1], x[:, :p], u[:, :dim] - u[:, dim:]

@@ -425,33 +425,37 @@ class TestPolytopeCommands:
         assert rep["results"]["gap"] is not None
 
     def test_degenerate_factor_is_data_error(self, capsys, tmp_path):
-        # the unit square scaled by (1e-6, 1e6): its vertices pair up in the unit chart
+        # the unit square scaled by (1e-6, 1e6): the unit chart of the other
+        # three vertices is a segment, 1e-12 of its length from vertex 0, so
+        # the file's extremality test refuses it
         p = tmp_path / "thin.json"
         p.write_text(json.dumps(polytope_to_dict(Polytope(square().vertices * [1e-6, 1e6]))))
         assert cli.main(["polytope", "tensor", "--gap", "--k1", str(p), "--k2", str(p)]) == 65
-        assert "coincide in the unit chart" in capsys.readouterr().err
+        assert "vertex 0 is not extreme" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, want", [
-        (["barker"], "membership LP failed: no distance exceeds LP_TOL"),
+        (["barker"], "membership LP failed: its hyperplane does not separate"),
         (["polytope", "tensor", "--relative-bound"], "relative-bound LP failed: the unit chart of inner drops"),
     ], ids=["barker", "tensor-relative-bound"])
     def test_lp_failure_is_data_error(self, capsys, tmp_path, command, want):
         # the unit square scaled by 1e-3 and shifted by (1000, 1000), where
-        # no distance LP certifies a distance above LP_TOL, though the counts
-        # prove a gap, and the minimal product's unit chart has rank 5, not
-        # 8, so the relative-bound LP is refused
+        # the minimal product's unit chart has rank 5, not 8: the relative-
+        # bound LP is refused, and the gap finder's chart LP gives a normal
+        # that does not separate in ambient coordinates (margin -2.5e-5)
         p = tmp_path / "small_far.json"
         p.write_text(json.dumps(polytope_to_dict(Polytope(square().vertices * 1e-3 + 1000.0))))
         assert cli.main(command + ["--k1", str(p), "--k2", str(p)]) == 65
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {want}") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("scale, shift, margin", [(1e-3, 100.0, 1.2376162e-9), (1e-2, 1000.0, 1.2487419e-8)],
+    @pytest.mark.parametrize("scale, shift, margin", [(1e-3, 100.0, 0.50000381469727),
+                                                      (1e-2, 1000.0, 0.49999237060547)],
                              ids=["x1e-3+100", "x1e-2+1000"])
     def test_small_shifted_square_gap_is_answered(self, capsys, tmp_path, scale, shift, margin):
         # exit 65 while HiGHS solved the gap LPs: at x1e-3 +(100, 100) it read
         # every distance <= LP_TOL, and at x1e-2 +(1000, 1000) its dual normal
-        # did not separate (margin -5.7e-14); the simplex certifies vertex 8
+        # did not separate (margin -5.7e-14); the chart LP certifies vertex 8,
+        # with r = 1/2 to within 2^-18 and 2^-17 in ambient coordinates
         p = tmp_path / "small.json"
         k = Polytope(square().vertices * scale + shift)
         p.write_text(json.dumps(polytope_to_dict(k)))
@@ -462,29 +466,33 @@ class TestPolytopeCommands:
         assert res["gap_margin"] == pytest.approx(margin, rel=1e-7)
 
     def test_tiny_pentagon_gap_has_a_margin(self, capsys, tmp_path):
-        # the regular pentagon scaled by 5.7e-5: the gap vertex was a row at
-        # distance 8.2e-10 <= LP_TOL, whose In certificate has no margin, and
-        # reading it raised AttributeError (a traceback, exit 1)
+        # the regular pentagon scaled by 5.7e-5: the gap vertex was once a row
+        # at inf-norm distance 8.2e-10 <= LP_TOL, whose In certificate has no
+        # margin, and reading it raised AttributeError (a traceback, exit 1);
+        # the margin is now the pentagon pair's relative bound
         t = 2 * np.pi * np.arange(5) / 5
         p = tmp_path / "pentagon.json"
         p.write_text(json.dumps(polytope_to_dict(Polytope(np.column_stack([np.cos(t), np.sin(t)])
                                                           * 5.71336842831558e-05))))
         code, rep = run_json(capsys, ["barker", "--k1", str(p), "--k2", str(p)])
         assert code == 0
-        assert rep["results"]["gap_margin"] == pytest.approx(1.0087e-9, rel=1e-4)
+        assert rep["results"]["gap_margin"] == pytest.approx((3 - np.sqrt(5)) / np.sqrt(5), abs=1e-9)
 
-    @pytest.mark.parametrize("scale, shift, argv, want", [
-        # the maximal product has 24 vertices and the minimal 16, but every
-        # distance LP reads <= LP_TOL, which would claim min = max
-        (8e-5, 0.0, ["barker"], "membership LP failed"),
-    ], ids=["barker-x8e-5"])
-    def test_lp_answer_that_contradicts_a_bound_is_data_error(self, capsys, tmp_path, scale, shift,
-                                                                argv, want):
+    @pytest.mark.parametrize("scale, argv", [
+        (8e-5, ["barker"]),
+        (8e-5, ["polytope", "tensor", "--gap", "--relative-bound"]),
+        (1e-6, ["polytope", "tensor", "--gap", "--relative-bound"]),
+    ], ids=["barker-x8e-5", "tensor-x8e-5", "tensor-x1e-6"])
+    def test_tiny_square_gap_is_answered(self, capsys, tmp_path, scale, argv):
+        # the maximal product has 24 vertices and the minimal 16; the
+        # inf-norm distance LP read every distance <= LP_TOL and exited 65
         p = tmp_path / "small.json"
-        p.write_text(json.dumps(polytope_to_dict(Polytope(square().vertices * scale + shift))))
-        assert cli.main([*argv, "--k1", str(p), "--k2", str(p)]) == 65
-        err = capsys.readouterr().err
-        assert err.startswith(f"input error: {want}") and err.count("\n") == 1
+        p.write_text(json.dumps(polytope_to_dict(Polytope(square().vertices * scale))))
+        code, rep = run_json(capsys, [*argv, "--k1", str(p), "--k2", str(p)])
+        assert code == 0
+        assert rep["results"]["gap_margin"] == pytest.approx(0.5, abs=1e-9)
+        if "--relative-bound" in argv:
+            assert rep["results"]["relative_bound"] == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("scale, shift", [(1e-3, 10.0), (1e-2, 100.0)],
                              ids=["bound-x1e-3+10", "bound-x1e-2+100"])

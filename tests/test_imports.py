@@ -134,7 +134,7 @@ for flat in (mv.mean(axis=0), polytopes.max_tensor_polytope(k, k).vertices[8]):
 
 def test_polytope_commands_run_without_scipy(tmp_path):
     assert run(POLYTOPE_COMMANDS, str(tmp_path)) == [
-        "0 0.122008467928 -1.0", "0 0.122008467928 0.25", "[6]", "in", "out"]
+        "0 0.25 -1.0", "0 0.25 0.25", "[6]", "in", "out"]
 
 
 # Writes the five-term 2x3 product mixture default_rng([2, 3, 5, 0]), which

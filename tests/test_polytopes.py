@@ -20,9 +20,7 @@ from conelab.polytopes import (
     Polytope,
     TensorFunctional,
     _affine_chart,
-    _distance_rows,
-    _exact_distances,
-    _start_bases,
+    _chart_lps,
     affine_dimension,
     barker_gap,
     double_description,
@@ -336,20 +334,27 @@ class TestAffineInvariance:
         k1, k2 = random_affine_image(k, rng), random_affine_image(k, rng)
         assert len(positive_ray_generators(k1)) == len(positive_ray_generators(k2)) == k
         assert max_tensor_polytope(k1, k2).n_vertices == self.REGULAR_PAIR_COUNT[k]
+        # the gap exists, and its margin is the unit regular pair's.  Draws
+        # 6 and 9 (ROADMAP item 5): the minimal product's unit chart drops two
+        # genuine directions (singular values near 9e-10 of the largest), so
+        # the chart LP bounds r of the projected points, 0.050 and 4.5e-7
+        gap, unit = barker_gap(k1, k2), barker_gap(regular_polygon(k), regular_polygon(k))
+        assert (gap is None) == (unit is None) == (k == 3)
+        if seed in (6, 9):
+            assert affine_dimension(min_tensor(k1, k2)) == 6
+            assert gap.min_verdict.status is Status.OUT and 0 < gap.margin < unit.margin
+        elif gap is not None:
+            assert gap.margin == pytest.approx(unit.margin, abs=1e-7)
 
     @pytest.mark.parametrize("name", ["x1e3", "x8e-5", "x1e-6", "x1e-7", "x1e6", "+100", "+1000", "+1e4"])
     def test_scaled_and_shifted_squares(self, name):
         k1, k2 = screening_pair(name)
         assert max_tensor_polytope(k1, k2).n_vertices == 24
 
-    @pytest.mark.parametrize("scale", [
-        1.0, 1e-3,
-        pytest.param(8e-5, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 5")),
-    ])
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 8e-5])
     def test_scaled_square_gap_agrees_with_relative_bound(self, scale):
-        # r = 0.5 at every scale; barker_gap's absolute LP tolerance reads every
-        # distance of the 8e-5 square as <= LP_TOL, so it raises ValueError
-        # ("membership LP failed ...") since the vertex counts prove a gap
+        # r = 0.5 at every scale; the gap finder reads the chart LP, so it
+        # finds the gap of the 8e-5 square too
         k = Polytope(square().vertices * scale)
         gap = barker_gap(k, k)
         r = relative_bound(min_tensor(k, k), max_tensor_polytope(k, k))
@@ -373,15 +378,16 @@ class TestAffineInvariance:
         assert affine_dimension(mn) == 8
         assert relative_bound(mn, max_tensor_polytope(k, k)) == pytest.approx(0.5, abs=1e-7)
 
-    @pytest.mark.parametrize("scale, shift, margin", [(1e-3, 100.0, 1.2376162e-9), (1e-2, 1000.0, 1.2487419e-8)],
+    @pytest.mark.parametrize("scale, shift, margin", [(1e-3, 100.0, 0.50000381469727),
+                                                      (1e-2, 1000.0, 0.49999237060547)],
                              ids=["x1e-3+100", "x1e-2+1000"])
     def test_small_shifted_square_gap_is_answered(self, scale, shift, margin):
         # the maximal product has 24 vertices and the minimal 16; HiGHS read
         # every distance <= LP_TOL at x1e-3 +(100, 100), and at x1e-2 +(1000,
         # 1000) 1.7e-8 with a dual normal that did not separate (margin
-        # -5.7e-14).  The screen's last basis certifies vertex 8 of the eight
-        # the square's symmetry ties, at the exact distances of the float
-        # vertices (1.24e-9 and 1.25e-8)
+        # -5.7e-14).  The chart LP certifies vertex 8 of the eight the
+        # square's symmetry ties; its margin, re-evaluated in ambient
+        # coordinates, is r = 1/2 to 2^-18 and 2^-17
         k = Polytope(square().vertices * scale + shift)
         gap = barker_gap(k, k)
         assert np.array_equal(gap.functional.flat, max_tensor_polytope(k, k).vertices[8])
@@ -391,13 +397,14 @@ class TestAffineInvariance:
         assert np.max(min_tensor(k, k).vertices @ plane.normal) <= plane.offset
 
     def test_tiny_pentagon_gap_is_certified(self):
-        # the regular pentagon scaled by 5.7e-5: a row at distance 8.2e-10 <=
-        # LP_TOL ties the largest within LP_TOL, and was taken as the gap
-        # vertex, so the gap carried an In certificate with no margin
+        # the regular pentagon scaled by 5.7e-5: a row at inf-norm distance
+        # 8.2e-10 <= LP_TOL once tied the largest within LP_TOL, and was taken
+        # as the gap vertex, so the gap carried an In certificate with no
+        # margin; the chart LP's margin is the pentagon pair's r
         k = Polytope(regular_polygon(5).vertices * 5.71336842831558e-05)
         gap = barker_gap(k, k)
         assert gap.min_verdict.status is Status.OUT
-        assert gap.margin == pytest.approx(1.0087e-9, rel=1e-4)
+        assert gap.margin == pytest.approx((3 - np.sqrt(5)) / np.sqrt(5), abs=LP_TOL)
 
     def test_far_shifted_min_tensor_dimension(self):
         # three genuine directions of the 16 vertices have relative singular
@@ -514,6 +521,21 @@ class TestMembership:
         c = verdict.certificate
         assert c.value < -1e-9
         assert c.ray_left @ phi.matrix @ c.ray_right == pytest.approx(c.value, abs=1e-12)
+
+    def test_point_off_the_affine_hull_is_out(self):
+        # simplex(1) lies on the line x + y = 1, so the minimal product of
+        # square and simplex(1) has affine dimension 5 in R^9; a point moved
+        # off its affine hull is Out by its off-chart part alone
+        k1, k2 = square(), simplex(1)
+        mn = min_tensor(k1, k2)
+        center, q, scale, _ = mn.unit_chart
+        off = np.eye(9)[0] - q @ q[0]  # e_0 less its part in the chart's span
+        flat = mn.vertices.mean(axis=0) + 1e-3 * off
+        verdict = min_tensor_membership(functional_from_flat(flat, k1, k2), k1, k2)
+        assert verdict.status is Status.OUT
+        hyp = verdict.certificate
+        assert hyp.margin == pytest.approx(1e-3 * np.linalg.norm(off) / scale, rel=1e-9)
+        assert (mn.vertices @ hyp.normal).max() <= hyp.offset < hyp.normal @ flat
 
     def test_out_of_min_gives_hyperplane(self):
         k1, k2 = square(), square()
@@ -683,25 +705,23 @@ class TestBarkerGap:
         assert np.array_equal(a.functional.matrix, b.functional.matrix)
 
     def test_square_square_tie_goes_to_first_vertex(self):
-        mv = min_tensor(square(), square()).vertices
-        verts = max_tensor_polytope(square(), square()).vertices
-        dist = np.array([inf_norm_distance(v, mv) for v in verts])
-        assert dist.max() == pytest.approx(1 / 12, abs=1e-9)
-        tied = np.flatnonzero(np.abs(dist - 1 / 12) <= 1e-9)
+        mx = max_tensor_polytope(square(), square())
+        r = relative_bound_lps(min_tensor(square(), square()), mx)
+        assert r.max() == pytest.approx(1 / 2, abs=1e-9)
+        tied = np.flatnonzero(np.abs(r - 1 / 2) <= 1e-9)
         assert tied.tolist() == [8, 9, 12, 13, 16, 17, 18, 19]
         gap = barker_gap(square(), square())
-        assert np.array_equal(gap.functional.flat, verts[8])
+        assert np.array_equal(gap.functional.flat, mx.vertices[8])
 
     def test_min_side_certificate_is_the_batched_row(self, monkeypatch):
         def resolve(*args, **kwargs):
-            raise AssertionError("the gap vertex's distance LP was solved again")
+            raise AssertionError("the gap vertex's chart LP was solved again")
 
         monkeypatch.setattr(polytopes, "min_tensor_membership", resolve)
-        verts = max_tensor_polytope(square(), square()).vertices
-        mv = min_tensor(square(), square()).vertices
+        mx = max_tensor_polytope(square(), square())
         gap = barker_gap(square(), square())
-        assert np.array_equal(gap.functional.flat, verts[8])
-        assert gap.margin == pytest.approx(_min_distance_lp(verts, mv)[0].max(), abs=1e-12)
+        assert np.array_equal(gap.functional.flat, mx.vertices[8])
+        assert gap.margin == pytest.approx(relative_bound_lps(min_tensor(square(), square()), mx).max(), abs=1e-12)
 
     @pytest.mark.parametrize("pair", ["square", "5-gon", "simplex"])
     def test_gap_among_prebuilt_max_is_barker_gap(self, pair):
@@ -828,13 +848,17 @@ class TestSeparatingHyperplaneFromDuals:
             outs += 1
             hyp = verdict.certificate
             assert hyp.offset >= (mv @ hyp.normal).max()
-            assert np.abs(hyp.normal).sum() <= 1 + 1e-12
-            assert hyp.margin == pytest.approx(inf_norm_distance(phi.flat, mv), abs=1e-12)
+            # the minimal product is at most 1 wide along the normal, and
+            # the margin is the relative bound r of phi
+            assert np.ptp(mv @ hyp.normal) <= 1 + 1e-12
+            want = relative_bound_lps(Polytope(mv), Polytope(phi.flat[None, :]))[0]
+            assert hyp.margin == pytest.approx(want, abs=1e-12)
         assert outs >= 20
 
 
 class TestBatchedDistanceLP:
-    """The block-diagonal distance LPs against one dense LP per row."""
+    """The batched chart LPs (_chart_lps) against one HiGHS LP per row, and
+    non_vertices against HiGHS's inf-norm distance LPs."""
 
     @pytest.mark.parametrize("pair", ["square", "4-gon", "5-gon", "one row"])
     def test_matches_per_row_lps(self, pair):
@@ -844,19 +868,28 @@ class TestBatchedDistanceLP:
         else:
             k = int(pair[0])
             k1, k2 = affine_polygon(k, rng), affine_polygon(k, rng)
-        mv = min_tensor(k1, k2).vertices
-        phis = max_tensor_polytope(k1, k2).vertices
+        mn = min_tensor(k1, k2)
+        mv, phis = mn.vertices, max_tensor_polytope(k1, k2).vertices
         if pair == "one row":
             phis = phis[12:13]
-        dist, weights, normals = _min_distance_lp(phis, mv)
-        assert dist.shape == (len(phis),)
-        assert weights.shape == (len(phis), len(mv))
-        assert normals.shape == phis.shape
-        for phi, t, lam, y in zip(phis, dist, weights, normals):
-            assert t == pytest.approx(inf_norm_distance(phi, mv), abs=1e-9)
-            assert np.abs(lam @ mv - phi).max() <= t + 1e-9
-            assert np.abs(y).sum() <= 1 + 1e-12
-            assert y @ phi - (mv @ y).max() >= t - 1e-9
+        rows, r, weights, lower, normals, unsettled, drift = _chart_lps(mn, phis)
+        want = relative_bound_lps(mn, Polytope(phis))
+        # only exact copies of a minimal vertex get no row
+        copies = cKDTree(mv).query(phis)[0] == 0
+        assert rows.tolist() == np.flatnonzero(~copies).tolist() and np.all(want[copies] <= 1e-12)
+        assert weights.shape == (len(rows), len(mv)) and normals.shape == (len(rows), phis.shape[1])
+        assert not unsettled.any() and np.all(drift <= 1e-12)
+        # a row pruned more than LP_TOL below the largest lower bound keeps
+        # an open bracket [low, t]; every other row closes on HiGHS's value
+        kept = r >= lower.max() - LP_TOL
+        for phi, t, low, want_t, w, y, closed in zip(phis[rows], r, lower, want[rows], weights, normals, kept):
+            assert low - 1e-9 <= want_t <= t + 1e-9
+            if closed:
+                assert t == pytest.approx(want_t, abs=1e-9) and low == pytest.approx(want_t, abs=1e-9)
+            # affine weights that reproduce phi with negative part t
+            assert np.abs(w @ mv - phi).max() <= 1e-9 and np.abs(w).sum() == pytest.approx(1 + 2 * t, abs=1e-9)
+            assert np.ptp(mv @ y) <= 1 + 1e-12
+            assert y @ phi - (mv @ y).max() >= low - 1e-9
 
     def test_non_vertices_lists_every_inner_point(self):
         # a hexagon with its centre, an edge midpoint and a copy of vertex 0
@@ -948,24 +981,48 @@ class TestSimplexFactor:
 
 
 def unscreened_gap(mx, k1, k2):
-    """gap_among with a distance LP on every maximal vertex, as it was before
-    the screen: (index of the gap vertex, margin), or None."""
-    mv = min_tensor(k1, k2).vertices
-    dist, _, normals = _min_distance_lp(mx.vertices, mv)
-    if dist.max() <= LP_TOL:
+    """gap_among with HiGHS's relative-bound LP on every maximal vertex, and
+    no screen: (index of the gap vertex, margin), or None.  At an optimal
+    basis the dual bound is the LP value, so the margin is r."""
+    r = relative_bound_lps(min_tensor(k1, k2), mx)
+    if r.max() <= LP_TOL:
         return None
-    i = int(np.argmax(dist >= dist.max() - LP_TOL))
-    return i, float(normals[i] @ mx.vertices[i] - np.max(mv @ normals[i]))
+    i = int(np.argmax(r >= r.max() - LP_TOL))
+    return i, float(r[i])
 
 
-def relative_bound_lps(inner, outer):
-    """The relative-bound LP value at every outer vertex, unscreened."""
+def relative_bound_lps(inner, outer, normals=False):
+    """The relative-bound LP value at every outer vertex, unscreened, solved
+    by HiGHS in ambient coordinates.  With normals, also the dual normals y
+    (the duals of the rows V^T (a - b) = z), projected on the directions of
+    aff(inner), where the chart LP's normals lie."""
     iv, p = inner.vertices, inner.n_vertices
     c, ones = np.append(np.zeros(p), np.ones(p)), np.ones((1, p))
     b_eq = np.hstack([outer.vertices, np.ones((outer.n_vertices, 1))])
-    x = _block_lps(c, np.zeros((0, 2 * p)), np.zeros((len(b_eq), 0)),
-                   np.block([[iv.T, -iv.T], [ones, -ones]]), b_eq, "relative-bound")[0]
-    return x @ c
+    x, _, y = _block_lps(c, np.zeros((0, 2 * p)), np.zeros((len(b_eq), 0)),
+                         np.block([[iv.T, -iv.T], [ones, -ones]]), b_eq, "relative-bound")
+    if not normals:
+        return x @ c
+    q = inner.unit_chart[1]
+    return x @ c, y[:, :-1] @ q @ q.T
+
+
+def reference_bounds(name, mn, mx):
+    """relative_bound_lps(mn, mx) for the pair screening_pair(name).  HiGHS
+    meets its constraints only to 1e-7, which misreads single rows of the
+    scaled and shifted squares (0.25 for rows whose r is 1/2 at +1e4), so
+    there the unit square's values are carried over by the factor map
+    [v;1] -> [s v + t;1]: r is affine invariant."""
+    if name[0] not in "x+" or name == "x1":
+        return relative_bound_lps(mn, mx)
+    unit = max_tensor_polytope(square(), square())
+    s, t = (float(name[1:]), 0.0) if name[0] == "x" else (1.0, float(name[1:]))
+    m = np.array([[s, 0.0, t], [0.0, s, t], [0.0, 0.0, 1.0]])
+    images = np.einsum("ia,nab,jb->nij", m, unit.vertices.reshape(-1, 3, 3), m).reshape(-1, 9)
+    center, q, scale, _ = mn.unit_chart
+    gaps, match = cKDTree((images - center) @ q / scale).query((mx.vertices - center) @ q / scale)
+    assert gaps.max() <= 1e-6 and len(set(match)) == len(match)
+    return relative_bound_lps(min_tensor(square(), square()), unit)[match]
 
 
 def screening_pair(name):
@@ -1083,26 +1140,22 @@ class TestScreening:
 
     @pytest.mark.parametrize("name", POLYGON_PAIRS + ["x1", "x8e-5", "x1e3"] + PERFBENCH_PAIRS)
     def test_screened_matches_unscreened(self, name):
+        # the gap vertex is the first maximal vertex within LP_TOL of the
+        # largest r, and its margin is that r; at x8e-5 the inf-norm distance
+        # LP read every distance <= LP_TOL and raised ValueError
         k1, k2 = screening_pair(name)
         mx, mn = max_tensor_polytope(k1, k2), min_tensor(k1, k2)
-        want = unscreened_gap(mx, k1, k2)
-        if name == "x8e-5":
-            # the unscreened LPs read every distance <= LP_TOL, yet 8 of the
-            # 24 maximal vertices are not product vertices: the LPs failed
-            assert want is None and mx.n_vertices - mn.n_vertices == 8
-            with pytest.raises(ValueError, match="membership LP failed"):
-                gap_among(mx, k1, k2)
-        elif want is None:
+        r = reference_bounds(name, mn, mx)
+        if r.max() <= LP_TOL:
             assert gap_among(mx, k1, k2) is None
         else:
             gap = gap_among(mx, k1, k2)
             (index,) = np.flatnonzero(np.all(mx.vertices == gap.functional.flat, axis=1))
-            assert index == want[0]
-            assert gap.margin == pytest.approx(want[1], rel=1e-9)
-        r = max(0.0, float(relative_bound_lps(mn, mx).max()))
-        assert relative_bound(mn, mx) == pytest.approx(r, rel=1e-9, abs=1e-12)
-        if name == "x1":  # square x square: eight vertices tie at 1/12, the first is 8
-            assert want == (8, pytest.approx(1 / 12, abs=1e-12))
+            assert index == np.argmax(r >= r.max() - LP_TOL)
+            assert gap.margin == pytest.approx(r.max(), rel=1e-9)
+        assert relative_bound(mn, mx) == pytest.approx(max(0.0, float(r.max())), rel=1e-9, abs=1e-12)
+        if name == "x1":  # square x square: eight vertices tie at 1/2, the first is 8
+            assert unscreened_gap(mx, k1, k2) == (8, pytest.approx(1 / 2, abs=1e-12))
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_no_gap_pairs_run_no_distance_lp(self, k, calls):
@@ -1114,16 +1167,16 @@ class TestScreening:
         assert calls[0] == 0
 
     def test_square_gap_solves_only_its_open_vertices(self, monkeypatch):
-        # 16 of the 24 maximal vertices are product vertices, at distance 0
+        # 16 of the 24 maximal vertices are product vertices, at r = 0
         k = square()
         mx, copies = max_tensor_polytope(k, k), []
 
         def counted(*args, **kwargs):
-            copies.append(len(kwargs["b_eq"]))  # one equality row per distance LP
+            copies.append(len(kwargs["b_eq"]))  # one equality row per LP
             return scipy_linprog(*args, **kwargs)
 
         monkeypatch.setattr(scipy.optimize, "linprog", counted)
-        assert gap_among(mx, k, k).margin == pytest.approx(1 / 12, abs=1e-12)
+        assert gap_among(mx, k, k).margin == pytest.approx(1 / 2, abs=1e-12)
         assert copies == []  # the eight tied vertices close in the screen
 
     def test_hexagon_relative_bound_in_two_lp_calls(self, calls):
@@ -1136,44 +1189,63 @@ class TestScreening:
         assert calls[0] <= 2
 
 
+class TestGapMarginIsTheRelativeBound:
+    """The gap finder reads relative_bound's chart LPs, so the gap margin is
+    the relative bound, at any scale, and its hyperplane separates."""
+
+    # the pairs with a triangle factor have no gap
+    @pytest.mark.parametrize("name", [n for n in SOLID_PAIRS + PERFBENCH_PAIRS_30 + MIXED_PAIRS if "/3x" not in n]
+                             + ["regular/8x8", "x1", "x8e-5", "x1e-6", "x1e3", "+1000"])
+    def test_margin_is_the_relative_bound(self, name):
+        k1, k2 = screening_pair(name)
+        mn, mx = min_tensor(k1, k2), max_tensor_polytope(k1, k2)
+        gap = gap_among(mx, k1, k2)
+        assert gap.margin == pytest.approx(relative_bound(mn, mx), abs=LP_TOL)
+        plane = gap.min_verdict.certificate
+        assert np.max(mn.vertices @ plane.normal) <= plane.offset < plane.normal @ gap.functional.flat
+
+
 GAP_PAIRS = [f"{k}-gon/{seed}" for k in (4, 5, 6) for seed in (0, 1)]
 PERFBENCH_GAP_PAIRS = [name for name in PERFBENCH_PAIRS if name.endswith(("4x4", "5x5", "6x6"))]
 
 
 class TestExactDistances:
-    """_exact_distances, the batched simplex that screens the gap rows:
-    certified brackets on every row, closed on the rows it does not prune,
-    and the gap row's certificate, which HiGHS's matches."""
+    """_chart_lps, the batched simplex of the gap finder, hull membership
+    and relative_bound: certified brackets [lower, r] on every row, closed
+    on the rows it does not prune, and the gap row's certificate, which
+    HiGHS's matches.  (The name is that of the inf-norm distance screen it
+    replaced, kept so that the test ids stay stable.)"""
 
     @pytest.mark.parametrize("name", POLYGON_PAIRS + PERFBENCH_PAIRS + ["x1", "x8e-5", "x1e3", "+1000", "+1e4"])
     def test_brackets_contain_the_lp_distance(self, name):
         k1, k2 = screening_pair(name)
-        mx, mv = max_tensor_polytope(k1, k2), min_tensor(k1, k2).vertices
-        dist = _min_distance_lp(mx.vertices, mv)[0]
-        rows, upper, lower, weights, normals = _exact_distances(mx.vertices, mv)
-        tol = 1e-12 * max(1.0, dist.max())
-        assert np.all(upper >= dist[rows] - tol)
-        assert np.all(np.delete(dist, rows) <= LP_TOL + tol)  # the rows dropped near a vertex
-        assert np.all(lower <= dist.max() + tol)
-        # there HiGHS's own row is the inexact one: at x1e3 it reads 0 for a
-        # maximal vertex 4.7e-10 from its product vertex, and at +1e4 6.2e-6
-        # for one of the eight gap vertices that the square's symmetry ties
-        if name not in ("x1e3", "+1e4"):
-            assert np.all(lower <= dist[rows] + tol)
-        assert np.allclose(weights.sum(axis=1), 1.0) and np.all(weights >= 0)
-        assert np.all(np.abs(normals).sum(axis=1) <= 1.0 + 1e-12)
+        mn, mx = min_tensor(k1, k2), max_tensor_polytope(k1, k2)
+        want = reference_bounds(name, mn, mx)
+        rows, r, weights, lower, normals, unsettled, drift = _chart_lps(mn, mx.vertices)
+        tol = 1e-12 * max(1.0, want.max())
+        # at +1e4 the rounded chart puts the objective of the rows whose r is
+        # 1/2 up to 3.3e-12 below it (ROADMAP item 5); their lower bounds stay
+        # below 1/2
+        if name != "+1e4":
+            assert np.all(r >= want[rows] - tol)
+        assert np.all(np.delete(want, rows) <= tol)  # the rows dropped copy a product vertex
+        assert np.all(lower <= want[rows] + tol) and np.all(lower <= want.max() + tol)
+        assert not unsettled.any() and np.all(drift <= LP_TOL)
+        assert np.allclose(weights.sum(axis=1), 1.0) and np.allclose(np.abs(weights).sum(axis=1), 1 + 2 * r)
+        if np.max(np.abs(mx.vertices)) <= 100:  # widths evaluated in ambient coordinates
+            assert np.all(np.ptp(normals @ mn.vertices.T, axis=1) <= 1.0 + 1e-12)
 
-    # the regular pairs tie rows within rounding of the largest distance
+    # the regular pairs tie rows within rounding of the largest r
     @pytest.mark.parametrize("name", GAP_PAIRS + PERFBENCH_GAP_PAIRS + ["regular/5x5", "regular/4x6"])
     def test_brackets_close_on_the_open_rows(self, name):
         k1, k2 = screening_pair(name)
-        mx, mv = max_tensor_polytope(k1, k2), min_tensor(k1, k2).vertices
-        rows, upper, lower, _, _ = _exact_distances(mx.vertices, mv)
+        mn, mx = min_tensor(k1, k2), max_tensor_polytope(k1, k2)
+        rows, r, _, lower, _, _, _ = _chart_lps(mn, mx.vertices)
         assert len(rows) >= 8
         # a row closes, or its bracket (still open if the row was pruned) lies
         # more than LP_TOL below the largest lower bound, so gap_among drops it
-        excluded = upper < lower.max() - LP_TOL
-        assert np.all(upper[~excluded] - lower[~excluded] <= 1e-12 * lower[~excluded])
+        excluded = r < lower.max() - LP_TOL
+        assert np.all(r[~excluded] - lower[~excluded] <= 1e-12 * lower[~excluded])
 
     @pytest.mark.parametrize("name", PERFBENCH_GAP_PAIRS)
     def test_perfbench_polygon_pairs_solve_no_lp(self, name, calls):
@@ -1186,9 +1258,9 @@ class TestExactDistances:
     @pytest.mark.parametrize("name", GAP_PAIRS + PERFBENCH_GAP_PAIRS)
     def test_lone_row_certificate_matches_highs(self, name, calls):
         k1, k2 = screening_pair(name)
-        mx, mv = max_tensor_polytope(k1, k2), min_tensor(k1, k2).vertices
+        mn, mx = min_tensor(k1, k2), max_tensor_polytope(k1, k2)
         index, margin = unscreened_gap(mx, k1, k2)
-        normal = _min_distance_lp(mx.vertices[index][None, :], mv)[2][0]
+        normal = relative_bound_lps(mn, Polytope(mx.vertices[index][None, :]), normals=True)[1][0]
         calls[0] = 0
         gap = gap_among(mx, k1, k2)
         assert calls[0] == 0
@@ -1199,115 +1271,137 @@ class TestExactDistances:
 
     @pytest.mark.parametrize("name", GAP_PAIRS + PERFBENCH_GAP_PAIRS)
     def test_unsettled_rows_fall_back_to_highs(self, name, calls, monkeypatch):
-        # there is no fallback: with no pivot, no start basis certifies a
-        # distance above LP_TOL, and an uncertified row is never answered
+        # there is no fallback: with no pivot, only the start bases' dual
+        # bounds can certify a gap.  On the 4-gon pairs none exceeds LP_TOL,
+        # and an uncertified row is never answered; on the others the start
+        # certifies a gap whose margin is at most the relative bound
         k1, k2 = screening_pair(name)
-        mx = max_tensor_polytope(k1, k2)
+        mn, mx = min_tensor(k1, k2), max_tensor_polytope(k1, k2)
         assert gap_among(mx, k1, k2) is not None
         monkeypatch.setattr(polytopes, "SIMPLEX_PIVOTS", 0)
-        with pytest.raises(ValueError, match="membership LP failed: no distance exceeds LP_TOL"):
-            gap_among(mx, k1, k2)
+        if name.startswith("4-gon") or name.endswith("4x4"):
+            with pytest.raises(ValueError, match="membership LP failed: no lower bound exceeds LP_TOL"):
+                gap_among(mx, k1, k2)
+        else:
+            plane = gap_among(mx, k1, k2).min_verdict.certificate
+            assert LP_TOL < plane.margin <= relative_bound_lps(mn, mx).max() + 1e-12
+            assert np.max(mn.vertices @ plane.normal) <= plane.offset
         assert calls[0] == 0
 
     def test_non_separating_normal_is_refused(self, monkeypatch):
         # a certified lower bound with a normal that does not separate (here
         # negated) is never reported as an Out certificate
-        def negated(z, vertices):
-            rows, upper, lower, weights, normals = _exact_distances(z, vertices)
-            return rows, upper, lower, weights, -normals
+        def negated(inner, z):
+            rows, r, weights, lower, normals, unsettled, drift = _chart_lps(inner, z)
+            return rows, r, weights, lower, -normals, unsettled, drift
 
         k = square()
-        monkeypatch.setattr(polytopes, "_exact_distances", negated)
+        monkeypatch.setattr(polytopes, "_chart_lps", negated)
         with pytest.raises(ValueError, match="membership LP failed: its hyperplane does not separate"):
             barker_gap(k, k)
 
 
 class TestTiedGapRows:
-    """Gap vertices that tie at the largest distance close their brackets in
-    the screen, which certifies the first of them with no HiGHS call."""
+    """Gap vertices that tie at the largest relative bound close their
+    brackets in the screen, which certifies the first of them with no HiGHS
+    call."""
 
     # the 4-gon^2 pairs of perfbench seeds 30, 36 and 44 tie rows too
     @pytest.mark.parametrize("name", ["x1", "cube^2", "octahedron^2", "hexagon x cube", "regular/8x8",
                                       "perfbench/30/4x4", "perfbench/36/4x4", "perfbench/44/4x4"])
     def test_tied_rows_match_highs_without_it(self, name, calls):
         k1, k2 = screening_pair(name)
-        mx, mv = max_tensor_polytope(k1, k2), min_tensor(k1, k2).vertices
+        mn, mx = min_tensor(k1, k2), max_tensor_polytope(k1, k2)
         gap = barker_gap(k1, k2)
         assert calls[0] == 0
         candidates = np.arange(mx.n_vertices)
         if mx.n_vertices > 1500:
-            # hexagon x cube (2,688) and the 8-gon^2 (8,656, 5.5 s unscreened): HiGHS
-            # solves the rows whose screen brackets reach the largest lower bound
-            rows, upper, lower, _, _ = _exact_distances(mx.vertices, mv)
-            candidates = rows[upper >= lower.max() - LP_TOL]
+            # hexagon x cube (2,688) and the 8-gon^2 (8,656): HiGHS solves the
+            # rows whose screen brackets reach the largest lower bound
+            rows, r, _, lower, _, _, _ = _chart_lps(mn, mx.vertices)
+            candidates = rows[r >= lower.max() - LP_TOL]
         index, margin = unscreened_gap(Polytope(mx.vertices[candidates]), k1, k2)
         index = candidates[index]
         assert np.array_equal(gap.functional.flat, mx.vertices[index])
         assert gap.margin == pytest.approx(margin, abs=1e-12)
-        if name != "regular/8x8":  # there the optimal dual is not unique: same margin, another normal
-            normal = _min_distance_lp(mx.vertices[index][None, :], mv)[2][0]
+        # there the optimal dual is not unique: same margin, another normal
+        if name not in ("octahedron^2", "hexagon x cube"):
+            normal = relative_bound_lps(mn, Polytope(mx.vertices[index][None, :]), normals=True)[1][0]
             assert np.max(np.abs(gap.min_verdict.certificate.normal - normal)) <= 1e-12
 
 
 class TestScreenBlocks:
-    """_exact_distances pivots its rows in blocks of SIMPLEX_ROWS from the
-    closed-form start bases of _start_bases, so its memory does not grow
-    with the number of rows, and the block size changes no answer."""
+    """_chart_lps pivots its rows in blocks of SIMPLEX_ROWS from closed-form
+    start bases, so its memory does not grow with the number of rows, and
+    the block size changes no answer."""
 
     @pytest.mark.parametrize("name", PERFBENCH_GAP_PAIRS + ["x1", "octahedron^2", "hexagon x cube"])
     def test_block_size_changes_no_answer(self, name, monkeypatch):
         k1, k2 = screening_pair(name)
-        mx, mv = max_tensor_polytope(k1, k2), min_tensor(k1, k2).vertices
-        dist = _min_distance_lp(mx.vertices, mv)[0]
-        tol = 1e-12 * max(1.0, dist.max())
+        mn, mx = min_tensor(k1, k2), max_tensor_polytope(k1, k2)
+        want = relative_bound_lps(mn, mx)
+        tol = 1e-12 * max(1.0, want.max())
         screens, gaps = [], []
 
-        def recorded(z, vertices):
-            screens.append(_exact_distances(z, vertices))
+        def recorded(inner, z):
+            screens.append(_chart_lps(inner, z))
             return screens[-1]
 
-        monkeypatch.setattr(polytopes, "_exact_distances", recorded)
+        monkeypatch.setattr(polytopes, "_chart_lps", recorded)
         for size in (polytopes.SIMPLEX_ROWS, 1, 7, 10**6):
             monkeypatch.setattr(polytopes, "SIMPLEX_ROWS", size)
             gaps.append(gap_among(mx, k1, k2))
-            rows, upper, lower, _, _ = screens[-1]
-            assert np.all(upper >= dist[rows] - tol) and np.all(lower <= dist[rows] + tol)
-            assert np.all(np.delete(dist, rows) <= LP_TOL + tol)
+            rows, r, _, lower, _, _, _ = screens[-1]
+            assert np.all(r >= want[rows] - tol) and np.all(lower <= want[rows] + tol)
+            assert np.all(np.delete(want, rows) <= tol)
         for gap in gaps[1:]:
             assert np.array_equal(gap.functional.flat, gaps[0].functional.flat)
             assert gap.margin == pytest.approx(gaps[0].margin, abs=1e-12)
 
     def test_no_kept_row_gives_empty_arrays(self):
-        mv = min_tensor(regular_polygon(3), regular_polygon(5)).vertices  # (15, 9)
-        out = _exact_distances(mv, mv)
-        assert [a.shape for a in out] == [(0,), (0,), (0,), (0, 15), (0, 9)]
+        mn = min_tensor(regular_polygon(3), regular_polygon(5))  # (15, 9)
+        out = _chart_lps(mn, mn.vertices)
+        assert [a.shape for a in out] == [(0,), (0,), (0, 15), (0,), (0, 9), (0,), (0,)]
 
     @pytest.mark.parametrize("name", PERFBENCH_PAIRS + ["hexagon x cube"])
-    def test_start_inverse_is_the_inverse(self, name):
+    def test_start_inverse_is_the_inverse(self, name, monkeypatch):
+        # rows at the maximal vertices and at 20 seeded affine combinations
+        # of the minimal ones (the triangle pairs' maximal vertices are all
+        # exact copies, which get no row)
         k1, k2 = screening_pair(name)
-        mx, mv = max_tensor_polytope(k1, k2), min_tensor(k1, k2).vertices
-        v, z = mv - mv.mean(axis=0), mx.vertices - mv.mean(axis=0)
-        nearest = cKDTree(v).query(z, p=np.inf)[1]
-        basis, inv = _start_bases(v, z, nearest)
-        _, a_ub, a_eq = _distance_rows(v)
-        a = np.block([[a_ub, np.eye(len(a_ub))], [a_eq, np.zeros((1, len(a_ub)))]])
+        mn, mx = min_tensor(k1, k2), max_tensor_polytope(k1, k2)
+        w = np.random.default_rng(8).normal(size=(20, mn.n_vertices))
+        z = np.vstack([mx.vertices, (w - w.mean(axis=1, keepdims=True) + 1 / mn.n_vertices) @ mn.vertices])
+        recorded = []
+
+        def recording(a, c, rhs, start, bound):
+            recorded.append((a, c, rhs, start(np.arange(len(rhs)))))
+            return linprog(a, c, rhs, start, bound)
+
+        monkeypatch.setattr(polytopes, "linprog", recording)
+        _chart_lps(mn, z)
+        ((a, c, rhs, (basis, inv)),) = recorded
+        assert len(rhs) >= 20
         assert np.max(np.abs(inv - np.linalg.inv(np.moveaxis(a[:, basis], 0, 1)))) <= 1e-12
-        # the start is feasible, and t is the inf-norm distance to the nearest vertex
-        xb = (inv @ np.hstack([z, -z, np.ones((len(z), 1))])[:, :, None])[:, :, 0]
+        # the start is feasible, and its objective is the sum of the negative
+        # affine coordinates of z on the start simplex
+        xb = (inv @ rhs[:, :, None])[:, :, 0]
         assert np.all(xb >= -1e-12)
-        assert np.allclose(xb[:, 1], np.abs(v[nearest] - z).max(axis=1), rtol=0, atol=1e-12)
+        beta = np.linalg.solve(np.moveaxis(a[:, basis % mn.n_vertices], 0, 1), rhs[:, :, None])[:, :, 0]
+        assert np.allclose(np.sum(c[basis] * xb, axis=1), np.maximum(-beta, 0.0).sum(axis=1), rtol=0, atol=1e-12)
 
     def test_screen_memory_is_bounded(self):
-        # one B^-1 stack for all 2,640 rows took 34 MB at its peak
+        # one B^-1 stack for all 2,688 rows would hold 2,688 (12 x 12) floats
         k1, k2 = screening_pair("hexagon x cube")
-        mx, mv = max_tensor_polytope(k1, k2), min_tensor(k1, k2).vertices
+        mn, mx = min_tensor(k1, k2), max_tensor_polytope(k1, k2)
+        mn.unit_chart  # cached before the trace
         tracemalloc.start()
         try:
-            rows = _exact_distances(mx.vertices, mv)[0]
+            rows = _chart_lps(mn, mx.vertices)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(rows) == 2640
+        assert len(rows) == 2688
         assert peak < 10e6
 
 
