@@ -30,8 +30,8 @@ LP_TOL = 1e-9
 # double_description on unit rows and rays: a row's last entry must exceed
 # DD_TOL, and a ray within DD_TOL of a row is tight on it.  _adjacent counts
 # shared rows, and tests containment, in blocks of at most DD_BLOCK pairs:
-# tensor-gap (seed 0) peaked at 89.7/90.5/91.4 MB RSS with blocks of
-# 2^16/2^17/2^18, at about the same batch_s.
+# tensor-gap (seeds 0/1000, medians of 3) read 41.0/41.2, 41.5/41.6, 43.0/43.6
+# MB peak RSS and 46/54, 45/54, 42/51 ms batch_s with 2^16, 2^17, 2^18.
 DD_TOL = 1e-10
 DD_BLOCK = 1 << 16
 MAX_RAY_AMBIENT_DIM = 4
@@ -168,18 +168,6 @@ def _pivot_columns(a: np.ndarray, k: int) -> np.ndarray:
         v = r[:, j] / np.linalg.norm(r[:, j])
         r -= np.outer(v, v @ r)
     return picked
-
-
-def _nearest(z: np.ndarray, v: np.ndarray):
-    """The inf-norm distance (n,) from each row of z (n, d) to its nearest
-    row of v (p, d), and that row's index (n,), the first on ties, from the
-    (p, n) distances built up one coordinate at a time."""
-    gaps = np.zeros((len(v), len(z)))
-    for k in range(z.shape[1]):
-        diff = v[:, k, None] - z[:, k]
-        np.maximum(gaps, np.abs(diff, out=diff), out=gaps)
-    nearest = gaps.argmin(axis=0)
-    return gaps[nearest, np.arange(len(z))], nearest
 
 
 def min_tensor(k1: Polytope, k2: Polytope) -> Polytope:
@@ -366,9 +354,9 @@ def max_tensor_membership(phi: TensorFunctional, k1: Polytope, k2: Polytope) -> 
 
 def non_vertices(points) -> np.ndarray:
     """Indices, ascending, of the listed points (p, dim) that _hull_verdict
-    puts In the hull of the others: exact copies of another point, and
-    points whose relative bound to the others, in their unit chart, is at
-    most LP_TOL."""
+    puts In the hull of the others: points equal to another in every
+    coordinate, and points on the others' affine hull (_off_hull) whose
+    relative bound to the others, in their unit chart, is at most LP_TOL."""
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
         return np.zeros(0, dtype=int)
@@ -387,27 +375,34 @@ def _out_verdict(flat, mv, normal) -> Verdict:
     return Verdict(Status.OUT, SeparatingHyperplane(normal, offset, margin))
 
 
+def _off_hull(z: np.ndarray, k: Polytope):
+    """The part off (n, dim) of each row of z (n, dim) minus k's centroid
+    that lies off the span of k's unit chart, and its length in chart units
+    (n,), |off| / scale: a row is off aff(k) when that exceeds LP_TOL."""
+    center, q, scale, _ = k.unit_chart
+    off = (z - center) - ((z - center) @ q) @ q.T
+    return off, np.linalg.norm(off, axis=1) / scale
+
+
 def _hull_verdict(z: np.ndarray, hull: Polytope) -> Verdict:
     """Membership of the point z (dim,) in the polytope hull, decided in
     hull's unit chart (centroid 0, max-abs coordinate 1).
 
-    In with weights e_k when z is an exact copy of vertex k.  Out when the
-    part d of z - centroid off the chart's span is more than LP_TOL long in
-    chart units (|d| / scale), with normal d / (scale |d|), whose margin is
-    that length.  Otherwise the chart LP (_chart_lps) decides: In with its
-    weights, clipped to >= 0 and rescaled to sum 1, when the relative bound
-    r of z is at most LP_TOL; Out with its dual normal when the certified
-    lower bound on r exceeds LP_TOL.  A bracket across LP_TOL raises
-    ValueError.  The In certificate's residual is |sum_p w_p V_p - z|_inf.
+    In with weights e_k when z equals vertex k in every coordinate, k the
+    first such vertex.  Out when z is off hull's affine hull (_off_hull),
+    with normal off / (scale^2 length), whose margin is that length.
+    Otherwise the chart LP (_chart_lps) decides: In with its weights,
+    clipped to >= 0 and rescaled to sum 1, when the relative bound r of z
+    is at most LP_TOL; Out with its dual normal when the certified lower
+    bound on r exceeds LP_TOL.  A bracket across LP_TOL raises ValueError.
+    The In certificate's residual is |sum_p w_p V_p - z|_inf.
     """
-    (near,), (k,) = _nearest(z[None, :], hull.vertices)
-    if near == 0:
-        return Verdict(Status.IN, ConvexWeightsCertificate(np.eye(hull.n_vertices)[k], 0.0))
-    center, q, scale, _ = hull.unit_chart
-    off = (z - center) - ((z - center) @ q) @ q.T
-    length = np.linalg.norm(off) / scale
+    copies = np.flatnonzero(np.all(hull.vertices == z, axis=1))
+    if len(copies):
+        return Verdict(Status.IN, ConvexWeightsCertificate(np.eye(hull.n_vertices)[copies[0]], 0.0))
+    (off,), (length,) = _off_hull(z[None, :], hull)
     if length > LP_TOL:
-        return _out_verdict(z, hull.vertices, off / (scale * scale * length))
+        return _out_verdict(z, hull.vertices, off / (hull.unit_chart[2] ** 2 * length))
     _, (r,), (weights,), (lower,), (normal,), _, _ = _chart_lps(hull, z[None, :])
     if r <= LP_TOL:
         weights = np.maximum(weights, 0.0) / np.maximum(weights, 0.0).sum()
@@ -497,7 +492,7 @@ def _chart_lps(inner: Polytope, z: np.ndarray):
     b) = (z_u, 1), a, b >= 0, minimizing r = 1^T b, where A = [U; 1^T]
     holds the inner vertices u_j as columns (u_j, 1).  r is affine
     invariant, so U and z_u are in inner's unit chart (inner.unit_chart).
-    A row that is an exact copy of an inner vertex has r = 0 and no LP.
+    A row equal to an inner vertex in every coordinate has r = 0 and no LP.
 
     linprog solves the others, in decreasing order of their start
     objective.  The start bases come from m = dim + 1 affinely independent
@@ -522,7 +517,10 @@ def _chart_lps(inner: Polytope, z: np.ndarray):
     a = np.vstack([u, np.ones(p)])
     chosen = _pivot_columns(a, len(a))
     inv = np.linalg.inv(a[:, chosen])
-    rows = np.flatnonzero(_nearest(z, iv)[0] > 0)
+    equal = np.ones((p, len(z)), dtype=bool)
+    for k in range(z.shape[1]):
+        equal &= iv[:, k, None] == z[:, k]
+    rows = np.flatnonzero(~equal.any(axis=0))
     rhs = np.hstack([(z[rows] - center) @ q / scale, np.ones((len(rows), 1))])
     beta = rhs @ inv.T
     order = np.argsort(-np.maximum(-beta, 0.0).sum(axis=1), kind="stable")
@@ -643,26 +641,24 @@ def relative_bound(inner: Polytope, outer: Polytope) -> float:
     outer vertex an exact copy of an inner one, so a simplex factor gives
     exactly 0.0.
 
-    Raises ValueError when outer's affine hull is not in inner's (a
-    residual off the chart's span above 1e-9 * max(1, max|z|)), when the
-    chart may have dropped a genuine direction (a singular value of the
-    centred inner vertices between 1e-13 and 1e-9 of the largest), as it
-    then poses fewer constraints than the LP, and when the simplex is at
-    fault: a row is left open (linprog), a last basis drifts more than
+    Raises ValueError when outer's affine hull is not in inner's (a vertex
+    more than LP_TOL off it in chart units, _off_hull, as in _hull_verdict),
+    when the chart may have dropped a genuine direction (a singular value
+    of the centred inner vertices between 1e-13 and 1e-9 of the largest),
+    as it then poses fewer constraints than the LP, and when the simplex is
+    at fault: a row is left open (linprog), a last basis drifts more than
     LP_TOL off its constraints, or the maximum is below the largest lower
     bound less LP_TOL.  No check sees how far rounding moved the chart from
     inner's vertices (ROADMAP item 5).
     """
-    (center, q, _, s), z = inner.unit_chart, outer.vertices
-    d = z - center
-    off = np.linalg.norm(d - (d @ q) @ q.T, axis=1)
-    if not np.all(off <= 1e-9 * max(1.0, float(np.max(np.abs(z))))):
+    if not np.all(_off_hull(outer.vertices, inner)[1] <= LP_TOL):
         raise ValueError("affine hull of outer is not contained in that of inner")
+    s = inner.unit_chart[3]
     top = np.max(s, initial=0.0)
     if np.any((s > 1e-13 * top) & (s <= 1e-9 * top)):
         raise ValueError("relative-bound LP failed: the unit chart of inner drops a singular value "
                          "between 1e-13 and 1e-9 of the largest")
-    rows, values, _, lower, _, unsettled, drift = _chart_lps(inner, z)
+    rows, values, _, lower, _, unsettled, drift = _chart_lps(inner, outer.vertices)
     r = float(np.max(values, initial=0.0))
     if unsettled.any():
         raise ValueError(f"relative-bound LP failed: {np.count_nonzero(unsettled)} of {len(rows)} "
