@@ -75,12 +75,17 @@ class MatrixMap:
         want = (self.output_dim ** 2, self.input_dim ** 2)
         if c.shape != want:
             raise ValueError(f"coefficient array must have shape {want}, got {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("map coefficients contain NaN or infinity")
         object.__setattr__(self, "coeffs", _frozen_array(c))
 
     @classmethod
     def from_function(cls, input_dim: int, output_dim: int, fn) -> "MatrixMap":
-        """Build the coefficient array by applying ``fn`` to the Hermitian basis."""
+        """Build the coefficient array by applying ``fn`` to the Hermitian basis;
+        an image that is not Hermitian raises ValueError, as HermitianOperator does."""
         images = np.array([fn(b) for b in hermitian_basis(input_dim)], dtype=complex)
+        for image in images:
+            HermitianOperator(image)
         return cls(input_dim, output_dim, _coefficients(images))
 
     @classmethod

@@ -32,7 +32,7 @@ class HermitianOperator:
 
     Input is symmetrized to (A + A*)/2 on ingestion; deviations from
     Hermitian symmetry larger than ``HERMITICITY_TOL`` (relative to the
-    entry magnitude) are rejected as corrupt data.
+    entry magnitude) are rejected as corrupt data, as are NaN and infinity.
     """
 
     matrix: np.ndarray
@@ -41,7 +41,9 @@ class HermitianOperator:
         a = np.asarray(self.matrix, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
+        scale = float(np.max(np.abs(a), initial=1.0))
+        if not np.isfinite(scale):
+            raise ValueError("operator entries contain NaN or infinity")
         dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
         if dev > HERMITICITY_TOL * scale:
             raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
@@ -95,7 +97,7 @@ class ProductVector:
         l = np.asarray(self.left, dtype=complex).ravel()
         r = np.asarray(self.right, dtype=complex).ravel()
         for name, v in (("left", l), ("right", r)):
-            if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
+            if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_TOL:
                 raise ValueError(f"{name} factor is not a unit vector")
         object.__setattr__(self, "left", _frozen_array(l))
         object.__setattr__(self, "right", _frozen_array(r))

@@ -64,7 +64,7 @@ class Polytope:
         if v.ndim != 2 or len(v) == 0:
             raise ValueError("vertex list must be a nonempty 2-d array")
         if not np.all(np.isfinite(v)):
-            raise ValueError("vertex coordinates must be finite")
+            raise ValueError("vertex coordinates contain NaN or infinity")
         object.__setattr__(self, "vertices", _frozen_array(v))
 
     @property
@@ -117,6 +117,8 @@ class TensorFunctional:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise ValueError("functional must be a 2-d coefficient matrix")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("functional coefficients contain NaN or infinity")
         if abs(m[-1, -1] - 1.0) > 1e-12:
             raise ValueError(f"normalization entry is {m[-1, -1]!r}, expected 1")
         object.__setattr__(self, "matrix", _frozen_array(m))

@@ -74,12 +74,6 @@ def bipartite_to_dict(op: BipartiteOperator) -> dict:
     return d
 
 
-def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise MalformedInput(f"{what} contain NaN or infinity")
-    return values
-
-
 def _size(d: dict, key: str) -> int:
     """Size field ``key``: an int, or a float with zero fraction (JSON Schema's integer)."""
     value = d[key]
@@ -91,8 +85,7 @@ def _size(d: dict, key: str) -> int:
 def _matrix_from_entries(entries, dim: int) -> np.ndarray:
     if len(entries) != dim * dim:
         raise MalformedInput(f"expected {dim * dim} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return _require_finite(flat, "operator entries").reshape(dim, dim)
+    return np.array([complex(re, im) for re, im in entries]).reshape(dim, dim)
 
 
 def bipartite_from_dict(d: dict) -> BipartiteOperator:
@@ -108,8 +101,7 @@ def bipartite_from_dict(d: dict) -> BipartiteOperator:
 def map_from_dict(d: dict) -> MatrixMap:
     try:
         coeffs = np.asarray(d["coeffs"], dtype=float)
-        return MatrixMap(_size(d, "input_dim"), _size(d, "output_dim"),
-                         _require_finite(coeffs, "map coefficients"))
+        return MatrixMap(_size(d, "input_dim"), _size(d, "output_dim"), coeffs)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"bad map document: {exc}") from exc
 
@@ -125,7 +117,7 @@ def polytope_from_dict(d: dict) -> Polytope:
         verts = np.asarray(d["vertices"], dtype=float)
         if verts.ndim != 2 or verts.shape[1] != _size(d, "dim"):
             raise ValueError(f"vertices do not match dim={d['dim']}")
-        k = Polytope(_require_finite(verts, "polytope vertices"))
+        k = Polytope(verts)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"bad polytope document: {exc}") from exc
     inner = non_vertices(verts)

@@ -571,7 +571,7 @@ class TestReportCommands:
 
     def test_reproduce_single_check(self, capsys):
         code, rep = run_json(
-            capsys, ["reproduce", "--only", "witness_norm"]
+            capsys, ["reproduce", "--only", "riesz"]
         )
         assert code == 0
         assert len(rep["results"]["checks"]) == 1
@@ -580,7 +580,7 @@ class TestReportCommands:
 
     def test_reproduce_numpy_bool_check_serializes(self, capsys):
         # without --only every acceptance check runs
-        for only, count in [(["--only", "witness_block"], 1), ([], 13)]:
+        for only, count in [(["--only", "cone-algebra"], 1), ([], 10)]:
             code, rep = run_json(capsys, ["reproduce", *only])
             assert code == 0
             assert [c["passed"] for c in rep["results"]["checks"]] == [True] * count
@@ -602,7 +602,7 @@ class TestReportCommands:
         assert "no acceptance check matches 'no-such-check'" in capsys.readouterr().err
 
     def test_reproduce_table(self, capsys):
-        assert cli.main(["reproduce", "--only", "witness_norm", "--format", "table"]) == 0
+        assert cli.main(["reproduce", "--only", "riesz", "--format", "table"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3 and lines[1].startswith("PASS ")
         assert lines[-1] == "overall: pass"
@@ -820,7 +820,7 @@ class TestErrorPaths:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(["polytope", "tensor", "--k1", str(p), "--k2", str(p)]) == 65
-        assert capsys.readouterr().err == "input error: vertex coordinates must be finite\n"
+        assert capsys.readouterr().err == "input error: vertex coordinates contain NaN or infinity\n"
 
 
 SCHEMA_KEYS = ["n", "m", "dim", "entries", "input_dim", "output_dim", "coeffs", "vertices"]

@@ -70,6 +70,20 @@ class TestHermitianBasis:
         assert np.max(np.abs(MatrixMap.identity(3).apply(m) - m)) <= 1e-13
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coefficients(self, bad):
+        coeffs = np.eye(4)
+        coeffs[1, 2] = bad
+        with pytest.raises(ValueError, match="map coefficients contain NaN or infinity"):
+            MatrixMap(2, 2, coeffs)
+
+    def test_from_function_rejects_non_hermitian_images(self):
+        # i A is anti-Hermitian: its coefficients would have no real part
+        with pytest.raises(ValueError, match="not Hermitian"):
+            MatrixMap.from_function(2, 2, lambda a: 1j * a)
+
+
 class TestChoiJamiolkowski:
     def test_identity_map(self):
         assert np.allclose(choi(MatrixMap.identity(2)).matrix, h_operator(2).matrix, atol=1e-14)

@@ -69,6 +69,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unit vector"):
             ProductVector(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="contain NaN or infinity"):
+            HermitianOperator([[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(ValueError, match="right factor is not a unit vector"):
+            ProductVector(np.array([1.0, 0.0]), np.array([bad, 0.0]))
+
     def test_matrices_are_immutable(self):
         op = HermitianOperator(np.eye(2))
         with pytest.raises(ValueError):

@@ -445,12 +445,12 @@ class TestAffineInvariance:
 class TestDuplicateDetection:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_coordinates_rejected(self, bad):
-        with pytest.raises(ValueError, match="vertex coordinates must be finite"):
+        with pytest.raises(ValueError, match="vertex coordinates contain NaN or infinity"):
             Polytope([[0.0, 1.0], [bad, 0.0]])
 
     def test_overflowing_min_tensor_rejected(self):
         k = Polytope([[0.0, 1e200, 3.0]])
-        with pytest.raises(ValueError, match="vertex coordinates must be finite"):
+        with pytest.raises(ValueError, match="vertex coordinates contain NaN or infinity"):
             min_tensor(k, k)
 
     def test_distinct_many_accepted(self):
@@ -826,6 +826,13 @@ class TestTensorFunctional:
     def test_requires_normalization(self):
         m = np.zeros((3, 3))
         with pytest.raises(ValueError, match="normalization"):
+            TensorFunctional(m)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_coefficients(self, bad):
+        m = np.eye(3)
+        m[0, 1] = bad
+        with pytest.raises(ValueError, match="functional coefficients contain NaN or infinity"):
             TensorFunctional(m)
 
 

@@ -108,6 +108,18 @@ def test_non_finite_polytope_rejected(bad):
         polytope_from_dict(doc)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_operator_and_map_rejected(bad):
+    doc = bipartite_to_dict(swap_operator(2))
+    doc["entries"][5] = [bad, 0.0]
+    with pytest.raises(MalformedInput, match="operator entries contain NaN or infinity"):
+        bipartite_from_dict(doc)
+    doc = to_json(MatrixMap.identity(2))
+    doc["coeffs"][0][0] = bad
+    with pytest.raises(MalformedInput, match="map coefficients contain NaN or infinity"):
+        map_from_dict(doc)
+
+
 @pytest.mark.parametrize(
     "vertices",
     [
